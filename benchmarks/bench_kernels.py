@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Times the two hot paths -- the O(n^2) Volterra march behind the scale
-functions and the Monte-Carlo path engine -- on a representative model
-(linear premium, exponential claims).  Run after building the extension:
+Times the two kernels that have a compiled twin -- the general O(n^2)
+Volterra march and the Monte-Carlo path engine -- on a representative
+model (linear premium, exponential claims).  For this exponential model the
+library itself does not use the O(n^2) march: `solve_scale` takes the O(n)
+`scale._exponential_march`, timed alongside for comparison.  The O(n^2)
+march serves tabulated claim densities.  Run after building the extension:
 
     python benchmarks/bench_kernels.py [--paths 20000] [--nodes 20000]
 """
@@ -16,6 +19,7 @@ import numpy as np
 
 from dividend_opt import ClaimModel, ModelParams, PenaltyModel, PremiumModel
 from dividend_opt import _backend, _reference
+from dividend_opt.scale import _exponential_march
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
                      PenaltyModel.zero(), lam=0.1, q=0.05)
@@ -41,6 +45,9 @@ def bench_volterra(nodes: int):
     t_py, (u_py, _, _) = time_best(_reference.volterra_march, p, f, 0.1, 0.05,
                                    dx, 1.0, None)
     results["python"] = t_py
+    t_lin, _ = time_best(_exponential_march, p, PARAMS.claim.mu, 0.1, 0.05, dx,
+                         1.0, None)
+    results["exponential"] = t_lin
     if _backend.HAVE_COMPILED:
         t_c, (u_c, _, _) = time_best(_backend._ext.volterra_march, p, f, 0.1,
                                      0.05, dx, 1.0, None)
@@ -93,6 +100,7 @@ def main():
     v = bench_volterra(args.nodes)
     print(f"\nVolterra march, {args.nodes} nodes:")
     print(f"  python   {v['python'] * 1e3:9.1f} ms")
+    print(f"  O(n) exponential march {v['exponential'] * 1e3:9.1f} ms")
     if "compiled" in v:
         print(f"  compiled {v['compiled'] * 1e3:9.1f} ms   "
               f"({v['python'] / v['compiled']:.1f}x, "

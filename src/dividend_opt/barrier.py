@@ -61,6 +61,9 @@ def _derivative_arrays(scale: ScaleSolution):
 def h_grid(scale: ScaleSolution) -> np.ndarray:
     """h at the grid nodes; node 0 holds the right limit (Richardson)."""
     wd, gd = _derivative_arrays(scale)
+    if wd.size < 3:
+        raise NumericsError(f"grid has {wd.size} nodes; locating the barrier needs "
+                            f"at least 3 (decrease dx or increase x_max)")
     if np.any(wd <= 0):
         bad = float(scale.W.x[int(np.argmax(wd <= 0))])
         raise NumericsError(f"W' <= 0 at x={bad:.6g}: barrier-quality function "

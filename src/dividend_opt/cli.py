@@ -192,8 +192,9 @@ def _cmd_simulate(args) -> int:
     barrier = args.barrier
     v_curve = None
     if args.barrier_file:
-        bdoc = json.load(open(os.path.join(args.barrier_file, "barrier.json"),
-                              encoding="utf-8"))
+        with open(os.path.join(args.barrier_file, "barrier.json"),
+                  encoding="utf-8") as fh:
+            bdoc = json.load(fh)
         barrier = bdoc["a_star"]
         vpath = os.path.join(args.barrier_file, "v_curve.csv")
         if os.path.exists(vpath):

@@ -12,6 +12,14 @@ mode at the truncation boundary:
 
     G = G_p + gamma * W,   gamma = -G_p(x_max) / W(x_max).
 
+W and G_p are marched forward by one implicit-trapezoid scheme.  For
+exponential claims f(z) = mu exp(-mu z) the trapezoid history sum H_i of
+the convolution obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so
+`_exponential_march` does O(1) work per step and O(n) in all;
+`solve_scale` and `compute_W` use it for every exponential-claim model, on
+either backend.  Tabulated claim densities go through the general O(n^2)
+`_backend.volterra_march`.
+
 Closed forms kept as oracles: the two-exponential scale function for
 constant premiums, the classical ruin probability, and the Kummer-function
 form for linear premiums.
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
+from ._reference import _RESCALE_AT
 from .errors import DomainTooShortError, NumericsError, OverflowDomainError
 from .grid import GridFunction
 from .kummer import kummer_M, kummer_U
@@ -95,6 +104,9 @@ class LodeOperatorSpec:
 
 
 def _grid_arrays(params: ModelParams, dx: float, x_max: float):
+    for name, value in (("dx", dx), ("x_max", x_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     if dx <= 0 or x_max <= dx:
         raise ValueError(f"need 0 < dx < x_max, got dx={dx}, x_max={x_max}")
     step_cap = 0.01 * min(1.0 / params.lam, params.claim.mean())
@@ -110,10 +122,65 @@ def _grid_arrays(params: ModelParams, dx: float, x_max: float):
     return x, p_vals, f_vals
 
 
+def _exponential_march(p_vals, mu, lam, q, dx, u0, source_vals=None):
+    """`_reference.volterra_march` for the density f(z) = mu exp(-mu z).
+
+    Same implicit-trapezoid scheme, source term and running rescale; the
+    history sum H_i = sum_{j<i} w_j u_j f(x_i - x_j) (w_0 = 1/2, else 1)
+    is carried forward as H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0))
+    instead of being recomputed, so the march is O(n).
+    """
+    p = np.asarray(p_vals, dtype=float).tolist()
+    n = len(p)
+    src = ([0.0] * n if source_vals is None
+           else np.asarray(source_vals, dtype=float).tolist())
+    decay = math.exp(-mu * dx)
+    half_dx = 0.5 * dx
+    A = lam + q - half_dx * lam * mu
+    u = [0.0] * n
+    d = [0.0] * n
+    u[0] = ui = u0
+    d[0] = di = ((lam + q) * u0 - lam * src[0]) / p[0]
+    H = decay * 0.5 * u0 * mu
+    log_scale = 0.0
+    src_scale = 1.0
+    rescales = []  # (node, divisor): applied to the stored prefix at the end
+    for i in range(1, n):
+        extra = -lam * (dx * H + src[i] * src_scale)
+        pi = p[i]
+        ui = (ui + half_dx * (di + extra / pi)) / (1.0 - half_dx * A / pi)
+        di = (A * ui + extra) / pi
+        H = decay * (H + ui * mu)
+        au = abs(ui)
+        if au > _RESCALE_AT:
+            rescales.append((i, au))
+            ui /= au
+            di /= au
+            H /= au
+            log_scale += math.log(au)
+            src_scale /= au
+        u[i] = ui
+        d[i] = di
+    u = np.array(u)
+    d = np.array(d)
+    for i, au in rescales:
+        u[:i] /= au
+        d[:i] /= au
+    return u, d, log_scale
+
+
+def _march(params, p_vals, f_vals, dx, u0, source_vals=None):
+    """The O(n) march for exponential claims, the general one otherwise."""
+    lam, q = params.lam, params.q
+    if params.claim.kind == "exponential":
+        return _exponential_march(p_vals, params.claim.mu, lam, q, dx, u0,
+                                  source_vals)
+    return _backend.volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals)
+
+
 def _march_W(params, dx, x_max):
     x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
-    vals, ders, log_scale = _backend.volterra_march(p_vals, f_vals, params.lam,
-                                                    params.q, dx, 1.0, None)
+    vals, ders, log_scale = _march(params, p_vals, f_vals, dx, 1.0)
     return x, p_vals, f_vals, vals, ders, log_scale
 
 
@@ -176,7 +243,6 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     """Compute W and G together with consistency diagnostics."""
     x, p_vals, f_vals, w_raw, wd_raw, Lw = _march_W(params, dx, x_max)
     w_vals, wd_vals = _normalize_marched_W(x, w_raw, wd_raw, Lw)
-    lam, q = params.lam, params.q
 
     if params.penalty.is_zero:
         g_vals = np.zeros_like(w_vals)
@@ -184,7 +250,7 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
         gamma = 0.0
     else:
         omega = _omega_grid(params, x)
-        gp, gpd, Lg = _backend.volterra_march(p_vals, f_vals, lam, q, dx, 0.0, omega)
+        gp, gpd, Lg = _march(params, p_vals, f_vals, dx, 0.0, omega)
         if Lg > 650.0:
             raise OverflowDomainError(
                 "penalty solution needed rescaling beyond float range; "
@@ -232,9 +298,9 @@ def _check_G_decay(x, g_vals, x_max):
 
 def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
     """conv_j = dx * trapezoid of int_0^{x_j} u(s) f(x_j - s) ds for every j."""
-    from scipy.signal import fftconvolve
-
-    full = fftconvolve(u, f)[:u.size]
+    n = u.size
+    nfft = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1: no wrap-around
+    full = np.fft.irfft(np.fft.rfft(u, nfft) * np.fft.rfft(f, nfft), nfft)[:n]
     return dx * (full - 0.5 * u[0] * f - 0.5 * u * f[0])
 
 

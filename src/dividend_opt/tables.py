@@ -17,7 +17,6 @@ reference column by design; the CSV keeps both values side by side.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .barrier import find_barrier
@@ -85,13 +84,13 @@ def default_x_max(params: ModelParams) -> float:
 
 def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
                    x_max: float | None = None):
-    """Solve the scale functions and locate a*, growing the domain when the
-    h-maximum lands on the right edge."""
+    """Solve the scale functions and locate a*, growing the domain when G
+    has not decayed by the truncation edge or the h-maximum lands on it."""
     x_max = default_x_max(params) if x_max is None else x_max
     last = None
     for _ in range(_MAX_DOMAIN_RETRIES):
-        scale = solve_scale(params, dx, x_max)
         try:
+            scale = solve_scale(params, dx, x_max)
             return scale, find_barrier(scale)
         except DomainTooShortError as exc:
             last = exc
@@ -99,28 +98,20 @@ def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
     raise last
 
 
-def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None,
-              concurrent: bool = True):
+def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None):
     """Rows (param_value, a_star, a_star_ref, abs_diff, note) for one sweep.
 
     A numerical failure in one column aborts that column only (NaN + note).
     """
     spec = SWEEPS[which]
-
-    def column(idx: int):
-        value = spec.values[idx]
-        ref = spec.reference[idx]
+    rows = []
+    for value, ref in zip(spec.values, spec.reference):
         try:
             _, sol = locate_barrier(spec.model_for(value), dx=dx, x_max=x_max)
-            return value, sol.a_star, ref, abs(sol.a_star - ref), ""
+            rows.append((value, sol.a_star, ref, abs(sol.a_star - ref), ""))
         except NumericsError as exc:
-            return value, math.nan, ref, math.nan, str(exc)
-
-    idxs = range(len(spec.values))
-    if concurrent and len(spec.values) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(spec.values))) as pool:
-            return list(pool.map(column, idxs))
-    return [column(i) for i in idxs]
+            rows.append((value, math.nan, ref, math.nan, str(exc)))
+    return rows
 
 
 def sweep_csv(rows) -> str:

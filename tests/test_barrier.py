@@ -9,7 +9,7 @@ from dividend_opt import (DomainTooShortError, GridFunction, NumericsError,
                           barrier_boundary_identity, barrier_solution_at,
                           find_barrier, h_eval, solve_scale, value_function)
 from dividend_opt.scale import ScaleSolution
-from dividend_opt.tables import SWEEPS
+from dividend_opt.tables import SWEEPS, locate_barrier
 from conftest import make_params
 
 
@@ -76,6 +76,24 @@ class TestFindBarrier:
             find_barrier(scale)
         sol = find_barrier(scale, allow_edge=True)
         assert sol.a_star == 10.0
+
+    def test_too_few_nodes_is_numerics_error(self):
+        # dx = 0.5 on [0, 0.6] leaves 2 nodes; h(0) extrapolates from h[1], h[2]
+        with pytest.warns(UserWarning, match="recommended cap"):
+            scale = solve_scale(make_params(), 0.5, 0.6)
+        assert scale.W.n == 2
+        with pytest.raises(NumericsError, match="at least 3"):
+            find_barrier(scale)
+
+    def test_locate_barrier_grows_domain_when_G_has_not_decayed(self):
+        params = make_params(penalty="constant", k=1.0)
+        with pytest.raises(DomainTooShortError) as err:
+            solve_scale(params, 0.01, 15.0)
+        assert err.value.suggested_x_max == pytest.approx(22.5)
+        scale, sol = locate_barrier(params, dx=0.01, x_max=15.0)
+        assert scale.domain_end == pytest.approx(22.5)
+        direct = find_barrier(solve_scale(params, 0.01, 22.5))
+        assert sol.a_star == direct.a_star
 
     def test_flat_profile_returns_right_edge_of_flat_region(self):
         # synthetic scale data: h = 1/W' flat over an interior plateau

@@ -10,7 +10,51 @@ from dividend_opt import (ClaimModel, DomainTooShortError, LodeOperatorSpec,
                           closed_form_G_ruin_constant, closed_form_W_constant,
                           closed_form_W_linear, compute_G, compute_W,
                           solve_scale)
+from dividend_opt import _reference
+from dividend_opt.scale import _exponential_march, _grid_arrays, _omega_grid
+from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max
 from conftest import make_params
+
+ORACLE_REL_TOL = 1e-11
+
+
+def _max_rel_diff(fast, ref):
+    """Largest node-wise |fast - ref| / |ref|; nodes where both agree exactly
+    (the zero start of the penalty march) count as 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(fast - ref) / np.abs(ref)
+    return float(np.max(np.where(fast == ref, 0.0, rel)))
+
+
+def _oracle_diffs(params, dx, x_max, penalty_march=False):
+    """The O(n) exponential march against the reference O(n^2) march, both
+    in true units (stored value * exp(log_scale))."""
+    x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+    u0, src = (0.0, _omega_grid(params, x)) if penalty_march else (1.0, None)
+    u, d, L = _exponential_march(p_vals, params.claim.mu, params.lam, params.q,
+                                 dx, u0, src)
+    ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam, params.q,
+                                           dx, u0, src)
+    return (_max_rel_diff(u * math.exp(L), ur * math.exp(Lr)),
+            _max_rel_diff(d * math.exp(L), dr * math.exp(Lr)), L)
+
+
+class TestExponentialMarchOracle:
+    @pytest.mark.parametrize("which,value", [(w, v) for w, spec in SWEEPS.items()
+                                             for v in spec.values])
+    def test_sweep_instances_match_reference(self, which, value):
+        params = SWEEPS[which].model_for(value)
+        du, dd, _ = _oracle_diffs(params, DEFAULT_DX, default_x_max(params))
+        assert du <= ORACLE_REL_TOL
+        assert dd <= ORACLE_REL_TOL
+
+    def test_source_term_and_rescale_match_reference(self):
+        params = ModelParams(PremiumModel.constant(1.0), ClaimModel.exponential(1.0),
+                             PenaltyModel.linear(1.0, 0.5), lam=0.5, q=0.5)
+        du, dd, log_scale = _oracle_diffs(params, 0.005, 600.0, penalty_march=True)
+        assert log_scale == pytest.approx(345.39, abs=0.01)  # one rescale at 1e150
+        assert du <= ORACLE_REL_TOL
+        assert dd <= ORACLE_REL_TOL
 
 
 class TestComputeW:
@@ -40,6 +84,14 @@ class TestComputeW:
         W = compute_W(params, 0.01, 40.0)
         assert np.all(W.values > 0)
         assert np.all(np.diff(W.values) > 0)
+
+    @pytest.mark.parametrize("dx,x_max,name", [(math.nan, 10.0, "dx"),
+                                               (math.inf, 10.0, "dx"),
+                                               (0.01, math.nan, "x_max"),
+                                               (0.01, math.inf, "x_max")])
+    def test_non_finite_grid_arguments_rejected(self, table1_q05, dx, x_max, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            solve_scale(table1_q05, dx, x_max)
 
     def test_step_warning(self, table1_q05):
         with pytest.warns(UserWarning, match="recommended cap"):

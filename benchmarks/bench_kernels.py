@@ -1,12 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the hot kernels against their reference implementations.
 
-Times the two kernels that have a compiled twin -- the general O(n^2)
-Volterra march and the Monte-Carlo path engine -- on a representative
-model (linear premium, exponential claims).  For this exponential model the
-library itself does not use the O(n^2) march: `solve_scale` takes the O(n)
-`scale._exponential_march`, timed alongside for comparison.  The O(n^2)
-march serves tabulated claim densities.  Run after building the extension:
+Times three layers, best of k:
+
+- the general O(n^2) Volterra march and its compiled twin, on a
+  representative model (linear premium, exponential claims).  For this
+  exponential model the library itself does not use the O(n^2) march:
+  `solve_scale` takes the O(n) `scale._exponential_march`, timed alongside
+  for comparison.  The O(n^2) march serves tabulated claim densities.
+- the penalty rate omega on every node of a solve grid (dx 0.005,
+  x_max 166.7) for a tabulated Erlang-2 claim density with a linear
+  penalty: the exact, vectorized `model.omega_eval` against the per-node
+  quadrature oracle `_reference.omega_quadrature`.  Their difference
+  (about 5e-8) is the oracle's Simpson error at the nodes that fall
+  between density samples, where its panels straddle the density's kinks.
+- the Monte-Carlo path engine and its compiled twin.
+
+Run after building the extension (the compiled timings are skipped
+without it):
 
     python benchmarks/bench_kernels.py [--paths 20000] [--nodes 20000]
 """
@@ -17,7 +28,8 @@ import time
 
 import numpy as np
 
-from dividend_opt import ClaimModel, ModelParams, PenaltyModel, PremiumModel
+from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
+                          omega_eval)
 from dividend_opt import _backend, _reference
 from dividend_opt.scale import _exponential_march
 
@@ -55,6 +67,27 @@ def bench_volterra(nodes: int):
         drift = float(np.max(np.abs(u_c - u_py) / np.abs(u_py)))
         results["max_rel_drift"] = drift
     return results
+
+
+def omega_params():
+    """Linear premium 1 + 0.02x, tabulated Erlang(2, 0.6) claims on [0, 40]
+    (dx 0.01), linear penalty -1 + 0.5x, lambda 0.1, q 0.05."""
+    dx = 0.01
+    ys = dx * np.arange(4001)
+    f = 0.36 * ys * np.exp(-0.6 * ys)
+    claim = ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
+    return ModelParams(PremiumModel.linear(1.0, 0.02), claim,
+                       PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
+
+
+def bench_omega():
+    params = omega_params()
+    x = 0.005 * np.arange(int(round(166.7 / 0.005)) + 1)
+    t_ref, ref = time_best(
+        lambda: np.array([_reference.omega_quadrature(params, float(v)) for v in x]))
+    t_exact, exact = time_best(omega_eval, params, x)
+    return {"nodes": x.size, "quadrature": t_ref, "exact": t_exact,
+            "max_abs_diff": float(np.max(np.abs(exact - ref)))}
 
 
 def bench_paths(paths: int):
@@ -105,6 +138,13 @@ def main():
         print(f"  compiled {v['compiled'] * 1e3:9.1f} ms   "
               f"({v['python'] / v['compiled']:.1f}x, "
               f"max rel drift {v['max_rel_drift']:.1e})")
+
+    o = bench_omega()
+    print(f"\nPenalty rate omega, {o['nodes']} nodes (tabulated Erlang-2 claims):")
+    print(f"  quadrature {o['quadrature'] * 1e3:9.1f} ms")
+    print(f"  exact      {o['exact'] * 1e3:9.1f} ms   "
+          f"({o['quadrature'] / o['exact']:.0f}x, "
+          f"max abs diff {o['max_abs_diff']:.1e})")
 
     p = bench_paths(args.paths)
     print(f"\nMonte-Carlo engine, {args.paths} paths (incl. per-path stream setup):")

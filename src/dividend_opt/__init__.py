@@ -15,7 +15,7 @@ from .barrier import (BarrierSolution, barrier_boundary_identity,
                       value_function)
 from .errors import (ConfigError, DividendOptError, DomainTooShortError,
                      HorizonError, ModelValidationError, NumericsError,
-                     OverflowDomainError, QuadratureError)
+                     OverflowDomainError)
 from .flow import FlowSolver, flow_forward, hit_time
 from .grid import GridFunction
 from .hjb import OptimalityReport, generator_apply, verify_optimality
@@ -37,7 +37,7 @@ __all__ = [
     "DomainTooShortError", "FlowSolver", "GridFunction", "HAVE_COMPILED",
     "HorizonError", "KummerDiagnostics", "LodeOperatorSpec", "ModelParams",
     "ModelValidationError", "NumericsError", "OptimalityReport",
-    "OverflowDomainError", "PenaltyModel", "PremiumModel", "QuadratureError",
+    "OverflowDomainError", "PenaltyModel", "PremiumModel",
     "ScaleSolution", "SimulationConfig", "SimulationEstimate",
     "ValidationReport", "backend_name", "barrier_boundary_identity",
     "barrier_solution_at", "closed_form_G_ruin_constant",

@@ -6,6 +6,9 @@ Monte-Carlo event loop.  The event loop is written over plain floats with
 exactly the arithmetic of the C version, so both backends produce
 bit-identical path values; the march differs from the compiled one only
 in float-summation order of the convolution dot products.
+
+`omega_quadrature` keeps the quadrature evaluation of the penalty rate
+as the test oracle for the exact `model.omega_eval`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import NumericsError
 
 _RESCALE_AT = 1e150
 
@@ -202,3 +207,39 @@ def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
             return val, 1, new, i, 0
         lvl = new
         t = t_claim
+
+
+# ---------------------------------------------------------------------------
+# penalty rate by quadrature (test oracle for `model.omega_eval`)
+
+
+def omega_quadrature(params, x: float) -> float:
+    """omega(x) = int_{z > x} w(x - z) f(z) dz at one x >= 0, by quadrature.
+
+    Composite Simpson on a refinement of a tabulated density's own grid
+    (half-cell panels, so aligned with its kinks when x is a grid node);
+    adaptive `quad` (abs tol 1e-10) over [x, x + 60/mu] for exponential
+    claims.  Clamped at 0 like the exact evaluation.
+    """
+    from scipy.integrate import quad, simpson
+
+    pen, claim = params.penalty, params.claim
+    if pen.is_zero:
+        return 0.0
+    hi = claim.support_end
+    if math.isinf(hi):
+        hi = x + 60.0 / claim.mu
+    if hi <= x:
+        return 0.0
+    if claim.kind == "tabulated":
+        m = 2 * max(8, int(math.ceil((hi - x) / (0.5 * claim.dx))))
+        zs = np.linspace(x, hi, m + 1)
+        vals = np.asarray(pen.w(x - zs)) * np.asarray(claim.density(zs))
+        return min(float(simpson(vals, x=zs)), 0.0)
+    tol = 1e-10
+    val, err = quad(lambda z: pen.w(x - z) * claim.density(z), x, hi,
+                    epsabs=tol, limit=200)
+    if err > 100 * tol + 1e-8 * abs(val):
+        raise NumericsError(f"omega({x}) quadrature error estimate {err:.2e} "
+                            f"exceeds tolerance")
+    return min(val, 0.0)

@@ -202,6 +202,8 @@ def assemble_value(scale: ScaleSolution, a: float) -> GridFunction:
 
 def value_function(scale: ScaleSolution, a: float, x) -> float:
     """v_a(x): the two-branch formula (scalar or array x)."""
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"barrier a must be a finite number >= 0, got {a}")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("initial capital must be >= 0")

@@ -37,14 +37,6 @@ class OverflowDomainError(NumericsError):
         self.largest_safe_x_max = largest_safe_x_max
 
 
-class QuadratureError(NumericsError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message, achieved_error=None):
-        super().__init__(message)
-        self.achieved_error = achieved_error
-
-
 class HorizonError(NumericsError):
     """Simulation horizon too short for the target truncation bound."""
 

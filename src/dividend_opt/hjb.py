@@ -69,8 +69,8 @@ def generator_apply(m: GridFunction, params: ModelParams, x: float,
 
     Defaults to the instance's own penalty; pass PenaltyModel.zero() for
     functions that vanish on the negative axis (e.g. W).  Trapezoidal
-    quadrature on the grid for the inner part, closed-form/quadrature
-    omega for the tail.
+    quadrature on the grid for the inner part, the exact omega for the
+    tail.
     """
     if m.derivative_values is None:
         raise NumericsError("generator needs derivative samples on the grid function")
@@ -105,12 +105,7 @@ def residual_profile(v: GridFunction, params: ModelParams) -> GridFunction:
     p_vals = np.asarray(params.premium.p(x), dtype=float)
     f_vals = np.asarray(params.claim.density(x), dtype=float)
     conv = _trapezoid_convolution(v.values, f_vals, v.dx)
-    if params.penalty.is_zero:
-        omega = np.zeros_like(x)
-    elif params.claim.kind == "exponential":
-        omega = omega_eval(params, 0.0) * np.exp(-params.claim.mu * x)
-    else:
-        omega = np.array([omega_eval(params, float(xi)) for xi in x])
+    omega = omega_eval(params, x)
     g = p_vals * v.derivative_values + lam * (conv + omega - v.values) - q * v.values
     return GridFunction(v.x0, v.dx, g)
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ConfigError, ModelValidationError, QuadratureError
+from .errors import ConfigError, ModelValidationError
 
-_OMEGA_TOL = 1e-10
 _DENSITY_MASS_TOL = 1e-8
 
 
@@ -135,9 +133,9 @@ class PremiumModel:
 class ClaimModel:
     """Claim size distribution with density f and d.f. F.
 
-    Exponential(mu) or a density tabulated on a uniform grid (linearly
-    interpolated, held at the last sample inside the grid and zero past
-    the grid end).
+    Exponential(mu) or a density tabulated on a uniform grid from x0 >= 0
+    (linearly interpolated between the samples, zero outside the grid).
+    Every method of a tabulated claim describes that interpolant.
     """
 
     kind: str
@@ -145,7 +143,9 @@ class ClaimModel:
     x0: float = 0.0
     dx: float = 0.0
     f_vals: Optional[np.ndarray] = None
+    _nodes: Optional[np.ndarray] = field(default=None, repr=False)
     _cdf_vals: Optional[np.ndarray] = field(default=None, repr=False)
+    _tail_vals: Optional[np.ndarray] = field(default=None, repr=False)
 
     @staticmethod
     def exponential(mu: float) -> "ClaimModel":
@@ -162,23 +162,31 @@ class ClaimModel:
             raise ConfigError("claim density grid must start at x0 >= 0")
         if np.any(f < 0):
             raise ConfigError("claim density must be non-negative")
-        mass = float(np.trapezoid(f, dx=dx)) + x0 * f[0]  # leading cell approximated as a box
+        mass = float(np.trapezoid(f, dx=dx))
         if abs(mass - 1.0) > _DENSITY_MASS_TOL:
-            raise ConfigError(f"claim density integrates to {mass:.10f}, not 1 "
-                              f"(tolerance {_DENSITY_MASS_TOL})")
-        cdf = np.concatenate(([0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * dx))) + x0 * f[0]
-        cdf = np.minimum(cdf, 1.0)
+            raise ConfigError(f"claim density integrates to {mass:.10f} over its grid "
+                              f"[{x0}, {x0 + dx * (f.size - 1)}], not 1: missing mass "
+                              f"{1.0 - mass:.10f} (tolerance {_DENSITY_MASS_TOL})")
+        nodes = x0 + dx * np.arange(f.size)
+        # exact cell integrals of f and z f for the linear interpolant
+        slope = np.diff(f) / dx
+        cell0 = 0.5 * dx * (f[:-1] + f[1:])
+        cell1 = nodes[:-1] * cell0 + dx * dx * (0.5 * f[:-1] + slope * dx / 3.0)
+        cdf = np.minimum(np.concatenate(([0.0], np.cumsum(cell0))), 1.0)
+        tails = np.zeros((2, f.size))  # int_{g_j}^end of f and of z f
+        tails[0, :-1] = np.cumsum(cell0[::-1])[::-1]
+        tails[1, :-1] = np.cumsum(cell1[::-1])[::-1]
         return ClaimModel("tabulated", x0=float(x0), dx=float(dx), f_vals=f,
-                          _cdf_vals=_as_readonly(cdf))
+                          _nodes=_as_readonly(nodes), _cdf_vals=_as_readonly(cdf),
+                          _tail_vals=_as_readonly(tails))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
         if self.kind == "exponential":
             out = np.where(y >= 0, self.mu * np.exp(-self.mu * np.maximum(y, 0.0)), 0.0)
         else:
-            end = self.x0 + self.dx * (self.f_vals.size - 1)
-            inside = (y >= self.x0) & (y <= end)
-            out = np.where(inside, np.interp(y, self._grid(), self.f_vals), 0.0)
+            inside = (y >= self.x0) & (y <= self.support_end)
+            out = np.where(inside, np.interp(y, self._nodes, self.f_vals), 0.0)
         return out if out.ndim else float(out)
 
     def cdf(self, y):
@@ -186,25 +194,43 @@ class ClaimModel:
         if self.kind == "exponential":
             out = np.where(y >= 0, -np.expm1(-self.mu * np.maximum(y, 0.0)), 0.0)
         else:
-            end = self.x0 + self.dx * (self.f_vals.size - 1)
-            out = np.where(y >= end, 1.0,
-                           np.where(y < self.x0, 0.0, np.interp(y, self._grid(), self._cdf_vals)))
+            out = np.where(y >= self.support_end, 1.0,
+                           np.where(y < self.x0, 0.0,
+                                    np.interp(y, self._nodes, self._cdf_vals)))
         return out if out.ndim else float(out)
 
-    def _grid(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.f_vals.size)
+    def _tails(self, y):
+        """(S0, S1) = (int_y^inf f(z) dz, int_y^inf z f(z) dz) for finite y.
+
+        Closed form for exponential claims; exact for the piecewise-linear
+        tabulated density: the tail from the next grid node down, plus the
+        partial cell, a polynomial in t = y - g_j of degree 2 (S0) or 3 (S1).
+        """
+        if self.kind == "exponential":
+            y = np.maximum(y, 0.0)
+            s0 = np.exp(-self.mu * y)
+            return s0, s0 * (y + 1.0 / self.mu)
+        f, dx = self.f_vals, self.dx
+        y = np.minimum(np.maximum(y, self.x0), self.support_end)
+        j = np.minimum(((y - self.x0) / dx).astype(np.intp), f.size - 2)
+        g = self._nodes[j]
+        t = y - g
+        fj = f[j]
+        sj = (f[j + 1] - fj) / dx
+        part0 = t * (fj + 0.5 * sj * t)
+        part1 = g * part0 + t * t * (0.5 * fj + sj * t / 3.0)
+        return self._tail_vals[0, j] - part0, self._tail_vals[1, j] - part1
 
     def mean(self) -> float:
         if self.kind == "exponential":
             return 1.0 / self.mu
-        g = self._grid()
-        return float(np.trapezoid(g * self.f_vals, dx=self.dx))
+        return float(np.trapezoid(self._nodes * self.f_vals, dx=self.dx))
 
     def ppf(self, u):
         """Inverse d.f. (used for sampling)."""
         if self.kind == "exponential":
             return -np.log1p(-np.asarray(u, dtype=float)) / self.mu
-        return np.interp(u, self._cdf_vals, self._grid())
+        return np.interp(u, self._cdf_vals, self._nodes)
 
     @property
     def support_end(self) -> float:
@@ -295,6 +321,23 @@ class PenaltyModel:
             out = np.interp(x, self.xs, self.ws)  # np.interp holds endpoint values
         return out if out.ndim else float(out)
 
+    def _pieces(self):
+        """w as linear pieces (a, b, lo, hi): w(y) = a + b y on [lo, hi].
+
+        Ordered outward from hi = 0, each piece's lo being the next one's
+        hi; the last has lo = -inf.  The zero penalty has no pieces.
+        """
+        if self.is_zero:
+            return []
+        if self.kind in ("constant", "linear"):
+            return [(-self.k, self.beta, -math.inf, 0.0)]
+        xs, ws = self.xs, self.ws
+        slopes = np.diff(ws) / np.diff(xs)
+        inner = [(float(ws[i] - slopes[i] * xs[i]), float(slopes[i]),
+                  float(xs[i]), float(xs[i + 1])) for i in range(xs.size - 2, -1, -1)]
+        return [(float(ws[-1]), 0.0, float(xs[-1]), 0.0), *inner,
+                (float(ws[0]), 0.0, -math.inf, float(xs[0]))]
+
 
 # ---------------------------------------------------------------------------
 # full instance
@@ -311,49 +354,43 @@ class ModelParams:
     q: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError(f"claim arrival intensity must be positive, got {self.lam}")
-        if self.q < 0:
-            raise ConfigError(f"discount rate must be >= 0, got {self.q}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"claim arrival intensity must be a positive finite "
+                              f"number, got {self.lam}")
+        if not (math.isfinite(self.q) and self.q >= 0):
+            raise ConfigError(f"discount rate must be a finite number >= 0, got {self.q}")
         if not math.isfinite(self.claim.mean()):
             raise ConfigError("claim mean must be finite")
 
 
-def omega_eval(params: ModelParams, x: float) -> float:
+def omega_eval(params: ModelParams, x):
     """Expected penalty rate omega(x) = integral of w(x-z) dF(z) over z > x.
 
-    Closed form for exponential claims with zero/constant/linear penalties;
-    adaptive quadrature (abs tol 1e-10) otherwise.  Always <= 0.
-    """
-    if x < 0:
-        raise ValueError(f"omega is defined on x >= 0, got {x}")
-    pen, claim = params.penalty, params.claim
-    if pen.is_zero:
-        return 0.0
-    if claim.kind == "exponential" and pen.kind in ("constant", "linear"):
-        mu = claim.mu
-        # E[w(x-C); C > x] with the memoryless overshoot: -(k + beta/mu) * exp(-mu x)
-        return -(pen.k + pen.beta / mu) * math.exp(-mu * x)
-    hi = claim.support_end
-    if math.isinf(hi):
-        hi = x + 60.0 / claim.mu
-    if hi <= x:
-        return 0.0
-    if claim.kind == "tabulated":
-        # the density is piecewise linear with many kinks: composite Simpson
-        # on a refinement of its own grid instead of adaptive quadrature
-        m = 2 * max(8, int(math.ceil((hi - x) / (0.5 * claim.dx))))
-        zs = np.linspace(x, hi, m + 1)
-        vals = np.asarray(pen.w(x - zs)) * np.asarray(claim.density(zs))
-        from scipy.integrate import simpson
+    Exact for every claim and penalty kind, at a scalar or an array of
+    x >= 0.  With the claim tails S0(y) = int_y^inf f and
+    S1(y) = int_y^inf z f(z) dz, and w split into linear pieces
+    w(y) = a_k + b_k y on [lo_k, hi_k],
 
-        return min(float(simpson(vals, x=zs)), 0.0)
-    val, err = quad(lambda z: pen.w(x - z) * claim.density(z), x, hi,
-                    epsabs=_OMEGA_TOL, limit=200)
-    if err > 100 * _OMEGA_TOL + 1e-8 * abs(val):
-        raise QuadratureError(f"omega({x}) quadrature error estimate {err:.2e} "
-                              f"exceeds tolerance", achieved_error=err)
-    return min(val, 0.0)
+        omega(x) = sum_k (a_k + b_k x) (S0(z1) - S0(z2)) - b_k (S1(z1) - S1(z2)),
+
+    z1 = x - hi_k, z2 = x - lo_k (tails at z2 = inf are 0).  Always <= 0.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs >= 0):
+        raise ValueError(f"omega is defined on x >= 0, got {xs[~(xs >= 0)].flat[0]}")
+    out = np.zeros_like(xs)
+    claim = params.claim
+    pieces = params.penalty._pieces()
+    if pieces:
+        upper = claim._tails(xs)  # the first piece ends at hi = 0
+        for a, b, lo, hi in pieces:
+            lower = claim._tails(xs - lo) if lo > -math.inf else (0.0, 0.0)
+            out += (a + b * xs) * (upper[0] - lower[0])
+            if b:
+                out -= b * (upper[1] - lower[1])
+            upper = lower
+        out = np.minimum(out, 0.0)
+    return out if out.ndim else float(out)
 
 
 def penalty_envelope(params: ModelParams) -> float:
@@ -364,13 +401,11 @@ def penalty_envelope(params: ModelParams) -> float:
     if claim.kind == "exponential" and pen.kind in ("constant", "linear"):
         return pen.k + pen.beta / claim.mu
     ys = np.linspace(0.0, max(1.0, 10.0 * claim.mean()), 201)
-    vals = []
-    for y in ys:
-        surv = 1.0 - float(claim.cdf(y))
-        if surv < 1e-14:
-            continue
-        vals.append(-omega_eval(params, float(y)) / surv)
-    return float(max(vals)) if vals else 0.0
+    surv = claim._tails(ys)[0]
+    keep = surv >= 1e-14
+    if not keep.any():
+        return 0.0
+    return float(np.max(-omega_eval(params, ys[keep]) / surv[keep]))
 
 
 # ---------------------------------------------------------------------------

@@ -218,22 +218,6 @@ def compute_W(params: ModelParams, dx: float, x_max: float) -> GridFunction:
     return GridFunction(0.0, dx, vals, ders)
 
 
-def _omega_grid(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    pen, claim = params.penalty, params.claim
-    if pen.is_zero:
-        return np.zeros_like(x)
-    if claim.kind == "exponential":
-        # omega(x) = omega(0) * exp(-mu x) by memorylessness of the overshoot
-        return omega_eval(params, 0.0) * np.exp(-claim.mu * x)
-    out = np.zeros_like(x)
-    cutoff = claim.support_end
-    for i, xi in enumerate(x):
-        if xi >= cutoff:
-            break
-        out[i] = omega_eval(params, float(xi))
-    return out
-
-
 def compute_G(params: ModelParams, dx: float, x_max: float) -> GridFunction:
     """Gerber-Shiu function G_{q,w} on [0, x_max] (the stable solution)."""
     return solve_scale(params, dx, x_max).G
@@ -245,11 +229,12 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     w_vals, wd_vals = _normalize_marched_W(x, w_raw, wd_raw, Lw)
 
     if params.penalty.is_zero:
+        omega = None
         g_vals = np.zeros_like(w_vals)
         gd_vals = np.zeros_like(w_vals)
         gamma = 0.0
     else:
-        omega = _omega_grid(params, x)
+        omega = omega_eval(params, x)
         gp, gpd, Lg = _march(params, p_vals, f_vals, dx, 0.0, omega)
         if Lg > 650.0:
             raise OverflowDomainError(
@@ -265,7 +250,7 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
         _check_G_decay(x, g_vals, x_max)
 
     diagnostics = _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals,
-                               g_vals, gd_vals)
+                               g_vals, gd_vals, omega)
     Wf = GridFunction(0.0, dx, w_vals, wd_vals)
     Gf = GridFunction(0.0, dx, g_vals, gd_vals)
     if Wf.values[0] != 1.0:
@@ -280,6 +265,10 @@ def _check_G_decay(x, g_vals, x_max):
     if peak == 0.0:
         return
     i90, i80 = int(0.9 * n), int(0.8 * n)
+    if i80 == i90:
+        raise NumericsError(f"the G decay check compares the last two 10% bands of "
+                            f"the grid, and a grid of {n} nodes on [0, {x_max}] "
+                            f"has an empty band; use a smaller dx or a larger x_max")
     last = float(absg[i90:].max())
     prev = float(absg[i80:i90].max())
     if last > prev + _DECAY_SLACK * peak:
@@ -304,7 +293,8 @@ def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float) -> np.ndarra
     return dx * (full - 0.5 * u[0] * f - 0.5 * u * f[0])
 
 
-def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals):
+def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
+                 omega):
     lam, q = params.lam, params.q
     conv_w = _trapezoid_convolution(w_vals, f_vals, float(x[1] - x[0]))
     resid_w = p_vals * wd_vals - (lam + q) * w_vals + lam * conv_w
@@ -323,8 +313,7 @@ def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals):
         bad = int(np.argmax(1.0 - gd_vals <= 0))
         out["G_prime_first_violation_x"] = float(x[bad])
         warnings.warn(f"1 - G' <= 0 at x={x[bad]:.6g} (flagged, not clipped)")
-    if np.any(g_vals != 0.0):
-        omega = _omega_grid(params, x)
+    if omega is not None and np.any(g_vals != 0.0):
         conv_g = _trapezoid_convolution(g_vals, f_vals, float(x[1] - x[0]))
         resid_g = p_vals * gd_vals - (lam + q) * g_vals + lam * conv_g + lam * omega
         gmax = float(np.max(np.abs(g_vals)))

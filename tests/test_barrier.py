@@ -174,6 +174,11 @@ class TestValueFunction:
         assert np.all(profiles[0.5] >= lo - 1e-9)
         assert np.all(profiles[0.5] <= hi + 1e-9)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), -1.0])
+    def test_bad_barrier_is_value_error(self, scale_q05, a):
+        with pytest.raises(ValueError, match="barrier a must be"):
+            value_function(scale_q05, a, 1.0)
+
 
 class TestBoundaryIdentity:
     def test_residual_small_at_star(self, scale_q05, barrier_q05):

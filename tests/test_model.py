@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from dividend_opt import (ClaimModel, ConfigError, ModelParams,
                           ModelValidationError, PenaltyModel, PremiumModel,
                           omega_eval, params_from_dict, params_to_dict,
                           penalty_envelope, validate_model)
+from dividend_opt._reference import omega_quadrature
 from conftest import make_params
 
 
@@ -77,6 +80,39 @@ class TestFamilies:
         with pytest.raises(ConfigError):
             make_params(q=-0.1)
 
+    @pytest.mark.parametrize("field", ["lam", "q"])
+    def test_nan_rates_rejected(self, field):
+        with pytest.raises(ConfigError):
+            make_params(**{field: math.nan})
+
+    def test_tabulated_claim_with_offset_grid_is_one_distribution(self):
+        # a shifted exponential on [1, 21]: no mass below x0 = 1
+        dx = 0.01
+        ys = 1.0 + dx * np.arange(2001)
+        f = np.exp(-(ys - 1.0))
+        f /= np.trapezoid(f, dx=dx)
+        cl = ClaimModel.tabulated(1.0, dx, f)
+        assert cl.cdf(cl.support_end) == 1.0
+        assert cl.cdf(0.999) == 0.0
+        us = (np.arange(200000) + 0.5) / 200000
+        assert float(np.mean(cl.ppf(us))) == pytest.approx(cl.mean(), abs=1e-4)
+        assert cl.mean() == pytest.approx(2.0, abs=1e-3)
+
+    def test_tabulated_claim_mass_below_grid_is_missing(self):
+        # unit mass only when a box x0 * f[0] on [0, x0) is counted
+        dx = 0.01
+        ys = 1.0 + dx * np.arange(2001)
+        f = np.exp(-(ys - 1.0))
+        f /= np.trapezoid(f, dx=dx) + 1.0 * f[0]
+        with pytest.raises(ConfigError, match="missing mass 0.49999"):
+            ClaimModel.tabulated(1.0, dx, f)
+
+    def test_import_does_not_load_scipy_integrate(self):
+        code = "import sys, dividend_opt; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestOmega:
     def test_zero_penalty_gives_zero(self):
@@ -121,6 +157,79 @@ class TestOmega:
         om = omega_eval(params, 1.0)
         assert om < 0.0
         assert abs(om) < 1.0  # |w| <= 1 so |omega| < survival < 1
+
+
+def erlang2_claim(dx):
+    """Tabulated Erlang(2, 0.6) density on [0, 40], normalized to unit mass."""
+    ys = dx * np.arange(int(round(40.0 / dx)) + 1)
+    f = 0.36 * ys * np.exp(-0.6 * ys)
+    return ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
+
+
+def tabulated_penalty(shift=0.0):
+    """-min(2, 1 - 0.2y) sampled at 60 knots from -30 - shift to -0.5 - shift."""
+    xs = np.linspace(-30.0, -0.5, 60) - shift
+    return PenaltyModel.tabulated(xs, -np.minimum(2.0, 1.0 - 0.2 * xs))
+
+
+PENALTIES = {
+    "zero": PenaltyModel.zero(),
+    "constant": PenaltyModel.constant(1.0),
+    "linear": PenaltyModel.linear(1.0, 0.5),
+    "tabulated": tabulated_penalty(),
+}
+
+
+class TestOmegaOracle:
+    """The exact omega against `_reference.omega_quadrature`, node by node."""
+
+    # dyadic dx: from every node, the kinks of f and of the penalty (at
+    # multiples of DX / 2) fall on the oracle's half-cell Simpson panel
+    # edges, so the oracle is exact up to rounding there
+    DX = 1.0 / 64.0
+
+    @pytest.mark.parametrize("pen", sorted(PENALTIES))
+    def test_tabulated_claims_match_simpson(self, pen):
+        # tabulated knots half a cell off the claim grid, so that the tails
+        # are evaluated inside cells as well as at nodes
+        penalty = tabulated_penalty(0.5 * self.DX) if pen == "tabulated" else PENALTIES[pen]
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(self.DX),
+                             penalty, lam=0.1, q=0.05)
+        xs = self.DX * np.arange(0, 2561, 5)  # nodes on [0, 40]
+        exact = omega_eval(params, xs)
+        ref = np.array([omega_quadrature(params, float(x)) for x in xs])
+        assert np.max(np.abs(exact - ref)) <= 1e-12
+        assert exact[-1] == 0.0  # nothing beyond the support end
+
+    def test_exponential_claims_tabulated_penalty_match_quad(self):
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
+                             PENALTIES["tabulated"], lam=0.1, q=0.05)
+        xs = 0.25 * np.arange(161)
+        exact = omega_eval(params, xs)
+        ref = np.array([omega_quadrature(params, float(x)) for x in xs])
+        assert np.max(np.abs(exact - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("pen", ["constant", "linear"])
+    def test_exponential_claims_match_closed_form(self, pen):
+        params = make_params(penalty=pen, k=1.0, beta=0.5)
+        xs = 0.01 * np.arange(4001)
+        beta = params.penalty.beta
+        closed = -(1.0 + beta / 0.3) * np.exp(-0.3 * xs)
+        assert np.max(np.abs(omega_eval(params, xs) / closed - 1.0)) <= 1e-12
+
+    def test_array_matches_scalar_calls(self):
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                             PENALTIES["tabulated"], lam=0.1, q=0.05)
+        xs = np.linspace(0.0, 45.0, 37)
+        scalars = [omega_eval(params, float(x)) for x in xs]
+        assert all(isinstance(v, float) for v in scalars)
+        assert np.array_equal(omega_eval(params, xs), scalars)
+
+    def test_negative_or_nan_x_rejected(self):
+        params = make_params(penalty="constant")
+        for x in (-0.5, math.nan, np.array([0.0, -1.0])):
+            with pytest.raises(ValueError, match="x >= 0"):
+                omega_eval(params, x)
 
 
 class TestValidation:

@@ -11,7 +11,8 @@ from dividend_opt import (ClaimModel, DomainTooShortError, LodeOperatorSpec,
                           closed_form_W_linear, compute_G, compute_W,
                           solve_scale)
 from dividend_opt import _reference
-from dividend_opt.scale import _exponential_march, _grid_arrays, _omega_grid
+from dividend_opt.model import omega_eval
+from dividend_opt.scale import _exponential_march, _grid_arrays
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max
 from conftest import make_params
 
@@ -30,7 +31,7 @@ def _oracle_diffs(params, dx, x_max, penalty_march=False):
     """The O(n) exponential march against the reference O(n^2) march, both
     in true units (stored value * exp(log_scale))."""
     x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
-    u0, src = (0.0, _omega_grid(params, x)) if penalty_march else (1.0, None)
+    u0, src = (0.0, omega_eval(params, x)) if penalty_march else (1.0, None)
     u, d, L = _exponential_march(p_vals, params.claim.mu, params.lam, params.q,
                                  dx, u0, src)
     ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam, params.q,
@@ -148,6 +149,12 @@ class TestComputeG:
         with pytest.raises(DomainTooShortError) as err:
             compute_G(params, 0.005, 3.0)
         assert err.value.suggested_x_max and err.value.suggested_x_max > 3.0
+
+    def test_grid_too_coarse_for_decay_check_is_numerics_error(self):
+        # dx = 0.5 on [0, 0.6] leaves 2 nodes: the 80-90% band is empty
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match="grid of 2 nodes"):
+                solve_scale(make_params(penalty="constant"), 0.5, 0.6)
 
     def test_refinement_order_at_least_1_8(self):
         params = make_params(premium="constant", penalty="constant", k=1.0, q=0.0)

@@ -14,7 +14,13 @@ Times three layers, best of k:
   quadrature oracle `_reference.omega_quadrature`.  Their difference
   (about 5e-8) is the oracle's Simpson error at the nodes that fall
   between density samples, where its panels straddle the density's kinks.
-- the Monte-Carlo path engine and its compiled twin.
+- the Monte-Carlo engine, before and after each of its three changes:
+  per-path `Generator(Philox)` set-up against the vectorized Philox of
+  `simulate.philox_uniforms` (same uniforms, bit for bit); the scalar
+  per-path event loop `_reference.closed_form_path` on pre-drawn uniforms
+  against the lockstep engine (which draws its own); and the `solve_ivp`
+  flow the engine used for a tabulated premium against the exact
+  `FlowSolver` flow (bounded premium 1 + 0.5(1 - e^{-x/10}) on [0, 5000]).
 
 Run after building the extension (the compiled timings are skipped
 without it):
@@ -28,9 +34,9 @@ import time
 
 import numpy as np
 
-from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
-                          omega_eval)
-from dividend_opt import _backend, _reference
+from dividend_opt import (ClaimModel, FlowSolver, ModelParams, PenaltyModel,
+                          PremiumModel, SimulationConfig, omega_eval)
+from dividend_opt import _backend, _reference, simulate
 from dividend_opt.scale import _exponential_march
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
@@ -90,40 +96,101 @@ def bench_omega():
             "max_abs_diff": float(np.max(np.abs(exact - ref)))}
 
 
+MC_SEED = 7
+MC_BARRIER = 5.33
+MC_HORIZON = 250.0
+MC_BLOCK = 64  # uniforms per path for the stream set-up layer (16 Philox blocks)
+
+
+def bench_streams(paths: int):
+    """Draw MC_BLOCK uniforms for each path: one Generator per path against
+    one vectorized Philox call for all paths."""
+    def per_path():
+        return np.array([np.random.Generator(np.random.Philox(
+            key=(MC_SEED << 64) + p)).random(MC_BLOCK) for p in range(paths)])
+
+    def vectorized():
+        u = simulate.philox_uniforms(np.arange(paths), MC_SEED,
+                                     np.arange(1, MC_BLOCK // 4 + 1)[:, None])
+        return u.transpose(2, 1, 0).reshape(paths, MC_BLOCK)
+
+    t_old, u_old = time_best(per_path)
+    t_new, u_new = time_best(vectorized)
+    return {"per_path": t_old, "vectorized": t_new,
+            "bitwise_equal": bool(np.array_equal(u_old, u_new))}
+
+
 def bench_paths(paths: int):
-    horizon = 250.0
-    barrier = 5.33
-    block = int(2 * 0.1 * horizon + 8 * math.sqrt(2 * 0.1 * horizon + 1) + 16)
+    """Value under the barrier MC_BARRIER from x = 3: the scalar event loop on
+    numpy's per-path streams (drawn outside the timing) against the
+    lockstep engine, which draws its own uniforms."""
+    block = 4096
+    streams = [np.random.Generator(np.random.Philox(key=(MC_SEED << 64) + p)).random(block)
+               for p in range(paths)]
 
-    def run(engine):
-        total = 0.0
-        for pid in range(paths):
-            gen = np.random.Generator(np.random.Philox(key=pid))
-            u = gen.random(block)
-            val, _, _, _, status = engine(u, 0, 1, 1.0, 0.02, 0.3, 0.1, 0.05,
-                                          3.0, barrier, horizon, 0, 0.0, 0.0)
-            while status == 1:
-                u = np.random.Generator(np.random.Philox(key=pid)).random(4 * u.size)
-                val, _, _, _, status = engine(u, 0, 1, 1.0, 0.02, 0.3, 0.1,
-                                              0.05, 3.0, barrier, horizon,
-                                              0, 0.0, 0.0)
-            total += val
-        return total / paths
+    def scalar():
+        return np.array([_reference.closed_form_path(
+            u, 0, 1, 1.0, 0.02, 0.3, 0.1, 0.05, 3.0, MC_BARRIER, MC_HORIZON,
+            0, 0.0, 0.0)[0] for u in streams])
 
-    results = {}
-    t_py, mean_py = time_best(run, _reference.closed_form_path, repeats=2)
-    results["python"] = t_py
-    if _backend.HAVE_COMPILED:
-        t_c, mean_c = time_best(run, _backend._ext.closed_form_path, repeats=2)
-        results["compiled"] = t_c
-        results["bitwise_equal"] = (mean_c == mean_py)
-    return results
+    config = SimulationConfig(paths, MC_HORIZON, MC_SEED, barrier=MC_BARRIER)
+    t_old, v_old = time_best(scalar)
+    t_new, (v_new, _) = time_best(simulate._run_paths, PARAMS, 3.0, config, 0,
+                                  MC_BARRIER)
+    return {"scalar": t_old, "lockstep": t_new,
+            "mean_scalar": float(v_old.mean()), "mean_lockstep": float(v_new.mean()),
+            "max_rel_diff": float(np.max(np.abs(v_new - v_old)
+                                         / np.maximum(np.abs(v_old), 1.0)))}
+
+
+def bounded_premium():
+    xs = np.linspace(0.0, 5000.0, 5001)
+    return PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0)))
+
+
+def bench_flow(calls: int):
+    """`calls` forward flows and `calls` hit times on the tabulated bounded
+    premium: adaptive RK45 (the flow's former numeric branch) against the
+    exact flow, one array call each."""
+    from scipy.integrate import solve_ivp
+
+    premium = bounded_premium()
+    rng = np.random.Generator(np.random.Philox(key=MC_SEED))
+    x = 30.0 * rng.random(calls)
+    t = 10.0 * rng.random(calls)
+    b = x + 0.01 + 10.0 * rng.random(calls)
+
+    def rhs(_, r):
+        return [premium.p(r[0])]
+
+    def reached(_, r, level):
+        return r[0] - level
+
+    def ivp():
+        fwd = [solve_ivp(rhs, (0.0, ti), [xi], rtol=1e-8, atol=1e-10).y[0, -1]
+               for xi, ti in zip(x, t)]
+        hits = []
+        for xi, bi in zip(x, b):
+            event = lambda s, r, level=bi: reached(s, r, level)  # noqa: E731
+            event.terminal = True
+            sol = solve_ivp(rhs, (0.0, 1.1 * (bi - xi) + 1e-9), [xi], rtol=1e-10,
+                            atol=1e-12, events=event)
+            hits.append(sol.t_events[0][0])
+        return np.array(fwd), np.array(hits)
+
+    solver = FlowSolver(premium)
+    t_old, (f_old, h_old) = time_best(ivp)
+    t_new, (f_new, h_new) = time_best(lambda: (solver.flow(x, t), solver.travel_time(x, b)))
+    return {"calls": calls, "solve_ivp": t_old, "exact": t_new,
+            "max_rel_diff": float(max(np.max(np.abs(f_new - f_old) / f_old),
+                                      np.max(np.abs(h_new - h_old) / h_old)))}
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--paths", type=int, default=20000)
     ap.add_argument("--nodes", type=int, default=20000)
+    ap.add_argument("--flow-calls", type=int, default=200)
     args = ap.parse_args()
 
     print(f"selected backend: {_backend.backend_name()}")
@@ -146,13 +213,25 @@ def main():
           f"({o['quadrature'] / o['exact']:.0f}x, "
           f"max abs diff {o['max_abs_diff']:.1e})")
 
+    r = bench_streams(args.paths)
+    print(f"\nMonte-Carlo streams, {args.paths} paths x {MC_BLOCK} uniforms:")
+    print(f"  per-path Generator  {r['per_path'] * 1e3:9.1f} ms")
+    print(f"  vectorized Philox   {r['vectorized'] * 1e3:9.1f} ms   "
+          f"({r['per_path'] / r['vectorized']:.0f}x, bitwise equal: {r['bitwise_equal']})")
+
     p = bench_paths(args.paths)
-    print(f"\nMonte-Carlo engine, {args.paths} paths (incl. per-path stream setup):")
-    print(f"  python   {p['python'] * 1e3:9.1f} ms")
-    if "compiled" in p:
-        print(f"  compiled {p['compiled'] * 1e3:9.1f} ms   "
-              f"({p['python'] / p['compiled']:.1f}x, "
-              f"bitwise equal: {p['bitwise_equal']})")
+    print(f"\nMonte-Carlo value, {args.paths} paths (linear premium, barrier {MC_BARRIER}):")
+    print(f"  scalar event loop   {p['scalar'] * 1e3:9.1f} ms   (uniforms drawn beforehand)")
+    print(f"  lockstep engine     {p['lockstep'] * 1e3:9.1f} ms   "
+          f"({p['scalar'] / p['lockstep']:.0f}x, incl. its uniforms; means "
+          f"{p['mean_scalar']!r} / {p['mean_lockstep']!r}, "
+          f"max per-path diff {p['max_rel_diff']:.1e})")
+
+    f = bench_flow(args.flow_calls)
+    print(f"\nTabulated-premium flow, {f['calls']} flows + {f['calls']} hit times:")
+    print(f"  solve_ivp (RK45)    {f['solve_ivp'] * 1e3:9.1f} ms")
+    print(f"  exact               {f['exact'] * 1e3:9.1f} ms   "
+          f"({f['solve_ivp'] / f['exact']:.0f}x, max rel diff {f['max_rel_diff']:.1e})")
 
 
 if __name__ == "__main__":

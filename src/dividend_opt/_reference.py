@@ -5,7 +5,9 @@ the Volterra forward march behind the scale functions, and the per-path
 Monte-Carlo event loop.  The event loop is written over plain floats with
 exactly the arithmetic of the C version, so both backends produce
 bit-identical path values; the march differs from the compiled one only
-in float-summation order of the convolution dot products.
+in float-summation order of the convolution dot products.  The per-path
+event loops are the scalar test oracles of the lockstep engine in
+`simulate`, which no longer calls them.
 
 `omega_quadrature` keeps the quadrature evaluation of the penalty rate
 as the test oracle for the exact `model.omega_eval`.

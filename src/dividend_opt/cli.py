@@ -23,13 +23,12 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 from . import __version__
 from .barrier import barrier_solution_at
 from .errors import ConfigError, DividendOptError, ModelValidationError, NumericsError
-from .grid import GridFunction
+from .grid import GridFunction, atomic_write
 from .hjb import verify_optimality
 from .model import params_from_json, validate_model
 from .simulate import (SimulationConfig, simulate_gerber_shiu, simulate_value)
@@ -51,19 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -78,7 +64,7 @@ def _manifest(out_dir: str, command: str, config_digest: str, outputs, t0: float
         "wall_time": time.time() - t0,
     }
     path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write(path, json.dumps(doc, indent=2) + "\n")
     return path
 
 
@@ -105,7 +91,7 @@ def _cmd_validate(args) -> int:
     text = _dump_json(report.to_dict())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, "validation.json"), text)
+        atomic_write(os.path.join(args.out, "validation.json"), text)
     sys.stdout.write(text)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -122,13 +108,13 @@ def _cmd_barrier(args) -> int:
     doc["domain_end"] = scale.domain_end
     doc["diagnostics"] = scale.diagnostics
     p = os.path.join(args.out, "barrier.json")
-    _atomic_write(p, _dump_json(doc))
+    atomic_write(p, _dump_json(doc))
     outputs.append(p)
     p = os.path.join(args.out, "h_profile.csv")
-    _atomic_write(p, sol.h_profile.to_csv_string())
+    atomic_write(p, sol.h_profile.to_csv_string())
     outputs.append(p)
     p = os.path.join(args.out, "v_curve.csv")
-    _atomic_write(p, sol.v.to_csv_string())
+    atomic_write(p, sol.v.to_csv_string())
     outputs.append(p)
     outputs.append(_manifest(args.out, "barrier", _digest(args.config), outputs, t0))
     sys.stdout.write(f"a_star = {sol.a_star:.6f}  (v(a*) = {sol.v_at_barrier:.6f})\n")
@@ -143,7 +129,7 @@ def _cmd_tables(args) -> int:
     for w in which:
         rows = run_sweep(w, dx=args.dx, x_max=args.xmax)
         p = os.path.join(args.out, f"table{w}.csv")
-        _atomic_write(p, sweep_csv(rows))
+        atomic_write(p, sweep_csv(rows))
         outputs.append(p)
         worst = max((r[3] for r in rows if not math.isnan(r[3])), default=math.nan)
         sys.stdout.write(f"table {w}: max |a_star - ref| = {worst:.3f}\n")
@@ -169,10 +155,10 @@ def _cmd_verify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     p = os.path.join(args.out, "optimality.json")
-    _atomic_write(p, _dump_json(report.to_dict()))
+    atomic_write(p, _dump_json(report.to_dict()))
     outputs.append(p)
     p = os.path.join(args.out, "residual_profile.csv")
-    _atomic_write(p, report.residual_profile.to_csv_string())
+    atomic_write(p, report.residual_profile.to_csv_string())
     outputs.append(p)
     outputs.append(_manifest(args.out, "verify", _digest(args.config), outputs, t0))
     verdict = "optimal" if report.necessary_sufficient_pass else "NOT optimal"
@@ -218,7 +204,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     p = os.path.join(args.out, "estimate.json")
-    _atomic_write(p, _dump_json(doc))
+    atomic_write(p, _dump_json(doc))
     outputs.append(p)
     outputs.append(_manifest(args.out, "simulate", _digest(args.config), outputs, t0))
     sys.stdout.write(f"mean = {est.mean:.6f} +- {est.std_error:.6f} "

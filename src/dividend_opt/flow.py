@@ -1,19 +1,29 @@
 """Deterministic surplus dynamics between claims.
 
-The claim-free trajectory solves dr/dt = p(r), r(0) = x.  Constant and
-linear premiums have elementary solutions; the rational premium
-p(x) = c + 1/(1+x) admits an exact implicit time law
+The claim-free trajectory solves dr/dt = p(r), r(0) = x.  Every premium
+kind has an exact travel time T(x -> b) = int_x^b dr / p(r):
 
-    t(x -> b) = (b - x)/c - c^{-2} * ln( (c(1+b)+1) / (c(1+x)+1) ),
+- constant c: (b - x) / c;
+- linear c + eps x: ln((b + c/eps) / (x + c/eps)) / eps;
+- rational c + 1/(1+x):
+  (b - x)/c - c^{-2} ln( (c(1+b)+1) / (c(1+x)+1) );
+- tabulated (p linear between knots, held at the end values beyond
+  them, as `np.interp` does): on a segment where p = p_j + s_j (r - x_j),
+  ln(1 + s_j d / p_j) / s_j over a distance d, summed at the knots.
 
-which gives hit times directly and the forward flow by Newton inversion.
-Tabulated premiums fall back to adaptive RK45 integration.
+The flow is the inverse, r_t = T^{-1}(T(x) + t): elementary for the
+constant, linear and tabulated kinds (expm1 per segment), by a Newton
+iteration on the exact law for the rational kind.  `FlowSolver.travel_time`
+and `FlowSolver.flow` evaluate both on arrays; `forward` and `hit_time` are
+their checked scalar forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
 
 from .errors import NumericsError
 from .model import PremiumModel
@@ -22,43 +32,121 @@ _NEWTON_TOL = 1e-14
 _NEWTON_MAX = 60
 
 
-def rational_travel_time(c: float, x: float, b: float) -> float:
+def rational_travel_time(c: float, x, b):
     """Exact time for the rational-premium flow to move from x to b >= x."""
-    return (b - x) / c - (math.log(c * (1.0 + b) + 1.0)
-                          - math.log(c * (1.0 + x) + 1.0)) / (c * c)
+    return (b - x) / c - (np.log(c * (1.0 + b) + 1.0)
+                          - np.log(c * (1.0 + x) + 1.0)) / (c * c)
 
 
-def rational_flow(c: float, x: float, t: float) -> float:
-    """Invert the rational travel-time law for the position after time t."""
-    if t == 0.0:
-        return x
-    b = x + (c + 1.0 / (1.0 + x)) * t  # first-order guess, slight overshoot
+def rational_flow(c: float, x, t):
+    """Invert the rational travel-time law for the position after time t.
+
+    Newton's method from a first-order guess that slightly overshoots;
+    each element stops at its own first step with a time error below
+    1e-14 (1 + t + b/c).  The b/c term is the floor set by rounding b - x
+    to the spacing of floats near b: without it the iteration cannot
+    converge for small t at large x (x = 137, t = 0.0127, c = 1).
+    """
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape = x.shape
+    x, t = x.ravel(), t.ravel()
+    b = x + (c + 1.0 / (1.0 + x)) * t
+    todo = np.flatnonzero(t != 0.0)
     for _ in range(_NEWTON_MAX):
-        err = rational_travel_time(c, x, b) - t
-        step = err * (c + 1.0 / (1.0 + b))
-        b -= step
-        if b < x:
-            b = x
-        if abs(err) < _NEWTON_TOL * (1.0 + t):
+        if todo.size == 0:
             break
-    else:
-        raise NumericsError(f"rational flow inversion failed at x={x}, t={t}")
-    return b
+        xi, ti, bi = x[todo], t[todo], b[todo]
+        err = rational_travel_time(c, xi, bi) - ti
+        b[todo] = np.maximum(bi - err * (c + 1.0 / (1.0 + bi)), xi)
+        todo = todo[~(np.abs(err) < _NEWTON_TOL * (1.0 + ti + bi / c))]
+    if todo.size:
+        i = todo[0]
+        raise NumericsError(f"rational flow inversion failed at x={x[i]}, t={t[i]}")
+    return b.reshape(shape)
+
+
+def _log1p_ratio(z):
+    """log1p(z) / z, continued by 1 at z = 0."""
+    zero = z == 0.0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, np.log1p(safe) / safe)
+
+
+def _expm1_ratio(z):
+    """expm1(z) / z, continued by 1 at z = 0."""
+    zero = z == 0.0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, np.expm1(safe) / safe)
 
 
 @dataclass(frozen=True)
 class FlowSolver:
     """Forward flow and level-hitting times for one premium model.
 
-    Pure functions of immutable configuration; safe for concurrent use.
-    The semigroup law forward(forward(x, s), t) == forward(x, s + t)
-    holds to ~10x abs_tol.
+    Exact for every premium kind (see the module docstring).  Pure
+    functions of immutable configuration; safe for concurrent use.
     """
 
     premium: PremiumModel
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_step: float = field(default=math.inf)
+    # tabulated premium: T(x_j) - T(x_0) at the knots, and the slope of p
+    # on each segment with a flat one at either end: [0, s_0 .. s_{n-2}, 0]
+    _knot_times: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                              compare=False)
+    _slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self):
+        if self.premium.kind != "tabulated":
+            return
+        xs, ps = self.premium.xs, self.premium.ps
+        dxs = np.diff(xs)
+        slopes = np.diff(ps) / dxs
+        seg = dxs / ps[:-1] * _log1p_ratio(slopes * dxs / ps[:-1])
+        object.__setattr__(self, "_knot_times", np.concatenate(([0.0], np.cumsum(seg))))
+        object.__setattr__(self, "_slopes", np.concatenate(([0.0], slopes, [0.0])))
+
+    def _clock(self, r):
+        """T(r) - T(x_0) for a tabulated premium."""
+        xs, ps = self.premium.xs, self.premium.ps
+        j = np.searchsorted(xs, r, side="right") - 1
+        jc = np.clip(j, 0, xs.size - 1)
+        d = r - xs[jc]
+        return self._knot_times[jc] + d / ps[jc] * _log1p_ratio(
+            self._slopes[j + 1] * d / ps[jc])
+
+    def _position(self, tau):
+        """Inverse of `_clock`."""
+        xs, ps, tk = self.premium.xs, self.premium.ps, self._knot_times
+        j = np.searchsorted(tk, tau, side="right") - 1
+        jc = np.clip(j, 0, xs.size - 1)
+        dt = tau - tk[jc]
+        return xs[jc] + ps[jc] * dt * _expm1_ratio(self._slopes[j + 1] * dt)
+
+    def travel_time(self, x, b):
+        """Time for the flow to move from x to b >= x (floats or arrays)."""
+        prem = self.premium
+        kind = prem.kind
+        if kind == "constant" or (kind == "linear" and prem.epsilon == 0.0):
+            return (b - x) / prem.c
+        if kind == "linear":
+            k = prem.c / prem.epsilon
+            return np.log((b + k) / (x + k)) / prem.epsilon
+        if kind == "rational":
+            return rational_travel_time(prem.c, x, b)
+        return self._clock(b) - self._clock(x)
+
+    def flow(self, x, t):
+        """Position after time t >= 0 of the flow started at x (floats or arrays)."""
+        prem = self.premium
+        kind = prem.kind
+        if kind == "constant" or (kind == "linear" and prem.epsilon == 0.0):
+            return x + prem.c * t
+        if kind == "linear":
+            k = prem.c / prem.epsilon
+            return (x + k) * np.exp(prem.epsilon * t) - k
+        if kind == "rational":
+            return rational_flow(prem.c, x, t)
+        return self._position(self._clock(x) + t)
 
     def forward(self, x: float, t: float) -> float:
         """Position r_t of the claim-free trajectory started at x >= 0."""
@@ -66,27 +154,7 @@ class FlowSolver:
             raise ValueError(f"flow time must be >= 0, got {t}")
         if t == 0.0:
             return float(x)
-        kind = self.premium.kind
-        if kind == "constant":
-            return x + self.premium.c * t
-        if kind == "linear":
-            c, eps = self.premium.c, self.premium.epsilon
-            if eps == 0.0:
-                return x + c * t
-            return (x + c / eps) * math.exp(eps * t) - c / eps
-        if kind == "rational":
-            return rational_flow(self.premium.c, float(x), float(t))
-        return self._forward_numeric(float(x), float(t))
-
-    def _forward_numeric(self, x: float, t: float) -> float:
-        from scipy.integrate import solve_ivp
-
-        sol = solve_ivp(lambda _, r: [self.premium.p(r[0])], (0.0, t), [x],
-                        rtol=self.rel_tol, atol=self.abs_tol,
-                        max_step=self.max_step, dense_output=False)
-        if not sol.success:
-            raise NumericsError(f"flow integration failed: {sol.message}")
-        return float(sol.y[0, -1])
+        return float(self.flow(x, t))
 
     def hit_time(self, x: float, level: float) -> float:
         """Smallest t with forward(x, t) == level, for level >= x >= 0."""
@@ -94,42 +162,7 @@ class FlowSolver:
             raise ValueError(f"hit level {level} below start {x}")
         if level == x:
             return 0.0
-        kind = self.premium.kind
-        if kind == "constant":
-            return (level - x) / self.premium.c
-        if kind == "linear":
-            c, eps = self.premium.c, self.premium.epsilon
-            if eps == 0.0:
-                return (level - x) / c
-            return math.log((level + c / eps) / (x + c / eps)) / eps
-        if kind == "rational":
-            return rational_travel_time(self.premium.c, float(x), float(level))
-        return self._hit_numeric(float(x), float(level))
-
-    def _hit_numeric(self, x: float, level: float) -> float:
-        from scipy.integrate import solve_ivp
-
-        # p > 0 on [x, level] guarantees the level is reached; bound the
-        # search horizon by the smallest premium on the segment
-        p_floor = self.premium.floor_from(x, level)
-        if p_floor <= 0:
-            raise NumericsError("premium not positive on the hit segment")
-        t_hi = 1.1 * (level - x) / p_floor + 1e-9
-
-        def reached(_, r):
-            return r[0] - level
-
-        reached.terminal = True
-        reached.direction = 1.0
-        sol = solve_ivp(lambda _, r: [self.premium.p(r[0])], (0.0, t_hi), [x],
-                        rtol=min(self.rel_tol, 1e-10), atol=min(self.abs_tol, 1e-12),
-                        events=reached, max_step=self.max_step)
-        if not sol.success:
-            raise NumericsError(f"hit-time integration failed: {sol.message}")
-        if sol.t_events[0].size == 0:
-            raise NumericsError(f"flow did not reach level {level} from {x} "
-                                f"within t={t_hi} (premium underflow?)")
-        return float(sol.t_events[0][0])
+        return float(self.travel_time(x, level))
 
 
 def flow_forward(premium: PremiumModel, x: float, t: float) -> float:

@@ -1,12 +1,31 @@
-"""Uniform-grid sampled functions with interpolation and derivative access."""
+"""Uniform-grid sampled functions with interpolation and derivative access,
+and the atomic text-file write that every output file goes through."""
 
 from __future__ import annotations
 
 import io
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+
+def atomic_write(path, text: str):
+    """Write `text` to a temporary file next to `path`, then rename it over
+    `path`: readers see the old file or the new one, never a partial write."""
+    path = os.fspath(path)
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)

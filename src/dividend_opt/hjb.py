@@ -23,7 +23,7 @@ import numpy as np
 
 from .barrier import BarrierSolution
 from .errors import NumericsError
-from .grid import GridFunction
+from .grid import GridFunction, atomic_write
 from .model import ModelParams, PenaltyModel, omega_eval
 from .scale import _trapezoid_convolution
 
@@ -58,9 +58,7 @@ class OptimalityReport:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def generator_apply(m: GridFunction, params: ModelParams, x: float,

@@ -144,7 +144,6 @@ class ClaimModel:
     dx: float = 0.0
     f_vals: Optional[np.ndarray] = None
     _nodes: Optional[np.ndarray] = field(default=None, repr=False)
-    _cdf_vals: Optional[np.ndarray] = field(default=None, repr=False)
     _tail_vals: Optional[np.ndarray] = field(default=None, repr=False)
 
     @staticmethod
@@ -172,13 +171,11 @@ class ClaimModel:
         slope = np.diff(f) / dx
         cell0 = 0.5 * dx * (f[:-1] + f[1:])
         cell1 = nodes[:-1] * cell0 + dx * dx * (0.5 * f[:-1] + slope * dx / 3.0)
-        cdf = np.minimum(np.concatenate(([0.0], np.cumsum(cell0))), 1.0)
         tails = np.zeros((2, f.size))  # int_{g_j}^end of f and of z f
         tails[0, :-1] = np.cumsum(cell0[::-1])[::-1]
         tails[1, :-1] = np.cumsum(cell1[::-1])[::-1]
         return ClaimModel("tabulated", x0=float(x0), dx=float(dx), f_vals=f,
-                          _nodes=_as_readonly(nodes), _cdf_vals=_as_readonly(cdf),
-                          _tail_vals=_as_readonly(tails))
+                          _nodes=_as_readonly(nodes), _tail_vals=_as_readonly(tails))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -190,13 +187,14 @@ class ClaimModel:
         return out if out.ndim else float(out)
 
     def cdf(self, y):
+        """F(y); for a tabulated density (S0(x0) - S0(y)) / S0(x0)."""
         y = np.asarray(y, dtype=float)
         if self.kind == "exponential":
             out = np.where(y >= 0, -np.expm1(-self.mu * np.maximum(y, 0.0)), 0.0)
         else:
-            out = np.where(y >= self.support_end, 1.0,
-                           np.where(y < self.x0, 0.0,
-                                    np.interp(y, self._nodes, self._cdf_vals)))
+            total = self._tail_vals[0, 0]
+            inside = np.clip((total - self._tails(y)[0]) / total, 0.0, 1.0)
+            out = np.where(y >= self.support_end, 1.0, np.where(y < self.x0, 0.0, inside))
         return out if out.ndim else float(out)
 
     def _tails(self, y):
@@ -222,15 +220,33 @@ class ClaimModel:
         return self._tail_vals[0, j] - part0, self._tail_vals[1, j] - part1
 
     def mean(self) -> float:
+        """E[C]; for a tabulated density S1(x0) / S0(x0)."""
         if self.kind == "exponential":
             return 1.0 / self.mu
-        return float(np.trapezoid(self._nodes * self.f_vals, dx=self.dx))
+        return float(self._tail_vals[1, 0] / self._tail_vals[0, 0])
 
     def ppf(self, u):
-        """Inverse d.f. (used for sampling)."""
+        """Inverse of `cdf` on [0, 1) (used for sampling).
+
+        For a tabulated density: the cell j whose node tails bracket the
+        target tail r = (1 - u) S0(x0), then the root t in [0, dx] of the
+        cell's mass t (f_j + s_j t / 2) = S0(g_j) - r, taken in the form
+        2m / (f_j + sqrt(f_j^2 + 2 s_j m)) that has no cancellation.
+        """
+        u = np.asarray(u, dtype=float)
         if self.kind == "exponential":
-            return -np.log1p(-np.asarray(u, dtype=float)) / self.mu
-        return np.interp(u, self._cdf_vals, self._nodes)
+            return -np.log1p(-u) / self.mu
+        f, dx, tails = self.f_vals, self.dx, self._tail_vals[0]
+        r = (1.0 - u) * tails[0]
+        j = np.clip(np.searchsorted(-tails, -r, side="right") - 1, 0, f.size - 2)
+        m = np.maximum(tails[j] - r, 0.0)
+        fj = f[j]
+        root = np.sqrt(np.maximum(fj * fj + 2.0 * (f[j + 1] - fj) / dx * m, 0.0))
+        denom = fj + root
+        empty = denom == 0.0  # only when f_j = 0 and m s_j <= 0, so at m = 0
+        t = np.where(empty, 0.0, 2.0 * m / np.where(empty, 1.0, denom))
+        out = self._nodes[j] + np.minimum(t, dx)
+        return out if out.ndim else float(out)
 
     @property
     def support_end(self) -> float:
@@ -467,7 +483,7 @@ def _discounted_premium_integral(params: ModelParams, x: float, horizon: float):
     # numeric: Simpson on a time grid of the flow
     n = 2001
     ts = np.linspace(0.0, horizon, n)
-    rs = np.array([solver.forward(x, float(t)) for t in ts])
+    rs = solver.flow(x, ts)
     integrand = np.exp(-q * ts) * np.asarray(p(rs), dtype=float)
     from scipy.integrate import simpson
 

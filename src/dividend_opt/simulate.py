@@ -8,34 +8,96 @@ Discounted barrier dividends are integrated in closed form per sojourn
 segment, so horizon truncation is the only bias and it is bounded and
 reported.
 
-Reproducibility: path k draws from its own counter-based Philox stream
-keyed by (seed, k), so estimates are bit-identical across reruns and
-independent of the worker partitioning.
+One engine serves every premium, claim and penalty kind: it advances all
+live paths in lockstep, one claim per iteration, as arrays, with the exact
+travel times and flow of `flow.FlowSolver`, the claim quantile function
+and the penalty.  Iteration k of a path draws its inter-arrival time and
+its claim from the two uniforms 2k and 2k + 1 of the path's own stream.
+
+Reproducibility: path k's stream is numpy's
+`Generator(Philox(key=(seed << 64) + k)).random()`, the counter-based
+Philox4x64-10 keyed by (seed, k), generated here for all live paths at
+once.  Estimates are bit-identical across reruns and do not depend on
+`worker_streams`, which only cuts the path range into consecutive chunks
+that run one after another.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _backend, _reference
 from .errors import HorizonError, ModelValidationError, NumericsError
 from .flow import FlowSolver
+from .grid import atomic_write
 from .model import ModelParams, penalty_envelope
 
 _MODE_VALUE = 0
 _MODE_GERBER = 1
 _MODE_TWO_SIDED = 2
-_MAX_BLOCK = 1 << 22
+_MAX_BLOCK = 1 << 22  # most uniforms one path may draw
 _BOUND_FRACTION = 1e-4
+# Philox blocks generated per refill, over all live paths: with few live
+# paths one refill covers many iterations, so the fixed cost of its ~200
+# array operations is not paid every two iterations.
+_REFILL_BLOCKS = 128
+# paths advanced together at most: bounds the engine's working arrays
+# (a few dozen of this length) whatever the path count
+_CHUNK_PATHS = 1 << 16
 
-_PKIND = {"constant": 0, "linear": 1, "rational": 2}
-_WKIND = {"zero": 0, "constant": 1, "linear": 2}
+# Philox4x64-10 (Salmon et al., SC'11): the round multipliers of the two
+# lanes (counter words 0 and 2) and the key increments, as columns
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _U32
+
+
+def _mulhilo(x: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit products _PHILOX_M * x,
+    from 32-bit halves."""
+    x_lo, x_hi = x & _LO32, x >> _U32
+    mid = x_hi * _M_LO
+    mid += (x_lo * _M_LO) >> _U32  # no carry out: (2^32 - 1)^2 + 2^32 - 1 < 2^64
+    low = x_lo * _M_HI
+    low += mid & _LO32
+    hi = x_hi * _M_HI
+    hi += mid >> _U32
+    hi += low >> _U32
+    return hi, x * _PHILOX_M
+
+
+def philox_uniforms(paths, seed: int, counter) -> np.ndarray:
+    """The four uniforms of Philox4x64-10 block `counter` of each path's stream.
+
+    Path k's stream under `seed` is numpy's
+    `Generator(Philox(key=(seed << 64) + k))`: key words (k, seed), counter
+    words (counter, 0, 0, 0), counters counted from 1, each 64-bit word w
+    turned into (w >> 11) * 2**-53.  `paths` and `counter` broadcast; the
+    result has shape (4,) + their shape, in draw order along axis 0.
+    """
+    k0, c0 = np.broadcast_arrays(np.asarray(paths, dtype=np.uint64),
+                                 np.asarray(counter, dtype=np.uint64))
+    shape = k0.shape
+    key = np.stack((k0.ravel(), np.full(k0.size, seed, dtype=np.uint64)))
+    even = np.stack((c0.ravel(), np.zeros(k0.size, dtype=np.uint64)))  # words 0, 2
+    odd = np.zeros_like(even)  # words 1, 3
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(even)
+        hi = hi[::-1]
+        hi ^= odd
+        hi ^= key
+        even, odd = hi, lo[::-1]
+    words = np.stack((even[0], odd[0], even[1], odd[1]))
+    words >>= np.uint64(11)
+    return (words * (1.0 / 9007199254740992.0)).reshape((4,) + shape)
 
 
 @dataclass(frozen=True)
@@ -51,14 +113,15 @@ class SimulationConfig:
     def __post_init__(self):
         if self.paths <= 0:
             raise ValueError(f"paths must be positive, got {self.paths}")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.worker_streams <= 0:
             raise ValueError("worker_streams must be positive")
-        if self.barrier is not None and self.barrier < 0:
-            raise ValueError("barrier must be >= 0")
+        if self.barrier is not None and not (math.isfinite(self.barrier)
+                                             and self.barrier >= 0):
+            raise ValueError(f"barrier must be a finite number >= 0, got {self.barrier}")
 
 
 @dataclass(frozen=True)
@@ -84,92 +147,109 @@ class SimulationEstimate:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _closed_form_capable(params: ModelParams) -> bool:
-    return (params.premium.kind in _PKIND
-            and params.claim.kind == "exponential"
-            and params.penalty.kind in _WKIND)
+def _check_capital(x) -> float:
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"initial capital x must be a finite number >= 0, got {x}")
+    return float(x)
 
 
-def _initial_block(lam: float, horizon: float) -> int:
-    expect = 2.0 * lam * horizon
-    return int(expect + 8.0 * math.sqrt(expect + 1.0) + 16.0)
+def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
+              mode: int, a: float, lo: int, hi: int):
+    """(value, ruined) arrays of paths lo .. hi-1, advanced together.
 
-
-def _make_generic_engine(params: ModelParams, mode: int, a: float):
+    Each iteration handles one claim of every live path, in the order of
+    the scalar oracle `_reference.generic_path`: dividends up to the claim
+    or the horizon, the two-sided exit, the horizon, then the claim and
+    ruin.  Paths that end are dropped from the live arrays.
+    """
+    lam, q = params.lam, params.q
     solver = FlowSolver(params.premium)
-    claim_ppf = params.claim.ppf
-    w_fn = params.penalty.w
+    ppf, w = params.claim.ppf, params.penalty.w
     p_at_a = float(params.premium.p(a)) if mode == _MODE_VALUE else 0.0
-
-    def run(u, x0, horizon, lam, q):
-        return _reference.generic_path(u, mode, solver.hit_time, solver.forward,
-                                       claim_ppf, w_fn, p_at_a, lam, q, x0, a,
-                                       horizon)
-
-    return run
-
-
-def _make_closed_engine(params: ModelParams, mode: int, a: float):
-    pkind = _PKIND[params.premium.kind]
-    c = params.premium.c
-    eps = params.premium.epsilon
-    mu = params.claim.mu
-    wkind = _WKIND[params.penalty.kind]
-    wk = params.penalty.k
-    wbeta = params.penalty.beta
-
-    def run(u, x0, horizon, lam, q):
-        return _backend.closed_form_path(u, mode, pkind, c, eps, mu, lam, q,
-                                         x0, a, horizon, wkind, wk, wbeta)
-
-    return run
+    n = hi - lo
+    values = np.zeros(n)
+    ruined = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    t = np.zeros(n)
+    lvl = np.full(n, x)
+    val = np.zeros(n)
+    if mode == _MODE_VALUE and x > a:
+        val += x - a
+        lvl[:] = a
+    # inter-arrival times and claims of the live paths, one row per iteration
+    taus = claims = np.empty((0, n))
+    row = 0
+    travel_time, flow = solver.travel_time, solver.flow
+    for k in range(_MAX_BLOCK // 2):
+        if row == taus.shape[0]:  # k is even here: refills cover whole blocks
+            blocks = max(1, _REFILL_BLOCKS // live.size)
+            counters = k // 2 + 1 + np.arange(blocks)[:, None]
+            u = philox_uniforms(lo + live, seed, counters)  # (word, block, path)
+            # draw 4 b + 2 j + i is draw i of iteration k + 2 b + j
+            u = u.reshape(2, 2, blocks, live.size).transpose(1, 2, 0, 3)
+            u = u.reshape(2, 2 * blocks, live.size)
+            taus, claims, row = -np.log1p(-u[0]) / lam, ppf(u[1]), 0
+        tau, claim = taus[row], claims[row]
+        row += 1
+        t_claim = t + tau
+        cut = np.minimum(t_claim, horizon)
+        stop = t_claim >= horizon
+        if mode == _MODE_VALUE:
+            at_a = t + np.where(lvl >= a, 0.0, travel_time(lvl, a))
+            paid = val + p_at_a * (np.exp(-q * at_a) - np.exp(-q * cut)) / q
+            val = np.where(at_a < cut, paid, val)
+        elif mode == _MODE_TWO_SIDED:
+            at_a = t + travel_time(lvl, a)
+            exit_ = at_a <= cut
+            val = np.where(exit_, np.exp(-q * at_a), val)
+            stop |= exit_
+        if np.count_nonzero(stop):
+            values[live[stop]] = val[stop]
+            keep = ~stop
+            live, t, lvl, val, tau, claim, t_claim = (
+                live[keep], t[keep], lvl[keep], val[keep], tau[keep], claim[keep],
+                t_claim[keep])
+            if mode == _MODE_VALUE:
+                at_a = at_a[keep]
+            taus, claims, row = taus[row:, keep], claims[row:, keep], 0
+        pre = flow(lvl, tau)
+        if mode == _MODE_VALUE:
+            pre = np.where(at_a <= t_claim, a, pre)
+        new = pre - claim
+        ruin = new < 0.0
+        if np.count_nonzero(ruin):
+            if mode != _MODE_TWO_SIDED:
+                values[live[ruin]] = val[ruin] + np.exp(-q * t_claim[ruin]) * w(new[ruin])
+            ruined[live[ruin]] = 1
+            keep = ~ruin
+            live, new, t_claim, val = live[keep], new[keep], t_claim[keep], val[keep]
+            taus, claims, row = taus[row:, keep], claims[row:, keep], 0
+        if live.size == 0:
+            return values, ruined
+        lvl, t = new, t_claim
+    raise NumericsError(f"path {lo + live[0]} needs more than {_MAX_BLOCK} draws; "
+                        f"horizon or rates look pathological")
 
 
 def _run_paths(params: ModelParams, x: float, config: SimulationConfig,
                mode: int, a: float):
-    """Per-path (value, ruined, deficit) arrays, folded in path order."""
-    lam, q = params.lam, params.q
-    engine = (_make_closed_engine(params, mode, a) if _closed_form_capable(params)
-              else _make_generic_engine(params, mode, a))
+    """Per-path (value, ruined) arrays in path order.
+
+    `worker_streams` cuts the path range into that many consecutive chunks,
+    run one after another, and chunks longer than _CHUNK_PATHS are cut
+    again; every path's result is the same in any chunk.
+    """
     n = config.paths
-    block0 = _initial_block(lam, config.horizon)
-    values = np.empty(n)
-    ruined = np.zeros(n, dtype=np.int64)
-    seed = int(config.seed)
-
-    def one_path(p: int):
-        block = block0
-        while True:
-            gen = np.random.Generator(np.random.Philox(key=(seed << 64) + p))
-            u = gen.random(block)
-            val, ru, _deficit, _used, status = engine(u, x, config.horizon, lam, q)
-            if status == 0:
-                return val, ru
-            block *= 4
-            if block > _MAX_BLOCK:
-                raise NumericsError(f"path {p} needs more than {_MAX_BLOCK} draws; "
-                                    f"horizon or rates look pathological")
-
-    def chunk(lo: int, hi: int):
-        for p in range(lo, hi):
-            values[p], ruined[p] = one_path(p)
-
-    streams = min(config.worker_streams, n)
-    if streams == 1:
-        chunk(0, n)
-    else:
-        bounds = np.linspace(0, n, streams + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=streams) as pool:
-            futures = [pool.submit(chunk, int(bounds[i]), int(bounds[i + 1]))
-                       for i in range(streams)]
-            for fut in futures:
-                fut.result()
-    return values, ruined
+    bounds = np.linspace(0, n, min(config.worker_streams, n) + 1).astype(int)
+    parts = [_lockstep(params, x, config.horizon, int(config.seed), mode, a,
+                       start, min(start + _CHUNK_PATHS, int(hi)))
+             for lo, hi in zip(bounds[:-1], bounds[1:])
+             for start in range(int(lo), int(hi), _CHUNK_PATHS)]
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]))
 
 
 def _estimate(values: np.ndarray, ruined: np.ndarray, config: SimulationConfig,
@@ -200,8 +280,7 @@ def simulate_value(params: ModelParams, x: float, config: SimulationConfig) -> S
     if params.q == 0.0:
         raise ModelValidationError("q = 0 with a barrier: the discounted dividend "
                                    "integral may diverge")
-    if x < 0:
-        raise ValueError("initial capital must be >= 0")
+    x = _check_capital(x)
     a = float(config.barrier)
     values, ruined = _run_paths(params, x, config, _MODE_VALUE, a)
     bound = math.exp(-params.q * config.horizon) * _value_envelope(params, a)
@@ -221,8 +300,7 @@ def simulate_gerber_shiu(params: ModelParams, x: float,
     """Estimate the expected discounted penalty at ruin (no dividends)."""
     if config.barrier is not None:
         raise ValueError("simulate_gerber_shiu runs without a barrier")
-    if x < 0:
-        raise ValueError("initial capital must be >= 0")
+    x = _check_capital(x)
     values, ruined = _run_paths(params, x, config, _MODE_GERBER, 0.0)
     w_env = penalty_envelope(params)
     heuristic = False
@@ -261,8 +339,9 @@ def _drift_tail_bound(params: ModelParams, x: float, horizon: float,
 def simulate_two_sided(params: ModelParams, x: float, a: float,
                        config: SimulationConfig) -> SimulationEstimate:
     """Estimate E_x[e^{-q tau_a^+}; tau_a^+ < tau_0^-] for 0 <= x <= a."""
-    if not 0 <= x <= a:
-        raise ValueError(f"need 0 <= x <= a, got x={x}, a={a}")
+    x = _check_capital(x)
+    if not (x <= a < math.inf):
+        raise ValueError(f"need 0 <= x <= a with a finite, got x={x}, a={a}")
     if config.barrier is not None:
         raise ValueError("two-sided exit runs on the unregulated process")
     if x == a:

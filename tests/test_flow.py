@@ -118,3 +118,49 @@ class TestProperties:
                 dt = 1e-3
                 assert solver.forward(x, t + dt) > solver.forward(x, t)
                 assert solver.forward(x + 1e-3, t) > solver.forward(x, t)
+
+
+BOUNDED_XS = np.linspace(0.0, 5000.0, 5001)
+BOUNDED = PremiumModel.tabulated(BOUNDED_XS, 1.0 + 0.5 * (1.0 - np.exp(-BOUNDED_XS / 10.0)))
+
+
+class TestTabulatedFlow:
+    def test_matches_dop853(self):
+        # oracle: DOP853 on dr/dt = interpolated p(r), rtol = atol = 1e-13
+        rng = np.random.Generator(np.random.Philox(key=404))
+        solver = FlowSolver(BOUNDED)
+        for _ in range(20):
+            x, t = 30.0 * rng.random(), 20.0 * rng.random()
+            sol = solve_ivp(lambda _, r: [np.interp(r[0], BOUNDED.xs, BOUNDED.ps)],
+                            (0.0, t), [x], method="DOP853", rtol=1e-13, atol=1e-13)
+            want = float(sol.y[0, -1])
+            assert abs(solver.forward(x, t) - want) <= 1e-8 * want
+
+    def test_hit_time_inverts_forward(self):
+        rng = np.random.Generator(np.random.Philox(key=405))
+        solver = FlowSolver(BOUNDED)
+        for _ in range(200):
+            x = 30.0 * rng.random()
+            b = x + 0.01 + 40.0 * rng.random()
+            assert abs(solver.forward(x, solver.hit_time(x, b)) - b) <= 1e-12 * b
+
+    def test_premium_held_outside_knots(self):
+        tab = PremiumModel.tabulated([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+        solver = FlowSolver(tab)
+        # beyond the last knot p stays 4, before the first it stays 1
+        assert solver.forward(5.0, 0.5) == pytest.approx(7.0, rel=1e-15)
+        assert solver.hit_time(0.25, 0.75) == pytest.approx(0.5, rel=1e-15)
+        # across a knot: ln 2 on [1, 2] (p = r), then ln(2) / 2 on [2, 3] (p = 2r - 2)
+        assert solver.hit_time(1.0, 3.0) == pytest.approx(1.5 * math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("premium", [*FAMILIES, BOUNDED, PremiumModel.linear(2.0, 0.0)])
+    def test_arrays_match_scalar_calls(self, premium):
+        solver = FlowSolver(premium)
+        rng = np.random.Generator(np.random.Philox(key=406))
+        x = 10.0 * rng.random(50)
+        t = 5.0 * rng.random(50)
+        b = x + 20.0 * rng.random(50)
+        assert np.array_equal(solver.flow(x, t),
+                              [solver.forward(xi, ti) for xi, ti in zip(x, t)])
+        assert np.array_equal(solver.travel_time(x, b),
+                              [solver.hit_time(xi, bi) for xi, bi in zip(x, b)])

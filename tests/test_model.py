@@ -14,6 +14,14 @@ from dividend_opt._reference import omega_quadrature
 from conftest import make_params
 
 
+def shifted_exponential_claim():
+    """Exponential(1) density shifted to [1, 21] (dx 0.01), unit mass."""
+    dx = 0.01
+    ys = 1.0 + dx * np.arange(2001)
+    f = np.exp(-(ys - 1.0))
+    return ClaimModel.tabulated(1.0, dx, f / np.trapezoid(f, dx=dx))
+
+
 class TestFamilies:
     def test_premium_positivity_enforced(self):
         with pytest.raises(ConfigError):
@@ -87,16 +95,36 @@ class TestFamilies:
 
     def test_tabulated_claim_with_offset_grid_is_one_distribution(self):
         # a shifted exponential on [1, 21]: no mass below x0 = 1
-        dx = 0.01
-        ys = 1.0 + dx * np.arange(2001)
-        f = np.exp(-(ys - 1.0))
-        f /= np.trapezoid(f, dx=dx)
-        cl = ClaimModel.tabulated(1.0, dx, f)
+        cl = shifted_exponential_claim()
         assert cl.cdf(cl.support_end) == 1.0
         assert cl.cdf(0.999) == 0.0
         us = (np.arange(200000) + 0.5) / 200000
         assert float(np.mean(cl.ppf(us))) == pytest.approx(cl.mean(), abs=1e-4)
         assert cl.mean() == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("claim", ["shifted_exponential", "erlang2"])
+    def test_tabulated_claim_ppf_inverts_cdf(self, claim):
+        cl = (shifted_exponential_claim() if claim == "shifted_exponential"
+              else erlang2_claim(0.01))
+        # nodes, midpoints and points off the grid; where f < 1e-3 one ulp of
+        # u moves y by more than 1e-12, so the round trip is ill-conditioned
+        ys = np.linspace(cl.x0, cl.support_end, 8001)[1:-1]
+        ys = ys[cl.density(ys) >= 1e-3]
+        assert ys.size > 1000
+        assert np.max(np.abs(cl.ppf(cl.cdf(ys)) - ys)) <= 1e-12
+        assert cl.ppf(0.0) == cl.x0 and cl.cdf(cl.x0) == 0.0
+
+    @pytest.mark.parametrize("claim", ["shifted_exponential", "erlang2"])
+    def test_tabulated_claim_mean_is_first_tail_moment(self, claim):
+        from scipy.integrate import simpson
+
+        cl = (shifted_exponential_claim() if claim == "shifted_exponential"
+              else erlang2_claim(0.01))
+        # Simpson on half cells is exact for the cell-wise quadratic z f(z)
+        zs = np.linspace(cl.x0, cl.support_end, 2 * (cl.f_vals.size - 1) + 1)
+        fz = cl.density(zs)
+        mean = simpson(zs * fz, x=zs) / simpson(fz, x=zs)
+        assert cl.mean() == pytest.approx(mean, rel=1e-12, abs=0.0)
 
     def test_tabulated_claim_mass_below_grid_is_missing(self):
         # unit mass only when a box x0 * f[0] on [0, x0) is counted

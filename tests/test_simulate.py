@@ -1,13 +1,16 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dividend_opt import (HorizonError, ModelValidationError, SimulationConfig,
+from dividend_opt import (ClaimModel, FlowSolver, HorizonError, ModelParams,
+                          ModelValidationError, NumericsError, PenaltyModel,
+                          PremiumModel, SimulationConfig, SimulationEstimate,
                           simulate_gerber_shiu, simulate_two_sided,
                           simulate_value, value_function)
-from dividend_opt import _backend
+from dividend_opt import _backend, _reference, simulate
 from conftest import make_params
 
 
@@ -26,6 +29,32 @@ class TestConfig:
             SimulationConfig(paths=10, horizon=10.0, seed=-2)
         with pytest.raises(ValueError):
             SimulationConfig(paths=10, horizon=10.0, seed=1, barrier=-1.0)
+
+    @pytest.mark.parametrize("barrier", [math.inf, math.nan])
+    def test_non_finite_barrier_rejected(self, barrier):
+        with pytest.raises(ValueError, match="barrier"):
+            SimulationConfig(paths=10, horizon=10.0, seed=1, barrier=barrier)
+
+    def test_nan_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            SimulationConfig(paths=10, horizon=math.nan, seed=1)
+
+
+class TestNonFiniteCapital:
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_simulate_value(self, table1_q05, x):
+        with pytest.raises(ValueError, match="initial capital x"):
+            simulate_value(table1_q05, x, cfg(paths=10, barrier=5.0))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_simulate_gerber_shiu(self, table1_q05, x):
+        with pytest.raises(ValueError, match="initial capital x"):
+            simulate_gerber_shiu(table1_q05, x, cfg(paths=10))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_simulate_two_sided(self, table1_q05, x):
+        with pytest.raises(ValueError, match="initial capital x"):
+            simulate_two_sided(table1_q05, x, 6.0, cfg(paths=10))
 
 
 class TestValue:
@@ -49,6 +78,13 @@ class TestValue:
         params = dataclasses.replace(params, premium=make_params(premium="constant").premium)
         est = simulate_value(params, 4.0, cfg(paths=200, horizon=1200.0, barrier=4.0))
         assert est.mean == pytest.approx(1.0 / 0.05, rel=2e-3)
+
+    def test_flat_linear_premium_matches_constant(self):
+        # a linear premium of slope 0 is the constant premium, path by path
+        flat = make_params(eps=0.0)
+        const = make_params(premium="constant")
+        c = cfg(paths=200, seed=8, barrier=5.0)
+        assert simulate_value(flat, 3.0, c) == simulate_value(const, 3.0, c)
 
     def test_matches_analytic_value(self, scale_q05, barrier_q05, table1_q05):
         a = barrier_q05.a_star
@@ -147,6 +183,12 @@ class TestReproducibility:
                                                  workers=4))
         assert e1.mean == e4.mean and e1.std_error == e4.std_error
 
+    def test_independent_of_chunk_size(self, table1_q05, monkeypatch):
+        c = cfg(paths=600, seed=5, barrier=5.33)
+        whole = simulate_value(table1_q05, 3.0, c)
+        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 7)
+        assert simulate_value(table1_q05, 3.0, c) == whole
+
     def test_seed_changes_estimate(self, table1_q05):
         a = 5.33
         e1 = simulate_value(table1_q05, 3.0, cfg(paths=500, seed=1, barrier=a))
@@ -160,6 +202,14 @@ class TestReproducibility:
         doc = est.to_dict()
         assert set(doc) == {"mean", "std_error", "ci95", "paths", "ruin_fraction",
                             "truncation_bound", "seed"}
+
+    def test_to_json_replaces_existing_file_whole(self, tmp_path):
+        path = tmp_path / "estimate.json"
+        path.write_text("x" * 10000)
+        est = SimulationEstimate(1.5, 0.25, (1.01, 1.99), 10, 0.5, 1e-9, 7)
+        est.to_json(path)
+        assert json.loads(path.read_text()) == est.to_dict()
+        assert [p.name for p in tmp_path.iterdir()] == ["estimate.json"]
 
 
 class TestGenericEngine:
@@ -208,3 +258,100 @@ class TestAdmissibility:
             assert status == 0
             assert (ruined == 1) == (deficit < 0.0)
             assert val >= max(0.0, x0 - a) - 1e-12  # dividends cannot ruin
+
+
+class TestPhilox:
+    def test_matches_numpy_streams_bit_for_bit(self):
+        # seed 2**64 - 1 and path ids >= 2**32 fill every 32-bit half of the
+        # key; counters 1-5 run past the first block
+        paths = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 7, 2 ** 63 + 5,
+                          2 ** 64 - 1], dtype=np.uint64)
+        for seed in (0, 12345, 2 ** 63, 2 ** 64 - 1):
+            got = simulate.philox_uniforms(paths, seed, np.arange(1, 6)[:, None])
+            got = got.transpose(2, 1, 0).reshape(paths.size, 20)  # draw order
+            for p, row in zip(paths, got):
+                gen = np.random.Generator(np.random.Philox(key=(seed << 64) + int(p)))
+                assert np.array_equal(row, gen.random(20))
+
+    def test_large_counter_carries(self):
+        # a counter past 2**32 exercises the carries of the 32-bit-half products
+        bitgen = np.random.Philox(counter=2 ** 40 - 1, key=(99 << 64) + 3)
+        want = np.random.Generator(bitgen).random(4)
+        got = simulate.philox_uniforms(3, 99, 2 ** 40)
+        assert np.array_equal(got, want)
+
+
+def _oracle_values(run_path, seed, paths):
+    """Per-path (value, ruined) of a scalar engine on numpy's Philox streams."""
+    out = []
+    for p in range(paths):
+        u = np.random.Generator(np.random.Philox(key=(seed << 64) + p)).random(4096)
+        val, ruined, _deficit, _used, status = run_path(u)
+        assert status == 0
+        out.append((val, ruined))
+    vals, ruined = zip(*out)
+    return np.array(vals), np.array(ruined)
+
+
+def _assert_close_per_path(got, want):
+    (v, r), (v_ref, r_ref) = got, want
+    assert np.array_equal(r, r_ref)
+    # values below 1 are compared absolutely: the dividends of a path ruined
+    # early are a difference of two close exponentials, and its ulp-level
+    # differences do not shrink with it
+    assert np.max(np.abs(v - v_ref) / np.maximum(np.abs(v_ref), 1.0)) <= 1e-12
+
+
+MODES = [(simulate._MODE_VALUE, 5.0), (simulate._MODE_GERBER, 0.0),
+         (simulate._MODE_TWO_SIDED, 6.0)]
+
+
+class TestLockstepOracle:
+    """The lockstep engine against the scalar per-path engines, path by path.
+
+    Values may differ by a few ulp: numpy's exp and log against `math`'s.
+    """
+
+    @pytest.mark.parametrize("premium", ["constant", "linear", "rational"])
+    @pytest.mark.parametrize("penalty", ["zero", "constant", "linear"])
+    @pytest.mark.parametrize("mode,a", MODES)
+    def test_closed_form_path(self, premium, penalty, mode, a):
+        params = make_params(premium=premium, penalty=penalty)
+        prem, pen = params.premium, params.penalty
+        pkind = ("constant", "linear", "rational").index(premium)
+        wkind = ("zero", "constant", "linear").index(penalty)
+        config = cfg(paths=200, seed=77)
+        got = simulate._run_paths(params, 3.0, config, mode, a)
+        want = _oracle_values(
+            lambda u: _reference.closed_form_path(
+                u, mode, pkind, prem.c, prem.epsilon, params.claim.mu, params.lam,
+                params.q, 3.0, a, config.horizon, wkind, pen.k, pen.beta),
+            config.seed, config.paths)
+        _assert_close_per_path(got, want)
+
+    @pytest.mark.parametrize("mode,a", MODES)
+    def test_generic_path_tabulated(self, mode, a):
+        xs = np.linspace(0.0, 400.0, 401)
+        premium = PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0)))
+        dx = 0.01
+        ys = dx * np.arange(4001)
+        f = 0.36 * ys * np.exp(-0.6 * ys)
+        claim = ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
+        kx = np.linspace(-30.0, -0.5, 60)
+        penalty = PenaltyModel.tabulated(kx, -np.minimum(2.0, 1.0 - 0.2 * kx))
+        params = ModelParams(premium, claim, penalty, lam=0.1, q=0.05)
+        solver = FlowSolver(premium)
+        p_at_a = float(premium.p(a)) if mode == simulate._MODE_VALUE else 0.0
+        config = cfg(paths=100, seed=78)
+        got = simulate._run_paths(params, 3.0, config, mode, a)
+        want = _oracle_values(
+            lambda u: _reference.generic_path(
+                u, mode, solver.hit_time, solver.forward, claim.ppf, penalty.w,
+                p_at_a, params.lam, params.q, 3.0, a, config.horizon),
+            config.seed, config.paths)
+        _assert_close_per_path(got, want)
+
+    def test_event_cap(self, table1_q05, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_BLOCK", 64)
+        with pytest.raises(NumericsError, match="needs more than 64 draws"):
+            simulate_gerber_shiu(table1_q05, 3.0, cfg(paths=20, horizon=1e4))

@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels against their reference implementations.
+"""Benchmark the hot layers against their reference implementations.
 
-Times three layers, best of k:
+Times these layers, best of k:
 
-- the general O(n^2) Volterra march and its compiled twin, on a
-  representative model (linear premium, exponential claims).  For this
-  exponential model the library itself does not use the O(n^2) march:
-  `solve_scale` takes the O(n) `scale._exponential_march`, timed alongside
-  for comparison.  The O(n^2) march serves tabulated claim densities.
+- the general O(n^2) Volterra march on a representative model (linear
+  premium, exponential claims).  For this exponential model the library
+  itself does not use the O(n^2) march: `solve_scale` takes the O(n)
+  `scale._exponential_march`, timed alongside for comparison.  The O(n^2)
+  march serves tabulated claim densities.
 - the penalty rate omega on every node of a solve grid (dx 0.005,
   x_max 166.7) for a tabulated Erlang-2 claim density with a linear
   penalty: the exact, vectorized `model.omega_eval` against the per-node
-  quadrature oracle `_reference.omega_quadrature`.  Their difference
-  (about 5e-8) is the oracle's Simpson error at the nodes that fall
-  between density samples, where its panels straddle the density's kinks.
+  quadrature oracle `_reference.omega_quadrature`, which runs Simpson
+  between the kinks of the integrand and so agrees to rounding.
 - the Monte-Carlo engine, before and after each of its three changes:
   per-path `Generator(Philox)` set-up against the vectorized Philox of
   `simulate.philox_uniforms` (same uniforms, bit for bit); the scalar
@@ -22,10 +21,9 @@ Times three layers, best of k:
   flow the engine used for a tabulated premium against the exact
   `FlowSolver` flow (bounded premium 1 + 0.5(1 - e^{-x/10}) on [0, 5000]).
 
-Run after building the extension (the compiled timings are skipped
-without it):
+Run from the repository root:
 
-    python benchmarks/bench_kernels.py [--paths 20000] [--nodes 20000]
+    PYTHONPATH=src python benchmarks/bench_layers.py [--paths 20000] [--nodes 20000]
 """
 
 import argparse
@@ -36,7 +34,7 @@ import numpy as np
 
 from dividend_opt import (ClaimModel, FlowSolver, ModelParams, PenaltyModel,
                           PremiumModel, SimulationConfig, omega_eval)
-from dividend_opt import _backend, _reference, simulate
+from dividend_opt import _reference, simulate
 from dividend_opt.scale import _exponential_march
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
@@ -59,20 +57,10 @@ def bench_volterra(nodes: int):
     x = dx * np.arange(nodes)
     p = np.asarray(PARAMS.premium.p(x))
     f = np.asarray(PARAMS.claim.density(x))
-    results = {}
-    t_py, (u_py, _, _) = time_best(_reference.volterra_march, p, f, 0.1, 0.05,
-                                   dx, 1.0, None)
-    results["python"] = t_py
-    t_lin, _ = time_best(_exponential_march, p, PARAMS.claim.mu, 0.1, 0.05, dx,
+    t_general, _ = time_best(_reference.volterra_march, p, f, 0.1, 0.05, dx, 1.0, None)
+    t_exp, _ = time_best(_exponential_march, p, PARAMS.claim.mu, 0.1, 0.05, dx,
                          1.0, None)
-    results["exponential"] = t_lin
-    if _backend.HAVE_COMPILED:
-        t_c, (u_c, _, _) = time_best(_backend._ext.volterra_march, p, f, 0.1,
-                                     0.05, dx, 1.0, None)
-        results["compiled"] = t_c
-        drift = float(np.max(np.abs(u_c - u_py) / np.abs(u_py)))
-        results["max_rel_drift"] = drift
-    return results
+    return {"general": t_general, "exponential": t_exp}
 
 
 def omega_params():
@@ -193,18 +181,10 @@ def main():
     ap.add_argument("--flow-calls", type=int, default=200)
     args = ap.parse_args()
 
-    print(f"selected backend: {_backend.backend_name()}")
-    if not _backend.HAVE_COMPILED:
-        print("compiled kernels unavailable; timing the fallback only\n")
-
     v = bench_volterra(args.nodes)
-    print(f"\nVolterra march, {args.nodes} nodes:")
-    print(f"  python   {v['python'] * 1e3:9.1f} ms")
+    print(f"Volterra march, {args.nodes} nodes:")
+    print(f"  O(n^2) general march   {v['general'] * 1e3:9.1f} ms")
     print(f"  O(n) exponential march {v['exponential'] * 1e3:9.1f} ms")
-    if "compiled" in v:
-        print(f"  compiled {v['compiled'] * 1e3:9.1f} ms   "
-              f"({v['python'] / v['compiled']:.1f}x, "
-              f"max rel drift {v['max_rel_drift']:.1e})")
 
     o = bench_omega()
     print(f"\nPenalty rate omega, {o['nodes']} nodes (tabulated Erlang-2 claims):")

@@ -9,40 +9,39 @@ Monte-Carlo simulator of the underlying piecewise deterministic process.
 
 __version__ = "0.1.0"
 
-from ._backend import HAVE_COMPILED, backend_name
-from .barrier import (BarrierSolution, barrier_boundary_identity,
-                      barrier_solution_at, find_barrier, h_eval,
-                      value_function)
+from .barrier import (barrier_boundary_identity, barrier_solution_at,
+                      find_barrier, h_eval, value_function)
 from .errors import (ConfigError, DividendOptError, DomainTooShortError,
                      HorizonError, ModelValidationError, NumericsError,
                      OverflowDomainError)
 from .flow import FlowSolver, flow_forward, hit_time
 from .grid import GridFunction
-from .hjb import OptimalityReport, generator_apply, verify_optimality
+from .hjb import generator_apply, verify_optimality
 from .kummer import KummerDiagnostics, kummer_M, kummer_U
 from .model import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
-                    ValidationReport, omega_eval, params_from_dict,
-                    params_from_json, params_to_dict, penalty_envelope,
-                    validate_model)
-from .scale import (LodeOperatorSpec, ScaleSolution, closed_form_G_ruin_constant,
-                    closed_form_W_constant, closed_form_W_linear,
-                    closed_form_W_linear_prime, compute_G, compute_W,
-                    solve_scale)
+                    omega_eval, params_from_dict, params_from_json,
+                    params_to_dict, penalty_envelope, validate_model)
+from .scale import (closed_form_G_ruin_constant, closed_form_W_constant,
+                    closed_form_W_linear, compute_G, compute_W, solve_scale)
 from .simulate import (SimulationConfig, SimulationEstimate,
                        simulate_gerber_shiu, simulate_two_sided,
                        simulate_value)
 
+
+def backend_name() -> str:
+    """The numerical code path in use; there is one, pure numpy/Python."""
+    return "python"
+
+
 __all__ = [
-    "BarrierSolution", "ClaimModel", "ConfigError", "DividendOptError",
-    "DomainTooShortError", "FlowSolver", "GridFunction", "HAVE_COMPILED",
-    "HorizonError", "KummerDiagnostics", "LodeOperatorSpec", "ModelParams",
-    "ModelValidationError", "NumericsError", "OptimalityReport",
+    "ClaimModel", "ConfigError", "DividendOptError", "DomainTooShortError",
+    "FlowSolver", "GridFunction", "HorizonError", "KummerDiagnostics",
+    "ModelParams", "ModelValidationError", "NumericsError",
     "OverflowDomainError", "PenaltyModel", "PremiumModel",
-    "ScaleSolution", "SimulationConfig", "SimulationEstimate",
-    "ValidationReport", "backend_name", "barrier_boundary_identity",
-    "barrier_solution_at", "closed_form_G_ruin_constant",
-    "closed_form_W_constant", "closed_form_W_linear",
-    "closed_form_W_linear_prime", "compute_G", "compute_W", "find_barrier",
+    "SimulationConfig", "SimulationEstimate", "backend_name",
+    "barrier_boundary_identity", "barrier_solution_at",
+    "closed_form_G_ruin_constant", "closed_form_W_constant",
+    "closed_form_W_linear", "compute_G", "compute_W", "find_barrier",
     "flow_forward", "generator_apply", "h_eval", "hit_time", "kummer_M",
     "kummer_U", "omega_eval", "params_from_dict", "params_from_json",
     "params_to_dict", "penalty_envelope", "simulate_gerber_shiu",

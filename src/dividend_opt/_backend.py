@@ -1,40 +1,4 @@
-"""Backend selection: compiled kernels when available, numpy/Python otherwise.
+"""Re-export of the scalar closed-form path engine (a test oracle of the
+lockstep Monte-Carlo engine) under the name the acceptance suite imports."""
 
-Importing `dividend_opt._kernels` succeeds only if the Cython extension
-was compiled at install time.  Setting DIVIDEND_OPT_PURE_PYTHON=1 forces
-the fallback (used by the benchmark and the parity tests).
-"""
-
-from __future__ import annotations
-
-import os
-
-from . import _reference
-
-_ext = None
-if os.environ.get("DIVIDEND_OPT_PURE_PYTHON", "") in ("", "0"):
-    try:
-        from . import _kernels as _ext  # type: ignore[attr-defined]
-    except ImportError:
-        _ext = None
-
-HAVE_COMPILED = _ext is not None
-
-
-def backend_name() -> str:
-    return "compiled" if HAVE_COMPILED else "python"
-
-
-def volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
-    if HAVE_COMPILED:
-        return _ext.volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals)
-    return _reference.volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals)
-
-
-def closed_form_path(u, mode, pkind, c, eps, mu, lam, q, x0, a, horizon,
-                     wkind, wk, wbeta):
-    if HAVE_COMPILED:
-        return _ext.closed_form_path(u, mode, pkind, c, eps, mu, lam, q, x0,
-                                     a, horizon, wkind, wk, wbeta)
-    return _reference.closed_form_path(u, mode, pkind, c, eps, mu, lam, q, x0,
-                                       a, horizon, wkind, wk, wbeta)
+from ._reference import closed_form_path  # noqa: F401

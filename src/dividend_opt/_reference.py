@@ -1,16 +1,13 @@
-"""Pure-Python/numpy implementations of the two hot kernels.
+"""Slow reference implementations: the general march and the test oracles.
 
-These are the fallback twins of the compiled routines in `_kernels.pyx`:
-the Volterra forward march behind the scale functions, and the per-path
-Monte-Carlo event loop.  The event loop is written over plain floats with
-exactly the arithmetic of the C version, so both backends produce
-bit-identical path values; the march differs from the compiled one only
-in float-summation order of the convolution dot products.  The per-path
-event loops are the scalar test oracles of the lockstep engine in
-`simulate`, which no longer calls them.
-
-`omega_quadrature` keeps the quadrature evaluation of the penalty rate
-as the test oracle for the exact `model.omega_eval`.
+- `volterra_march`: the general O(n^2) forward march behind the scale
+  functions.  `scale` runs it for tabulated claim densities and checks its
+  O(n) exponential march against it.
+- `closed_form_path` and `generic_path`: the scalar per-path Monte-Carlo
+  event loops, written over plain floats; the lockstep engine in
+  `simulate` is checked against them path by path.
+- `omega_quadrature`: the penalty rate by quadrature, the oracle of the
+  exact `model.omega_eval`.
 """
 
 from __future__ import annotations
@@ -100,12 +97,14 @@ def _flow(pkind, c, eps, x, t):
     for _ in range(60):
         err = (b - x) / c - (math.log(c * (1.0 + b) + 1.0)
                              - math.log(c * (1.0 + x) + 1.0)) / (c * c) - t
+        # b / c: the time error of rounding b - x to the float spacing near b
+        tol = 1e-14 * (1.0 + t + b / c)
         b -= err * (c + 1.0 / (1.0 + b))
         if b < x:
             b = x
-        if abs(err) < 1e-14 * (1.0 + t):
-            break
-    return b
+        if abs(err) < tol:
+            return b
+    raise NumericsError(f"rational flow inversion failed at x={x}, t={t}")
 
 
 def closed_form_path(u, mode, pkind, c, eps, mu, lam, q, x0, a, horizon,
@@ -218,12 +217,14 @@ def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
 def omega_quadrature(params, x: float) -> float:
     """omega(x) = int_{z > x} w(x - z) f(z) dz at one x >= 0, by quadrature.
 
-    Composite Simpson on a refinement of a tabulated density's own grid
-    (half-cell panels, so aligned with its kinks when x is a grid node);
-    adaptive `quad` (abs tol 1e-10) over [x, x + 60/mu] for exponential
-    claims.  Clamped at 0 like the exact evaluation.
+    For a tabulated density, Simpson's rule on every piece of [x, hi]
+    between the knots of the density and of a tabulated penalty: on each
+    piece the integrand is a product of two linear functions, which
+    Simpson integrates exactly.  For exponential claims, adaptive `quad`
+    (abs tol 1e-10) over [x, x + 60/mu].  Clamped at 0 like the exact
+    evaluation.
     """
-    from scipy.integrate import quad, simpson
+    from scipy.integrate import quad
 
     pen, claim = params.penalty, params.claim
     if pen.is_zero:
@@ -234,10 +235,14 @@ def omega_quadrature(params, x: float) -> float:
     if hi <= x:
         return 0.0
     if claim.kind == "tabulated":
-        m = 2 * max(8, int(math.ceil((hi - x) / (0.5 * claim.dx))))
-        zs = np.linspace(x, hi, m + 1)
-        vals = np.asarray(pen.w(x - zs)) * np.asarray(claim.density(zs))
-        return min(float(simpson(vals, x=zs)), 0.0)
+        knots = claim._nodes if pen.kind != "tabulated" \
+            else np.concatenate((claim._nodes, x - pen.xs))
+        edges = np.unique(np.concatenate(([x, hi], knots[(knots > x) & (knots < hi)])))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        ge, gm = (np.asarray(pen.w(x - z)) * np.asarray(claim.density(z))
+                  for z in (edges, mid))
+        pieces = np.diff(edges) / 6.0 * (ge[:-1] + 4.0 * gm + ge[1:])
+        return min(float(np.sum(pieces)), 0.0)
     tol = 1e-10
     val, err = quad(lambda z: pen.w(x - z) * claim.density(z), x, hi,
                     epsabs=tol, limit=200)

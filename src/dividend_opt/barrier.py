@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainTooShortError, NumericsError
 from .grid import GridFunction
 from .model import omega_eval
-from .scale import ScaleSolution
+from .scale import ScaleSolution, _trapezoid_convolution_at
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_REL = 1e-9
@@ -145,32 +145,28 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-4,
             a_star, width = _golden_max(lambda y: h_eval(scale, y), lo, hi,
                                         refine_width)
 
-    sol = barrier_solution_at(scale, a_star, refinement_width=width)
-    _check_optimal_invariants(scale, sol, h)
+    sol = _solution_at(scale, a_star, width, h)
+    _check_optimal_invariants(sol)
     return sol
 
 
 def barrier_solution_at(scale: ScaleSolution, a: float,
                         refinement_width: float = 0.0) -> BarrierSolution:
     """Assemble the value function for an arbitrary barrier level."""
+    return _solution_at(scale, a, refinement_width, h_grid(scale))
+
+
+def _solution_at(scale: ScaleSolution, a: float, refinement_width: float,
+                 h: np.ndarray) -> BarrierSolution:
     v = assemble_value(scale, a)
-    wd, gd = _derivative_arrays(scale)
-    if a == 0.0:
-        alpha = (1.0 - gd[0]) / wd[0]
-        va = alpha * scale.W.values[0] + scale.G.values[0]
-        pasting = 0.0
-    else:
-        wp = scale.W.derivative(a)
-        gp = scale.G.derivative(a)
-        alpha = (1.0 - gp) / wp
-        va = alpha * scale.W(a) + scale.G(a)
-        pasting = abs(alpha * wp + gp - 1.0)
-    h = h_grid(scale)
+    alpha, va = _barrier_coefficient(scale, a)
+    pasting = 0.0 if a == 0.0 else abs(alpha * scale.W.derivative(a)
+                                       + scale.G.derivative(a) - 1.0)
     hf = GridFunction(0.0, scale.dx, h)
     return BarrierSolution(float(a), hf, v, float(va), refinement_width, pasting)
 
 
-def _check_optimal_invariants(scale, sol: BarrierSolution, h: np.ndarray):
+def _check_optimal_invariants(sol: BarrierSolution):
     if sol.smooth_pasting_residual > _SMOOTH_PASTING_TOL:
         raise NumericsError(f"smooth pasting violated at a*={sol.a_star}: "
                             f"|v'(a*) - 1| = {sol.smooth_pasting_residual:.3e}")
@@ -182,18 +178,26 @@ def _check_optimal_invariants(scale, sol: BarrierSolution, h: np.ndarray):
                             f"barrier: h is not maximal at a*={sol.a_star}")
 
 
+def _barrier_coefficient(scale: ScaleSolution, a: float):
+    """(alpha, v_a(a)) for the barrier a, alpha = (1 - G'(a)) / W'(a).
+
+    At a = 0 both come from the node-0 samples (the right limits).
+    """
+    wd, gd = _derivative_arrays(scale)
+    if a == 0.0:
+        alpha = (1.0 - gd[0]) / wd[0]
+        return alpha, alpha * scale.W.values[0] + scale.G.values[0]
+    alpha = (1.0 - scale.G.derivative(a)) / scale.W.derivative(a)
+    return alpha, alpha * scale.W(a) + scale.G(a)
+
+
 def assemble_value(scale: ScaleSolution, a: float) -> GridFunction:
     """v_a on the full grid, extended linearly (slope one) past a."""
     x = scale.W.x
     if not 0.0 <= a <= float(x[-1]):
         raise ValueError(f"barrier {a} outside the grid [0, {x[-1]}]")
     wd, gd = _derivative_arrays(scale)
-    if a == 0.0:
-        alpha = (1.0 - gd[0]) / wd[0]
-    else:
-        alpha = (1.0 - scale.G.derivative(a)) / scale.W.derivative(a)
-    va = alpha * (scale.W(a) if a > 0 else scale.W.values[0]) \
-        + (scale.G(a) if a > 0 else scale.G.values[0])
+    alpha, va = _barrier_coefficient(scale, a)
     below = x <= a
     values = np.where(below, alpha * scale.W.values + scale.G.values, x - a + va)
     derivs = np.where(below, alpha * wd + gd, 1.0)
@@ -207,13 +211,7 @@ def value_function(scale: ScaleSolution, a: float, x) -> float:
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("initial capital must be >= 0")
-    wd, gd = _derivative_arrays(scale)
-    if a == 0.0:
-        alpha = (1.0 - gd[0]) / wd[0]
-        va = alpha * scale.W.values[0] + scale.G.values[0]
-    else:
-        alpha = (1.0 - scale.G.derivative(a)) / scale.W.derivative(a)
-        va = alpha * scale.W(a) + scale.G(a)
+    alpha, va = _barrier_coefficient(scale, a)
     inside = np.minimum(xs, a)
     w_in = np.interp(inside, scale.W.x, scale.W.values)
     g_in = np.interp(inside, scale.G.x, scale.G.values)
@@ -234,24 +232,9 @@ def barrier_boundary_identity(scale: ScaleSolution, a: float,
     """
     params = scale.params
     v = assemble_value(scale, a)
-    va = v(a) if a > 0 else float(v.values[0])
-    if v_at_barrier is not None:
-        va = v_at_barrier
+    va = v(a) if v_at_barrier is None else v_at_barrier
     lam, q = params.lam, params.q
-    dx = scale.dx
-    x = v.x
-    J = int(math.floor(a / dx + 1e-12))
     # int_0^a v(u) f(a-u) du: trapezoid over grid nodes plus the partial cell
-    integral = 0.0
-    if J >= 1:
-        u = x[:J + 1]
-        fv = np.asarray(params.claim.density(a - u), dtype=float)
-        vv = v.values[:J + 1]
-        integral += dx * (np.dot(vv, fv) - 0.5 * vv[0] * fv[0] - 0.5 * vv[J] * fv[J])
-    rem = a - float(x[J]) if J >= 0 else a
-    if rem > 1e-14:
-        f_at = float(params.claim.density(rem))
-        f0 = float(params.claim.density(0.0))
-        integral += 0.5 * rem * (v.values[J] * f_at + float(v(a)) * f0)
+    integral = _trapezoid_convolution_at(v, params.claim.density, a)
     return -(lam + q) * va + lam * integral + lam * omega_eval(params, a) \
         + float(params.premium.p(a))

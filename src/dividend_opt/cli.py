@@ -187,8 +187,7 @@ def _cmd_simulate(args) -> int:
             v_curve = GridFunction.from_csv(vpath)
 
     config = SimulationConfig(paths=args.paths, horizon=args.horizon,
-                              seed=args.seed, worker_streams=args.workers,
-                              barrier=barrier)
+                              seed=args.seed, barrier=barrier)
     if barrier is not None:
         est = simulate_value(params, args.x, config)
     else:
@@ -259,7 +258,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--barrier-file", default=None,
                     help="directory produced by 'barrier'; supplies the level "
                          "and an analytic comparison")
-    ps.add_argument("--workers", type=int, default=1)
     ps.add_argument("--out", default="out")
     ps.set_defaults(fn=_cmd_simulate)
     return parser

@@ -35,16 +35,13 @@ class GridFunction:
     Value evaluation between nodes is linear interpolation; evaluation
     outside [x0, x_end] raises.  Derivative samples, when present, are
     interpolated with a C1 cubic (Catmull-Rom) so that optimizers running
-    on derived quantities see a smooth surrogate.  `log_scale` is a global
-    offset: the represented function is values * exp(log_scale); it is 0
-    unless an overflow rescue happened during construction.
+    on derived quantities see a smooth surrogate.
     """
 
     x0: float
     dx: float
     values: np.ndarray
     derivative_values: Optional[np.ndarray] = None
-    log_scale: float = 0.0
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))

@@ -25,7 +25,7 @@ from .barrier import BarrierSolution
 from .errors import NumericsError
 from .grid import GridFunction, atomic_write
 from .model import ModelParams, PenaltyModel, omega_eval
-from .scale import _trapezoid_convolution
+from .scale import _trapezoid_convolution, _trapezoid_convolution_at
 
 _RESIDUAL_TOL = 1e-6
 _H_MONOTONE_SLACK = 1e-9
@@ -74,24 +74,10 @@ def generator_apply(m: GridFunction, params: ModelParams, x: float,
         raise NumericsError("generator needs derivative samples on the grid function")
     ext = params.penalty if extension is None else extension
     tail_params = dataclasses.replace(params, penalty=ext)
-    lam = params.lam
-    dx = m.dx
-    xv = m.x
-    J = int(math.floor((x - m.x0) / dx + 1e-12))
-    J = min(J, m.n - 1)
-    conv = 0.0
-    if J >= 1:
-        u = xv[:J + 1]
-        fv = np.asarray(params.claim.density(x - u), dtype=float)
-        vv = m.values[:J + 1]
-        conv += dx * (float(np.dot(vv, fv)) - 0.5 * vv[0] * fv[0] - 0.5 * vv[J] * fv[J])
-    rem = x - float(xv[J])
-    if rem > 1e-14:
-        conv += 0.5 * rem * (m.values[J] * float(params.claim.density(rem))
-                             + float(m(x)) * float(params.claim.density(0.0)))
+    conv = _trapezoid_convolution_at(m, params.claim.density, x)
     tail = omega_eval(tail_params, x)
     return float(params.premium.p(x)) * m.derivative(x) \
-        + lam * (conv + tail - float(m(x)))
+        + params.lam * (conv + tail - float(m(x)))
 
 
 def residual_profile(v: GridFunction, params: ModelParams) -> GridFunction:

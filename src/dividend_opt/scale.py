@@ -16,9 +16,9 @@ W and G_p are marched forward by one implicit-trapezoid scheme.  For
 exponential claims f(z) = mu exp(-mu z) the trapezoid history sum H_i of
 the convolution obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so
 `_exponential_march` does O(1) work per step and O(n) in all;
-`solve_scale` and `compute_W` use it for every exponential-claim model, on
-either backend.  Tabulated claim densities go through the general O(n^2)
-`_backend.volterra_march`.
+`solve_scale` and `compute_W` use it for every exponential-claim model.
+Tabulated claim densities go through the general O(n^2)
+`_reference.volterra_march`.
 
 Closed forms kept as oracles: the two-exponential scale function for
 constant premiums, the classical ruin probability, and the Kummer-function
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
+from . import _reference
 from ._reference import _RESCALE_AT
 from .errors import DomainTooShortError, NumericsError, OverflowDomainError
 from .grid import GridFunction
@@ -58,49 +58,6 @@ class ScaleSolution:
     @property
     def dx(self) -> float:
         return self.W.dx
-
-
-@dataclass(frozen=True)
-class LodeOperatorSpec:
-    """Order bookkeeping for claim densities with rational Laplace transform.
-
-    The density satisfies L(d/dy) f = 0 with the monic polynomial
-    L(v) = v^m + beta_{m-1} v^{m-1} + ... + beta_0; the scale equation then
-    reduces to a linear ODE of order m + 1.  Only m = 1 (exponential
-    claims, L(v) = v + mu) has a solver here; larger m is representable
-    for bookkeeping but not executable.
-    """
-
-    m: int
-    beta: tuple
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"Laplace order must be >= 1, got {self.m}")
-        if len(self.beta) != self.m:
-            raise ValueError(f"need {self.m} coefficients, got {len(self.beta)}")
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-
-    @staticmethod
-    def from_claim(claim) -> "LodeOperatorSpec":
-        if claim.kind != "exponential":
-            raise NotImplementedError("rational-Laplace structure is only wired up "
-                                      "for exponential claims (m = 1)")
-        return LodeOperatorSpec(1, (claim.mu,))
-
-    def char_poly(self, v: float) -> float:
-        acc = 1.0
-        for b in reversed(self.beta):
-            acc = acc * v + b
-        return acc
-
-    @property
-    def ode_order(self) -> int:
-        return self.m + 1
-
-    @property
-    def solver_available(self) -> bool:
-        return self.m == 1
 
 
 def _grid_arrays(params: ModelParams, dx: float, x_max: float):
@@ -175,7 +132,7 @@ def _march(params, p_vals, f_vals, dx, u0, source_vals=None):
     if params.claim.kind == "exponential":
         return _exponential_march(p_vals, params.claim.mu, lam, q, dx, u0,
                                   source_vals)
-    return _backend.volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals)
+    return _reference.volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals)
 
 
 def _march_W(params, dx, x_max):
@@ -293,6 +250,27 @@ def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float) -> np.ndarra
     return dx * (full - 0.5 * u[0] * f - 0.5 * u * f[0])
 
 
+def _trapezoid_convolution_at(m: GridFunction, density, y: float) -> float:
+    """int_{x0}^{y} m(s) f(y - s) ds at one point y of m's grid range.
+
+    The trapezoid over the grid nodes up to y, plus one trapezoid on the
+    partial cell [x_J, y], with m(y) the linear interpolant.
+    """
+    dx = m.dx
+    xs = m.x
+    J = min(int(math.floor((y - m.x0) / dx + 1e-12)), m.n - 1)
+    conv = 0.0
+    if J >= 1:
+        fv = np.asarray(density(y - xs[:J + 1]), dtype=float)
+        vv = m.values[:J + 1]
+        conv += dx * (float(np.dot(vv, fv)) - 0.5 * vv[0] * fv[0] - 0.5 * vv[J] * fv[J])
+    rem = y - float(xs[J])
+    if rem > 1e-14:
+        conv += 0.5 * rem * (m.values[J] * float(density(rem))
+                             + float(m(y)) * float(density(0.0)))
+    return conv
+
+
 def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
                  omega):
     lam, q = params.lam, params.q
@@ -402,20 +380,4 @@ def closed_form_W_linear(params: ModelParams, x):
         z = mu * xi + mu * c / eps
         P = (eps * xi + c) ** ((lam + q) / eps) * math.exp(-mu * xi)
         out[i] = (C1 * kummer_M(a, b, z) + C2 * kummer_U(a, b, z)) * P
-    return out if np.asarray(x).ndim else float(out[0])
-
-
-def closed_form_W_linear_prime(params: ModelParams, x):
-    """Derivative of the Kummer form (used by barrier-location oracles)."""
-    a, b, c, eps, mu, lam, q, C1, C2 = _linear_W_coefficients(params)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        z = mu * xi + mu * c / eps
-        P = (eps * xi + c) ** ((lam + q) / eps) * math.exp(-mu * xi)
-        g = (lam + q) / (eps * xi + c) - mu
-        K = C1 * kummer_M(a, b, z) + C2 * kummer_U(a, b, z)
-        dK = mu * (C1 * (a / b) * kummer_M(a + 1.0, b + 1.0, z)
-                   - C2 * a * kummer_U(a + 1.0, b + 1.0, z))
-        out[i] = P * (g * K + dK)
     return out if np.asarray(x).ndim else float(out[0])

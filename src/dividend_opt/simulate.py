@@ -18,8 +18,7 @@ Reproducibility: path k's stream is numpy's
 `Generator(Philox(key=(seed << 64) + k)).random()`, the counter-based
 Philox4x64-10 keyed by (seed, k), generated here for all live paths at
 once.  Estimates are bit-identical across reruns and do not depend on
-`worker_streams`, which only cuts the path range into consecutive chunks
-that run one after another.
+how the path range is cut into chunks.
 """
 
 from __future__ import annotations
@@ -102,12 +101,11 @@ def philox_uniforms(paths, seed: int, counter) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Replication plan: path count, horizon, seed, worker partitioning."""
+    """Replication plan: path count, horizon, seed, barrier level."""
 
     paths: int
     horizon: float
     seed: int
-    worker_streams: int = 1
     barrier: Optional[float] = None
 
     def __post_init__(self):
@@ -117,8 +115,6 @@ class SimulationConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.worker_streams <= 0:
-            raise ValueError("worker_streams must be positive")
         if self.barrier is not None and not (math.isfinite(self.barrier)
                                              and self.barrier >= 0):
             raise ValueError(f"barrier must be a finite number >= 0, got {self.barrier}")
@@ -238,16 +234,13 @@ def _run_paths(params: ModelParams, x: float, config: SimulationConfig,
                mode: int, a: float):
     """Per-path (value, ruined) arrays in path order.
 
-    `worker_streams` cuts the path range into that many consecutive chunks,
-    run one after another, and chunks longer than _CHUNK_PATHS are cut
-    again; every path's result is the same in any chunk.
+    The path range runs in consecutive chunks of at most _CHUNK_PATHS
+    paths; every path's result is the same in any chunk.
     """
     n = config.paths
-    bounds = np.linspace(0, n, min(config.worker_streams, n) + 1).astype(int)
     parts = [_lockstep(params, x, config.horizon, int(config.seed), mode, a,
-                       start, min(start + _CHUNK_PATHS, int(hi)))
-             for lo, hi in zip(bounds[:-1], bounds[1:])
-             for start in range(int(lo), int(hi), _CHUNK_PATHS)]
+                       start, min(start + _CHUNK_PATHS, n))
+             for start in range(0, n, _CHUNK_PATHS)]
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]))
 

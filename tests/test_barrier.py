@@ -5,11 +5,13 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from dividend_opt import (DomainTooShortError, GridFunction, NumericsError,
+from dividend_opt import (ClaimModel, DomainTooShortError, GridFunction,
+                          ModelParams, NumericsError, PenaltyModel, PremiumModel,
                           barrier_boundary_identity, barrier_solution_at,
                           find_barrier, h_eval, solve_scale, value_function)
+from dividend_opt.barrier import assemble_value
 from dividend_opt.scale import ScaleSolution
-from dividend_opt.tables import SWEEPS, locate_barrier
+from dividend_opt.tables import SWEEPS, default_x_max, locate_barrier
 from conftest import make_params
 
 
@@ -206,3 +208,36 @@ class TestBoundaryIdentity:
                                            v_at_barrier=barrier_q05.v_at_barrier + 1e-3)
         lamq = scale_q05.params.lam + scale_q05.params.q
         assert bumped - base == pytest.approx(-lamq * 1e-3, rel=1e-3)
+
+
+class TestBarrierCoefficientFold:
+    """`barrier_solution_at`, `value_function` and `assemble_value` take the
+    pair (alpha, v_a(a)) from one helper, so they agree exactly."""
+
+    @staticmethod
+    def tabulated_penalised_scale():
+        """Erlang-2 claims tabulated at dx 0.02 on [0, 40], linear penalty."""
+        dx = 0.02
+        ys = dx * np.arange(2001)
+        f = 0.36 * ys * np.exp(-0.6 * ys)
+        claim = ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), claim,
+                             PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
+        return solve_scale(params, dx, default_x_max(params))
+
+    @pytest.mark.parametrize("model", ["linear", "tabulated"])
+    def test_value_at_barrier_agrees_exactly(self, model, table_solutions):
+        if model == "linear":
+            scale, sol = table_solutions(1, 0.05)
+        else:
+            scale = self.tabulated_penalised_scale()
+            sol = find_barrier(scale)
+        x = scale.W.x
+        for a in (0.0, sol.a_star, 0.5 * (float(x[40]) + float(x[41])), float(x[123])):
+            va = barrier_solution_at(scale, a).v_at_barrier
+            assert value_function(scale, a, a) == va
+            v = assemble_value(scale, a)
+            # on the grid nodes, a itself when it is one
+            assert np.array_equal(v.values, value_function(scale, a, v.x))
+            if a in (0.0, float(x[123])):
+                assert v(a) == va

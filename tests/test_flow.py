@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from dividend_opt import FlowSolver, PremiumModel, flow_forward, hit_time
+from dividend_opt import (FlowSolver, NumericsError, PremiumModel, flow_forward,
+                          hit_time)
+from dividend_opt import _reference
+from dividend_opt.flow import rational_flow
 
 CONSTANT = PremiumModel.constant(1.0)
 LINEAR = PremiumModel.linear(1.0, 0.02)
@@ -164,3 +167,18 @@ class TestTabulatedFlow:
                               [solver.forward(xi, ti) for xi, ti in zip(x, t)])
         assert np.array_equal(solver.travel_time(x, b),
                               [solver.hit_time(xi, bi) for xi, bi in zip(x, b)])
+
+
+class TestRationalFlowOracle:
+    """`_reference._flow`, the scalar oracle of the rational-premium flow."""
+
+    def test_non_convergence_raises(self):
+        with pytest.raises(NumericsError, match="rational flow inversion failed"):
+            _reference._flow(2, 1.0, 0.0, 1.0, float("nan"))
+
+    @pytest.mark.parametrize("x,t", [(137.0, 0.0127), (1000.0, 3.0)])
+    def test_agrees_with_the_vectorized_flow(self, x, t):
+        # at x = 1000 convergence needs the b/c term of the stopping rule: the
+        # float spacing of b alone is a time error above 1e-14 (1 + t)
+        want = float(rational_flow(1.0, x, t))
+        assert abs(_reference._flow(2, 1.0, 0.0, x, t) - want) <= 1e-15 * want

@@ -211,9 +211,6 @@ PENALTIES = {
 class TestOmegaOracle:
     """The exact omega against `_reference.omega_quadrature`, node by node."""
 
-    # dyadic dx: from every node, the kinks of f and of the penalty (at
-    # multiples of DX / 2) fall on the oracle's half-cell Simpson panel
-    # edges, so the oracle is exact up to rounding there
     DX = 1.0 / 64.0
 
     @pytest.mark.parametrize("pen", sorted(PENALTIES))
@@ -228,6 +225,18 @@ class TestOmegaOracle:
         ref = np.array([omega_quadrature(params, float(x)) for x in xs])
         assert np.max(np.abs(exact - ref)) <= 1e-12
         assert exact[-1] == 0.0  # nothing beyond the support end
+
+    @pytest.mark.parametrize("pen", ["linear", "tabulated"])
+    def test_non_dyadic_grid_matches_simpson_on_and_off_nodes(self, pen):
+        # the oracle splits at the kinks of f and of the penalty wherever
+        # they fall, so it is exact up to rounding at nodes and between them
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                             PENALTIES[pen], lam=0.1, q=0.05)
+        xs = np.concatenate((0.01 * np.arange(0, 4001, 7),
+                             [0.0037, 1.23456, 7.77777, 19.995, 33.3333]))
+        exact = omega_eval(params, xs)
+        ref = np.array([omega_quadrature(params, float(x)) for x in xs])
+        assert np.max(np.abs(exact - ref)) <= 1e-12
 
     def test_exponential_claims_tabulated_penalty_match_quad(self):
         params = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),

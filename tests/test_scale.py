@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dividend_opt import (ClaimModel, DomainTooShortError, LodeOperatorSpec,
-                          ModelParams, NumericsError, OverflowDomainError,
-                          PenaltyModel, PremiumModel,
+from dividend_opt import (ClaimModel, DomainTooShortError, ModelParams,
+                          NumericsError, OverflowDomainError, PenaltyModel,
+                          PremiumModel,
                           closed_form_G_ruin_constant, closed_form_W_constant,
                           closed_form_W_linear, compute_G, compute_W,
                           solve_scale)
@@ -213,29 +213,6 @@ class TestRescaling:
         safe = err.value.largest_safe_x_max
         assert safe is not None and 0.5 < safe < 2.0
         compute_W(self.FAST, 0.001, 0.95 * safe)  # reported bound is usable
-
-
-class TestLodeOperatorSpec:
-    def test_exponential_claim_structure(self):
-        spec = LodeOperatorSpec.from_claim(ClaimModel.exponential(0.3))
-        assert spec.m == 1
-        assert spec.beta == (0.3,)
-        assert spec.ode_order == 2
-        assert spec.solver_available
-        # L(v) = v + mu
-        assert spec.char_poly(2.0) == pytest.approx(2.3)
-
-    def test_higher_order_representable_not_executable(self):
-        spec = LodeOperatorSpec(2, (0.25, 1.0))  # L(v) = v^2 + v + 0.25
-        assert spec.ode_order == 3
-        assert not spec.solver_available
-        assert spec.char_poly(-0.5) == pytest.approx(0.0)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            LodeOperatorSpec(0, ())
-        with pytest.raises(ValueError):
-            LodeOperatorSpec(2, (1.0,))
 
 
 class TestTabulatedClaim:

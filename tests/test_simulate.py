@@ -10,13 +10,12 @@ from dividend_opt import (ClaimModel, FlowSolver, HorizonError, ModelParams,
                           PremiumModel, SimulationConfig, SimulationEstimate,
                           simulate_gerber_shiu, simulate_two_sided,
                           simulate_value, value_function)
-from dividend_opt import _backend, _reference, simulate
+from dividend_opt import _reference, simulate
 from conftest import make_params
 
 
-def cfg(paths=2000, horizon=250.0, seed=3, barrier=None, workers=1):
-    return SimulationConfig(paths=paths, horizon=horizon, seed=seed,
-                            worker_streams=workers, barrier=barrier)
+def cfg(paths=2000, horizon=250.0, seed=3, barrier=None):
+    return SimulationConfig(paths=paths, horizon=horizon, seed=seed, barrier=barrier)
 
 
 class TestConfig:
@@ -175,14 +174,6 @@ class TestReproducibility:
         e2 = simulate_value(table1_q05, 3.0, cfg(paths=500, seed=101, barrier=a))
         assert e1 == e2
 
-    def test_independent_of_worker_partitioning(self, table1_q05):
-        a = 5.33
-        e1 = simulate_value(table1_q05, 3.0, cfg(paths=600, seed=5, barrier=a,
-                                                 workers=1))
-        e4 = simulate_value(table1_q05, 3.0, cfg(paths=600, seed=5, barrier=a,
-                                                 workers=4))
-        assert e1.mean == e4.mean and e1.std_error == e4.std_error
-
     def test_independent_of_chunk_size(self, table1_q05, monkeypatch):
         c = cfg(paths=600, seed=5, barrier=5.33)
         whole = simulate_value(table1_q05, 3.0, c)
@@ -253,7 +244,7 @@ class TestAdmissibility:
             x0 = 6.0 * rng.random()
             a = 4.0 * rng.random()
             u = np.random.Generator(np.random.Philox(key=(900, case))).random(512)
-            val, ruined, deficit, used, status = _backend.closed_form_path(
+            val, ruined, deficit, used, status = _reference.closed_form_path(
                 u, 0, pkind, c, eps, mu, lam, q, x0, a, 120.0, 0, 0.0, 0.0)
             assert status == 0
             assert (ruined == 1) == (deficit < 0.0)

@@ -3,11 +3,15 @@
 
 Times these layers, best of k:
 
-- the general O(n^2) Volterra march on a representative model (linear
-  premium, exponential claims).  For this exponential model the library
-  itself does not use the O(n^2) march: `solve_scale` takes the O(n)
-  `scale._exponential_march`, timed alongside for comparison.  The O(n^2)
-  march serves tabulated claim densities.
+- the reference O(n^2) Volterra march `_reference.volterra_march` on a
+  representative model (linear premium, exponential claims), against the
+  O(n) `scale._exponential_march` that `solve_scale` takes for it.
+- the march of a tabulated claim density, on the `tabulated_cli` model of
+  `perfbench` (grid dx 0.005, x_max 166.7, 33 334 nodes) with and without
+  its linear penalty: one reference march per function (W, and G_p with
+  the penalty) against the one call of `scale._march`, which marches both
+  as the two columns of the blocked march.  The largest node-wise relative
+  gap to the reference is printed with it.
 - the penalty rate omega on every node of a solve grid (dx 0.005,
   x_max 166.7) for a tabulated Erlang-2 claim density with a linear
   penalty: the exact, vectorized `model.omega_eval` against the per-node
@@ -27,6 +31,7 @@ Run from the repository root:
 """
 
 import argparse
+import dataclasses
 import math
 import time
 
@@ -35,7 +40,8 @@ import numpy as np
 from dividend_opt import (ClaimModel, FlowSolver, ModelParams, PenaltyModel,
                           PremiumModel, SimulationConfig, omega_eval)
 from dividend_opt import _reference, simulate
-from dividend_opt.scale import _exponential_march
+from dividend_opt.scale import _exponential_march, _grid_arrays, _march
+from dividend_opt.tables import DEFAULT_DX, default_x_max
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
                      PenaltyModel.zero(), lam=0.1, q=0.05)
@@ -82,6 +88,28 @@ def bench_omega():
     t_exact, exact = time_best(omega_eval, params, x)
     return {"nodes": x.size, "quadrature": t_ref, "exact": t_exact,
             "max_abs_diff": float(np.max(np.abs(exact - ref)))}
+
+
+def bench_blocked(penalised: bool):
+    """The tabulated_cli model, with its linear penalty or with none."""
+    params = omega_params()
+    if not penalised:
+        params = dataclasses.replace(params, penalty=PenaltyModel.zero())
+    dx = DEFAULT_DX
+    x, p, f = _grid_arrays(params, dx, default_x_max(params))
+    omega = omega_eval(params, x) if penalised else None
+    starts = [(1.0, None)] + ([(0.0, omega)] if penalised else [])
+    t_ref, ref = time_best(lambda: [_reference.volterra_march(
+        p, f, params.lam, params.q, dx, u0, src) for u0, src in starts])
+    t_new, new = time_best(_march, params, p, f, dx, omega)
+    gap = 0.0
+    for (u, d, L), (ur, dr, Lr) in zip(new, ref):
+        for a, b in ((u * math.exp(L), ur * math.exp(Lr)),
+                     (d * math.exp(L), dr * math.exp(Lr))):
+            rel = np.divide(np.abs(a - b), np.abs(b), out=np.zeros_like(b), where=b != 0)
+            gap = max(gap, float(rel.max()))
+    return {"nodes": x.size, "columns": len(starts), "reference": t_ref,
+            "blocked": t_new, "max_rel_gap": gap}
 
 
 MC_SEED = 7
@@ -183,8 +211,19 @@ def main():
 
     v = bench_volterra(args.nodes)
     print(f"Volterra march, {args.nodes} nodes:")
-    print(f"  O(n^2) general march   {v['general'] * 1e3:9.1f} ms")
+    print(f"  O(n^2) reference march {v['general'] * 1e3:9.1f} ms")
     print(f"  O(n) exponential march {v['exponential'] * 1e3:9.1f} ms")
+
+    for penalised in (True, False):
+        b = bench_blocked(penalised)
+        label = "W and G_p" if penalised else "W only"
+        print(f"\nTabulated-claim march, {b['nodes']} nodes, {label} "
+              f"(tabulated_cli model, {'linear' if penalised else 'zero'} penalty):")
+        marches = "2 marches" if b["columns"] == 2 else "1 march  "
+        print(f"  reference, {marches}  {b['reference'] * 1e3:9.1f} ms")
+        print(f"  blocked, one call     {b['blocked'] * 1e3:9.1f} ms   "
+              f"({b['reference'] / b['blocked']:.1f}x, max rel gap "
+              f"{b['max_rel_gap']:.1e})")
 
     o = bench_omega()
     print(f"\nPenalty rate omega, {o['nodes']} nodes (tabulated Erlang-2 claims):")

@@ -1,8 +1,9 @@
-"""Slow reference implementations: the general march and the test oracles.
+"""Slow reference implementations, kept as test oracles only.
 
-- `volterra_march`: the general O(n^2) forward march behind the scale
-  functions.  `scale` runs it for tabulated claim densities and checks its
-  O(n) exponential march against it.
+- `volterra_march`: the O(n^2) node-by-node forward march of the scale
+  functions.  The library never calls it: the tests check `scale`'s O(n)
+  exponential march and its blocked march for every other claim density
+  against it.
 - `closed_form_path` and `generic_path`: the scalar per-path Monte-Carlo
   event loops, written over plain floats; the lockstep engine in
   `simulate` is checked against them path by path.

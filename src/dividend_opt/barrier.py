@@ -232,7 +232,7 @@ def barrier_boundary_identity(scale: ScaleSolution, a: float,
     """
     params = scale.params
     v = assemble_value(scale, a)
-    va = v(a) if v_at_barrier is None else v_at_barrier
+    va = _barrier_coefficient(scale, a)[1] if v_at_barrier is None else v_at_barrier
     lam, q = params.lam, params.q
     # int_0^a v(u) f(a-u) du: trapezoid over grid nodes plus the partial cell
     integral = _trapezoid_convolution_at(v, params.claim.density, a)

@@ -3,7 +3,6 @@ and the atomic text-file write that every output file goes through."""
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -113,25 +112,32 @@ class GridFunction:
             fh.write(self.to_csv_string())
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,value,derivative\n")
-        xs = self.x
-        dv = self.derivative_values
-        for i in range(self.n):
-            dtxt = f"{dv[i]:.17g}" if dv is not None else ""
-            buf.write(f"{xs[i]:.17g},{self.values[i]:.17g},{dtxt}\n")
-        return buf.getvalue()
+        """The CSV text: a header, then one "x,value,derivative" row per node
+        (the derivative field empty when there are no derivative samples)."""
+        cols = [self.x.tolist(), self.values.tolist()]
+        if self.derivative_values is None:
+            row = "{:.17g},{:.17g},\n"
+        else:
+            row = "{:.17g},{:.17g},{:.17g}\n"
+            cols.append(self.derivative_values.tolist())
+        return "x,value,derivative\n" + "".join(map(row.format, *cols))
 
     @staticmethod
     def from_csv(path) -> "GridFunction":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        if data.ndim != 2 or data.shape[0] < 2:
+        """Read a CSV written by `to_csv`; an empty derivative field on the
+        first row means the grid has no derivative samples."""
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()  # header
+            start = fh.tell()
+            first = fh.readline().rstrip("\r\n").split(",")
+            fh.seek(start)
+            usecols = (0, 1, 2) if len(first) >= 3 and first[2] else (0, 1)
+            data = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2)
+        if data.shape[0] < 2:
             raise ValueError(f"not a grid-function CSV: {path}")
         xs = data[:, 0]
         dx = xs[1] - xs[0]
         if not np.allclose(np.diff(xs), dx, rtol=1e-9, atol=1e-12 * max(1.0, abs(dx))):
             raise ValueError("grid-function CSV must have uniform spacing")
-        deriv = None
-        if data.shape[1] >= 3 and not np.all(np.isnan(data[:, 2])):
-            deriv = data[:, 2]
+        deriv = data[:, 2] if data.shape[1] == 3 else None
         return GridFunction(float(xs[0]), float(dx), data[:, 1], deriv)

@@ -12,13 +12,15 @@ mode at the truncation boundary:
 
     G = G_p + gamma * W,   gamma = -G_p(x_max) / W(x_max).
 
-W and G_p are marched forward by one implicit-trapezoid scheme.  For
-exponential claims f(z) = mu exp(-mu z) the trapezoid history sum H_i of
-the convolution obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so
-`_exponential_march` does O(1) work per step and O(n) in all;
-`solve_scale` and `compute_W` use it for every exponential-claim model.
-Tabulated claim densities go through the general O(n^2)
-`_reference.volterra_march`.
+W and G_p are marched forward by one implicit-trapezoid scheme, the one
+`_reference.volterra_march` runs node by node.  For exponential claims
+f(z) = mu exp(-mu z) the trapezoid history sum H_i of the convolution
+obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so `_exponential_march`
+does O(1) work per step and O(n) in all.  Every other claim density goes
+through `_blocked_march`, which marches W and G_p together as two columns
+of one lower-triangular system per block of `_BLOCK` nodes: the history
+older than the current super-block of `_SUPER` nodes comes from one FFT
+per super-block, the newer history from a Toeplitz slab product.
 
 Closed forms kept as oracles: the two-exponential scale function for
 constant premiums, the classical ruin probability, and the Kummer-function
@@ -32,8 +34,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _reference
 from ._reference import _RESCALE_AT
 from .errors import DomainTooShortError, NumericsError, OverflowDomainError
 from .grid import GridFunction
@@ -42,6 +44,10 @@ from .model import ModelParams, omega_eval
 
 _MAX_SAFE_LOG = 708.0  # natural-log range representable in float64
 _DECAY_SLACK = 1e-12
+# Nodes per triangular solve of `_blocked_march`.  At 128 the LU runs in
+# OpenBLAS's threaded path, whose first call in a process can cost a second.
+_BLOCK = 64
+_SUPER = 1024  # nodes per super-block: one FFT of the older history each
 
 
 @dataclass(frozen=True)
@@ -126,19 +132,157 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, source_vals=None):
     return u, d, log_scale
 
 
-def _march(params, p_vals, f_vals, dx, u0, source_vals=None):
-    """The O(n) march for exponential claims, the general one otherwise."""
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << max(0, (-(-n // f35) - 1).bit_length()))
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
+    """`_reference.volterra_march` for several columns at once, by blocks.
+
+    Column k starts from u0[k] and has the source column source_vals[:, k]
+    (zero when `source_vals` is None).  Same trapezoid step, written for
+    the nodes i of one block after eliminating the derivative d_{i-1}:
+
+        u_i = alpha_i ((1 + dx/2 A c_{i-1}) u_{i-1}
+                       + dx/2 (c_{i-1} e_{i-1} + c_i e_i)),
+
+    with c = 1/p, alpha_i = 1 / (1 - dx/2 A c_i) and e_i = -lam (S_i + s_i)
+    linear in u through the history sum S_i.  The first node of a block
+    uses the known d_{i-1} instead.  The history from nodes before the
+    current super-block enters through one FFT per super-block (only the
+    last K - 1 nodes, K the support of f on the grid), the history from
+    earlier blocks of the super-block through the Toeplitz slab f[r - c],
+    and the coupling inside the block through the unit lower-triangular
+    matrix that `np.linalg.solve` inverts, one right-hand side per column.
+
+    A column whose block exceeds 1e150 in magnitude is divided, stored
+    prefix included, by its first value past that threshold, and log_scale
+    records the divisor, as in the reference march.  Returns (values,
+    derivatives, log_scale), of shapes (n, m), (n, m) and (m,).
+    """
+    p = np.asarray(p_vals, dtype=float)
+    f = np.asarray(f_vals, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
+    n, m = p.size, u0.size
+    B = _BLOCK
+    S = max(B, min(_SUPER, n))
+    nz = np.flatnonzero(f)
+    K = int(nz[-1]) + 1 if nz.size else 1
+    half = 0.5 * dx
+    A = lam + q - half * lam * f[0]
+    c = 1.0 / p
+    alpha = 1.0 / (1.0 - half * A * c)
+    # per node: the in-block coefficients of row i of the block matrix
+    row_c = alpha * c
+    row_cprev = np.zeros(n)
+    row_cprev[1:] = alpha[1:] * c[:-1]
+    row_sub = np.zeros(n)
+    row_sub[1:] = alpha[1:] * (1.0 + half * A * c[:-1])
+    src = np.zeros((n, m)) if source_vals is None \
+        else np.asarray(source_vals, dtype=float)
+    src_c = (-lam * c)[:, None] * src
+
+    u = np.empty((n, m))  # u[0] holds u0/2: its trapezoid weight in every sum
+    d = np.empty((n, m))
+    u[0] = 0.5 * u0
+    d[0] = ((lam + q) * u0 - lam * src[0]) / p[0]
+    u_prev, d_prev = u0, d[0]
+    log_scale = np.zeros(m)
+    src_scale = np.ones(m)
+
+    # slab[r, j] = f[r - j] (0 for j > r): a view of the zero-padded f
+    padded = np.zeros(2 * S - 1)
+    padded[S - 1:S - 1 + min(S, n)] = f[:S]
+    slab = sliding_window_view(padded[::-1], S)[::-1]
+    T = np.tril(slab[:B, :B], -1) * (half * lam * dx)
+    T_up = np.zeros((B, B))  # row r holds row r - 1 of T
+    T_up[1:] = T[:-1]
+    kernel_fft = {}
+    older = np.zeros((S, m))
+
+    for s0 in range(0, n, S):
+        s1 = min(s0 + S, n)
+        older[:] = 0.0
+        j0 = max(0, s0 - K + 1)
+        if j0 < s0:
+            span = s1 - j0
+            nfft = _fft_length(span)
+            fk = kernel_fft.get(nfft)
+            if fk is None:
+                fk = kernel_fft[nfft] = np.fft.rfft(f[:nfft], nfft)[:, None]
+            conv = np.fft.irfft(np.fft.rfft(u[j0:s0], nfft, axis=0) * fk, nfft, axis=0)
+            older[:s1 - s0] = conv[s0 - j0:span]
+        b0 = max(s0, 1)
+        while b0 < s1:
+            b1 = min(b0 - b0 % B + B, s1)
+            L = b1 - b0
+            r0 = b0 - s0
+            hist = slab[r0:r0 + L, :r0] @ u[s0:b0]
+            hist += older[r0:r0 + L]
+            cb = c[b0:b1, None]
+            g = src_c[b0:b1] * src_scale - (lam * dx) * cb * hist  # c e, known part
+            rhs = half * g
+            rhs[1:] += half * g[:-1]
+            rhs[0] += u_prev + half * d_prev
+            rhs *= alpha[b0:b1, None]
+            M = row_c[b0:b1, None] * T[:L, :L] + row_cprev[b0:b1, None] * T_up[:L, :L]
+            M.flat[L::L + 1] -= row_sub[b0 + 1:b1]
+            M.flat[::L + 1] = 1.0
+            try:
+                ub = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:  # an LU pivot overflowed
+                ub = None
+            if ub is None or not np.isfinite(ub).all():
+                raise NumericsError(
+                    f"the march overflows float range within one block of {B} "
+                    f"nodes at x={b0 * dx:.6g}: the trapezoid step "
+                    f"dx (lam+q) / p(x) reaches "
+                    f"{dx * (lam + q) * float(c[b0:b1].max()):.3g}, near its "
+                    f"limit of 2; decrease dx")
+            db = g + cb * (A * ub - (2.0 / dx) * (T[:L, :L] @ ub))
+            u[b0:b1] = ub
+            d[b0:b1] = db
+            u_prev, d_prev = ub[-1], db[-1]
+            big = np.abs(ub) > _RESCALE_AT
+            if big.any():
+                hit = big.any(axis=0)
+                first = big.argmax(axis=0)
+                div = np.where(hit, np.abs(ub[first, np.arange(m)]), 1.0)
+                u[:b1] /= div
+                d[:b1] /= div
+                older /= div
+                u_prev, d_prev = u[b1 - 1], d[b1 - 1]
+                log_scale += np.log(div)
+                src_scale /= div
+            b0 = b1
+    u[0] *= 2.0
+    return u, d, log_scale
+
+
+def _march(params, p_vals, f_vals, dx, omega=None):
+    """March W, and G_p too when `omega` is given.
+
+    Returns [(values, derivatives, log_scale)] for W, then G_p.  The O(n)
+    march for exponential claims, the blocked one (both columns in one
+    call) otherwise.
+    """
     lam, q = params.lam, params.q
+    u0 = [1.0] if omega is None else [1.0, 0.0]
     if params.claim.kind == "exponential":
-        return _exponential_march(p_vals, params.claim.mu, lam, q, dx, u0,
-                                  source_vals)
-    return _reference.volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals)
-
-
-def _march_W(params, dx, x_max):
-    x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
-    vals, ders, log_scale = _march(params, p_vals, f_vals, dx, 1.0)
-    return x, p_vals, f_vals, vals, ders, log_scale
+        return [_exponential_march(p_vals, params.claim.mu, lam, q, dx, start, src)
+                for start, src in zip(u0, (None, omega))]
+    src = None if omega is None else np.column_stack((np.zeros_like(omega), omega))
+    u, d, log_scale = _blocked_march(p_vals, f_vals, lam, q, dx, u0, src)
+    return [(u[:, k], d[:, k], float(log_scale[k])) for k in range(len(u0))]
 
 
 def _normalize_marched_W(x, vals, ders, log_scale):
@@ -170,29 +314,45 @@ def compute_W(params: ModelParams, dx: float, x_max: float) -> GridFunction:
     W(0) = 1 exactly; the derivative samples come from the defining
     relation (not finite differences).
     """
-    x, _, _, vals, ders, log_scale = _march_W(params, dx, x_max)
+    x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+    [(vals, ders, log_scale)] = _march(params, p_vals, f_vals, dx)
     vals, ders = _normalize_marched_W(x, vals, ders, log_scale)
     return GridFunction(0.0, dx, vals, ders)
 
 
 def compute_G(params: ModelParams, dx: float, x_max: float) -> GridFunction:
     """Gerber-Shiu function G_{q,w} on [0, x_max] (the stable solution)."""
-    return solve_scale(params, dx, x_max).G
+    return _solve_W_G(params, dx, x_max)[2]
 
 
 def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     """Compute W and G together with consistency diagnostics."""
-    x, p_vals, f_vals, w_raw, wd_raw, Lw = _march_W(params, dx, x_max)
+    grid, Wf, Gf, gamma = _solve_W_G(params, dx, x_max)
+    x, p_vals, f_vals, omega = grid
+    diagnostics = _diagnostics(params, x, p_vals, f_vals, Wf.values,
+                               Wf.derivative_values, Gf.values,
+                               Gf.derivative_values, omega)
+    return ScaleSolution(params, Wf, Gf, float(x[-1]), gamma, diagnostics)
+
+
+def _solve_W_G(params: ModelParams, dx: float, x_max: float):
+    """The joint march, W normalized to W(0) = 1 and the stable G.
+
+    Returns ((x, p, f, omega), W, G, gamma); omega is None for a zero
+    penalty, where G = 0.
+    """
+    x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+    omega = None if params.penalty.is_zero else omega_eval(params, x)
+    marched = _march(params, p_vals, f_vals, dx, omega)
+    w_raw, wd_raw, Lw = marched[0]
     w_vals, wd_vals = _normalize_marched_W(x, w_raw, wd_raw, Lw)
 
-    if params.penalty.is_zero:
-        omega = None
+    if omega is None:
         g_vals = np.zeros_like(w_vals)
         gd_vals = np.zeros_like(w_vals)
         gamma = 0.0
     else:
-        omega = omega_eval(params, x)
-        gp, gpd, Lg = _march(params, p_vals, f_vals, dx, 0.0, omega)
+        gp, gpd, Lg = marched[1]
         if Lg > 650.0:
             raise OverflowDomainError(
                 "penalty solution needed rescaling beyond float range; "
@@ -206,13 +366,11 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
         gamma = float(g_vals[0])
         _check_G_decay(x, g_vals, x_max)
 
-    diagnostics = _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals,
-                               g_vals, gd_vals, omega)
     Wf = GridFunction(0.0, dx, w_vals, wd_vals)
     Gf = GridFunction(0.0, dx, g_vals, gd_vals)
     if Wf.values[0] != 1.0:
         raise NumericsError("W(0) != 1 after normalization")
-    return ScaleSolution(params, Wf, Gf, float(x[-1]), gamma, diagnostics)
+    return (x, p_vals, f_vals, omega), Wf, Gf, gamma
 
 
 def _check_G_decay(x, g_vals, x_max):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dividend_opt import ClaimModel, ModelParams, PenaltyModel, PremiumModel
@@ -23,6 +24,27 @@ def make_params(premium="linear", claim_mu=0.3, penalty="zero", lam=0.1, q=0.05,
     else:
         raise ValueError(penalty)
     return ModelParams(prem, ClaimModel.exponential(claim_mu), pen, lam=lam, q=q)
+
+
+def erlang2_claim(dx, rate=0.6, support=40.0):
+    """Tabulated Erlang(2, rate) density on [0, support], normalized to unit mass."""
+    ys = dx * np.arange(int(round(support / dx)) + 1)
+    f = rate * rate * ys * np.exp(-rate * ys)
+    return ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
+
+
+def shifted_exponential_claim():
+    """Exponential(1) density shifted to [1, 21] (dx 0.01), unit mass."""
+    dx = 0.01
+    ys = 1.0 + dx * np.arange(2001)
+    f = np.exp(-(ys - 1.0))
+    return ClaimModel.tabulated(1.0, dx, f / np.trapezoid(f, dx=dx))
+
+
+def tabulated_penalty(shift=0.0):
+    """-min(2, 1 - 0.2y) sampled at 60 knots from -30 - shift to -0.5 - shift."""
+    xs = np.linspace(-30.0, -0.5, 60) - shift
+    return PenaltyModel.tabulated(xs, -np.minimum(2.0, 1.0 - 0.2 * xs))
 
 
 @pytest.fixture(scope="session")

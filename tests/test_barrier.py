@@ -201,6 +201,20 @@ class TestBoundaryIdentity:
         r = barrier_boundary_identity(scale, 0.0)
         assert r == pytest.approx(params.premium.c - 0.15 * v00, abs=1e-12)
 
+    def test_off_node_barrier_uses_exact_value_at_barrier(self):
+        # a = 0.81 lies between the dx 0.02 nodes, where the linear
+        # interpolant of the assembled v misses v_a(a) by about 2e-8
+        scale = TestBarrierCoefficientFold.tabulated_penalised_scale()
+        a = 0.81
+        va = barrier_solution_at(scale, a).v_at_barrier
+        v_interp = assemble_value(scale, a)(a)
+        assert abs(v_interp - va) > 1e-8
+        r = barrier_boundary_identity(scale, a)
+        assert r == barrier_boundary_identity(scale, a, v_at_barrier=va)
+        lamq = scale.params.lam + scale.params.q
+        shifted = barrier_boundary_identity(scale, a, v_at_barrier=v_interp) - r
+        assert shifted == pytest.approx(-lamq * (v_interp - va), rel=1e-5)
+
     def test_perturbation_moves_residual_linearly(self, scale_q05, barrier_q05):
         a = barrier_q05.a_star
         base = barrier_boundary_identity(scale_q05, a)

@@ -69,3 +69,24 @@ def test_csv_without_derivative(tmp_path):
     back = GridFunction.from_csv(path)
     assert back.derivative_values is None
     assert np.array_equal(back.values, g.values)
+
+
+def _csv_string_by_row_loop(g):
+    """The writer as a per-row f-string loop, kept as the format oracle."""
+    lines = ["x,value,derivative\n"]
+    xs = g.x
+    dv = g.derivative_values
+    for i in range(g.n):
+        dtxt = f"{dv[i]:.17g}" if dv is not None else ""
+        lines.append(f"{xs[i]:.17g},{g.values[i]:.17g},{dtxt}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("with_derivative", [True, False])
+def test_csv_string_byte_identical_to_row_loop(with_derivative):
+    dx = 0.005
+    x = dx * np.arange(3001)
+    vals = 3.3 * np.exp(-x / 7.0)
+    vals[5:9] = 0.0, 5e-324, -1e20, 1.0  # zero, subnormal, negative, integral
+    g = GridFunction(0.0, dx, vals, np.cos(x) if with_derivative else None)
+    assert g.to_csv_string() == _csv_string_by_row_loop(g)

@@ -11,15 +11,8 @@ from dividend_opt import (ClaimModel, ConfigError, ModelParams,
                           omega_eval, params_from_dict, params_to_dict,
                           penalty_envelope, validate_model)
 from dividend_opt._reference import omega_quadrature
-from conftest import make_params
-
-
-def shifted_exponential_claim():
-    """Exponential(1) density shifted to [1, 21] (dx 0.01), unit mass."""
-    dx = 0.01
-    ys = 1.0 + dx * np.arange(2001)
-    f = np.exp(-(ys - 1.0))
-    return ClaimModel.tabulated(1.0, dx, f / np.trapezoid(f, dx=dx))
+from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
+                      tabulated_penalty)
 
 
 class TestFamilies:
@@ -136,10 +129,20 @@ class TestFamilies:
             ClaimModel.tabulated(1.0, dx, f)
 
     def test_import_does_not_load_scipy_integrate(self):
-        code = "import sys, dividend_opt; print('scipy.integrate' in sys.modules)"
+        # nor does a tabulated-claim solve load scipy.linalg: the blocked
+        # march solves its triangular systems with numpy alone
+        code = ("import sys, numpy as np, dividend_opt as do\n"
+                "print('scipy.integrate' in sys.modules)\n"
+                "ys = 0.05 * np.arange(401)\n"
+                "f = 0.36 * ys * np.exp(-0.6 * ys)\n"
+                "claim = do.ClaimModel.tabulated(0.0, 0.05, f / np.trapezoid(f, dx=0.05))\n"
+                "do.solve_scale(do.ModelParams(do.PremiumModel.linear(1.0, 0.02), claim,\n"
+                "                              do.PenaltyModel.linear(1.0, 0.5),\n"
+                "                              lam=0.1, q=0.05), 0.02, 60.0)\n"
+                "print('scipy.linalg' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestOmega:
@@ -185,19 +188,6 @@ class TestOmega:
         om = omega_eval(params, 1.0)
         assert om < 0.0
         assert abs(om) < 1.0  # |w| <= 1 so |omega| < survival < 1
-
-
-def erlang2_claim(dx):
-    """Tabulated Erlang(2, 0.6) density on [0, 40], normalized to unit mass."""
-    ys = dx * np.arange(int(round(40.0 / dx)) + 1)
-    f = 0.36 * ys * np.exp(-0.6 * ys)
-    return ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
-
-
-def tabulated_penalty(shift=0.0):
-    """-min(2, 1 - 0.2y) sampled at 60 knots from -30 - shift to -0.5 - shift."""
-    xs = np.linspace(-30.0, -0.5, 60) - shift
-    return PenaltyModel.tabulated(xs, -np.minimum(2.0, 1.0 - 0.2 * xs))
 
 
 PENALTIES = {

@@ -12,9 +12,11 @@ from dividend_opt import (ClaimModel, DomainTooShortError, ModelParams,
                           solve_scale)
 from dividend_opt import _reference
 from dividend_opt.model import omega_eval
-from dividend_opt.scale import _exponential_march, _grid_arrays
+from dividend_opt.scale import (_BLOCK, _SUPER, _exponential_march, _grid_arrays,
+                                _march)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max
-from conftest import make_params
+from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
+                      tabulated_penalty)
 
 ORACLE_REL_TOL = 1e-11
 
@@ -56,6 +58,105 @@ class TestExponentialMarchOracle:
         assert log_scale == pytest.approx(345.39, abs=0.01)  # one rescale at 1e150
         assert du <= ORACLE_REL_TOL
         assert dd <= ORACLE_REL_TOL
+
+
+def bounded_premium():
+    """Tabulated premium 1 + 0.5 (1 - e^{-x/10}) on [0, 400]."""
+    xs = np.linspace(0.0, 400.0, 401)
+    return PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0)))
+
+
+LINEAR = PremiumModel.linear(1.0, 0.02)
+# (claim, premium, penalty, lam, q, dx, x_max) for every tabulated-claim model
+# of the test suite, the tabulated_cli benchmark model, a model whose march
+# rescales, and grids that end inside a block or a super-block
+BLOCKED_CASES = {
+    "discretized_exponential": (
+        lambda: TestTabulatedClaim.discretized_exponential(), LINEAR,
+        PenaltyModel.constant(1.0), 0.1, 0.05, 0.02, 60.0),
+    "erlang2_dx02_linear_penalty": (
+        lambda: erlang2_claim(0.02), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.02, None),
+    "erlang2_dx64th_tabulated_penalty": (
+        lambda: erlang2_claim(1.0 / 64.0), LINEAR,
+        tabulated_penalty(), 0.1, 0.05, 1.0 / 64.0, None),
+    "shifted_exponential_constant_penalty": (
+        shifted_exponential_claim, LINEAR, PenaltyModel.constant(1.0),
+        0.1, 0.05, 0.01, 80.0),
+    "bounded_premium_tabulated_penalty": (
+        lambda: erlang2_claim(0.01), bounded_premium(),
+        tabulated_penalty(), 0.1, 0.05, 0.01, 120.0),
+    "tabulated_cli": (
+        lambda: erlang2_claim(0.01), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, DEFAULT_DX, None),
+    "tabulated_cli_no_penalty": (
+        lambda: erlang2_claim(0.01), LINEAR,
+        PenaltyModel.zero(), 0.1, 0.05, DEFAULT_DX, None),
+    "fast_growth_rescales": (
+        lambda: erlang2_claim(0.01, rate=0.5, support=20.0),
+        PremiumModel.constant(0.01), PenaltyModel.linear(1.0, 0.5), 5.0, 1.0, 0.001, 1.1),
+    "fewer_nodes_than_a_block": (
+        lambda: erlang2_claim(0.02), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.02, 0.02 * (_BLOCK // 2)),
+    "one_node_past_a_block": (
+        lambda: erlang2_claim(0.02), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.02, 0.02 * _BLOCK),
+    "one_node_past_a_super_block": (
+        lambda: erlang2_claim(0.02), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.02, 0.02 * _SUPER),
+}
+BLOCKED_REL_TOL = 1e-12
+
+
+class TestBlockedMarchOracle:
+    """The blocked march of every non-exponential claim against the O(n^2)
+    reference, W and G_p, values and derivatives, in true units."""
+
+    @staticmethod
+    def params_and_grid(case):
+        claim, premium, penalty, lam, q, dx, x_max = BLOCKED_CASES[case]
+        params = ModelParams(premium, claim(), penalty, lam=lam, q=q)
+        return params, dx, default_x_max(params) if x_max is None else x_max
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_matches_reference(self, case):
+        params, dx, x_max = self.params_and_grid(case)
+        x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+        omega = None if params.penalty.is_zero else omega_eval(params, x)
+        marched = _march(params, p_vals, f_vals, dx, omega)
+        starts = [(1.0, None)] + ([] if omega is None else [(0.0, omega)])
+        assert len(marched) == len(starts)
+        for (u, d, L), (u0, src) in zip(marched, starts):
+            ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam,
+                                                   params.q, dx, u0, src)
+            assert L == pytest.approx(Lr, rel=1e-12, abs=0.0)
+            assert _max_rel_diff(u * math.exp(L), ur * math.exp(Lr)) <= BLOCKED_REL_TOL
+            assert _max_rel_diff(d * math.exp(L), dr * math.exp(Lr)) <= BLOCKED_REL_TOL
+
+    def test_grid_shapes_cover_the_block_edges(self):
+        sizes = {case: _grid_arrays(*self.params_and_grid(case))[0].size
+                 for case in BLOCKED_CASES}
+        assert sizes["fewer_nodes_than_a_block"] < _BLOCK
+        assert sizes["one_node_past_a_block"] == _BLOCK + 1
+        assert sizes["one_node_past_a_super_block"] == _SUPER + 1
+        assert sizes["tabulated_cli"] % _BLOCK and sizes["tabulated_cli"] % _SUPER
+
+    def test_fast_growth_rescales(self):
+        params, dx, x_max = self.params_and_grid("fast_growth_rescales")
+        x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+        marched = _march(params, p_vals, f_vals, dx, omega_eval(params, x))
+        assert all(L > 0 for _, _, L in marched)
+
+    def test_overflow_within_a_block_is_numerics_error(self):
+        # dx (lam+q) / p one millionth below the trapezoid limit 2: the step
+        # multiplies u by about 2e6, past float range within one block
+        params = ModelParams(PremiumModel.constant(0.01),
+                             erlang2_claim(0.01, rate=0.5, support=20.0),
+                             PenaltyModel.zero(), lam=5.0, q=1.0)
+        dx = 2.0 * 0.01 * (1.0 - 1e-6) / 6.0
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match="decrease dx"):
+                compute_W(params, dx, 1.0)
 
 
 class TestComputeW:

@@ -14,7 +14,7 @@ from .barrier import (barrier_boundary_identity, barrier_solution_at,
 from .errors import (ConfigError, DividendOptError, DomainTooShortError,
                      HorizonError, ModelValidationError, NumericsError,
                      OverflowDomainError)
-from .flow import FlowSolver, flow_forward, hit_time
+from .flow import FlowSolver
 from .grid import GridFunction
 from .hjb import generator_apply, verify_optimality
 from .kummer import KummerDiagnostics, kummer_M, kummer_U
@@ -42,8 +42,7 @@ __all__ = [
     "barrier_boundary_identity", "barrier_solution_at",
     "closed_form_G_ruin_constant", "closed_form_W_constant",
     "closed_form_W_linear", "compute_G", "compute_W", "find_barrier",
-    "flow_forward", "generator_apply", "h_eval", "hit_time", "kummer_M",
-    "kummer_U", "omega_eval", "params_from_dict", "params_from_json",
+    "generator_apply", "h_eval", "kummer_M", "kummer_U", "omega_eval", "params_from_dict", "params_from_json",
     "params_to_dict", "penalty_envelope", "simulate_gerber_shiu",
     "simulate_two_sided", "simulate_value", "solve_scale", "validate_model",
     "value_function", "verify_optimality",

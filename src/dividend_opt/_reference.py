@@ -4,9 +4,10 @@
   functions.  The library never calls it: the tests check `scale`'s O(n)
   exponential march and its blocked march for every other claim density
   against it.
-- `closed_form_path` and `generic_path`: the scalar per-path Monte-Carlo
-  event loops, written over plain floats; the lockstep engine in
-  `simulate` is checked against them path by path.
+- `generic_path`: the scalar per-path Monte-Carlo event loop, written
+  over plain floats, and `closed_form_path`, the same loop on the
+  closed-form premium, exponential-claim and penalty formulas; the
+  lockstep engine in `simulate` is checked against them path by path.
 - `omega_quadrature`: the penalty rate by quadrature, the oracle of the
   exact `model.omega_eval`.
 """
@@ -68,7 +69,7 @@ def volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo path engine (closed-form premium families, exponential claims)
+# scalar Monte-Carlo path engine
 #
 # modes: 0 value under a barrier, 1 Gerber-Shiu (no dividends),
 #        2 two-sided exit towards an upper level.
@@ -110,63 +111,26 @@ def _flow(pkind, c, eps, x, t):
 
 def closed_form_path(u, mode, pkind, c, eps, mu, lam, q, x0, a, horizon,
                      wkind, wk, wbeta):
-    """One path on the pre-drawn uniforms `u`.
+    """`generic_path` for a closed-form premium, exponential claims and a
+    zero, constant or linear penalty, given by their kind codes.
 
     Returns (value, ruined, deficit, used, status).
     """
-    nu = u.shape[0]
-    val = 0.0
-    t = 0.0
-    lvl = x0
-    if mode == 0 and lvl > a:
-        val += lvl - a
-        lvl = a
     pa = c if pkind == 0 else (c + eps * a if pkind == 1 else c + 1.0 / (1.0 + a))
-    i = 0
-    while True:
-        if i >= nu:
-            return 0.0, 0, 0.0, i, 1
-        tau = -math.log1p(-u[i]) / lam
-        i += 1
-        t_claim = t + tau
-        cut = t_claim if t_claim < horizon else horizon
-        if mode == 0:
-            s = 0.0 if lvl >= a else _hit(pkind, c, eps, lvl, a)
-            if t + s < cut:
-                val += pa * (math.exp(-q * (t + s)) - math.exp(-q * cut)) / q
-        elif mode == 2:
-            s = _hit(pkind, c, eps, lvl, a)
-            if t + s <= cut:
-                return math.exp(-q * (t + s)), 0, 0.0, i, 0
-        if t_claim >= horizon:
-            return val, 0, 0.0, i, 0
-        if i >= nu:
-            return 0.0, 0, 0.0, i, 1
-        claim = -math.log1p(-u[i]) / mu
-        i += 1
-        if mode == 0 and t + s <= t_claim:
-            pre = a
-        else:
-            pre = _flow(pkind, c, eps, lvl, tau)
-        new = pre - claim
-        if new < 0.0:
-            if mode == 2:
-                return 0.0, 1, new, i, 0
-            if wkind == 1:
-                val += math.exp(-q * t_claim) * (-wk)
-            elif wkind == 2:
-                val += math.exp(-q * t_claim) * (-wk + wbeta * new)
-            return val, 1, new, i, 0
-        lvl = new
-        t = t_claim
+    return generic_path(u, mode, lambda x, level: _hit(pkind, c, eps, x, level),
+                        lambda x, t: _flow(pkind, c, eps, x, t),
+                        lambda v: -math.log1p(-v) / mu,
+                        lambda y: (0.0, -wk, -wk + wbeta * y)[wkind],
+                        pa, lam, q, x0, a, horizon)
 
 
 def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
                  lam, q, x0, a, horizon):
-    """closed_form_path generalized to arbitrary model callables.
+    """One path on the pre-drawn uniforms `u`, for any model given as
+    callables: the hit time and the flow of the premium, the claim quantile
+    function and the penalty.
 
-    Used for tabulated premiums/claims/penalties; same event order and
-    uniform consumption as the closed-form engine.
+    Returns (value, ruined, deficit, used, status).
     """
     nu = u.shape[0]
     val = 0.0

@@ -150,10 +150,9 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-4,
     return sol
 
 
-def barrier_solution_at(scale: ScaleSolution, a: float,
-                        refinement_width: float = 0.0) -> BarrierSolution:
+def barrier_solution_at(scale: ScaleSolution, a: float) -> BarrierSolution:
     """Assemble the value function for an arbitrary barrier level."""
-    return _solution_at(scale, a, refinement_width, h_grid(scale))
+    return _solution_at(scale, a, 0.0, h_grid(scale))
 
 
 def _solution_at(scale: ScaleSolution, a: float, refinement_width: float,

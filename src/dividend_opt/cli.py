@@ -55,7 +55,15 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _manifest(out_dir: str, command: str, config_digest: str, outputs, t0: float):
+def _write_outputs(out_dir: str, command: str, config_digest: str, files: dict,
+                   t0: float):
+    """Write each {filename: text} of `files` atomically into `out_dir`, then
+    the run manifest that lists them."""
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = []
+    for name, text in files.items():
+        outputs.append(os.path.join(out_dir, name))
+        atomic_write(outputs[-1], text)
     doc = {
         "command": command,
         "config_digest": config_digest,
@@ -63,9 +71,7 @@ def _manifest(out_dir: str, command: str, config_digest: str, outputs, t0: float
         "outputs": sorted(outputs),
         "wall_time": time.time() - t0,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    atomic_write(path, json.dumps(doc, indent=2) + "\n")
-    return path
+    atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(doc, indent=2) + "\n")
 
 
 def _dump_json(obj) -> str:
@@ -100,40 +106,28 @@ def _cmd_barrier(args) -> int:
     t0 = time.time()
     params = _load_params(args.config)
     scale, sol = locate_barrier(params, dx=args.dx, x_max=args.xmax)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-
     doc = sol.to_dict()
     doc["stable_coefficient"] = scale.stable_coefficient
     doc["domain_end"] = scale.domain_end
     doc["diagnostics"] = scale.diagnostics
-    p = os.path.join(args.out, "barrier.json")
-    atomic_write(p, _dump_json(doc))
-    outputs.append(p)
-    p = os.path.join(args.out, "h_profile.csv")
-    atomic_write(p, sol.h_profile.to_csv_string())
-    outputs.append(p)
-    p = os.path.join(args.out, "v_curve.csv")
-    atomic_write(p, sol.v.to_csv_string())
-    outputs.append(p)
-    outputs.append(_manifest(args.out, "barrier", _digest(args.config), outputs, t0))
+    _write_outputs(args.out, "barrier", _digest(args.config),
+                   {"barrier.json": _dump_json(doc),
+                    "h_profile.csv": sol.h_profile.to_csv_string(),
+                    "v_curve.csv": sol.v.to_csv_string()}, t0)
     sys.stdout.write(f"a_star = {sol.a_star:.6f}  (v(a*) = {sol.v_at_barrier:.6f})\n")
     return EXIT_OK
 
 
 def _cmd_tables(args) -> int:
     t0 = time.time()
-    os.makedirs(args.out, exist_ok=True)
     which = sorted(SWEEPS) if args.which is None else [args.which]
-    outputs = []
+    files = {}
     for w in which:
         rows = run_sweep(w, dx=args.dx, x_max=args.xmax)
-        p = os.path.join(args.out, f"table{w}.csv")
-        atomic_write(p, sweep_csv(rows))
-        outputs.append(p)
+        files[f"table{w}.csv"] = sweep_csv(rows)
         worst = max((r[3] for r in rows if not math.isnan(r[3])), default=math.nan)
         sys.stdout.write(f"table {w}: max |a_star - ref| = {worst:.3f}\n")
-    outputs.append(_manifest(args.out, "tables", "", outputs, t0))
+    _write_outputs(args.out, "tables", "", files, t0)
     return EXIT_OK
 
 
@@ -152,15 +146,9 @@ def _cmd_verify(args) -> int:
     else:
         scale, sol = locate_barrier(params, dx=args.dx, x_max=args.xmax)
     report = verify_optimality(sol, params)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    p = os.path.join(args.out, "optimality.json")
-    atomic_write(p, _dump_json(report.to_dict()))
-    outputs.append(p)
-    p = os.path.join(args.out, "residual_profile.csv")
-    atomic_write(p, report.residual_profile.to_csv_string())
-    outputs.append(p)
-    outputs.append(_manifest(args.out, "verify", _digest(args.config), outputs, t0))
+    _write_outputs(args.out, "verify", _digest(args.config),
+                   {"optimality.json": _dump_json(report.to_dict()),
+                    "residual_profile.csv": report.residual_profile.to_csv_string()}, t0)
     verdict = "optimal" if report.necessary_sufficient_pass else "NOT optimal"
     sys.stdout.write(f"barrier {report.barrier:.6f}: {verdict} "
                      f"(max residual above = {report.max_residual_above:.3e})\n")
@@ -200,12 +188,8 @@ def _cmd_simulate(args) -> int:
             analytic += args.x - v_curve.x_end
         z = (est.mean - analytic) / est.std_error if est.std_error > 0 else math.inf
         doc["comparison"] = {"analytic": analytic, "z_score": z}
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    p = os.path.join(args.out, "estimate.json")
-    atomic_write(p, _dump_json(doc))
-    outputs.append(p)
-    outputs.append(_manifest(args.out, "simulate", _digest(args.config), outputs, t0))
+    _write_outputs(args.out, "simulate", _digest(args.config),
+                   {"estimate.json": _dump_json(doc)}, t0)
     sys.stdout.write(f"mean = {est.mean:.6f} +- {est.std_error:.6f} "
                      f"(ruin fraction {est.ruin_fraction:.4f})\n")
     return EXIT_OK

@@ -163,11 +163,3 @@ class FlowSolver:
         if level == x:
             return 0.0
         return float(self.travel_time(x, level))
-
-
-def flow_forward(premium: PremiumModel, x: float, t: float) -> float:
-    return FlowSolver(premium).forward(x, t)
-
-
-def hit_time(premium: PremiumModel, x: float, level: float) -> float:
-    return FlowSolver(premium).hit_time(x, level)

@@ -106,11 +106,6 @@ class GridFunction:
         out = h00 * d[j] + h10 * m0 + h01 * d[j + 1] + h11 * m1
         return float(out[0]) if scalar else out
 
-    def to_csv(self, path):
-        """Write "x,value,derivative" rows at 17 significant digits."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_string())
-
     def to_csv_string(self) -> str:
         """The CSV text: a header, then one "x,value,derivative" row per node
         (the derivative field empty when there are no derivative samples)."""
@@ -124,7 +119,7 @@ class GridFunction:
 
     @staticmethod
     def from_csv(path) -> "GridFunction":
-        """Read a CSV written by `to_csv`; an empty derivative field on the
+        """Read a CSV written from `to_csv_string`; an empty derivative field on the
         first row means the grid has no derivative samples."""
         with open(path, encoding="utf-8") as fh:
             fh.readline()  # header

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,8 +22,34 @@ from .errors import ConfigError, ModelValidationError
 _DENSITY_MASS_TOL = 1e-8
 
 
-def _as_readonly(a) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=float))
+def _number(where: str, name: str, value, positive: bool = False) -> float:
+    """`value` as a float, checked: a real number (not a bool), finite, and
+    > 0 when `positive`, else >= 0.  `where` and `name` name the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} field '{name}' must be a number, got {value!r}")
+    v = float(value)
+    if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+        raise ConfigError(f"{where} field '{name}' must be a finite number "
+                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
+    return v
+
+
+def _as_readonly(a, where: str, name: str) -> np.ndarray:
+    """A read-only contiguous float copy of `a`, checked: every entry a
+    finite real number (not a bool).  `where` and `name` name the field."""
+    try:
+        arr = np.asarray(a)
+        numeric = arr.dtype.kind in "iuf" and not (isinstance(a, list)
+                                                   and bool in map(type, a))
+    except ValueError:  # ragged nesting
+        numeric = False
+    if not numeric:
+        raise ConfigError(f"{where} field '{name}' must be an array of numbers")
+    bad = np.flatnonzero(~np.isfinite(arr.ravel()))
+    if bad.size:
+        raise ConfigError(f"{where} field '{name}' must be finite, entry {bad[0]} "
+                          f"is {arr.ravel()[bad[0]]}")
+    out = np.array(arr, dtype=float, order="C")  # a copy: the caller's array stays writable
     out.flags.writeable = False
     return out
 
@@ -48,30 +75,24 @@ class PremiumModel:
 
     @staticmethod
     def constant(c: float) -> "PremiumModel":
-        if c <= 0:
-            raise ConfigError(f"constant premium must be positive, got {c}")
-        return PremiumModel("constant", c=float(c))
+        return PremiumModel("constant", c=_number("constant premium", "c", c, True))
 
     @staticmethod
     def linear(c: float, epsilon: float) -> "PremiumModel":
-        if c <= 0:
-            raise ConfigError(f"linear premium level must be positive, got {c}")
-        if epsilon < 0:
-            raise ConfigError(f"linear premium slope must be >= 0, got {epsilon}")
-        return PremiumModel("linear", c=float(c), epsilon=float(epsilon))
+        return PremiumModel("linear", c=_number("linear premium", "c", c, True),
+                            epsilon=_number("linear premium", "epsilon", epsilon))
 
     @staticmethod
     def rational(c: float) -> "PremiumModel":
-        if c <= 0:
-            raise ConfigError(f"rational premium level must be positive, got {c}")
-        return PremiumModel("rational", c=float(c))
+        return PremiumModel("rational", c=_number("rational premium", "c", c, True))
 
     @staticmethod
     def tabulated(xs, ps) -> "PremiumModel":
-        xs = _as_readonly(xs)
-        ps = _as_readonly(ps)
+        xs = _as_readonly(xs, "tabulated premium", "x")
+        ps = _as_readonly(ps, "tabulated premium", "p")
         if xs.ndim != 1 or xs.shape != ps.shape or xs.size < 2:
-            raise ConfigError("tabulated premium needs matching 1-d x and p arrays (>= 2 points)")
+            raise ConfigError("tabulated premium fields 'x' and 'p' must be 1-d arrays "
+                              "of one length >= 2")
         if not np.all(np.diff(xs) > 0):
             raise ConfigError("tabulated premium grid must be strictly increasing")
         if np.any(ps <= 0):
@@ -148,17 +169,16 @@ class ClaimModel:
 
     @staticmethod
     def exponential(mu: float) -> "ClaimModel":
-        if mu <= 0:
-            raise ConfigError(f"exponential claim rate must be positive, got {mu}")
-        return ClaimModel("exponential", mu=float(mu))
+        return ClaimModel("exponential", mu=_number("exponential claim", "mu", mu, True))
 
     @staticmethod
     def tabulated(x0: float, dx: float, density) -> "ClaimModel":
-        f = _as_readonly(density)
-        if dx <= 0 or f.ndim != 1 or f.size < 2:
-            raise ConfigError("tabulated claim needs dx > 0 and >= 2 density samples")
-        if x0 < 0:
-            raise ConfigError("claim density grid must start at x0 >= 0")
+        where = "tabulated claim"
+        x0, dx = _number(where, "x0", x0), _number(where, "dx", dx, True)
+        f = _as_readonly(density, where, "density")
+        if f.ndim != 1 or f.size < 2:
+            raise ConfigError("tabulated claim field 'density' must be a 1-d array of "
+                              ">= 2 samples")
         if np.any(f < 0):
             raise ConfigError("claim density must be non-negative")
         mass = float(np.trapezoid(f, dx=dx))
@@ -174,8 +194,9 @@ class ClaimModel:
         tails = np.zeros((2, f.size))  # int_{g_j}^end of f and of z f
         tails[0, :-1] = np.cumsum(cell0[::-1])[::-1]
         tails[1, :-1] = np.cumsum(cell1[::-1])[::-1]
-        return ClaimModel("tabulated", x0=float(x0), dx=float(dx), f_vals=f,
-                          _nodes=_as_readonly(nodes), _tail_vals=_as_readonly(tails))
+        return ClaimModel("tabulated", x0=x0, dx=dx, f_vals=f,
+                          _nodes=_as_readonly(nodes, where, "dx"),
+                          _tail_vals=_as_readonly(tails, where, "density"))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
@@ -297,22 +318,20 @@ class PenaltyModel:
 
     @staticmethod
     def constant(k: float) -> "PenaltyModel":
-        if k < 0:
-            raise ConfigError(f"constant penalty level must be >= 0, got {k}")
-        return PenaltyModel("constant", k=float(k))
+        return PenaltyModel("constant", k=_number("constant penalty", "k", k))
 
     @staticmethod
     def linear(k: float, beta: float) -> "PenaltyModel":
-        if k < 0 or beta < 0:
-            raise ConfigError("linear penalty needs k >= 0 and beta >= 0")
-        return PenaltyModel("linear", k=float(k), beta=float(beta))
+        return PenaltyModel("linear", k=_number("linear penalty", "k", k),
+                            beta=_number("linear penalty", "beta", beta))
 
     @staticmethod
     def tabulated(xs, ws) -> "PenaltyModel":
-        xs = _as_readonly(xs)
-        ws = _as_readonly(ws)
+        xs = _as_readonly(xs, "tabulated penalty", "x")
+        ws = _as_readonly(ws, "tabulated penalty", "w")
         if xs.ndim != 1 or xs.shape != ws.shape or xs.size < 2:
-            raise ConfigError("tabulated penalty needs matching 1-d arrays (>= 2 points)")
+            raise ConfigError("tabulated penalty fields 'x' and 'w' must be 1-d arrays "
+                              "of one length >= 2")
         if not np.all(np.diff(xs) > 0) or np.any(xs >= 0):
             raise ConfigError("tabulated penalty grid must be increasing and entirely on x < 0")
         if np.any(ws > 0):
@@ -370,11 +389,8 @@ class ModelParams:
     q: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"claim arrival intensity must be a positive finite "
-                              f"number, got {self.lam}")
-        if not (math.isfinite(self.q) and self.q >= 0):
-            raise ConfigError(f"discount rate must be a finite number >= 0, got {self.q}")
+        object.__setattr__(self, "lam", _number("model", "lambda", self.lam, True))
+        object.__setattr__(self, "q", _number("model", "q", self.q))
         if not math.isfinite(self.claim.mean()):
             raise ConfigError("claim mean must be finite")
 
@@ -490,18 +506,16 @@ def _discounted_premium_integral(params: ModelParams, x: float, horizon: float):
     return float(simpson(integrand, x=ts)), float(integrand[-1])
 
 
-def validate_model(params: ModelParams, horizon: Optional[float] = None) -> ValidationReport:
+def validate_model(params: ModelParams) -> ValidationReport:
     """Check the standing assumptions: speed condition, eventual positive
     drift, and penalty non-positivity/integrability.
 
-    `horizon` bounds the numerical speed-condition integrals; by default it
-    adapts to the discount rate so the truncated tail is negligible.
+    The numerical speed-condition integrals run to a horizon that adapts
+    to the discount rate so the truncated tail is negligible.
     Deterministic: identical inputs produce identical reports.  The hard
     rejection (raise) is q = 0 with a linear premium of positive slope,
     where the speed integral diverges exponentially.
     """
-    if horizon is not None and horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     reasons = []
     prem, claim = params.premium, params.claim
     if np.any(np.asarray(prem.p(np.linspace(0.0, 10.0, 11))) <= 0):
@@ -527,7 +541,7 @@ def validate_model(params: ModelParams, horizon: Optional[float] = None) -> Vali
         A = prem.epsilon / (params.q - prem.epsilon)
         B = prem.c / (params.q - prem.epsilon)
     else:
-        H = horizon if horizon is not None else max(200.0, 45.0 / params.q)
+        H = max(200.0, 45.0 / params.q)
         ints = []
         for x in _SPEED_CAPITALS:
             val, tail = _discounted_premium_integral(params, x, H)
@@ -584,71 +598,54 @@ def validate_model(params: ModelParams, horizon: Optional[float] = None) -> Vali
 # JSON configuration
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+# The JSON layout of each family: its constructor class; kind -> JSON keys,
+# in the order of the arguments of that kind's constructor; and the JSON
+# keys whose attribute has another name.
+_SCHEMA = {
+    "premium": (PremiumModel, {"constant": ("c",), "linear": ("c", "epsilon"),
+                               "rational": ("c",), "tabulated": ("x", "p")},
+                {"x": "xs", "p": "ps"}),
+    "claim": (ClaimModel, {"exponential": ("mu",), "tabulated": ("x0", "dx", "density")},
+              {"density": "f_vals"}),
+    "penalty": (PenaltyModel, {"zero": (), "constant": ("k",), "linear": ("k", "beta"),
+                               "tabulated": ("x", "w")},
+                {"x": "xs", "w": "ws"}),
+}
+
+
+def _fields(doc, keys, where: str) -> list:
+    """The values of `keys` in the JSON object `doc`; any other key, or a
+    missing one, is a ConfigError that names it."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"missing keys {missing} in {where}")
+    return [doc[key] for key in keys]
+
+
+def _family_from_dict(section: str, doc):
+    cls, kinds, _ = _SCHEMA[section]
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"'{section}' must be a JSON object whose 'kind' is one of "
+                          f"{sorted(kinds)}, got kind {kind!r}")
+    keys = ("kind", *kinds[kind])
+    return getattr(cls, kind)(*_fields(doc, keys, f"{kind} {section}")[1:])
 
 
 def params_from_dict(doc: dict) -> ModelParams:
-    """Build a ModelParams from the JSON configuration schema.
+    """Build a ModelParams from the JSON configuration schema `_SCHEMA`.
 
     {"premium": {"kind": ...}, "claim": {"kind": ...}, "penalty": {"kind": ...},
-     "lambda": ..., "q": ...} with unknown keys rejected at every level.
+     "lambda": ..., "q": ...} with unknown and missing keys rejected at every
+    level, and every value checked by the family constructors.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration must be a JSON object")
-    _reject_unknown(doc, {"premium", "claim", "penalty", "lambda", "q"}, "config")
-    for key in ("premium", "claim", "penalty", "lambda", "q"):
-        if key not in doc:
-            raise ConfigError(f"missing required key '{key}'")
-
-    prem = doc["premium"]
-    kind = prem.get("kind")
-    if kind == "constant":
-        _reject_unknown(prem, {"kind", "c"}, "premium")
-        premium = PremiumModel.constant(prem["c"])
-    elif kind == "linear":
-        _reject_unknown(prem, {"kind", "c", "epsilon"}, "premium")
-        premium = PremiumModel.linear(prem["c"], prem["epsilon"])
-    elif kind == "rational":
-        _reject_unknown(prem, {"kind", "c"}, "premium")
-        premium = PremiumModel.rational(prem["c"])
-    elif kind == "tabulated":
-        _reject_unknown(prem, {"kind", "x", "p"}, "premium")
-        premium = PremiumModel.tabulated(prem["x"], prem["p"])
-    else:
-        raise ConfigError(f"unknown premium kind {kind!r}")
-
-    cl = doc["claim"]
-    kind = cl.get("kind")
-    if kind == "exponential":
-        _reject_unknown(cl, {"kind", "mu"}, "claim")
-        claim = ClaimModel.exponential(cl["mu"])
-    elif kind == "tabulated":
-        _reject_unknown(cl, {"kind", "x0", "dx", "density"}, "claim")
-        claim = ClaimModel.tabulated(cl["x0"], cl["dx"], cl["density"])
-    else:
-        raise ConfigError(f"unknown claim kind {kind!r}")
-
-    pen = doc["penalty"]
-    kind = pen.get("kind")
-    if kind == "zero":
-        _reject_unknown(pen, {"kind"}, "penalty")
-        penalty = PenaltyModel.zero()
-    elif kind == "constant":
-        _reject_unknown(pen, {"kind", "k"}, "penalty")
-        penalty = PenaltyModel.constant(pen["k"])
-    elif kind == "linear":
-        _reject_unknown(pen, {"kind", "k", "beta"}, "penalty")
-        penalty = PenaltyModel.linear(pen["k"], pen["beta"])
-    elif kind == "tabulated":
-        _reject_unknown(pen, {"kind", "x", "w"}, "penalty")
-        penalty = PenaltyModel.tabulated(pen["x"], pen["w"])
-    else:
-        raise ConfigError(f"unknown penalty kind {kind!r}")
-
-    return ModelParams(premium, claim, penalty, lam=float(doc["lambda"]), q=float(doc["q"]))
+    *sections, lam, q = _fields(doc, (*_SCHEMA, "lambda", "q"), "configuration")
+    return ModelParams(*map(_family_from_dict, _SCHEMA, sections), lam=lam, q=q)
 
 
 def params_from_json(path) -> ModelParams:
@@ -661,27 +658,12 @@ def params_from_json(path) -> ModelParams:
 
 
 def params_to_dict(params: ModelParams) -> dict:
-    prem = params.premium
-    if prem.kind == "constant":
-        pd = {"kind": "constant", "c": prem.c}
-    elif prem.kind == "linear":
-        pd = {"kind": "linear", "c": prem.c, "epsilon": prem.epsilon}
-    elif prem.kind == "rational":
-        pd = {"kind": "rational", "c": prem.c}
-    else:
-        pd = {"kind": "tabulated", "x": prem.xs.tolist(), "p": prem.ps.tolist()}
-    cl = params.claim
-    if cl.kind == "exponential":
-        cd = {"kind": "exponential", "mu": cl.mu}
-    else:
-        cd = {"kind": "tabulated", "x0": cl.x0, "dx": cl.dx, "density": cl.f_vals.tolist()}
-    pen = params.penalty
-    if pen.kind == "zero":
-        wd = {"kind": "zero"}
-    elif pen.kind == "constant":
-        wd = {"kind": "constant", "k": pen.k}
-    elif pen.kind == "linear":
-        wd = {"kind": "linear", "k": pen.k, "beta": pen.beta}
-    else:
-        wd = {"kind": "tabulated", "x": pen.xs.tolist(), "w": pen.ws.tolist()}
-    return {"premium": pd, "claim": cd, "penalty": wd, "lambda": params.lam, "q": params.q}
+    """The JSON configuration of `params` (inverse of `params_from_dict`)."""
+    doc = {}
+    for section, (_, kinds, attrs) in _SCHEMA.items():
+        model = getattr(params, section)
+        doc[section] = {"kind": model.kind}
+        for key in kinds[model.kind]:
+            value = getattr(model, attrs.get(key, key))
+            doc[section][key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return {**doc, "lambda": params.lam, "q": params.q}

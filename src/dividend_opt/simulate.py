@@ -255,6 +255,17 @@ def _estimate(values: np.ndarray, ruined: np.ndarray, config: SimulationConfig,
                               heuristic)
 
 
+def _check_horizon(est: SimulationEstimate, envelope: float, q: float):
+    """Raise HorizonError, with the horizon that would do, when the truncation
+    bound e^{-qH} * envelope of `est` exceeds 1e-4 of its mean."""
+    floor = _BOUND_FRACTION * max(abs(est.mean), 1e-12)
+    if est.truncation_bound > floor:
+        required = math.log(max(envelope, 1e-300) / floor) / q
+        raise HorizonError(f"truncation bound {est.truncation_bound:.3e} exceeds 1e-4 "
+                           f"of the mean {est.mean:.6g}; need horizon >= {required:.1f}",
+                           required_horizon=required)
+
+
 def _value_envelope(params: ModelParams, a: float) -> float:
     """Bound on the value still collectable after the horizon."""
     return float(params.premium.p(a)) / params.q + penalty_envelope(params)
@@ -276,15 +287,10 @@ def simulate_value(params: ModelParams, x: float, config: SimulationConfig) -> S
     x = _check_capital(x)
     a = float(config.barrier)
     values, ruined = _run_paths(params, x, config, _MODE_VALUE, a)
-    bound = math.exp(-params.q * config.horizon) * _value_envelope(params, a)
+    envelope = _value_envelope(params, a)
+    bound = math.exp(-params.q * config.horizon) * envelope
     est = _estimate(values, ruined, config, bound, False)
-    floor = _BOUND_FRACTION * max(abs(est.mean), 1e-12)
-    if bound > floor:
-        envelope = _value_envelope(params, a)
-        required = math.log(envelope / floor) / params.q
-        raise HorizonError(f"truncation bound {bound:.3e} exceeds 1e-4 of the mean "
-                           f"{est.mean:.6g}; need horizon >= {required:.1f}",
-                           required_horizon=required)
+    _check_horizon(est, envelope, params.q)
     return est
 
 
@@ -304,12 +310,7 @@ def simulate_gerber_shiu(params: ModelParams, x: float,
         heuristic = True
     est = _estimate(values, ruined, config, bound, heuristic)
     if not params.penalty.is_zero and params.q > 0:
-        floor = _BOUND_FRACTION * max(abs(est.mean), 1e-12)
-        if bound > floor:
-            required = math.log(max(w_env, 1e-300) / floor) / params.q
-            raise HorizonError(f"truncation bound {bound:.3e} exceeds 1e-4 of the "
-                               f"mean {est.mean:.6g}; need horizon >= {required:.1f}",
-                               required_horizon=required)
+        _check_horizon(est, w_env, params.q)
     return est
 
 

@@ -47,6 +47,30 @@ def tabulated_penalty(shift=0.0):
     return PenaltyModel.tabulated(xs, -np.minimum(2.0, 1.0 - 0.2 * xs))
 
 
+# Valid JSON configurations that between them use every premium, claim and
+# penalty kind; all floats, so that a round trip can compare them with ==.
+CONFIG_DOCS = {
+    "constant-exponential-zero": {
+        "premium": {"kind": "constant", "c": 1.5},
+        "claim": {"kind": "exponential", "mu": 0.3},
+        "penalty": {"kind": "zero"}, "lambda": 0.1, "q": 0.05},
+    "linear-tabulated-constant": {
+        "premium": {"kind": "linear", "c": 1.0, "epsilon": 0.02},
+        "claim": {"kind": "tabulated", "x0": 0.0, "dx": 0.5, "density": [1.0, 1.0, 1.0]},
+        "penalty": {"kind": "constant", "k": 1.0}, "lambda": 0.1, "q": 0.05},
+    "rational-exponential-linear": {
+        "premium": {"kind": "rational", "c": 1.0},
+        "claim": {"kind": "exponential", "mu": 0.3},
+        "penalty": {"kind": "linear", "k": 1.0, "beta": 0.5}, "lambda": 0.1, "q": 0.01},
+    "tabulated-tabulated-tabulated": {
+        "premium": {"kind": "tabulated", "x": [0.0, 10.0, 2000.0], "p": [1.0, 1.2, 1.5]},
+        "claim": {"kind": "tabulated", "x0": 0.5, "dx": 0.25,
+                  "density": [0.5, 1.25, 1.25, 1.0, 0.5]},
+        "penalty": {"kind": "tabulated", "x": [-5.0, -0.5], "w": [-2.0, -1.0]},
+        "lambda": 0.1, "q": 0.05},
+}
+
+
 @pytest.fixture(scope="session")
 def table1_q05():
     """The workhorse instance: linear premium, q = 0.05 column of sweep 1."""

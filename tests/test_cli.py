@@ -70,6 +70,22 @@ class TestBarrierCommand:
         doc = json.loads((out / "barrier.json").read_text())
         assert doc["a_star"] == pytest.approx(3.18, abs=0.1)
 
+    @pytest.mark.parametrize("command", ["validate", "barrier"])
+    @pytest.mark.parametrize("change, field", [
+        ({"premium": {"kind": "constant"}}, "'c'"),
+        ({"premium": "x"}, "'premium'"),
+        ({"premium": {"kind": "constant", "c": "abc"}}, "'c'"),
+        ({"premium": {"kind": "constant", "c": float("nan")}}, "'c'"),
+        ({"lambda": "abc"}, "'lambda'"),
+        ({"premium": {"kind": "tabulated", "x": [0, 1], "p": [1, "abc"]}}, "'p'"),
+    ])
+    def test_malformed_config_exit_2(self, command, change, field, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({**TABLE1_Q05, **change}))
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and field in err
+
     def test_refinement_stability(self, config_path, tmp_path):
         outs = []
         for i, dx in enumerate(("0.01", "0.005")):

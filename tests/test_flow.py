@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from dividend_opt import (FlowSolver, NumericsError, PremiumModel, flow_forward,
-                          hit_time)
+from dividend_opt import FlowSolver, NumericsError, PremiumModel
 from dividend_opt import _reference
 from dividend_opt.flow import rational_flow
 
@@ -23,56 +22,56 @@ def _ivp_flow(premium, x, t):
 
 class TestForward:
     def test_constant_linear_motion(self):
-        assert flow_forward(CONSTANT, 0.0, 5.0) == pytest.approx(5.0)
+        assert FlowSolver(CONSTANT).forward(0.0, 5.0) == pytest.approx(5.0)
 
     def test_linear_closed_form(self):
         # oracle: independent RK integration of the same ODE
-        val = flow_forward(LINEAR, 0.0, 1.0)
+        val = FlowSolver(LINEAR).forward(0.0, 1.0)
         assert val == pytest.approx(50.0 * (math.exp(0.02) - 1.0), rel=1e-12)
         assert val == pytest.approx(_ivp_flow(LINEAR, 0.0, 1.0), rel=1e-9)
 
     def test_time_zero_identity(self):
         for prem in FAMILIES:
             for x in (0.0, 3.7):
-                assert flow_forward(prem, x, 0.0) == x
+                assert FlowSolver(prem).forward(x, 0.0) == x
 
     def test_rational_matches_rk(self):
         for x, t in [(0.0, 1.0), (2.0, 10.0), (5.0, 0.3)]:
-            assert flow_forward(RATIONAL, x, t) == pytest.approx(
+            assert FlowSolver(RATIONAL).forward(x, t) == pytest.approx(
                 _ivp_flow(RATIONAL, x, t), rel=1e-9)
 
     def test_tabulated_matches_linear(self):
         xs = np.linspace(0.0, 100.0, 2001)
         tab = PremiumModel.tabulated(xs, 1.0 + 0.02 * xs)
-        got = flow_forward(tab, 1.0, 5.0)
-        want = flow_forward(LINEAR, 1.0, 5.0)
+        got = FlowSolver(tab).forward(1.0, 5.0)
+        want = FlowSolver(LINEAR).forward(1.0, 5.0)
         assert got == pytest.approx(want, rel=1e-7)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            flow_forward(CONSTANT, 1.0, -1.0)
+            FlowSolver(CONSTANT).forward(1.0, -1.0)
 
 
 class TestHitTime:
     def test_constant(self):
-        assert hit_time(CONSTANT, 2.0, 5.0) == pytest.approx(3.0)
+        assert FlowSolver(CONSTANT).hit_time(2.0, 5.0) == pytest.approx(3.0)
 
     def test_linear_closed_form(self):
-        t = hit_time(LINEAR, 0.0, 17.82)
+        t = FlowSolver(LINEAR).hit_time(0.0, 17.82)
         assert t == pytest.approx(50.0 * math.log(1.0 + 0.02 * 17.82), rel=1e-12)
 
     def test_level_equal_start(self):
         for prem in FAMILIES:
-            assert hit_time(prem, 4.0, 4.0) == 0.0
+            assert FlowSolver(prem).hit_time(4.0, 4.0) == 0.0
 
     def test_below_start_rejected(self):
         with pytest.raises(ValueError):
-            hit_time(CONSTANT, 5.0, 4.0)
+            FlowSolver(CONSTANT).hit_time(5.0, 4.0)
 
     def test_rational_vs_event_integration(self):
         # oracle: terminal-event RK45 on the same ODE
         level = 6.0
-        t = hit_time(RATIONAL, 1.0, level)
+        t = FlowSolver(RATIONAL).hit_time(1.0, level)
 
         def reached(_, r):
             return r[0] - level
@@ -85,7 +84,7 @@ class TestHitTime:
     def test_tabulated_hit(self):
         xs = np.linspace(0.0, 50.0, 1001)
         tab = PremiumModel.tabulated(xs, np.full_like(xs, 2.0))
-        assert hit_time(tab, 1.0, 9.0) == pytest.approx(4.0, rel=1e-8)
+        assert FlowSolver(tab).hit_time(1.0, 9.0) == pytest.approx(4.0, rel=1e-8)
 
 
 class TestProperties:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dividend_opt import GridFunction
+from dividend_opt.grid import atomic_write
 
 
 def test_linear_interpolation():
@@ -52,7 +53,7 @@ def test_csv_round_trip(tmp_path):
     x = dx * np.arange(20)
     g = GridFunction(0.0, dx, np.exp(x) / 3.0, np.exp(x) / 3.0)
     path = tmp_path / "g.csv"
-    g.to_csv(path)
+    atomic_write(path, g.to_csv_string())
     text = path.read_text()
     assert text.splitlines()[0] == "x,value,derivative"
     back = GridFunction.from_csv(path)
@@ -65,7 +66,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_without_derivative(tmp_path):
     g = GridFunction(0.0, 0.5, [1.0, 2.0, 3.0])
     path = tmp_path / "g.csv"
-    g.to_csv(path)
+    atomic_write(path, g.to_csv_string())
     back = GridFunction.from_csv(path)
     assert back.derivative_values is None
     assert np.array_equal(back.values, g.values)

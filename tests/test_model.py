@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -11,8 +12,33 @@ from dividend_opt import (ClaimModel, ConfigError, ModelParams,
                           omega_eval, params_from_dict, params_to_dict,
                           penalty_envelope, validate_model)
 from dividend_opt._reference import omega_quadrature
-from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
-                      tabulated_penalty)
+from conftest import (CONFIG_DOCS, erlang2_claim, make_params,
+                      shifted_exponential_claim, tabulated_penalty)
+
+
+# (constructor, arguments, the field its ConfigError must name)
+BAD_FIELDS = [
+    (PremiumModel.constant, (math.nan,), "c"),
+    (PremiumModel.constant, (True,), "c"),
+    (PremiumModel.constant, ("1.5",), "c"),
+    (PremiumModel.linear, (1.0, math.nan), "epsilon"),
+    (PremiumModel.rational, (math.inf,), "c"),
+    (PremiumModel.tabulated, ([0.0, 1.0], [1.0, math.nan]), "p"),
+    (PremiumModel.tabulated, ([0.0, 1.0], [1.0, "abc"]), "p"),
+    (PremiumModel.tabulated, ([0.0, True], [1.0, 1.0]), "x"),
+    (ClaimModel.exponential, (math.inf,), "mu"),
+    (ClaimModel.exponential, (False,), "mu"),
+    (ClaimModel.tabulated, (-math.inf, 0.5, [1.0, 1.0, 1.0]), "x0"),
+    (ClaimModel.tabulated, (0.0, math.nan, [1.0, 1.0, 1.0]), "dx"),
+    (ClaimModel.tabulated, (0.0, 0.5, [1.0, math.nan, 1.0]), "density"),
+    (PenaltyModel.constant, (math.nan,), "k"),
+    (PenaltyModel.constant, (True,), "k"),
+    (PenaltyModel.linear, (1.0, math.inf), "beta"),
+    (PenaltyModel.linear, (-math.inf, 0.5), "k"),
+    (PenaltyModel.tabulated, ([-2.0, -1.0], [math.nan, -1.0]), "w"),
+    (make_params, ("linear", 0.3, "zero", True), "lambda"),
+    (make_params, ("linear", 0.3, "zero", 0.1, math.inf), "q"),
+]
 
 
 class TestFamilies:
@@ -31,6 +57,13 @@ class TestFamilies:
         down = PremiumModel.tabulated([0, 1, 2], [2.0, 1.5, 1.0])
         assert up.p(0.5) == pytest.approx(1.25)
         assert down.p(1.5) == pytest.approx(1.25)
+
+    def test_tabulated_samples_are_copied_not_frozen(self):
+        xs, ps = np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.5, 2.0])
+        prem = PremiumModel.tabulated(xs, ps)
+        xs[0] = ps[0] = -1.0  # the caller's arrays stay writable
+        assert prem.xs[0] == 0.0 and prem.ps[0] == 1.0
+        assert not prem.xs.flags.writeable
 
     def test_tabulated_premium_out_of_grid_is_error(self):
         prem = PremiumModel.tabulated([0, 1, 2], [1.0, 1.5, 2.0])
@@ -85,6 +118,12 @@ class TestFamilies:
     def test_nan_rates_rejected(self, field):
         with pytest.raises(ConfigError):
             make_params(**{field: math.nan})
+
+    @pytest.mark.parametrize("build, args, field", BAD_FIELDS,
+                             ids=[f"{b.__qualname__}{a}" for b, a, _ in BAD_FIELDS])
+    def test_non_finite_bool_and_non_numeric_fields_rejected(self, build, args, field):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            build(*args)
 
     def test_tabulated_claim_with_offset_grid_is_one_distribution(self):
         # a shifted exponential on [1, 21]: no mass below x0 = 1
@@ -333,6 +372,12 @@ class TestConfigSchema:
         doc = {k: v for k, v in self.DOC.items() if k != "q"}
         with pytest.raises(ConfigError):
             params_from_dict(doc)
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_DOCS))
+    def test_round_trip_every_kind(self, name):
+        # compare dicts: dataclass == on the sample arrays would raise
+        doc = json.loads(json.dumps(CONFIG_DOCS[name]))
+        assert params_to_dict(params_from_dict(doc)) == CONFIG_DOCS[name]
 
     def test_unknown_kind_rejected(self):
         doc = {**self.DOC, "claim": {"kind": "pareto", "alpha": 2.0}}

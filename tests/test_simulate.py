@@ -140,6 +140,14 @@ class TestGerberShiu:
         with pytest.raises(ValueError):
             simulate_gerber_shiu(table1_q05, 1.0, cfg(barrier=3.0))
 
+    def test_horizon_error(self):
+        params = make_params(penalty="constant", k=1.0)
+        with pytest.raises(HorizonError) as err:
+            simulate_gerber_shiu(params, 2.0, cfg(paths=200, horizon=30.0))
+        required = err.value.required_horizon
+        assert required > 30.0
+        assert str(err.value).endswith(f"need horizon >= {required:.1f}")
+
 
 class TestTwoSided:
     def test_at_level_is_one(self, table1_q05):

@@ -14,7 +14,6 @@ alongside as pass / fail / not-applicable.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +22,7 @@ import numpy as np
 
 from .barrier import BarrierSolution
 from .errors import NumericsError
-from .grid import GridFunction, atomic_write
+from .grid import GridFunction
 from .model import ModelParams, PenaltyModel, omega_eval
 from .scale import _trapezoid_convolution, _trapezoid_convolution_at
 
@@ -56,9 +55,6 @@ class OptimalityReport:
             "tolerance": self.tolerance,
             "sanity_band_max": self.sanity_band_max,
         }
-
-    def to_json(self, path):
-        atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def generator_apply(m: GridFunction, params: ModelParams, x: float,

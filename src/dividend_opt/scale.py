@@ -66,15 +66,23 @@ class ScaleSolution:
         return self.W.dx
 
 
+def _step_cap(params: ModelParams) -> float:
+    """The recommended largest dx, 0.01 * min(1/lambda, mean claim)."""
+    return 0.01 * min(1.0 / params.lam, params.claim.mean())
+
+
+def _exceeds_step_cap(params: ModelParams, dx: float) -> bool:
+    return dx > _step_cap(params) * (1 + 1e-12)
+
+
 def _grid_arrays(params: ModelParams, dx: float, x_max: float):
     for name, value in (("dx", dx), ("x_max", x_max)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value}")
     if dx <= 0 or x_max <= dx:
         raise ValueError(f"need 0 < dx < x_max, got dx={dx}, x_max={x_max}")
-    step_cap = 0.01 * min(1.0 / params.lam, params.claim.mean())
-    if dx > step_cap * (1 + 1e-12):
-        warnings.warn(f"dx={dx} exceeds the recommended cap {step_cap:.4g} "
+    if _exceeds_step_cap(params, dx):
+        warnings.warn(f"dx={dx} exceeds the recommended cap {_step_cap(params):.4g} "
                       f"(0.01 * min(1/lambda, mean claim)); results may be coarse")
     n = int(round(x_max / dx)) + 1
     x = dx * np.arange(n)

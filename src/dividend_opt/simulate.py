@@ -23,7 +23,6 @@ how the path range is cut into chunks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +31,6 @@ import numpy as np
 
 from .errors import HorizonError, ModelValidationError, NumericsError
 from .flow import FlowSolver
-from .grid import atomic_write
 from .model import ModelParams, penalty_envelope
 
 _MODE_VALUE = 0
@@ -141,9 +139,6 @@ class SimulationEstimate:
             "truncation_bound": self.truncation_bound,
             "seed": self.seed,
         }
-
-    def to_json(self, path):
-        atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def _check_capital(x) -> float:

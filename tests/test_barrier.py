@@ -123,6 +123,21 @@ class TestFindBarrier:
         with pytest.raises(NumericsError, match="degenera"):
             find_barrier(scale)
 
+    def test_under_resolved_stiff_kernel_is_not_degeneracy(self):
+        # mean claim 1e-4 puts the step cap at 1e-6; at dx 0.005, mu dx = 50
+        params = make_params(premium="constant", c=1.5, claim_mu=1e4)
+        with pytest.warns(UserWarning, match="recommended cap"), \
+                pytest.warns(UserWarning, match="W' <= 0"):
+            scale = solve_scale(params, 0.005, 30.0)
+        for locate in (find_barrier, lambda s: h_eval(s, 1.0)):
+            with pytest.raises(NumericsError) as err:
+                locate(scale)
+            msg = str(err.value)
+            assert "degeneracy" not in msg
+            for part in ("dx=0.005", "step cap 0.01·min(1/lambda, mean claim) = 1e-06",
+                         "mu·dx = 50", "decrease dx"):
+                assert part in msg
+
 
 class TestValueFunction:
     def test_linear_above_barrier(self, scale_q05, barrier_q05):

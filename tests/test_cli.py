@@ -10,6 +10,11 @@ TABLE1_Q05 = {"premium": {"kind": "linear", "c": 1.0, "epsilon": 0.02},
 
 BAD_SPEED = {**TABLE1_Q05, "q": 0.01}  # eps > q: speed condition fails
 
+# knots end at 100, which the claim-free flow from 0 reaches at t ~ 76, long
+# before e^{-qt} has decayed; the premium is held at 1.5 beyond
+SHORT_GRID = {**TABLE1_Q05,
+              "premium": {"kind": "tabulated", "x": [0, 10, 100], "p": [1, 1.2, 1.5]}}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -35,6 +40,17 @@ class TestValidateCommand:
         assert main(["validate", bad_config_path]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert not doc["speed_pass"]
+
+    def test_tabulated_premium_held_beyond_its_knots(self, tmp_path, capsys):
+        # barrier's default x_max, 166.7, also reaches past the last knot
+        path = tmp_path / "short_grid.json"
+        path.write_text(json.dumps(SHORT_GRID))
+        assert main(["validate", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True and doc["speed_bound"] == [0.0, 1.5 / 0.05]
+        out = tmp_path / "out"
+        assert main(["barrier", str(path), "--dx", "0.01", "--out", str(out)]) == 0
+        assert json.loads((out / "barrier.json").read_text())["a_star"] > 0
 
 
 class TestBarrierCommand:

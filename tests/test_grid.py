@@ -48,6 +48,14 @@ def test_derivative_missing():
         g.derivative(0.5)
 
 
+def test_atomic_write_replaces_existing_file_whole(tmp_path):
+    path = tmp_path / "estimate.json"
+    path.write_text("x" * 10000)
+    atomic_write(path, '{"mean": 1.5}\n')
+    assert path.read_text() == '{"mean": 1.5}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["estimate.json"]
+
+
 def test_csv_round_trip(tmp_path):
     dx = 0.1
     x = dx * np.arange(20)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dividend_opt import (ClaimModel, ConfigError, ModelParams,
+from dividend_opt import (ClaimModel, ConfigError, FlowSolver, ModelParams,
                           ModelValidationError, PenaltyModel, PremiumModel,
                           omega_eval, params_from_dict, params_to_dict,
                           penalty_envelope, validate_model)
@@ -65,10 +65,26 @@ class TestFamilies:
         assert prem.xs[0] == 0.0 and prem.ps[0] == 1.0
         assert not prem.xs.flags.writeable
 
-    def test_tabulated_premium_out_of_grid_is_error(self):
-        prem = PremiumModel.tabulated([0, 1, 2], [1.0, 1.5, 2.0])
-        with pytest.raises(ConfigError):
-            prem.p(3.0)
+    def test_tabulated_premium_held_beyond_both_end_knots(self):
+        # p, p' and the flow's travel time follow one law: flat at the end
+        # values outside [1, 3], linear between the knots
+        prem = PremiumModel.tabulated([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+        solver = FlowSolver(prem)
+        for x, p, slope in ((0.0, 1.0, 0.0), (0.5, 1.0, 0.0), (1.5, 1.5, 1.0),
+                            (2.5, 3.0, 2.0), (3.5, 4.0, 0.0), (1e6, 4.0, 0.0)):
+            assert prem.p(x) == p and prem.p_prime(x) == slope
+        assert np.array_equal(prem.p_prime(np.array([0.5, 1.5, 3.5])), [0.0, 1.0, 0.0])
+        assert solver.travel_time(0.0, 0.5) == pytest.approx(0.5 / 1.0, rel=1e-15)
+        assert solver.travel_time(3.5, 10.0) == pytest.approx(6.5 / 4.0, rel=1e-15)
+        assert solver.travel_time(0.0, 10.0) == pytest.approx(
+            1.0 + math.log(2.0) + math.log(2.0) / 2.0 + 7.0 / 4.0, rel=1e-14)
+
+    def test_tabulated_concavity_includes_the_held_ends(self):
+        # unevenly spaced concave samples; a table flat before a first knot
+        # above 0 or after a falling last segment has a convex kink
+        assert PremiumModel.tabulated([0.0, 10.0, 2000.0], [1.0, 1.2, 1.5]).concave
+        assert not PremiumModel.tabulated([0.0, 1.0, 2.0], [2.0, 1.5, 1.0]).concave
+        assert not PremiumModel.tabulated([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).concave
 
     def test_exponential_claim_density_cdf(self):
         cl = ClaimModel.exponential(0.3)
@@ -168,9 +184,15 @@ class TestFamilies:
             ClaimModel.tabulated(1.0, dx, f)
 
     def test_import_does_not_load_scipy_integrate(self):
-        # nor does a tabulated-claim solve load scipy.linalg: the blocked
-        # march solves its triangular systems with numpy alone
+        # nor does validating a rational or a tabulated premium (closed forms,
+        # no quadrature); a tabulated-claim solve loads no scipy.linalg: the
+        # blocked march solves its triangular systems with numpy alone
         code = ("import sys, numpy as np, dividend_opt as do\n"
+                "print('scipy.integrate' in sys.modules)\n"
+                "for prem in (do.PremiumModel.rational(1.0),\n"
+                "             do.PremiumModel.tabulated([0, 10, 100], [1.0, 1.2, 1.5])):\n"
+                "    do.validate_model(do.ModelParams(prem, do.ClaimModel.exponential(0.3),\n"
+                "                                     do.PenaltyModel.zero(), lam=0.1, q=0.05))\n"
                 "print('scipy.integrate' in sys.modules)\n"
                 "ys = 0.05 * np.arange(401)\n"
                 "f = 0.36 * ys * np.exp(-0.6 * ys)\n"
@@ -181,7 +203,7 @@ class TestFamilies:
                 "print('scipy.linalg' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
-        assert out.stdout.split() == ["False", "False"]
+        assert out.stdout.split() == ["False", "False", "False"]
 
 
 class TestOmega:
@@ -337,14 +359,42 @@ class TestValidation:
         b = validate_model(make_params(premium="rational", q=0.01))
         assert a == b
 
-    def test_speed_bound_certifies(self):
-        params = make_params(q=0.05, eps=0.02)
-        rep = validate_model(params)
-        A, B = rep.speed_bound
-        # the certified affine bound must actually dominate the integrals
+    @pytest.mark.parametrize("premium", ["linear", "constant", "rational", "tabulated"])
+    def test_speed_bound_certifies(self, premium):
+        if premium == "tabulated":  # knots end at 50: the flow from 100 starts past them
+            xs = np.linspace(0.0, 50.0, 101)
+            params = ModelParams(
+                PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0))),
+                ClaimModel.exponential(0.3), PenaltyModel.zero(), lam=0.1, q=0.05)
+        else:
+            params = make_params(premium=premium, q=0.05, eps=0.02)
+        A, B = validate_model(params).speed_bound
+        # int_0^inf e^{-qt} p(r_t^x) dt along the exact flow, by the trapezoid
+        # rule to a horizon where e^{-(q - eps) t} is e^{-27}
+        ts = np.linspace(0.0, 900.0, 200001)
+        solver = FlowSolver(params.premium)
         for x in (0.0, 1.0, 10.0, 100.0):
-            exact = (params.premium.epsilon * x + params.premium.c) / (0.05 - 0.02)
-            assert exact <= A * x + B + 1e-9
+            integrand = np.exp(-0.05 * ts) * params.premium.p(solver.flow(x, ts))
+            integral = np.trapezoid(integrand, ts)
+            assert integral <= (A * x + B) * (1.0 + 1e-6)
+            if premium in ("linear", "constant"):  # the bound is the integral
+                assert integral == pytest.approx(A * x + B, rel=1e-6)
+
+    def test_drift_x0_exact_at_a_crossing(self):
+        rate = 0.1 / 0.3  # lam E[C]
+        linear = validate_model(make_params(c=0.2, eps=0.02))
+        assert linear.drift_pass
+        assert linear.drift_x0 == pytest.approx((rate - 0.2) / 0.02, rel=1e-12)
+        prem = PremiumModel.tabulated([0.0, 10.0, 2000.0], [0.2, 0.5, 1.5])
+        tab = validate_model(ModelParams(prem, ClaimModel.exponential(0.3),
+                                         PenaltyModel.zero(), lam=0.1, q=0.05))
+        assert tab.drift_pass
+        assert tab.drift_x0 == pytest.approx(10.0 * (rate - 0.2) / 0.3, rel=1e-12)
+        assert prem.p(tab.drift_x0) == pytest.approx(rate, rel=1e-12)
+        # held at 1.5 < lam E[C] = 2.5 beyond the last knot: no drift
+        none = validate_model(ModelParams(prem, ClaimModel.exponential(0.04),
+                                          PenaltyModel.zero(), lam=0.1, q=0.05))
+        assert not none.drift_pass and none.drift_x0 == math.inf
 
 
 class TestConfigSchema:

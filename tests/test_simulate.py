@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -7,9 +6,8 @@ import pytest
 
 from dividend_opt import (ClaimModel, FlowSolver, HorizonError, ModelParams,
                           ModelValidationError, NumericsError, PenaltyModel,
-                          PremiumModel, SimulationConfig, SimulationEstimate,
-                          simulate_gerber_shiu, simulate_two_sided,
-                          simulate_value, value_function)
+                          PremiumModel, SimulationConfig, simulate_gerber_shiu,
+                          simulate_two_sided, simulate_value, value_function)
 from dividend_opt import _reference, simulate
 from conftest import make_params
 
@@ -140,6 +138,18 @@ class TestGerberShiu:
         with pytest.raises(ValueError):
             simulate_gerber_shiu(table1_q05, 1.0, cfg(barrier=3.0))
 
+    def test_q_zero_tabulated_premium_heuristic_bound(self):
+        # the q = 0 tail bound reads the premium floor up to x + 1e6, far
+        # past the last knot at 400, where the premium is held at its end value
+        xs = np.linspace(0.0, 400.0, 401)
+        premium = PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0)))
+        params = ModelParams(premium, ClaimModel.exponential(0.3), PenaltyModel.constant(1.0),
+                             lam=0.1, q=0.0)
+        est = simulate_gerber_shiu(params, 3.0, cfg(paths=200, horizon=250.0, seed=5))
+        assert est.truncation_is_heuristic
+        assert math.isfinite(est.mean) and math.isfinite(est.truncation_bound)
+        assert -1.0 <= est.mean < 0.0
+
     def test_horizon_error(self):
         params = make_params(penalty="constant", k=1.0)
         with pytest.raises(HorizonError) as err:
@@ -201,14 +211,6 @@ class TestReproducibility:
         doc = est.to_dict()
         assert set(doc) == {"mean", "std_error", "ci95", "paths", "ruin_fraction",
                             "truncation_bound", "seed"}
-
-    def test_to_json_replaces_existing_file_whole(self, tmp_path):
-        path = tmp_path / "estimate.json"
-        path.write_text("x" * 10000)
-        est = SimulationEstimate(1.5, 0.25, (1.01, 1.99), 10, 0.5, 1e-9, 7)
-        est.to_json(path)
-        assert json.loads(path.read_text()) == est.to_dict()
-        assert [p.name for p in tmp_path.iterdir()] == ["estimate.json"]
 
 
 class TestGenericEngine:

@@ -6,6 +6,10 @@ Times these layers, best of k:
 - the reference O(n^2) Volterra march `_reference.volterra_march` on a
   representative model (linear premium, exponential claims), against the
   O(n) `scale._exponential_march` that `solve_scale` takes for it.
+- the exponential march of W summed over the 10 models of sweeps 1 and 6
+  (the `sweep` workload of `perfbench`, grid dx 0.005), and the FFT
+  convolution `scale._trapezoid_convolution` that `solve_scale`'s
+  diagnostics run, on 33 334 nodes.
 - the march of a tabulated claim density, on the `tabulated_cli` model of
   `perfbench` (grid dx 0.005, x_max 166.7, 33 334 nodes) with and without
   its linear penalty: one reference march per function (W, and G_p with
@@ -40,8 +44,9 @@ import numpy as np
 from dividend_opt import (ClaimModel, FlowSolver, ModelParams, PenaltyModel,
                           PremiumModel, SimulationConfig, omega_eval)
 from dividend_opt import _reference, simulate
-from dividend_opt.scale import _exponential_march, _grid_arrays, _march
-from dividend_opt.tables import DEFAULT_DX, default_x_max
+from dividend_opt.scale import (_exponential_march, _grid_arrays, _march,
+                                _trapezoid_convolution)
+from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
                      PenaltyModel.zero(), lam=0.1, q=0.05)
@@ -67,6 +72,25 @@ def bench_volterra(nodes: int):
     t_exp, _ = time_best(_exponential_march, p, PARAMS.claim.mu, 0.1, 0.05, dx,
                          1.0, None)
     return {"general": t_general, "exponential": t_exp}
+
+
+def bench_sweep_march():
+    """W's exponential march on each model of sweeps 1 and 6, summed."""
+    models = [SWEEPS[w].model_for(v) for w in (1, 6) for v in SWEEPS[w].values]
+    grids = [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in models]
+    t, _ = time_best(lambda: [_exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX, 1.0)
+                              for m, p in grids])
+    return {"models": len(grids), "nodes": sum(p.size for _, p in grids), "march": t}
+
+
+def bench_convolution(nodes: int = 33334):
+    """The diagnostics convolution of W against the claim density, sweep 1's
+    q = 0.05 model, W scaled to a maximum of 1."""
+    model = SWEEPS[1].model_for(0.05)
+    x, p, f = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
+    u, _, _ = _exponential_march(p, model.claim.mu, model.lam, model.q, DEFAULT_DX, 1.0)
+    t, _ = time_best(_trapezoid_convolution, u / u.max(), f, DEFAULT_DX, repeats=10)
+    return {"nodes": x.size, "convolution": t}
 
 
 def omega_params():
@@ -213,6 +237,13 @@ def main():
     print(f"Volterra march, {args.nodes} nodes:")
     print(f"  O(n^2) reference march {v['general'] * 1e3:9.1f} ms")
     print(f"  O(n) exponential march {v['exponential'] * 1e3:9.1f} ms")
+
+    w = bench_sweep_march()
+    print(f"\nExponential march of W, {w['models']} sweep models ({w['nodes']} nodes):")
+    print(f"  summed                 {w['march'] * 1e3:9.1f} ms")
+    c = bench_convolution()
+    print(f"Diagnostics convolution, {c['nodes']} nodes:")
+    print(f"  FFT                    {c['convolution'] * 1e3:9.1f} ms")
 
     for penalised in (True, False):
         b = bench_blocked(penalised)

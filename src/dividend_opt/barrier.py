@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DomainTooShortError, NumericsError
 from .grid import GridFunction
 from .model import omega_eval
-from .scale import (ScaleSolution, _exceeds_step_cap, _step_cap,
-                    _trapezoid_convolution_at)
+from .scale import ScaleSolution, _trapezoid_convolution_at, _under_resolution
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_REL = 1e-9
@@ -62,16 +61,12 @@ def _derivative_arrays(scale: ScaleSolution):
 def _slope_error(scale: ScaleSolution, where: str) -> NumericsError:
     """W' <= 0 at `where`: under-resolution when dx exceeds the step cap of
     `scale._grid_arrays`, model degeneracy otherwise."""
-    params, dx = scale.params, scale.dx
-    if not _exceeds_step_cap(params, dx):
+    why = _under_resolution(scale.params, scale.dx)
+    if why is None:
         return NumericsError(f"{where}: barrier-quality function undefined "
                              f"(model degeneracy)")
-    stiff = (f", and mu·dx = {params.claim.mu * dx:.4g}"
-             if params.claim.kind == "exponential" else "")
     return NumericsError(f"{where}: barrier-quality function undefined on an "
-                         f"under-resolved grid: dx={dx:.4g} exceeds the step cap "
-                         f"0.01·min(1/lambda, mean claim) = {_step_cap(params):.4g}"
-                         f"{stiff}; decrease dx")
+                         f"under-resolved grid: {why}")
 
 
 def h_grid(scale: ScaleSolution) -> np.ndarray:

@@ -15,8 +15,13 @@ mode at the truncation boundary:
 W and G_p are marched forward by one implicit-trapezoid scheme, the one
 `_reference.volterra_march` runs node by node.  For exponential claims
 f(z) = mu exp(-mu z) the trapezoid history sum H_i of the convolution
-obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so `_exponential_march`
-does O(1) work per step and O(n) in all.  Every other claim density goes
+obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so each step is an
+affine map of the state (u, d, H) and `_exponential_march` is O(n).  It
+runs as a two-level block scan: about sqrt(0.1 n) lockstep numpy steps
+march every block's response to each unit start state, and a chain over
+the block ends in Python floats gives the blocks' start states, so the
+Python-level work is O(sqrt(n)) steps and not one per node.  Every other
+claim density goes
 through `_blocked_march`, which marches W and G_p together as two columns
 of one lower-triangular system per block of `_BLOCK` nodes: the history
 older than the current super-block of `_SUPER` nodes comes from one FFT
@@ -44,6 +49,9 @@ from .model import ModelParams, omega_eval
 
 _MAX_SAFE_LOG = 708.0  # natural-log range representable in float64
 _DECAY_SLACK = 1e-12
+# round-off of G = e^{Lg} (G_p - r W) relative to the cancelled max |G_p| e^{Lg};
+# the measured tails of well-resolved models sit at 1e-15 to 1e-14 of it
+_CANCEL_FLOOR = 1e-13
 # Nodes per triangular solve of `_blocked_march`.  At 128 the LU runs in
 # OpenBLAS's threaded path, whose first call in a process can cost a second.
 _BLOCK = 64
@@ -75,6 +83,17 @@ def _exceeds_step_cap(params: ModelParams, dx: float) -> bool:
     return dx > _step_cap(params) * (1 + 1e-12)
 
 
+def _under_resolution(params: ModelParams, dx: float) -> str | None:
+    """Why W' <= 0 when dx exceeds the step cap: the text naming dx, the cap
+    and, for exponential claims, mu·dx, with the remedy.  None within the cap."""
+    if not _exceeds_step_cap(params, dx):
+        return None
+    stiff = (f", and mu·dx = {params.claim.mu * dx:.4g}"
+             if params.claim.kind == "exponential" else "")
+    return (f"dx={dx:.4g} exceeds the step cap 0.01·min(1/lambda, mean claim) = "
+            f"{_step_cap(params):.4g}{stiff}; decrease dx")
+
+
 def _grid_arrays(params: ModelParams, dx: float, x_max: float):
     for name, value in (("dx", dx), ("x_max", x_max)):
         if not math.isfinite(value):
@@ -93,47 +112,130 @@ def _grid_arrays(params: ModelParams, dx: float, x_max: float):
     return x, p_vals, f_vals
 
 
+def _scan_block(n: int) -> int:
+    """Steps per block of `_exponential_march` on n nodes, about sqrt(0.1 n):
+    it balances the B lockstep numpy steps against the n / B Python-float
+    steps of the chain."""
+    return max(1, round(math.sqrt(0.1 * n)))
+
+
 def _exponential_march(p_vals, mu, lam, q, dx, u0, source_vals=None):
     """`_reference.volterra_march` for the density f(z) = mu exp(-mu z).
 
-    Same implicit-trapezoid scheme, source term and running rescale; the
+    Same implicit-trapezoid scheme, source term and running rescale.  The
     history sum H_i = sum_{j<i} w_j u_j f(x_i - x_j) (w_0 = 1/2, else 1)
-    is carried forward as H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0))
-    instead of being recomputed, so the march is O(n).
+    obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so one step maps the
+    state (u, d, H, sigma), sigma the scale of the source, affinely:
+
+        e_i = -lam (dx H_i + sigma s_i),  u_i = k_i (u_{i-1} + dx/2 (d_{i-1}
+        + c_i e_i)),  d_i = c_i (A u_i + e_i),  H_{i+1} = exp(-mu dx) (H_i + mu u_i)
+
+    with c = 1/p, k = 1 / (1 - dx/2 A c) and A = lam + q - dx/2 lam mu.
+    The n - 1 steps are cut into blocks of B = `_scan_block(n)` steps.  B
+    lockstep numpy steps march the response of every block to each unit
+    start state at once; a chain over the block-end responses in Python
+    floats gives each block's start state; one einsum fills u and d.
+
+    Rescaling follows the reference: when a block's values may pass 1e150,
+    its start state is divided by its first value past that threshold, and
+    so is the stored prefix.  Returns (values, derivatives, log_scale).
     """
-    p = np.asarray(p_vals, dtype=float).tolist()
-    n = len(p)
-    src = ([0.0] * n if source_vals is None
-           else np.asarray(source_vals, dtype=float).tolist())
+    p = np.asarray(p_vals, dtype=float)
+    n = p.size
+    half = 0.5 * dx
+    A = lam + q - half * lam * mu
     decay = math.exp(-mu * dx)
-    half_dx = 0.5 * dx
-    A = lam + q - half_dx * lam * mu
-    u = [0.0] * n
-    d = [0.0] * n
-    u[0] = ui = u0
-    d[0] = di = ((lam + q) * u0 - lam * src[0]) / p[0]
-    H = decay * 0.5 * u0 * mu
+    src0 = 0.0 if source_vals is None else float(source_vals[0])
+    u = np.empty(n)
+    d = np.empty(n)
+    u[0] = u0
+    d[0] = ((lam + q) * u0 - lam * src0) / p[0]
+
+    steps = n - 1
+    B = _scan_block(n)
+    nb = -(-steps // B)
+    denom = 1.0 - half * A / p[1:]
+    if denom.min() <= 0.0:
+        i = 1 + int(np.argmax(denom <= 0.0))
+        raise NumericsError(
+            f"the exponential march reaches the trapezoid limit at x={i * dx:.6g}: "
+            f"the step dx (lam + q - dx/2 lam mu) / p(x) is {dx * A / p[i]:.6g}, "
+            f"at or past 2, for dx={dx:.6g}; decrease dx")
+
+    def by_block(values, pad):
+        """Per-step values laid out (B, nb): step j of block b is node 1 + bB + j.
+        The padding past the last node (c = 0, k = 1, no source) stays finite."""
+        out = np.full(nb * B, pad)
+        out[:steps] = values
+        return out.reshape(nb, B).T
+
+    c = by_block(1.0 / p[1:], 0.0)
+    k = by_block(1.0 / denom, 1.0)
+    if source_vals is not None:
+        lam_src = by_block(-lam * np.asarray(source_vals[1:], dtype=float), 0.0)
+
+    # basis columns: unit start u, d, H, and sigma = 1 (the source response)
+    m = 3 if source_vals is None else 4
+    U = np.zeros((m, nb))
+    D = np.zeros((m, nb))
+    H = np.zeros((m, nb))
+    U[0] = D[1] = H[2] = 1.0
+    RU = np.empty((B, m, nb))
+    RD = np.empty((B, m, nb))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(B):
+            e = (-lam * dx) * H
+            if m == 4:
+                e[3] += lam_src[j]
+            U = (U + half * (D + e * c[j])) * k[j]
+            D = (A * U + e) * c[j]
+            H = decay * (H + mu * U)
+            RU[j] = U
+            RD[j] = D
+    bad = ~(np.isfinite(RU).all(axis=(0, 1)) & np.isfinite(RD).all(axis=(0, 1))
+            & np.isfinite(H).all(axis=0))
+    if bad.any():
+        b = int(np.argmax(bad))
+        i = 1 + b * B
+        raise NumericsError(
+            f"the exponential march overflows float range within one block of {B} "
+            f"steps at x={i * dx:.6g}: the step dx (lam + q - dx/2 lam mu) / p(x) "
+            f"reaches {dx * A * float(c[:, b].max()):.3g}, near its limit of 2, "
+            f"for dx={dx:.6g}; decrease dx")
+
+    ends = np.zeros((3, 4, nb))  # without a source, the sigma column stays 0
+    ends[:, :m] = U, D, H
+    # the largest |u| response of each block to each unit start, for a bound
+    peak = np.zeros((4, nb))
+    peak[:m] = np.abs(RU).max(axis=0)
+    state = (float(u[0]), float(d[0]), decay * 0.5 * u0 * mu, 1.0)
+    starts = []
     log_scale = 0.0
-    src_scale = 1.0
     rescales = []  # (node, divisor): applied to the stored prefix at the end
-    for i in range(1, n):
-        extra = -lam * (dx * H + src[i] * src_scale)
-        pi = p[i]
-        ui = (ui + half_dx * (di + extra / pi)) / (1.0 - half_dx * A / pi)
-        di = (A * ui + extra) / pi
-        H = decay * (H + ui * mu)
-        au = abs(ui)
-        if au > _RESCALE_AT:
-            rescales.append((i, au))
-            ui /= au
-            di /= au
-            H /= au
-            log_scale += math.log(au)
-            src_scale /= au
-        u[i] = ui
-        d[i] = di
-    u = np.array(u)
-    d = np.array(d)
+    chain = zip(ends.reshape(12, nb).T.tolist(), peak.T.tolist())
+    for b, (T, (m0, m1, m2, m3)) in enumerate(chain):
+        su, sd, sh, ss = state
+        if m0 * abs(su) + m1 * abs(sd) + m2 * abs(sh) + m3 * ss > _RESCALE_AT:
+            live = min(B, steps - b * B)
+            while True:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = np.abs(RU[:live, :, b] @ np.array(state[:m]))
+                big = vals > _RESCALE_AT
+                if not big.any():
+                    break
+                au = float(vals[np.argmax(big)])
+                state = tuple(v / au for v in state)
+                log_scale += math.log(au)
+                rescales.append((1 + b * B, au))
+            su, sd, sh, ss = state
+        starts.append(state)
+        uu, ud, uh, us, du, dd, dh, ds, hu, hd, hh, hs = T
+        state = (uu * su + ud * sd + uh * sh + us * ss,
+                 du * su + dd * sd + dh * sh + ds * ss,
+                 hu * su + hd * sd + hh * sh + hs * ss, ss)
+    S = np.array(starts)[:, :m]
+    u[1:] = np.einsum("jkb,bk->bj", RU, S).ravel()[:steps]
+    d[1:] = np.einsum("jkb,bk->bj", RD, S).ravel()[:steps]
     for i, au in rescales:
         u[:i] /= au
         d[:i] /= au
@@ -372,7 +474,7 @@ def _solve_W_G(params: ModelParams, dx: float, x_max: float):
         g_vals = scale * (gp - r * w_raw)
         gd_vals = scale * (gpd - r * wd_raw)
         gamma = float(g_vals[0])
-        _check_G_decay(x, g_vals, x_max)
+        _check_G_decay(x, g_vals, x_max, _CANCEL_FLOOR * scale * float(np.abs(gp).max()))
 
     Wf = GridFunction(0.0, dx, w_vals, wd_vals)
     Gf = GridFunction(0.0, dx, g_vals, gd_vals)
@@ -381,7 +483,9 @@ def _solve_W_G(params: ModelParams, dx: float, x_max: float):
     return (x, p_vals, f_vals, omega), Wf, Gf, gamma
 
 
-def _check_G_decay(x, g_vals, x_max):
+def _check_G_decay(x, g_vals, x_max, noise):
+    """Raise unless |G| decays over the last two 10% bands of the grid; a rise
+    within `noise`, the round-off of the cancelled combination, is not one."""
     n = g_vals.size
     absg = np.abs(g_vals)
     peak = float(absg.max())
@@ -394,7 +498,7 @@ def _check_G_decay(x, g_vals, x_max):
                             f"has an empty band; use a smaller dx or a larger x_max")
     last = float(absg[i90:].max())
     prev = float(absg[i80:i90].max())
-    if last > prev + _DECAY_SLACK * peak:
+    if last > prev + _DECAY_SLACK * peak + noise:
         raise DomainTooShortError(
             f"|G| is not decaying on the last 10% of [0, {x_max}] "
             f"(max {last:.3e} vs {prev:.3e} on the previous band); "
@@ -411,7 +515,7 @@ def _check_G_decay(x, g_vals, x_max):
 def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
     """conv_j = dx * trapezoid of int_0^{x_j} u(s) f(x_j - s) ds for every j."""
     n = u.size
-    nfft = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1: no wrap-around
+    nfft = _fft_length(2 * n - 1)  # no wrap-around
     full = np.fft.irfft(np.fft.rfft(u, nfft) * np.fft.rfft(f, nfft), nfft)[:n]
     return dx * (full - 0.5 * u[0] * f - 0.5 * u * f[0])
 
@@ -440,7 +544,8 @@ def _trapezoid_convolution_at(m: GridFunction, density, y: float) -> float:
 def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
                  omega):
     lam, q = params.lam, params.q
-    conv_w = _trapezoid_convolution(w_vals, f_vals, float(x[1] - x[0]))
+    dx = float(x[1] - x[0])
+    conv_w = _trapezoid_convolution(w_vals, f_vals, dx)
     resid_w = p_vals * wd_vals - (lam + q) * w_vals + lam * conv_w
     wmax = float(np.max(np.abs(w_vals)))
     out = {
@@ -451,14 +556,16 @@ def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
     if not out["W_prime_positive"]:
         bad = int(np.argmax(wd_vals <= 0))
         out["W_prime_first_violation_x"] = float(x[bad])
+        why = _under_resolution(params, dx)
         warnings.warn(f"W' <= 0 at x={x[bad]:.6g}; barrier quantities are "
-                      f"undefined there (flagged, not clipped)")
+                      f"undefined there (flagged, not clipped)"
+                      + ("" if why is None else f"; the grid is under-resolved: {why}"))
     if not out["one_minus_G_prime_positive"]:
         bad = int(np.argmax(1.0 - gd_vals <= 0))
         out["G_prime_first_violation_x"] = float(x[bad])
         warnings.warn(f"1 - G' <= 0 at x={x[bad]:.6g} (flagged, not clipped)")
     if omega is not None and np.any(g_vals != 0.0):
-        conv_g = _trapezoid_convolution(g_vals, f_vals, float(x[1] - x[0]))
+        conv_g = _trapezoid_convolution(g_vals, f_vals, dx)
         resid_g = p_vals * gd_vals - (lam + q) * g_vals + lam * conv_g + lam * omega
         gmax = float(np.max(np.abs(g_vals)))
         out["residual_G"] = float(np.max(np.abs(resid_g))) / max(gmax, 1e-300)

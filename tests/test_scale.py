@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,9 +13,9 @@ from dividend_opt import (ClaimModel, DomainTooShortError, ModelParams,
                           solve_scale)
 from dividend_opt import _reference
 from dividend_opt.model import omega_eval
-from dividend_opt.scale import (_BLOCK, _SUPER, _exponential_march, _grid_arrays,
-                                _march)
-from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max
+from dividend_opt.scale import (_BLOCK, _SUPER, _RESCALE_AT, _exponential_march,
+                                _grid_arrays, _march, _scan_block)
+from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
 from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
                       tabulated_penalty)
 
@@ -29,17 +30,31 @@ def _max_rel_diff(fast, ref):
     return float(np.max(np.where(fast == ref, 0.0, rel)))
 
 
-def _oracle_diffs(params, dx, x_max, penalty_march=False):
-    """The O(n) exponential march against the reference O(n^2) march, both
-    in true units (stored value * exp(log_scale))."""
-    x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+def _march_gaps(params, x, p_vals, f_vals, dx, penalty_march=False):
+    """The O(n) exponential march against the reference O(n^2) march on one
+    grid.  Returns the largest relative gaps in values and derivatives, in
+    true units (stored value * exp(log_scale), compared after dividing both
+    by exp of the reference's log_scale), and both log scales."""
     u0, src = (0.0, omega_eval(params, x)) if penalty_march else (1.0, None)
     u, d, L = _exponential_march(p_vals, params.claim.mu, params.lam, params.q,
                                  dx, u0, src)
     ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam, params.q,
                                            dx, u0, src)
-    return (_max_rel_diff(u * math.exp(L), ur * math.exp(Lr)),
-            _max_rel_diff(d * math.exp(L), dr * math.exp(Lr)), L)
+    return (_max_rel_diff(u * math.exp(L - Lr), ur),
+            _max_rel_diff(d * math.exp(L - Lr), dr), L, Lr)
+
+
+def _oracle_diffs(params, dx, x_max, penalty_march=False):
+    return _march_gaps(params, *_grid_arrays(params, dx, x_max), dx, penalty_march)
+
+
+SWEEP1_Q05 = SWEEPS[1].model_for(0.05)
+# fast growth, (lam + q) / c = 600: the march rescales every ~0.58 in x
+FAST_GROWTH = ModelParams(PremiumModel.constant(0.01), ClaimModel.exponential(0.5),
+                          PenaltyModel.linear(1.0, 0.5), lam=5.0, q=1.0)
+# grid sizes n around the scan's blocks of B = _scan_block(n) steps
+SCAN_SHAPES = {"two_nodes": 2, "three_nodes": 3, "one_step_short_of_whole_blocks": 1000,
+               "whole_blocks": 1001, "one_step_past_whole_blocks": 1002, "ragged": 1005}
 
 
 class TestExponentialMarchOracle:
@@ -47,17 +62,95 @@ class TestExponentialMarchOracle:
                                              for v in spec.values])
     def test_sweep_instances_match_reference(self, which, value):
         params = SWEEPS[which].model_for(value)
-        du, dd, _ = _oracle_diffs(params, DEFAULT_DX, default_x_max(params))
+        du, dd, _, _ = _oracle_diffs(params, DEFAULT_DX, default_x_max(params))
         assert du <= ORACLE_REL_TOL
         assert dd <= ORACLE_REL_TOL
 
     def test_source_term_and_rescale_match_reference(self):
         params = ModelParams(PremiumModel.constant(1.0), ClaimModel.exponential(1.0),
                              PenaltyModel.linear(1.0, 0.5), lam=0.5, q=0.5)
-        du, dd, log_scale = _oracle_diffs(params, 0.005, 600.0, penalty_march=True)
+        du, dd, log_scale, ref_log_scale = _oracle_diffs(params, 0.005, 600.0,
+                                                         penalty_march=True)
         assert log_scale == pytest.approx(345.39, abs=0.01)  # one rescale at 1e150
+        assert log_scale == pytest.approx(ref_log_scale, rel=1e-12, abs=0.0)
         assert du <= ORACLE_REL_TOL
         assert dd <= ORACLE_REL_TOL
+
+    @pytest.mark.parametrize("penalty_march", [False, True])
+    def test_rescales_crossing_mid_block_match_reference(self, penalty_march):
+        dx, x_max = 0.001, 1.5
+        x, p_vals, f_vals = _grid_arrays(FAST_GROWTH, dx, x_max)
+        u0, src = (0.0, omega_eval(FAST_GROWTH, x)) if penalty_march else (1.0, None)
+        ur, _, Lr = _reference.volterra_march(p_vals, f_vals, FAST_GROWTH.lam,
+                                              FAST_GROWTH.q, dx, u0, src)
+        # true log|u|: the first node past 1e150 is the first rescale
+        with np.errstate(divide="ignore"):
+            first = int(np.argmax(np.log(np.abs(ur)) + Lr > math.log(_RESCALE_AT)))
+        B = _scan_block(x.size)
+        assert (first - 1) % B not in (0, B - 1)  # strictly inside its block
+        assert Lr > 1.5 * math.log(_RESCALE_AT)  # and a second rescale follows
+        du, dd, L, _ = _oracle_diffs(FAST_GROWTH, dx, x_max, penalty_march)
+        assert L == pytest.approx(Lr, rel=1e-12, abs=0.0)
+        assert du <= ORACLE_REL_TOL
+        assert dd <= ORACLE_REL_TOL
+
+    @pytest.mark.parametrize("penalty_march", [False, True])
+    @pytest.mark.parametrize("shape", sorted(SCAN_SHAPES))
+    def test_block_edges_match_reference(self, shape, penalty_march):
+        params = dataclasses.replace(SWEEP1_Q05, penalty=PenaltyModel.linear(1.0, 0.5))
+        n = SCAN_SHAPES[shape]
+        x, p_vals, f_vals = _grid_arrays(params, DEFAULT_DX, 10.0)
+        du, dd, L, Lr = _march_gaps(params, x[:n], p_vals[:n], f_vals[:n], DEFAULT_DX,
+                                    penalty_march)
+        assert L == Lr == 0.0
+        assert du <= ORACLE_REL_TOL
+        assert dd <= ORACLE_REL_TOL
+
+    def test_scan_shapes_cover_the_block_edges(self):
+        residues = {shape: (n - 1) % _scan_block(n) for shape, n in SCAN_SHAPES.items()}
+        B = _scan_block(1000)
+        assert _scan_block(1001) == _scan_block(1002) == _scan_block(1005) == B > 1
+        assert residues == {"two_nodes": 0, "three_nodes": 0,
+                             "one_step_short_of_whole_blocks": B - 1, "whole_blocks": 0,
+                             "one_step_past_whole_blocks": 1, "ragged": 4}
+
+    def test_stable_G_matches_reference_combination(self):
+        params = dataclasses.replace(SWEEP1_Q05, penalty=PenaltyModel.constant(1.0))
+        dx, x_max = DEFAULT_DX, default_x_max(params)
+        G = solve_scale(params, dx, x_max).G
+        x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+        (w, wd, Lw), (gp, gpd, Lg) = [
+            _reference.volterra_march(p_vals, f_vals, params.lam, params.q, dx, u0, src)
+            for u0, src in ((1.0, None), (0.0, omega_eval(params, x)))]
+        assert Lw == Lg == 0.0
+        r = gp[-1] / w[-1]
+        gmax = float(np.max(np.abs(G.values)))
+        assert np.max(np.abs(G.values - (gp - r * w))) <= 1e-10 * gmax
+        assert np.max(np.abs(G.derivative_values - (gpd - r * wd))) <= 1e-10 * gmax
+
+
+class TestExponentialMarchFailure:
+    def test_trapezoid_limit_is_numerics_error(self):
+        # dx/2 (lam + q - dx/2 lam mu) / p = 0.25 * 4 / 1 = 1 exactly: 1 - dx/2 A/p = 0
+        params = ModelParams(PremiumModel.constant(1.0), ClaimModel.exponential(1.0),
+                             PenaltyModel.zero(), lam=2.0, q=2.5)
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match=r"trapezoid limit.*dx=0\.5; decrease dx"):
+                compute_W(params, 0.5, 5.0)
+
+    def test_overflow_within_a_block_is_numerics_error(self):
+        # dx/2 A/p = 1 - 1e-10 with A = lam + q - dx/2 lam mu, a quadratic in
+        # dx/2: every step multiplies u by about 2e10, past float range within
+        # the 35 steps of one block
+        params = dataclasses.replace(FAST_GROWTH, penalty=PenaltyModel.zero())
+        lam, q, mu, c = params.lam, params.q, params.claim.mu, 0.01
+        half = ((lam + q) - math.sqrt((lam + q) ** 2 - 4 * lam * mu * c * (1 - 1e-10))) \
+            / (2 * lam * mu)
+        n = 12000
+        assert _scan_block(n) == 35
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match="overflows float range.*decrease dx"):
+                compute_W(params, 2 * half, 2 * half * (n - 1))
 
 
 def bounded_premium():
@@ -251,6 +344,23 @@ class TestComputeG:
             compute_G(params, 0.005, 3.0)
         assert err.value.suggested_x_max and err.value.suggested_x_max > 3.0
 
+    @pytest.mark.parametrize("x_max", [None, 250.0, 375.0])
+    def test_round_off_tail_is_not_a_short_domain(self, x_max):
+        # the bounded tabulated premium of the Monte-Carlo benchmark with a
+        # constant penalty: |G| on the last band is round-off of G_p - r W,
+        # about 1e-15 of max |G_p|, and rises with x_max as max |G_p| does
+        xs = np.linspace(0.0, 5000.0, 5001)
+        premium = PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0)))
+        params = ModelParams(premium, ClaimModel.exponential(0.3),
+                             PenaltyModel.constant(1.0), lam=0.1, q=0.05)
+        if x_max is None:
+            scale, barrier = locate_barrier(params)
+            assert scale.domain_end == pytest.approx(default_x_max(params), abs=DEFAULT_DX)
+            assert barrier.a_star == pytest.approx(7.2738, abs=1e-3)
+        else:
+            G = solve_scale(params, DEFAULT_DX, x_max).G
+            assert G.values[0] == pytest.approx(-0.248, abs=1e-3)
+
     def test_grid_too_coarse_for_decay_check_is_numerics_error(self):
         # dx = 0.5 on [0, 0.6] leaves 2 nodes: the 80-90% band is empty
         with pytest.warns(UserWarning, match="recommended cap"):
@@ -289,12 +399,25 @@ class TestDiagnostics:
     def test_w_prime_violation_is_flagged_not_clipped(self):
         # q=0 constant premium: W' decays to ~0 and march noise flips its sign
         params = make_params(premium="constant", penalty="constant", k=1.0, q=0.0)
-        with pytest.warns(UserWarning, match="W' <= 0"):
+        with pytest.warns(UserWarning, match="W' <= 0") as record:
             sol = solve_scale(params, 0.005, 120.0)
+        assert not any("decrease dx" in str(w.message) for w in record)  # within the cap
         assert not sol.diagnostics["W_prime_positive"]
         assert "W_prime_first_violation_x" in sol.diagnostics
         # flagged, not clipped: negative samples survive
         assert np.min(sol.W.derivative_values) < 0
+
+
+    def test_w_prime_violation_on_under_resolved_grid_names_the_remedy(self):
+        # mean claim 1e-4 puts the step cap at 1e-6; at dx 0.005, mu dx = 50
+        params = make_params(premium="constant", c=1.5, claim_mu=1e4)
+        with pytest.warns(UserWarning, match="recommended cap"), \
+                pytest.warns(UserWarning, match="W' <= 0") as record:
+            solve_scale(params, 0.005, 30.0)
+        [msg] = [str(w.message) for w in record if "W' <= 0" in str(w.message)]
+        for part in ("dx=0.005", "step cap 0.01·min(1/lambda, mean claim) = 1e-06",
+                     "mu·dx = 50", "decrease dx"):
+            assert part in msg
 
 
 class TestRescaling:

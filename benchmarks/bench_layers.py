@@ -7,9 +7,14 @@ Times these layers, best of k:
   representative model (linear premium, exponential claims), against the
   O(n) `scale._exponential_march` that `solve_scale` takes for it.
 - the exponential march of W summed over the 10 models of sweeps 1 and 6
-  (the `sweep` workload of `perfbench`, grid dx 0.005), and the FFT
-  convolution `scale._trapezoid_convolution` that `solve_scale`'s
-  diagnostics run, on 33 334 nodes.
+  (the `sweep` workload of `perfbench`, grid dx 0.005).
+- the diagnostics convolution of W with an exponential claim density on
+  33 334 nodes: the FFT `scale._trapezoid_convolution` against the O(n)
+  recursion `scale._exponential_convolution` that `solve_scale` takes for
+  it, with the largest gap between the two relative to max |conv|.
+- `barrier.find_barrier` summed over the 10 models of sweeps 1 and 6, on
+  scale functions solved beforehand: the grid scan, the refinement of a*
+  and the assembly of the value function.
 - the march of a tabulated claim density, on the `tabulated_cli` model of
   `perfbench` (grid dx 0.005, x_max 166.7, 33 334 nodes) with and without
   its linear penalty: one reference march per function (W, and G_p with
@@ -43,10 +48,10 @@ import numpy as np
 
 from dividend_opt import (ClaimModel, FlowSolver, ModelParams, PenaltyModel,
                           PremiumModel, SimulationConfig, omega_eval)
-from dividend_opt import _reference, simulate
-from dividend_opt.scale import (_exponential_march, _grid_arrays, _march,
-                                _trapezoid_convolution)
-from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max
+from dividend_opt import _reference, find_barrier, simulate
+from dividend_opt.scale import (_exponential_convolution, _exponential_march,
+                                _grid_arrays, _march, _trapezoid_convolution)
+from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
                      PenaltyModel.zero(), lam=0.1, q=0.05)
@@ -74,10 +79,14 @@ def bench_volterra(nodes: int):
     return {"general": t_general, "exponential": t_exp}
 
 
+def sweep_models():
+    """The 10 models of sweeps 1 and 6: the `sweep` workload of `perfbench`."""
+    return [SWEEPS[w].model_for(v) for w in (1, 6) for v in SWEEPS[w].values]
+
+
 def bench_sweep_march():
     """W's exponential march on each model of sweeps 1 and 6, summed."""
-    models = [SWEEPS[w].model_for(v) for w in (1, 6) for v in SWEEPS[w].values]
-    grids = [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in models]
+    grids = [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in sweep_models()]
     t, _ = time_best(lambda: [_exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX, 1.0)
                               for m, p in grids])
     return {"models": len(grids), "nodes": sum(p.size for _, p in grids), "march": t}
@@ -85,12 +94,25 @@ def bench_sweep_march():
 
 def bench_convolution(nodes: int = 33334):
     """The diagnostics convolution of W against the claim density, sweep 1's
-    q = 0.05 model, W scaled to a maximum of 1."""
+    q = 0.05 model, W scaled to a maximum of 1: FFT against recursion."""
     model = SWEEPS[1].model_for(0.05)
     x, p, f = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
     u, _, _ = _exponential_march(p, model.claim.mu, model.lam, model.q, DEFAULT_DX, 1.0)
-    t, _ = time_best(_trapezoid_convolution, u / u.max(), f, DEFAULT_DX, repeats=10)
-    return {"nodes": x.size, "convolution": t}
+    u /= u.max()
+    t_fft, fft = time_best(_trapezoid_convolution, u, f, DEFAULT_DX, repeats=10)
+    t_rec, rec = time_best(_exponential_convolution, u, model.claim.mu, DEFAULT_DX,
+                           repeats=10)
+    return {"nodes": x.size, "fft": t_fft, "recursion": t_rec,
+            "max_rel_gap": float(np.max(np.abs(rec - fft)) / np.max(np.abs(fft)))}
+
+
+def bench_find_barrier():
+    """find_barrier on each model of sweeps 1 and 6, scale functions solved
+    beforehand (on the domain `locate_barrier` settles on), summed."""
+    scales = [locate_barrier(m)[0] for m in sweep_models()]
+    t, sols = time_best(lambda: [find_barrier(s) for s in scales], repeats=7)
+    return {"models": len(scales), "find_barrier": t,
+            "max_width": max(sol.refinement_width for sol in sols)}
 
 
 def omega_params():
@@ -242,8 +264,15 @@ def main():
     print(f"\nExponential march of W, {w['models']} sweep models ({w['nodes']} nodes):")
     print(f"  summed                 {w['march'] * 1e3:9.1f} ms")
     c = bench_convolution()
-    print(f"Diagnostics convolution, {c['nodes']} nodes:")
-    print(f"  FFT                    {c['convolution'] * 1e3:9.1f} ms")
+    print(f"Diagnostics convolution, {c['nodes']} nodes (exponential claims):")
+    print(f"  FFT                    {c['fft'] * 1e3:9.2f} ms")
+    print(f"  O(n) recursion         {c['recursion'] * 1e3:9.2f} ms   "
+          f"({c['fft'] / c['recursion']:.1f}x, max gap {c['max_rel_gap']:.1e} "
+          f"of max |conv|)")
+    b = bench_find_barrier()
+    print(f"find_barrier, {b['models']} sweep models (scale functions solved):")
+    print(f"  summed                 {b['find_barrier'] * 1e3:9.1f} ms   "
+          f"(largest refinement width {b['max_width']:.2g})")
 
     for penalised in (True, False):
         b = bench_blocked(penalised)

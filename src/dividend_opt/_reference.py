@@ -10,6 +10,8 @@
   lockstep engine in `simulate` is checked against them path by path.
 - `omega_quadrature`: the penalty rate by quadrature, the oracle of the
   exact `model.omega_eval`.
+- `golden_max`: golden-section maximization of a scalar function, the
+  oracle of `barrier.find_barrier`'s array refinement of a*.
 """
 
 from __future__ import annotations
@@ -215,3 +217,28 @@ def omega_quadrature(params, x: float) -> float:
         raise NumericsError(f"omega({x}) quadrature error estimate {err:.2e} "
                             f"exceeds tolerance")
     return min(val, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# golden-section maximization (test oracle for the refinement of a*)
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fn, lo: float, hi: float, width: float):
+    """Golden-section maximizer of the scalar fn on [lo, hi]; returns
+    (argmax, final bracket width)."""
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > width:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = fn(x2)
+    best = x1 if f1 >= f2 else x2
+    return best, hi - lo

@@ -23,7 +23,7 @@ from .grid import GridFunction
 from .model import omega_eval
 from .scale import ScaleSolution, _trapezoid_convolution_at, _under_resolution
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_POINTS = 65  # h evaluated as one array per refinement round
 _TIE_REL = 1e-9
 _FLAT_EPS = 1e-12
 _SMOOTH_PASTING_TOL = 1e-3
@@ -83,6 +83,16 @@ def h_grid(scale: ScaleSolution) -> np.ndarray:
     return h
 
 
+def _h_at(scale: ScaleSolution, y):
+    """h at y, a float or an array, from the C1-interpolated derivatives;
+    raises where W' <= 0."""
+    wp = scale.W.derivative(y)
+    bad = np.asarray(wp) <= 0
+    if bad.any():
+        raise _slope_error(scale, f"W'({np.asarray(y).flat[int(np.argmax(bad))]}) <= 0")
+    return (1.0 - scale.G.derivative(y)) / wp
+
+
 def h_eval(scale: ScaleSolution, y: float) -> float:
     """h(y) from the relation-derived derivatives (C1 interpolation).
 
@@ -92,39 +102,37 @@ def h_eval(scale: ScaleSolution, y: float) -> float:
     if y == 0.0:
         dx = scale.W.dx
         return 2.0 * h_eval(scale, dx) - h_eval(scale, 2.0 * dx)
-    wp = scale.W.derivative(y)
-    if wp <= 0:
-        raise _slope_error(scale, f"W'({y}) <= 0")
-    return (1.0 - scale.G.derivative(y)) / wp
+    return _h_at(scale, y)
 
 
-def _golden_max(fn, lo: float, hi: float, width: float):
-    """Golden-section maximizer; returns (argmax, final bracket width)."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > width:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-    best = x1 if f1 >= f2 else x2
-    return best, hi - lo
+def _refine_max(scale: ScaleSolution, lo: float, hi: float, width: float):
+    """The largest maximizer of h on [lo, hi] and the final bracket width.
+
+    Each round evaluates h as one array on `_REFINE_POINTS` evenly spaced
+    points and narrows the bracket to its best point ± one step, a factor
+    (_REFINE_POINTS - 1) / 2 = 32 per round, until the bracket is at most
+    `width` wide or stops shrinking.
+    """
+    last = _REFINE_POINTS - 1
+    while True:
+        ys = np.linspace(lo, hi, _REFINE_POINTS)
+        j = last - int(np.argmax(_h_at(scale, ys)[::-1]))
+        span = hi - lo
+        lo, hi = float(ys[max(j - 1, 0)]), float(ys[min(j + 1, last)])
+        if hi - lo <= width or not hi - lo < span:
+            return float(ys[j]), hi - lo
 
 
-def find_barrier(scale: ScaleSolution, refine_width: float = 1e-4,
+def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6,
                  allow_edge: bool = False) -> BarrierSolution:
     """Locate the largest global maximizer of h and assemble v.
 
     Scans h on the grid, takes the largest index attaining the maximum
-    within a relative tie tolerance of 1e-9, then refines by golden
-    section on the bracketing interval.  A maximum at the first node
-    returns a* = 0 unrefined; a maximum at the last node raises
-    DomainTooShortError unless `allow_edge`.
+    within a relative tie tolerance of 1e-9, then refines on the
+    bracketing interval [x_{k-1}, x_{k+1}] by rounds of array evaluations
+    of h (`_refine_max`) to a width of at most `refine_width`.  A maximum
+    at the first node returns a* = 0 unrefined; a maximum at the last node
+    raises DomainTooShortError unless `allow_edge`.
     """
     h = h_grid(scale)
     x = scale.W.x
@@ -151,8 +159,7 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-4,
                 j += 1
             a_star, width = float(x[j]), 0.0  # right endpoint of the flat region
         else:
-            a_star, width = _golden_max(lambda y: h_eval(scale, y), lo, hi,
-                                        refine_width)
+            a_star, width = _refine_max(scale, lo, hi, refine_width)
 
     sol = _solution_at(scale, a_star, width, h)
     _check_optimal_invariants(sol)
@@ -221,9 +228,7 @@ def value_function(scale: ScaleSolution, a: float, x) -> float:
         raise ValueError("initial capital must be >= 0")
     alpha, va = _barrier_coefficient(scale, a)
     inside = np.minimum(xs, a)
-    w_in = np.interp(inside, scale.W.x, scale.W.values)
-    g_in = np.interp(inside, scale.G.x, scale.G.values)
-    out = np.where(xs <= a, alpha * w_in + g_in, xs - a + va)
+    out = np.where(xs <= a, alpha * scale.W(inside) + scale.G(inside), xs - a + va)
     return out if out.ndim else float(out)
 
 

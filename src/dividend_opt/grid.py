@@ -77,10 +77,19 @@ class GridFunction:
         return y
 
     def __call__(self, y):
-        """Linear interpolation of the sampled values."""
+        """Linear interpolation of the sampled values.
+
+        A scalar y is interpolated on the up to four nodes around it, whose
+        abscissae are computed exactly as `x` computes them, so the result
+        equals np.interp over the whole grid bit for bit.
+        """
         y = self._locate(y)
-        out = np.interp(y, self.x, self.values)
-        return out if out.ndim else float(out)
+        if y.ndim:
+            return np.interp(y, self.x, self.values)
+        j = int((y - self.x0) / self.dx)  # y's cell, or a neighbour after rounding
+        lo, hi = min(max(j - 1, 0), self.n - 2), min(j + 3, self.n)
+        nodes = self.x0 + self.dx * np.arange(lo, hi)
+        return float(np.interp(y, nodes, self.values[lo:hi]))
 
     def derivative(self, y):
         """C1 cubic interpolation of the derivative samples."""

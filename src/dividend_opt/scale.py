@@ -27,6 +27,12 @@ of one lower-triangular system per block of `_BLOCK` nodes: the history
 older than the current super-block of `_SUPER` nodes comes from one FFT
 per super-block, the newer history from a Toeplitz slab product.
 
+The diagnostics convolve W and G with the claim density once more, over
+the whole grid, to measure the residual of the relation.  For exponential
+claims that convolution obeys the same one-term recursion and costs O(n)
+(`_exponential_convolution`); for a tabulated density it is one FFT
+(`_trapezoid_convolution`).  `hjb.residual_profile` routes the same way.
+
 Closed forms kept as oracles: the two-exponential scale function for
 constant premiums, the classical ruin probability, and the Kummer-function
 form for linear premiums.
@@ -56,6 +62,10 @@ _CANCEL_FLOOR = 1e-13
 # OpenBLAS's threaded path, whose first call in a process can cost a second.
 _BLOCK = 64
 _SUPER = 1024  # nodes per super-block: one FFT of the older history each
+# mu dx B of one block of `_exponential_convolution`: its weights reach
+# e^64 ~ 6e27, far inside float range, and the rounding of their exponents
+# costs at most about 64 eps relative
+_CONV_SPAN = 64.0
 
 
 @dataclass(frozen=True)
@@ -520,6 +530,45 @@ def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float) -> np.ndarra
     return dx * (full - 0.5 * u[0] * f - 0.5 * u * f[0])
 
 
+def _exponential_convolution(u: np.ndarray, mu: float, dx: float) -> np.ndarray:
+    """`_trapezoid_convolution` for the density f(z) = mu exp(-mu z), in O(n).
+
+    With r = exp(-mu dx), conv_j = mu dx (S_j - u_j / 2) where S_j =
+    sum_{i<=j} w_i u_i r^{j-i} (w_0 = 1/2, else 1) obeys S_j = r S_{j-1} + w_j u_j.
+    Within a block of B nodes, mu dx B <= `_CONV_SPAN`, S is one cumsum of
+    w_t u_t e^{mu dx t} rescaled by e^{-mu dx t}; a loop over the block ends
+    in Python floats carries S from block to block.  u is divided by
+    max|u| inside the weights, so the cumsum stays far inside float range.
+    """
+    n = u.size
+    a = mu * dx
+    B = max(1, min(n, int(_CONV_SPAN / a)))
+    nb = -(-n // B)
+    peak = float(np.abs(u).max()) or 1.0
+    v = np.zeros(nb * B)
+    v[:n] = u
+    v[0] *= 0.5
+    t = a * np.arange(B)
+    S = np.cumsum(v.reshape(nb, B) * (np.exp(t) / peak), axis=1)
+    S *= np.exp(-t)
+    decay = math.exp(-a * B)
+    carry = []
+    s = 0.0
+    for end in S[:, -1].tolist():
+        carry.append(s)
+        s = decay * s + end
+    S += np.array(carry)[:, None] * np.exp(-(t + a))
+    return (a * peak) * S.ravel()[:n] - (0.5 * a) * u
+
+
+def _convolution(claim, u: np.ndarray, f_vals: np.ndarray, dx: float) -> np.ndarray:
+    """The trapezoid convolution of u with the claim density sampled as f_vals:
+    the O(n) recursion for exponential claims, the FFT otherwise."""
+    if claim.kind == "exponential":
+        return _exponential_convolution(u, claim.mu, dx)
+    return _trapezoid_convolution(u, f_vals, dx)
+
+
 def _trapezoid_convolution_at(m: GridFunction, density, y: float) -> float:
     """int_{x0}^{y} m(s) f(y - s) ds at one point y of m's grid range.
 
@@ -543,9 +592,13 @@ def _trapezoid_convolution_at(m: GridFunction, density, y: float) -> float:
 
 def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
                  omega):
+    """Relative residuals of the defining relation for W and G, and the sign
+    checks W' > 0, 1 - G' > 0 and G <= 0.  The convolutions are
+    `_convolution`'s: the O(n) recursion for exponential claims, the FFT for
+    a tabulated density."""
     lam, q = params.lam, params.q
     dx = float(x[1] - x[0])
-    conv_w = _trapezoid_convolution(w_vals, f_vals, dx)
+    conv_w = _convolution(params.claim, w_vals, f_vals, dx)
     resid_w = p_vals * wd_vals - (lam + q) * w_vals + lam * conv_w
     wmax = float(np.max(np.abs(w_vals)))
     out = {
@@ -565,7 +618,7 @@ def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
         out["G_prime_first_violation_x"] = float(x[bad])
         warnings.warn(f"1 - G' <= 0 at x={x[bad]:.6g} (flagged, not clipped)")
     if omega is not None and np.any(g_vals != 0.0):
-        conv_g = _trapezoid_convolution(g_vals, f_vals, dx)
+        conv_g = _convolution(params.claim, g_vals, f_vals, dx)
         resid_g = p_vals * gd_vals - (lam + q) * g_vals + lam * conv_g + lam * omega
         gmax = float(np.max(np.abs(g_vals)))
         out["residual_G"] = float(np.max(np.abs(resid_g))) / max(gmax, 1e-300)

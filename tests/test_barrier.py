@@ -9,7 +9,8 @@ from dividend_opt import (ClaimModel, DomainTooShortError, GridFunction,
                           ModelParams, NumericsError, PenaltyModel, PremiumModel,
                           barrier_boundary_identity, barrier_solution_at,
                           find_barrier, h_eval, solve_scale, value_function)
-from dividend_opt.barrier import assemble_value
+from dividend_opt import _reference
+from dividend_opt.barrier import assemble_value, h_grid
 from dividend_opt.scale import ScaleSolution
 from dividend_opt.tables import SWEEPS, default_x_max, locate_barrier
 from conftest import make_params
@@ -65,6 +66,27 @@ class TestFindBarrier:
         _, sol = table_solutions(4, 0.005)
         oracle = ode_barrier_oracle(SWEEPS[4].model_for(0.005))
         assert sol.a_star == pytest.approx(oracle, abs=5e-3)
+
+    @pytest.mark.parametrize("which,value", [(w, v) for w, spec in SWEEPS.items()
+                                             for v in spec.values])
+    def test_refinement_matches_golden_section(self, which, value, table_solutions):
+        scale, sol = table_solutions(which, value)
+        h = h_grid(scale)
+        k = int(np.nonzero(h >= h.max() - 1e-9 * abs(h.max()))[0][-1])
+        if k == 0:
+            assert sol.a_star == 0.0
+            return
+        x = scale.W.x
+        golden, _ = _reference.golden_max(lambda y: h_eval(scale, y),
+                                          float(x[k - 1]), float(x[k + 1]), 1e-9)
+        assert abs(sol.a_star - golden) <= 1e-6
+        assert 0.0 < sol.refinement_width <= 1e-6
+
+    def test_refinement_to_zero_width_stops_at_float_resolution(self, scale_q05,
+                                                                 barrier_q05):
+        sol = find_barrier(scale_q05, refine_width=0.0)
+        assert sol.refinement_width <= 1e-14
+        assert abs(sol.a_star - barrier_q05.a_star) <= 1e-6
 
     def test_boundary_barrier_is_exact_zero(self, table_solutions):
         _, sol = table_solutions(5, 0.15)

@@ -12,6 +12,18 @@ def test_linear_interpolation():
     assert g(1.0) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("x0,dx,n", [(0.0, 0.005, 5001), (-3.7, 0.3, 2),
+                                     (0.5, 1.0 / 3.0, 101)])
+def test_scalar_interpolation_equals_full_grid_interp(x0, dx, n):
+    g = GridFunction(x0, dx, np.random.default_rng(7).standard_normal(n))
+    x = g.x
+    ys = np.concatenate((x, x[:-1] + 0.5 * dx, np.nextafter(x[1:], -np.inf),
+                         np.nextafter(x[:-1], np.inf),
+                         [x0, g.x_end, g.x_end - 1e-12 * dx, x0 + 1e-12 * dx]))
+    full = np.interp(ys, x, g.values)
+    assert [g(float(y)) for y in ys] == full.tolist()
+
+
 def test_out_of_range_is_error():
     g = GridFunction(0.0, 0.5, [0.0, 1.0, 4.0])
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from dividend_opt import (GridFunction, NumericsError, PenaltyModel,
                           barrier_solution_at, find_barrier, generator_apply,
                           solve_scale, verify_optimality)
 from dividend_opt.hjb import residual_profile
+from dividend_opt.model import omega_eval
+from dividend_opt.scale import _trapezoid_convolution
+from dividend_opt.tables import SWEEPS, locate_barrier
 from conftest import make_params
 
 
@@ -38,6 +43,21 @@ class TestGenerator:
         m = GridFunction(0.0, 0.01, np.ones(101))
         with pytest.raises(NumericsError):
             generator_apply(m, table1_q05, 0.5)
+
+
+def test_residual_profile_matches_fft_convolution():
+    """The O(n) exponential convolution in `residual_profile` against the
+    FFT one, on sweep 1 at q = 0.05 with a constant penalty."""
+    params = dataclasses.replace(SWEEPS[1].model_for(0.05),
+                                 penalty=PenaltyModel.constant(1.0))
+    _, sol = locate_barrier(params)
+    v = sol.v
+    x = v.x
+    conv = _trapezoid_convolution(v.values, params.claim.density(x), v.dx)
+    fft = (params.premium.p(x) * v.derivative_values
+           + params.lam * (conv + omega_eval(params, x) - v.values) - params.q * v.values)
+    gap = float(np.max(np.abs(residual_profile(v, params).values - fft)))
+    assert gap <= 1e-12 * (1.0 + float(np.max(np.abs(v.values))))
 
 
 class TestVerifyOptimality:

@@ -13,8 +13,10 @@ from dividend_opt import (ClaimModel, DomainTooShortError, ModelParams,
                           solve_scale)
 from dividend_opt import _reference
 from dividend_opt.model import omega_eval
-from dividend_opt.scale import (_BLOCK, _SUPER, _RESCALE_AT, _exponential_march,
-                                _grid_arrays, _march, _scan_block)
+from dividend_opt.scale import (_BLOCK, _CONV_SPAN, _SUPER, _RESCALE_AT,
+                                _exponential_convolution, _exponential_march,
+                                _grid_arrays, _march, _scan_block,
+                                _trapezoid_convolution)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
 from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
                       tabulated_penalty)
@@ -380,7 +382,47 @@ class TestComputeG:
         assert min(orders) >= 1.8
 
 
+def _convolution_inputs(n, mu_dx):
+    """A positive, growing W-like and a mixed-sign G-like input on n nodes,
+    and the exponential density with mu = 0.3 sampled at step mu_dx / mu."""
+    mu = 0.3
+    dx = mu_dx / mu
+    t = np.linspace(0.0, 1.0, n)
+    w_like = np.exp(5.0 * t) * (1.0 + 0.1 * np.sin(40.0 * t))
+    g_like = -np.exp(-3.0 * t) + 0.4 * np.cos(25.0 * t)
+    return mu, dx, mu * np.exp(-mu * dx * np.arange(n)), (w_like, g_like)
+
+
+class TestExponentialConvolution:
+    """The O(n) recursion against the FFT `_trapezoid_convolution`."""
+
+    @pytest.mark.parametrize("mu_dx", [1e-4, 3e-3, 0.1, 1.0, 7.0, 50.0])
+    def test_matches_fft_across_block_edges(self, mu_dx):
+        B = int(_CONV_SPAN / mu_dx)
+        sizes = {2, 3, B - 1, B, 3 * B, 3 * B + 7, 33334}  # short, whole, ragged
+        for n in sorted(m for m in sizes if 2 <= m <= 70000):
+            mu, dx, f, inputs = _convolution_inputs(n, mu_dx)
+            for u in inputs:
+                fft = _trapezoid_convolution(u, f, dx)
+                rec = _exponential_convolution(u, mu, dx)
+                gap = float(np.max(np.abs(rec - fft)))
+                assert gap <= 1e-12 * float(np.max(np.abs(fft))), (n, gap)
+
+    def test_huge_input_stays_in_float_range(self):
+        mu, dx, _, (u, _) = _convolution_inputs(33334, 0.0015)
+        small = _exponential_convolution(u, mu, dx)
+        huge = _exponential_convolution(1e300 * u, mu, dx)
+        assert np.all(np.isfinite(huge))
+        assert np.max(np.abs(huge / 1e300 - small)) <= 1e-12 * np.max(np.abs(small))
+
+
 class TestDiagnostics:
+    @pytest.mark.parametrize("which,value", [(w, v) for w, spec in SWEEPS.items()
+                                             for v in spec.values])
+    def test_residual_W_at_round_off_on_sweeps(self, which, value, table_solutions):
+        scale, _ = table_solutions(which, value)
+        assert scale.diagnostics["residual_W"] <= 1e-12
+
     def test_residuals_tiny(self):
         params = make_params(penalty="linear", k=1.0, beta=0.5)
         sol = solve_scale(params, 0.005, 50.0)

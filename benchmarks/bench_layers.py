@@ -96,7 +96,8 @@ def bench_convolution(nodes: int = 33334):
     """The diagnostics convolution of W against the claim density, sweep 1's
     q = 0.05 model, W scaled to a maximum of 1: FFT against recursion."""
     model = SWEEPS[1].model_for(0.05)
-    x, p, f = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
+    x, p = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
+    f = model.claim.density(x)
     u, _, _ = _exponential_march(p, model.claim.mu, model.lam, model.q, DEFAULT_DX, 1.0)
     u /= u.max()
     t_fft, fft = time_best(_trapezoid_convolution, u, f, DEFAULT_DX, repeats=10)
@@ -142,12 +143,13 @@ def bench_blocked(penalised: bool):
     if not penalised:
         params = dataclasses.replace(params, penalty=PenaltyModel.zero())
     dx = DEFAULT_DX
-    x, p, f = _grid_arrays(params, dx, default_x_max(params))
+    x, p = _grid_arrays(params, dx, default_x_max(params))
+    f = params.claim.density(x)  # the reference's input; `_march` samples its own
     omega = omega_eval(params, x) if penalised else None
     starts = [(1.0, None)] + ([(0.0, omega)] if penalised else [])
     t_ref, ref = time_best(lambda: [_reference.volterra_march(
         p, f, params.lam, params.q, dx, u0, src) for u0, src in starts])
-    t_new, new = time_best(_march, params, p, f, dx, omega)
+    t_new, new = time_best(_march, params, p, dx, omega)
     gap = 0.0
     for (u, d, L), (ur, dr, Lr) in zip(new, ref):
         for a, b in ((u * math.exp(L), ur * math.exp(Lr)),

@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-
-_RESCALE_AT = 1e150
+from .scale import _RESCALE_AT
 
 
 def volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):

@@ -9,6 +9,12 @@ strategy is
     v_a(x) = x - a + v_a(a)                      for x >  a,
 
 continuously differentiable with v_a'(a) = 1 (smooth pasting).
+
+h has one evaluation, `_h_at`: at the grid nodes from the relation-derived
+derivative samples, so node 0 holds the exact right limit
+h(0+) = (1 - G'(0)) / W'(0), and between nodes from their C1 interpolation.
+The coefficient of v_a is alpha = h(a); it, v_a(a) and the smooth-pasting
+residual come from one W'(a) and G'(a).
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ from .scale import ScaleSolution, _trapezoid_convolution_at, _under_resolution
 _REFINE_POINTS = 65  # h evaluated as one array per refinement round
 _TIE_REL = 1e-9
 _FLAT_EPS = 1e-12
-_SMOOTH_PASTING_TOL = 1e-3
-_SLOPE_FLOOR = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,14 +54,6 @@ class BarrierSolution:
         }
 
 
-def _derivative_arrays(scale: ScaleSolution):
-    wd = scale.W.derivative_values
-    gd = scale.G.derivative_values
-    if wd is None or gd is None:
-        raise NumericsError("scale solution lacks derivative samples")
-    return wd, gd
-
-
 def _slope_error(scale: ScaleSolution, where: str) -> NumericsError:
     """W' <= 0 at `where`: under-resolution when dx exceeds the step cap of
     `scale._grid_arrays`, model degeneracy otherwise."""
@@ -69,40 +65,38 @@ def _slope_error(scale: ScaleSolution, where: str) -> NumericsError:
                          f"under-resolved grid: {why}")
 
 
-def h_grid(scale: ScaleSolution) -> np.ndarray:
-    """h at the grid nodes; node 0 holds the right limit (Richardson)."""
-    wd, gd = _derivative_arrays(scale)
-    if wd.size < 3:
-        raise NumericsError(f"grid has {wd.size} nodes; locating the barrier needs "
-                            f"at least 3 (decrease dx or increase x_max)")
-    if np.any(wd <= 0):
-        bad = float(scale.W.x[int(np.argmax(wd <= 0))])
-        raise _slope_error(scale, f"W' <= 0 at x={bad:.6g}")
-    h = (1.0 - gd) / wd
-    h[0] = 2.0 * h[1] - h[2]
-    return h
-
-
-def _h_at(scale: ScaleSolution, y):
-    """h at y, a float or an array, from the C1-interpolated derivatives;
-    raises where W' <= 0."""
-    wp = scale.W.derivative(y)
+def _h_at(scale: ScaleSolution, y=None):
+    """(h, W', G') at y, a float or an array, from the C1-interpolated
+    derivatives, or at every grid node from the derivative samples when y is
+    None; raises where W' <= 0.  This is the one evaluation of h."""
+    if y is None:
+        wp, gp = scale.W.derivative_values, scale.G.derivative_values
+        if wp is None or gp is None:
+            raise NumericsError("scale solution lacks derivative samples")
+    else:
+        wp, gp = scale.W.derivative(y), scale.G.derivative(y)
     bad = np.asarray(wp) <= 0
     if bad.any():
-        raise _slope_error(scale, f"W'({np.asarray(y).flat[int(np.argmax(bad))]}) <= 0")
-    return (1.0 - scale.G.derivative(y)) / wp
+        i = int(np.argmax(bad))
+        at = scale.dx * i if y is None else np.asarray(y).flat[i]
+        raise _slope_error(scale, f"W' <= 0 at x={at:.6g}")
+    return (1.0 - gp) / wp, wp, gp
+
+
+def h_grid(scale: ScaleSolution) -> np.ndarray:
+    """h at the grid nodes; node 0 holds the exact right limit
+    h(0+) = (1 - G'(0)) / W'(0), the derivatives there being the relation's."""
+    n = scale.W.n
+    if n < 3:
+        raise NumericsError(f"grid has {n} nodes; locating the barrier needs "
+                            f"at least 3 (decrease dx or increase x_max)")
+    return _h_at(scale)[0]
 
 
 def h_eval(scale: ScaleSolution, y: float) -> float:
-    """h(y) from the relation-derived derivatives (C1 interpolation).
-
-    h(0) is the limit from the right, extrapolated from the first
-    interior nodes.
-    """
-    if y == 0.0:
-        dx = scale.W.dx
-        return 2.0 * h_eval(scale, dx) - h_eval(scale, 2.0 * dx)
-    return _h_at(scale, y)
+    """h(y) from the relation-derived derivatives (C1 interpolation); at
+    y = 0 the exact right limit, as at node 0 of `h_grid`."""
+    return _h_at(scale, y)[0]
 
 
 def _refine_max(scale: ScaleSolution, lo: float, hi: float, width: float):
@@ -116,7 +110,7 @@ def _refine_max(scale: ScaleSolution, lo: float, hi: float, width: float):
     last = _REFINE_POINTS - 1
     while True:
         ys = np.linspace(lo, hi, _REFINE_POINTS)
-        j = last - int(np.argmax(_h_at(scale, ys)[::-1]))
+        j = last - int(np.argmax(_h_at(scale, ys)[0][::-1]))
         span = hi - lo
         lo, hi = float(ys[max(j - 1, 0)]), float(ys[min(j + 1, last)])
         if hi - lo <= width or not hi - lo < span:
@@ -135,7 +129,7 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6,
     raises DomainTooShortError unless `allow_edge`.
     """
     h = h_grid(scale)
-    x = scale.W.x
+    dx = scale.dx
     n = h.size
     hmax = float(h.max())
     tie = _TIE_REL * abs(hmax)
@@ -144,26 +138,23 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6,
     if k == 0:
         a_star, width = 0.0, 0.0
     elif k == n - 1:
+        edge = dx * k
         if not allow_edge:
             raise DomainTooShortError(
-                f"h attains its maximum at the right edge x={x[-1]:.6g}; "
+                f"h attains its maximum at the right edge x={edge:.6g}; "
                 f"the truncation domain is likely too short",
-                suggested_x_max=2.0 * float(x[-1]))
-        a_star, width = float(x[-1]), 0.0
+                suggested_x_max=2.0 * edge)
+        a_star, width = edge, 0.0
     else:
-        lo, hi = float(x[k - 1]), float(x[k + 1])
         local = h[k - 1:k + 2]
         if float(local.max() - local.min()) < _FLAT_EPS:
             j = k
             while j + 1 < n and abs(h[j + 1] - h[k]) < _FLAT_EPS:
                 j += 1
-            a_star, width = float(x[j]), 0.0  # right endpoint of the flat region
+            a_star, width = dx * j, 0.0  # right endpoint of the flat region
         else:
-            a_star, width = _refine_max(scale, lo, hi, refine_width)
-
-    sol = _solution_at(scale, a_star, width, h)
-    _check_optimal_invariants(sol)
-    return sol
+            a_star, width = _refine_max(scale, dx * (k - 1), dx * (k + 1), refine_width)
+    return _solution_at(scale, a_star, width, h)
 
 
 def barrier_solution_at(scale: ScaleSolution, a: float) -> BarrierSolution:
@@ -173,50 +164,35 @@ def barrier_solution_at(scale: ScaleSolution, a: float) -> BarrierSolution:
 
 def _solution_at(scale: ScaleSolution, a: float, refinement_width: float,
                  h: np.ndarray) -> BarrierSolution:
-    v = assemble_value(scale, a)
-    alpha, va = _barrier_coefficient(scale, a)
-    pasting = 0.0 if a == 0.0 else abs(alpha * scale.W.derivative(a)
-                                       + scale.G.derivative(a) - 1.0)
+    alpha, va, pasting = _barrier_coefficient(scale, a)
+    v = _assemble(scale, a, alpha, va)
     hf = GridFunction(0.0, scale.dx, h)
     return BarrierSolution(float(a), hf, v, float(va), refinement_width, pasting)
 
 
-def _check_optimal_invariants(sol: BarrierSolution):
-    if sol.smooth_pasting_residual > _SMOOTH_PASTING_TOL:
-        raise NumericsError(f"smooth pasting violated at a*={sol.a_star}: "
-                            f"|v'(a*) - 1| = {sol.smooth_pasting_residual:.3e}")
-    x = sol.v.x
-    below = x <= sol.a_star
-    slopes = sol.v.derivative_values[below]
-    if slopes.size and float(slopes.min()) < _SLOPE_FLOOR:
-        raise NumericsError(f"v' = {float(slopes.min()):.9f} < 1 - 1e-6 below the "
-                            f"barrier: h is not maximal at a*={sol.a_star}")
-
-
 def _barrier_coefficient(scale: ScaleSolution, a: float):
-    """(alpha, v_a(a)) for the barrier a, alpha = (1 - G'(a)) / W'(a).
+    """(alpha, v_a(a), |v_a'(a) - 1|) for the barrier a, with alpha = h(a) =
+    (1 - G'(a)) / W'(a), all from one W'(a) and G'(a); the last is the
+    smooth-pasting residual |alpha W'(a) + G'(a) - 1|."""
+    end = scale.W.x_end
+    if not 0.0 <= a <= end:
+        raise ValueError(f"barrier {a} outside the grid [0, {end}]")
+    alpha, wp, gp = _h_at(scale, a)
+    return alpha, alpha * scale.W(a) + scale.G(a), abs(alpha * wp + gp - 1.0)
 
-    At a = 0 both come from the node-0 samples (the right limits).
-    """
-    wd, gd = _derivative_arrays(scale)
-    if a == 0.0:
-        alpha = (1.0 - gd[0]) / wd[0]
-        return alpha, alpha * scale.W.values[0] + scale.G.values[0]
-    alpha = (1.0 - scale.G.derivative(a)) / scale.W.derivative(a)
-    return alpha, alpha * scale.W(a) + scale.G(a)
+
+def _assemble(scale: ScaleSolution, a: float, alpha: float, va: float) -> GridFunction:
+    x = scale.W.x
+    below = x <= a
+    values = np.where(below, alpha * scale.W.values + scale.G.values, x - a + va)
+    derivs = np.where(below, alpha * scale.W.derivative_values
+                      + scale.G.derivative_values, 1.0)
+    return GridFunction(0.0, scale.dx, values, derivs)
 
 
 def assemble_value(scale: ScaleSolution, a: float) -> GridFunction:
     """v_a on the full grid, extended linearly (slope one) past a."""
-    x = scale.W.x
-    if not 0.0 <= a <= float(x[-1]):
-        raise ValueError(f"barrier {a} outside the grid [0, {x[-1]}]")
-    wd, gd = _derivative_arrays(scale)
-    alpha, va = _barrier_coefficient(scale, a)
-    below = x <= a
-    values = np.where(below, alpha * scale.W.values + scale.G.values, x - a + va)
-    derivs = np.where(below, alpha * wd + gd, 1.0)
-    return GridFunction(0.0, scale.dx, values, derivs)
+    return _assemble(scale, a, *_barrier_coefficient(scale, a)[:2])
 
 
 def value_function(scale: ScaleSolution, a: float, x) -> float:
@@ -226,7 +202,7 @@ def value_function(scale: ScaleSolution, a: float, x) -> float:
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("initial capital must be >= 0")
-    alpha, va = _barrier_coefficient(scale, a)
+    alpha, va, _ = _barrier_coefficient(scale, a)
     inside = np.minimum(xs, a)
     out = np.where(xs <= a, alpha * scale.W(inside) + scale.G(inside), xs - a + va)
     return out if out.ndim else float(out)

@@ -9,7 +9,8 @@
                           [--out DIR]
 
 Exit codes: 0 success, 1 verification verdict negative, 2 validation
-failure, 3 numerical failure, 64 usage error.  All file outputs are
+failure, 3 numerical failure, 64 usage error (including an argument value
+that the library rejects with ValueError).  All file outputs are
 written atomically (temporary name, then rename) and listed in a run
 manifest next to them.
 """
@@ -17,7 +18,6 @@ manifest next to them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -31,6 +31,7 @@ from .errors import ConfigError, DividendOptError, ModelValidationError, Numeric
 from .grid import GridFunction, atomic_write
 from .hjb import verify_optimality
 from .model import params_from_json, validate_model
+from .scale import solve_scale
 from .simulate import (SimulationConfig, simulate_gerber_shiu, simulate_value)
 from .tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier, run_sweep, sweep_csv
 
@@ -139,8 +140,6 @@ def _cmd_verify(args) -> int:
         if x_max is None:
             x_max = max(default_x_max(params),
                         args.barrier + 10.0 * params.claim.mean())
-        from .scale import solve_scale
-
         scale = solve_scale(params, args.dx, x_max)
         sol = barrier_solution_at(scale, args.barrier)
     else:
@@ -157,10 +156,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     t0 = time.time()
-    if args.paths <= 0:
-        raise UsageError("--paths must be a positive integer")
-    if args.horizon <= 0:
-        raise UsageError("--horizon must be positive")
     params = _load_params(args.config)
 
     barrier = args.barrier
@@ -179,8 +174,7 @@ def _cmd_simulate(args) -> int:
     if barrier is not None:
         est = simulate_value(params, args.x, config)
     else:
-        est = simulate_gerber_shiu(params, args.x,
-                                   dataclasses.replace(config, barrier=None))
+        est = simulate_gerber_shiu(params, args.x, config)
     doc = est.to_dict()
     if v_curve is not None:
         analytic = float(v_curve(min(args.x, v_curve.x_end)))
@@ -252,7 +246,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # argument values the library rejects
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, ModelValidationError) as exc:

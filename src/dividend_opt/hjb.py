@@ -24,7 +24,7 @@ from .barrier import BarrierSolution
 from .errors import NumericsError
 from .grid import GridFunction
 from .model import ModelParams, PenaltyModel, omega_eval
-from .scale import _convolution, _trapezoid_convolution_at
+from .scale import _generator_residual, _trapezoid_convolution_at
 
 _RESIDUAL_TOL = 1e-6
 _H_MONOTONE_SLACK = 1e-9
@@ -79,18 +79,15 @@ def generator_apply(m: GridFunction, params: ModelParams, x: float,
 def residual_profile(v: GridFunction, params: ModelParams) -> GridFunction:
     """(A - q) v at every grid node in one batch (v extended by the penalty).
 
-    The convolution with the claim density is `scale._convolution`'s: an O(n)
-    recursion for exponential claims, one FFT for a tabulated density.
+    The residual is `scale._generator_residual`, the one that measures the
+    defining relation of W and G in `solve_scale`'s diagnostics.
     """
     if v.derivative_values is None:
         raise NumericsError("residual profile needs derivative samples")
     x = v.x
-    lam, q = params.lam, params.q
     p_vals = np.asarray(params.premium.p(x), dtype=float)
-    f_vals = np.asarray(params.claim.density(x), dtype=float)
-    conv = _convolution(params.claim, v.values, f_vals, v.dx)
-    omega = omega_eval(params, x)
-    g = p_vals * v.derivative_values + lam * (conv + omega - v.values) - q * v.values
+    g = _generator_residual(params, p_vals, v.values, v.derivative_values, v.dx,
+                            omega_eval(params, x))
     return GridFunction(v.x0, v.dx, g)
 
 

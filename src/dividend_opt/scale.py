@@ -27,11 +27,14 @@ of one lower-triangular system per block of `_BLOCK` nodes: the history
 older than the current super-block of `_SUPER` nodes comes from one FFT
 per super-block, the newer history from a Toeplitz slab product.
 
-The diagnostics convolve W and G with the claim density once more, over
-the whole grid, to measure the residual of the relation.  For exponential
-claims that convolution obeys the same one-term recursion and costs O(n)
+The relation is the vanishing of the generator residual (A - q)u, which
+`_generator_residual` evaluates on every node: the diagnostics apply it
+to W and G, and `hjb.residual_profile` to the value function.  Its
+convolution with the claim density, over the whole grid, obeys the same
+one-term recursion for exponential claims and costs O(n)
 (`_exponential_convolution`); for a tabulated density it is one FFT
-(`_trapezoid_convolution`).  `hjb.residual_profile` routes the same way.
+(`_trapezoid_convolution`).  Only the tabulated paths, the blocked march
+and that FFT, sample the density on the grid.
 
 Closed forms kept as oracles: the two-exponential scale function for
 constant premiums, the classical ruin probability, and the Kummer-function
@@ -40,6 +43,7 @@ form for linear premiums.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,13 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._reference import _RESCALE_AT
 from .errors import DomainTooShortError, NumericsError, OverflowDomainError
 from .grid import GridFunction
 from .kummer import kummer_M, kummer_U
-from .model import ModelParams, omega_eval
+from .model import ModelParams, PenaltyModel, omega_eval
 
 _MAX_SAFE_LOG = 708.0  # natural-log range representable in float64
+_RESCALE_AT = 1e150  # a march divides its stored values by the first one past this
 _DECAY_SLACK = 1e-12
 # round-off of G = e^{Lg} (G_p - r W) relative to the cancelled max |G_p| e^{Lg};
 # the measured tails of well-resolved models sit at 1e-15 to 1e-14 of it
@@ -118,8 +122,7 @@ def _grid_arrays(params: ModelParams, dx: float, x_max: float):
     p_vals = np.asarray(params.premium.p(x), dtype=float)
     if np.any(p_vals <= 0):
         raise NumericsError("premium not positive on the grid")
-    f_vals = np.asarray(params.claim.density(x), dtype=float)
-    return x, p_vals, f_vals
+    return x, p_vals
 
 
 def _scan_block(n: int) -> int:
@@ -388,12 +391,12 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     return u, d, log_scale
 
 
-def _march(params, p_vals, f_vals, dx, omega=None):
+def _march(params, p_vals, dx, omega=None):
     """March W, and G_p too when `omega` is given.
 
     Returns [(values, derivatives, log_scale)] for W, then G_p.  The O(n)
     march for exponential claims, the blocked one (both columns in one
-    call) otherwise.
+    call, on the density sampled at the nodes) otherwise.
     """
     lam, q = params.lam, params.q
     u0 = [1.0] if omega is None else [1.0, 0.0]
@@ -401,6 +404,7 @@ def _march(params, p_vals, f_vals, dx, omega=None):
         return [_exponential_march(p_vals, params.claim.mu, lam, q, dx, start, src)
                 for start, src in zip(u0, (None, omega))]
     src = None if omega is None else np.column_stack((np.zeros_like(omega), omega))
+    f_vals = params.claim.density(dx * np.arange(p_vals.size))
     u, d, log_scale = _blocked_march(p_vals, f_vals, lam, q, dx, u0, src)
     return [(u[:, k], d[:, k], float(log_scale[k])) for k in range(len(u0))]
 
@@ -432,12 +436,11 @@ def compute_W(params: ModelParams, dx: float, x_max: float) -> GridFunction:
     """Scale-type function W_q on a uniform grid over [0, x_max].
 
     W(0) = 1 exactly; the derivative samples come from the defining
-    relation (not finite differences).
+    relation (not finite differences).  W does not depend on the penalty:
+    this is the joint march of the zero-penalty model, which marches W alone.
     """
-    x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
-    [(vals, ders, log_scale)] = _march(params, p_vals, f_vals, dx)
-    vals, ders = _normalize_marched_W(x, vals, ders, log_scale)
-    return GridFunction(0.0, dx, vals, ders)
+    return _solve_W_G(dataclasses.replace(params, penalty=PenaltyModel.zero()),
+                      dx, x_max)[1]
 
 
 def compute_G(params: ModelParams, dx: float, x_max: float) -> GridFunction:
@@ -447,23 +450,20 @@ def compute_G(params: ModelParams, dx: float, x_max: float) -> GridFunction:
 
 def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     """Compute W and G together with consistency diagnostics."""
-    grid, Wf, Gf, gamma = _solve_W_G(params, dx, x_max)
-    x, p_vals, f_vals, omega = grid
-    diagnostics = _diagnostics(params, x, p_vals, f_vals, Wf.values,
-                               Wf.derivative_values, Gf.values,
-                               Gf.derivative_values, omega)
+    (x, p_vals, omega), Wf, Gf, gamma = _solve_W_G(params, dx, x_max)
+    diagnostics = _diagnostics(params, x, p_vals, Wf, Gf, omega)
     return ScaleSolution(params, Wf, Gf, float(x[-1]), gamma, diagnostics)
 
 
 def _solve_W_G(params: ModelParams, dx: float, x_max: float):
     """The joint march, W normalized to W(0) = 1 and the stable G.
 
-    Returns ((x, p, f, omega), W, G, gamma); omega is None for a zero
+    Returns ((x, p, omega), W, G, gamma); omega is None for a zero
     penalty, where G = 0.
     """
-    x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+    x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
-    marched = _march(params, p_vals, f_vals, dx, omega)
+    marched = _march(params, p_vals, dx, omega)
     w_raw, wd_raw, Lw = marched[0]
     w_vals, wd_vals = _normalize_marched_W(x, w_raw, wd_raw, Lw)
 
@@ -490,7 +490,7 @@ def _solve_W_G(params: ModelParams, dx: float, x_max: float):
     Gf = GridFunction(0.0, dx, g_vals, gd_vals)
     if Wf.values[0] != 1.0:
         raise NumericsError("W(0) != 1 after normalization")
-    return (x, p_vals, f_vals, omega), Wf, Gf, gamma
+    return (x, p_vals, omega), Wf, Gf, gamma
 
 
 def _check_G_decay(x, g_vals, x_max, noise):
@@ -561,12 +561,25 @@ def _exponential_convolution(u: np.ndarray, mu: float, dx: float) -> np.ndarray:
     return (a * peak) * S.ravel()[:n] - (0.5 * a) * u
 
 
-def _convolution(claim, u: np.ndarray, f_vals: np.ndarray, dx: float) -> np.ndarray:
-    """The trapezoid convolution of u with the claim density sampled as f_vals:
-    the O(n) recursion for exponential claims, the FFT otherwise."""
+def _convolution(claim, u: np.ndarray, dx: float) -> np.ndarray:
+    """The trapezoid convolution of u with the claim density on the grid dx j:
+    the O(n) recursion for exponential claims; for a tabulated density, one
+    FFT on the density sampled at the nodes."""
     if claim.kind == "exponential":
         return _exponential_convolution(u, claim.mu, dx)
-    return _trapezoid_convolution(u, f_vals, dx)
+    return _trapezoid_convolution(u, claim.density(dx * np.arange(u.size)), dx)
+
+
+def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float,
+                        omega=None) -> np.ndarray:
+    """(A - q) u = p u' + lam (conv(u, f) + omega - u) - q u at every node
+    dx j, u extended below zero by the penalty through omega (zero when
+    None).  It vanishes on W, with omega None, and on G, with the penalty's
+    omega, where it is the residual of the defining relation."""
+    conv = _convolution(params.claim, u, dx)
+    if omega is not None:
+        conv = conv + omega
+    return p_vals * du + params.lam * (conv - u) - params.q * u
 
 
 def _trapezoid_convolution_at(m: GridFunction, density, y: float) -> float:
@@ -590,16 +603,14 @@ def _trapezoid_convolution_at(m: GridFunction, density, y: float) -> float:
     return conv
 
 
-def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
-                 omega):
-    """Relative residuals of the defining relation for W and G, and the sign
-    checks W' > 0, 1 - G' > 0 and G <= 0.  The convolutions are
-    `_convolution`'s: the O(n) recursion for exponential claims, the FFT for
-    a tabulated density."""
-    lam, q = params.lam, params.q
-    dx = float(x[1] - x[0])
-    conv_w = _convolution(params.claim, w_vals, f_vals, dx)
-    resid_w = p_vals * wd_vals - (lam + q) * w_vals + lam * conv_w
+def _diagnostics(params, x, p_vals, W: GridFunction, G: GridFunction, omega):
+    """Relative residuals of the defining relation for W and G
+    (`_generator_residual`), and the sign checks W' > 0, 1 - G' > 0 and
+    G <= 0."""
+    dx = W.dx
+    w_vals, wd_vals = W.values, W.derivative_values
+    g_vals, gd_vals = G.values, G.derivative_values
+    resid_w = _generator_residual(params, p_vals, w_vals, wd_vals, dx)
     wmax = float(np.max(np.abs(w_vals)))
     out = {
         "residual_W": float(np.max(np.abs(resid_w))) / wmax,
@@ -618,8 +629,7 @@ def _diagnostics(params, x, p_vals, f_vals, w_vals, wd_vals, g_vals, gd_vals,
         out["G_prime_first_violation_x"] = float(x[bad])
         warnings.warn(f"1 - G' <= 0 at x={x[bad]:.6g} (flagged, not clipped)")
     if omega is not None and np.any(g_vals != 0.0):
-        conv_g = _convolution(params.claim, g_vals, f_vals, dx)
-        resid_g = p_vals * gd_vals - (lam + q) * g_vals + lam * conv_g + lam * omega
+        resid_g = _generator_residual(params, p_vals, g_vals, gd_vals, dx, omega)
         gmax = float(np.max(np.abs(g_vals)))
         out["residual_G"] = float(np.max(np.abs(resid_g))) / max(gmax, 1e-300)
         out["G_nonpositive"] = bool(np.all(g_vals <= 1e-12 * gmax))

@@ -1,8 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dividend_opt
 from dividend_opt import ClaimModel, ModelParams, PenaltyModel, PremiumModel
 from dividend_opt.tables import SWEEPS, locate_barrier
+
+
+def run_python(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's
+    dividend_opt; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dividend_opt.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
 
 
 def make_params(premium="linear", claim_mu=0.3, penalty="zero", lam=0.1, q=0.05,

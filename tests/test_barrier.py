@@ -49,6 +49,18 @@ class TestH:
         scale = solve_scale(params, 0.005, 30.0)
         assert h_eval(scale, 0.0) == pytest.approx(1.0 / 0.15, rel=1e-3)
 
+    @pytest.mark.parametrize("which,value", [(1, 0.05), (4, 0.005), (6, 0.25)])
+    def test_h_at_zero_is_the_exact_right_limit(self, which, value, table_solutions):
+        # node 0 and h_eval(0) hold (1 - G'(0)) / W'(0) from the relation's own
+        # slopes, which for a zero penalty is p(0) / (lam + q)
+        scale, _ = table_solutions(which, value)
+        params = scale.params
+        exact = (1.0 - scale.G.derivative_values[0]) / scale.W.derivative_values[0]
+        assert exact == pytest.approx(params.premium.p(0.0) / (params.lam + params.q),
+                                      rel=1e-15)
+        assert h_grid(scale)[0] == pytest.approx(exact, rel=1e-15)
+        assert h_eval(scale, 0.0) == pytest.approx(exact, rel=1e-15)
+
     def test_table1_peak_location(self, table_solutions):
         scale, sol = table_solutions(1, 0.025)
         assert sol.a_star == pytest.approx(17.82, abs=0.1)
@@ -102,7 +114,7 @@ class TestFindBarrier:
         assert sol.a_star == 10.0
 
     def test_too_few_nodes_is_numerics_error(self):
-        # dx = 0.5 on [0, 0.6] leaves 2 nodes; h(0) extrapolates from h[1], h[2]
+        # dx = 0.5 on [0, 0.6] leaves 2 nodes: no interior node brackets a maximum
         with pytest.warns(UserWarning, match="recommended cap"):
             scale = solve_scale(make_params(), 0.5, 0.6)
         assert scale.W.n == 2

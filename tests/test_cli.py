@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dividend_opt.cli import main
+from conftest import run_python
 
 TABLE1_Q05 = {"premium": {"kind": "linear", "c": 1.0, "epsilon": 0.02},
               "claim": {"kind": "exponential", "mu": 0.3},
@@ -141,6 +142,40 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads((out / "optimality.json").read_text())
         assert doc["thm_decreasing_density_pass"] is True
+
+
+def test_runtime_does_not_load_the_test_oracles():
+    code = ("import sys\n"
+            "import dividend_opt.cli\n"
+            "import dividend_opt as do\n"
+            "do.solve_scale(do.ModelParams(do.PremiumModel.linear(1.0, 0.02),\n"
+            "                              do.ClaimModel.exponential(0.3),\n"
+            "                              do.PenaltyModel.zero(), lam=0.1, q=0.05),\n"
+            "               0.01, 60.0)\n"
+            "print('dividend_opt._reference' in sys.modules)\n")
+    assert run_python(code).split() == ["False"]
+
+
+# argument values that argparse accepts and the library rejects with ValueError
+BAD_ARGUMENT_VALUES = {
+    "simulate_negative_seed": ["simulate", "--x", "2.0", "--paths", "10",
+                               "--horizon", "250", "--seed", "-1"],
+    "simulate_negative_x": ["simulate", "--x", "-1", "--paths", "10",
+                            "--horizon", "250"],
+    "verify_negative_barrier": ["verify", "--barrier", "-1"],
+    "barrier_negative_dx": ["barrier", "--dx", "-1"],
+    "barrier_nan_dx": ["barrier", "--dx", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENT_VALUES))
+def test_bad_argument_value_is_usage_error(case, config_path, tmp_path, capsys):
+    command, *flags = BAD_ARGUMENT_VALUES[case]
+    code = main([command, config_path, *flags, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestSimulateCommand:

@@ -1,7 +1,5 @@
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from dividend_opt import (ClaimModel, ConfigError, FlowSolver, ModelParams,
                           omega_eval, params_from_dict, params_to_dict,
                           penalty_envelope, validate_model)
 from dividend_opt._reference import omega_quadrature
-from conftest import (CONFIG_DOCS, erlang2_claim, make_params,
+from conftest import (CONFIG_DOCS, erlang2_claim, make_params, run_python,
                       shifted_exponential_claim, tabulated_penalty)
 
 
@@ -201,9 +199,7 @@ class TestFamilies:
                 "                              do.PenaltyModel.linear(1.0, 0.5),\n"
                 "                              lam=0.1, q=0.05), 0.02, 60.0)\n"
                 "print('scipy.linalg' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.split() == ["False", "False", "False"]
+        assert run_python(code).split() == ["False", "False", "False"]
 
 
 class TestOmega:

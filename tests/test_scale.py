@@ -32,6 +32,13 @@ def _max_rel_diff(fast, ref):
     return float(np.max(np.where(fast == ref, 0.0, rel)))
 
 
+def _grid_with_density(params, dx, x_max):
+    """`_grid_arrays`' nodes and premium plus the claim density at the nodes:
+    the inputs of `_reference.volterra_march`."""
+    x, p_vals = _grid_arrays(params, dx, x_max)
+    return x, p_vals, np.asarray(params.claim.density(x), dtype=float)
+
+
 def _march_gaps(params, x, p_vals, f_vals, dx, penalty_march=False):
     """The O(n) exponential march against the reference O(n^2) march on one
     grid.  Returns the largest relative gaps in values and derivatives, in
@@ -47,7 +54,7 @@ def _march_gaps(params, x, p_vals, f_vals, dx, penalty_march=False):
 
 
 def _oracle_diffs(params, dx, x_max, penalty_march=False):
-    return _march_gaps(params, *_grid_arrays(params, dx, x_max), dx, penalty_march)
+    return _march_gaps(params, *_grid_with_density(params, dx, x_max), dx, penalty_march)
 
 
 SWEEP1_Q05 = SWEEPS[1].model_for(0.05)
@@ -81,7 +88,7 @@ class TestExponentialMarchOracle:
     @pytest.mark.parametrize("penalty_march", [False, True])
     def test_rescales_crossing_mid_block_match_reference(self, penalty_march):
         dx, x_max = 0.001, 1.5
-        x, p_vals, f_vals = _grid_arrays(FAST_GROWTH, dx, x_max)
+        x, p_vals, f_vals = _grid_with_density(FAST_GROWTH, dx, x_max)
         u0, src = (0.0, omega_eval(FAST_GROWTH, x)) if penalty_march else (1.0, None)
         ur, _, Lr = _reference.volterra_march(p_vals, f_vals, FAST_GROWTH.lam,
                                               FAST_GROWTH.q, dx, u0, src)
@@ -101,7 +108,7 @@ class TestExponentialMarchOracle:
     def test_block_edges_match_reference(self, shape, penalty_march):
         params = dataclasses.replace(SWEEP1_Q05, penalty=PenaltyModel.linear(1.0, 0.5))
         n = SCAN_SHAPES[shape]
-        x, p_vals, f_vals = _grid_arrays(params, DEFAULT_DX, 10.0)
+        x, p_vals, f_vals = _grid_with_density(params, DEFAULT_DX, 10.0)
         du, dd, L, Lr = _march_gaps(params, x[:n], p_vals[:n], f_vals[:n], DEFAULT_DX,
                                     penalty_march)
         assert L == Lr == 0.0
@@ -120,7 +127,7 @@ class TestExponentialMarchOracle:
         params = dataclasses.replace(SWEEP1_Q05, penalty=PenaltyModel.constant(1.0))
         dx, x_max = DEFAULT_DX, default_x_max(params)
         G = solve_scale(params, dx, x_max).G
-        x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+        x, p_vals, f_vals = _grid_with_density(params, dx, x_max)
         (w, wd, Lw), (gp, gpd, Lg) = [
             _reference.volterra_march(p_vals, f_vals, params.lam, params.q, dx, u0, src)
             for u0, src in ((1.0, None), (0.0, omega_eval(params, x)))]
@@ -216,9 +223,9 @@ class TestBlockedMarchOracle:
     @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
     def test_matches_reference(self, case):
         params, dx, x_max = self.params_and_grid(case)
-        x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
+        x, p_vals, f_vals = _grid_with_density(params, dx, x_max)
         omega = None if params.penalty.is_zero else omega_eval(params, x)
-        marched = _march(params, p_vals, f_vals, dx, omega)
+        marched = _march(params, p_vals, dx, omega)
         starts = [(1.0, None)] + ([] if omega is None else [(0.0, omega)])
         assert len(marched) == len(starts)
         for (u, d, L), (u0, src) in zip(marched, starts):
@@ -238,8 +245,8 @@ class TestBlockedMarchOracle:
 
     def test_fast_growth_rescales(self):
         params, dx, x_max = self.params_and_grid("fast_growth_rescales")
-        x, p_vals, f_vals = _grid_arrays(params, dx, x_max)
-        marched = _march(params, p_vals, f_vals, dx, omega_eval(params, x))
+        x, p_vals = _grid_arrays(params, dx, x_max)
+        marched = _march(params, p_vals, dx, omega_eval(params, x))
         assert all(L > 0 for _, _, L in marched)
 
     def test_overflow_within_a_block_is_numerics_error(self):

@@ -8,6 +8,9 @@ Times these layers, best of k:
   O(n) `scale._exponential_march` that `solve_scale` takes for it.
 - the exponential march of W summed over the 10 models of sweeps 1 and 6
   (the `sweep` workload of `perfbench`, grid dx 0.005).
+- `solve_scale` summed over the same 10 models with the constant penalty
+  w = -1: W and G_p are two columns of one exponential march, then G and
+  the diagnostics.  It goes through the public API only.
 - the diagnostics convolution of W with an exponential claim density on
   33 334 nodes: the FFT `scale._trapezoid_convolution` against the O(n)
   recursion `scale._exponential_convolution` that `solve_scale` takes for
@@ -47,7 +50,7 @@ import time
 import numpy as np
 
 from dividend_opt import (ClaimModel, FlowSolver, ModelParams, PenaltyModel,
-                          PremiumModel, SimulationConfig, omega_eval)
+                          PremiumModel, SimulationConfig, omega_eval, solve_scale)
 from dividend_opt import _reference, find_barrier, simulate
 from dividend_opt.scale import (_exponential_convolution, _exponential_march,
                                 _grid_arrays, _march, _trapezoid_convolution)
@@ -75,7 +78,7 @@ def bench_volterra(nodes: int):
     f = np.asarray(PARAMS.claim.density(x))
     t_general, _ = time_best(_reference.volterra_march, p, f, 0.1, 0.05, dx, 1.0, None)
     t_exp, _ = time_best(_exponential_march, p, PARAMS.claim.mu, 0.1, 0.05, dx,
-                         1.0, None)
+                         [1.0], [0.0])
     return {"general": t_general, "exponential": t_exp}
 
 
@@ -87,9 +90,20 @@ def sweep_models():
 def bench_sweep_march():
     """W's exponential march on each model of sweeps 1 and 6, summed."""
     grids = [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in sweep_models()]
-    t, _ = time_best(lambda: [_exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX, 1.0)
+    t, _ = time_best(lambda: [_exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX,
+                                                 [1.0], [0.0])
                               for m, p in grids])
     return {"models": len(grids), "nodes": sum(p.size for _, p in grids), "march": t}
+
+
+def bench_penalised_solve():
+    """`solve_scale` on each model of sweeps 1 and 6 with the constant
+    penalty w = -1, summed: W and G_p marched, G and the diagnostics."""
+    models = [dataclasses.replace(m, penalty=PenaltyModel.constant(1.0))
+              for m in sweep_models()]
+    t, _ = time_best(lambda: [solve_scale(m, DEFAULT_DX, default_x_max(m))
+                              for m in models])
+    return {"models": len(models), "solve": t}
 
 
 def bench_convolution(nodes: int = 33334):
@@ -98,7 +112,8 @@ def bench_convolution(nodes: int = 33334):
     model = SWEEPS[1].model_for(0.05)
     x, p = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
     f = model.claim.density(x)
-    u, _, _ = _exponential_march(p, model.claim.mu, model.lam, model.q, DEFAULT_DX, 1.0)
+    u = _exponential_march(p, model.claim.mu, model.lam, model.q, DEFAULT_DX,
+                           [1.0], [0.0])[0][:, 0]
     u /= u.max()
     t_fft, fft = time_best(_trapezoid_convolution, u, f, DEFAULT_DX, repeats=10)
     t_rec, rec = time_best(_exponential_convolution, u, model.claim.mu, DEFAULT_DX,
@@ -265,6 +280,9 @@ def main():
     w = bench_sweep_march()
     print(f"\nExponential march of W, {w['models']} sweep models ({w['nodes']} nodes):")
     print(f"  summed                 {w['march'] * 1e3:9.1f} ms")
+    s = bench_penalised_solve()
+    print(f"solve_scale, {s['models']} sweep models with the penalty w = -1:")
+    print(f"  summed                 {s['solve'] * 1e3:9.1f} ms")
     c = bench_convolution()
     print(f"Diagnostics convolution, {c['nodes']} nodes (exponential claims):")
     print(f"  FFT                    {c['fft'] * 1e3:9.2f} ms")

@@ -15,17 +15,19 @@ mode at the truncation boundary:
 W and G_p are marched forward by one implicit-trapezoid scheme, the one
 `_reference.volterra_march` runs node by node.  For exponential claims
 f(z) = mu exp(-mu z) the trapezoid history sum H_i of the convolution
-obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so each step is an
-affine map of the state (u, d, H) and `_exponential_march` is O(n).  It
-runs as a two-level block scan: about sqrt(0.1 n) lockstep numpy steps
-march every block's response to each unit start state, and a chain over
-the block ends in Python floats gives the blocks' start states, so the
-Python-level work is O(sqrt(n)) steps and not one per node.  Every other
-claim density goes
-through `_blocked_march`, which marches W and G_p together as two columns
-of one lower-triangular system per block of `_BLOCK` nodes: the history
-older than the current super-block of `_SUPER` nodes comes from one FFT
-per super-block, the newer history from a Toeplitz slab product.
+obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)); the deficit at ruin is
+Exp(mu), so omega(x) = omega(0) exp(-mu x) decays by the same factor.  Each
+step is a linear map of the state (u, d, H + omega/dx), G_p is W's march
+from another start state, and `_exponential_march` is O(n).  It runs as
+a two-level block scan: about sqrt(0.1 n) lockstep numpy steps march
+every block's response to each unit start state, and a chain over the
+block ends in Python floats gives each column's block start states, so
+the Python-level work is O(sqrt(n)) steps and not one per node.  Every
+other claim density goes through `_blocked_march`, which marches W and
+G_p together as two columns of one lower-triangular system per block of
+`_BLOCK` nodes: the history older than the current super-block of
+`_SUPER` nodes comes from one FFT per super-block, the newer history
+from a Toeplitz slab product.
 
 The relation is the vanishing of the generator residual (A - q)u, which
 `_generator_residual` evaluates on every node: the diagnostics apply it
@@ -132,37 +134,36 @@ def _scan_block(n: int) -> int:
     return max(1, round(math.sqrt(0.1 * n)))
 
 
-def _exponential_march(p_vals, mu, lam, q, dx, u0, source_vals=None):
-    """`_reference.volterra_march` for the density f(z) = mu exp(-mu z).
+def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
+    """`_reference.volterra_march` for the density f(z) = mu exp(-mu z), one
+    column per entry of u0 and omega0.
 
-    Same implicit-trapezoid scheme, source term and running rescale.  The
-    history sum H_i = sum_{j<i} w_j u_j f(x_i - x_j) (w_0 = 1/2, else 1)
-    obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)), so one step maps the
-    state (u, d, H, sigma), sigma the scale of the source, affinely:
+    Column k starts from u0[k] with the source omega(x) = omega0[k] e^{-mu x}
+    (0 for W): every penalty rate of exponential claims has that form.  The
+    history sum H_i = sum_{j<i} w_j u_j f(x_i - x_j) (w_0 = 1/2, else 1) and
+    omega(x_i)/dx both decay by exp(-mu dx) per step, so their sum H'_i obeys
+    H'_{i+1} = exp(-mu dx) (H'_i + w_i u_i f(0)), and one step maps the
+    state (u, d, H') linearly:
 
-        e_i = -lam (dx H_i + sigma s_i),  u_i = k_i (u_{i-1} + dx/2 (d_{i-1}
-        + c_i e_i)),  d_i = c_i (A u_i + e_i),  H_{i+1} = exp(-mu dx) (H_i + mu u_i)
+        e_i = -lam dx H'_i,  u_i = k_i (u_{i-1} + dx/2 (d_{i-1} + c_i e_i)),
+        d_i = c_i (A u_i + e_i),  H'_{i+1} = exp(-mu dx) (H'_i + mu u_i)
 
     with c = 1/p, k = 1 / (1 - dx/2 A c) and A = lam + q - dx/2 lam mu.
     The n - 1 steps are cut into blocks of B = `_scan_block(n)` steps.  B
     lockstep numpy steps march the response of every block to each unit
-    start state at once; a chain over the block-end responses in Python
-    floats gives each block's start state; one einsum fills u and d.
+    start state at once; per column, a chain over the block-end responses
+    in Python floats gives each block's start state; one einsum fills u and d.
 
     Rescaling follows the reference: when a block's values may pass 1e150,
-    its start state is divided by its first value past that threshold, and
-    so is the stored prefix.  Returns (values, derivatives, log_scale).
+    the column's start state and stored prefix are divided by its first
+    value past that threshold.  Returns (values, derivatives, log_scale),
+    of shapes (n, m), (n, m) and (m,).
     """
     p = np.asarray(p_vals, dtype=float)
     n = p.size
     half = 0.5 * dx
     A = lam + q - half * lam * mu
     decay = math.exp(-mu * dx)
-    src0 = 0.0 if source_vals is None else float(source_vals[0])
-    u = np.empty(n)
-    d = np.empty(n)
-    u[0] = u0
-    d[0] = ((lam + q) * u0 - lam * src0) / p[0]
 
     steps = n - 1
     B = _scan_block(n)
@@ -177,29 +178,24 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, source_vals=None):
 
     def by_block(values, pad):
         """Per-step values laid out (B, nb): step j of block b is node 1 + bB + j.
-        The padding past the last node (c = 0, k = 1, no source) stays finite."""
+        The padding past the last node (c = 0, k = 1) stays finite."""
         out = np.full(nb * B, pad)
         out[:steps] = values
         return out.reshape(nb, B).T
 
     c = by_block(1.0 / p[1:], 0.0)
     k = by_block(1.0 / denom, 1.0)
-    if source_vals is not None:
-        lam_src = by_block(-lam * np.asarray(source_vals[1:], dtype=float), 0.0)
 
-    # basis columns: unit start u, d, H, and sigma = 1 (the source response)
-    m = 3 if source_vals is None else 4
-    U = np.zeros((m, nb))
-    D = np.zeros((m, nb))
-    H = np.zeros((m, nb))
+    # basis columns: unit start u, d and H'
+    U = np.zeros((3, nb))
+    D = np.zeros((3, nb))
+    H = np.zeros((3, nb))
     U[0] = D[1] = H[2] = 1.0
-    RU = np.empty((B, m, nb))
-    RD = np.empty((B, m, nb))
+    RU = np.empty((B, 3, nb))
+    RD = np.empty((B, 3, nb))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(B):
             e = (-lam * dx) * H
-            if m == 4:
-                e[3] += lam_src[j]
             U = (U + half * (D + e * c[j])) * k[j]
             D = (A * U + e) * c[j]
             H = decay * (H + mu * U)
@@ -216,42 +212,45 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, source_vals=None):
             f"reaches {dx * A * float(c[:, b].max()):.3g}, near its limit of 2, "
             f"for dx={dx:.6g}; decrease dx")
 
-    ends = np.zeros((3, 4, nb))  # without a source, the sigma column stays 0
-    ends[:, :m] = U, D, H
+    ends = np.array((U, D, H)).reshape(9, nb).T.tolist()
     # the largest |u| response of each block to each unit start, for a bound
-    peak = np.zeros((4, nb))
-    peak[:m] = np.abs(RU).max(axis=0)
-    state = (float(u[0]), float(d[0]), decay * 0.5 * u0 * mu, 1.0)
-    starts = []
-    log_scale = 0.0
-    rescales = []  # (node, divisor): applied to the stored prefix at the end
-    chain = zip(ends.reshape(12, nb).T.tolist(), peak.T.tolist())
-    for b, (T, (m0, m1, m2, m3)) in enumerate(chain):
-        su, sd, sh, ss = state
-        if m0 * abs(su) + m1 * abs(sd) + m2 * abs(sh) + m3 * ss > _RESCALE_AT:
-            live = min(B, steps - b * B)
-            while True:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    vals = np.abs(RU[:live, :, b] @ np.array(state[:m]))
-                big = vals > _RESCALE_AT
-                if not big.any():
-                    break
-                au = float(vals[np.argmax(big)])
-                state = tuple(v / au for v in state)
-                log_scale += math.log(au)
-                rescales.append((1 + b * B, au))
-            su, sd, sh, ss = state
-        starts.append(state)
-        uu, ud, uh, us, du, dd, dh, ds, hu, hd, hh, hs = T
-        state = (uu * su + ud * sd + uh * sh + us * ss,
-                 du * su + dd * sd + dh * sh + ds * ss,
-                 hu * su + hd * sd + hh * sh + hs * ss, ss)
-    S = np.array(starts)[:, :m]
-    u[1:] = np.einsum("jkb,bk->bj", RU, S).ravel()[:steps]
-    d[1:] = np.einsum("jkb,bk->bj", RD, S).ravel()[:steps]
-    for i, au in rescales:
-        u[:i] /= au
-        d[:i] /= au
+    peak = np.abs(RU).max(axis=0).T.tolist()
+    m = len(u0)
+    u = np.empty((n, m))
+    d = np.empty((n, m))
+    log_scale = np.zeros(m)
+    for col, (s0, w0) in enumerate(zip(u0, omega0)):
+        d0 = ((lam + q) * s0 - lam * w0) / p[0]
+        u[0, col], d[0, col] = s0, d0
+        state = (float(s0), float(d0), decay * (0.5 * s0 * mu + w0 / dx))
+        starts = []
+        rescales = []  # (node, divisor): applied to the stored prefix at the end
+        for b, (T, (m0, m1, m2)) in enumerate(zip(ends, peak)):
+            su, sd, sh = state
+            if m0 * abs(su) + m1 * abs(sd) + m2 * abs(sh) > _RESCALE_AT:
+                live = min(B, steps - b * B)
+                while True:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        vals = np.abs(RU[:live, :, b] @ np.array(state))
+                    big = vals > _RESCALE_AT
+                    if not big.any():
+                        break
+                    au = float(vals[np.argmax(big)])
+                    state = tuple(v / au for v in state)
+                    log_scale[col] += math.log(au)
+                    rescales.append((1 + b * B, au))
+                su, sd, sh = state
+            starts.append(state)
+            uu, ud, uh, du, dd, dh, hu, hd, hh = T
+            state = (uu * su + ud * sd + uh * sh,
+                     du * su + dd * sd + dh * sh,
+                     hu * su + hd * sd + hh * sh)
+        S = np.array(starts)
+        u[1:, col] = np.einsum("jkb,bk->bj", RU, S).ravel()[:steps]
+        d[1:, col] = np.einsum("jkb,bk->bj", RD, S).ravel()[:steps]
+        for i, au in rescales:
+            u[:i, col] /= au
+            d[:i, col] /= au
     return u, d, log_scale
 
 
@@ -392,20 +391,23 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
 
 
 def _march(params, p_vals, dx, omega=None):
-    """March W, and G_p too when `omega` is given.
+    """March W, and G_p too when `omega` is given, as columns of one call.
 
-    Returns [(values, derivatives, log_scale)] for W, then G_p.  The O(n)
-    march for exponential claims, the blocked one (both columns in one
-    call, on the density sampled at the nodes) otherwise.
+    Returns [(values, derivatives, log_scale)] for W, then G_p.  For
+    exponential claims the O(n) march, where G_p needs only omega(0): it is
+    W's march from another start state.  Otherwise the blocked one, on the
+    density sampled at the nodes.
     """
     lam, q = params.lam, params.q
     u0 = [1.0] if omega is None else [1.0, 0.0]
     if params.claim.kind == "exponential":
-        return [_exponential_march(p_vals, params.claim.mu, lam, q, dx, start, src)
-                for start, src in zip(u0, (None, omega))]
-    src = None if omega is None else np.column_stack((np.zeros_like(omega), omega))
-    f_vals = params.claim.density(dx * np.arange(p_vals.size))
-    u, d, log_scale = _blocked_march(p_vals, f_vals, lam, q, dx, u0, src)
+        omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
+        u, d, log_scale = _exponential_march(p_vals, params.claim.mu, lam, q, dx,
+                                             u0, omega0)
+    else:
+        src = None if omega is None else np.column_stack((np.zeros_like(omega), omega))
+        f_vals = params.claim.density(dx * np.arange(p_vals.size))
+        u, d, log_scale = _blocked_march(p_vals, f_vals, lam, q, dx, u0, src)
     return [(u[:, k], d[:, k], float(log_scale[k])) for k in range(len(u0))]
 
 

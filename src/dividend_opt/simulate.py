@@ -187,7 +187,7 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
         row += 1
         t_claim = t + tau
         cut = np.minimum(t_claim, horizon)
-        stop = t_claim >= horizon
+        done = t_claim >= horizon
         if mode == _MODE_VALUE:
             at_a = t + np.where(lvl >= a, 0.0, travel_time(lvl, a))
             paid = val + p_at_a * (np.exp(-q * at_a) - np.exp(-q * cut)) / q
@@ -196,30 +196,24 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
             at_a = t + travel_time(lvl, a)
             exit_ = at_a <= cut
             val = np.where(exit_, np.exp(-q * at_a), val)
-            stop |= exit_
-        if np.count_nonzero(stop):
-            values[live[stop]] = val[stop]
-            keep = ~stop
-            live, t, lvl, val, tau, claim, t_claim = (
-                live[keep], t[keep], lvl[keep], val[keep], tau[keep], claim[keep],
-                t_claim[keep])
-            if mode == _MODE_VALUE:
-                at_a = at_a[keep]
-            taus, claims, row = taus[row:, keep], claims[row:, keep], 0
+            done |= exit_
         pre = flow(lvl, tau)
         if mode == _MODE_VALUE:
             pre = np.where(at_a <= t_claim, a, pre)
         new = pre - claim
-        ruin = new < 0.0
+        ruin = (new < 0.0) & ~done
         if np.count_nonzero(ruin):
             if mode != _MODE_TWO_SIDED:
-                values[live[ruin]] = val[ruin] + np.exp(-q * t_claim[ruin]) * w(new[ruin])
+                val[ruin] += np.exp(-q * t_claim[ruin]) * w(new[ruin])
             ruined[live[ruin]] = 1
-            keep = ~ruin
+            done |= ruin
+        if np.count_nonzero(done):
+            values[live[done]] = val[done]
+            keep = ~done
             live, new, t_claim, val = live[keep], new[keep], t_claim[keep], val[keep]
+            if live.size == 0:
+                return values, ruined
             taus, claims, row = taus[row:, keep], claims[row:, keep], 0
-        if live.size == 0:
-            return values, ruined
         lvl, t = new, t_claim
     raise NumericsError(f"path {lo + live[0]} needs more than {_MAX_BLOCK} draws; "
                         f"horizon or rates look pathological")

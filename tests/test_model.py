@@ -301,6 +301,19 @@ class TestOmegaOracle:
         closed = -(1.0 + beta / 0.3) * np.exp(-0.3 * xs)
         assert np.max(np.abs(omega_eval(params, xs) / closed - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("pen", ["constant", "linear", "tabulated"])
+    @pytest.mark.parametrize("mu", [0.15, 0.3, 1.0])
+    def test_exponential_claims_decay_like_the_claim_tail(self, pen, mu):
+        # the deficit at ruin is Exp(mu) whatever the path before it, so
+        # omega(x) = omega(0) e^{-mu x}: the exponential march relies on it
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(mu),
+                             PENALTIES[pen], lam=0.1, q=0.05)
+        xs = np.linspace(0.0, 400.0, 4001)
+        scaled = omega_eval(params, 0.0) * np.exp(-mu * xs)
+        normal = np.abs(scaled) >= np.finfo(float).tiny
+        rel = np.abs(omega_eval(params, xs[normal]) / scaled[normal] - 1.0)
+        assert np.max(rel) <= 1e-12
+
     def test_array_matches_scalar_calls(self):
         params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
                              PENALTIES["tabulated"], lam=0.1, q=0.05)

@@ -46,7 +46,8 @@ def _march_gaps(params, x, p_vals, f_vals, dx, penalty_march=False):
     by exp of the reference's log_scale), and both log scales."""
     u0, src = (0.0, omega_eval(params, x)) if penalty_march else (1.0, None)
     u, d, L = _exponential_march(p_vals, params.claim.mu, params.lam, params.q,
-                                 dx, u0, src)
+                                 dx, [u0], [0.0 if src is None else src[0]])
+    u, d, L = u[:, 0], d[:, 0], float(L[0])
     ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam, params.q,
                                            dx, u0, src)
     return (_max_rel_diff(u * math.exp(L - Lr), ur),
@@ -84,6 +85,22 @@ class TestExponentialMarchOracle:
         assert log_scale == pytest.approx(ref_log_scale, rel=1e-12, abs=0.0)
         assert du <= ORACLE_REL_TOL
         assert dd <= ORACLE_REL_TOL
+
+    def test_tabulated_penalty_march_matches_reference(self):
+        # the march carries omega(0) e^{-mu x}, the reference the exact omega
+        params = dataclasses.replace(SWEEP1_Q05, penalty=tabulated_penalty())
+        du, dd, L, Lr = _oracle_diffs(params, DEFAULT_DX, default_x_max(params),
+                                      penalty_march=True)
+        assert L == Lr == 0.0
+        assert du <= ORACLE_REL_TOL
+        assert dd <= ORACLE_REL_TOL
+
+    def test_penalised_W_is_the_zero_penalty_W(self):
+        params = dataclasses.replace(SWEEP1_Q05, penalty=PenaltyModel.linear(1.0, 0.5))
+        dx, x_max = DEFAULT_DX, default_x_max(params)
+        W, W0 = solve_scale(params, dx, x_max).W, compute_W(params, dx, x_max)
+        assert np.array_equal(W.values, W0.values)
+        assert np.array_equal(W.derivative_values, W0.derivative_values)
 
     @pytest.mark.parametrize("penalty_march", [False, True])
     def test_rescales_crossing_mid_block_match_reference(self, penalty_march):

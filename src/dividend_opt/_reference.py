@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .errors import NumericsError
-from .scale import _RESCALE_AT
+
+_RESCALE_AT = 1e150  # `volterra_march` divides its stored values by the first one past this
 
 
 def volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):

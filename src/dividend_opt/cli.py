@@ -9,7 +9,8 @@
                           [--out DIR]
 
 Exit codes: 0 success, 1 verification verdict negative, 2 validation
-failure, 3 numerical failure, 64 usage error (including an argument value
+failure (of the configuration, or of the barrier.json that --barrier-file
+names), 3 numerical failure, 64 usage error (including an argument value
 that the library rejects with ValueError).  All file outputs are
 written atomically (temporary name, then rename) and listed in a run
 manifest next to them.
@@ -30,7 +31,7 @@ from .barrier import barrier_solution_at
 from .errors import ConfigError, DividendOptError, ModelValidationError, NumericsError
 from .grid import GridFunction, atomic_write
 from .hjb import verify_optimality
-from .model import params_from_json, validate_model
+from .model import _number, params_from_json, validate_model
 from .scale import solve_scale
 from .simulate import (SimulationConfig, simulate_gerber_shiu, simulate_value)
 from .tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier, run_sweep, sweep_csv
@@ -161,10 +162,14 @@ def _cmd_simulate(args) -> int:
     barrier = args.barrier
     v_curve = None
     if args.barrier_file:
-        with open(os.path.join(args.barrier_file, "barrier.json"),
-                  encoding="utf-8") as fh:
-            bdoc = json.load(fh)
-        barrier = bdoc["a_star"]
+        bpath = os.path.join(args.barrier_file, "barrier.json")
+        with open(bpath, encoding="utf-8") as fh:
+            try:
+                bdoc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{bpath}: not valid JSON: {exc}") from None
+        barrier = _number(bpath, "a_star",
+                          bdoc.get("a_star") if isinstance(bdoc, dict) else None)
         vpath = os.path.join(args.barrier_file, "v_curve.csv")
         if os.path.exists(vpath):
             v_curve = GridFunction.from_csv(vpath)

@@ -30,7 +30,7 @@ class DomainTooShortError(NumericsError):
 
 
 class OverflowDomainError(NumericsError):
-    """Scale function exceeds float range even after rescaling."""
+    """Scale function exceeds float range."""
 
     def __init__(self, message, largest_safe_x_max=None):
         super().__init__(message)

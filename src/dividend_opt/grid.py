@@ -32,9 +32,9 @@ class GridFunction:
     """A function sampled on a uniform grid.
 
     Value evaluation between nodes is linear interpolation; evaluation
-    outside [x0, x_end] raises.  Derivative samples, when present, are
-    interpolated with a C1 cubic (Catmull-Rom) so that optimizers running
-    on derived quantities see a smooth surrogate.
+    outside [x0, x_end] or at NaN raises.  Derivative samples, when
+    present, are interpolated with a C1 cubic (Catmull-Rom) so that
+    optimizers running on derived quantities see a smooth surrogate.
     """
 
     x0: float
@@ -72,8 +72,9 @@ class GridFunction:
     def _locate(self, y):
         y = np.asarray(y, dtype=float)
         lo, hi = self.x0 - 1e-9 * self.dx, self.x_end + 1e-9 * self.dx
-        if np.any(y < lo) or np.any(y > hi):
-            raise ValueError(f"evaluation outside grid [{self.x0}, {self.x_end}]")
+        if not np.all((y >= lo) & (y <= hi)):  # NaN fails both comparisons
+            raise ValueError(f"evaluation outside grid [{self.x0}, {self.x_end}] "
+                             f"or at NaN")
         return y
 
     def __call__(self, y):

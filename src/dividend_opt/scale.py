@@ -27,7 +27,9 @@ other claim density goes through `_blocked_march`, which marches W and
 G_p together as two columns of one lower-triangular system per block of
 `_BLOCK` nodes: the history older than the current super-block of
 `_SUPER` nodes comes from one FFT per super-block, the newer history
-from a Toeplitz slab product.
+from a Toeplitz slab product.  Both marches run in true units from
+W(0) = 1, so the marched W is W; a march that leaves float range ends in
+OverflowDomainError, with the largest x_max that stays inside it.
 
 The relation is the vanishing of the generator residual (A - q)u, which
 `_generator_residual` evaluates on every node: the diagnostics apply it
@@ -59,9 +61,8 @@ from .kummer import kummer_M, kummer_U
 from .model import ModelParams, PenaltyModel, omega_eval
 
 _MAX_SAFE_LOG = 708.0  # natural-log range representable in float64
-_RESCALE_AT = 1e150  # a march divides its stored values by the first one past this
 _DECAY_SLACK = 1e-12
-# round-off of G = e^{Lg} (G_p - r W) relative to the cancelled max |G_p| e^{Lg};
+# round-off of G = G_p - r W relative to the cancelled max |G_p|;
 # the measured tails of well-resolved models sit at 1e-15 to 1e-14 of it
 _CANCEL_FLOOR = 1e-13
 # Nodes per triangular solve of `_blocked_march`.  At 128 the LU runs in
@@ -154,10 +155,8 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     start state at once; per column, a chain over the block-end responses
     in Python floats gives each block's start state; one einsum fills u and d.
 
-    Rescaling follows the reference: when a block's values may pass 1e150,
-    the column's start state and stored prefix are divided by its first
-    value past that threshold.  Returns (values, derivatives, log_scale),
-    of shapes (n, m), (n, m) and (m,).
+    Returns (values, derivatives) in true units, each of shape (n, m).  A
+    column that grows past float range reads inf or nan from there on.
     """
     p = np.asarray(p_vals, dtype=float)
     n = p.size
@@ -193,14 +192,13 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     U[0] = D[1] = H[2] = 1.0
     RU = np.empty((B, 3, nb))
     RD = np.empty((B, 3, nb))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(B):
-            e = (-lam * dx) * H
-            U = (U + half * (D + e * c[j])) * k[j]
-            D = (A * U + e) * c[j]
-            H = decay * (H + mu * U)
-            RU[j] = U
-            RD[j] = D
+    for j in range(B):
+        e = (-lam * dx) * H
+        U = (U + half * (D + e * c[j])) * k[j]
+        D = (A * U + e) * c[j]
+        H = decay * (H + mu * U)
+        RU[j] = U
+        RD[j] = D
     bad = ~(np.isfinite(RU).all(axis=(0, 1)) & np.isfinite(RD).all(axis=(0, 1))
             & np.isfinite(H).all(axis=0))
     if bad.any():
@@ -213,45 +211,24 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
             f"for dx={dx:.6g}; decrease dx")
 
     ends = np.array((U, D, H)).reshape(9, nb).T.tolist()
-    # the largest |u| response of each block to each unit start, for a bound
-    peak = np.abs(RU).max(axis=0).T.tolist()
     m = len(u0)
     u = np.empty((n, m))
     d = np.empty((n, m))
-    log_scale = np.zeros(m)
     for col, (s0, w0) in enumerate(zip(u0, omega0)):
         d0 = ((lam + q) * s0 - lam * w0) / p[0]
         u[0, col], d[0, col] = s0, d0
         state = (float(s0), float(d0), decay * (0.5 * s0 * mu + w0 / dx))
         starts = []
-        rescales = []  # (node, divisor): applied to the stored prefix at the end
-        for b, (T, (m0, m1, m2)) in enumerate(zip(ends, peak)):
-            su, sd, sh = state
-            if m0 * abs(su) + m1 * abs(sd) + m2 * abs(sh) > _RESCALE_AT:
-                live = min(B, steps - b * B)
-                while True:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        vals = np.abs(RU[:live, :, b] @ np.array(state))
-                    big = vals > _RESCALE_AT
-                    if not big.any():
-                        break
-                    au = float(vals[np.argmax(big)])
-                    state = tuple(v / au for v in state)
-                    log_scale[col] += math.log(au)
-                    rescales.append((1 + b * B, au))
-                su, sd, sh = state
+        for uu, ud, uh, du, dd, dh, hu, hd, hh in ends:
             starts.append(state)
-            uu, ud, uh, du, dd, dh, hu, hd, hh = T
+            su, sd, sh = state
             state = (uu * su + ud * sd + uh * sh,
                      du * su + dd * sd + dh * sh,
                      hu * su + hd * sd + hh * sh)
         S = np.array(starts)
         u[1:, col] = np.einsum("jkb,bk->bj", RU, S).ravel()[:steps]
         d[1:, col] = np.einsum("jkb,bk->bj", RD, S).ravel()[:steps]
-        for i, au in rescales:
-            u[:i, col] /= au
-            d[:i, col] /= au
-    return u, d, log_scale
+    return u, d
 
 
 def _fft_length(n: int) -> int:
@@ -286,10 +263,11 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     and the coupling inside the block through the unit lower-triangular
     matrix that `np.linalg.solve` inverts, one right-hand side per column.
 
-    A column whose block exceeds 1e150 in magnitude is divided, stored
-    prefix included, by its first value past that threshold, and log_scale
-    records the divisor, as in the reference march.  Returns (values,
-    derivatives, log_scale), of shapes (n, m), (n, m) and (m,).
+    Returns (values, derivatives) in true units, each of shape (n, m).  A
+    block whose solution leaves float range, while the inverse of its
+    matrix is finite, ends the march: the nodes from that block on read
+    inf, for `_check_range` to report.  When the inverse itself overflows,
+    the step is at the trapezoid limit, a NumericsError.
     """
     p = np.asarray(p_vals, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -318,8 +296,6 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     u[0] = 0.5 * u0
     d[0] = ((lam + q) * u0 - lam * src[0]) / p[0]
     u_prev, d_prev = u0, d[0]
-    log_scale = np.zeros(m)
-    src_scale = np.ones(m)
 
     # slab[r, j] = f[r - j] (0 for j > r): a view of the zero-padded f
     padded = np.zeros(2 * S - 1)
@@ -351,7 +327,7 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
             hist = slab[r0:r0 + L, :r0] @ u[s0:b0]
             hist += older[r0:r0 + L]
             cb = c[b0:b1, None]
-            g = src_c[b0:b1] * src_scale - (lam * dx) * cb * hist  # c e, known part
+            g = src_c[b0:b1] - (lam * dx) * cb * hist  # c e, known part
             rhs = half * g
             rhs[1:] += half * g[:-1]
             rhs[0] += u_prev + half * d_prev
@@ -364,6 +340,12 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
             except np.linalg.LinAlgError:  # an LU pivot overflowed
                 ub = None
             if ub is None or not np.isfinite(ub).all():
+                # solve and inv factor M alike: when solve succeeded, inv does
+                if ub is not None and np.isfinite(np.linalg.inv(M)).all():
+                    # the solution, not the step, left float range
+                    u[b0:] = d[b0:] = np.inf
+                    u[0] = u0
+                    return u, d
                 raise NumericsError(
                     f"the march overflows float range within one block of {B} "
                     f"nodes at x={b0 * dx:.6g}: the trapezoid step "
@@ -374,64 +356,49 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
             u[b0:b1] = ub
             d[b0:b1] = db
             u_prev, d_prev = ub[-1], db[-1]
-            big = np.abs(ub) > _RESCALE_AT
-            if big.any():
-                hit = big.any(axis=0)
-                first = big.argmax(axis=0)
-                div = np.where(hit, np.abs(ub[first, np.arange(m)]), 1.0)
-                u[:b1] /= div
-                d[:b1] /= div
-                older /= div
-                u_prev, d_prev = u[b1 - 1], d[b1 - 1]
-                log_scale += np.log(div)
-                src_scale /= div
             b0 = b1
-    u[0] *= 2.0
-    return u, d, log_scale
+    u[0] = u0
+    return u, d
 
 
 def _march(params, p_vals, dx, omega=None):
     """March W, and G_p too when `omega` is given, as columns of one call.
 
-    Returns [(values, derivatives, log_scale)] for W, then G_p.  For
-    exponential claims the O(n) march, where G_p needs only omega(0): it is
-    W's march from another start state.  Otherwise the blocked one, on the
-    density sampled at the nodes.
+    Returns (values, derivatives), each of shape (n, m): column 0 is W,
+    column 1 G_p.  For exponential claims the O(n) march, where G_p needs
+    only omega(0): it is W's march from another start state.  Otherwise the
+    blocked one, on the density sampled at the nodes.  Both run with float
+    overflow silenced: a march past float range reads inf or nan, which the
+    kernels' own checks and `_check_range` report.
     """
     lam, q = params.lam, params.q
     u0 = [1.0] if omega is None else [1.0, 0.0]
-    if params.claim.kind == "exponential":
-        omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
-        u, d, log_scale = _exponential_march(p_vals, params.claim.mu, lam, q, dx,
-                                             u0, omega0)
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.claim.kind == "exponential":
+            omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
+            return _exponential_march(p_vals, params.claim.mu, lam, q, dx, u0, omega0)
         src = None if omega is None else np.column_stack((np.zeros_like(omega), omega))
         f_vals = params.claim.density(dx * np.arange(p_vals.size))
-        u, d, log_scale = _blocked_march(p_vals, f_vals, lam, q, dx, u0, src)
-    return [(u[:, k], d[:, k], float(log_scale[k])) for k in range(len(u0))]
+        return _blocked_march(p_vals, f_vals, lam, q, dx, u0, src)
 
 
-def _normalize_marched_W(x, vals, ders, log_scale):
-    """Rescale a marched W back to W(0)=1, or report the largest safe domain.
-
-    Division by the stored value at 0 undoes the running rescale without
-    materializing exp(log_scale), so it works whenever the *range* of W
-    fits in float64.
-    """
-    if log_scale == 0.0:
-        return vals, ders  # u0 = 1 and no rescale event: already normalized
-    positive = vals > 0
-    with np.errstate(divide="ignore"):
-        logs = np.where(positive, np.log(np.where(positive, vals, 1.0)), -np.inf)
-    base = logs[0] if positive[0] else -log_scale
-    rng = logs - base
-    if positive[0] and float(np.max(rng)) <= _MAX_SAFE_LOG:
-        return vals / vals[0], ders / vals[0]
-    ok = np.nonzero(rng <= _MAX_SAFE_LOG - 5.0)[0]
-    safe = float(x[ok[-1]]) if ok.size else 0.0
+def _check_range(x, u, d):
+    """Raise OverflowDomainError unless every column of the march, values and
+    derivatives, is finite and |W| <= e^708 (column 0).  The usable domain
+    it reports ends at the last node before the first failing one where
+    |W| <= e^703."""
+    absw = np.abs(u[:, 0])
+    ok = (np.isfinite(u).all(axis=1) & np.isfinite(d).all(axis=1)
+          & (absw <= math.exp(_MAX_SAFE_LOG)))
+    if ok.all():
+        return
+    first = int(np.argmin(ok))
+    safe_nodes = np.flatnonzero(absw[:first] <= math.exp(_MAX_SAFE_LOG - 5.0))
+    safe = float(x[safe_nodes[-1]]) if safe_nodes.size else 0.0
     raise OverflowDomainError(
-        f"scale function spans more than float64 range on [0, {x[-1]}]; "
-        f"largest safe x_max is about {safe:.6g}", largest_safe_x_max=safe)
+        f"the scale function leaves float64 range at x={x[first]:.6g} on "
+        f"[0, {x[-1]}]; largest safe x_max is about {safe:.6g}",
+        largest_safe_x_max=safe)
 
 
 def compute_W(params: ModelParams, dx: float, x_max: float) -> GridFunction:
@@ -458,40 +425,31 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
 
 
 def _solve_W_G(params: ModelParams, dx: float, x_max: float):
-    """The joint march, W normalized to W(0) = 1 and the stable G.
+    """The joint march, W from W(0) = 1 and the stable G, in true units.
 
     Returns ((x, p, omega), W, G, gamma); omega is None for a zero
     penalty, where G = 0.
     """
     x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
-    marched = _march(params, p_vals, dx, omega)
-    w_raw, wd_raw, Lw = marched[0]
-    w_vals, wd_vals = _normalize_marched_W(x, w_raw, wd_raw, Lw)
+    u, d = _march(params, p_vals, dx, omega)
+    _check_range(x, u, d)
+    w_vals, wd_vals = u[:, 0], d[:, 0]
 
     if omega is None:
         g_vals = np.zeros_like(w_vals)
         gd_vals = np.zeros_like(w_vals)
         gamma = 0.0
     else:
-        gp, gpd, Lg = marched[1]
-        if Lg > 650.0:
-            raise OverflowDomainError(
-                "penalty solution needed rescaling beyond float range; "
-                "shorten the truncation domain", largest_safe_x_max=0.5 * x_max)
-        # the log scales cancel inside the stable combination G_p + gamma*W,
-        # so the raw-unit ratio is the right annihilation coefficient
-        r = gp[-1] / w_raw[-1]
-        scale = math.exp(Lg)
-        g_vals = scale * (gp - r * w_raw)
-        gd_vals = scale * (gpd - r * wd_raw)
+        gp, gpd = u[:, 1], d[:, 1]
+        r = gp[-1] / w_vals[-1]
+        g_vals = gp - r * w_vals
+        gd_vals = gpd - r * wd_vals
         gamma = float(g_vals[0])
-        _check_G_decay(x, g_vals, x_max, _CANCEL_FLOOR * scale * float(np.abs(gp).max()))
+        _check_G_decay(x, g_vals, x_max, _CANCEL_FLOOR * float(np.abs(gp).max()))
 
     Wf = GridFunction(0.0, dx, w_vals, wd_vals)
     Gf = GridFunction(0.0, dx, g_vals, gd_vals)
-    if Wf.values[0] != 1.0:
-        raise NumericsError("W(0) != 1 after normalization")
     return (x, p_vals, omega), Wf, Gf, gamma
 
 

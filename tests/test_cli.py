@@ -207,6 +207,25 @@ class TestSimulateCommand:
         assert "comparison" in doc
         assert abs(doc["comparison"]["z_score"]) < 4.0
 
+    @pytest.mark.parametrize("text", ['{}', '{"a_star": null}', '{"a_star": "5"}',
+                                      '{"a_star": -1.0}', '{"a_star": Infinity}',
+                                      '{"a_star": true}', '[]', '{"a_star": 5'],
+                             ids=["missing", "null", "string", "negative", "infinite",
+                                  "bool", "not_an_object", "not_json"])
+    def test_bad_barrier_file_is_validation_error(self, text, config_path, tmp_path,
+                                                  capsys):
+        bdir = tmp_path / "b"
+        bdir.mkdir()
+        (bdir / "barrier.json").write_text(text)
+        code = main(["simulate", config_path, "--x", "3.0", "--paths", "10",
+                     "--horizon", "250", "--barrier-file", str(bdir),
+                     "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert str(bdir / "barrier.json") in err
+        assert not (tmp_path / "s").exists()
+
     def test_gerber_mode_without_barrier(self, tmp_path):
         cfgp = tmp_path / "pen.json"
         cfgp.write_text(json.dumps({**TABLE1_Q05,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dividend_opt import GridFunction
+from dividend_opt import GridFunction, h_eval, value_function
 from dividend_opt.grid import atomic_write
 
 
@@ -30,6 +30,17 @@ def test_out_of_range_is_error():
         g(-0.1)
     with pytest.raises(ValueError):
         g(1.2)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda scale, a: scale.W(np.array([np.nan])),
+    lambda scale, a: scale.W.derivative(np.nan),
+    lambda scale, a: h_eval(scale, np.nan),
+    lambda scale, a: value_function(scale, a, [1.0, np.nan]),
+], ids=["W_array", "W_derivative", "h_eval", "value_function"])
+def test_nan_is_error(evaluate, scale_q05, barrier_q05):
+    with pytest.raises(ValueError, match="NaN"):
+        evaluate(scale_q05, barrier_q05.a_star)
 
 
 def test_needs_two_points():

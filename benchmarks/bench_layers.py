@@ -31,7 +31,9 @@ Times these layers, best of k:
   between the kinks of the integrand and so agrees to rounding.
 - the Monte-Carlo engine, before and after each of its three changes:
   per-path `Generator(Philox)` set-up against the vectorized Philox of
-  `simulate.philox_uniforms` (same uniforms, bit for bit); the scalar
+  `simulate.philox_uniforms` (same uniforms, bit for bit), for 16 blocks
+  per path and for the one block per path of a lockstep refill at 2 000,
+  18 000 and 32 000 paths; the scalar
   per-path event loop `_reference.closed_form_path` on pre-drawn uniforms
   against the lockstep engine (which draws its own); and the `solve_ivp`
   flow the engine used for a tabulated premium against the exact
@@ -198,6 +200,21 @@ def bench_streams(paths: int):
             "bitwise_equal": bool(np.array_equal(u_old, u_new))}
 
 
+def bench_refill(paths: int):
+    """One Philox block (4 uniforms) for each path, as a lockstep refill
+    with many live paths draws it: one Generator per path against the row
+    kernel of `simulate.philox_uniforms` (its scratch buffer included)."""
+    def per_path():
+        return np.array([np.random.Generator(np.random.Philox(
+            key=(MC_SEED << 64) + p)).random(4) for p in range(paths)])
+
+    t_old, u_old = time_best(per_path)
+    t_new, u_new = time_best(simulate.philox_uniforms, np.arange(paths), MC_SEED, 1,
+                             repeats=10)
+    return {"paths": paths, "per_path": t_old, "row_kernel": t_new,
+            "bitwise_equal": bool(np.array_equal(u_old, u_new.T))}
+
+
 def bench_paths(paths: int):
     """Value under the barrier MC_BARRIER from x = 3: the scalar event loop on
     numpy's per-path streams (drawn outside the timing) against the
@@ -316,6 +333,14 @@ def main():
     print(f"  per-path Generator  {r['per_path'] * 1e3:9.1f} ms")
     print(f"  vectorized Philox   {r['vectorized'] * 1e3:9.1f} ms   "
           f"({r['per_path'] / r['vectorized']:.0f}x, bitwise equal: {r['bitwise_equal']})")
+
+    print("Monte-Carlo refill, one Philox block per path:")
+    for paths in (2000, 18000, 32000):
+        r = bench_refill(paths)
+        print(f"  {paths:6d} paths: per-path Generator {r['per_path'] * 1e3:8.1f} ms, "
+              f"row kernel {r['row_kernel'] * 1e3:7.2f} ms   "
+              f"({r['per_path'] / r['row_kernel']:.0f}x, bitwise equal: "
+              f"{r['bitwise_equal']})")
 
     p = bench_paths(args.paths)
     print(f"\nMonte-Carlo value, {args.paths} paths (linear premium, barrier {MC_BARRIER}):")

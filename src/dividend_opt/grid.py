@@ -69,12 +69,14 @@ class GridFunction:
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 
+    def _bounds_error(self) -> ValueError:
+        return ValueError(f"evaluation outside grid [{self.x0}, {self.x_end}] or at NaN")
+
     def _locate(self, y):
         y = np.asarray(y, dtype=float)
         lo, hi = self.x0 - 1e-9 * self.dx, self.x_end + 1e-9 * self.dx
         if not np.all((y >= lo) & (y <= hi)):  # NaN fails both comparisons
-            raise ValueError(f"evaluation outside grid [{self.x0}, {self.x_end}] "
-                             f"or at NaN")
+            raise self._bounds_error()
         return y
 
     def __call__(self, y):
@@ -93,12 +95,17 @@ class GridFunction:
         return float(np.interp(y, nodes, self.values[lo:hi]))
 
     def derivative(self, y):
-        """C1 cubic interpolation of the derivative samples."""
+        """C1 cubic interpolation of the derivative samples.
+
+        A scalar y is evaluated in Python floats on the up to four nodes
+        around it, with the same operations as the array path, so the two
+        agree bit for bit.
+        """
         if self.derivative_values is None:
             raise ValueError("no derivative samples on this grid function")
+        if np.ndim(y) == 0:
+            return self._derivative_scalar(float(y))
         y = self._locate(y)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
         d = self.derivative_values
         n = self.n
         pos = np.clip((y - self.x0) / self.dx, 0.0, n - 1.0)
@@ -113,8 +120,25 @@ class GridFunction:
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        out = h00 * d[j] + h10 * m0 + h01 * d[j + 1] + h11 * m1
-        return float(out[0]) if scalar else out
+        return h00 * d[j] + h10 * m0 + h01 * d[j + 1] + h11 * m1
+
+    def _derivative_scalar(self, y: float) -> float:
+        if not self.x0 - 1e-9 * self.dx <= y <= self.x_end + 1e-9 * self.dx:
+            raise self._bounds_error()
+        n = self.n
+        pos = min(max((y - self.x0) / self.dx, 0.0), n - 1.0)
+        j = min(int(pos), n - 2)
+        s = pos - j
+        jm, jp = max(j - 1, 0), min(j + 2, n - 1)
+        d = self.derivative_values[jm:jp + 1].tolist()  # d[i] is node jm + i
+        dj, dj1 = d[j - jm], d[j + 1 - jm]
+        m0 = (dj1 - d[0]) / (j + 1 - jm)
+        m1 = (d[-1] - dj) / (jp - j)
+        h00 = (1 + 2 * s) * ((1 - s) * (1 - s))
+        h10 = s * ((1 - s) * (1 - s))
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        return h00 * dj + h10 * m0 + h01 * dj1 + h11 * m1
 
     def to_csv_string(self) -> str:
         """The CSV text: a header, then one "x,value,derivative" row per node

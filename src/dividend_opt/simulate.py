@@ -19,6 +19,13 @@ Reproducibility: path k's stream is numpy's
 Philox4x64-10 keyed by (seed, k), generated here for all live paths at
 once.  Estimates are bit-identical across reruns and do not depend on
 how the path range is cut into chunks.
+
+The generator is a row kernel: each refill draws a few whole blocks,
+one counter per row shared by every live path.  A counter (c, 0, 0, 0)
+makes round 0 a function of the row alone and leaves one array word to
+multiply in round 1, so both run on Python ints; rounds 2-9 run in place
+on views of one uint64 scratch buffer allocated per call, and the words
+are written as uniforms straight into the rows of the draws array.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ _MODE_TWO_SIDED = 2
 _MAX_BLOCK = 1 << 22  # most uniforms one path may draw
 _BOUND_FRACTION = 1e-4
 # Philox blocks generated per refill, over all live paths: with few live
-# paths one refill covers many iterations, so the fixed cost of its ~200
+# paths one refill covers many iterations, so the fixed cost of its ~170
 # array operations is not paid every two iterations.
 _REFILL_BLOCKS = 128
 # paths advanced together at most: bounds the engine's working arrays
@@ -47,26 +54,90 @@ _REFILL_BLOCKS = 128
 _CHUNK_PATHS = 1 << 16
 
 # Philox4x64-10 (Salmon et al., SC'11): the round multipliers of the two
-# lanes (counter words 0 and 2) and the key increments, as columns
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+# lanes (counter words 0 and 2) and the key increments (key words 0 and 1)
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_MASK64 = (1 << 64) - 1
+_PHILOX_M = np.array([_M0, _M1], dtype=np.uint64)[:, None, None]
 _LO32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
+_U11, _U32 = np.uint64(11), np.uint64(32)
 _M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _U32
+# uint64 planes of a Philox scratch buffer: the even and odd counter words,
+# the high product words, three temporaries and the round key
+_PLANES = 7
 
 
-def _mulhilo(x: np.ndarray):
-    """(high, low) 64-bit words of the 128-bit products _PHILOX_M * x,
-    from 32-bit halves."""
-    x_lo, x_hi = x & _LO32, x >> _U32
-    mid = x_hi * _M_LO
-    mid += (x_lo * _M_LO) >> _U32  # no carry out: (2^32 - 1)^2 + 2^32 - 1 < 2^64
-    low = x_lo * _M_HI
-    low += mid & _LO32
-    hi = x_hi * _M_HI
-    hi += mid >> _U32
-    hi += low >> _U32
-    return hi, x * _PHILOX_M
+def _mulhilo(x, m, m_lo, m_hi, hi, lo, s1, s2, s3):
+    """Write the high and low 64-bit words of the 128-bit products m * x
+    into `hi` and `lo`, from 32-bit halves; `lo` may be `x`, and s1-s3 are
+    scratch of x's shape."""
+    np.bitwise_and(x, _LO32, out=s1)  # x_lo
+    np.right_shift(x, _U32, out=hi)  # x_hi
+    np.multiply(x, m, out=lo)
+    np.multiply(hi, m_lo, out=s2)  # mid
+    np.multiply(s1, m_lo, out=s3)
+    s3 >>= _U32
+    s2 += s3  # no carry out: (2^32 - 1)^2 + 2^32 - 1 < 2^64
+    np.multiply(s1, m_hi, out=s1)  # low
+    np.bitwise_and(s2, _LO32, out=s3)
+    s1 += s3
+    hi *= m_hi
+    s2 >>= _U32
+    hi += s2
+    s1 >>= _U32
+    hi += s1
+
+
+def _philox_words(keys: np.ndarray, seed: int, counters, scratch: np.ndarray):
+    """Words of Philox4x64-10 blocks `counters` (ints, one row each) under
+    key words (k, seed) for every k in the uint64 array `keys`.
+
+    Returns (even, odd), (2, rows, keys) views of `scratch` (a uint64 array
+    of _PLANES rows, each of at least 2 * rows * keys.size elements) that
+    hold counter words (0, 2) and (1, 3).  Round 0 of a counter (c, 0, 0, 0)
+    depends on the row only, and round 1 multiplies only the key word k, so
+    both run on Python ints per row plus one product over `keys`; rounds
+    2-9 run in place.
+    """
+    b, n = len(counters), keys.size
+    planes = scratch[:, :2 * b * n]
+    even, odd, hi, s1, s2, s3 = (v.reshape(2, b, n) for v in planes[:6])
+    key = planes[6, :n]
+    # round 0 leaves (k, 0, hi(M0 c) ^ seed, lo(M0 c)); round 1 multiplies the
+    # row words by M1 as Python ints and the key word k by M0 as an array
+    w2 = [(_M0 * c >> 64) ^ seed for c in counters]
+    l0 = np.array([(_M0 * c) & _MASK64 for c in counters], dtype=np.uint64)
+    hi1 = np.array([_M1 * w >> 64 for w in w2], dtype=np.uint64)
+    lo1 = np.array([(_M1 * w) & _MASK64 for w in w2], dtype=np.uint64)
+    k_hi, k_lo = hi[0, 0], s1[0, 0]
+    _mulhilo(keys, _PHILOX_M[0, 0], _M_LO[0, 0], _M_HI[0, 0], k_hi, k_lo,
+             s2[0, 0], s3[0, 0], even[0, 0])
+    np.add(keys, np.uint64(_W0), out=key)
+    l0 ^= np.uint64((seed + _W1) & _MASK64)
+    np.bitwise_xor(key, hi1[:, None], out=even[0])
+    np.bitwise_xor(k_hi, l0[:, None], out=even[1])
+    odd[0] = lo1[:, None]
+    odd[1] = k_lo
+    for r in range(2, 10):
+        _mulhilo(even, _PHILOX_M, _M_LO, _M_HI, hi, even, s1, s2, s3)
+        odd ^= hi[::-1]
+        key += np.uint64(_W0)
+        odd[0] ^= key
+        odd[1] ^= np.uint64((seed + r * _W1) & _MASK64)
+        even, odd = odd, even[::-1]
+    return even, odd
+
+
+def _to_uniforms(words: np.ndarray, out: np.ndarray):
+    """Write (w >> 11) * 2**-53 of the uint64 `words` into `out`; shifts
+    `words` in place."""
+    words >>= _U11
+    np.multiply(words, 1.0 / 9007199254740992.0, out=out)
+
+
+def _philox_scratch(n: int) -> np.ndarray:
+    """A Philox scratch buffer for up to `n` keys times blocks."""
+    return np.empty((_PLANES, 2 * n), dtype=np.uint64)
 
 
 def philox_uniforms(paths, seed: int, counter) -> np.ndarray:
@@ -75,26 +146,25 @@ def philox_uniforms(paths, seed: int, counter) -> np.ndarray:
     Path k's stream under `seed` is numpy's
     `Generator(Philox(key=(seed << 64) + k))`: key words (k, seed), counter
     words (counter, 0, 0, 0), counters counted from 1, each 64-bit word w
-    turned into (w >> 11) * 2**-53.  `paths` and `counter` broadcast; the
-    result has shape (4,) + their shape, in draw order along axis 0.
+    turned into (w >> 11) * 2**-53.  `paths` is a scalar or 1-D; `counter`
+    is shared by all paths: a scalar, or an array whose last axis has
+    length 1 when `paths` is 1-D.  The result has shape (4,) + their
+    broadcast shape, in draw order along axis 0.
     """
-    k0, c0 = np.broadcast_arrays(np.asarray(paths, dtype=np.uint64),
-                                 np.asarray(counter, dtype=np.uint64))
-    shape = k0.shape
-    key = np.stack((k0.ravel(), np.full(k0.size, seed, dtype=np.uint64)))
-    even = np.stack((c0.ravel(), np.zeros(k0.size, dtype=np.uint64)))  # words 0, 2
-    odd = np.zeros_like(even)  # words 1, 3
-    for r in range(10):
-        if r:
-            key += _PHILOX_W
-        hi, lo = _mulhilo(even)
-        hi = hi[::-1]
-        hi ^= odd
-        hi ^= key
-        even, odd = hi, lo[::-1]
-    words = np.stack((even[0], odd[0], even[1], odd[1]))
-    words >>= np.uint64(11)
-    return (words * (1.0 / 9007199254740992.0)).reshape((4,) + shape)
+    keys = np.asarray(paths, dtype=np.uint64)
+    ctr = np.asarray(counter, dtype=np.uint64)
+    if keys.ndim > 1 or (keys.ndim and ctr.ndim and ctr.shape[-1] != 1):
+        raise ValueError("philox_uniforms needs 1-D paths and a counter shared by "
+                         "all of them (a scalar, or last axis of length 1)")
+    shape = np.broadcast_shapes(keys.shape, ctr.shape)
+    counters = [int(c) for c in ctr.ravel()]
+    keys = keys.ravel()
+    even, odd = _philox_words(keys, seed, counters,
+                              _philox_scratch(len(counters) * keys.size))
+    out = np.empty((4, len(counters), keys.size))
+    _to_uniforms(even, out[0::2])
+    _to_uniforms(odd, out[1::2])
+    return out.reshape((4,) + shape)
 
 
 @dataclass(frozen=True)
@@ -170,20 +240,31 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
     if mode == _MODE_VALUE and x > a:
         val += x - a
         lvl[:] = a
-    # inter-arrival times and claims of the live paths, one row per iteration
-    taus = claims = np.empty((0, n))
+    # inter-arrival times (plane 0) and claims (plane 1) of the live paths,
+    # one row per iteration
+    draws = np.empty((2, 0, n))
     row = 0
+    scratch = _philox_scratch(max(n, _REFILL_BLOCKS))
     travel_time, flow = solver.travel_time, solver.flow
     for k in range(_MAX_BLOCK // 2):
-        if row == taus.shape[0]:  # k is even here: refills cover whole blocks
-            blocks = max(1, _REFILL_BLOCKS // live.size)
-            counters = k // 2 + 1 + np.arange(blocks)[:, None]
-            u = philox_uniforms(lo + live, seed, counters)  # (word, block, path)
-            # draw 4 b + 2 j + i is draw i of iteration k + 2 b + j
-            u = u.reshape(2, 2, blocks, live.size).transpose(1, 2, 0, 3)
-            u = u.reshape(2, 2 * blocks, live.size)
-            taus, claims, row = -np.log1p(-u[0]) / lam, ppf(u[1]), 0
-        tau, claim = taus[row], claims[row]
+        if row == draws.shape[1]:  # k is even here: refills cover whole blocks
+            m = live.size
+            blocks = max(1, _REFILL_BLOCKS // m)
+            even, odd = _philox_words((lo + live).astype(np.uint64), seed,
+                                      range(k // 2 + 1, k // 2 + 1 + blocks), scratch)
+            # words 0-3 of block b are draws 0-1 of iterations k + 2b, k + 2b + 1:
+            # lane j of the even (odd) words is row 2b + j of plane 0 (1)
+            draws = np.empty((2, 2 * blocks, m))
+            rows = draws.reshape(2, blocks, 2, m).transpose(0, 2, 1, 3)
+            _to_uniforms(even, rows[0])
+            _to_uniforms(odd, rows[1])
+            taus = draws[0]  # -log1p(-u) / lam, in place
+            np.negative(taus, out=taus)
+            np.log1p(taus, out=taus)
+            np.divide(taus, -lam, out=taus)
+            draws[1] = ppf(draws[1])
+            row = 0
+        tau, claim = draws[0, row], draws[1, row]
         row += 1
         t_claim = t + tau
         cut = np.minimum(t_claim, horizon)
@@ -209,11 +290,11 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
             done |= ruin
         if np.count_nonzero(done):
             values[live[done]] = val[done]
-            keep = ~done
-            live, new, t_claim, val = live[keep], new[keep], t_claim[keep], val[keep]
-            if live.size == 0:
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
                 return values, ruined
-            taus, claims, row = taus[row:, keep], claims[row:, keep], 0
+            live, new, t_claim, val = live[keep], new[keep], t_claim[keep], val[keep]
+            draws, row = draws[:, row:, keep], 0
         lvl, t = new, t_claim
     raise NumericsError(f"path {lo + live[0]} needs more than {_MAX_BLOCK} draws; "
                         f"horizon or rates look pathological")

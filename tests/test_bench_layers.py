@@ -32,6 +32,7 @@ LAYERS = {
     "find_barrier": lambda b: b.bench_find_barrier(),
     "convolution": lambda b: b.bench_convolution(2000),
     "streams": lambda b: b.bench_streams(200),
+    "refill": lambda b: b.bench_refill(300),
     "paths": lambda b: b.bench_paths(200),
     "flow": lambda b: b.bench_flow(5),
     "volterra": lambda b: b.bench_volterra(500),

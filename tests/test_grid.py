@@ -65,6 +65,29 @@ def test_derivative_interpolation_smooth():
     assert np.max(np.abs(g.derivative(ys) - np.cos(ys))) < 5e-6
 
 
+@pytest.mark.parametrize("x0,dx,n", [(0.0, 0.005, 5001), (-3.7, 0.3, 2),
+                                     (0.5, 1.0 / 3.0, 101), (0.0, 1.0, 3)])
+def test_scalar_derivative_equals_array_path(x0, dx, n):
+    rng = np.random.default_rng(11)
+    g = GridFunction(x0, dx, rng.standard_normal(n), rng.standard_normal(n))
+    x = g.x
+    ys = np.concatenate((x, x[:-1] + 0.5 * dx,  # nodes and mid-cells
+                         x0 + dx * np.array([0.3, n - 1.7]),  # both end cells
+                         np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf),
+                         [g.x_end, g.x_end + 1e-10 * dx, x0 - 1e-10 * dx]))
+    scalar = [g.derivative(float(y)) for y in ys]
+    assert all(type(v) is float for v in scalar)
+    assert scalar == g.derivative(ys).tolist()
+    assert g.derivative(np.float64(g.x_end)) == g.derivative(np.array([g.x_end]))[0]
+
+
+@pytest.mark.parametrize("y", [np.nan, -0.6, 1.3])
+def test_scalar_derivative_off_grid_raises(y):
+    g = GridFunction(0.0, 0.5, [0.0, 1.0, 4.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="outside grid"):
+        g.derivative(y)
+
+
 def test_derivative_missing():
     g = GridFunction(0.0, 1.0, [1.0, 2.0])
     with pytest.raises(ValueError):

@@ -212,6 +212,26 @@ class TestReproducibility:
         assert set(doc) == {"mean", "std_error", "ci95", "paths", "ruin_fraction",
                             "truncation_bound", "seed"}
 
+    def test_estimates_pinned(self, table1_q05):
+        # values recorded from the engine as it was before its Philox refill
+        # was written in place into the draw rows: any change to the streams,
+        # their order or the lockstep arithmetic moves them
+        xs = np.linspace(0.0, 5000.0, 5001)
+        bounded = ModelParams(
+            PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0))),
+            ClaimModel.exponential(0.3), PenaltyModel.zero(), lam=0.1, q=0.05)
+        cases = [
+            (simulate_value(table1_q05, 3.0, cfg(paths=2000, seed=2024, barrier=5.33)),
+             11.059460305469264, 0.13151572807697054),
+            (simulate_gerber_shiu(make_params(penalty="constant", k=1.0), 2.0,
+                                  cfg(paths=2000, horizon=300.0, seed=2025)),
+             -0.16051716632066326, 0.007449489204974419),
+            (simulate_value(bounded, 5.0, cfg(paths=100, seed=2026, barrier=4.0)),
+             14.393034633253656, 0.6300729868711736),
+        ]
+        for est, mean, std_error in cases:
+            assert (est.mean, est.std_error) == (mean, std_error)
+
 
 class TestGenericEngine:
     def test_tabulated_premium_consistent_with_linear(self):
@@ -280,6 +300,21 @@ class TestPhilox:
         want = np.random.Generator(bitgen).random(4)
         got = simulate.philox_uniforms(3, 99, 2 ** 40)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_blocks_across_the_32_bit_counter_boundary(self, seed):
+        # 3 blocks x 300 keys, counters 2**32 - 1 to 2**32 + 1: the row words
+        # of rounds 0 and 1 carry into the high half of the counter
+        keys = np.arange(300, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        got = simulate.philox_uniforms(keys, seed, 2 ** 32 - 1 + np.arange(3)[:, None])
+        got = got.transpose(2, 1, 0).reshape(keys.size, 12)  # draw order
+        for k, row in zip(keys, got):
+            bitgen = np.random.Philox(counter=2 ** 32 - 2, key=(seed << 64) + int(k))
+            assert np.array_equal(row, np.random.Generator(bitgen).random(12))
+
+    def test_counter_varying_along_paths_rejected(self):
+        with pytest.raises(ValueError, match="counter"):
+            simulate.philox_uniforms(np.arange(4), 1, np.arange(1, 5))
 
 
 def _oracle_values(run_path, seed, paths):

@@ -78,7 +78,6 @@ def test_scalar_derivative_equals_array_path(x0, dx, n):
     scalar = [g.derivative(float(y)) for y in ys]
     assert all(type(v) is float for v in scalar)
     assert scalar == g.derivative(ys).tolist()
-    assert g.derivative(np.float64(g.x_end)) == g.derivative(np.array([g.x_end]))[0]
 
 
 @pytest.mark.parametrize("y", [np.nan, -0.6, 1.3])

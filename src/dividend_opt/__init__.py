@@ -17,7 +17,6 @@ from .errors import (ConfigError, DividendOptError, DomainTooShortError,
 from .flow import FlowSolver
 from .grid import GridFunction
 from .hjb import generator_apply, verify_optimality
-from .kummer import KummerDiagnostics, kummer_M, kummer_U
 from .model import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
                     omega_eval, params_from_dict, params_from_json,
                     params_to_dict, penalty_envelope, validate_model)
@@ -35,14 +34,14 @@ def backend_name() -> str:
 
 __all__ = [
     "ClaimModel", "ConfigError", "DividendOptError", "DomainTooShortError",
-    "FlowSolver", "GridFunction", "HorizonError", "KummerDiagnostics",
-    "ModelParams", "ModelValidationError", "NumericsError",
+    "FlowSolver", "GridFunction", "HorizonError", "ModelParams",
+    "ModelValidationError", "NumericsError",
     "OverflowDomainError", "PenaltyModel", "PremiumModel",
     "SimulationConfig", "SimulationEstimate", "backend_name",
     "barrier_boundary_identity", "barrier_solution_at",
     "closed_form_G_ruin_constant", "closed_form_W_constant",
     "closed_form_W_linear", "compute_G", "compute_W", "find_barrier",
-    "generator_apply", "h_eval", "kummer_M", "kummer_U", "omega_eval", "params_from_dict", "params_from_json",
+    "generator_apply", "h_eval", "omega_eval", "params_from_dict", "params_from_json",
     "params_to_dict", "penalty_envelope", "simulate_gerber_shiu",
     "simulate_two_sided", "simulate_value", "solve_scale", "validate_model",
     "value_function", "verify_optimality",

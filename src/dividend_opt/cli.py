@@ -9,11 +9,11 @@
                           [--out DIR]
 
 Exit codes: 0 success, 1 verification verdict negative, 2 validation
-failure (of the configuration, or of the barrier.json that --barrier-file
-names), 3 numerical failure, 64 usage error (including an argument value
-that the library rejects with ValueError).  All file outputs are
-written atomically (temporary name, then rename) and listed in a run
-manifest next to them.
+failure (of the configuration, or of the barrier.json or v_curve.csv that
+--barrier-file names), 3 numerical failure, 64 usage error (including an
+argument value that the library rejects with ValueError).  All file
+outputs are written atomically (temporary name, then rename) and listed
+in a run manifest next to them.
 """
 
 from __future__ import annotations
@@ -172,7 +172,10 @@ def _cmd_simulate(args) -> int:
                           bdoc.get("a_star") if isinstance(bdoc, dict) else None)
         vpath = os.path.join(args.barrier_file, "v_curve.csv")
         if os.path.exists(vpath):
-            v_curve = GridFunction.from_csv(vpath)
+            try:
+                v_curve = GridFunction.from_csv(vpath)
+            except ValueError as exc:
+                raise ConfigError(f"{vpath}: {exc}") from None
 
     config = SimulationConfig(paths=args.paths, horizon=args.horizon,
                               seed=args.seed, barrier=barrier)
@@ -237,10 +240,11 @@ def build_parser() -> _Parser:
     ps.add_argument("--paths", type=int, required=True)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--horizon", type=float, required=True)
-    ps.add_argument("--barrier", type=float, default=None)
-    ps.add_argument("--barrier-file", default=None,
-                    help="directory produced by 'barrier'; supplies the level "
-                         "and an analytic comparison")
+    level = ps.add_mutually_exclusive_group()
+    level.add_argument("--barrier", type=float, default=None)
+    level.add_argument("--barrier-file", default=None,
+                       help="directory produced by 'barrier'; supplies the level "
+                            "and an analytic comparison")
     ps.add_argument("--out", default="out")
     ps.set_defaults(fn=_cmd_simulate)
     return parser

@@ -10,6 +10,8 @@ from typing import Optional
 
 import numpy as np
 
+_TOO_FEW_ROWS = "a grid-function CSV needs at least 2 data rows"
+
 
 def atomic_write(path, text: str):
     """Write `text` to a temporary file next to `path`, then rename it over
@@ -159,11 +161,15 @@ class GridFunction:
             fh.readline()  # header
             start = fh.tell()
             first = fh.readline().rstrip("\r\n").split(",")
+            if first == [""]:  # no data row: loadtxt would only warn
+                raise ValueError(_TOO_FEW_ROWS)
             fh.seek(start)
             usecols = (0, 1, 2) if len(first) >= 3 and first[2] else (0, 1)
             data = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2)
         if data.shape[0] < 2:
-            raise ValueError(f"not a grid-function CSV: {path}")
+            raise ValueError(_TOO_FEW_ROWS)
+        if not np.all(np.isfinite(data)):
+            raise ValueError("a grid-function CSV holds a non-finite value")
         xs = data[:, 0]
         dx = xs[1] - xs[0]
         if not np.allclose(np.diff(xs), dx, rtol=1e-9, atol=1e-12 * max(1.0, abs(dx))):

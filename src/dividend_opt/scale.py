@@ -42,7 +42,8 @@ and that FFT, sample the density on the grid.
 
 Closed forms kept as oracles: the two-exponential scale function for
 constant premiums, the classical ruin probability, and the Kummer-function
-form for linear premiums.
+form for linear premiums, which evaluates M and U with mpmath (imported
+only when called).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainTooShortError, NumericsError, OverflowDomainError
 from .grid import GridFunction
-from .kummer import kummer_M, kummer_U
 from .model import ModelParams, PenaltyModel, omega_eval
 
 _MAX_SAFE_LOG = 708.0  # natural-log range representable in float64
@@ -631,49 +631,39 @@ def closed_form_G_ruin_constant(params: ModelParams, x):
     return out if out.ndim else float(out)
 
 
-def _linear_W_coefficients(params: ModelParams):
+def closed_form_W_linear(params: ModelParams, x):
+    """Kummer-function form of W_q for linear premiums p(x) = c + eps x and
+    exponential claims; needs mpmath (the `test` extra).
+
+    W = P (C1 M(a, b, z) / M(a, b, z0) + C2 U(a, b, z) / U(a, b, z0)) with
+    a = q/eps + 1, b = k + 1, k = (lam+q)/eps, z = mu x + z0, z0 = mu c/eps
+    and P(x) = (1 + eps x/c)^k e^{-mu x}, so both solutions are 1 at x = 0.
+    W(0) = 1 gives C2 = 1 - C1.  P'(0) = (lam+q)/c - mu, so the slope
+    condition W'(0) = (lam+q)/c reads C1 dM + C2 dU = 1, with dM and dU the
+    logarithmic z-derivatives of M and U at z0 (M' = (a/b) M(a+1, b+1),
+    U' = -a U(a+1, b+1)).  Evaluated at 30 digits in mpmath, whose exponent
+    range is unbounded, so a large k or z0 does not overflow.
+    """
     prem, claim = params.premium, params.claim
     if prem.kind != "linear" or prem.epsilon <= 0 or claim.kind != "exponential":
         raise ValueError("closed form needs a linear premium (eps > 0) and "
                          "exponential claims")
     if params.q <= 0:
         raise ValueError("closed form needs q > 0 (speed condition)")
-    lam, q = params.lam, params.q
-    c, eps, mu = prem.c, prem.epsilon, claim.mu
-    a = q / eps + 1.0
-    b = (lam + q) / eps + 1.0
-    z0 = mu * c / eps
-    try:
-        pref0 = c ** ((lam + q) / eps)
-        M0, U0 = kummer_M(a, b, z0), kummer_U(a, b, z0)
-        dM0 = (a / b) * kummer_M(a + 1.0, b + 1.0, z0)
-        dU0 = -a * kummer_U(a + 1.0, b + 1.0, z0)
-    except OverflowError as exc:
-        raise NumericsError(f"Kummer closed form overflows for c={c}, eps={eps}, "
-                            f"mu={mu} (prefactor exponent {(lam + q) / eps:.3g}, "
-                            f"argument {z0:.3g})") from exc
-    g0 = (lam + q) / c - mu
-    A = np.array([[pref0 * M0, pref0 * U0],
-                  [pref0 * (g0 * M0 + mu * dM0), pref0 * (g0 * U0 + mu * dU0)]])
-    if not np.all(np.isfinite(A)):
-        raise NumericsError("Kummer closed form overflows the boundary system "
-                            f"for c={c}, eps={eps}, mu={mu}")
-    cond = np.linalg.cond(A)
-    if cond > 1e12:
-        raise NumericsError(f"boundary system for the Kummer form is "
-                            f"ill-conditioned (cond ~ {cond:.2e})")
-    C1, C2 = np.linalg.solve(A, np.array([1.0, (lam + q) / c]))
-    return a, b, c, eps, mu, lam, q, C1, C2
+    import mpmath
 
-
-def closed_form_W_linear(params: ModelParams, x):
-    """Kummer-function form of W_q for linear premiums, boundary conditions
-    W(0) = 1 and W'(0) = (lam+q)/c solved as a 2x2 system."""
-    a, b, c, eps, mu, lam, q, C1, C2 = _linear_W_coefficients(params)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        z = mu * xi + mu * c / eps
-        P = (eps * xi + c) ** ((lam + q) / eps) * math.exp(-mu * xi)
-        out[i] = (C1 * kummer_M(a, b, z) + C2 * kummer_U(a, b, z)) * P
+    with mpmath.workdps(30):
+        lam, q, c, eps, mu = map(mpmath.mpf, (params.lam, params.q, prem.c,
+                                              prem.epsilon, claim.mu))
+        k = (lam + q) / eps
+        a, b, z0 = q / eps + 1, k + 1, mu * c / eps
+        M0, U0 = mpmath.hyp1f1(a, b, z0), mpmath.hyperu(a, b, z0)
+        dM = a / b * mpmath.hyp1f1(a + 1, b + 1, z0) / M0
+        dU = -a * mpmath.hyperu(a + 1, b + 1, z0) / U0
+        C1 = (1 - dU) / (dM - dU)
+        out = np.array([float((1 + eps * xi / c) ** k * mpmath.exp(-mu * xi)
+                              * (C1 * mpmath.hyp1f1(a, b, z0 + mu * xi) / M0
+                                 + (1 - C1) * mpmath.hyperu(a, b, z0 + mu * xi) / U0))
+                        for xi in map(mpmath.mpf, xs)])
     return out if np.asarray(x).ndim else float(out[0])

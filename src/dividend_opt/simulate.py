@@ -179,8 +179,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.paths <= 0:
             raise ValueError(f"paths must be positive, got {self.paths}")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be a finite number > 0, got {self.horizon}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.barrier is not None and not (math.isfinite(self.barrier)

@@ -162,6 +162,8 @@ BAD_ARGUMENT_VALUES = {
                                "--horizon", "250", "--seed", "-1"],
     "simulate_negative_x": ["simulate", "--x", "-1", "--paths", "10",
                             "--horizon", "250"],
+    "simulate_infinite_horizon": ["simulate", "--x", "2.0", "--paths", "10",
+                                  "--horizon", "inf"],
     "verify_negative_barrier": ["verify", "--barrier", "-1"],
     "barrier_negative_dx": ["barrier", "--dx", "-1"],
     "barrier_nan_dx": ["barrier", "--dx", "nan"],
@@ -224,6 +226,38 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert str(bdir / "barrier.json") in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("text", ["", "x,value,derivative\n",
+                                      "x,value,derivative\n0,1,1\n",
+                                      "x,value,derivative\n0,abc,1\n1,2,1\n",
+                                      "x,value,derivative\n0,1,1\n1,2,1\n3,3,1\n",
+                                      "x,value,derivative\n0,nan,1\n1,2,1\n"],
+                             ids=["empty", "header_only", "one_row", "not_a_number",
+                                  "non_uniform", "nan"])
+    def test_bad_v_curve_is_validation_error(self, text, config_path, tmp_path, capsys):
+        bdir = tmp_path / "b"
+        bdir.mkdir()
+        (bdir / "barrier.json").write_text('{"a_star": 5.0}')
+        (bdir / "v_curve.csv").write_text(text)
+        code = main(["simulate", config_path, "--x", "3.0", "--paths", "10",
+                     "--horizon", "250", "--barrier-file", str(bdir),
+                     "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert str(bdir / "v_curve.csv") in err
+        assert not (tmp_path / "s").exists()
+
+    def test_barrier_and_barrier_file_exclusive(self, config_path, tmp_path, capsys):
+        # argparse rejects the pair before the directory is read
+        code = main(["simulate", config_path, "--x", "3.0", "--paths", "10",
+                     "--horizon", "250", "--barrier", "3.0",
+                     "--barrier-file", str(tmp_path / "b"), "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--barrier" in err
         assert not (tmp_path / "s").exists()
 
     def test_gerber_mode_without_barrier(self, tmp_path):

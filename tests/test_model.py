@@ -181,11 +181,25 @@ class TestFamilies:
         with pytest.raises(ConfigError, match="missing mass 0.49999"):
             ClaimModel.tabulated(1.0, dx, f)
 
-    def test_import_does_not_load_scipy_integrate(self):
+    def test_import_does_not_load_scipy_integrate(self, tmp_path):
         # nor does validating a rational or a tabulated premium (closed forms,
         # no quadrature); a tabulated-claim solve loads no scipy.linalg: the
-        # blocked march solves its triangular systems with numpy alone
-        code = ("import sys, numpy as np, dividend_opt as do\n"
+        # blocked march solves its triangular systems with numpy alone.  A
+        # barrier / verify / simulate CLI session then loads no scipy or
+        # mpmath module at all: both serve only the test oracles.
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps({
+            "premium": {"kind": "linear", "c": 1.0, "epsilon": 0.02},
+            "claim": {"kind": "exponential", "mu": 0.3},
+            "penalty": {"kind": "constant", "k": 1.0}, "lambda": 0.1, "q": 0.05}))
+        out = tmp_path / "out"
+        session = [["barrier", str(config), "--dx", "0.02", "--out", str(out / "b")],
+                   ["verify", str(config), "--dx", "0.02", "--out", str(out / "v")],
+                   ["simulate", str(config), "--x", "3.0", "--paths", "50",
+                    "--horizon", "250", "--barrier-file", str(out / "b"),
+                    "--out", str(out / "s")]]
+        code = ("import contextlib, importlib.util, io, sys\n"
+                "import numpy as np, dividend_opt as do, dividend_opt.cli as cli\n"
                 "print('scipy.integrate' in sys.modules)\n"
                 "for prem in (do.PremiumModel.rational(1.0),\n"
                 "             do.PremiumModel.tabulated([0, 10, 100], [1.0, 1.2, 1.5])):\n"
@@ -198,8 +212,14 @@ class TestFamilies:
                 "do.solve_scale(do.ModelParams(do.PremiumModel.linear(1.0, 0.02), claim,\n"
                 "                              do.PenaltyModel.linear(1.0, 0.5),\n"
                 "                              lam=0.1, q=0.05), 0.02, 60.0)\n"
-                "print('scipy.linalg' in sys.modules)\n")
-        assert run_python(code).split() == ["False", "False", "False"]
+                "print('scipy.linalg' in sys.modules)\n"
+                f"for argv in {session!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert cli.main(argv) == 0, argv\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('scipy', 'mpmath')) == [])\n"
+                "print(importlib.util.find_spec('dividend_opt.kummer') is None)\n")
+        assert run_python(code).split() == ["False", "False", "False", "True", "True"]
 
 
 class TestOmega:

@@ -290,10 +290,13 @@ class TestComputeW:
         rel = np.max(np.abs(W(xs) - ref) / np.abs(ref))
         assert rel < 1e-5
 
-    def test_linear_premium_vs_kummer(self, table1_q05):
-        W = compute_W(table1_q05, 0.005, 30.0)
-        xs = np.linspace(0.0, 30.0, 121)
-        ref = closed_form_W_linear(table1_q05, xs)
+    @pytest.mark.parametrize("which,value", [(w, v) for w in (1, 2, 3)
+                                             for v in SWEEPS[w].values])
+    def test_linear_premium_vs_kummer(self, which, value):
+        params = SWEEPS[which].model_for(value)
+        W = compute_W(params, 0.005, 30.0)
+        xs = np.linspace(0.0, 30.0, 61)
+        ref = closed_form_W_linear(params, xs)
         rel = np.max(np.abs(W(xs) - ref) / np.abs(ref))
         assert rel < 1e-4
 
@@ -561,15 +564,19 @@ class TestClosedFormLinear:
         with pytest.raises(ValueError):
             closed_form_W_linear(make_params(q=0.0, eps=0.0, premium="linear"), 1.0)
 
-    def test_overflowing_parameters_reported(self):
-        # c^((lam+q)/eps) far beyond float range must surface as a diagnosis
+    def test_huge_prefactor_exponent_solves(self):
+        # (lam+q)/eps = 150 000 and z0 = mu c/eps = 12 000: c^150000 and the
+        # Kummer values lie far outside float range, but not the normalised form
         params = make_params(c=40.0, eps=0.001)
-        with pytest.raises(NumericsError, match="overflow"):
-            closed_form_W_linear(params, 1.0)
+        assert closed_form_W_linear(params, 0.0) == 1.0
+        W = compute_W(params, 0.005, 30.0)
+        xs = np.linspace(0.0, 30.0, 61)
+        ref = closed_form_W_linear(params, xs)
+        assert np.max(np.abs(W(xs) - ref) / np.abs(ref)) < 1e-6
 
     def test_integer_b_column(self):
-        # q=0.04 makes b = (lam+q)/eps + 1 = 8 an integer; the terminating
-        # U expansion must keep the closed form healthy
+        # q=0.04 makes b = (lam+q)/eps + 1 = 8 an integer, where U is the
+        # limit of its connection formula through two M series
         params = make_params(q=0.04)
         W = compute_W(params, 0.005, 20.0)
         xs = np.linspace(0.0, 20.0, 41)

@@ -36,6 +36,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="horizon"):
             SimulationConfig(paths=10, horizon=math.nan, seed=1)
 
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf])
+    def test_infinite_horizon_rejected(self, horizon):
+        # an infinite horizon never truncates a path that escapes to infinity
+        with pytest.raises(ValueError, match="finite number > 0"):
+            SimulationConfig(paths=10, horizon=horizon, seed=1)
+
 
 class TestNonFiniteCapital:
     @pytest.mark.parametrize("x", [math.nan, math.inf])

@@ -24,6 +24,16 @@ Times these layers, best of k:
   the penalty) against the one call of `scale._march`, which marches both
   as the two columns of the blocked march.  The largest node-wise relative
   gap to the reference is printed with it.
+- one super-block of that march (nodes 1024 to 2047 of the tabulated_cli
+  model without its penalty, 16 blocks of 64 nodes): each unit
+  lower-triangular block matrix solved by `np.linalg.solve`, a pivoting
+  LU per block, against `scale._unit_lower_inverse` on the stack of all
+  16 plus one matrix product per block, with the largest relative gap
+  between the two solutions.
+- the CSV text of the tabulated_cli `v_curve` (the value function that
+  `barrier` writes, 33 334 rows): the former `str.format` row map against
+  the single `%`-format of `GridFunction.to_csv_string`, which must give
+  the same text.
 - the penalty rate omega on every node of a solve grid (dx 0.005,
   x_max 166.7) for a tabulated Erlang-2 claim density with a linear
   penalty: the exact, vectorized `model.omega_eval` against the per-node
@@ -48,12 +58,14 @@ import argparse
 import dataclasses
 import math
 import time
+from unittest import mock
 
 import numpy as np
 
-from dividend_opt import (ClaimModel, FlowSolver, ModelParams, PenaltyModel,
-                          PremiumModel, SimulationConfig, omega_eval, solve_scale)
-from dividend_opt import _reference, find_barrier, simulate
+from dividend_opt import (ClaimModel, FlowSolver, GridFunction, ModelParams,
+                          PenaltyModel, PremiumModel, SimulationConfig, omega_eval,
+                          solve_scale)
+from dividend_opt import _reference, find_barrier, scale, simulate
 from dividend_opt.scale import (_exponential_convolution, _exponential_march,
                                 _grid_arrays, _march, _trapezoid_convolution)
 from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
@@ -174,6 +186,42 @@ def bench_blocked(penalised: bool):
             gap = max(gap, float(rel.max()))
     return {"nodes": x.size, "columns": len(starts), "reference": t_ref,
             "blocked": t_new, "max_rel_gap": gap}
+
+
+def bench_block_solve():
+    """The block matrices of the second super-block of the tabulated_cli
+    march without its penalty, as `scale._blocked_march` builds them; one
+    right-hand side of two columns for every block."""
+    params = dataclasses.replace(omega_params(), penalty=PenaltyModel.zero())
+    _, p = _grid_arrays(params, DEFAULT_DX, default_x_max(params))
+    inverse = scale._unit_lower_inverse
+    with mock.patch.object(scale, "_unit_lower_inverse", wraps=inverse) as spy:
+        _march(params, p, DEFAULT_DX)
+    M = spy.call_args_list[1].args[0]
+    rhs = np.random.default_rng(0).standard_normal((M.shape[1], 2))
+    t_lu, ref = time_best(lambda: [np.linalg.solve(m, rhs) for m in M], repeats=20)
+    t_inv, new = time_best(lambda: [m @ rhs for m in inverse(M)], repeats=20)
+    gap = max(float(np.max(np.abs(a - b)) / np.max(np.abs(b))) for a, b in zip(new, ref))
+    return {"blocks": len(M), "lu_solve": t_lu, "batched_inverse": t_inv,
+            "max_rel_gap": gap}
+
+
+def csv_by_format_map(g):
+    """`GridFunction.to_csv_string` as it was: one `str.format` per row."""
+    cols = [g.x.tolist(), g.values.tolist(), g.derivative_values.tolist()]
+    return "x,value,derivative\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format,
+                                                 *cols))
+
+
+def bench_csv_write(rows=None):
+    """The first `rows` rows (all by default) of the tabulated_cli v_curve."""
+    v = locate_barrier(omega_params())[1].v
+    if rows is not None:
+        v = GridFunction(v.x0, v.dx, v.values[:rows], v.derivative_values[:rows])
+    t_old, old = time_best(csv_by_format_map, v, repeats=5)
+    t_new, new = time_best(v.to_csv_string, repeats=5)
+    return {"rows": v.n, "format_map": t_old, "percent_format": t_new,
+            "bitwise_equal": old == new}
 
 
 MC_SEED = 7
@@ -320,6 +368,20 @@ def main():
         print(f"  blocked, one call     {b['blocked'] * 1e3:9.1f} ms   "
               f"({b['reference'] / b['blocked']:.1f}x, max rel gap "
               f"{b['max_rel_gap']:.1e})")
+
+    k = bench_block_solve()
+    print(f"One super-block of it, {k['blocks']} blocks of 64 nodes (W only):")
+    print(f"  np.linalg.solve per block   {k['lu_solve'] * 1e3:7.2f} ms")
+    print(f"  batched inverse + products  {k['batched_inverse'] * 1e3:7.2f} ms   "
+          f"({k['lu_solve'] / k['batched_inverse']:.1f}x, max rel gap "
+          f"{k['max_rel_gap']:.1e})")
+
+    csv = bench_csv_write()
+    print(f"\nCSV text of the tabulated_cli v_curve, {csv['rows']} rows:")
+    print(f"  str.format per row  {csv['format_map'] * 1e3:9.1f} ms")
+    print(f"  one %-format        {csv['percent_format'] * 1e3:9.1f} ms   "
+          f"({csv['format_map'] / csv['percent_format']:.2f}x, "
+          f"identical: {csv['bitwise_equal']})")
 
     o = bench_omega()
     print(f"\nPenalty rate omega, {o['nodes']} nodes (tabulated Erlang-2 claims):")

@@ -145,13 +145,14 @@ class GridFunction:
     def to_csv_string(self) -> str:
         """The CSV text: a header, then one "x,value,derivative" row per node
         (the derivative field empty when there are no derivative samples)."""
-        cols = [self.x.tolist(), self.values.tolist()]
+        cols = [self.x, self.values]
         if self.derivative_values is None:
-            row = "{:.17g},{:.17g},\n"
+            row = "%.17g,%.17g,\n"
         else:
-            row = "{:.17g},{:.17g},{:.17g}\n"
-            cols.append(self.derivative_values.tolist())
-        return "x,value,derivative\n" + "".join(map(row.format, *cols))
+            row = "%.17g,%.17g,%.17g\n"
+            cols.append(self.derivative_values)
+        return "x,value,derivative\n" + (row * self.n) % tuple(
+            np.column_stack(cols).ravel().tolist())
 
     @staticmethod
     def from_csv(path) -> "GridFunction":

@@ -24,12 +24,16 @@ every block's response to each unit start state, and a chain over the
 block ends in Python floats gives each column's block start states, so
 the Python-level work is O(sqrt(n)) steps and not one per node.  Every
 other claim density goes through `_blocked_march`, which marches W and
-G_p together as two columns of one lower-triangular system per block of
-`_BLOCK` nodes: the history older than the current super-block of
-`_SUPER` nodes comes from one FFT per super-block, the newer history
-from a Toeplitz slab product.  Both marches run in true units from
-W(0) = 1, so the marched W is W; a march that leaves float range ends in
-OverflowDomainError, with the largest x_max that stays inside it.
+G_p together as two columns of one unit lower-triangular system per
+block of `_BLOCK` nodes.  The block matrices depend on the grid alone:
+those of a super-block of `_SUPER` nodes are inverted together, by
+doubling, with no pivoting and no LAPACK call, and each block's solve is
+one product with its inverse.  The history older than the super-block
+comes from one FFT per super-block, the newer history from a product
+with a contiguous Toeplitz strip of the density.  Both marches run in
+true units from W(0) = 1, so the marched W is W; a march that leaves
+float range ends in OverflowDomainError, with the largest x_max that
+stays inside it.
 
 The relation is the vanishing of the generator residual (A - q)u, which
 `_generator_residual` evaluates on every node: the diagnostics apply it
@@ -54,7 +58,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainTooShortError, NumericsError, OverflowDomainError
 from .grid import GridFunction
@@ -65,8 +68,8 @@ _DECAY_SLACK = 1e-12
 # round-off of G = G_p - r W relative to the cancelled max |G_p|;
 # the measured tails of well-resolved models sit at 1e-15 to 1e-14 of it
 _CANCEL_FLOOR = 1e-13
-# Nodes per triangular solve of `_blocked_march`.  At 128 the LU runs in
-# OpenBLAS's threaded path, whose first call in a process can cost a second.
+# Nodes per triangular block of `_blocked_march`, a power of two for the
+# doubling inverse
 _BLOCK = 64
 _SUPER = 1024  # nodes per super-block: one FFT of the older history each
 # mu dx B of one block of `_exponential_convolution`: its weights reach
@@ -244,6 +247,44 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _unit_lower_inverse(M):
+    """The inverses of a stack of unit lower-triangular matrices, shape
+    (k, B, B) with B a power of two, by doubling.
+
+    The inverses of the diagonal blocks of size s are known (1 for s = 1);
+    the inverse of the block [[A, 0], [C, D]] of size 2s that joins two of
+    them is [[A^-1, 0], [X, D^-1]] with X = -D^-1 C A^-1.  Each level is
+    two batched matmuls over strided views of the diagonal blocks.  There
+    is no pivoting, the entries above the diagonal stay exactly 0, and an
+    inverse past float range reads inf or nan.
+    """
+    k, B, _ = M.shape
+    inv = np.zeros_like(M)
+    inv.reshape(k, B * B)[:, ::B + 1] = 1.0
+    item = M.itemsize
+    s = 1
+    while s < B:
+        # the s x s blocks of every pair of diagonal blocks, the pair at row
+        # and column 2 s p; from its corner, A^-1 is at element offset 0,
+        # D^-1 at s (B + 1), and C (in M) and X (in inv) at s B
+        shape = (k, B // (2 * s), s, s)
+        strides = (B * B * item, 2 * s * (B + 1) * item, B * item, item)
+
+        def blocks(a, offset):
+            return np.ndarray(shape, a.dtype, a, offset * item, strides)
+
+        np.negative(blocks(inv, s * (B + 1)) @ blocks(M, s * B) @ blocks(inv, 0),
+                    out=blocks(inv, s * B))
+        s *= 2
+    return inv
+
+
+def _finite_rows(a) -> int:
+    """The number of leading rows of `a` whose entries are all finite."""
+    ok = np.isfinite(a).all(axis=1)
+    return a.shape[0] if ok.all() else int(np.argmin(ok))
+
+
 def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     """`_reference.volterra_march` for several columns at once, by blocks.
 
@@ -259,15 +300,20 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     uses the known d_{i-1} instead.  The history from nodes before the
     current super-block enters through one FFT per super-block (only the
     last K - 1 nodes, K the support of f on the grid), the history from
-    earlier blocks of the super-block through the Toeplitz slab f[r - c],
-    and the coupling inside the block through the unit lower-triangular
-    matrix that `np.linalg.solve` inverts, one right-hand side per column.
+    earlier blocks of the super-block through a C-contiguous Toeplitz
+    strip of f, and the coupling inside the block through a unit
+    lower-triangular matrix.  Those matrices depend on the grid, not on u:
+    at the top of each super-block all of them are inverted as one stack
+    (`_unit_lower_inverse`), and a block's solve is one product with its
+    inverse, one right-hand side per column.
 
     Returns (values, derivatives) in true units, each of shape (n, m).  A
     block whose solution leaves float range, while the inverse of its
-    matrix is finite, ends the march: the nodes from that block on read
-    inf, for `_check_range` to report.  When the inverse itself overflows,
-    the step is at the trapezoid limit, a NumericsError.
+    matrix is finite, ends the march: row i of the triangular product
+    reads the right-hand side up to row i only, so the nodes before the
+    first non-finite row keep their values and the nodes from it on read
+    inf, for `_check_range` to report.  When the inverse itself leaves
+    float range, the step is at the trapezoid limit, a NumericsError.
     """
     p = np.asarray(p_vals, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -281,12 +327,13 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     A = lam + q - half * lam * f[0]
     c = 1.0 / p
     alpha = 1.0 / (1.0 - half * A * c)
-    # per node: the in-block coefficients of row i of the block matrix
-    row_c = alpha * c
-    row_cprev = np.zeros(n)
-    row_cprev[1:] = alpha[1:] * c[:-1]
-    row_sub = np.zeros(n)
-    row_sub[1:] = alpha[1:] * (1.0 + half * A * c[:-1])
+    # per node, the coefficients of its row of the block matrix: on T, on
+    # T shifted down a row, and on the subdiagonal; the zero column n pads
+    # a short block with identity rows
+    coef = np.zeros((3, n + 1))
+    coef[0, :n] = alpha * c
+    coef[1, 1:n] = alpha[1:] * c[:-1]
+    coef[2, 1:n] = alpha[1:] * (1.0 + half * A * c[:-1])
     src = np.zeros((n, m)) if source_vals is None \
         else np.asarray(source_vals, dtype=float)
     src_c = (-lam * c)[:, None] * src
@@ -297,11 +344,16 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     d[0] = ((lam + q) * u0 - lam * src[0]) / p[0]
     u_prev, d_prev = u0, d[0]
 
-    # slab[r, j] = f[r - j] (0 for j > r): a view of the zero-padded f
-    padded = np.zeros(2 * S - 1)
-    padded[S - 1:S - 1 + min(S, n)] = f[:S]
-    slab = sliding_window_view(padded[::-1], S)[::-1]
-    T = np.tril(slab[:B, :B], -1) * (half * lam * dx)
+    # strip[i, j] = f[Sw - B + i - j] (0 below index 0), C-contiguous: the
+    # history from the super-block's nodes before the block at offset r0
+    # reads its columns Sw - B - r0 to Sw - B, and Sw - B >= every r0
+    Sw = B * (S // B + 1)
+    fw = np.zeros(Sw)
+    fw[:min(Sw, n)] = f[:Sw]
+    lag = (Sw - B) + np.arange(B)[:, None] - np.arange(Sw)
+    strip = np.where(lag >= 0, fw[np.maximum(lag, 0)], 0.0)
+    # T[r, j] = dx/2 lam dx f[r - j] below the diagonal, 0 on and above it
+    T = np.tril(strip[:, Sw - B:], -1) * (half * lam * dx)
     T_up = np.zeros((B, B))  # row r holds row r - 1 of T
     T_up[1:] = T[:-1]
     kernel_fft = {}
@@ -319,12 +371,21 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
                 fk = kernel_fft[nfft] = np.fft.rfft(f[:nfft], nfft)[:, None]
             conv = np.fft.irfft(np.fft.rfft(u[j0:s0], nfft, axis=0) * fk, nfft, axis=0)
             older[:s1 - s0] = conv[s0 - j0:span]
-        b0 = max(s0, 1)
-        while b0 < s1:
-            b1 = min(b0 - b0 % B + B, s1)
+        # the blocks [starts, ends) of the super-block, aligned to multiples
+        # of B; the first of the march starts at node 1
+        starts = np.arange(s0, s1, B)
+        ends = np.minimum(starts + B, s1)
+        starts[0] = max(s0, 1)
+        rows = starts[:, None] + np.arange(B)
+        rc, rcp, rs = coef[:, np.where(rows < ends[:, None], rows, n)]
+        M = rc[..., None] * T + rcp[..., None] * T_up
+        flat = M.reshape(starts.size, B * B)
+        flat[:, B::B + 1] -= rs[:, 1:]
+        flat[:, ::B + 1] = 1.0
+        for inv, b0, b1 in zip(_unit_lower_inverse(M), starts.tolist(), ends.tolist()):
             L = b1 - b0
             r0 = b0 - s0
-            hist = slab[r0:r0 + L, :r0] @ u[s0:b0]
+            hist = strip[:L, Sw - B - r0:Sw - B] @ u[s0:b0]
             hist += older[r0:r0 + L]
             cb = c[b0:b1, None]
             g = src_c[b0:b1] - (lam * dx) * cb * hist  # c e, known part
@@ -332,31 +393,32 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
             rhs[1:] += half * g[:-1]
             rhs[0] += u_prev + half * d_prev
             rhs *= alpha[b0:b1, None]
-            M = row_c[b0:b1, None] * T[:L, :L] + row_cprev[b0:b1, None] * T_up[:L, :L]
-            M.flat[L::L + 1] -= row_sub[b0 + 1:b1]
-            M.flat[::L + 1] = 1.0
-            try:
-                ub = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:  # an LU pivot overflowed
-                ub = None
-            if ub is None or not np.isfinite(ub).all():
-                # solve and inv factor M alike: when solve succeeded, inv does
-                if ub is not None and np.isfinite(np.linalg.inv(M)).all():
-                    # the solution, not the step, left float range
-                    u[b0:] = d[b0:] = np.inf
-                    u[0] = u0
-                    return u, d
-                raise NumericsError(
-                    f"the march overflows float range within one block of {B} "
-                    f"nodes at x={b0 * dx:.6g}: the trapezoid step "
-                    f"dx (lam+q) / p(x) reaches "
-                    f"{dx * (lam + q) * float(c[b0:b1].max()):.3g}, near its "
-                    f"limit of 2; decrease dx")
-            db = g + cb * (A * ub - (2.0 / dx) * (T[:L, :L] @ ub))
-            u[b0:b1] = ub
-            d[b0:b1] = db
+            inv = inv[:L, :L]
+            ub = inv @ rhs
+            k = L
+            if not np.isfinite(ub).all():
+                if not np.isfinite(inv).all():
+                    raise NumericsError(
+                        f"the march overflows float range within one block of {B} "
+                        f"nodes at x={b0 * dx:.6g}: the trapezoid step "
+                        f"dx (lam+q) / p(x) reaches "
+                        f"{dx * (lam + q) * float(c[b0:b1].max()):.3g}, near its "
+                        f"limit of 2; decrease dx")
+                # the solution left float range, not the step: keep the rows
+                # before it, solved from the finite rows of rhs only, since
+                # a non-finite rhs row times the zeros above the diagonal is nan
+                k = _finite_rows(rhs)
+                ub = inv[:k, :k] @ rhs[:k]
+                k = _finite_rows(ub)
+                ub = ub[:k]
+            db = g[:k] + cb[:k] * (A * ub - (2.0 / dx) * (T[:k, :k] @ ub))
+            u[b0:b0 + k] = ub
+            d[b0:b0 + k] = db
+            if k < L:
+                u[b0 + k:] = d[b0 + k:] = np.inf
+                u[0] = u0
+                return u, d
             u_prev, d_prev = ub[-1], db[-1]
-            b0 = b1
     u[0] = u0
     return u, d
 

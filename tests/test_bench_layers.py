@@ -27,6 +27,8 @@ def bench():
 
 LAYERS = {
     "blocked_W_only": lambda b: b.bench_blocked(False),
+    "block_solve": lambda b: b.bench_block_solve(),
+    "csv_write": lambda b: b.bench_csv_write(500),
     "sweep_march": lambda b: b.bench_sweep_march(),
     "penalised_solve": lambda b: b.bench_penalised_solve(),
     "find_barrier": lambda b: b.bench_find_barrier(),

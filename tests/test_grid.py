@@ -137,10 +137,16 @@ def _csv_string_by_row_loop(g):
 
 
 @pytest.mark.parametrize("with_derivative", [True, False])
-def test_csv_string_byte_identical_to_row_loop(with_derivative):
+@pytest.mark.parametrize("x0,n", [(0.0, 3001), (-2.75, 3001), (0.3, 2)])
+def test_csv_string_byte_identical_to_row_loop(with_derivative, x0, n):
     dx = 0.005
-    x = dx * np.arange(3001)
+    x = x0 + dx * np.arange(n)
     vals = 3.3 * np.exp(-x / 7.0)
-    vals[5:9] = 0.0, 5e-324, -1e20, 1.0  # zero, subnormal, negative, integral
-    g = GridFunction(0.0, dx, vals, np.cos(x) if with_derivative else None)
+    deriv = np.cos(x)
+    if n > 12:  # zero, subnormal, negative, integral, infinite and nan
+        vals[5:12] = 0.0, 5e-324, -1e20, 1.0, np.inf, -np.inf, np.nan
+        deriv[2:5] = np.nan, -np.inf, np.inf
+    else:
+        vals[:], deriv[:] = (np.inf, np.nan), (-np.inf, -0.0)
+    g = GridFunction(x0, dx, vals, deriv if with_derivative else None)
     assert g.to_csv_string() == _csv_string_by_row_loop(g)

@@ -17,7 +17,7 @@ from dividend_opt._reference import _RESCALE_AT
 from dividend_opt.scale import (_BLOCK, _CONV_SPAN, _SUPER,
                                 _exponential_convolution, _exponential_march,
                                 _grid_arrays, _march, _scan_block,
-                                _trapezoid_convolution)
+                                _trapezoid_convolution, _unit_lower_inverse)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
 from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
                       tabulated_penalty)
@@ -248,6 +248,14 @@ class TestBlockedMarchOracle:
             assert _max_rel_diff(u[:, k], ur * math.exp(Lr)) <= BLOCKED_REL_TOL
             assert _max_rel_diff(d[:, k], dr * math.exp(Lr)) <= BLOCKED_REL_TOL
 
+    def test_march_makes_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg call in the blocked march")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        self.test_matches_reference("one_node_past_a_super_block")
+
     def test_grid_shapes_cover_the_block_edges(self):
         sizes = {case: _grid_arrays(*self.params_and_grid(case))[0].size
                  for case in BLOCKED_CASES}
@@ -273,6 +281,24 @@ class TestBlockedMarchOracle:
         with pytest.warns(UserWarning, match="recommended cap"):
             with pytest.raises(NumericsError, match="decrease dx"):
                 compute_W(params, dx, 1.0)
+
+
+@pytest.mark.parametrize("lengths", [[_BLOCK] * 16, [_BLOCK - 1, _BLOCK, 1, 17],
+                                     [5], [_BLOCK, 2]])
+def test_unit_lower_inverse_matches_numpy(lengths):
+    # well-conditioned unit lower-triangular matrices, each padded with
+    # identity rows past its length, as the march pads a short block
+    rng = np.random.default_rng(len(lengths))
+    M = np.tril(rng.uniform(-0.05, 0.05, (len(lengths), _BLOCK, _BLOCK)), -1)
+    for m, L in zip(M, lengths):
+        m[L:] = 0.0
+        m[np.diag_indices(_BLOCK)] = 1.0
+    X = _unit_lower_inverse(M)
+    assert X.shape == M.shape
+    assert np.all(np.triu(X, 1) == 0.0)
+    for x, m in zip(X, M):
+        ref = np.linalg.inv(m)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestComputeW:
@@ -509,6 +535,27 @@ class TestRescaling:
         assert safe is not None and 0.5 < safe < x_max
         W = compute_W(params, 0.001, 0.95 * safe)  # reported bound is usable
         assert np.all(np.isfinite(W.values)) and np.all(np.isfinite(W.derivative_values))
+
+    def test_tabulated_hint_reaches_the_last_representable_node(self):
+        # the blocked march keeps the rows of a block before its first
+        # non-finite one, so the hint is the reference's last node with
+        # |W| <= e^703 before W' overflows, not the start of that block
+        params = dataclasses.replace(
+            TestBlockedMarchOracle.params_and_grid("fast_growth_rescales")[0],
+            penalty=PenaltyModel.zero())
+        dx, x_max = 0.001, 2.0
+        with pytest.raises(OverflowDomainError) as err:
+            compute_W(params, dx, x_max)
+        safe = err.value.largest_safe_x_max
+        x, p_vals, f_vals = _grid_with_density(params, dx, x_max)
+        ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam, params.q,
+                                               dx, 1.0, None)
+        with np.errstate(divide="ignore"):
+            log_w, log_d = np.log(np.abs(ur)) + Lr, np.log(np.abs(dr)) + Lr
+        first = int(np.argmax((log_w > 708.0) | (log_d > math.log(np.finfo(float).max))))
+        last_safe = x[np.flatnonzero(log_w[:first] <= 703.0)[-1]]
+        assert safe >= 1.13
+        assert safe == pytest.approx(last_safe, abs=1.5 * dx)
 
     @pytest.mark.parametrize("x_max", [1.138, 1.14, 1.144])
     def test_overflowing_derivative_is_overflow_error(self, x_max):

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import DomainTooShortError, NumericsError
 from .grid import GridFunction
-from .model import omega_eval
-from .scale import ScaleSolution, _trapezoid_convolution_at, _under_resolution
+from .scale import ScaleSolution, _under_resolution
 
 _REFINE_POINTS = 65  # h evaluated as one array per refinement round
 _TIE_REL = 1e-9
@@ -117,8 +116,7 @@ def _refine_max(scale: ScaleSolution, lo: float, hi: float, width: float):
             return float(ys[j]), hi - lo
 
 
-def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6,
-                 allow_edge: bool = False) -> BarrierSolution:
+def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6) -> BarrierSolution:
     """Locate the largest global maximizer of h and assemble v.
 
     Scans h on the grid, takes the largest index attaining the maximum
@@ -126,7 +124,7 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6,
     bracketing interval [x_{k-1}, x_{k+1}] by rounds of array evaluations
     of h (`_refine_max`) to a width of at most `refine_width`.  A maximum
     at the first node returns a* = 0 unrefined; a maximum at the last node
-    raises DomainTooShortError unless `allow_edge`.
+    raises DomainTooShortError.
     """
     h = h_grid(scale)
     dx = scale.dx
@@ -139,12 +137,10 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6,
         a_star, width = 0.0, 0.0
     elif k == n - 1:
         edge = dx * k
-        if not allow_edge:
-            raise DomainTooShortError(
-                f"h attains its maximum at the right edge x={edge:.6g}; "
-                f"the truncation domain is likely too short",
-                suggested_x_max=2.0 * edge)
-        a_star, width = edge, 0.0
+        raise DomainTooShortError(
+            f"h attains its maximum at the right edge x={edge:.6g}; "
+            f"the truncation domain is likely too short",
+            suggested_x_max=2.0 * edge)
     else:
         local = h[k - 1:k + 2]
         if float(local.max() - local.min()) < _FLAT_EPS:
@@ -206,28 +202,3 @@ def value_function(scale: ScaleSolution, a: float, x) -> float:
     inside = np.minimum(xs, a)
     out = np.where(xs <= a, alpha * scale.W(inside) + scale.G(inside), xs - a + va)
     return out if out.ndim else float(out)
-
-
-def barrier_boundary_identity(scale: ScaleSolution, a: float,
-                              v_at_barrier: float | None = None) -> float:
-    """Residual of the stationarity identity at the barrier:
-
-        0 = -(lam+q) v_a(a) + lam * int_0^a v_a(a-z) dF(z)
-            + lam * omega(a) + p(a).
-
-    Holds for every barrier level by construction of v_a; used as an
-    independent consistency check.  At a grid node it holds to round-off.
-    Between nodes it reads the O(dx^2) error of the convolution quadrature,
-    which evaluates f at a - x_j, off the grid the march used: for a
-    tabulated density, -6.1e-6 to -2.2e-5 at a = 0.81, 2.345 and 5.01 on
-    the dx 0.02 Erlang-2 model with a linear penalty.  `v_at_barrier`
-    overrides only the standalone v_a(a) term (perturbation probes).
-    """
-    params = scale.params
-    v = assemble_value(scale, a)
-    va = _barrier_coefficient(scale, a)[1] if v_at_barrier is None else v_at_barrier
-    lam, q = params.lam, params.q
-    # int_0^a v(u) f(a-u) du: trapezoid over grid nodes plus the partial cell
-    integral = _trapezoid_convolution_at(v, params.claim.density, a)
-    return -(lam + q) * va + lam * integral + lam * omega_eval(params, a) \
-        + float(params.premium.p(a))

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    dividend-opt validate CONFIG
+    dividend-opt validate CONFIG [--out DIR]
     dividend-opt barrier  CONFIG [--dx --xmax --out DIR]
     dividend-opt tables   --which N [--out DIR --dx --xmax]
     dividend-opt verify   CONFIG [--barrier LEVEL --dx --xmax --out DIR]
@@ -94,12 +94,13 @@ def _load_params(path: str):
 
 
 def _cmd_validate(args) -> int:
+    t0 = time.time()
     params = params_from_json(args.config)
     report = validate_model(params)
     text = _dump_json(report.to_dict())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        atomic_write(os.path.join(args.out, "validation.json"), text)
+        _write_outputs(args.out, "validate", _digest(args.config),
+                       {"validation.json": text}, t0)
     sys.stdout.write(text)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

@@ -1,10 +1,12 @@
-"""Generator application and optimality verification.
+"""The HJB residual on the grid and the optimality verdict.
 
 The full generator of the claim-free-flow-plus-jumps process is
 
     A m(x) = p(x) m'(x) + lam * int_0^inf (m(x-y) - m(x)) dF(y),
 
-with m extended below zero by the penalty.  The barrier strategy at a*
+with m extended below zero by the penalty.  `residual_profile` applies
+(A - q) at every grid node through `scale._generator_residual`, the one
+application of the generator in the library.  The barrier strategy at a*
 is optimal if and only if (A - q) v_{a*} <= 0 above the barrier; three
 sufficient conditions (h monotone past a*, convex density with concave
 premium, decreasing density with bounded premium slope) are evaluated
@@ -13,7 +15,6 @@ alongside as pass / fail / not-applicable.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,8 +24,8 @@ import numpy as np
 from .barrier import BarrierSolution
 from .errors import NumericsError
 from .grid import GridFunction
-from .model import ModelParams, PenaltyModel, omega_eval
-from .scale import _generator_residual, _trapezoid_convolution_at
+from .model import ModelParams, omega_eval
+from .scale import _generator_residual
 
 _RESIDUAL_TOL = 1e-6
 _H_MONOTONE_SLACK = 1e-9
@@ -57,25 +58,6 @@ class OptimalityReport:
         }
 
 
-def generator_apply(m: GridFunction, params: ModelParams, x: float,
-                    extension: Optional[PenaltyModel] = None) -> float:
-    """(A m)(x) with m extended below zero by `extension`.
-
-    Defaults to the instance's own penalty; pass PenaltyModel.zero() for
-    functions that vanish on the negative axis (e.g. W).  Trapezoidal
-    quadrature on the grid for the inner part, the exact omega for the
-    tail.
-    """
-    if m.derivative_values is None:
-        raise NumericsError("generator needs derivative samples on the grid function")
-    ext = params.penalty if extension is None else extension
-    tail_params = dataclasses.replace(params, penalty=ext)
-    conv = _trapezoid_convolution_at(m, params.claim.density, x)
-    tail = omega_eval(tail_params, x)
-    return float(params.premium.p(x)) * m.derivative(x) \
-        + params.lam * (conv + tail - float(m(x)))
-
-
 def residual_profile(v: GridFunction, params: ModelParams) -> GridFunction:
     """(A - q) v at every grid node in one batch (v extended by the penalty).
 
@@ -91,12 +73,11 @@ def residual_profile(v: GridFunction, params: ModelParams) -> GridFunction:
     return GridFunction(v.x0, v.dx, g)
 
 
-def verify_optimality(solution: BarrierSolution, params: ModelParams,
-                      tolerance: float = _RESIDUAL_TOL) -> OptimalityReport:
+def verify_optimality(solution: BarrierSolution, params: ModelParams) -> OptimalityReport:
     """Theorem-style optimality decision for the barrier in `solution`.
 
     Necessary-and-sufficient: max of (A - q) v over grid points strictly
-    above the barrier must not exceed tolerance * (1 + max |v|); the band
+    above the barrier must not exceed _RESIDUAL_TOL * (1 + max |v|); the band
     below the barrier is reported as a sanity check only.
     """
     a = solution.a_star
@@ -111,7 +92,7 @@ def verify_optimality(solution: BarrierSolution, params: ModelParams,
     above = x > a + 1e-12
     inner = (x > 1e-12) & (x < a - 1e-12)
     vmax = float(np.max(np.abs(v.values)))
-    tol = tolerance * (1.0 + vmax)
+    tol = _RESIDUAL_TOL * (1.0 + vmax)
     max_above = float(g[above].max()) if above.any() else -math.inf
     ns_pass = max_above <= tol
     sanity = float(np.max(np.abs(g[inner]))) if inner.any() else 0.0

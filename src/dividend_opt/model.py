@@ -290,10 +290,6 @@ class ClaimModel:
             return True
         return bool(np.all(np.diff(self.f_vals) <= 1e-12))
 
-    @property
-    def density_at_zero(self) -> float:
-        return float(self.density(0.0))
-
 
 # ---------------------------------------------------------------------------
 # penalty

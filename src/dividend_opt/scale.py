@@ -44,10 +44,8 @@ one-term recursion for exponential claims and costs O(n)
 (`_trapezoid_convolution`).  Only the tabulated paths, the blocked march
 and that FFT, sample the density on the grid.
 
-Closed forms kept as oracles: the two-exponential scale function for
-constant premiums, the classical ruin probability, and the Kummer-function
-form for linear premiums, which evaluates M and U with mpmath (imported
-only when called).
+The closed forms that check W and G, for constant and linear premiums
+with exponential claims, are test oracles in `_reference`.
 """
 
 from __future__ import annotations
@@ -604,27 +602,6 @@ def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float
     return p_vals * du + params.lam * (conv - u) - params.q * u
 
 
-def _trapezoid_convolution_at(m: GridFunction, density, y: float) -> float:
-    """int_{x0}^{y} m(s) f(y - s) ds at one point y of m's grid range.
-
-    The trapezoid over the grid nodes up to y, plus one trapezoid on the
-    partial cell [x_J, y], with m(y) the linear interpolant.
-    """
-    dx = m.dx
-    xs = m.x
-    J = min(int(math.floor((y - m.x0) / dx + 1e-12)), m.n - 1)
-    conv = 0.0
-    if J >= 1:
-        fv = np.asarray(density(y - xs[:J + 1]), dtype=float)
-        vv = m.values[:J + 1]
-        conv += dx * (float(np.dot(vv, fv)) - 0.5 * vv[0] * fv[0] - 0.5 * vv[J] * fv[J])
-    rem = y - float(xs[J])
-    if rem > 1e-14:
-        conv += 0.5 * rem * (m.values[J] * float(density(rem))
-                             + float(m(y)) * float(density(0.0)))
-    return conv
-
-
 def _diagnostics(params, x, p_vals, W: GridFunction, G: GridFunction, omega):
     """Relative residuals of the defining relation for W and G
     (`_generator_residual`), and the sign checks W' > 0, 1 - G' > 0 and
@@ -659,73 +636,3 @@ def _diagnostics(params, x, p_vals, W: GridFunction, G: GridFunction, omega):
         out["residual_G"] = 0.0
         out["G_nonpositive"] = True
     return out
-
-
-# ---------------------------------------------------------------------------
-# closed forms (oracles)
-
-
-def closed_form_W_constant(params: ModelParams, x):
-    """Two-exponential scale function: constant premium, exponential claims."""
-    if params.premium.kind != "constant" or params.claim.kind != "exponential":
-        raise ValueError("closed form needs a constant premium and exponential claims")
-    c, mu, lam, q = params.premium.c, params.claim.mu, params.lam, params.q
-    b = c * mu - lam - q
-    disc = math.sqrt(b * b + 4.0 * c * q * mu)
-    th_p = (-b + disc) / (2.0 * c)
-    th_m = (-b - disc) / (2.0 * c)
-    x = np.asarray(x, dtype=float)
-    out = ((th_p + mu) * np.exp(th_p * x) - (th_m + mu) * np.exp(th_m * x)) / (th_p - th_m)
-    return out if out.ndim else float(out)
-
-
-def closed_form_G_ruin_constant(params: ModelParams, x):
-    """Classical ruin probability as G: q = 0, w = -1, constant premium."""
-    if params.premium.kind != "constant" or params.claim.kind != "exponential":
-        raise ValueError("closed form needs a constant premium and exponential claims")
-    if params.q != 0.0:
-        raise ValueError("ruin-probability closed form requires q = 0")
-    c, mu, lam = params.premium.c, params.claim.mu, params.lam
-    if mu - lam / c <= 0:
-        raise ValueError("needs positive safety loading (mu > lambda/c)")
-    x = np.asarray(x, dtype=float)
-    out = -(lam / (c * mu)) * np.exp(-(mu - lam / c) * x)
-    return out if out.ndim else float(out)
-
-
-def closed_form_W_linear(params: ModelParams, x):
-    """Kummer-function form of W_q for linear premiums p(x) = c + eps x and
-    exponential claims; needs mpmath (the `test` extra).
-
-    W = P (C1 M(a, b, z) / M(a, b, z0) + C2 U(a, b, z) / U(a, b, z0)) with
-    a = q/eps + 1, b = k + 1, k = (lam+q)/eps, z = mu x + z0, z0 = mu c/eps
-    and P(x) = (1 + eps x/c)^k e^{-mu x}, so both solutions are 1 at x = 0.
-    W(0) = 1 gives C2 = 1 - C1.  P'(0) = (lam+q)/c - mu, so the slope
-    condition W'(0) = (lam+q)/c reads C1 dM + C2 dU = 1, with dM and dU the
-    logarithmic z-derivatives of M and U at z0 (M' = (a/b) M(a+1, b+1),
-    U' = -a U(a+1, b+1)).  Evaluated at 30 digits in mpmath, whose exponent
-    range is unbounded, so a large k or z0 does not overflow.
-    """
-    prem, claim = params.premium, params.claim
-    if prem.kind != "linear" or prem.epsilon <= 0 or claim.kind != "exponential":
-        raise ValueError("closed form needs a linear premium (eps > 0) and "
-                         "exponential claims")
-    if params.q <= 0:
-        raise ValueError("closed form needs q > 0 (speed condition)")
-    import mpmath
-
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    with mpmath.workdps(30):
-        lam, q, c, eps, mu = map(mpmath.mpf, (params.lam, params.q, prem.c,
-                                              prem.epsilon, claim.mu))
-        k = (lam + q) / eps
-        a, b, z0 = q / eps + 1, k + 1, mu * c / eps
-        M0, U0 = mpmath.hyp1f1(a, b, z0), mpmath.hyperu(a, b, z0)
-        dM = a / b * mpmath.hyp1f1(a + 1, b + 1, z0) / M0
-        dU = -a * mpmath.hyperu(a + 1, b + 1, z0) / U0
-        C1 = (1 - dU) / (dM - dU)
-        out = np.array([float((1 + eps * xi / c) ** k * mpmath.exp(-mu * xi)
-                              * (C1 * mpmath.hyp1f1(a, b, z0 + mu * xi) / M0
-                                 + (1 - C1) * mpmath.hyperu(a, b, z0 + mu * xi) / U0))
-                        for xi in map(mpmath.mpf, xs)])
-    return out if np.asarray(x).ndim else float(out[0])

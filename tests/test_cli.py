@@ -42,6 +42,17 @@ class TestValidateCommand:
         doc = json.loads(capsys.readouterr().out)
         assert not doc["speed_pass"]
 
+    def test_out_dir_holds_validation_and_manifest(self, bad_config_path, tmp_path,
+                                                   capsys):
+        out = tmp_path / "out"
+        assert main(["validate", bad_config_path, "--out", str(out)]) == 2
+        text = (out / "validation.json").read_text()
+        assert capsys.readouterr().out == text
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "validate"
+        assert manifest["outputs"] == [str(out / "validation.json")]
+        assert len(manifest["config_digest"]) == 64
+
     def test_tabulated_premium_held_beyond_its_knots(self, tmp_path, capsys):
         # barrier's default x_max, 166.7, also reaches past the last knot
         path = tmp_path / "short_grid.json"

@@ -22,6 +22,7 @@ def test_scalar_interpolation_equals_full_grid_interp(x0, dx, n):
                          [x0, g.x_end, g.x_end - 1e-12 * dx, x0 + 1e-12 * dx]))
     full = np.interp(ys, x, g.values)
     assert [g(float(y)) for y in ys] == full.tolist()
+    assert g.x is x and not x.flags.writeable and type(g(x0)) is float
 
 
 def test_out_of_range_is_error():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dividend_opt import (ClaimModel, GridFunction, NumericsError, PenaltyModel,
-                          barrier_solution_at, find_barrier, generator_apply,
-                          solve_scale, verify_optimality)
+                          barrier_solution_at, find_barrier, solve_scale,
+                          verify_optimality)
 from dividend_opt.hjb import residual_profile
 from dividend_opt.model import omega_eval
 from dividend_opt.scale import _trapezoid_convolution
@@ -13,36 +13,20 @@ from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrie
 from conftest import make_params
 
 
-class TestGenerator:
+class TestResidualProfile:
     def test_kills_constants(self, table1_q05):
-        # m = -2 everywhere, including the negative-axis extension
+        # m = -2 everywhere, including the negative-axis extension w = -2,
+        # so A m = 0 and (A - q) m = -q m at every node
         n = 2001
         m = GridFunction(0.0, 0.01, np.full(n, -2.0), np.zeros(n))
-        val = generator_apply(m, table1_q05, 5.0,
-                              extension=PenaltyModel.constant(2.0))
-        assert abs(val) < 1e-6
-
-    def test_annihilates_W(self, scale_q05, table1_q05):
-        W = scale_q05.W
-        wmax = float(np.max(np.abs(W.values)))
-        for x in (0.0, 1.0, 7.5, 20.0, 45.0):
-            resid = generator_apply(W, table1_q05, x, extension=PenaltyModel.zero()) \
-                - table1_q05.q * W(x)
-            assert abs(resid) <= 1e-6 * wmax
-
-    def test_annihilates_G(self):
-        params = make_params(penalty="linear", k=1.0, beta=0.5)
-        scale = solve_scale(params, 0.005, 60.0)
-        G = scale.G
-        gmax = float(np.max(np.abs(G.values)))
-        for x in (0.0, 1.0, 7.5, 20.0):
-            resid = generator_apply(G, params, x) - params.q * G(x)
-            assert abs(resid) <= 1e-6 * gmax
+        params = dataclasses.replace(table1_q05, penalty=PenaltyModel.constant(2.0))
+        prof = residual_profile(m, params)
+        assert np.max(np.abs(prof.values + params.q * m.values)) < 1e-6
 
     def test_missing_derivatives_rejected(self, table1_q05):
         m = GridFunction(0.0, 0.01, np.ones(101))
-        with pytest.raises(NumericsError):
-            generator_apply(m, table1_q05, 0.5)
+        with pytest.raises(NumericsError, match="derivative samples"):
+            residual_profile(m, table1_q05)
 
 
 def test_residual_profile_matches_fft_convolution():

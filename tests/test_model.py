@@ -91,7 +91,6 @@ class TestFamilies:
         assert np.allclose(cl.cdf(ys), 1 - np.exp(-0.3 * ys))
         assert cl.mean() == pytest.approx(1 / 0.3)
         assert cl.density_convex and cl.density_decreasing
-        assert cl.density_at_zero == pytest.approx(0.3)
 
     def test_tabulated_claim_mass_check(self):
         dx = 0.01
@@ -186,7 +185,9 @@ class TestFamilies:
         # no quadrature); a tabulated-claim solve loads no scipy.linalg: the
         # blocked march solves its triangular systems with numpy alone.  A
         # barrier / verify / simulate CLI session then loads no scipy or
-        # mpmath module at all: both serve only the test oracles.
+        # mpmath module at all: both serve only the test oracles.  Nor does
+        # it load `_reference`, which the oracle names of `dividend_opt`
+        # load on first use.
         config = tmp_path / "model.json"
         config.write_text(json.dumps({
             "premium": {"kind": "linear", "c": 1.0, "epsilon": 0.02},
@@ -218,8 +219,21 @@ class TestFamilies:
                 "        assert cli.main(argv) == 0, argv\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.split('.')[0] in ('scipy', 'mpmath')) == [])\n"
-                "print(importlib.util.find_spec('dividend_opt.kummer') is None)\n")
-        assert run_python(code).split() == ["False", "False", "False", "True", "True"]
+                "print(importlib.util.find_spec('dividend_opt.kummer') is None)\n"
+                "print('dividend_opt._reference' in sys.modules)\n"
+                "from dividend_opt import (closed_form_W_constant, closed_form_W_linear,\n"
+                "                          closed_form_G_ruin_constant,\n"
+                "                          barrier_boundary_identity)\n"
+                "print('dividend_opt._reference' in sys.modules)\n"
+                "print({'closed_form_W_constant', 'closed_form_W_linear',\n"
+                "       'closed_form_G_ruin_constant',\n"
+                "       'barrier_boundary_identity'} <= set(do.__all__))\n"
+                "try:\n"
+                "    do.no_such_name\n"
+                "except AttributeError:\n"
+                "    print(True)\n")
+        assert run_python(code).split() == ["False", "False", "False", "True", "True",
+                                            "False", "True", "True", "True"]
 
 
 class TestOmega:

@@ -23,6 +23,19 @@ class TestResidualProfile:
         prof = residual_profile(m, params)
         assert np.max(np.abs(prof.values + params.q * m.values)) < 1e-6
 
+    def test_annihilates_W(self, scale_q05, table1_q05):
+        # W vanishes on the negative axis: extend it by the zero penalty
+        W = scale_q05.W
+        params = dataclasses.replace(table1_q05, penalty=PenaltyModel.zero())
+        prof = residual_profile(W, params)
+        assert np.max(np.abs(prof.values)) <= 1e-6 * np.max(np.abs(W.values))
+
+    def test_annihilates_G(self):
+        params = make_params(penalty="linear", k=1.0, beta=0.5)
+        G = solve_scale(params, 0.005, 60.0).G
+        prof = residual_profile(G, params)
+        assert np.max(np.abs(prof.values)) <= 1e-6 * np.max(np.abs(G.values))
+
     def test_missing_derivatives_rejected(self, table1_q05):
         m = GridFunction(0.0, 0.01, np.ones(101))
         with pytest.raises(NumericsError, match="derivative samples"):

@@ -18,6 +18,11 @@ Times these layers, best of k:
 - `barrier.find_barrier` summed over the 10 models of sweeps 1 and 6, on
   scale functions solved beforehand: the grid scan, the refinement of a*
   and the assembly of the value function.
+- lookups of W and W' on sweep 1's q = 0.05 model at its barrier a*: a
+  float, a 1-point array and the 65 points of a first refinement round of
+  a*, per call.  The values must equal np.interp over writeable copies of
+  the whole grid bit for bit, and W' at each float must equal the array
+  W' there.
 - the march of a tabulated claim density, on the `tabulated_cli` model of
   `perfbench` (grid dx 0.005, x_max 166.7, 33 334 nodes) with and without
   its linear penalty: one reference march per function (W, and G_p with
@@ -143,6 +148,27 @@ def bench_find_barrier():
     t, sols = time_best(lambda: [find_barrier(s) for s in scales], repeats=7)
     return {"models": len(scales), "find_barrier": t,
             "max_width": max(sol.refinement_width for sol in sols)}
+
+
+def bench_grid_lookup(calls: int = 200):
+    """W and W' at a* of sweep 1's q = 0.05 model, seconds per lookup: a
+    float, a 1-point array and 65 points spanning a* +- one grid step (the
+    first round of `barrier._refine_max`)."""
+    scale = locate_barrier(SWEEPS[1].model_for(0.05))[0]
+    W = scale.W
+    a = find_barrier(scale).a_star
+    points = {"float": a, "1": np.array([a]),
+              "65": np.linspace(a - W.dx, a + W.dx, 65)}
+    out = {"nodes": W.n}
+    for label, y in points.items():
+        for name, fn in (("value", W), ("derivative", W.derivative)):
+            t, _ = time_best(lambda: [fn(y) for _ in range(calls)], repeats=7)
+            out[f"{name}_{label}"] = t / calls
+    x, values, ys = W.x.copy(), W.values.copy(), points["65"]
+    out["bitwise_equal"] = (
+        all(np.array_equal(W(y), np.interp(y, x, values)) for y in points.values())
+        and [W.derivative(float(y)) for y in ys] == W.derivative(ys).tolist())
+    return out
 
 
 def omega_params():
@@ -357,6 +383,13 @@ def main():
     print(f"find_barrier, {b['models']} sweep models (scale functions solved):")
     print(f"  summed                 {b['find_barrier'] * 1e3:9.1f} ms   "
           f"(largest refinement width {b['max_width']:.2g})")
+    g = bench_grid_lookup()
+    print(f"Lookups of W and W' at a* (sweep 1, q = 0.05, {g['nodes']} nodes), per call:")
+    for label in ("float", "1", "65"):
+        kind = "a float " if label == "float" else f"{label:>2}-point array"
+        print(f"  {kind:16s} W {g['value_' + label] * 1e6:7.1f} us   "
+              f"W' {g['derivative_' + label] * 1e6:7.1f} us")
+    print(f"  bitwise equal to np.interp over the whole grid: {g['bitwise_equal']}")
 
     for penalised in (True, False):
         b = bench_blocked(penalised)

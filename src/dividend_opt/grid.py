@@ -34,10 +34,13 @@ def atomic_write(path, text: str):
 class GridFunction:
     """A function sampled on a uniform grid.
 
-    Value evaluation between nodes is linear interpolation; evaluation
-    outside [x0, x_end] or at NaN raises.  Derivative samples, when
-    present, are interpolated with a C1 cubic (Catmull-Rom) so that
-    optimizers running on derived quantities see a smooth surrogate.
+    Values between nodes are linear interpolation, equal bit for bit to
+    np.interp over the whole grid.  Derivative samples, when present, are
+    interpolated with a C1 cubic (Catmull-Rom) so that optimizers running
+    on derived quantities see a smooth surrogate.  Both lookups take a
+    float or an array and run the same operations on either: one cell
+    routine, then one formula.  A point outside [x0, x_end] (beyond a
+    1e-9 dx slack) or at NaN raises.
     """
 
     x0: float
@@ -77,73 +80,61 @@ class GridFunction:
     def _bounds_error(self) -> ValueError:
         return ValueError(f"evaluation outside grid [{self.x0}, {self.x_end}] or at NaN")
 
-    def _locate(self, y):
-        y = np.asarray(y, dtype=float)
+    def _cell(self, y):
+        """(y, pos, j): y checked against the grid, its position (y - x0) / dx
+        clipped to [0, n - 1], and its cell j = int(pos) capped at n - 2, so
+        that y lies between nodes j and j + 1.  A float stays in Python floats
+        and ints, an array goes through numpy, with the same operations."""
         lo, hi = self.x0 - 1e-9 * self.dx, self.x_end + 1e-9 * self.dx
-        if not np.all((y >= lo) & (y <= hi)):  # NaN fails both comparisons
+        if isinstance(y, float) or np.ndim(y) == 0:  # np.ndim is slow on a float
+            y = float(y)
+            if not lo <= y <= hi:  # NaN fails both comparisons
+                raise self._bounds_error()
+            pos = min(max((y - self.x0) / self.dx, 0.0), self.n - 1.0)
+            return y, pos, min(int(pos), self.n - 2)
+        y = np.asarray(y, dtype=float)
+        if not np.all((y >= lo) & (y <= hi)):
             raise self._bounds_error()
-        return y
+        pos = np.clip((y - self.x0) / self.dx, 0.0, self.n - 1.0)
+        return y, pos, np.minimum(pos.astype(int), self.n - 2)
 
     def __call__(self, y):
         """Linear interpolation of the sampled values.
 
-        A scalar y is interpolated on the up to four nodes around it, whose
-        abscissae are computed exactly as `x` computes them, so the result
-        equals np.interp over the whole grid bit for bit, in O(1) time.
+        np.interp runs on the nodes from one before the first point's cell
+        to two past the last point's cell, with abscissae computed exactly
+        as `x` computes them.  Rounding in j moves a point by at most one
+        cell, so np.interp finds the cell it finds on the whole grid, and
+        the result equals np.interp over the whole grid bit for bit, while
+        a float or a short array costs O(1) in n.
         """
-        y = self._locate(y)
-        if y.ndim:
-            return np.interp(y, self.x, self.values)
-        j = int((y - self.x0) / self.dx)  # y's cell, or a neighbour after rounding
-        lo, hi = min(max(j - 1, 0), self.n - 2), min(j + 3, self.n)
-        nodes = self.x0 + self.dx * np.arange(lo, hi)
-        return float(np.interp(y, nodes, self.values[lo:hi]))
+        y, _, j = self._cell(y)
+        if isinstance(y, float):
+            first = last = j
+        else:  # an empty array has no cells; any window gives no values
+            first, last = (j.min(), j.max()) if j.size else (0, 0)
+        lo, hi = max(first - 1, 0), min(last + 3, self.n)
+        out = np.interp(y, self.x0 + self.dx * np.arange(lo, hi), self.values[lo:hi])
+        return float(out) if isinstance(y, float) else out
 
     def derivative(self, y):
-        """C1 cubic interpolation of the derivative samples.
-
-        A scalar y is evaluated in Python floats on the up to four nodes
-        around it, with the same operations as the array path, so the two
-        agree bit for bit.
-        """
+        """C1 cubic (Catmull-Rom) interpolation of the derivative samples: one
+        expression for a float and an array, so the two agree bit for bit."""
         if self.derivative_values is None:
             raise ValueError("no derivative samples on this grid function")
-        if np.ndim(y) == 0:
-            return self._derivative_scalar(float(y))
-        y = self._locate(y)
+        y, pos, j = self._cell(y)
         d = self.derivative_values
-        n = self.n
-        pos = np.clip((y - self.x0) / self.dx, 0.0, n - 1.0)
-        j = np.minimum(pos.astype(int), n - 2)
         s = pos - j
         # Catmull-Rom node slopes (one-sided at the ends), in units of dx
-        jm = np.maximum(j - 1, 0)
-        jp = np.minimum(j + 2, n - 1)
-        m0 = (d[j + 1] - d[jm]) / (j + 1 - jm)
-        m1 = (d[jp] - d[j]) / (jp - j)
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * d[j] + h10 * m0 + h01 * d[j + 1] + h11 * m1
-
-    def _derivative_scalar(self, y: float) -> float:
-        if not self.x0 - 1e-9 * self.dx <= y <= self.x_end + 1e-9 * self.dx:
-            raise self._bounds_error()
-        n = self.n
-        pos = min(max((y - self.x0) / self.dx, 0.0), n - 1.0)
-        j = min(int(pos), n - 2)
-        s = pos - j
-        jm, jp = max(j - 1, 0), min(j + 2, n - 1)
-        d = self.derivative_values[jm:jp + 1].tolist()  # d[i] is node jm + i
-        dj, dj1 = d[j - jm], d[j + 1 - jm]
-        m0 = (dj1 - d[0]) / (j + 1 - jm)
-        m1 = (d[-1] - dj) / (jp - j)
-        h00 = (1 + 2 * s) * ((1 - s) * (1 - s))
-        h10 = s * ((1 - s) * (1 - s))
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * dj + h10 * m0 + h01 * dj1 + h11 * m1
+        j1 = j + 1
+        jm, jp = j - (j > 0), j1 + (j1 < self.n - 1)
+        dj, dj1 = d[j], d[j1]
+        m0 = (dj1 - d[jm]) / (j1 - jm)
+        m1 = (d[jp] - dj) / (jp - j)
+        t2, s2 = (1 - s) * (1 - s), s * s
+        out = ((1 + 2 * s) * t2 * dj + s * t2 * m0
+               + s2 * (3 - 2 * s) * dj1 + s2 * (s - 1) * m1)
+        return float(out) if isinstance(y, float) else out
 
     def to_csv_string(self) -> str:
         """The CSV text: a header, then one "x,value,derivative" row per node

@@ -122,7 +122,11 @@ def _grid_arrays(params: ModelParams, dx: float, x_max: float):
         warnings.warn(f"dx={dx} exceeds the recommended cap {_step_cap(params):.4g} "
                       f"(0.01 * min(1/lambda, mean claim)); results may be coarse")
     n = int(round(x_max / dx)) + 1
-    x = dx * np.arange(n)
+    try:
+        x = dx * np.arange(n)
+    except MemoryError:
+        raise ValueError(f"a grid of {n} nodes (dx={dx}, x_max={x_max}) cannot be "
+                         f"allocated; increase dx or decrease x_max") from None
     p_vals = np.asarray(params.premium.p(x), dtype=float)
     if np.any(p_vals <= 0):
         raise NumericsError("premium not positive on the grid")

@@ -31,6 +31,7 @@ are written as uniforms straight into the rows of the draws array.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -177,6 +178,10 @@ class SimulationConfig:
     barrier: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("paths", "seed"):  # a bool is Integral but no count or seed
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.paths <= 0:
             raise ValueError(f"paths must be positive, got {self.paths}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):

@@ -32,6 +32,7 @@ LAYERS = {
     "sweep_march": lambda b: b.bench_sweep_march(),
     "penalised_solve": lambda b: b.bench_penalised_solve(),
     "find_barrier": lambda b: b.bench_find_barrier(),
+    "grid_lookup": lambda b: b.bench_grid_lookup(20),
     "convolution": lambda b: b.bench_convolution(2000),
     "streams": lambda b: b.bench_streams(200),
     "refill": lambda b: b.bench_refill(300),

@@ -178,6 +178,8 @@ BAD_ARGUMENT_VALUES = {
     "verify_negative_barrier": ["verify", "--barrier", "-1"],
     "barrier_negative_dx": ["barrier", "--dx", "-1"],
     "barrier_nan_dx": ["barrier", "--dx", "nan"],
+    # 2e14 nodes, 1.4 PiB: the allocation fails at once, allocating nothing
+    "verify_unallocatable_grid": ["verify", "--xmax", "1e12"],
 }
 
 

@@ -12,17 +12,30 @@ def test_linear_interpolation():
     assert g(1.0) == pytest.approx(4.0)
 
 
+# on (-50, 0.1, 1001) rounding puts some points' computed cells one below
+# and some one above the cell np.interp finds
 @pytest.mark.parametrize("x0,dx,n", [(0.0, 0.005, 5001), (-3.7, 0.3, 2),
-                                     (0.5, 1.0 / 3.0, 101)])
+                                     (0.5, 1.0 / 3.0, 101), (0.0, 0.005, 33334),
+                                     (-50.0, 0.1, 1001)])
 def test_scalar_interpolation_equals_full_grid_interp(x0, dx, n):
     g = GridFunction(x0, dx, np.random.default_rng(7).standard_normal(n))
     x = g.x
     ys = np.concatenate((x, x[:-1] + 0.5 * dx, np.nextafter(x[1:], -np.inf),
                          np.nextafter(x[:-1], np.inf),
-                         [x0, g.x_end, g.x_end - 1e-12 * dx, x0 + 1e-12 * dx]))
-    full = np.interp(ys, x, g.values)
+                         [x0, g.x_end, g.x_end - 1e-12 * dx, x0 + 1e-12 * dx,
+                          x0 - 1e-10 * dx, g.x_end + 1e-10 * dx]))  # the slack
+    full = np.interp(ys, x.copy(), g.values.copy())
     assert [g(float(y)) for y in ys] == full.tolist()
+    assert g(ys).tobytes() == full.tobytes()
+    few = np.r_[0:ys.size:11, -6:0]  # every 11th point, and the last six
+    assert [g(ys[[i]]).item() for i in few] == full[few].tolist()
     assert g.x is x and not x.flags.writeable and type(g(x0)) is float
+
+
+def test_empty_array_gives_empty_array():
+    g = GridFunction(0.0, 0.5, np.arange(7.0), np.arange(7.0))
+    for out in (g(np.array([])), g.derivative(np.array([]))):
+        assert out.shape == (0,) and out.dtype == float
 
 
 def test_out_of_range_is_error():

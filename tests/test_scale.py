@@ -340,6 +340,11 @@ class TestComputeW:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             solve_scale(table1_q05, dx, x_max)
 
+    def test_unallocatable_grid_rejected(self, table1_q05):
+        # 2e14 nodes, 1.4 PiB: the allocation fails at once, allocating nothing
+        with pytest.raises(ValueError, match="increase dx or decrease x_max"):
+            solve_scale(table1_q05, 0.005, 1e12)
+
     def test_step_warning(self, table1_q05):
         with pytest.warns(UserWarning, match="recommended cap"):
             compute_W(table1_q05, 0.05, 5.0)

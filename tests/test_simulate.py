@@ -27,6 +27,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(paths=10, horizon=10.0, seed=1, barrier=-1.0)
 
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("paths", 2.5),
+                                             ("paths", True)])
+    def test_non_integer_paths_or_seed_rejected(self, field, value):
+        fields = {"paths": 10, "horizon": 10.0, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimulationConfig(**fields)
+
+    def test_numpy_integers_accepted(self):
+        config = SimulationConfig(paths=np.int32(10), horizon=10.0, seed=np.uint64(7))
+        assert (config.paths, config.seed) == (10, 7)
+
     @pytest.mark.parametrize("barrier", [math.inf, math.nan])
     def test_non_finite_barrier_rejected(self, barrier):
         with pytest.raises(ValueError, match="barrier"):

@@ -7,7 +7,9 @@ Times these layers, best of k:
   representative model (linear premium, exponential claims), against the
   O(n) `scale._exponential_march` that `solve_scale` takes for it.
 - the exponential march of W summed over the 10 models of sweeps 1 and 6
-  (the `sweep` workload of `perfbench`, grid dx 0.005).
+  (the `sweep` workload of `perfbench`, grid dx 0.005), with the largest
+  `tracemalloc` peak of one march in float64 per node and the minor page
+  faults per march (`resource.getrusage`).
 - `solve_scale` summed over the same 10 models with the constant penalty
   w = -1: W and G_p are two columns of one exponential march, then G and
   the diagnostics.  It goes through the public API only.
@@ -62,7 +64,9 @@ Run from the repository root:
 import argparse
 import dataclasses
 import math
+import resource
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -107,12 +111,34 @@ def sweep_models():
 
 
 def bench_sweep_march():
-    """W's exponential march on each model of sweeps 1 and 6, summed."""
+    """W's exponential march on each model of sweeps 1 and 6, summed; the
+    minor page faults per march over a second pass, and the largest traced
+    peak of one march in float64 per node.  Each march's result is dropped
+    before the next, as `locate_barrier` drops it."""
     grids = [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in sweep_models()]
-    t, _ = time_best(lambda: [_exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX,
-                                                 [1.0], [0.0])
-                              for m, p in grids])
-    return {"models": len(grids), "nodes": sum(p.size for _, p in grids), "march": t}
+
+    def march(m, p):
+        _exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX, [1.0], [0.0])
+
+    def one_pass():
+        for m, p in grids:
+            march(m, p)
+
+    one_pass()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    one_pass()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    t, _ = time_best(one_pass)
+    peak = 0.0
+    for m, p in grids:
+        tracemalloc.start()
+        try:
+            march(m, p)
+            peak = max(peak, tracemalloc.get_traced_memory()[1] / (8 * p.size))
+        finally:
+            tracemalloc.stop()
+    return {"models": len(grids), "nodes": sum(p.size for _, p in grids), "march": t,
+            "faults_per_march": faults / len(grids), "peak_floats_per_node": peak}
 
 
 def bench_penalised_solve():
@@ -369,7 +395,9 @@ def main():
 
     w = bench_sweep_march()
     print(f"\nExponential march of W, {w['models']} sweep models ({w['nodes']} nodes):")
-    print(f"  summed                 {w['march'] * 1e3:9.1f} ms")
+    print(f"  summed                 {w['march'] * 1e3:9.1f} ms   "
+          f"(traced peak {w['peak_floats_per_node']:.1f} float64 per node, "
+          f"{w['faults_per_march']:.0f} minor page faults per march)")
     s = bench_penalised_solve()
     print(f"solve_scale, {s['models']} sweep models with the penalty w = -1:")
     print(f"  summed                 {s['solve'] * 1e3:9.1f} ms")

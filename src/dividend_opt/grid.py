@@ -93,9 +93,9 @@ class GridFunction:
             pos = min(max((y - self.x0) / self.dx, 0.0), self.n - 1.0)
             return y, pos, min(int(pos), self.n - 2)
         y = np.asarray(y, dtype=float)
-        if not np.all((y >= lo) & (y <= hi)):
+        if y.size and not (y.min() >= lo and y.max() <= hi):  # NaN if y holds one
             raise self._bounds_error()
-        pos = np.clip((y - self.x0) / self.dx, 0.0, self.n - 1.0)
+        pos = np.minimum(np.maximum((y - self.x0) / self.dx, 0.0), self.n - 1.0)
         return y, pos, np.minimum(pos.astype(int), self.n - 2)
 
     def __call__(self, y):

@@ -17,12 +17,13 @@ W and G_p are marched forward by one implicit-trapezoid scheme, the one
 f(z) = mu exp(-mu z) the trapezoid history sum H_i of the convolution
 obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)); the deficit at ruin is
 Exp(mu), so omega(x) = omega(0) exp(-mu x) decays by the same factor.  Each
-step is a linear map of the state (u, d, H + omega/dx), G_p is W's march
-from another start state, and `_exponential_march` is O(n).  It runs as
-a two-level block scan: about sqrt(0.1 n) lockstep numpy steps march
-every block's response to each unit start state, and a chain over the
-block ends in Python floats gives each column's block start states, so
-the Python-level work is O(sqrt(n)) steps and not one per node.  Every
+step is a linear map of the two-number state (u, H + omega/dx), on which
+the derivative depends; G_p is W's march from another start state, and
+`_exponential_march` is O(n).  It runs as a two-level block scan: about
+sqrt(0.1 n) lockstep steps of three numpy calls march every block's
+response to each unit start state, and a chain over the block ends in
+Python floats gives each column's block start states, so the
+Python-level work is O(sqrt(n)) steps and not one per node.  Every
 other claim density goes through `_blocked_march`, which marches W and
 G_p together as two columns of one unit lower-triangular system per
 block of `_BLOCK` nodes.  The block matrices depend on the grid alone:
@@ -146,94 +147,93 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
 
     Column k starts from u0[k] with the source omega(x) = omega0[k] e^{-mu x}
     (0 for W): every penalty rate of exponential claims has that form.  The
-    history sum H_i = sum_{j<i} w_j u_j f(x_i - x_j) (w_0 = 1/2, else 1) and
-    omega(x_i)/dx both decay by exp(-mu dx) per step, so their sum H'_i obeys
-    H'_{i+1} = exp(-mu dx) (H'_i + w_i u_i f(0)), and one step maps the
-    state (u, d, H') linearly:
+    convolution's history sum and omega(x_i)/dx both decay by delta =
+    exp(-mu dx) per step, so their sum H obeys H_i = delta (H_{i-1} + mu
+    u_{i-1}) from H_0 = -mu u_0 / 2 + omega(0)/dx (node 0 has weight 1/2),
+    d_i = c_i (A u_i - lam dx H_i), and one step maps (u, H) linearly:
 
-        e_i = -lam dx H'_i,  u_i = k_i (u_{i-1} + dx/2 (d_{i-1} + c_i e_i)),
-        d_i = c_i (A u_i + e_i),  H'_{i+1} = exp(-mu dx) (H'_i + mu u_i)
+        u_i = alpha_i u_{i-1} + beta_i H_{i-1},  H_i = delta (H_{i-1} + mu u_{i-1}),
+        alpha_i = k_i (1 + dx/2 A c_{i-1} - dx/2 lam dx mu delta c_i),
+        beta_i = -k_i dx/2 lam dx (c_{i-1} + delta c_i)
 
     with c = 1/p, k = 1 / (1 - dx/2 A c) and A = lam + q - dx/2 lam mu.
     The n - 1 steps are cut into blocks of B = `_scan_block(n)` steps.  B
-    lockstep numpy steps march the response of every block to each unit
-    start state at once; per column, a chain over the block-end responses
-    in Python floats gives each block's start state; one einsum fills u and d.
+    lockstep steps of three numpy calls march every block's response to
+    each unit start state; per column, a 2 x 2 chain over the block-end
+    responses in Python floats gives each block's start state, broadcast
+    products expand u and H, and d follows from them.
 
     Returns (values, derivatives) in true units, each of shape (n, m).  A
     column that grows past float range reads inf or nan from there on.
     """
-    p = np.asarray(p_vals, dtype=float)
-    n = p.size
-    half = 0.5 * dx
-    A = lam + q - half * lam * mu
-    decay = math.exp(-mu * dx)
-
-    steps = n - 1
+    n = len(p_vals)
+    half, ldx = 0.5 * dx, lam * dx
+    A, decay = lam + q - half * lam * mu, math.exp(-mu * dx)
     B = _scan_block(n)
-    nb = -(-steps // B)
-    denom = 1.0 - half * A / p[1:]
-    if denom.min() <= 0.0:
-        i = 1 + int(np.argmax(denom <= 0.0))
+    nb = -(-(n - 1) // B)
+    # c, then 0 past the last node; step j of block b is node 1 + b B + j
+    c = np.zeros(nb * B + 1)
+    np.divide(1.0, p_vals, out=c[:n])
+    c_prev, c_cur = c[:-1].reshape(nb, B).T, c[1:].reshape(nb, B).T
+    # R[j, var, s, b]: u (var 0) and H (var 1) after step j of block b from
+    # unit start state s.  Before step j, R[j] holds the rows (alpha, delta)
+    # on the state and (beta, mu delta) on it with u and H swapped
+    R = np.empty((B, 2, 2, nb))
+    alpha, delta, beta = R[:, 0, 0], R[:, 0, 1], R[:, 1, 0]
+    np.multiply(c_cur, -half * A, out=beta)
+    beta += 1.0
+    if beta.min() <= 0.0:
+        i = 1 + int(np.argmax(beta.T.ravel() <= 0.0))
         raise NumericsError(
             f"the exponential march reaches the trapezoid limit at x={i * dx:.6g}: "
-            f"the step dx (lam + q - dx/2 lam mu) / p(x) is {dx * A / p[i]:.6g}, "
+            f"the step dx (lam + q - dx/2 lam mu) / p(x) is {dx * A / p_vals[i]:.6g}, "
             f"at or past 2, for dx={dx:.6g}; decrease dx")
-
-    def by_block(values, pad):
-        """Per-step values laid out (B, nb): step j of block b is node 1 + bB + j.
-        The padding past the last node (c = 0, k = 1) stays finite."""
-        out = np.full(nb * B, pad)
-        out[:steps] = values
-        return out.reshape(nb, B).T
-
-    c = by_block(1.0 / p[1:], 0.0)
-    k = by_block(1.0 / denom, 1.0)
-
-    # basis columns: unit start u, d and H'
-    U = np.zeros((3, nb))
-    D = np.zeros((3, nb))
-    H = np.zeros((3, nb))
-    U[0] = D[1] = H[2] = 1.0
-    RU = np.empty((B, 3, nb))
-    RD = np.empty((B, 3, nb))
-    for j in range(B):
-        e = (-lam * dx) * H
-        U = (U + half * (D + e * c[j])) * k[j]
-        D = (A * U + e) * c[j]
-        H = decay * (H + mu * U)
-        RU[j] = U
-        RD[j] = D
-    bad = ~(np.isfinite(RU).all(axis=(0, 1)) & np.isfinite(RD).all(axis=(0, 1))
-            & np.isfinite(H).all(axis=0))
+    np.divide(1.0, beta, out=beta)  # k
+    np.multiply(c_prev, half * A, out=alpha)
+    alpha += 1.0
+    np.multiply(c_cur, half * ldx * mu * decay, out=delta)
+    alpha -= delta
+    alpha *= beta
+    np.multiply(c_cur, decay, out=delta)
+    delta += c_prev
+    delta *= -half * ldx
+    beta *= delta
+    R[:, :, 1] = ((decay,), (mu * decay,))
+    prev, swapped = np.eye(2)[:, :, None], np.empty((2, 2, nb))
+    for cur in R:
+        np.multiply(cur[1][:, None], prev[::-1], out=swapped)
+        np.multiply(cur[0][:, None], prev, out=cur)  # numpy buffers the overlap
+        cur += swapped
+        prev = cur
+    bad = ~np.isfinite(R).all(axis=(0, 1, 2))
     if bad.any():
-        b = int(np.argmax(bad))
-        i = 1 + b * B
+        i = 1 + int(np.argmax(bad)) * B
         raise NumericsError(
             f"the exponential march overflows float range within one block of {B} "
             f"steps at x={i * dx:.6g}: the step dx (lam + q - dx/2 lam mu) / p(x) "
-            f"reaches {dx * A * float(c[:, b].max()):.3g}, near its limit of 2, "
+            f"reaches {dx * A * float(c[i:i + B].max()):.3g}, near its limit of 2, "
             f"for dx={dx:.6g}; decrease dx")
-
-    ends = np.array((U, D, H)).reshape(9, nb).T.tolist()
-    m = len(u0)
-    u = np.empty((n, m))
-    d = np.empty((n, m))
+    ends = R[-1].transpose(2, 0, 1).reshape(nb, 4).tolist()
+    u, d = np.empty((2, nb * B + 1, len(u0)))
+    h = np.empty((nb, B))
     for col, (s0, w0) in enumerate(zip(u0, omega0)):
-        d0 = ((lam + q) * s0 - lam * w0) / p[0]
-        u[0, col], d[0, col] = s0, d0
-        state = (float(s0), float(d0), decay * (0.5 * s0 * mu + w0 / dx))
+        u[0, col], d[0, col] = s0, ((lam + q) * s0 - lam * w0) / p_vals[0]
+        su, sh = float(s0), -0.5 * mu * s0 + w0 / dx
         starts = []
-        for uu, ud, uh, du, dd, dh, hu, hd, hh in ends:
-            starts.append(state)
-            su, sd, sh = state
-            state = (uu * su + ud * sd + uh * sh,
-                     du * su + dd * sd + dh * sh,
-                     hu * su + hd * sd + hh * sh)
-        S = np.array(starts)
-        u[1:, col] = np.einsum("jkb,bk->bj", RU, S).ravel()[:steps]
-        d[1:, col] = np.einsum("jkb,bk->bj", RD, S).ravel()[:steps]
-    return u, d
+        for uu, uh, hu, hh in ends:
+            starts.append((su, sh))
+            su, sh = uu * su + uh * sh, hu * su + hh * sh
+        su, sh = np.array(starts).T[:, :, None]
+        uc, dc = u[1:, col].reshape(nb, B), d[1:, col].reshape(nb, B)
+        for var, out in ((1, h), (0, uc)):  # dc is scratch until d is formed
+            np.multiply(R[:, var, 0].T, su, out=out)
+            np.multiply(R[:, var, 1].T, sh, out=dc)
+            out += dc
+        np.multiply(uc, A, out=dc)
+        h *= ldx
+        dc -= h
+        dc *= c_cur.T
+    return u[:n], d[:n]
 
 
 def _fft_length(n: int) -> int:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -77,6 +78,17 @@ class TestExponentialMarchOracle:
         assert du <= ORACLE_REL_TOL
         assert dd <= ORACLE_REL_TOL
 
+    @pytest.mark.parametrize("which,value", [(w, v) for w, spec in SWEEPS.items()
+                                             for v in spec.values])
+    def test_sweep_instances_penalty_column_matches_reference(self, which, value):
+        # G_p: the start H_0 = omega(0)/dx, on a domain short enough for the
+        # O(n^2) reference
+        params = dataclasses.replace(SWEEPS[which].model_for(value),
+                                     penalty=PenaltyModel.linear(1.0, 0.5))
+        du, dd, _ = _oracle_diffs(params, DEFAULT_DX, 30.0, penalty_march=True)
+        assert du <= ORACLE_REL_TOL
+        assert dd <= ORACLE_REL_TOL
+
     def test_source_term_and_rescale_match_reference(self):
         params = ModelParams(PremiumModel.constant(1.0), ClaimModel.exponential(1.0),
                              PenaltyModel.linear(1.0, 0.5), lam=0.5, q=0.5)
@@ -150,6 +162,22 @@ class TestExponentialMarchOracle:
         gmax = float(np.max(np.abs(G.values)))
         assert np.max(np.abs(G.values - (gp - r * w))) <= 1e-10 * gmax
         assert np.max(np.abs(G.derivative_values - (gpd - r * wd))) <= 1e-10 * gmax
+
+
+def test_march_working_set_within_twelve_floats_per_node():
+    # one W march on 33 334 nodes: the responses (4 floats per node), 1/p,
+    # H and the two outputs; a coefficient table or transposed temporaries
+    # beside them go past the budget
+    _, p_vals = _grid_arrays(SWEEP1_Q05, DEFAULT_DX, default_x_max(SWEEP1_Q05))
+    assert p_vals.size == 33334
+    tracemalloc.start()
+    try:
+        _exponential_march(p_vals, SWEEP1_Q05.claim.mu, SWEEP1_Q05.lam, SWEEP1_Q05.q,
+                           DEFAULT_DX, [1.0], [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * p_vals.size
 
 
 class TestExponentialMarchFailure:

@@ -179,25 +179,25 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     # unit start state s.  Before step j, R[j] holds the rows (alpha, delta)
     # on the state and (beta, mu delta) on it with u and H swapped
     R = np.empty((B, 2, 2, nb))
-    alpha, delta, beta = R[:, 0, 0], R[:, 0, 1], R[:, 1, 0]
-    np.multiply(c_cur, -half * A, out=beta)
-    beta += 1.0
-    if beta.min() <= 0.0:
-        i = 1 + int(np.argmax(beta.T.ravel() <= 0.0))
+    alpha, delta, k = R[:, 0, 0], R[:, 0, 1], R[:, 1, 0]
+    np.multiply(c_cur, -half * A, out=k)
+    k += 1.0
+    if k.min() <= 0.0:
+        i = 1 + int(np.argmax(k.T.ravel() <= 0.0))
         raise NumericsError(
             f"the exponential march reaches the trapezoid limit at x={i * dx:.6g}: "
             f"the step dx (lam + q - dx/2 lam mu) / p(x) is {dx * A / p_vals[i]:.6g}, "
             f"at or past 2, for dx={dx:.6g}; decrease dx")
-    np.divide(1.0, beta, out=beta)  # k
+    np.divide(1.0, k, out=k)
     np.multiply(c_prev, half * A, out=alpha)
     alpha += 1.0
     np.multiply(c_cur, half * ldx * mu * decay, out=delta)
     alpha -= delta
-    alpha *= beta
+    alpha *= k
     np.multiply(c_cur, decay, out=delta)
     delta += c_prev
     delta *= -half * ldx
-    beta *= delta
+    k *= delta  # beta
     R[:, :, 1] = ((decay,), (mu * decay,))
     prev, swapped = np.eye(2)[:, :, None], np.empty((2, 2, nb))
     for cur in R:

@@ -31,30 +31,17 @@ Times these layers, best of k:
   the penalty) against the one call of `scale._march`, which marches both
   as the two columns of the blocked march.  The largest node-wise relative
   gap to the reference is printed with it.
-- one super-block of that march (nodes 1024 to 2047 of the tabulated_cli
-  model without its penalty, 16 blocks of 64 nodes): each unit
-  lower-triangular block matrix solved by `np.linalg.solve`, a pivoting
-  LU per block, against `scale._unit_lower_inverse` on the stack of all
-  16 plus one matrix product per block, with the largest relative gap
-  between the two solutions.
-- the CSV text of the tabulated_cli `v_curve` (the value function that
-  `barrier` writes, 33 334 rows): the former `str.format` row map against
-  the single `%`-format of `GridFunction.to_csv_string`, which must give
-  the same text.
 - the penalty rate omega on every node of a solve grid (dx 0.005,
   x_max 166.7) for a tabulated Erlang-2 claim density with a linear
   penalty: the exact, vectorized `model.omega_eval` against the per-node
   quadrature oracle `_reference.omega_quadrature`, which runs Simpson
   between the kinks of the integrand and so agrees to rounding.
-- the Monte-Carlo engine, before and after each of its three changes:
-  per-path `Generator(Philox)` set-up against the vectorized Philox of
-  `simulate.philox_uniforms` (same uniforms, bit for bit), for 16 blocks
-  per path and for the one block per path of a lockstep refill at 2 000,
-  18 000 and 32 000 paths; the scalar
-  per-path event loop `_reference.closed_form_path` on pre-drawn uniforms
-  against the lockstep engine (which draws its own); and the `solve_ivp`
-  flow the engine used for a tabulated premium against the exact
-  `FlowSolver` flow (bounded premium 1 + 0.5(1 - e^{-x/10}) on [0, 5000]).
+- the row kernel of `simulate.philox_uniforms` drawing one Philox block
+  per path, as a lockstep refill draws it, at 2 000, 18 000 and 32 000
+  paths.
+- the Monte-Carlo value under a barrier: the scalar per-path event loop
+  `_reference.closed_form_path` on pre-drawn uniforms against the
+  lockstep engine (which draws its own).
 
 Run from the repository root:
 
@@ -67,14 +54,12 @@ import math
 import resource
 import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 
-from dividend_opt import (ClaimModel, FlowSolver, GridFunction, ModelParams,
-                          PenaltyModel, PremiumModel, SimulationConfig, omega_eval,
-                          solve_scale)
-from dividend_opt import _reference, find_barrier, scale, simulate
+from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
+                          SimulationConfig, omega_eval, solve_scale)
+from dividend_opt import _reference, find_barrier, simulate
 from dividend_opt.scale import (_exponential_convolution, _exponential_march,
                                 _grid_arrays, _march, _trapezoid_convolution)
 from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
@@ -208,9 +193,9 @@ def omega_params():
                        PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
 
 
-def bench_omega():
+def bench_omega(nodes: int = int(round(166.7 / 0.005)) + 1):
     params = omega_params()
-    x = 0.005 * np.arange(int(round(166.7 / 0.005)) + 1)
+    x = 0.005 * np.arange(nodes)
     t_ref, ref = time_best(
         lambda: np.array([_reference.omega_quadrature(params, float(v)) for v in x]))
     t_exact, exact = time_best(omega_eval, params, x)
@@ -240,79 +225,17 @@ def bench_blocked(penalised: bool):
             "blocked": t_new, "max_rel_gap": gap}
 
 
-def bench_block_solve():
-    """The block matrices of the second super-block of the tabulated_cli
-    march without its penalty, as `scale._blocked_march` builds them; one
-    right-hand side of two columns for every block."""
-    params = dataclasses.replace(omega_params(), penalty=PenaltyModel.zero())
-    _, p = _grid_arrays(params, DEFAULT_DX, default_x_max(params))
-    inverse = scale._unit_lower_inverse
-    with mock.patch.object(scale, "_unit_lower_inverse", wraps=inverse) as spy:
-        _march(params, p, DEFAULT_DX)
-    M = spy.call_args_list[1].args[0]
-    rhs = np.random.default_rng(0).standard_normal((M.shape[1], 2))
-    t_lu, ref = time_best(lambda: [np.linalg.solve(m, rhs) for m in M], repeats=20)
-    t_inv, new = time_best(lambda: [m @ rhs for m in inverse(M)], repeats=20)
-    gap = max(float(np.max(np.abs(a - b)) / np.max(np.abs(b))) for a, b in zip(new, ref))
-    return {"blocks": len(M), "lu_solve": t_lu, "batched_inverse": t_inv,
-            "max_rel_gap": gap}
-
-
-def csv_by_format_map(g):
-    """`GridFunction.to_csv_string` as it was: one `str.format` per row."""
-    cols = [g.x.tolist(), g.values.tolist(), g.derivative_values.tolist()]
-    return "x,value,derivative\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format,
-                                                 *cols))
-
-
-def bench_csv_write(rows=None):
-    """The first `rows` rows (all by default) of the tabulated_cli v_curve."""
-    v = locate_barrier(omega_params())[1].v
-    if rows is not None:
-        v = GridFunction(v.x0, v.dx, v.values[:rows], v.derivative_values[:rows])
-    t_old, old = time_best(csv_by_format_map, v, repeats=5)
-    t_new, new = time_best(v.to_csv_string, repeats=5)
-    return {"rows": v.n, "format_map": t_old, "percent_format": t_new,
-            "bitwise_equal": old == new}
-
-
 MC_SEED = 7
 MC_BARRIER = 5.33
 MC_HORIZON = 250.0
-MC_BLOCK = 64  # uniforms per path for the stream set-up layer (16 Philox blocks)
-
-
-def bench_streams(paths: int):
-    """Draw MC_BLOCK uniforms for each path: one Generator per path against
-    one vectorized Philox call for all paths."""
-    def per_path():
-        return np.array([np.random.Generator(np.random.Philox(
-            key=(MC_SEED << 64) + p)).random(MC_BLOCK) for p in range(paths)])
-
-    def vectorized():
-        u = simulate.philox_uniforms(np.arange(paths), MC_SEED,
-                                     np.arange(1, MC_BLOCK // 4 + 1)[:, None])
-        return u.transpose(2, 1, 0).reshape(paths, MC_BLOCK)
-
-    t_old, u_old = time_best(per_path)
-    t_new, u_new = time_best(vectorized)
-    return {"per_path": t_old, "vectorized": t_new,
-            "bitwise_equal": bool(np.array_equal(u_old, u_new))}
 
 
 def bench_refill(paths: int):
     """One Philox block (4 uniforms) for each path, as a lockstep refill
-    with many live paths draws it: one Generator per path against the row
-    kernel of `simulate.philox_uniforms` (its scratch buffer included)."""
-    def per_path():
-        return np.array([np.random.Generator(np.random.Philox(
-            key=(MC_SEED << 64) + p)).random(4) for p in range(paths)])
-
-    t_old, u_old = time_best(per_path)
-    t_new, u_new = time_best(simulate.philox_uniforms, np.arange(paths), MC_SEED, 1,
-                             repeats=10)
-    return {"paths": paths, "per_path": t_old, "row_kernel": t_new,
-            "bitwise_equal": bool(np.array_equal(u_old, u_new.T))}
+    with many live paths draws it: the row kernel of
+    `simulate.philox_uniforms`, its scratch buffer included."""
+    t, _ = time_best(simulate.philox_uniforms, np.arange(paths), MC_SEED, 1, repeats=10)
+    return {"paths": paths, "row_kernel": t}
 
 
 def bench_paths(paths: int):
@@ -338,54 +261,10 @@ def bench_paths(paths: int):
                                          / np.maximum(np.abs(v_old), 1.0)))}
 
 
-def bounded_premium():
-    xs = np.linspace(0.0, 5000.0, 5001)
-    return PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0)))
-
-
-def bench_flow(calls: int):
-    """`calls` forward flows and `calls` hit times on the tabulated bounded
-    premium: adaptive RK45 (the flow's former numeric branch) against the
-    exact flow, one array call each."""
-    from scipy.integrate import solve_ivp
-
-    premium = bounded_premium()
-    rng = np.random.Generator(np.random.Philox(key=MC_SEED))
-    x = 30.0 * rng.random(calls)
-    t = 10.0 * rng.random(calls)
-    b = x + 0.01 + 10.0 * rng.random(calls)
-
-    def rhs(_, r):
-        return [premium.p(r[0])]
-
-    def reached(_, r, level):
-        return r[0] - level
-
-    def ivp():
-        fwd = [solve_ivp(rhs, (0.0, ti), [xi], rtol=1e-8, atol=1e-10).y[0, -1]
-               for xi, ti in zip(x, t)]
-        hits = []
-        for xi, bi in zip(x, b):
-            event = lambda s, r, level=bi: reached(s, r, level)  # noqa: E731
-            event.terminal = True
-            sol = solve_ivp(rhs, (0.0, 1.1 * (bi - xi) + 1e-9), [xi], rtol=1e-10,
-                            atol=1e-12, events=event)
-            hits.append(sol.t_events[0][0])
-        return np.array(fwd), np.array(hits)
-
-    solver = FlowSolver(premium)
-    t_old, (f_old, h_old) = time_best(ivp)
-    t_new, (f_new, h_new) = time_best(lambda: (solver.flow(x, t), solver.travel_time(x, b)))
-    return {"calls": calls, "solve_ivp": t_old, "exact": t_new,
-            "max_rel_diff": float(max(np.max(np.abs(f_new - f_old) / f_old),
-                                      np.max(np.abs(h_new - h_old) / h_old)))}
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--paths", type=int, default=20000)
     ap.add_argument("--nodes", type=int, default=20000)
-    ap.add_argument("--flow-calls", type=int, default=200)
     args = ap.parse_args()
 
     v = bench_volterra(args.nodes)
@@ -430,20 +309,6 @@ def main():
               f"({b['reference'] / b['blocked']:.1f}x, max rel gap "
               f"{b['max_rel_gap']:.1e})")
 
-    k = bench_block_solve()
-    print(f"One super-block of it, {k['blocks']} blocks of 64 nodes (W only):")
-    print(f"  np.linalg.solve per block   {k['lu_solve'] * 1e3:7.2f} ms")
-    print(f"  batched inverse + products  {k['batched_inverse'] * 1e3:7.2f} ms   "
-          f"({k['lu_solve'] / k['batched_inverse']:.1f}x, max rel gap "
-          f"{k['max_rel_gap']:.1e})")
-
-    csv = bench_csv_write()
-    print(f"\nCSV text of the tabulated_cli v_curve, {csv['rows']} rows:")
-    print(f"  str.format per row  {csv['format_map'] * 1e3:9.1f} ms")
-    print(f"  one %-format        {csv['percent_format'] * 1e3:9.1f} ms   "
-          f"({csv['format_map'] / csv['percent_format']:.2f}x, "
-          f"identical: {csv['bitwise_equal']})")
-
     o = bench_omega()
     print(f"\nPenalty rate omega, {o['nodes']} nodes (tabulated Erlang-2 claims):")
     print(f"  quadrature {o['quadrature'] * 1e3:9.1f} ms")
@@ -451,19 +316,10 @@ def main():
           f"({o['quadrature'] / o['exact']:.0f}x, "
           f"max abs diff {o['max_abs_diff']:.1e})")
 
-    r = bench_streams(args.paths)
-    print(f"\nMonte-Carlo streams, {args.paths} paths x {MC_BLOCK} uniforms:")
-    print(f"  per-path Generator  {r['per_path'] * 1e3:9.1f} ms")
-    print(f"  vectorized Philox   {r['vectorized'] * 1e3:9.1f} ms   "
-          f"({r['per_path'] / r['vectorized']:.0f}x, bitwise equal: {r['bitwise_equal']})")
-
-    print("Monte-Carlo refill, one Philox block per path:")
+    print("\nMonte-Carlo refill, one Philox block per path (row kernel):")
     for paths in (2000, 18000, 32000):
         r = bench_refill(paths)
-        print(f"  {paths:6d} paths: per-path Generator {r['per_path'] * 1e3:8.1f} ms, "
-              f"row kernel {r['row_kernel'] * 1e3:7.2f} ms   "
-              f"({r['per_path'] / r['row_kernel']:.0f}x, bitwise equal: "
-              f"{r['bitwise_equal']})")
+        print(f"  {paths:6d} paths       {r['row_kernel'] * 1e3:9.2f} ms")
 
     p = bench_paths(args.paths)
     print(f"\nMonte-Carlo value, {args.paths} paths (linear premium, barrier {MC_BARRIER}):")
@@ -472,12 +328,6 @@ def main():
           f"({p['scalar'] / p['lockstep']:.0f}x, incl. its uniforms; means "
           f"{p['mean_scalar']!r} / {p['mean_lockstep']!r}, "
           f"max per-path diff {p['max_rel_diff']:.1e})")
-
-    f = bench_flow(args.flow_calls)
-    print(f"\nTabulated-premium flow, {f['calls']} flows + {f['calls']} hit times:")
-    print(f"  solve_ivp (RK45)    {f['solve_ivp'] * 1e3:9.1f} ms")
-    print(f"  exact               {f['exact'] * 1e3:9.1f} ms   "
-          f"({f['solve_ivp'] / f['exact']:.0f}x, max rel diff {f['max_rel_diff']:.1e})")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .barrier import _barrier_coefficient, assemble_value
+from .barrier import barrier_solution_at
 from .errors import NumericsError
 from .model import omega_eval
 
@@ -343,11 +343,11 @@ def barrier_boundary_identity(scale, a: float,
     overrides only the standalone v_a(a) term (perturbation probes).
     """
     params = scale.params
-    v = assemble_value(scale, a)
-    va = _barrier_coefficient(scale, a)[1] if v_at_barrier is None else v_at_barrier
+    sol = barrier_solution_at(scale, a)
+    va = sol.v_at_barrier if v_at_barrier is None else v_at_barrier
     lam, q = params.lam, params.q
     # int_0^a v(u) f(a-u) du: trapezoid over grid nodes plus the partial cell
-    integral = _trapezoid_convolution_at(v, params.claim.density, a)
+    integral = _trapezoid_convolution_at(sol.v, params.claim.density, a)
     return -(lam + q) * va + lam * integral + lam * omega_eval(params, a) \
         + float(params.premium.p(a))
 

@@ -30,7 +30,6 @@ from .scale import ScaleSolution, _under_resolution
 
 _REFINE_POINTS = 65  # h evaluated as one array per refinement round
 _TIE_REL = 1e-9
-_FLAT_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,7 @@ def find_barrier(scale: ScaleSolution, refine_width: float = 1e-6) -> BarrierSol
             f"the truncation domain is likely too short",
             suggested_x_max=2.0 * edge)
     else:
-        local = h[k - 1:k + 2]
-        if float(local.max() - local.min()) < _FLAT_EPS:
-            j = k
-            while j + 1 < n and abs(h[j + 1] - h[k]) < _FLAT_EPS:
-                j += 1
-            a_star, width = dx * j, 0.0  # right endpoint of the flat region
-        else:
-            a_star, width = _refine_max(scale, dx * (k - 1), dx * (k + 1), refine_width)
+        a_star, width = _refine_max(scale, dx * (k - 1), dx * (k + 1), refine_width)
     return _solution_at(scale, a_star, width, h)
 
 
@@ -160,10 +152,17 @@ def barrier_solution_at(scale: ScaleSolution, a: float) -> BarrierSolution:
 
 def _solution_at(scale: ScaleSolution, a: float, refinement_width: float,
                  h: np.ndarray) -> BarrierSolution:
+    """The solution at the barrier a, with v_a on the full grid, extended
+    linearly (slope one) past a."""
     alpha, va, pasting = _barrier_coefficient(scale, a)
-    v = _assemble(scale, a, alpha, va)
-    hf = GridFunction(0.0, scale.dx, h)
-    return BarrierSolution(float(a), hf, v, float(va), refinement_width, pasting)
+    W, G = scale.W, scale.G
+    x = W.x
+    below = x <= a
+    values = np.where(below, alpha * W.values + G.values, x - a + va)
+    derivs = np.where(below, alpha * W.derivative_values + G.derivative_values, 1.0)
+    v = GridFunction(0.0, scale.dx, values, derivs)
+    return BarrierSolution(float(a), GridFunction(0.0, scale.dx, h), v, float(va),
+                           refinement_width, pasting)
 
 
 def _barrier_coefficient(scale: ScaleSolution, a: float):
@@ -175,20 +174,6 @@ def _barrier_coefficient(scale: ScaleSolution, a: float):
         raise ValueError(f"barrier {a} outside the grid [0, {end}]")
     alpha, wp, gp = _h_at(scale, a)
     return alpha, alpha * scale.W(a) + scale.G(a), abs(alpha * wp + gp - 1.0)
-
-
-def _assemble(scale: ScaleSolution, a: float, alpha: float, va: float) -> GridFunction:
-    x = scale.W.x
-    below = x <= a
-    values = np.where(below, alpha * scale.W.values + scale.G.values, x - a + va)
-    derivs = np.where(below, alpha * scale.W.derivative_values
-                      + scale.G.derivative_values, 1.0)
-    return GridFunction(0.0, scale.dx, values, derivs)
-
-
-def assemble_value(scale: ScaleSolution, a: float) -> GridFunction:
-    """v_a on the full grid, extended linearly (slope one) past a."""
-    return _assemble(scale, a, *_barrier_coefficient(scale, a)[:2])
 
 
 def value_function(scale: ScaleSolution, a: float, x) -> float:

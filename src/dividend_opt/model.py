@@ -426,11 +426,9 @@ def omega_eval(params: ModelParams, x):
 
 def penalty_envelope(params: ModelParams) -> float:
     """sup over y >= 0 of E[-w(y - C) | C > y] (the integrability constant)."""
-    pen, claim = params.penalty, params.claim
-    if pen.is_zero:
+    if params.penalty.is_zero:
         return 0.0
-    if claim.kind == "exponential" and pen.kind in ("constant", "linear"):
-        return pen.k + pen.beta / claim.mu
+    claim = params.claim
     ys = np.linspace(0.0, max(1.0, 10.0 * claim.mean()), 201)
     surv = claim._tails(ys)[0]
     keep = surv >= 1e-14

@@ -510,14 +510,14 @@ def _solve_W_G(params: ModelParams, dx: float, x_max: float):
         g_vals = gp - r * w_vals
         gd_vals = gpd - r * wd_vals
         gamma = float(g_vals[0])
-        _check_G_decay(x, g_vals, x_max, _CANCEL_FLOOR * float(np.abs(gp).max()))
+        _check_G_decay(g_vals, x_max, _CANCEL_FLOOR * float(np.abs(gp).max()))
 
     Wf = GridFunction(0.0, dx, w_vals, wd_vals)
     Gf = GridFunction(0.0, dx, g_vals, gd_vals)
     return (x, p_vals, omega), Wf, Gf, gamma
 
 
-def _check_G_decay(x, g_vals, x_max, noise):
+def _check_G_decay(g_vals, x_max, noise):
     """Raise unless |G| decays over the last two 10% bands of the grid; a rise
     within `noise`, the round-off of the cancelled combination, is not one."""
     n = g_vals.size

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from dividend_opt import (ClaimModel, DomainTooShortError, GridFunction,
                           ModelParams, NumericsError, PenaltyModel, PremiumModel,
                           barrier_boundary_identity, barrier_solution_at,
                           find_barrier, h_eval, solve_scale, value_function)
-from dividend_opt import _reference
-from dividend_opt.barrier import assemble_value, h_grid
+from dividend_opt import _reference, tables
+from dividend_opt.barrier import h_grid
 from dividend_opt.scale import ScaleSolution
 from dividend_opt.tables import SWEEPS, default_x_max, locate_barrier
 from conftest import make_params
@@ -128,6 +129,38 @@ class TestFindBarrier:
         assert scale.domain_end == pytest.approx(22.5)
         direct = find_barrier(solve_scale(params, 0.01, 22.5))
         assert sol.a_star == direct.a_star
+
+    def test_locate_barrier_reraises_after_its_retries(self, monkeypatch):
+        tried = []
+
+        def short(params, dx, x_max):
+            tried.append(x_max)
+            raise DomainTooShortError(f"short at {x_max}", suggested_x_max=2.0 * x_max)
+
+        monkeypatch.setattr(tables, "solve_scale", short)
+        with pytest.raises(DomainTooShortError, match="short at 40.0"):
+            locate_barrier(make_params(), x_max=10.0)
+        assert tried == [10.0, 20.0, 40.0]  # _MAX_DOMAIN_RETRIES solves
+
+    def test_run_sweep_marks_a_failed_column_nan(self, monkeypatch):
+        spec = SWEEPS[1]
+        failing = spec.values[1]
+        located = tables.locate_barrier
+
+        def locate(params, dx, x_max):
+            if params.q == failing:
+                raise NumericsError("march failed")
+            return located(params, dx, x_max)
+
+        monkeypatch.setattr(tables, "locate_barrier", locate)
+        rows = tables.run_sweep(1)
+        assert [r[0] for r in rows] == list(spec.values)
+        for value, a, ref, diff, note in rows:
+            if value == failing:
+                assert math.isnan(a) and math.isnan(diff)
+                assert (ref, note) == (spec.reference[1], "march failed")
+            else:
+                assert math.isfinite(a) and diff == abs(a - ref) and note == ""
 
     def test_flat_profile_returns_right_edge_of_flat_region(self):
         # synthetic scale data: h = 1/W' flat over an interior plateau
@@ -253,8 +286,8 @@ class TestBoundaryIdentity:
         # interpolant of the assembled v misses v_a(a) by about 2e-8
         scale = TestBarrierCoefficientFold.tabulated_penalised_scale()
         a = 0.81
-        va = barrier_solution_at(scale, a).v_at_barrier
-        v_interp = assemble_value(scale, a)(a)
+        sol = barrier_solution_at(scale, a)
+        va, v_interp = sol.v_at_barrier, sol.v(a)
         assert abs(v_interp - va) > 1e-8
         r = barrier_boundary_identity(scale, a)
         assert r == barrier_boundary_identity(scale, a, v_at_barrier=va)
@@ -272,8 +305,8 @@ class TestBoundaryIdentity:
 
 
 class TestBarrierCoefficientFold:
-    """`barrier_solution_at`, `value_function` and `assemble_value` take the
-    pair (alpha, v_a(a)) from one helper, so they agree exactly."""
+    """`barrier_solution_at` and `value_function` take the pair
+    (alpha, v_a(a)) from one helper, so they agree exactly."""
 
     @staticmethod
     def tabulated_penalised_scale():
@@ -295,9 +328,9 @@ class TestBarrierCoefficientFold:
             sol = find_barrier(scale)
         x = scale.W.x
         for a in (0.0, sol.a_star, 0.5 * (float(x[40]) + float(x[41])), float(x[123])):
-            va = barrier_solution_at(scale, a).v_at_barrier
+            sol_a = barrier_solution_at(scale, a)
+            va, v = sol_a.v_at_barrier, sol_a.v
             assert value_function(scale, a, a) == va
-            v = assemble_value(scale, a)
             # on the grid nodes, a itself when it is one
             assert np.array_equal(v.values, value_function(scale, a, v.x))
             if a in (0.0, float(x[123])):

@@ -6,6 +6,7 @@ change there fails here rather than in the next benchmark run.
 """
 
 import importlib
+import inspect
 import math
 import os
 import sys
@@ -25,26 +26,29 @@ def bench():
         sys.path.remove(BENCHMARKS)
 
 
+# each `bench_*` function of the script, with the arguments of a cheap run
 LAYERS = {
-    "blocked_W_only": lambda b: b.bench_blocked(False),
-    "block_solve": lambda b: b.bench_block_solve(),
-    "csv_write": lambda b: b.bench_csv_write(500),
-    "sweep_march": lambda b: b.bench_sweep_march(),
-    "penalised_solve": lambda b: b.bench_penalised_solve(),
-    "find_barrier": lambda b: b.bench_find_barrier(),
-    "grid_lookup": lambda b: b.bench_grid_lookup(20),
-    "convolution": lambda b: b.bench_convolution(2000),
-    "streams": lambda b: b.bench_streams(200),
-    "refill": lambda b: b.bench_refill(300),
-    "paths": lambda b: b.bench_paths(200),
-    "flow": lambda b: b.bench_flow(5),
-    "volterra": lambda b: b.bench_volterra(500),
+    "bench_blocked": (False,),
+    "bench_sweep_march": (),
+    "bench_penalised_solve": (),
+    "bench_find_barrier": (),
+    "bench_grid_lookup": (20,),
+    "bench_convolution": (2000,),
+    "bench_omega": (200,),
+    "bench_refill": (300,),
+    "bench_paths": (200,),
+    "bench_volterra": (500,),
 }
+
+
+def test_every_layer_has_one_smoke_entry(bench):
+    assert set(LAYERS) == {name for name, _ in inspect.getmembers(bench, inspect.isfunction)
+                           if name.startswith("bench_")}
 
 
 @pytest.mark.parametrize("layer", sorted(LAYERS))
 def test_layer_runs(bench, layer):
-    result = LAYERS[layer](bench)
+    result = getattr(bench, layer)(*LAYERS[layer])
     numbers = [v for v in result.values() if not isinstance(v, bool)]
     assert numbers and all(math.isfinite(v) for v in numbers)
     assert result.get("bitwise_equal", True)

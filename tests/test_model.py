@@ -92,6 +92,16 @@ class TestFamilies:
         assert cl.mean() == pytest.approx(1 / 0.3)
         assert cl.density_convex and cl.density_decreasing
 
+    def test_tabulated_claim_density_shape_flags(self):
+        # the Erlang-2 density rises to its mode and bends; a sampled
+        # exponential density is decreasing and convex
+        erlang = erlang2_claim(0.01)
+        assert not erlang.density_convex and not erlang.density_decreasing
+        dx = 0.01
+        f = 0.3 * np.exp(-0.3 * dx * np.arange(10001))
+        sampled = ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
+        assert sampled.density_convex and sampled.density_decreasing
+
     def test_tabulated_claim_mass_check(self):
         dx = 0.01
         ys = dx * np.arange(1001)

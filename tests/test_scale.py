@@ -11,13 +11,13 @@ from dividend_opt import (ClaimModel, DomainTooShortError, ModelParams,
                           PremiumModel,
                           closed_form_G_ruin_constant, closed_form_W_constant,
                           closed_form_W_linear, compute_G, compute_W,
-                          solve_scale)
+                          find_barrier, solve_scale)
 from dividend_opt import _reference
 from dividend_opt.model import omega_eval
 from dividend_opt._reference import _RESCALE_AT
 from dividend_opt.scale import (_BLOCK, _CONV_SPAN, _SUPER,
                                 _exponential_convolution, _exponential_march,
-                                _grid_arrays, _march, _scan_block,
+                                _check_G_decay, _grid_arrays, _march, _scan_block,
                                 _trapezoid_convolution, _unit_lower_inverse)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
 from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
@@ -446,6 +446,16 @@ class TestComputeG:
             G = solve_scale(params, DEFAULT_DX, x_max).G
             assert G.values[0] == pytest.approx(-0.248, abs=1e-3)
 
+    def test_rising_tail_is_a_short_domain(self):
+        # synthetic |G|: decays, then rises over the last 10% band above the
+        # maximum of the band before it
+        x = np.linspace(0.0, 20.0, 1001)
+        g = -np.exp(-0.5 * x)
+        g[900:] = -np.linspace(1.0, 2.0, 101) * abs(g[800])
+        with pytest.raises(DomainTooShortError, match="not decaying") as err:
+            _check_G_decay(g, 20.0, 0.0)
+        assert err.value.suggested_x_max == 1.5 * 20.0
+
     def test_grid_too_coarse_for_decay_check_is_numerics_error(self):
         # dx = 0.5 on [0, 0.6] leaves 2 nodes: the 80-90% band is empty
         with pytest.warns(UserWarning, match="recommended cap"):
@@ -532,6 +542,16 @@ class TestDiagnostics:
         # flagged, not clipped: negative samples survive
         assert np.min(sol.W.derivative_values) < 0
 
+    def test_one_minus_g_prime_violation_is_flagged(self):
+        # a penalty of 20 on a premium of 1: G'(0) = 1.186, so 1 - G' < 0 at 0
+        params = make_params(premium="constant", penalty="constant", k=20.0)
+        with pytest.warns(UserWarning, match=r"1 - G' <= 0 at x=0 "):
+            sol = solve_scale(params, 0.005, 100.0)
+        assert sol.G.derivative_values[0] == pytest.approx(1.186, abs=1e-3)
+        assert not sol.diagnostics["one_minus_G_prime_positive"]
+        assert sol.diagnostics["G_prime_first_violation_x"] == 0.0
+        assert sol.diagnostics["W_prime_positive"]
+        assert find_barrier(sol).a_star == pytest.approx(8.366, abs=1e-3)
 
     def test_w_prime_violation_on_under_resolved_grid_names_the_remedy(self):
         # mean claim 1e-4 puts the step cap at 1e-6; at dx 0.005, mu dx = 50
@@ -608,8 +628,6 @@ class TestTabulatedClaim:
 
     def test_full_pipeline_matches_exponential(self):
         # discretizing the density must not move the located barrier much
-        from dividend_opt import find_barrier
-
         exp_params = make_params(penalty="constant", k=1.0)
         tab_params = ModelParams(exp_params.premium, self.discretized_exponential(),
                                  exp_params.penalty, lam=0.1, q=0.05)

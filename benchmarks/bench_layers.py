@@ -12,7 +12,12 @@ Times these layers, best of k:
   faults per march (`resource.getrusage`).
 - `solve_scale` summed over the same 10 models with the constant penalty
   w = -1: W and G_p are two columns of one exponential march, then G and
-  the diagnostics.  It goes through the public API only.
+  the diagnostics, read once per solve.  It goes through the public API
+  only.
+- `tables.locate_barrier` summed over the same 10 models, with no
+  penalty, as `dividend-opt tables` runs it, with its minor page faults
+  per locate; then, apart, the first read of the value curve `v` and of
+  the residual diagnostics, which `tables` never reads.
 - the diagnostics convolution of W with an exponential claim density on
   33 334 nodes: the FFT `scale._trapezoid_convolution` against the O(n)
   recursion `scale._exponential_convolution` that `solve_scale` takes for
@@ -131,9 +136,44 @@ def bench_penalised_solve():
     penalty w = -1, summed: W and G_p marched, G and the diagnostics."""
     models = [dataclasses.replace(m, penalty=PenaltyModel.constant(1.0))
               for m in sweep_models()]
-    t, _ = time_best(lambda: [solve_scale(m, DEFAULT_DX, default_x_max(m))
+    t, _ = time_best(lambda: [solve_scale(m, DEFAULT_DX, default_x_max(m)).diagnostics
                               for m in models])
     return {"models": len(models), "solve": t}
+
+
+def bench_locate(repeats: int = 5):
+    """`locate_barrier` on each model of sweeps 1 and 6, summed, as
+    `tables.run_sweep` calls it, dropping each result before the next, with
+    the minor page faults per locate over a second pass; then the first
+    read of v and of the diagnostics of a located model, best of `repeats`
+    fresh locates each, summed over the models."""
+    models = sweep_models()
+
+    def one_pass():
+        for m in models:
+            locate_barrier(m)
+
+    one_pass()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    one_pass()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    t_locate, _ = time_best(one_pass, repeats=repeats)
+    t_v = t_diag = 0.0
+    for m in models:
+        best_v = best_diag = math.inf
+        for _ in range(repeats):
+            scale, sol = locate_barrier(m)
+            t0 = time.perf_counter()
+            sol.v
+            t1 = time.perf_counter()
+            scale.diagnostics
+            best_v = min(best_v, t1 - t0)
+            best_diag = min(best_diag, time.perf_counter() - t1)
+        t_v += best_v
+        t_diag += best_diag
+    return {"models": len(models), "locate": t_locate,
+            "faults_per_locate": faults / len(models), "first_v": t_v,
+            "first_diagnostics": t_diag}
 
 
 def bench_convolution(nodes: int = 33334):
@@ -280,6 +320,12 @@ def main():
     s = bench_penalised_solve()
     print(f"solve_scale, {s['models']} sweep models with the penalty w = -1:")
     print(f"  summed                 {s['solve'] * 1e3:9.1f} ms")
+    loc = bench_locate()
+    print(f"locate_barrier, {loc['models']} sweep models (the tables path):")
+    print(f"  summed                 {loc['locate'] * 1e3:9.1f} ms   "
+          f"({loc['faults_per_locate']:.0f} minor page faults per locate)")
+    print(f"  first read of v        {loc['first_v'] * 1e3:9.1f} ms")
+    print(f"  first read of diagnostics {loc['first_diagnostics'] * 1e3:6.1f} ms")
     c = bench_convolution()
     print(f"Diagnostics convolution, {c['nodes']} nodes (exponential claims):")
     print(f"  FFT                    {c['fft'] * 1e3:9.2f} ms")

@@ -14,13 +14,15 @@ h has one evaluation, `_h_at`: at the grid nodes from the relation-derived
 derivative samples, so node 0 holds the exact right limit
 h(0+) = (1 - G'(0)) / W'(0), and between nodes from their C1 interpolation.
 The coefficient of v_a is alpha = h(a); it, v_a(a) and the smooth-pasting
-residual come from one W'(a) and G'(a).
+residual come from one W'(a) and G'(a).  v_a on the whole grid is built
+on its first read, from the scale functions, a and alpha.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,14 +36,29 @@ _TIE_REL = 1e-9
 
 @dataclass(frozen=True)
 class BarrierSolution:
-    """Located barrier with its h profile and assembled value function."""
+    """Located barrier with its h profile and value function.
+
+    `v`, v_a on the full grid extended linearly (slope one) past a, is
+    assembled from `scale` and `alpha` = h(a) on its first read and cached
+    from then on.
+    """
 
     a_star: float
     h_profile: GridFunction
-    v: GridFunction
     v_at_barrier: float
     refinement_width: float
     smooth_pasting_residual: float
+    alpha: float = field(repr=False, compare=False)
+    scale: ScaleSolution = field(repr=False, compare=False)
+
+    @cached_property
+    def v(self) -> GridFunction:
+        a, alpha, W, G = self.a_star, self.alpha, self.scale.W, self.scale.G
+        x = W.x
+        below = x <= a
+        values = np.where(below, alpha * W.values + G.values, x - a + self.v_at_barrier)
+        derivs = np.where(below, alpha * W.derivative_values + G.derivative_values, 1.0)
+        return GridFunction(0.0, W.dx, values, derivs)
 
     def to_dict(self) -> dict:
         return {
@@ -152,17 +169,10 @@ def barrier_solution_at(scale: ScaleSolution, a: float) -> BarrierSolution:
 
 def _solution_at(scale: ScaleSolution, a: float, refinement_width: float,
                  h: np.ndarray) -> BarrierSolution:
-    """The solution at the barrier a, with v_a on the full grid, extended
-    linearly (slope one) past a."""
+    """The solution at the barrier a; v_a is assembled on its first read."""
     alpha, va, pasting = _barrier_coefficient(scale, a)
-    W, G = scale.W, scale.G
-    x = W.x
-    below = x <= a
-    values = np.where(below, alpha * W.values + G.values, x - a + va)
-    derivs = np.where(below, alpha * W.derivative_values + G.derivative_values, 1.0)
-    v = GridFunction(0.0, scale.dx, values, derivs)
-    return BarrierSolution(float(a), GridFunction(0.0, scale.dx, h), v, float(va),
-                           refinement_width, pasting)
+    return BarrierSolution(float(a), GridFunction(0.0, scale.dx, h), float(va),
+                           refinement_width, pasting, alpha, scale)
 
 
 def _barrier_coefficient(scale: ScaleSolution, a: float):

@@ -62,7 +62,9 @@ def residual_profile(v: GridFunction, params: ModelParams) -> GridFunction:
     """(A - q) v at every grid node in one batch (v extended by the penalty).
 
     The residual is `scale._generator_residual`, the one that measures the
-    defining relation of W and G in `solve_scale`'s diagnostics.
+    defining relation of W and G when `ScaleSolution.diagnostics` is first
+    read.  `verify_optimality` passes a BarrierSolution's `v`, which that
+    read assembles; it reads no diagnostics of W and G.
     """
     if v.derivative_values is None:
         raise NumericsError("residual profile needs derivative samples")

@@ -38,9 +38,9 @@ stays inside it.
 
 The relation is the vanishing of the generator residual (A - q)u, which
 `_generator_residual` evaluates on every node: the diagnostics apply it
-to W and G, and `hjb.residual_profile` to the value function.  Its
-convolution with the claim density, over the whole grid, obeys the same
-one-term recursion for exponential claims and costs O(n)
+to W and G on their first read, and `hjb.residual_profile` to the value
+function.  Its convolution with the claim density, over the whole grid,
+obeys the same one-term recursion for exponential claims and costs O(n)
 (`_exponential_convolution`); for a tabulated density it is one FFT
 (`_trapezoid_convolution`).  Only the tabulated paths, the blocked march
 and that FFT, sample the density on the grid.
@@ -54,7 +54,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,18 +80,46 @@ _CONV_SPAN = 64.0
 
 @dataclass(frozen=True)
 class ScaleSolution:
-    """W and G on a common grid, plus the stable-mode bookkeeping."""
+    """W and G on a common grid, plus the stable-mode bookkeeping.
+
+    `sign_checks` holds the flags W' > 0 and 1 - G' > 0, and where each
+    first fails, from the solve; `omega` is the penalty rate on the grid,
+    None for a zero penalty.  `diagnostics` adds the residual norms to the
+    flags on its first read and is cached from then on.
+    """
 
     params: ModelParams
     W: GridFunction
     G: GridFunction
     domain_end: float
     stable_coefficient: float
-    diagnostics: dict
+    sign_checks: dict
+    omega: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
         return self.W.dx
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """Relative residuals of the defining relation for W and G
+        (`_generator_residual`), the sign flags, and G <= 0."""
+        params, dx = self.params, self.dx
+        p_vals = np.asarray(params.premium.p(self.W.x), dtype=float)
+        w_vals, g_vals = self.W.values, self.G.values
+        resid_w = _generator_residual(params, p_vals, w_vals, self.W.derivative_values, dx)
+        out = {"residual_W": float(np.max(np.abs(resid_w))) / float(np.max(np.abs(w_vals))),
+               **self.sign_checks}
+        if self.omega is not None and np.any(g_vals != 0.0):
+            resid_g = _generator_residual(params, p_vals, g_vals, self.G.derivative_values,
+                                          dx, self.omega)
+            gmax = float(np.max(np.abs(g_vals)))
+            out["residual_G"] = float(np.max(np.abs(resid_g))) / max(gmax, 1e-300)
+            out["G_nonpositive"] = bool(np.all(g_vals <= 1e-12 * gmax))
+        else:
+            out["residual_G"] = 0.0
+            out["G_nonpositive"] = True
+        return out
 
 
 def _step_cap(params: ModelParams) -> float:
@@ -482,17 +511,21 @@ def compute_G(params: ModelParams, dx: float, x_max: float) -> GridFunction:
 
 
 def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
-    """Compute W and G together with consistency diagnostics."""
-    (x, p_vals, omega), Wf, Gf, gamma = _solve_W_G(params, dx, x_max)
-    diagnostics = _diagnostics(params, x, p_vals, Wf, Gf, omega)
-    return ScaleSolution(params, Wf, Gf, float(x[-1]), gamma, diagnostics)
+    """Compute W and G together with consistency diagnostics.
+
+    The sign checks run here and warn where W' <= 0 or 1 - G' <= 0; the
+    residual norms of the diagnostics are computed on their first read.
+    """
+    (x, omega), Wf, Gf, gamma = _solve_W_G(params, dx, x_max)
+    return ScaleSolution(params, Wf, Gf, float(x[-1]), gamma,
+                         _sign_checks(params, x, Wf, Gf), omega)
 
 
 def _solve_W_G(params: ModelParams, dx: float, x_max: float):
     """The joint march, W from W(0) = 1 and the stable G, in true units.
 
-    Returns ((x, p, omega), W, G, gamma); omega is None for a zero
-    penalty, where G = 0.
+    Returns ((x, omega), W, G, gamma); omega is None for a zero penalty,
+    where G = 0.
     """
     x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
@@ -514,7 +547,7 @@ def _solve_W_G(params: ModelParams, dx: float, x_max: float):
 
     Wf = GridFunction(0.0, dx, w_vals, wd_vals)
     Gf = GridFunction(0.0, dx, g_vals, gd_vals)
-    return (x, p_vals, omega), Wf, Gf, gamma
+    return (x, omega), Wf, Gf, gamma
 
 
 def _check_G_decay(g_vals, x_max, noise):
@@ -606,24 +639,18 @@ def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float
     return p_vals * du + params.lam * (conv - u) - params.q * u
 
 
-def _diagnostics(params, x, p_vals, W: GridFunction, G: GridFunction, omega):
-    """Relative residuals of the defining relation for W and G
-    (`_generator_residual`), and the sign checks W' > 0, 1 - G' > 0 and
-    G <= 0."""
-    dx = W.dx
-    w_vals, wd_vals = W.values, W.derivative_values
-    g_vals, gd_vals = G.values, G.derivative_values
-    resid_w = _generator_residual(params, p_vals, w_vals, wd_vals, dx)
-    wmax = float(np.max(np.abs(w_vals)))
+def _sign_checks(params, x, W: GridFunction, G: GridFunction) -> dict:
+    """The flags W' > 0 and 1 - G' > 0, with the first node where each
+    fails; a failure is warned about, flagged and not clipped."""
+    wd_vals, gd_vals = W.derivative_values, G.derivative_values
     out = {
-        "residual_W": float(np.max(np.abs(resid_w))) / wmax,
         "W_prime_positive": bool(np.all(wd_vals > 0)),
         "one_minus_G_prime_positive": bool(np.all(1.0 - gd_vals > 0)),
     }
     if not out["W_prime_positive"]:
         bad = int(np.argmax(wd_vals <= 0))
         out["W_prime_first_violation_x"] = float(x[bad])
-        why = _under_resolution(params, dx)
+        why = _under_resolution(params, W.dx)
         warnings.warn(f"W' <= 0 at x={x[bad]:.6g}; barrier quantities are "
                       f"undefined there (flagged, not clipped)"
                       + ("" if why is None else f"; the grid is under-resolved: {why}"))
@@ -631,12 +658,4 @@ def _diagnostics(params, x, p_vals, W: GridFunction, G: GridFunction, omega):
         bad = int(np.argmax(1.0 - gd_vals <= 0))
         out["G_prime_first_violation_x"] = float(x[bad])
         warnings.warn(f"1 - G' <= 0 at x={x[bad]:.6g} (flagged, not clipped)")
-    if omega is not None and np.any(g_vals != 0.0):
-        resid_g = _generator_residual(params, p_vals, g_vals, gd_vals, dx, omega)
-        gmax = float(np.max(np.abs(g_vals)))
-        out["residual_G"] = float(np.max(np.abs(resid_g))) / max(gmax, 1e-300)
-        out["G_nonpositive"] = bool(np.all(g_vals <= 1e-12 * gmax))
-    else:
-        out["residual_G"] = 0.0
-        out["G_nonpositive"] = True
     return out

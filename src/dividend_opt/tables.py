@@ -16,6 +16,8 @@ reference column by design; the CSV keeps both values side by side.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -115,7 +117,12 @@ def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None):
 
 
 def sweep_csv(rows) -> str:
-    lines = ["param,a_star,a_star_ref,abs_diff,note"]
+    """The sweep as CSV text, one row per swept value; a note that holds a
+    comma or a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("param", "a_star", "a_star_ref", "abs_diff", "note"))
     for value, a, ref, diff, note in rows:
-        lines.append(f"{value:.17g},{a:.17g},{ref:.17g},{diff:.17g},{note}")
-    return "\n".join(lines) + "\n"
+        writer.writerow((f"{value:.17g}", f"{a:.17g}", f"{ref:.17g}", f"{diff:.17g}",
+                         note))
+    return out.getvalue()

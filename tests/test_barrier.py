@@ -11,10 +11,12 @@ from dividend_opt import (ClaimModel, DomainTooShortError, GridFunction,
                           barrier_boundary_identity, barrier_solution_at,
                           find_barrier, h_eval, solve_scale, value_function)
 from dividend_opt import _reference, tables
+from dividend_opt import scale as scale_module
 from dividend_opt.barrier import h_grid
+from dividend_opt.model import omega_eval
 from dividend_opt.scale import ScaleSolution
 from dividend_opt.tables import SWEEPS, default_x_max, locate_barrier
-from conftest import make_params
+from conftest import erlang2_claim, make_params
 
 
 def ode_barrier_oracle(params, x_hi=80.0):
@@ -335,3 +337,78 @@ class TestBarrierCoefficientFold:
             assert np.array_equal(v.values, value_function(scale, a, v.x))
             if a in (0.0, float(x[123])):
                 assert v(a) == va
+
+
+def penalised_models():
+    """Sweep 1 at q = 0.05 with the linear penalty -1 + 0.5x, and the same
+    premium and penalty with Erlang(2, 0.6) claims tabulated at dx 0.01 on
+    [0, 40] (the tabulated_cli model of perfbench)."""
+    penalty = PenaltyModel.linear(1.0, 0.5)
+    return {"sweep1": dataclasses.replace(SWEEPS[1].model_for(0.05), penalty=penalty),
+            "erlang2": ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                                   penalty, lam=0.1, q=0.05)}
+
+
+@pytest.fixture(scope="module")
+def penalised_solutions():
+    return {name: locate_barrier(m) for name, m in penalised_models().items()}
+
+
+class TestComputedOnFirstRead:
+    """The residual diagnostics of a ScaleSolution and the value curve of a
+    BarrierSolution are computed when first read, equal bit for bit to the
+    formulas written out here, and cached."""
+
+    @pytest.mark.parametrize("which", [1, 6])
+    def test_run_sweep_computes_no_residual(self, which, monkeypatch):
+        plain = tables.run_sweep(which, dx=0.02)
+
+        def residual(*args, **kwargs):
+            raise AssertionError("run_sweep computed a generator residual")
+
+        monkeypatch.setattr(scale_module, "_generator_residual", residual)
+        assert repr(tables.run_sweep(which, dx=0.02)) == repr(plain)
+
+    @pytest.mark.parametrize("model", ["sweep1", "erlang2"])
+    def test_nothing_built_before_the_first_read(self, model):
+        scale, sol = locate_barrier(penalised_models()[model])
+        assert "diagnostics" not in scale.__dict__
+        assert "v" not in sol.__dict__
+        assert scale.diagnostics is scale.diagnostics
+        assert sol.v is sol.v
+
+    @pytest.mark.parametrize("model", ["sweep1", "erlang2"])
+    def test_diagnostics_equal_the_residual_formula(self, model, penalised_solutions):
+        scale, _ = penalised_solutions[model]
+        params, W, G, dx = scale.params, scale.W, scale.G, scale.dx
+        x = dx * np.arange(W.n)
+        p = np.asarray(params.premium.p(x), dtype=float)
+        resid_w = scale_module._generator_residual(params, p, W.values,
+                                                   W.derivative_values, dx)
+        resid_g = scale_module._generator_residual(params, p, G.values,
+                                                   G.derivative_values, dx,
+                                                   omega_eval(params, x))
+        gmax = float(np.max(np.abs(G.values)))
+        expected = [
+            ("residual_W", float(np.max(np.abs(resid_w))) / float(np.max(np.abs(W.values)))),
+            ("W_prime_positive", bool(np.all(W.derivative_values > 0))),
+            ("one_minus_G_prime_positive", bool(np.all(1.0 - G.derivative_values > 0))),
+            ("residual_G", float(np.max(np.abs(resid_g))) / gmax),
+            ("G_nonpositive", bool(np.all(G.values <= 1e-12 * gmax))),
+        ]
+        assert list(scale.diagnostics.items()) == expected
+
+    @pytest.mark.parametrize("model", ["sweep1", "erlang2"])
+    def test_value_curve_equals_the_two_branch_formula(self, model, penalised_solutions):
+        scale, sol = penalised_solutions[model]
+        W, G, a = scale.W, scale.G, sol.a_star
+        x = scale.dx * np.arange(W.n)
+        alpha = (1.0 - G.derivative(a)) / W.derivative(a)
+        va = alpha * W(a) + G(a)
+        below = x <= a
+        values = np.where(below, alpha * W.values + G.values, x - a + va)
+        derivs = np.where(below, alpha * W.derivative_values + G.derivative_values, 1.0)
+        assert sol.v_at_barrier == va
+        assert np.array_equal(sol.v.values, values)
+        assert np.array_equal(sol.v.derivative_values, derivs)
+        assert (sol.v.x0, sol.v.dx) == (0.0, scale.dx)

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
 from dividend_opt.cli import main
+from dividend_opt.tables import sweep_csv
 from conftest import run_python
 
 TABLE1_Q05 = {"premium": {"kind": "linear", "c": 1.0, "epsilon": 0.02},
@@ -296,6 +300,25 @@ class TestTablesCommand:
         rows = [line.split(",") for line in lines[1:]]
         diffs = [float(r[3]) for r in rows]
         assert max(diffs) < 0.1
+
+    def test_note_with_commas_and_quotes_stays_one_field(self, tmp_path):
+        note = 'W\' <= 0 at x=21: dx=3 exceeds the cap, and mu·dx = 0.9; "decrease dx"'
+        rows = [(0.05, 18.5, 17.73, 0.77, ""), (0.2, math.nan, 19.16, math.nan, note)]
+        text = sweep_csv(rows)
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["param", "a_star", "a_star_ref", "abs_diff", "note"],
+            ["0.050000000000000003", "18.5", "17.73", "0.77000000000000002", ""],
+            ["0.20000000000000001", "nan", "19.16", "nan", note]]
+        # a row without a comma is written as before, unquoted
+        assert text.splitlines()[1] == "0.050000000000000003,18.5,17.73,0.77000000000000002,"
+        # the coarse sweep 6 notes name dx, the step cap and mu·dx, with commas
+        out = tmp_path / "t"
+        with pytest.warns(UserWarning):
+            assert main(["tables", "--which", "6", "--dx", "3", "--out", str(out)]) == 0
+        with open(out / "table6.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert [len(r) for r in table] == [5] * 6
+        assert any("," in r[4] for r in table[1:])
 
     def test_unknown_table_is_usage_error(self, tmp_path):
         assert main(["tables", "--which", "9", "--out", str(tmp_path)]) == 64

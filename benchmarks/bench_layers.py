@@ -18,10 +18,10 @@ Times these layers, best of k:
   penalty, as `dividend-opt tables` runs it, with its minor page faults
   per locate; then, apart, the first read of the value curve `v` and of
   the residual diagnostics, which `tables` never reads.
-- the diagnostics convolution of W with an exponential claim density on
-  33 334 nodes: the FFT `scale._trapezoid_convolution` against the O(n)
-  recursion `scale._exponential_convolution` that `solve_scale` takes for
-  it, with the largest gap between the two relative to max |conv|.
+- the diagnostics convolution `scale._trapezoid_convolution` of W with
+  the claim density on 33 334 nodes, for sweep 1's q = 0.05 model
+  (exponential claims) and for the `tabulated_cli` model of `perfbench`
+  (tabulated Erlang-2 claims).
 - `barrier.find_barrier` summed over the 10 models of sweeps 1 and 6, on
   scale functions solved beforehand: the grid scan, the refinement of a*
   and the assembly of the value function.
@@ -65,8 +65,8 @@ import numpy as np
 from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
                           SimulationConfig, omega_eval, solve_scale)
 from dividend_opt import _reference, find_barrier, simulate
-from dividend_opt.scale import (_exponential_convolution, _exponential_march,
-                                _grid_arrays, _march, _trapezoid_convolution)
+from dividend_opt.scale import (_exponential_march, _grid_arrays, _march,
+                                _trapezoid_convolution)
 from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
@@ -177,19 +177,18 @@ def bench_locate(repeats: int = 5):
 
 
 def bench_convolution(nodes: int = 33334):
-    """The diagnostics convolution of W against the claim density, sweep 1's
-    q = 0.05 model, W scaled to a maximum of 1: FFT against recursion."""
-    model = SWEEPS[1].model_for(0.05)
-    x, p = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
-    f = model.claim.density(x)
-    u = _exponential_march(p, model.claim.mu, model.lam, model.q, DEFAULT_DX,
-                           [1.0], [0.0])[0][:, 0]
-    u /= u.max()
-    t_fft, fft = time_best(_trapezoid_convolution, u, f, DEFAULT_DX, repeats=10)
-    t_rec, rec = time_best(_exponential_convolution, u, model.claim.mu, DEFAULT_DX,
-                           repeats=10)
-    return {"nodes": x.size, "fft": t_fft, "recursion": t_rec,
-            "max_rel_gap": float(np.max(np.abs(rec - fft)) / np.max(np.abs(fft)))}
+    """The diagnostics convolution of W with the claim density on `nodes`
+    nodes of step DEFAULT_DX: sweep 1's q = 0.05 model (exponential claims)
+    and the tabulated_cli model without its penalty (Erlang-2)."""
+    out = {"nodes": nodes}
+    for name, model in (("exponential", SWEEPS[1].model_for(0.05)),
+                        ("erlang2", dataclasses.replace(omega_params(),
+                                                        penalty=PenaltyModel.zero()))):
+        x, p = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
+        u = _march(model, p, DEFAULT_DX, None)[0][:, 0]
+        out[name], _ = time_best(_trapezoid_convolution, u, model.claim.density(x),
+                                 DEFAULT_DX, repeats=10)
+    return out
 
 
 def bench_find_barrier():
@@ -327,11 +326,9 @@ def main():
     print(f"  first read of v        {loc['first_v'] * 1e3:9.1f} ms")
     print(f"  first read of diagnostics {loc['first_diagnostics'] * 1e3:6.1f} ms")
     c = bench_convolution()
-    print(f"Diagnostics convolution, {c['nodes']} nodes (exponential claims):")
-    print(f"  FFT                    {c['fft'] * 1e3:9.2f} ms")
-    print(f"  O(n) recursion         {c['recursion'] * 1e3:9.2f} ms   "
-          f"({c['fft'] / c['recursion']:.1f}x, max gap {c['max_rel_gap']:.1e} "
-          f"of max |conv|)")
+    print(f"Diagnostics convolution of W, {c['nodes']} nodes:")
+    print(f"  exponential claims     {c['exponential'] * 1e3:9.2f} ms")
+    print(f"  Erlang-2 claims        {c['erlang2'] * 1e3:9.2f} ms")
     b = bench_find_barrier()
     print(f"find_barrier, {b['models']} sweep models (scale functions solved):")
     print(f"  summed                 {b['find_barrier'] * 1e3:9.1f} ms   "

@@ -13,7 +13,8 @@ failure (of the configuration, or of the barrier.json or v_curve.csv that
 --barrier-file names), 3 numerical failure, 64 usage error (including an
 argument value that the library rejects with ValueError).  All file
 outputs are written atomically (temporary name, then rename) and listed
-in a run manifest next to them.
+in a run manifest next to them; the JSON ones hold null for a value that
+is not finite.
 """
 
 from __future__ import annotations
@@ -76,8 +77,21 @@ def _write_outputs(out_dir: str, command: str, config_digest: str, files: dict,
     atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(doc, indent=2) + "\n")
 
 
+def _finite_or_none(obj):
+    """obj with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(value) for value in obj]
+    return obj
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Standard JSON (RFC 8259): a non-finite float is written as null."""
+    return json.dumps(_finite_or_none(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _load_params(path: str):
@@ -167,7 +181,7 @@ def _cmd_simulate(args) -> int:
         with open(bpath, encoding="utf-8") as fh:
             try:
                 bdoc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{bpath}: not valid JSON: {exc}") from None
         barrier = _number(bpath, "a_star",
                           bdoc.get("a_star") if isinstance(bdoc, dict) else None)

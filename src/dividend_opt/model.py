@@ -598,7 +598,7 @@ def params_from_json(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_dict(doc)
 

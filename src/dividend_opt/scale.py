@@ -40,10 +40,8 @@ The relation is the vanishing of the generator residual (A - q)u, which
 `_generator_residual` evaluates on every node: the diagnostics apply it
 to W and G on their first read, and `hjb.residual_profile` to the value
 function.  Its convolution with the claim density, over the whole grid,
-obeys the same one-term recursion for exponential claims and costs O(n)
-(`_exponential_convolution`); for a tabulated density it is one FFT
-(`_trapezoid_convolution`).  Only the tabulated paths, the blocked march
-and that FFT, sample the density on the grid.
+is one FFT on the density sampled at the nodes (`_trapezoid_convolution`)
+for every claim kind.
 
 The closed forms that check W and G, for constant and linear premiums
 with exponential claims, are test oracles in `_reference`.
@@ -72,10 +70,6 @@ _CANCEL_FLOOR = 1e-13
 # doubling inverse
 _BLOCK = 64
 _SUPER = 1024  # nodes per super-block: one FFT of the older history each
-# mu dx B of one block of `_exponential_convolution`: its weights reach
-# e^64 ~ 6e27, far inside float range, and the rounding of their exponents
-# costs at most about 64 eps relative
-_CONV_SPAN = 64.0
 
 
 @dataclass(frozen=True)
@@ -580,51 +574,19 @@ def _check_G_decay(g_vals, x_max, noise):
 
 
 def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
-    """conv_j = dx * trapezoid of int_0^{x_j} u(s) f(x_j - s) ds for every j."""
-    n = u.size
-    nfft = _fft_length(2 * n - 1)  # no wrap-around
-    full = np.fft.irfft(np.fft.rfft(u, nfft) * np.fft.rfft(f, nfft), nfft)[:n]
-    return dx * (full - 0.5 * u[0] * f - 0.5 * u * f[0])
+    """conv_j = dx * trapezoid of int_0^{x_j} u(s) f(x_j - s) ds for every j.
 
-
-def _exponential_convolution(u: np.ndarray, mu: float, dx: float) -> np.ndarray:
-    """`_trapezoid_convolution` for the density f(z) = mu exp(-mu z), in O(n).
-
-    With r = exp(-mu dx), conv_j = mu dx (S_j - u_j / 2) where S_j =
-    sum_{i<=j} w_i u_i r^{j-i} (w_0 = 1/2, else 1) obeys S_j = r S_{j-1} + w_j u_j.
-    Within a block of B nodes, mu dx B <= `_CONV_SPAN`, S is one cumsum of
-    w_t u_t e^{mu dx t} rescaled by e^{-mu dx t}; a loop over the block ends
-    in Python floats carries S from block to block.  u is divided by
-    max|u| inside the weights, so the cumsum stays far inside float range.
+    u is scaled by the power of two 2^-e that brings max |u| into [1/2, 1)
+    before the transforms, and the result by 2^e after them: the scaling is
+    exact, so the result is that of the unscaled FFT wherever that stays in
+    float range, and an input near float max convolves without overflow.
     """
     n = u.size
-    a = mu * dx
-    B = max(1, min(n, int(_CONV_SPAN / a)))
-    nb = -(-n // B)
-    peak = float(np.abs(u).max()) or 1.0
-    v = np.zeros(nb * B)
-    v[:n] = u
-    v[0] *= 0.5
-    t = a * np.arange(B)
-    S = np.cumsum(v.reshape(nb, B) * (np.exp(t) / peak), axis=1)
-    S *= np.exp(-t)
-    decay = math.exp(-a * B)
-    carry = []
-    s = 0.0
-    for end in S[:, -1].tolist():
-        carry.append(s)
-        s = decay * s + end
-    S += np.array(carry)[:, None] * np.exp(-(t + a))
-    return (a * peak) * S.ravel()[:n] - (0.5 * a) * u
-
-
-def _convolution(claim, u: np.ndarray, dx: float) -> np.ndarray:
-    """The trapezoid convolution of u with the claim density on the grid dx j:
-    the O(n) recursion for exponential claims; for a tabulated density, one
-    FFT on the density sampled at the nodes."""
-    if claim.kind == "exponential":
-        return _exponential_convolution(u, claim.mu, dx)
-    return _trapezoid_convolution(u, claim.density(dx * np.arange(u.size)), dx)
+    e = int(np.frexp(np.max(np.abs(u)))[1])
+    s = np.ldexp(u, -e)
+    nfft = _fft_length(2 * n - 1)  # no wrap-around
+    full = np.fft.irfft(np.fft.rfft(s, nfft) * np.fft.rfft(f, nfft), nfft)[:n]
+    return np.ldexp(dx * (full - 0.5 * s[0] * f - 0.5 * s * f[0]), e)
 
 
 def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float,
@@ -633,7 +595,7 @@ def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float
     dx j, u extended below zero by the penalty through omega (zero when
     None).  It vanishes on W, with omega None, and on G, with the penalty's
     omega, where it is the residual of the defining relation."""
-    conv = _convolution(params.claim, u, dx)
+    conv = _trapezoid_convolution(u, params.claim.density(dx * np.arange(u.size)), dx)
     if omega is not None:
         conv = conv + omega
     return p_vals * du + params.lam * (conv - u) - params.q * u

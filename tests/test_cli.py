@@ -21,6 +21,19 @@ SHORT_GRID = {**TABLE1_Q05,
               "premium": {"kind": "tabulated", "x": [0, 10, 100], "p": [1, 1.2, 1.5]}}
 
 
+# q = 0: the speed bound is NaN and the drift threshold infinite
+Q_ZERO = {"premium": {"kind": "constant", "c": 1.0},
+          "claim": {"kind": "exponential", "mu": 0.3},
+          "penalty": {"kind": "zero"}, "lambda": 0.5, "q": 0.0}
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as RFC 8259 does."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "model.json"
@@ -56,6 +69,16 @@ class TestValidateCommand:
         assert manifest["command"] == "validate"
         assert manifest["outputs"] == [str(out / "validation.json")]
         assert len(manifest["config_digest"]) == 64
+
+    def test_non_finite_fields_are_null(self, tmp_path, capsys):
+        path = tmp_path / "q0.json"
+        path.write_text(json.dumps(Q_ZERO))
+        out = tmp_path / "out"
+        assert main(["validate", str(path), "--out", str(out)]) == 2
+        text = (out / "validation.json").read_text()
+        assert capsys.readouterr().out == text
+        doc = _strict_json(text)
+        assert doc["drift_x0"] is None and doc["speed_bound"] == [None, None]
 
     def test_tabulated_premium_held_beyond_its_knots(self, tmp_path, capsys):
         # barrier's default x_max, 166.7, also reaches past the last knot
@@ -93,6 +116,15 @@ class TestBarrierCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["barrier", str(path)]) == 2
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(TABLE1_Q05).encode() + b"\xff")
+        assert main(["barrier", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not (tmp_path / "o").exists()
 
     def test_q06_column(self, tmp_path):
         path = tmp_path / "q06.json"
@@ -226,16 +258,17 @@ class TestSimulateCommand:
         assert "comparison" in doc
         assert abs(doc["comparison"]["z_score"]) < 4.0
 
-    @pytest.mark.parametrize("text", ['{}', '{"a_star": null}', '{"a_star": "5"}',
-                                      '{"a_star": -1.0}', '{"a_star": Infinity}',
-                                      '{"a_star": true}', '[]', '{"a_star": 5'],
+    @pytest.mark.parametrize("text", [b'{}', b'{"a_star": null}', b'{"a_star": "5"}',
+                                      b'{"a_star": -1.0}', b'{"a_star": Infinity}',
+                                      b'{"a_star": true}', b'[]', b'{"a_star": 5',
+                                      b'{"a_star": 5.0\xff}'],
                              ids=["missing", "null", "string", "negative", "infinite",
-                                  "bool", "not_an_object", "not_json"])
+                                  "bool", "not_an_object", "not_json", "not_utf8"])
     def test_bad_barrier_file_is_validation_error(self, text, config_path, tmp_path,
                                                   capsys):
         bdir = tmp_path / "b"
         bdir.mkdir()
-        (bdir / "barrier.json").write_text(text)
+        (bdir / "barrier.json").write_bytes(text)
         code = main(["simulate", config_path, "--x", "3.0", "--paths", "10",
                      "--horizon", "250", "--barrier-file", str(bdir),
                      "--out", str(tmp_path / "s")])
@@ -244,6 +277,20 @@ class TestSimulateCommand:
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert str(bdir / "barrier.json") in err
         assert not (tmp_path / "s").exists()
+
+    def test_infinite_z_score_is_null(self, config_path, tmp_path):
+        # one path has no standard error, so z = (mean - v) / 0 is infinite
+        bdir = tmp_path / "b"
+        bdir.mkdir()
+        (bdir / "barrier.json").write_text('{"a_star": 5.0}')
+        (bdir / "v_curve.csv").write_text("x,value,derivative\n0,1,1\n1,2,1\n")
+        out = tmp_path / "s"
+        assert main(["simulate", config_path, "--x", "3.0", "--paths", "1",
+                     "--horizon", "250", "--barrier-file", str(bdir),
+                     "--out", str(out)]) == 0
+        doc = _strict_json((out / "estimate.json").read_text())
+        assert doc["comparison"]["z_score"] is None
+        assert math.isfinite(doc["comparison"]["analytic"])
 
     @pytest.mark.parametrize("text", ["", "x,value,derivative\n",
                                       "x,value,derivative\n0,1,1\n",

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dividend_opt import (ClaimModel, GridFunction, NumericsError, PenaltyModel,
+from dividend_opt import (GridFunction, NumericsError, PenaltyModel,
                           barrier_solution_at, find_barrier, solve_scale,
                           verify_optimality)
 from dividend_opt.hjb import residual_profile
 from dividend_opt.model import omega_eval
 from dividend_opt.scale import _trapezoid_convolution
-from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
+from dividend_opt.tables import SWEEPS, locate_barrier
 from conftest import make_params
 
 
@@ -43,8 +43,9 @@ class TestResidualProfile:
 
 
 def test_residual_profile_matches_fft_convolution():
-    """The O(n) exponential convolution in `residual_profile` against the
-    FFT one, on sweep 1 at q = 0.05 with a constant penalty."""
+    """`residual_profile` assembles p v' + lam (conv + omega - v) - q v from
+    the trapezoid convolution of v with the claim density, on sweep 1 at
+    q = 0.05 with a constant penalty."""
     params = dataclasses.replace(SWEEPS[1].model_for(0.05),
                                  penalty=PenaltyModel.constant(1.0))
     _, sol = locate_barrier(params)
@@ -55,20 +56,6 @@ def test_residual_profile_matches_fft_convolution():
            + params.lam * (conv + omega_eval(params, x) - v.values) - params.q * v.values)
     gap = float(np.max(np.abs(residual_profile(v, params).values - fft)))
     assert gap <= 1e-12 * (1.0 + float(np.max(np.abs(v.values))))
-
-
-def test_exponential_pipeline_never_samples_the_density(monkeypatch):
-    """Exponential claims convolve by recursion and march in O(n): the
-    density is sampled nowhere from `solve_scale` to `verify_optimality`."""
-    params = dataclasses.replace(SWEEPS[1].model_for(0.05),
-                                 penalty=PenaltyModel.constant(1.0))
-    calls = []
-    density = ClaimModel.density
-    monkeypatch.setattr(ClaimModel, "density",
-                        lambda self, y: calls.append(y) or density(self, y))
-    scale = solve_scale(params, DEFAULT_DX, default_x_max(params))
-    verify_optimality(find_barrier(scale), params)
-    assert len(calls) == 0
 
 
 class TestVerifyOptimality:

@@ -15,8 +15,7 @@ from dividend_opt import (ClaimModel, DomainTooShortError, ModelParams,
 from dividend_opt import _reference
 from dividend_opt.model import omega_eval
 from dividend_opt._reference import _RESCALE_AT
-from dividend_opt.scale import (_BLOCK, _CONV_SPAN, _SUPER,
-                                _exponential_convolution, _exponential_march,
+from dividend_opt.scale import (_BLOCK, _SUPER, _exponential_march,
                                 _check_G_decay, _grid_arrays, _march, _scan_block,
                                 _trapezoid_convolution, _unit_lower_inverse)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
@@ -475,38 +474,23 @@ class TestComputeG:
         assert min(orders) >= 1.8
 
 
-def _convolution_inputs(n, mu_dx):
-    """A positive, growing W-like and a mixed-sign G-like input on n nodes,
-    and the exponential density with mu = 0.3 sampled at step mu_dx / mu."""
-    mu = 0.3
-    dx = mu_dx / mu
-    t = np.linspace(0.0, 1.0, n)
-    w_like = np.exp(5.0 * t) * (1.0 + 0.1 * np.sin(40.0 * t))
-    g_like = -np.exp(-3.0 * t) + 0.4 * np.cos(25.0 * t)
-    return mu, dx, mu * np.exp(-mu * dx * np.arange(n)), (w_like, g_like)
-
-
-class TestExponentialConvolution:
-    """The O(n) recursion against the FFT `_trapezoid_convolution`."""
-
-    @pytest.mark.parametrize("mu_dx", [1e-4, 3e-3, 0.1, 1.0, 7.0, 50.0])
-    def test_matches_fft_across_block_edges(self, mu_dx):
-        B = int(_CONV_SPAN / mu_dx)
-        sizes = {2, 3, B - 1, B, 3 * B, 3 * B + 7, 33334}  # short, whole, ragged
-        for n in sorted(m for m in sizes if 2 <= m <= 70000):
-            mu, dx, f, inputs = _convolution_inputs(n, mu_dx)
-            for u in inputs:
-                fft = _trapezoid_convolution(u, f, dx)
-                rec = _exponential_convolution(u, mu, dx)
-                gap = float(np.max(np.abs(rec - fft)))
-                assert gap <= 1e-12 * float(np.max(np.abs(fft))), (n, gap)
-
-    def test_huge_input_stays_in_float_range(self):
-        mu, dx, _, (u, _) = _convolution_inputs(33334, 0.0015)
-        small = _exponential_convolution(u, mu, dx)
-        huge = _exponential_convolution(1e300 * u, mu, dx)
-        assert np.all(np.isfinite(huge))
-        assert np.max(np.abs(huge / 1e300 - small)) <= 1e-12 * np.max(np.abs(small))
+class TestTrapezoidConvolution:
+    @pytest.mark.parametrize("peak", [1e302, 1e306, 3e307])
+    def test_huge_input_stays_in_float_range(self, peak):
+        """A positive, growing W-like and a mixed-sign G-like input, of unit
+        peak and of peak `peak`, against the exponential density mu = 0.3 on
+        33 334 nodes of step 0.005: the huge input's convolution is finite
+        and equals `peak` times the unit one's."""
+        n, mu, dx = 33334, 0.3, 0.005
+        t = np.linspace(0.0, 1.0, n)
+        f = mu * np.exp(-mu * dx * np.arange(n))
+        for u in (np.exp(5.0 * t) * (1.0 + 0.1 * np.sin(40.0 * t)),
+                  -np.exp(-3.0 * t) + 0.4 * np.cos(25.0 * t)):
+            u = u / np.max(np.abs(u))
+            small = _trapezoid_convolution(u, f, dx)
+            huge = _trapezoid_convolution(peak * u, f, dx)
+            assert np.all(np.isfinite(huge))
+            assert np.max(np.abs(huge / peak - small)) <= 1e-12 * np.max(np.abs(small))
 
 
 class TestDiagnostics:

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dividend_opt import (ClaimModel, DomainTooShortError, ModelParams,
-                          NumericsError, OverflowDomainError, PenaltyModel,
+from dividend_opt import (ClaimModel, DomainTooShortError, GridFunction,
+                          ModelParams, NumericsError, OverflowDomainError, PenaltyModel,
                           PremiumModel,
                           closed_form_G_ruin_constant, closed_form_W_constant,
                           closed_form_W_linear, compute_G, compute_W,
@@ -475,6 +475,28 @@ class TestComputeG:
 
 
 class TestTrapezoidConvolution:
+    @pytest.mark.parametrize("mu_dx", [1e-4, 3e-3, 0.1, 1.0, 7.0, 50.0])
+    def test_matches_reference_quadrature(self, mu_dx):
+        """The FFT convolution against the node-by-node trapezoid sum of
+        `_reference._trapezoid_convolution_at`, for the exponential density
+        mu = 0.3 at step mu_dx / mu, on a W-like and a G-like input of 2 and
+        3 nodes and of sizes whose padded length 2n - 1 falls either side of
+        the FFT lengths 64 and 1024."""
+        mu = 0.3
+        dx = mu_dx / mu
+        density = lambda y: mu * np.exp(-mu * np.asarray(y))
+        for n in (2, 3, 32, 33, 512, 513):
+            t = np.linspace(0.0, 1.0, n)
+            x = dx * np.arange(n)
+            for u in (np.exp(5.0 * t) * (1.0 + 0.1 * np.sin(40.0 * t)),
+                      -np.exp(-3.0 * t) + 0.4 * np.cos(25.0 * t)):
+                fft = _trapezoid_convolution(u, density(x), dx)
+                m = GridFunction(0.0, dx, u)
+                ref = np.array([_reference._trapezoid_convolution_at(m, density, y)
+                                for y in m.x])
+                gap = float(np.max(np.abs(fft - ref)))
+                assert gap <= 1e-12 * float(np.max(np.abs(ref))), (n, gap)
+
     @pytest.mark.parametrize("peak", [1e302, 1e306, 3e307])
     def test_huge_input_stays_in_float_range(self, peak):
         """A positive, growing W-like and a mixed-sign G-like input, of unit

@@ -10,11 +10,11 @@
 
 Exit codes: 0 success, 1 verification verdict negative, 2 validation
 failure (of the configuration, or of the barrier.json or v_curve.csv that
---barrier-file names), 3 numerical failure, 64 usage error (including an
-argument value that the library rejects with ValueError).  All file
-outputs are written atomically (temporary name, then rename) and listed
-in a run manifest next to them; the JSON ones hold null for a value that
-is not finite.
+--barrier-file names), 3 numerical or I/O failure, 64 usage error
+(including an argument value that the library rejects with ValueError).
+All file outputs are written atomically (temporary name, then rename)
+and listed in a run manifest next to them; the JSON ones hold null for a
+value that is not finite.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ import sys
 import time
 
 from . import __version__
-from .barrier import barrier_solution_at
 from .errors import ConfigError, DividendOptError, ModelValidationError, NumericsError
 from .grid import GridFunction, atomic_write
 from .hjb import verify_optimality
 from .model import _number, params_from_json, validate_model
-from .scale import solve_scale
 from .simulate import (SimulationConfig, simulate_gerber_shiu, simulate_value)
-from .tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier, run_sweep, sweep_csv
+from .tables import DEFAULT_DX, SWEEPS, locate_barrier, run_sweep, sweep_csv
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -151,15 +149,7 @@ def _cmd_tables(args) -> int:
 def _cmd_verify(args) -> int:
     t0 = time.time()
     params = _load_params(args.config)
-    if args.barrier is not None:
-        x_max = args.xmax
-        if x_max is None:
-            x_max = max(default_x_max(params),
-                        args.barrier + 10.0 * params.claim.mean())
-        scale = solve_scale(params, args.dx, x_max)
-        sol = barrier_solution_at(scale, args.barrier)
-    else:
-        scale, sol = locate_barrier(params, dx=args.dx, x_max=args.xmax)
+    _, sol = locate_barrier(params, dx=args.dx, x_max=args.xmax, barrier=args.barrier)
     report = verify_optimality(sol, params)
     _write_outputs(args.out, "verify", _digest(args.config),
                    {"optimality.json": _dump_json(report.to_dict()),

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 CLI exit-code mapping: ConfigError / ModelValidationError -> 2,
-NumericsError (and subclasses) -> 3, usage errors -> 64.
+NumericsError (and subclasses) and OSError -> 3, usage errors and
+ValueError -> 64.
 """
 
 

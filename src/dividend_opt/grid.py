@@ -4,8 +4,8 @@ and the atomic text-file write that every output file goes through."""
 from __future__ import annotations
 
 import functools
+import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,10 +16,13 @@ _TOO_FEW_ROWS = "a grid-function CSV needs at least 2 data rows"
 
 def atomic_write(path, text: str):
     """Write `text` to a temporary file next to `path`, then rename it over
-    `path`: readers see the old file or the new one, never a partial write."""
+    `path`: readers see the old file or the new one, never a partial write.
+    The temporary file is created, under a unique name, with mode 0o666 less
+    the process umask, the mode `open` gives a new file; the rename keeps it."""
     path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    d, base = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}-{base}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -50,12 +53,16 @@ class GridFunction:
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if self.dx <= 0:
-            raise ValueError(f"grid step must be positive, got {self.dx}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"grid origin x0 must be finite, got {self.x0}")
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise ValueError(f"grid step dx must be finite and positive, got {self.dx}")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("grid needs at least 2 sample points")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        if not math.isfinite(self.x_end):
+            raise ValueError(f"grid end x0 + dx (n - 1) must be finite, got {self.x_end}")
         if self.derivative_values is not None:
             dv = np.ascontiguousarray(np.asarray(self.derivative_values, dtype=float))
             if dv.shape != vals.shape:
@@ -166,8 +173,11 @@ class GridFunction:
         if not np.all(np.isfinite(data)):
             raise ValueError("a grid-function CSV holds a non-finite value")
         xs = data[:, 0]
-        dx = xs[1] - xs[0]
-        if not np.allclose(np.diff(xs), dx, rtol=1e-9, atol=1e-12 * max(1.0, abs(dx))):
-            raise ValueError("grid-function CSV must have uniform spacing")
         deriv = data[:, 2] if data.shape[1] == 3 else None
-        return GridFunction(float(xs[0]), float(dx), data[:, 1], deriv)
+        # Python floats: a first step past float max is inf, rejected here
+        grid = GridFunction(float(xs[0]), float(xs[1]) - float(xs[0]), data[:, 1], deriv)
+        with np.errstate(over="ignore"):  # a later step past float max is not uniform
+            steps = np.diff(xs)
+        if not np.allclose(steps, grid.dx, rtol=1e-9, atol=1e-12 * max(1.0, grid.dx)):
+            raise ValueError("grid-function CSV must have uniform spacing")
+        return grid

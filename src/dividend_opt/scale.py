@@ -85,14 +85,21 @@ class ScaleSolution:
     params: ModelParams
     W: GridFunction
     G: GridFunction
-    domain_end: float
-    stable_coefficient: float
     sign_checks: dict
     omega: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
         return self.W.dx
+
+    @property
+    def domain_end(self) -> float:
+        return self.W.x_end
+
+    @property
+    def stable_coefficient(self) -> float:
+        """G(0), the multiple of W in G = G_p + gamma W (G_p(0) = 0)."""
+        return float(self.G.values[0])
 
     @cached_property
     def diagnostics(self) -> dict:
@@ -493,33 +500,23 @@ def compute_W(params: ModelParams, dx: float, x_max: float) -> GridFunction:
 
     W(0) = 1 exactly; the derivative samples come from the defining
     relation (not finite differences).  W does not depend on the penalty:
-    this is the joint march of the zero-penalty model, which marches W alone.
+    this is the solve of the zero-penalty model, which marches W alone.
     """
-    return _solve_W_G(dataclasses.replace(params, penalty=PenaltyModel.zero()),
-                      dx, x_max)[1]
+    return solve_scale(dataclasses.replace(params, penalty=PenaltyModel.zero()),
+                       dx, x_max).W
 
 
 def compute_G(params: ModelParams, dx: float, x_max: float) -> GridFunction:
     """Gerber-Shiu function G_{q,w} on [0, x_max] (the stable solution)."""
-    return _solve_W_G(params, dx, x_max)[2]
+    return solve_scale(params, dx, x_max).G
 
 
 def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
-    """Compute W and G together with consistency diagnostics.
+    """The joint march, W from W(0) = 1 and the stable G, in true units;
+    G = 0 for a zero penalty.
 
     The sign checks run here and warn where W' <= 0 or 1 - G' <= 0; the
     residual norms of the diagnostics are computed on their first read.
-    """
-    (x, omega), Wf, Gf, gamma = _solve_W_G(params, dx, x_max)
-    return ScaleSolution(params, Wf, Gf, float(x[-1]), gamma,
-                         _sign_checks(params, x, Wf, Gf), omega)
-
-
-def _solve_W_G(params: ModelParams, dx: float, x_max: float):
-    """The joint march, W from W(0) = 1 and the stable G, in true units.
-
-    Returns ((x, omega), W, G, gamma); omega is None for a zero penalty,
-    where G = 0.
     """
     x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
@@ -530,18 +527,16 @@ def _solve_W_G(params: ModelParams, dx: float, x_max: float):
     if omega is None:
         g_vals = np.zeros_like(w_vals)
         gd_vals = np.zeros_like(w_vals)
-        gamma = 0.0
     else:
         gp, gpd = u[:, 1], d[:, 1]
         r = gp[-1] / w_vals[-1]
         g_vals = gp - r * w_vals
         gd_vals = gpd - r * wd_vals
-        gamma = float(g_vals[0])
         _check_G_decay(g_vals, x_max, _CANCEL_FLOOR * float(np.abs(gp).max()))
 
-    Wf = GridFunction(0.0, dx, w_vals, wd_vals)
-    Gf = GridFunction(0.0, dx, g_vals, gd_vals)
-    return (x, omega), Wf, Gf, gamma
+    W = GridFunction(0.0, dx, w_vals, wd_vals)
+    G = GridFunction(0.0, dx, g_vals, gd_vals)
+    return ScaleSolution(params, W, G, _sign_checks(params, W, G), omega)
 
 
 def _check_G_decay(g_vals, x_max, noise):
@@ -601,7 +596,7 @@ def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float
     return p_vals * du + params.lam * (conv - u) - params.q * u
 
 
-def _sign_checks(params, x, W: GridFunction, G: GridFunction) -> dict:
+def _sign_checks(params, W: GridFunction, G: GridFunction) -> dict:
     """The flags W' > 0 and 1 - G' > 0, with the first node where each
     fails; a failure is warned about, flagged and not clipped."""
     wd_vals, gd_vals = W.derivative_values, G.derivative_values
@@ -610,14 +605,14 @@ def _sign_checks(params, x, W: GridFunction, G: GridFunction) -> dict:
         "one_minus_G_prime_positive": bool(np.all(1.0 - gd_vals > 0)),
     }
     if not out["W_prime_positive"]:
-        bad = int(np.argmax(wd_vals <= 0))
-        out["W_prime_first_violation_x"] = float(x[bad])
+        at = int(np.argmax(wd_vals <= 0)) * W.dx
+        out["W_prime_first_violation_x"] = at
         why = _under_resolution(params, W.dx)
-        warnings.warn(f"W' <= 0 at x={x[bad]:.6g}; barrier quantities are "
+        warnings.warn(f"W' <= 0 at x={at:.6g}; barrier quantities are "
                       f"undefined there (flagged, not clipped)"
                       + ("" if why is None else f"; the grid is under-resolved: {why}"))
     if not out["one_minus_G_prime_positive"]:
-        bad = int(np.argmax(1.0 - gd_vals <= 0))
-        out["G_prime_first_violation_x"] = float(x[bad])
-        warnings.warn(f"1 - G' <= 0 at x={x[bad]:.6g} (flagged, not clipped)")
+        at = int(np.argmax(1.0 - gd_vals <= 0)) * W.dx
+        out["G_prime_first_violation_x"] = at
+        warnings.warn(f"1 - G' <= 0 at x={at:.6g} (flagged, not clipped)")
     return out

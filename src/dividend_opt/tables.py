@@ -21,7 +21,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .barrier import find_barrier
+from .barrier import barrier_solution_at, find_barrier
 from .errors import DomainTooShortError, NumericsError
 from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel
 from .scale import solve_scale
@@ -85,15 +85,21 @@ def default_x_max(params: ModelParams) -> float:
 
 
 def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
-                   x_max: float | None = None):
-    """Solve the scale functions and locate a*, growing the domain when G
-    has not decayed by the truncation edge or the h-maximum lands on it."""
-    x_max = default_x_max(params) if x_max is None else x_max
+                   x_max: float | None = None, barrier: float | None = None):
+    """Solve the scale functions and locate a*, or take the given `barrier`,
+    growing the domain when G has not decayed by the truncation edge or the
+    h-maximum lands on it.  The default domain reaches 10 mean claims past
+    a given barrier."""
+    if x_max is None:
+        x_max = default_x_max(params)
+        if barrier is not None:
+            x_max = max(x_max, barrier + 10.0 * params.claim.mean())
     last = None
     for _ in range(_MAX_DOMAIN_RETRIES):
         try:
             scale = solve_scale(params, dx, x_max)
-            return scale, find_barrier(scale)
+            return scale, (find_barrier(scale) if barrier is None
+                           else barrier_solution_at(scale, barrier))
         except DomainTooShortError as exc:
             last = exc
             x_max = exc.suggested_x_max or 2.0 * x_max

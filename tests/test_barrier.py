@@ -132,6 +132,22 @@ class TestFindBarrier:
         direct = find_barrier(solve_scale(params, 0.01, 22.5))
         assert sol.a_star == direct.a_star
 
+    def test_locate_barrier_at_a_given_barrier_grows_domain(self):
+        # G of this model decays slowly: the default [0, 50] is too short
+        params = make_params(premium="constant", claim_mu=1.0, penalty="constant",
+                             lam=0.95, q=0.001)
+        scale, sol = locate_barrier(params, barrier=3.0)
+        assert scale.domain_end > 50.0
+        assert sol.a_star == 3.0 and sol.refinement_width == 0.0
+        direct = barrier_solution_at(solve_scale(params, 0.005, scale.domain_end), 3.0)
+        assert sol.v_at_barrier == direct.v_at_barrier
+
+    def test_locate_barrier_domain_reaches_past_a_given_barrier(self):
+        params = make_params()  # mean claim 10/3, default domain 500/3
+        scale, sol = locate_barrier(params, dx=0.01, barrier=200.0)
+        assert scale.domain_end == pytest.approx(200.0 + 100.0 / 3.0, abs=0.01)
+        assert sol.a_star == 200.0
+
     def test_locate_barrier_reraises_after_its_retries(self, monkeypatch):
         tried = []
 
@@ -174,7 +190,7 @@ class TestFindBarrier:
         w = np.concatenate(([1.0], 1.0 + np.cumsum(wd[1:]) * dx))
         W = GridFunction(0.0, dx, w, wd)
         G = GridFunction(0.0, dx, np.zeros(n), np.zeros(n))
-        scale = ScaleSolution(make_params(), W, G, dx * (n - 1), 0.0, {})
+        scale = ScaleSolution(make_params(), W, G, {})
         sol = barrier_solution_at(scale, 0.0)  # assembly works at the edge
         found = find_barrier(scale)
         assert found.a_star == pytest.approx(dx * 699, abs=2 * dx)
@@ -186,7 +202,7 @@ class TestFindBarrier:
         w = np.concatenate(([1.0], 1.0 + np.cumsum(wd[1:]) * dx))
         W = GridFunction(0.0, dx, w, wd)
         G = GridFunction(0.0, dx, np.zeros(n), np.zeros(n))
-        scale = ScaleSolution(make_params(), W, G, dx * (n - 1), 0.0, {})
+        scale = ScaleSolution(make_params(), W, G, {})
         with pytest.raises(NumericsError, match="degenera"):
             find_barrier(scale)
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -20,6 +21,11 @@ BAD_SPEED = {**TABLE1_Q05, "q": 0.01}  # eps > q: speed condition fails
 SHORT_GRID = {**TABLE1_Q05,
               "premium": {"kind": "tabulated", "x": [0, 10, 100], "p": [1, 1.2, 1.5]}}
 
+
+# G decays slowly: every solve needs more than the default domain [0, 50]
+SLOW_DECAY = {"premium": {"kind": "constant", "c": 1.0},
+              "claim": {"kind": "exponential", "mu": 1.0},
+              "penalty": {"kind": "constant", "k": 1.0}, "lambda": 0.95, "q": 0.001}
 
 # q = 0: the speed bound is NaN and the drift threshold infinite
 Q_ZERO = {"premium": {"kind": "constant", "c": 1.0},
@@ -69,6 +75,14 @@ class TestValidateCommand:
         assert manifest["command"] == "validate"
         assert manifest["outputs"] == [str(out / "validation.json")]
         assert len(manifest["config_digest"]) == 64
+
+    def test_out_under_a_regular_file_exit_3(self, config_path, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["validate", config_path, "--out", str(blocker / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert blocker.read_text() == ""
 
     def test_non_finite_fields_are_null(self, tmp_path, capsys):
         path = tmp_path / "q0.json"
@@ -142,6 +156,7 @@ class TestBarrierCommand:
         ({"premium": {"kind": "constant", "c": float("nan")}}, "'c'"),
         ({"lambda": "abc"}, "'lambda'"),
         ({"premium": {"kind": "tabulated", "x": [0, 1], "p": [1, "abc"]}}, "'p'"),
+        ({"claim": {"kind": "exponential", "mu": 1e-320}}, "claim mean"),
     ])
     def test_malformed_config_exit_2(self, command, change, field, tmp_path, capsys):
         path = tmp_path / "malformed.json"
@@ -149,6 +164,24 @@ class TestBarrierCommand:
         assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and field in err
+
+    def test_scale_past_float_range_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps({**Q_ZERO, "claim": {"kind": "exponential", "mu": 1.0},
+                                    "q": 5.0}))
+        out = tmp_path / "o"
+        assert main(["barrier", str(path), "--xmax", "200", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert "leaves float64 range" in err
+        assert not out.exists()
+
+    def test_missing_config_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["barrier", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_refinement_stability(self, config_path, tmp_path):
         outs = []
@@ -177,6 +210,18 @@ class TestVerifyCommand:
         doc = json.loads((out / "optimality.json").read_text())
         assert doc["necessary_sufficient_pass"] is False
         assert doc["max_residual_above"] > 0
+
+    def test_given_barrier_grows_domain(self, tmp_path, capsys):
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(SLOW_DECAY))
+        out = tmp_path / "v"
+        assert main(["verify", str(path), "--barrier", "3.0", "--out", str(out)]) == 1
+        doc = json.loads((out / "optimality.json").read_text())
+        assert doc["barrier"] == 3.0 and doc["necessary_sufficient_pass"] is False
+        with open(out / "residual_profile.csv", encoding="utf-8") as fh:
+            last = fh.readlines()[-1]
+        assert float(last.split(",")[0]) > 50.0
+        assert "NOT optimal" in capsys.readouterr().out
 
     def test_rational_zero_penalty_passes_thm47(self, tmp_path):
         cfgp = tmp_path / "rat.json"
@@ -296,17 +341,20 @@ class TestSimulateCommand:
                                       "x,value,derivative\n0,1,1\n",
                                       "x,value,derivative\n0,abc,1\n1,2,1\n",
                                       "x,value,derivative\n0,1,1\n1,2,1\n3,3,1\n",
-                                      "x,value,derivative\n0,nan,1\n1,2,1\n"],
+                                      "x,value,derivative\n0,nan,1\n1,2,1\n",
+                                      "x,value,derivative\n-1.7e308,1,1\n1.7e308,2,1\n"],
                              ids=["empty", "header_only", "one_row", "not_a_number",
-                                  "non_uniform", "nan"])
+                                  "non_uniform", "nan", "infinite_step"])
     def test_bad_v_curve_is_validation_error(self, text, config_path, tmp_path, capsys):
         bdir = tmp_path / "b"
         bdir.mkdir()
         (bdir / "barrier.json").write_text('{"a_star": 5.0}')
         (bdir / "v_curve.csv").write_text(text)
-        code = main(["simulate", config_path, "--x", "3.0", "--paths", "10",
-                     "--horizon", "250", "--barrier-file", str(bdir),
-                     "--out", str(tmp_path / "s")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error line is all that is printed
+            code = main(["simulate", config_path, "--x", "3.0", "--paths", "10",
+                         "--horizon", "250", "--barrier-file", str(bdir),
+                         "--out", str(tmp_path / "s")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("validation error: ") and err.count("\n") == 1

@@ -1,3 +1,8 @@
+import math
+import os
+import re
+import stat
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,17 @@ def test_needs_two_points():
         GridFunction(0.0, -0.5, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("x0, dx, field", [
+    (0.0, math.inf, "dx"), (0.0, math.nan, "dx"), (0.0, 0.0, "dx"), (0.0, -0.5, "dx"),
+    (math.inf, 1.0, "x0"), (-math.inf, 1.0, "x0"), (math.nan, 1.0, "x0"),
+    (1e308, 1e308, "x0 + dx (n - 1)")],
+    ids=["dx_inf", "dx_nan", "dx_zero", "dx_negative", "x0_inf", "x0_minus_inf", "x0_nan",
+         "end_overflows"])
+def test_grid_origin_step_and_end_checked(x0, dx, field):
+    with pytest.raises(ValueError, match=f"grid \\w+ {re.escape(field)} must be finite"):
+        GridFunction(x0, dx, [1.0, 2.0, 3.0])
+
+
 def test_values_are_immutable():
     g = GridFunction(0.0, 1.0, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
@@ -112,6 +128,31 @@ def test_atomic_write_replaces_existing_file_whole(tmp_path):
     path.write_text("x" * 10000)
     atomic_write(path, '{"mean": 1.5}\n')
     assert path.read_text() == '{"mean": 1.5}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["estimate.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_mode_follows_umask(umask, mode, tmp_path):
+    path = tmp_path / "estimate.json"
+    old = os.umask(umask)
+    try:
+        atomic_write(path, "{}\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_atomic_write_failed_rename_keeps_target(tmp_path, monkeypatch):
+    path = tmp_path / "estimate.json"
+    path.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write(path, "new\n")
+    assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["estimate.json"]
 
 

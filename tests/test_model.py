@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -481,6 +482,29 @@ class TestConfigSchema:
         # compare dicts: dataclass == on the sample arrays would raise
         doc = json.loads(json.dumps(CONFIG_DOCS[name]))
         assert params_to_dict(params_from_dict(doc)) == CONFIG_DOCS[name]
+
+    @pytest.mark.parametrize("doc, where", [
+        ({**DOC, "premium": {"kind": "tabulated", "x": [0, 1, 2], "p": [1, 1.2]}},
+         "tabulated premium fields 'x' and 'p'"),
+        ({**DOC, "premium": {"kind": "tabulated", "x": [0, 2, 1], "p": [1, 1.2, 1.5]}},
+         "tabulated premium grid"),
+        ({**DOC, "claim": {"kind": "tabulated", "x0": 0, "dx": 1, "density": [1.0]}},
+         "tabulated claim field 'density'"),
+        ({**DOC, "claim": {"kind": "tabulated", "x0": 0, "dx": 0.5,
+                           "density": [1.0, -0.5, 2.0, 1.0, 0.0]}},
+         "claim density must be non-negative"),
+        ({**DOC, "penalty": {"kind": "tabulated", "x": [-2, -1], "w": [-1.0]}},
+         "tabulated penalty fields 'x' and 'w'"),
+        ({**DOC, "penalty": {"kind": "tabulated", "x": [-1, 0], "w": [-1.0, -1.0]}},
+         "tabulated penalty grid"),
+        ({**DOC, "claim": {"kind": "exponential", "mu": 1e-320}}, "claim mean"),
+        ([DOC], "configuration"),
+    ], ids=["premium_lengths", "premium_x_not_increasing", "one_density_sample",
+            "negative_density", "penalty_lengths", "penalty_x_not_negative",
+            "infinite_claim_mean", "top_level_array"])
+    def test_rejection_names_the_section(self, doc, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            params_from_dict(json.loads(json.dumps(doc)))
 
     def test_unknown_kind_rejected(self):
         doc = {**self.DOC, "claim": {"kind": "pareto", "alpha": 2.0}}

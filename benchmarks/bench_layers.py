@@ -41,12 +41,16 @@ Times these layers, best of k:
   penalty: the exact, vectorized `model.omega_eval` against the per-node
   quadrature oracle `_reference.omega_quadrature`, which runs Simpson
   between the kinks of the integrand and so agrees to rounding.
-- the row kernel of `simulate.philox_uniforms` drawing one Philox block
+- the group kernel of `simulate.philox_uniforms` drawing one Philox block
   per path, as a lockstep refill draws it, at 2 000, 18 000 and 32 000
   paths.
+- the Monte-Carlo Gerber-Shiu estimate of `perfbench`'s `montecarlo`
+  workload (sweep 1 at q = 0.05 with the penalty w = -1, horizon 300),
+  where most paths outlive ln(10)/q and the Russian roulette ends them:
+  its time, standard error and weighted ruin fraction.
 - the Monte-Carlo value under a barrier: the scalar per-path event loop
-  `_reference.closed_form_path` on pre-drawn uniforms against the
-  lockstep engine (which draws its own).
+  `_reference.closed_form_path` on pre-drawn uniforms (claims and
+  roulette) against the lockstep engine (which draws its own).
 
 Run from the repository root:
 
@@ -63,7 +67,7 @@ import tracemalloc
 import numpy as np
 
 from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
-                          SimulationConfig, omega_eval, solve_scale)
+                          SimulationConfig, omega_eval, simulate_gerber_shiu, solve_scale)
 from dividend_opt import _reference, find_barrier, simulate
 from dividend_opt.scale import (_exponential_march, _grid_arrays, _march,
                                 _trapezoid_convolution)
@@ -271,7 +275,7 @@ MC_HORIZON = 250.0
 
 def bench_refill(paths: int):
     """One Philox block (4 uniforms) for each path, as a lockstep refill
-    with many live paths draws it: the row kernel of
+    with many live paths draws it: the group kernel of
     `simulate.philox_uniforms`, its scratch buffer included."""
     t, _ = time_best(simulate.philox_uniforms, np.arange(paths), MC_SEED, 1, repeats=10)
     return {"paths": paths, "row_kernel": t}
@@ -282,13 +286,16 @@ def bench_paths(paths: int):
     numpy's per-path streams (drawn outside the timing) against the
     lockstep engine, which draws its own uniforms."""
     block = 4096
-    streams = [np.random.Generator(np.random.Philox(key=(MC_SEED << 64) + p)).random(block)
-               for p in range(paths)]
+    keys = [(MC_SEED << 64) + p for p in range(paths)]
+    streams = [np.random.Generator(np.random.Philox(key=key)).random(block) for key in keys]
+    # the roulette uniform of iteration k is word 0 of block 2**63 + k
+    roulette = [np.random.Generator(np.random.Philox(key=key, counter=2 ** 63 - 1))
+                .random(2 * block)[::4] for key in keys]
 
     def scalar():
         return np.array([_reference.closed_form_path(
             u, 0, 1, 1.0, 0.02, 0.3, 0.1, 0.05, 3.0, MC_BARRIER, MC_HORIZON,
-            0, 0.0, 0.0)[0] for u in streams])
+            0, 0.0, 0.0, r)[0] for u, r in zip(streams, roulette)])
 
     config = SimulationConfig(paths, MC_HORIZON, MC_SEED, barrier=MC_BARRIER)
     t_old, v_old = time_best(scalar)
@@ -298,6 +305,17 @@ def bench_paths(paths: int):
             "mean_scalar": float(v_old.mean()), "mean_lockstep": float(v_new.mean()),
             "max_rel_diff": float(np.max(np.abs(v_new - v_old)
                                          / np.maximum(np.abs(v_old), 1.0)))}
+
+
+def bench_survivors(paths: int = 20000):
+    """The Gerber-Shiu estimate of perfbench's `montecarlo` workload: sweep 1
+    at q = 0.05 with the penalty w = -1, from x = 5, to the horizon 300,
+    where most paths survive; the roulette ends them past ln(10)/q."""
+    params = dataclasses.replace(SWEEPS[1].model_for(0.05), penalty=PenaltyModel.constant(1.0))
+    config = SimulationConfig(paths, 300.0, MC_SEED)
+    t, est = time_best(simulate_gerber_shiu, params, 5.0, config)
+    return {"paths": paths, "seconds": t, "mean": est.mean, "std_error": est.std_error,
+            "ruin_fraction": est.ruin_fraction}
 
 
 def main():
@@ -359,10 +377,16 @@ def main():
           f"({o['quadrature'] / o['exact']:.0f}x, "
           f"max abs diff {o['max_abs_diff']:.1e})")
 
-    print("\nMonte-Carlo refill, one Philox block per path (row kernel):")
+    print("\nMonte-Carlo refill, one Philox block per path (group kernel):")
     for paths in (2000, 18000, 32000):
         r = bench_refill(paths)
         print(f"  {paths:6d} paths       {r['row_kernel'] * 1e3:9.2f} ms")
+
+    sv = bench_survivors(args.paths)
+    print(f"\nMonte-Carlo Gerber-Shiu, {args.paths} paths (sweep 1 at q = 0.05, w = -1, "
+          f"horizon 300):")
+    print(f"  lockstep engine     {sv['seconds'] * 1e3:9.1f} ms   (mean {sv['mean']:.5f}, "
+          f"SE {sv['std_error']:.2e}, ruin fraction {sv['ruin_fraction']:.4f})")
 
     p = bench_paths(args.paths)
     print(f"\nMonte-Carlo value, {args.paths} paths (linear premium, barrier {MC_BARRIER}):")

@@ -6,8 +6,9 @@
   against it.
 - `generic_path`: the scalar per-path Monte-Carlo event loop, written
   over plain floats, and `closed_form_path`, the same loop on the
-  closed-form premium, exponential-claim and penalty formulas; the
-  lockstep engine in `simulate` is checked against them path by path.
+  closed-form premium, exponential-claim and penalty formulas, each with
+  the engine's Russian roulette on uniforms passed in; the lockstep
+  engine in `simulate` is checked against them path by path.
 - `omega_quadrature`: the penalty rate by quadrature, the oracle of the
   exact `model.omega_eval`.
 - `golden_max`: golden-section maximization of a scalar function, the
@@ -121,7 +122,7 @@ def _flow(pkind, c, eps, x, t):
 
 
 def closed_form_path(u, mode, pkind, c, eps, mu, lam, q, x0, a, horizon,
-                     wkind, wk, wbeta):
+                     wkind, wk, wbeta, roulette=None):
     """`generic_path` for a closed-form premium, exponential claims and a
     zero, constant or linear penalty, given by their kind codes.
 
@@ -132,18 +133,27 @@ def closed_form_path(u, mode, pkind, c, eps, mu, lam, q, x0, a, horizon,
                         lambda x, t: _flow(pkind, c, eps, x, t),
                         lambda v: -math.log1p(-v) / mu,
                         lambda y: (0.0, -wk, -wk + wbeta * y)[wkind],
-                        pa, lam, q, x0, a, horizon)
+                        pa, lam, q, x0, a, horizon, roulette)
 
 
 def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
-                 lam, q, x0, a, horizon):
+                 lam, q, x0, a, horizon, roulette=None):
     """One path on the pre-drawn uniforms `u`, for any model given as
     callables: the hit time and the flow of the premium, the claim quantile
     function and the penalty.
 
-    Returns (value, ruined, deficit, used, status).
+    `roulette[k]` is the roulette uniform of iteration k, read at the even
+    iterations that start past h0 = ln(10)/q: the path is kept with
+    probability weight / e^{q (t - h0)} and then carries the weight
+    e^{q (t - h0)} on every later reward.  With `roulette` None the path
+    runs to the horizon or ruin.
+
+    Returns (value, ruined, deficit, used, status); `ruined` is the path's
+    weight when it is ruined, else 0.
     """
     nu = u.shape[0]
+    h0 = math.log(10.0) / q if q > 0 else math.inf
+    weight = 1.0
     val = 0.0
     t = 0.0
     lvl = x0
@@ -152,6 +162,14 @@ def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
         lvl = a
     i = 0
     while True:
+        k = i // 2  # the iteration
+        if roulette is not None and k % 2 == 0 and t > h0:
+            if k >= roulette.shape[0]:
+                return 0.0, 0, 0.0, i, 1
+            grown = math.exp(q * (t - h0))
+            if roulette[k] * grown >= weight:
+                return val, 0, 0.0, i, 0
+            weight = grown
         if i >= nu:
             return 0.0, 0, 0.0, i, 1
         tau = -math.log1p(-u[i]) / lam
@@ -161,11 +179,12 @@ def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
         if mode == 0:
             s = 0.0 if lvl >= a else hit_fn(lvl, a)
             if t + s < cut:
-                val += p_at_barrier * (math.exp(-q * (t + s)) - math.exp(-q * cut)) / q
+                val += weight * (p_at_barrier * (math.exp(-q * (t + s))
+                                                 - math.exp(-q * cut)) / q)
         elif mode == 2:
             s = hit_fn(lvl, a)
             if t + s <= cut:
-                return math.exp(-q * (t + s)), 0, 0.0, i, 0
+                return weight * math.exp(-q * (t + s)), 0, 0.0, i, 0
         if t_claim >= horizon:
             return val, 0, 0.0, i, 0
         if i >= nu:
@@ -179,9 +198,9 @@ def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
         new = pre - claim
         if new < 0.0:
             if mode == 2:
-                return 0.0, 1, new, i, 0
-            val += math.exp(-q * t_claim) * float(w_fn(new))
-            return val, 1, new, i, 0
+                return 0.0, weight, new, i, 0
+            val += weight * (math.exp(-q * t_claim) * float(w_fn(new)))
+            return val, weight, new, i, 0
         lvl = new
         t = t_claim
 

@@ -41,7 +41,8 @@ The relation is the vanishing of the generator residual (A - q)u, which
 to W and G on their first read, and `hjb.residual_profile` to the value
 function.  Its convolution with the claim density, over the whole grid,
 is one FFT on the density sampled at the nodes (`_trapezoid_convolution`)
-for every claim kind.
+for every claim kind; a read of the diagnostics samples and transforms
+the density once for both W and G (`_claim_kernel`).
 
 The closed forms that check W and G, for constant and linear premiums
 with exponential claims, are test oracles in `_reference`.
@@ -108,12 +109,14 @@ class ScaleSolution:
         params, dx = self.params, self.dx
         p_vals = np.asarray(params.premium.p(self.W.x), dtype=float)
         w_vals, g_vals = self.W.values, self.G.values
-        resid_w = _generator_residual(params, p_vals, w_vals, self.W.derivative_values, dx)
+        kernel = _claim_kernel(params, w_vals.size, dx)  # shared by W's and G's residual
+        resid_w = _generator_residual(params, p_vals, w_vals, self.W.derivative_values, dx,
+                                      kernel=kernel)
         out = {"residual_W": float(np.max(np.abs(resid_w))) / float(np.max(np.abs(w_vals))),
                **self.sign_checks}
         if self.omega is not None and np.any(g_vals != 0.0):
             resid_g = _generator_residual(params, p_vals, g_vals, self.G.derivative_values,
-                                          dx, self.omega)
+                                          dx, self.omega, kernel)
             gmax = float(np.max(np.abs(g_vals)))
             out["residual_G"] = float(np.max(np.abs(resid_g))) / max(gmax, 1e-300)
             out["G_nonpositive"] = bool(np.all(g_vals <= 1e-12 * gmax))
@@ -568,29 +571,42 @@ def _check_G_decay(g_vals, x_max, noise):
             suggested_x_max=1.5 * x_max)
 
 
-def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
+def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float,
+                           f_hat: np.ndarray | None = None) -> np.ndarray:
     """conv_j = dx * trapezoid of int_0^{x_j} u(s) f(x_j - s) ds for every j.
 
     u is scaled by the power of two 2^-e that brings max |u| into [1/2, 1)
     before the transforms, and the result by 2^e after them: the scaling is
     exact, so the result is that of the unscaled FFT wherever that stays in
     float range, and an input near float max convolves without overflow.
+    `f_hat` is f's transform from `_claim_kernel`, when the caller has it.
     """
     n = u.size
     e = int(np.frexp(np.max(np.abs(u)))[1])
     s = np.ldexp(u, -e)
     nfft = _fft_length(2 * n - 1)  # no wrap-around
-    full = np.fft.irfft(np.fft.rfft(s, nfft) * np.fft.rfft(f, nfft), nfft)[:n]
+    if f_hat is None:
+        f_hat = np.fft.rfft(f, nfft)
+    full = np.fft.irfft(np.fft.rfft(s, nfft) * f_hat, nfft)[:n]
     return np.ldexp(dx * (full - 0.5 * s[0] * f - 0.5 * s * f[0]), e)
 
 
+def _claim_kernel(params, n: int, dx: float):
+    """(f, f_hat): the claim density at the n nodes dx j and its transform
+    at the length `_trapezoid_convolution` uses."""
+    f = params.claim.density(dx * np.arange(n))
+    return f, np.fft.rfft(f, _fft_length(2 * n - 1))
+
+
 def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float,
-                        omega=None) -> np.ndarray:
+                        omega=None, kernel=None) -> np.ndarray:
     """(A - q) u = p u' + lam (conv(u, f) + omega - u) - q u at every node
     dx j, u extended below zero by the penalty through omega (zero when
     None).  It vanishes on W, with omega None, and on G, with the penalty's
-    omega, where it is the residual of the defining relation."""
-    conv = _trapezoid_convolution(u, params.claim.density(dx * np.arange(u.size)), dx)
+    omega, where it is the residual of the defining relation.  `kernel` is
+    `_claim_kernel`'s pair for u's grid, computed here when None."""
+    f, f_hat = _claim_kernel(params, u.size, dx) if kernel is None else kernel
+    conv = _trapezoid_convolution(u, f, dx, f_hat)
     if omega is not None:
         conv = conv + omega
     return p_vals * du + params.lam * (conv - u) - params.q * u

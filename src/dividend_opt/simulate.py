@@ -11,21 +11,44 @@ reported.
 One engine serves every premium, claim and penalty kind: it advances all
 live paths in lockstep, one claim per iteration, as arrays, with the exact
 travel times and flow of `flow.FlowSolver`, the claim quantile function
-and the penalty.  Iteration k of a path draws its inter-arrival time and
-its claim from the two uniforms 2k and 2k + 1 of the path's own stream.
+and the penalty.
 
-Reproducibility: path k's stream is numpy's
-`Generator(Philox(key=(seed << 64) + k)).random()`, the counter-based
+Russian roulette ends paths whose remaining rewards are discounted to
+little.  Past h0 = ln(10)/q, at the claim epochs t that start an even
+iteration, a path is kept with probability e^{-q (t - h0)} / pi, pi being
+the probability with which it was kept so far, and a kept path carries
+the weight e^{q (t - h0)} on every later dividend, penalty, exit value
+and ruin indicator.  A kept path's weighted remaining reward is thus at
+most e^{-q h0} = 1/10 of the envelope that bounds the truncation.  The
+decision is a stopping-time rule, so the estimate stays unbiased for the
+value truncated at the horizon, and `truncation_bound` keeps its
+meaning; `ruin_fraction` is the weighted mean of the ruin indicators, an
+unbiased estimate of the probability of ruin before the horizon.  With
+q = 0 or a horizon at most h0 no path is ever past h0 and nothing
+changes.
+
+Stream contract: path k's stream under a seed is numpy's
+`Generator(Philox(key=(seed << 64) + k))`, the counter-based
 Philox4x64-10 keyed by (seed, k), generated here for all live paths at
-once.  Estimates are bit-identical across reruns and do not depend on
+once.  Iteration i of a path draws its inter-arrival time and its claim
+from uniforms 2i and 2i + 1 of the stream, which lie in Philox block
+i // 2 + 1; its roulette uniform is word 0 of block 2^63 + i.  The two
+counter ranges are disjoint, so the roulette leaves every claim draw as
+it is.  Estimates are bit-identical across reruns and do not depend on
 how the path range is cut into chunks.
 
-The generator is a row kernel: each refill draws a few whole blocks,
-one counter per row shared by every live path.  A counter (c, 0, 0, 0)
-makes round 0 a function of the row alone and leaves one array word to
-multiply in round 1, so both run on Python ints; rounds 2-9 run in place
-on views of one uint64 scratch buffer allocated per call, and the words
-are written as uniforms straight into the rows of the draws array.
+The generator is a group kernel: each refill draws a few whole blocks in
+one call, in groups of paths that share a counter.  A counter
+(c, 0, 0, 0) makes round 0 a function of the group alone and leaves one
+array word to multiply in round 1, so both run on Python ints; rounds
+2-9 run in place on views of one uint64 scratch buffer allocated per
+call, and the words are written as uniforms straight into the rows of
+the draws array.  Once some live path is past h0, the same call also
+draws roulette uniforms: for the paths past h0 when the refill covers
+one block (two iterations), else for every live path at each even
+iteration it covers.  A path that passes h0 inside a refill's range
+drawn without them brings the next refill forward to that iteration;
+the claim draws it repeats are the same.
 """
 
 from __future__ import annotations
@@ -53,13 +76,17 @@ _REFILL_BLOCKS = 128
 # paths advanced together at most: bounds the engine's working arrays
 # (a few dozen of this length) whatever the path count
 _CHUNK_PATHS = 1 << 16
+# Russian roulette starts at h0 = _ROULETTE_START / q, where e^{-q h0} = 1/10;
+# iteration k's roulette uniform is word 0 of Philox block _ROULETTE_BLOCK + k
+_ROULETTE_START = math.log(10.0)
+_ROULETTE_BLOCK = 1 << 63
 
 # Philox4x64-10 (Salmon et al., SC'11): the round multipliers of the two
 # lanes (counter words 0 and 2) and the key increments (key words 0 and 1)
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _MASK64 = (1 << 64) - 1
-_PHILOX_M = np.array([_M0, _M1], dtype=np.uint64)[:, None, None]
+_PHILOX_M = np.array([_M0, _M1], dtype=np.uint64)[:, None]
 _LO32 = np.uint64(0xFFFFFFFF)
 _U11, _U32 = np.uint64(11), np.uint64(32)
 _M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _U32
@@ -89,35 +116,39 @@ def _mulhilo(x, m, m_lo, m_hi, hi, lo, s1, s2, s3):
     hi += s1
 
 
-def _philox_words(keys: np.ndarray, seed: int, counters, scratch: np.ndarray):
-    """Words of Philox4x64-10 blocks `counters` (ints, one row each) under
-    key words (k, seed) for every k in the uint64 array `keys`.
+def _philox_words(groups, seed: int, scratch: np.ndarray):
+    """Words of Philox4x64-10 blocks under key words (k, seed): for each
+    (counter, keys) of `groups`, block `counter` (an int) of every k in the
+    uint64 array `keys`.
 
-    Returns (even, odd), (2, rows, keys) views of `scratch` (a uint64 array
-    of _PLANES rows, each of at least 2 * rows * keys.size elements) that
-    hold counter words (0, 2) and (1, 3).  Round 0 of a counter (c, 0, 0, 0)
-    depends on the row only, and round 1 multiplies only the key word k, so
-    both run on Python ints per row plus one product over `keys`; rounds
-    2-9 run in place.
+    Returns (even, odd), (2, N) views of `scratch` (a uint64 array of
+    _PLANES rows, each of at least 2 N elements, N the number of keys of
+    all groups) that hold counter words (0, 2) and (1, 3), group after
+    group.  Round 0 of a counter (c, 0, 0, 0) depends on the counter only,
+    and round 1 multiplies only the key word k, so both run on Python ints
+    per group plus one product over the keys; rounds 2-9 run in place.
     """
-    b, n = len(counters), keys.size
-    planes = scratch[:, :2 * b * n]
-    even, odd, hi, s1, s2, s3 = (v.reshape(2, b, n) for v in planes[:6])
+    keys = groups[0][1] if len(groups) == 1 else np.concatenate([k for _, k in groups])
+    n = keys.size
+    planes = scratch[:, :2 * n]
+    even, odd, hi, s1, s2, s3 = (v.reshape(2, n) for v in planes[:6])
     key = planes[6, :n]
     # round 0 leaves (k, 0, hi(M0 c) ^ seed, lo(M0 c)); round 1 multiplies the
-    # row words by M1 as Python ints and the key word k by M0 as an array
-    w2 = [(_M0 * c >> 64) ^ seed for c in counters]
-    l0 = np.array([(_M0 * c) & _MASK64 for c in counters], dtype=np.uint64)
-    hi1 = np.array([_M1 * w >> 64 for w in w2], dtype=np.uint64)
-    lo1 = np.array([(_M1 * w) & _MASK64 for w in w2], dtype=np.uint64)
-    k_hi, k_lo = hi[0, 0], s1[0, 0]
+    # counter words by M1 as Python ints and the key word k by M0 as an array
+    w2 = [(_M0 * c >> 64) ^ seed for c, _ in groups]
+    words = np.array([[_M1 * w >> 64 for w in w2],
+                      [((_M0 * c) & _MASK64) ^ ((seed + _W1) & _MASK64) for c, _ in groups],
+                      [(_M1 * w) & _MASK64 for w in w2]], dtype=np.uint64)
+    if len(groups) > 1:
+        words = np.repeat(words, [k.size for _, k in groups], axis=1)
+    hi1, l0, lo1 = words
+    k_hi, k_lo = hi[0], s1[0]
     _mulhilo(keys, _PHILOX_M[0, 0], _M_LO[0, 0], _M_HI[0, 0], k_hi, k_lo,
-             s2[0, 0], s3[0, 0], even[0, 0])
+             s2[0], s3[0], even[0])
     np.add(keys, np.uint64(_W0), out=key)
-    l0 ^= np.uint64((seed + _W1) & _MASK64)
-    np.bitwise_xor(key, hi1[:, None], out=even[0])
-    np.bitwise_xor(k_hi, l0[:, None], out=even[1])
-    odd[0] = lo1[:, None]
+    np.bitwise_xor(key, hi1, out=even[0])
+    np.bitwise_xor(k_hi, l0, out=even[1])
+    odd[0] = lo1
     odd[1] = k_lo
     for r in range(2, 10):
         _mulhilo(even, _PHILOX_M, _M_LO, _M_HI, hi, even, s1, s2, s3)
@@ -158,13 +189,13 @@ def philox_uniforms(paths, seed: int, counter) -> np.ndarray:
         raise ValueError("philox_uniforms needs 1-D paths and a counter shared by "
                          "all of them (a scalar, or last axis of length 1)")
     shape = np.broadcast_shapes(keys.shape, ctr.shape)
-    counters = [int(c) for c in ctr.ravel()]
     keys = keys.ravel()
-    even, odd = _philox_words(keys, seed, counters,
-                              _philox_scratch(len(counters) * keys.size))
-    out = np.empty((4, len(counters), keys.size))
-    _to_uniforms(even, out[0::2])
-    _to_uniforms(odd, out[1::2])
+    b, n = ctr.size, keys.size
+    even, odd = _philox_words([(int(c), keys) for c in ctr.ravel()], seed,
+                              _philox_scratch(b * n))
+    out = np.empty((4, b, n))
+    _to_uniforms(even.reshape(2, b, n), out[0::2])
+    _to_uniforms(odd.reshape(2, b, n), out[1::2])
     return out.reshape((4,) + shape)
 
 
@@ -195,6 +226,10 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationEstimate:
+    """A Monte-Carlo estimate; `ruin_fraction` is the mean of the paths'
+    roulette-weighted ruin indicators, an unbiased estimate of the
+    probability of ruin before the horizon."""
+
     mean: float
     std_error: float
     ci95: tuple
@@ -222,66 +257,129 @@ def _check_capital(x) -> float:
     return float(x)
 
 
+def _refill(keys: np.ndarray, seed: int, k: int, lam: float, ppf,
+            scratch: np.ndarray, past: Optional[np.ndarray]):
+    """(draws, armed): the draws of iterations k .. k + 2 blocks - 1 (k even)
+    of the paths `keys`, one row per iteration, from one Philox call.
+
+    Plane 0 holds the inter-arrival times and plane 1 the claims.  When
+    `past` (the indices of the paths past h0) is given, plane 2 holds
+    roulette uniforms: if the refill covers one block, those of iteration
+    k for the paths `past`; else, and then `armed` is true, those of every
+    even iteration for every path (its odd rows are never read).
+    """
+    m = keys.size
+    blocks = max(1, _REFILL_BLOCKS // m)
+    groups = [(c, keys) for c in range(k // 2 + 1, k // 2 + 1 + blocks)]
+    armed = past is not None and blocks > 1
+    if armed:
+        groups += [(_ROULETTE_BLOCK + k + 2 * j, keys) for j in range(blocks)]
+    elif past is not None:
+        groups.append((_ROULETTE_BLOCK + k, keys[past]))
+    total = sum(g.size for _, g in groups)
+    if 2 * total > scratch.shape[1]:  # more paths past h0 than ended so far
+        scratch = _philox_scratch(total)
+    even, odd = _philox_words(groups, seed, scratch)
+    draws = np.empty((2 + (past is not None), 2 * blocks, m))
+    # words 0-3 of block b are draws 0-1 of iterations k + 2b, k + 2b + 1:
+    # lane j of the even (odd) words is row 2b + j of plane 0 (1)
+    size = blocks * m
+    rows = draws[:2].reshape(2, blocks, 2, m).transpose(0, 2, 1, 3)
+    _to_uniforms(even[:, :size].reshape(2, blocks, m), rows[0])
+    _to_uniforms(odd[:, :size].reshape(2, blocks, m), rows[1])
+    taus = draws[0]  # -log1p(-u) / lam, in place
+    np.negative(taus, out=taus)
+    np.log1p(taus, out=taus)
+    np.divide(taus, -lam, out=taus)
+    draws[1] = ppf(draws[1])
+    if armed:  # word 0 of block _ROULETTE_BLOCK + i for iteration i
+        _to_uniforms(even[0, size:].reshape(blocks, m), draws[2, 0::2])
+    elif past is not None:
+        u = np.empty(past.size)
+        _to_uniforms(even[0, size:], u)
+        draws[2, 0, past] = u
+    return draws, armed
+
+
 def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
               mode: int, a: float, lo: int, hi: int):
-    """(value, ruined) arrays of paths lo .. hi-1, advanced together.
+    """(value, ruin weight) arrays of paths lo .. hi-1, advanced together.
 
     Each iteration handles one claim of every live path, in the order of
-    the scalar oracle `_reference.generic_path`: dividends up to the claim
-    or the horizon, the two-sided exit, the horizon, then the claim and
-    ruin.  Paths that end are dropped from the live arrays.
+    the scalar oracle `_reference.generic_path`: the roulette, dividends
+    up to the claim or the horizon, the two-sided exit, the horizon, then
+    the claim and ruin.  Paths that end are dropped from the live arrays.
+    The ruin weight is the path's roulette weight if it is ruined, else 0.
     """
     lam, q = params.lam, params.q
     solver = FlowSolver(params.premium)
     ppf, w = params.claim.ppf, params.penalty.w
     p_at_a = float(params.premium.p(a)) if mode == _MODE_VALUE else 0.0
+    h0 = _ROULETTE_START / q if q > 0 else math.inf
+    roulette = h0 < horizon  # else no claim epoch of a live path passes h0
     n = hi - lo
     values = np.zeros(n)
-    ruined = np.zeros(n, dtype=np.int64)
+    ruined = np.zeros(n)
     live = np.arange(n)
     t = np.zeros(n)
     lvl = np.full(n, x)
     val = np.zeros(n)
+    wgt = None  # roulette weights of the live paths; None while all are 1
     if mode == _MODE_VALUE and x > a:
         val += x - a
         lvl[:] = a
-    # inter-arrival times (plane 0) and claims (plane 1) of the live paths,
-    # one row per iteration
     draws = np.empty((2, 0, n))
+    armed = False  # plane 2 of the draws holds every live path's roulette uniforms
     row = 0
-    scratch = _philox_scratch(max(n, _REFILL_BLOCKS))
+    # fits every refill but one whose paths past h0 outnumber those ended
+    scratch = _philox_scratch(max(n, 2 * _REFILL_BLOCKS))
     travel_time, flow = solver.travel_time, solver.flow
     for k in range(_MAX_BLOCK // 2):
-        if row == draws.shape[1]:  # k is even here: refills cover whole blocks
-            m = live.size
-            blocks = max(1, _REFILL_BLOCKS // m)
-            even, odd = _philox_words((lo + live).astype(np.uint64), seed,
-                                      range(k // 2 + 1, k // 2 + 1 + blocks), scratch)
-            # words 0-3 of block b are draws 0-1 of iterations k + 2b, k + 2b + 1:
-            # lane j of the even (odd) words is row 2b + j of plane 0 (1)
-            draws = np.empty((2, 2 * blocks, m))
-            rows = draws.reshape(2, blocks, 2, m).transpose(0, 2, 1, 3)
-            _to_uniforms(even, rows[0])
-            _to_uniforms(odd, rows[1])
-            taus = draws[0]  # -log1p(-u) / lam, in place
-            np.negative(taus, out=taus)
-            np.log1p(taus, out=taus)
-            np.divide(taus, -lam, out=taus)
-            draws[1] = ppf(draws[1])
+        past = None
+        if k % 2 == 0 and roulette and t.max() > h0:
+            past = np.flatnonzero(t > h0)
+        # k is even at a refill: refills cover whole blocks
+        if row == draws.shape[1] or (past is not None and not armed):
+            draws, armed = _refill((lo + live).astype(np.uint64), seed, k, lam, ppf,
+                                   scratch, past)
             row = 0
+        gone = None
+        if past is not None:
+            # keep a path past h0 with probability e^{-q (t - h0)} over the
+            # one it has survived so far, 1 / wgt; a dropped path gets
+            # weight 0 and ends with this iteration
+            grown = t[past]  # e^{q (t - h0)}, in place
+            grown -= h0
+            grown *= q
+            np.exp(grown, out=grown)
+            if wgt is None:
+                wgt = np.ones(live.size)
+            u = draws[2, row, past]
+            u *= grown
+            kept = u < wgt[past]
+            grown *= kept
+            wgt[past] = grown
+            gone = past[~kept]
         tau, claim = draws[0, row], draws[1, row]
         row += 1
         t_claim = t + tau
         cut = np.minimum(t_claim, horizon)
         done = t_claim >= horizon
+        if gone is not None:
+            done[gone] = True
         if mode == _MODE_VALUE:
             at_a = t + np.where(lvl >= a, 0.0, travel_time(lvl, a))
-            paid = val + p_at_a * (np.exp(-q * at_a) - np.exp(-q * cut)) / q
-            val = np.where(at_a < cut, paid, val)
+            paid = p_at_a * (np.exp(-q * at_a) - np.exp(-q * cut)) / q
+            if wgt is not None:
+                paid *= wgt
+            val = np.where(at_a < cut, val + paid, val)
         elif mode == _MODE_TWO_SIDED:
             at_a = t + travel_time(lvl, a)
             exit_ = at_a <= cut
-            val = np.where(exit_, np.exp(-q * at_a), val)
+            hit = np.exp(-q * at_a)
+            if wgt is not None:
+                hit *= wgt
+            val = np.where(exit_, hit, val)
             done |= exit_
         pre = flow(lvl, tau)
         if mode == _MODE_VALUE:
@@ -290,17 +388,22 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
         ruin = (new < 0.0) & ~done
         if np.count_nonzero(ruin):
             if mode != _MODE_TWO_SIDED:
-                val[ruin] += np.exp(-q * t_claim[ruin]) * w(new[ruin])
-            ruined[live[ruin]] = 1
+                penalty = np.exp(-q * t_claim[ruin]) * w(new[ruin])
+                if wgt is not None:
+                    penalty *= wgt[ruin]
+                val[ruin] += penalty
+            ruined[live[ruin]] = 1.0 if wgt is None else wgt[ruin]
             done |= ruin
+        lvl, t = new, t_claim
         if np.count_nonzero(done):
             values[live[done]] = val[done]
             keep = np.flatnonzero(~done)
             if keep.size == 0:
                 return values, ruined
-            live, new, t_claim, val = live[keep], new[keep], t_claim[keep], val[keep]
+            live, lvl, t, val = live[keep], lvl[keep], t[keep], val[keep]
+            if wgt is not None:
+                wgt = wgt[keep]
             draws, row = draws[:, row:, keep], 0
-        lvl, t = new, t_claim
     raise NumericsError(f"path {lo + live[0]} needs more than {_MAX_BLOCK} draws; "
                         f"horizon or rates look pathological")
 

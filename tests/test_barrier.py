@@ -415,6 +415,22 @@ class TestComputedOnFirstRead:
         assert list(scale.diagnostics.items()) == expected
 
     @pytest.mark.parametrize("model", ["sweep1", "erlang2"])
+    def test_diagnostics_transform_the_density_once(self, model, monkeypatch):
+        # W's and G's residual share one sample of the claim density and its
+        # transform; the test above checks them bit for bit against residuals
+        # that sample and transform the density each on their own
+        scale, _ = locate_barrier(penalised_models()[model])
+        samples, rfft = [], np.fft.rfft
+        kernel = scale_module._claim_kernel
+        monkeypatch.setattr(scale_module, "_claim_kernel",
+                            lambda *args: samples.append(args) or kernel(*args))
+        transforms = []
+        monkeypatch.setattr(np.fft, "rfft",
+                            lambda *args: transforms.append(args) or rfft(*args))
+        assert scale.diagnostics["residual_G"] > 0.0
+        assert (len(samples), len(transforms)) == (1, 3)  # f, then W and G
+
+    @pytest.mark.parametrize("model", ["sweep1", "erlang2"])
     def test_value_curve_equals_the_two_branch_formula(self, model, penalised_solutions):
         scale, sol = penalised_solutions[model]
         W, G, a = scale.W, scale.G, sol.a_star

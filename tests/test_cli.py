@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 
+from dividend_opt import cli
 from dividend_opt.cli import main
+from dividend_opt.errors import DividendOptError
 from dividend_opt.tables import sweep_csv
 from conftest import run_python
 
@@ -83,6 +85,16 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert blocker.read_text() == ""
+
+    def test_bare_library_error_exit_3(self, config_path, monkeypatch, capsys):
+        # the library raises only subclasses of DividendOptError today; a bare
+        # one still ends in one line and exit 3, not a traceback
+        def raise_bare(args):
+            raise DividendOptError("no subclass fits")
+
+        monkeypatch.setattr(cli, "_cmd_validate", raise_bare)
+        assert main(["validate", config_path]) == 3
+        assert capsys.readouterr().err == "error: no subclass fits\n"
 
     def test_non_finite_fields_are_null(self, tmp_path, capsys):
         path = tmp_path / "q0.json"

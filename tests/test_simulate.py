@@ -230,24 +230,85 @@ class TestReproducibility:
                             "truncation_bound", "seed"}
 
     def test_estimates_pinned(self, table1_q05):
-        # values recorded from the engine as it was before its Philox refill
-        # was written in place into the draw rows: any change to the streams,
-        # their order or the lockstep arithmetic moves them
+        # values recorded from the engine with its Russian roulette past
+        # ln(10)/q: any change to the streams, their order or the lockstep
+        # arithmetic moves them
         xs = np.linspace(0.0, 5000.0, 5001)
         bounded = ModelParams(
             PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0))),
             ClaimModel.exponential(0.3), PenaltyModel.zero(), lam=0.1, q=0.05)
         cases = [
             (simulate_value(table1_q05, 3.0, cfg(paths=2000, seed=2024, barrier=5.33)),
-             11.059460305469264, 0.13151572807697054),
+             11.056376511311711, 0.13164365602081377),
             (simulate_gerber_shiu(make_params(penalty="constant", k=1.0), 2.0,
                                   cfg(paths=2000, horizon=300.0, seed=2025)),
-             -0.16051716632066326, 0.007449489204974419),
+             -0.16048186053774266, 0.0074497860163121234),
             (simulate_value(bounded, 5.0, cfg(paths=100, seed=2026, barrier=4.0)),
-             14.393034633253656, 0.6300729868711736),
+             14.394443750156045, 0.630643794742515),
         ]
         for est, mean, std_error in cases:
             assert (est.mean, est.std_error) == (mean, std_error)
+
+    def test_no_roulette_estimates_pinned(self, table1_q05):
+        # with q = 0, or a horizon at most ln(10)/q = 46.05, no path is
+        # past h0: these values were recorded before the roulette existed
+        cases = [
+            (simulate_gerber_shiu(make_params(premium="constant", penalty="constant",
+                                              k=1.0, q=0.0), 0.0,
+                                  cfg(paths=2000, horizon=300.0, seed=2027)),
+             -0.3175, 0.010411583719001105, 0.3175),
+            (simulate_two_sided(table1_q05, 2.0, 6.0, cfg(paths=2000, horizon=40.0,
+                                                          seed=2028)),
+             0.7116230164518209, 0.006152364795867909, 0.128),
+        ]
+        for est, mean, std_error, ruin_fraction in cases:
+            assert (est.mean, est.std_error, est.ruin_fraction) == \
+                (mean, std_error, ruin_fraction)
+
+
+class TestRoulette:
+    def test_drops_and_weights_paths_past_h0(self, table1_q05):
+        # ruin is certain under a barrier strategy, and most paths outlive
+        # h0 = 46.05; 99.5 % of them were ruined before the horizon 250
+        # when every path ran to it
+        config = cfg(paths=4000, seed=43, barrier=5.33)
+        _values, weights = simulate._run_paths(table1_q05, 3.0, config,
+                                               simulate._MODE_VALUE, 5.33)
+        ruined = weights > 0
+        assert np.mean(ruined) < 0.9  # the roulette dropped paths
+        assert np.all(weights[ruined] >= 1.0) and np.any(weights > 1.0)
+        est = simulate_value(table1_q05, 3.0, config)
+        assert est.ruin_fraction == weights.mean()
+        se = weights.std(ddof=1) / math.sqrt(weights.size)
+        assert abs(est.ruin_fraction - 0.995) <= 4.0 * se
+
+    def test_every_refill_shape_matches_the_oracle(self, monkeypatch):
+        # in one chunk of 300 paths, refills of one block meet more paths
+        # past h0 than have ended, which outgrows the Philox scratch; in
+        # chunks of 7 every refill covers many blocks and draws roulette
+        # uniforms for all paths
+        params = make_params(penalty="constant", k=1.0)
+        config = cfg(paths=300, horizon=300.0, seed=41)
+        whole = simulate._run_paths(params, 2.0, config, simulate._MODE_GERBER, 0.0)
+        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 7)
+        chunked = simulate._run_paths(params, 2.0, config, simulate._MODE_GERBER, 0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+        prem, pen = params.premium, params.penalty
+        want = _oracle_values(
+            lambda u, r: _reference.closed_form_path(
+                u, simulate._MODE_GERBER, 1, prem.c, prem.epsilon, params.claim.mu,
+                params.lam, params.q, 2.0, 0.0, config.horizon, 1, pen.k, pen.beta, r),
+            config.seed, config.paths)
+        _assert_close_per_path(whole, want)
+
+    def test_roulette_uniform_is_word_0_of_block_2_63_plus_k(self):
+        keys = np.arange(5)
+        counters = np.uint64(2 ** 63) + np.arange(4, dtype=np.uint64)
+        got = simulate.philox_uniforms(keys, 9, counters[:, None])[0]
+        for p in keys:
+            gen = np.random.Generator(np.random.Philox(key=(9 << 64) + int(p),
+                                                       counter=2 ** 63 - 1))
+            assert np.array_equal(got[:, p], gen.random(16)[::4])
 
 
 class TestGenericEngine:
@@ -335,11 +396,16 @@ class TestPhilox:
 
 
 def _oracle_values(run_path, seed, paths):
-    """Per-path (value, ruined) of a scalar engine on numpy's Philox streams."""
+    """Per-path (value, ruin weight) of a scalar engine on numpy's Philox
+    streams: the claim draws from block 1 on, the roulette uniform of
+    iteration k from word 0 of block 2**63 + k."""
     out = []
     for p in range(paths):
-        u = np.random.Generator(np.random.Philox(key=(seed << 64) + p)).random(4096)
-        val, ruined, _deficit, _used, status = run_path(u)
+        key = (seed << 64) + p
+        u = np.random.Generator(np.random.Philox(key=key)).random(4096)
+        roulette = np.random.Generator(
+            np.random.Philox(key=key, counter=2 ** 63 - 1)).random(4 * 2048)[::4]
+        val, ruined, _deficit, _used, status = run_path(u, roulette)
         assert status == 0
         out.append((val, ruined))
     vals, ruined = zip(*out)
@@ -348,11 +414,12 @@ def _oracle_values(run_path, seed, paths):
 
 def _assert_close_per_path(got, want):
     (v, r), (v_ref, r_ref) = got, want
-    assert np.array_equal(r, r_ref)
+    assert np.array_equal(r > 0, r_ref > 0)
     # values below 1 are compared absolutely: the dividends of a path ruined
     # early are a difference of two close exponentials, and its ulp-level
-    # differences do not shrink with it
+    # differences do not shrink with it; ruin weights are at least 1
     assert np.max(np.abs(v - v_ref) / np.maximum(np.abs(v_ref), 1.0)) <= 1e-12
+    assert np.max(np.abs(r - r_ref) / np.maximum(r_ref, 1.0)) <= 1e-12
 
 
 MODES = [(simulate._MODE_VALUE, 5.0), (simulate._MODE_GERBER, 0.0),
@@ -362,7 +429,9 @@ MODES = [(simulate._MODE_VALUE, 5.0), (simulate._MODE_GERBER, 0.0),
 class TestLockstepOracle:
     """The lockstep engine against the scalar per-path engines, path by path.
 
-    Values may differ by a few ulp: numpy's exp and log against `math`'s.
+    The horizon 250 is past h0 = ln(10)/q = 46.05, so the roulette runs.
+    Values and ruin weights may differ by a few ulp: numpy's exp and log
+    against `math`'s.
     """
 
     @pytest.mark.parametrize("premium", ["constant", "linear", "rational"])
@@ -376,9 +445,9 @@ class TestLockstepOracle:
         config = cfg(paths=200, seed=77)
         got = simulate._run_paths(params, 3.0, config, mode, a)
         want = _oracle_values(
-            lambda u: _reference.closed_form_path(
+            lambda u, r: _reference.closed_form_path(
                 u, mode, pkind, prem.c, prem.epsilon, params.claim.mu, params.lam,
-                params.q, 3.0, a, config.horizon, wkind, pen.k, pen.beta),
+                params.q, 3.0, a, config.horizon, wkind, pen.k, pen.beta, r),
             config.seed, config.paths)
         _assert_close_per_path(got, want)
 
@@ -398,13 +467,15 @@ class TestLockstepOracle:
         config = cfg(paths=100, seed=78)
         got = simulate._run_paths(params, 3.0, config, mode, a)
         want = _oracle_values(
-            lambda u: _reference.generic_path(
+            lambda u, r: _reference.generic_path(
                 u, mode, solver.hit_time, solver.forward, claim.ppf, penalty.w,
-                p_at_a, params.lam, params.q, 3.0, a, config.horizon),
+                p_at_a, params.lam, params.q, 3.0, a, config.horizon, r),
             config.seed, config.paths)
         _assert_close_per_path(got, want)
 
-    def test_event_cap(self, table1_q05, monkeypatch):
+    def test_event_cap(self, monkeypatch):
+        # q = 0 has no roulette: paths of positive drift outlive 32 claims
+        params = make_params(penalty="constant", k=1.0, q=0.0)
         monkeypatch.setattr(simulate, "_MAX_BLOCK", 64)
         with pytest.raises(NumericsError, match="needs more than 64 draws"):
-            simulate_gerber_shiu(table1_q05, 3.0, cfg(paths=20, horizon=1e4))
+            simulate_gerber_shiu(params, 3.0, cfg(paths=20, horizon=1e4))

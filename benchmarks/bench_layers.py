@@ -35,7 +35,14 @@ Times these layers, best of k:
   its linear penalty: one reference march per function (W, and G_p with
   the penalty) against the one call of `scale._march`, which marches both
   as the two columns of the blocked march.  The largest node-wise relative
-  gap to the reference is printed with it.
+  gap to the reference is printed with it, and the blocked march's
+  `tracemalloc` peak in float64 per node and its minor page faults per
+  march.
+- the CSV write of the `tabulated_cli` model's value curve `v` (33 334
+  rows), as `barrier` writes `v_curve.csv`: the chunk stream of
+  `GridFunction.csv_chunks` through `grid.atomic_write` against the whole
+  text of `to_csv_string`, each with its `tracemalloc` peak; the two
+  files must be equal byte for byte.
 - the penalty rate omega on every node of a solve grid (dx 0.005,
   x_max 166.7) for a tabulated Erlang-2 claim density with a linear
   penalty: the exact, vectorized `model.omega_eval` against the per-node
@@ -60,7 +67,9 @@ Run from the repository root:
 import argparse
 import dataclasses
 import math
+import os
 import resource
+import tempfile
 import time
 import tracemalloc
 
@@ -69,12 +78,23 @@ import numpy as np
 from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
                           SimulationConfig, omega_eval, simulate_gerber_shiu, solve_scale)
 from dividend_opt import _reference, find_barrier, simulate
+from dividend_opt.grid import atomic_write
 from dividend_opt.scale import (_exponential_march, _grid_arrays, _march,
                                 _trapezoid_convolution)
 from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
                      PenaltyModel.zero(), lam=0.1, q=0.05)
+
+
+def traced_peak(fn, *args):
+    """The `tracemalloc` peak of one call, in bytes; its result is dropped."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def time_best(fn, *args, repeats=3):
@@ -123,14 +143,7 @@ def bench_sweep_march():
     one_pass()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     t, _ = time_best(one_pass)
-    peak = 0.0
-    for m, p in grids:
-        tracemalloc.start()
-        try:
-            march(m, p)
-            peak = max(peak, tracemalloc.get_traced_memory()[1] / (8 * p.size))
-        finally:
-            tracemalloc.stop()
+    peak = max(traced_peak(march, m, p) / (8 * p.size) for m, p in grids)
     return {"models": len(grids), "nodes": sum(p.size for _, p in grids), "march": t,
             "faults_per_march": faults / len(grids), "peak_floats_per_node": peak}
 
@@ -247,7 +260,10 @@ def bench_omega(nodes: int = int(round(166.7 / 0.005)) + 1):
 
 
 def bench_blocked(penalised: bool):
-    """The tabulated_cli model, with its linear penalty or with none."""
+    """The tabulated_cli model, with its linear penalty or with none: the
+    reference marches against the blocked one, then the blocked march's
+    minor page faults over one more call and its traced peak, each call's
+    result dropped at once, as `solve_scale` drops it."""
     params = omega_params()
     if not penalised:
         params = dataclasses.replace(params, penalty=PenaltyModel.zero())
@@ -264,8 +280,39 @@ def bench_blocked(penalised: bool):
         for a, b in ((u[:, k], ur * math.exp(Lr)), (d[:, k], dr * math.exp(Lr))):
             rel = np.divide(np.abs(a - b), np.abs(b), out=np.zeros_like(b), where=b != 0)
             gap = max(gap, float(rel.max()))
+    del ref, u, d
+
+    def march():
+        _march(params, p, dx, omega)
+
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    march()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return {"nodes": x.size, "columns": len(starts), "reference": t_ref,
-            "blocked": t_new, "max_rel_gap": gap}
+            "blocked": t_new, "max_rel_gap": gap, "faults_per_march": faults,
+            "peak_floats_per_node": traced_peak(march) / (8 * x.size)}
+
+
+def bench_csv_write(x_max=None):
+    """`v_curve.csv` of the tabulated_cli model (domain [0, x_max], 33 334
+    rows by default), written by `atomic_write` from the chunk stream and
+    from the whole text, best of 5 each, with each write's traced peak."""
+    v = locate_barrier(omega_params(), x_max=x_max)[1].v
+    out = {"rows": v.n}
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v_curve.csv")
+        for name, text in (("stream", v.csv_chunks), ("string", v.to_csv_string)):
+            def write():
+                atomic_write(path, text())
+
+            out[name], _ = time_best(write, repeats=5)
+            out[name + "_peak"] = traced_peak(write)
+            with open(path, "rb") as fh:
+                texts.append(fh.read())
+    out["bytes"] = len(texts[0])
+    out["bitwise_equal"] = texts[0] == texts[1]
+    return out
 
 
 MC_SEED = 7
@@ -369,6 +416,16 @@ def main():
         print(f"  blocked, one call     {b['blocked'] * 1e3:9.1f} ms   "
               f"({b['reference'] / b['blocked']:.1f}x, max rel gap "
               f"{b['max_rel_gap']:.1e})")
+        print(f"  blocked, traced peak {b['peak_floats_per_node']:.1f} float64 per node, "
+              f"{b['faults_per_march']} minor page faults per march")
+
+    cw = bench_csv_write()
+    print(f"\nCSV write of v_curve.csv, {cw['rows']} rows, {cw['bytes']} bytes "
+          f"(tabulated_cli model):")
+    for name, label in (("stream", "chunk stream"), ("string", "whole text  ")):
+        print(f"  {label}          {cw[name] * 1e3:9.1f} ms   "
+              f"(traced peak {cw[name + '_peak'] / 1e6:.2f} MB)")
+    print(f"  files equal byte for byte: {cw['bitwise_equal']}")
 
     o = bench_omega()
     print(f"\nPenalty rate omega, {o['nodes']} nodes (tabulated Erlang-2 claims):")

@@ -59,7 +59,8 @@ def _digest(path: str) -> str:
 def _write_outputs(out_dir: str, command: str, config_digest: str, files: dict,
                    t0: float):
     """Write each {filename: text} of `files` atomically into `out_dir`, then
-    the run manifest that lists them."""
+    the run manifest that lists them.  A text is a str or a stream of str
+    chunks (`GridFunction.csv_chunks`), written as it comes."""
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for name, text in files.items():
@@ -127,8 +128,8 @@ def _cmd_barrier(args) -> int:
     doc["diagnostics"] = scale.diagnostics
     _write_outputs(args.out, "barrier", _digest(args.config),
                    {"barrier.json": _dump_json(doc),
-                    "h_profile.csv": sol.h_profile.to_csv_string(),
-                    "v_curve.csv": sol.v.to_csv_string()}, t0)
+                    "h_profile.csv": sol.h_profile.csv_chunks(),
+                    "v_curve.csv": sol.v.csv_chunks()}, t0)
     sys.stdout.write(f"a_star = {sol.a_star:.6f}  (v(a*) = {sol.v_at_barrier:.6f})\n")
     return EXIT_OK
 
@@ -153,7 +154,7 @@ def _cmd_verify(args) -> int:
     report = verify_optimality(sol, params)
     _write_outputs(args.out, "verify", _digest(args.config),
                    {"optimality.json": _dump_json(report.to_dict()),
-                    "residual_profile.csv": report.residual_profile.to_csv_string()}, t0)
+                    "residual_profile.csv": report.residual_profile.csv_chunks()}, t0)
     verdict = "optimal" if report.necessary_sufficient_pass else "NOT optimal"
     sys.stdout.write(f"barrier {report.barrier:.6f}: {verdict} "
                      f"(max residual above = {report.max_residual_above:.3e})\n")

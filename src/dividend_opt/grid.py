@@ -1,5 +1,12 @@
 """Uniform-grid sampled functions with interpolation and derivative access,
-and the atomic text-file write that every output file goes through."""
+and the atomic text-file write that every output file goes through.
+
+A grid function's CSV text is produced in chunks of `_CSV_CHUNK` rows
+(`GridFunction.csv_chunks`), and `atomic_write` writes such a stream as
+it comes, so a CLI run no longer holds a file's whole text in memory.
+The chunks split the rows, not a row's format, so the file is byte for
+byte the text of one format over all rows, which `to_csv_string` returns
+as the join of the same chunks."""
 
 from __future__ import annotations
 
@@ -12,20 +19,28 @@ from typing import Optional
 import numpy as np
 
 _TOO_FEW_ROWS = "a grid-function CSV needs at least 2 data rows"
+# rows per chunk of the CSV text, about 70 KB of it: measured on the CLI's
+# 33 334-node runs, 16 384-row chunks made more minor page faults and
+# 256-row chunks no fewer; each chunk is still one % operation
+_CSV_CHUNK = 1024
 
 
-def atomic_write(path, text: str):
-    """Write `text` to a temporary file next to `path`, then rename it over
-    `path`: readers see the old file or the new one, never a partial write.
-    The temporary file is created, under a unique name, with mode 0o666 less
-    the process umask, the mode `open` gives a new file; the rename keeps it."""
+def atomic_write(path, text):
+    """Write `text`, a str or an iterable of str chunks, to a temporary file
+    next to `path`, then rename it over `path`: readers see the old file or
+    the new one, never a partial write.  Chunks are written as they come,
+    so a streamed file's text is never held whole, and the file is their
+    concatenation byte for byte; a stream that raises leaves the old file
+    and no temporary one.  The temporary file is created, under a unique
+    name, with mode 0o666 less the process umask, the mode `open` gives a
+    new file; the rename keeps it."""
     path = os.fspath(path)
     d, base = os.path.split(os.path.abspath(path))
     tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}-{base}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -143,21 +158,29 @@ class GridFunction:
                + s2 * (3 - 2 * s) * dj1 + s2 * (s - 1) * m1)
         return float(out) if isinstance(y, float) else out
 
-    def to_csv_string(self) -> str:
-        """The CSV text: a header, then one "x,value,derivative" row per node
-        (the derivative field empty when there are no derivative samples)."""
-        cols = [self.x, self.values]
+    def csv_chunks(self):
+        """The CSV text as a stream of str chunks: the header, then one
+        "x,value,derivative" row per node (the derivative field empty when
+        there are no derivative samples), `_CSV_CHUNK` rows per chunk.  The
+        abscissae are computed as `x` computes them, chunk by chunk."""
+        yield "x,value,derivative\n"
         if self.derivative_values is None:
-            row = "%.17g,%.17g,\n"
+            row, extra = "%.17g,%.17g,\n", ()
         else:
-            row = "%.17g,%.17g,%.17g\n"
-            cols.append(self.derivative_values)
-        return "x,value,derivative\n" + (row * self.n) % tuple(
-            np.column_stack(cols).ravel().tolist())
+            row, extra = "%.17g,%.17g,%.17g\n", (self.derivative_values,)
+        for lo in range(0, self.n, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, self.n)
+            cols = [self.x0 + self.dx * np.arange(lo, hi), self.values[lo:hi],
+                    *(col[lo:hi] for col in extra)]
+            yield (row * (hi - lo)) % tuple(np.column_stack(cols).ravel().tolist())
+
+    def to_csv_string(self) -> str:
+        """The CSV text of `csv_chunks`, joined."""
+        return "".join(self.csv_chunks())
 
     @staticmethod
     def from_csv(path) -> "GridFunction":
-        """Read a CSV written from `to_csv_string`; an empty derivative field on the
+        """Read a CSV written from `csv_chunks`; an empty derivative field on the
         first row means the grid has no derivative samples."""
         with open(path, encoding="utf-8") as fh:
             fh.readline()  # header

@@ -282,9 +282,10 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _unit_lower_inverse(M):
+def _unit_lower_inverse(M, inv):
     """The inverses of a stack of unit lower-triangular matrices, shape
-    (k, B, B) with B a power of two, by doubling.
+    (k, B, B) with B a power of two, by doubling, written into `inv` (of
+    M's shape) and returned.
 
     The inverses of the diagonal blocks of size s are known (1 for s = 1);
     the inverse of the block [[A, 0], [C, D]] of size 2s that joins two of
@@ -294,7 +295,7 @@ def _unit_lower_inverse(M):
     inverse past float range reads inf or nan.
     """
     k, B, _ = M.shape
-    inv = np.zeros_like(M)
+    inv.fill(0.0)
     inv.reshape(k, B * B)[:, ::B + 1] = 1.0
     item = M.itemsize
     s = 1
@@ -320,12 +321,13 @@ def _finite_rows(a) -> int:
     return a.shape[0] if ok.all() else int(np.argmin(ok))
 
 
-def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
+def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     """`_reference.volterra_march` for several columns at once, by blocks.
 
-    Column k starts from u0[k] and has the source column source_vals[:, k]
-    (zero when `source_vals` is None).  Same trapezoid step, written for
-    the nodes i of one block after eliminating the derivative d_{i-1}:
+    Column k starts from u0[k]; the last column has the source omega when
+    `omega` is given, and every other column none.  Same trapezoid step,
+    written for the nodes i of one block after eliminating the derivative
+    d_{i-1}:
 
         u_i = alpha_i ((1 + dx/2 A c_{i-1}) u_{i-1}
                        + dx/2 (c_{i-1} e_{i-1} + c_i e_i)),
@@ -340,7 +342,10 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     lower-triangular matrix.  Those matrices depend on the grid, not on u:
     at the top of each super-block all of them are inverted as one stack
     (`_unit_lower_inverse`), and a block's solve is one product with its
-    inverse, one right-hand side per column.
+    inverse, one right-hand side per column.  The coefficients of their
+    rows, alpha and the source term are built per super-block, in buffers
+    allocated once per march, so the march holds O(n) only in 1/p and in
+    its outputs.
 
     Returns (values, derivatives) in true units, each of shape (n, m).  A
     block whose solution leaves float range, while the inverse of its
@@ -360,74 +365,94 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
     K = int(nz[-1]) + 1 if nz.size else 1
     half = 0.5 * dx
     A = lam + q - half * lam * f[0]
-    c = 1.0 / p
-    alpha = 1.0 / (1.0 - half * A * c)
-    # per node, the coefficients of its row of the block matrix: on T, on
-    # T shifted down a row, and on the subdiagonal; the zero column n pads
-    # a short block with identity rows
-    coef = np.zeros((3, n + 1))
-    coef[0, :n] = alpha * c
-    coef[1, 1:n] = alpha[1:] * c[:-1]
-    coef[2, 1:n] = alpha[1:] * (1.0 + half * A * c[:-1])
-    src = np.zeros((n, m)) if source_vals is None \
-        else np.asarray(source_vals, dtype=float)
-    src_c = (-lam * c)[:, None] * src
-
-    u = np.empty((n, m))  # u[0] holds u0/2: its trapezoid weight in every sum
-    d = np.empty((n, m))
-    u[0] = 0.5 * u0
-    d[0] = ((lam + q) * u0 - lam * src[0]) / p[0]
-    u_prev, d_prev = u0, d[0]
 
     # strip[i, j] = f[Sw - B + i - j] (0 below index 0), C-contiguous: the
     # history from the super-block's nodes before the block at offset r0
-    # reads its columns Sw - B - r0 to Sw - B, and Sw - B >= every r0
+    # reads its columns Sw - B - r0 to Sw - B, and Sw - B >= every r0.  It
+    # is built before the march allocates any O(n) array, so its index
+    # temporaries do not add to the march's peak
     Sw = B * (S // B + 1)
     fw = np.zeros(Sw)
     fw[:min(Sw, n)] = f[:Sw]
     lag = (Sw - B) + np.arange(B)[:, None] - np.arange(Sw)
     strip = np.where(lag >= 0, fw[np.maximum(lag, 0)], 0.0)
+    del lag
     # T[r, j] = dx/2 lam dx f[r - j] below the diagonal, 0 on and above it
     T = np.tril(strip[:, Sw - B:], -1) * (half * lam * dx)
     T_up = np.zeros((B, B))  # row r holds row r - 1 of T
     T_up[1:] = T[:-1]
-    kernel_fft = {}
+    fk_len, fk = 0, None  # f's transform at the last FFT length, kept while it repeats
+
+    c = 1.0 / p
+    # the super-block's node s0 + i at row i: per node, alpha, the
+    # coefficients of its row of the block matrix (on T, on T shifted down
+    # a row, and on the subdiagonal; the zero column S pads a short block
+    # with identity rows), each column's source (0, or omega in the last)
+    # and -lam c times it
+    alpha = np.empty(S)
+    coef = np.zeros((3, S + 1))
+    src = np.zeros((S, m))
+    src_c = np.empty((S, m))
     older = np.zeros((S, m))
+    # the super-block's block matrices, and their inverses (at first the
+    # scratch of the matrices' second term)
+    mats, invs = np.empty((2, -(-S // B), B, B))
+    src0 = np.zeros(m)
+    if omega is not None:
+        src0[-1] = omega[0]
+
+    u = np.empty((n, m))  # u[0] holds u0/2: its trapezoid weight in every sum
+    d = np.empty((n, m))
+    u[0] = 0.5 * u0
+    d[0] = ((lam + q) * u0 - lam * src0) / p[0]
+    u_prev, d_prev = u0, d[0]
 
     for s0 in range(0, n, S):
         s1 = min(s0 + S, n)
+        ns = s1 - s0
+        np.divide(1.0, 1.0 - half * A * c[s0:s1], out=alpha[:ns])
+        lo = max(s0, 1)  # node 0 is no row of a block
+        own, prev = slice(lo - s0, ns), slice(lo - 1, s1 - 1)
+        coef[0, own] = alpha[own] * c[lo:s1]
+        coef[1, own] = alpha[own] * c[prev]
+        coef[2, own] = alpha[own] * (1.0 + half * A * c[prev])
+        if omega is not None:
+            src[:ns, -1] = omega[s0:s1]
+        np.multiply((-lam * c[s0:s1])[:, None], src[:ns], out=src_c[:ns])
         older[:] = 0.0
         j0 = max(0, s0 - K + 1)
         if j0 < s0:
             span = s1 - j0
             nfft = _fft_length(span)
-            fk = kernel_fft.get(nfft)
-            if fk is None:
-                fk = kernel_fft[nfft] = np.fft.rfft(f[:nfft], nfft)[:, None]
-            conv = np.fft.irfft(np.fft.rfft(u[j0:s0], nfft, axis=0) * fk, nfft, axis=0)
-            older[:s1 - s0] = conv[s0 - j0:span]
+            if nfft != fk_len:
+                fk_len, fk = nfft, np.fft.rfft(f[:nfft], nfft)[:, None]
+            older[:ns] = np.fft.irfft(np.fft.rfft(u[j0:s0], nfft, axis=0) * fk, nfft,
+                                      axis=0)[s0 - j0:span]
         # the blocks [starts, ends) of the super-block, aligned to multiples
         # of B; the first of the march starts at node 1
         starts = np.arange(s0, s1, B)
         ends = np.minimum(starts + B, s1)
-        starts[0] = max(s0, 1)
+        starts[0] = lo
         rows = starts[:, None] + np.arange(B)
-        rc, rcp, rs = coef[:, np.where(rows < ends[:, None], rows, n)]
-        M = rc[..., None] * T + rcp[..., None] * T_up
+        rc, rcp, rs = coef[:, np.where(rows < ends[:, None], rows - s0, S)]
+        M, scratch = mats[:starts.size], invs[:starts.size]
+        np.multiply(rc[..., None], T, out=M)
+        M += np.multiply(rcp[..., None], T_up, out=scratch)
         flat = M.reshape(starts.size, B * B)
         flat[:, B::B + 1] -= rs[:, 1:]
         flat[:, ::B + 1] = 1.0
-        for inv, b0, b1 in zip(_unit_lower_inverse(M), starts.tolist(), ends.tolist()):
+        for inv, b0, b1 in zip(_unit_lower_inverse(M, scratch), starts.tolist(),
+                               ends.tolist()):
             L = b1 - b0
             r0 = b0 - s0
             hist = strip[:L, Sw - B - r0:Sw - B] @ u[s0:b0]
             hist += older[r0:r0 + L]
             cb = c[b0:b1, None]
-            g = src_c[b0:b1] - (lam * dx) * cb * hist  # c e, known part
+            g = src_c[r0:r0 + L] - (lam * dx) * cb * hist  # c e, known part
             rhs = half * g
             rhs[1:] += half * g[:-1]
             rhs[0] += u_prev + half * d_prev
-            rhs *= alpha[b0:b1, None]
+            rhs *= alpha[r0:r0 + L, None]
             inv = inv[:L, :L]
             ub = inv @ rhs
             k = L
@@ -474,9 +499,8 @@ def _march(params, p_vals, dx, omega=None):
         if params.claim.kind == "exponential":
             omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
             return _exponential_march(p_vals, params.claim.mu, lam, q, dx, u0, omega0)
-        src = None if omega is None else np.column_stack((np.zeros_like(omega), omega))
         f_vals = params.claim.density(dx * np.arange(p_vals.size))
-        return _blocked_march(p_vals, f_vals, lam, q, dx, u0, src)
+        return _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega)
 
 
 def _check_range(x, u, d):
@@ -525,20 +549,15 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     omega = None if params.penalty.is_zero else omega_eval(params, x)
     u, d = _march(params, p_vals, dx, omega)
     _check_range(x, u, d)
-    w_vals, wd_vals = u[:, 0], d[:, 0]
-
+    W = GridFunction(0.0, dx, u[:, 0], d[:, 0])
     if omega is None:
-        g_vals = np.zeros_like(w_vals)
-        gd_vals = np.zeros_like(w_vals)
+        G = GridFunction(0.0, dx, np.zeros_like(W.values), np.zeros_like(W.values))
     else:
-        gp, gpd = u[:, 1], d[:, 1]
-        r = gp[-1] / w_vals[-1]
-        g_vals = gp - r * w_vals
-        gd_vals = gpd - r * wd_vals
-        _check_G_decay(g_vals, x_max, _CANCEL_FLOOR * float(np.abs(gp).max()))
-
-    W = GridFunction(0.0, dx, w_vals, wd_vals)
-    G = GridFunction(0.0, dx, g_vals, gd_vals)
+        r = u[-1, 1] / W.values[-1]
+        noise = _CANCEL_FLOOR * float(np.abs(u[:, 1]).max())
+        G = GridFunction(0.0, dx, u[:, 1] - r * W.values, d[:, 1] - r * W.derivative_values)
+        del u, d  # W and G hold copies of their columns: the march's arrays go now
+        _check_G_decay(G.values, x_max, noise)
     return ScaleSolution(params, W, G, _sign_checks(params, W, G), omega)
 
 

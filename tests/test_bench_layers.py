@@ -29,6 +29,7 @@ def bench():
 # each `bench_*` function of the script, with the arguments of a cheap run
 LAYERS = {
     "bench_blocked": (False,),
+    "bench_csv_write": (30.0,),
     "bench_sweep_march": (),
     "bench_penalised_solve": (),
     "bench_find_barrier": (),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dividend_opt import GridFunction, h_eval, value_function
-from dividend_opt.grid import atomic_write
+from dividend_opt.grid import _CSV_CHUNK, atomic_write
 
 
 def test_linear_interpolation():
@@ -156,6 +156,21 @@ def test_atomic_write_failed_rename_keeps_target(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["estimate.json"]
 
 
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_atomic_write_failing_stream_keeps_target(tmp_path, error):
+    path = tmp_path / "v_curve.csv"
+    path.write_bytes(b"x,value,derivative\n0,1,2\n")
+
+    def chunks():
+        yield "x,value,derivative\n"
+        raise error("stream failed")
+
+    with pytest.raises(error, match="stream failed"):
+        atomic_write(path, chunks())
+    assert path.read_bytes() == b"x,value,derivative\n0,1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["v_curve.csv"]
+
+
 def test_csv_round_trip(tmp_path):
     dx = 0.1
     x = dx * np.arange(20)
@@ -192,8 +207,10 @@ def _csv_string_by_row_loop(g):
 
 
 @pytest.mark.parametrize("with_derivative", [True, False])
-@pytest.mark.parametrize("x0,n", [(0.0, 3001), (-2.75, 3001), (0.3, 2)])
-def test_csv_string_byte_identical_to_row_loop(with_derivative, x0, n):
+@pytest.mark.parametrize("x0,n", [(0.0, 3001), (-2.75, 3001), (0.3, 2),
+                                  (0.0, _CSV_CHUNK - 1), (0.0, _CSV_CHUNK),
+                                  (-2.75, _CSV_CHUNK + 1), (0.3, 3 * _CSV_CHUNK + 1)])
+def test_csv_string_byte_identical_to_row_loop(with_derivative, x0, n, tmp_path):
     dx = 0.005
     x = x0 + dx * np.arange(n)
     vals = 3.3 * np.exp(-x / 7.0)
@@ -204,4 +221,8 @@ def test_csv_string_byte_identical_to_row_loop(with_derivative, x0, n):
     else:
         vals[:], deriv[:] = (np.inf, np.nan), (-np.inf, -0.0)
     g = GridFunction(x0, dx, vals, deriv if with_derivative else None)
-    assert g.to_csv_string() == _csv_string_by_row_loop(g)
+    text = _csv_string_by_row_loop(g)
+    assert g.to_csv_string() == text
+    path = tmp_path / "g.csv"
+    atomic_write(path, g.csv_chunks())  # the stream the CLI writes
+    assert path.read_bytes() == text.encode("utf-8")

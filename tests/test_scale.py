@@ -13,6 +13,7 @@ from dividend_opt import (ClaimModel, DomainTooShortError, GridFunction,
                           closed_form_W_linear, compute_G, compute_W,
                           find_barrier, solve_scale)
 from dividend_opt import _reference
+from dividend_opt.grid import atomic_write
 from dividend_opt.model import omega_eval
 from dividend_opt._reference import _RESCALE_AT
 from dividend_opt.scale import (_BLOCK, _SUPER, _exponential_march,
@@ -179,6 +180,41 @@ def test_march_working_set_within_twelve_floats_per_node():
     assert peak <= 12 * 8 * p_vals.size
 
 
+def test_penalised_tabulated_solve_within_twenty_two_floats_per_node():
+    # solve_scale on the tabulated_cli model, W and G_p by the blocked march
+    # on 33 334 nodes: the grid, omega, the density, 1/p and the two (n, 2)
+    # outputs, with the coefficient rows, source terms and block matrices
+    # held per super-block (18.4 floats per node).  Those rows or a source
+    # array over all n nodes go past the budget
+    params, dx, x_max = TestBlockedMarchOracle.params_and_grid("tabulated_cli")
+    n = _grid_arrays(params, dx, x_max)[0].size
+    assert n == 33334
+    tracemalloc.start()
+    try:
+        solve_scale(params, dx, x_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 8 * n
+
+
+def test_streamed_csv_write_within_one_megabyte(tmp_path):
+    # a 33 334-row, 3-column CSV of about 1.9 MB, as `barrier` streams
+    # v_curve.csv: one chunk's text and row tuple at a time, where the whole
+    # text and its tuple of floats take several MB
+    x = DEFAULT_DX * np.arange(33334)
+    g = GridFunction(0.0, DEFAULT_DX, 3.3 * np.exp(-x / 7.0), np.cos(x))
+    path = tmp_path / "v_curve.csv"
+    tracemalloc.start()
+    try:
+        atomic_write(path, g.csv_chunks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 10**6
+    assert peak <= 10**6
+
+
 class TestExponentialMarchFailure:
     def test_trapezoid_limit_is_numerics_error(self):
         # dx/2 (lam + q - dx/2 lam mu) / p = 0.25 * 4 / 1 = 1 exactly: 1 - dx/2 A/p = 0
@@ -320,7 +356,7 @@ def test_unit_lower_inverse_matches_numpy(lengths):
     for m, L in zip(M, lengths):
         m[L:] = 0.0
         m[np.diag_indices(_BLOCK)] = 1.0
-    X = _unit_lower_inverse(M)
+    X = _unit_lower_inverse(M, np.empty_like(M))
     assert X.shape == M.shape
     assert np.all(np.triu(X, 1) == 0.0)
     for x, m in zip(X, M):

@@ -55,6 +55,10 @@ Times these layers, best of k:
   workload (sweep 1 at q = 0.05 with the penalty w = -1, horizon 300),
   where most paths outlive ln(10)/q and the Russian roulette ends them:
   its time, standard error and weighted ruin fraction.
+- small Monte-Carlo calls: `simulate_value` on sweep 1 at q = 0.05 from
+  x = a*, at the barrier a*, to the horizon 300, with 8, 100 and 1 000
+  paths, where a call's fixed costs (refills, per-iteration numpy calls)
+  outweigh its per-path work; each with its Philox refills per call.
 - the Monte-Carlo value under a barrier: the scalar per-path event loop
   `_reference.closed_form_path` on pre-drawn uniforms (claims and
   roulette) against the lockstep engine (which draws its own).
@@ -76,7 +80,8 @@ import tracemalloc
 import numpy as np
 
 from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
-                          SimulationConfig, omega_eval, simulate_gerber_shiu, solve_scale)
+                          SimulationConfig, omega_eval, simulate_gerber_shiu,
+                          simulate_value, solve_scale)
 from dividend_opt import _reference, find_barrier, simulate
 from dividend_opt.grid import atomic_write
 from dividend_opt.scale import (_exponential_march, _grid_arrays, _march,
@@ -354,6 +359,38 @@ def bench_paths(paths: int):
                                          / np.maximum(np.abs(v_old), 1.0)))}
 
 
+SMALL_CALL_PATHS = (8, 100, 1000)
+
+
+def bench_small_calls(repeats: int = 20):
+    """Best-of-`repeats` time of `simulate_value` with few paths, sweep 1 at
+    q = 0.05 from x = a* to the horizon 300, and the number of
+    `simulate._refill` calls each makes (counted in one more, untimed
+    call)."""
+    params = SWEEPS[1].model_for(0.05)
+    a = locate_barrier(params)[1].a_star
+    refill = simulate._refill
+    refills = []
+
+    def counted(*args):
+        refills.append(args[2])  # the iteration k
+        return refill(*args)
+
+    out = {}
+    for paths in SMALL_CALL_PATHS:
+        config = SimulationConfig(paths, 300.0, MC_SEED, barrier=a)
+        out[f"seconds_{paths}"], _ = time_best(simulate_value, params, a, config,
+                                               repeats=repeats)
+        refills.clear()
+        simulate._refill = counted
+        try:
+            simulate_value(params, a, config)
+        finally:
+            simulate._refill = refill
+        out[f"refills_{paths}"] = len(refills)
+    return out
+
+
 def bench_survivors(paths: int = 20000):
     """The Gerber-Shiu estimate of perfbench's `montecarlo` workload: sweep 1
     at q = 0.05 with the penalty w = -1, from x = 5, to the horizon 300,
@@ -444,6 +481,12 @@ def main():
           f"horizon 300):")
     print(f"  lockstep engine     {sv['seconds'] * 1e3:9.1f} ms   (mean {sv['mean']:.5f}, "
           f"SE {sv['std_error']:.2e}, ruin fraction {sv['ruin_fraction']:.4f})")
+
+    sc = bench_small_calls()
+    print("\nMonte-Carlo value, small calls (sweep 1 at q = 0.05, x = a*, horizon 300):")
+    for paths in SMALL_CALL_PATHS:
+        print(f"  {paths:5d} paths         {sc[f'seconds_{paths}'] * 1e3:9.2f} ms   "
+              f"({sc[f'refills_{paths}']} refills per call)")
 
     p = bench_paths(args.paths)
     print(f"\nMonte-Carlo value, {args.paths} paths (linear premium, barrier {MC_BARRIER}):")

@@ -145,8 +145,9 @@ def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
     `roulette[k]` is the roulette uniform of iteration k, read at the even
     iterations that start past h0 = ln(10)/q: the path is kept with
     probability weight / e^{q (t - h0)} and then carries the weight
-    e^{q (t - h0)} on every later reward.  With `roulette` None the path
-    runs to the horizon or ruin.
+    e^{q (t - h0)} on every later reward; a path where that factor
+    overflows is dropped.  With `roulette` None the path runs to the
+    horizon or ruin.
 
     Returns (value, ruined, deficit, used, status); `ruined` is the path's
     weight when it is ruined, else 0.
@@ -166,7 +167,10 @@ def generic_path(u, mode, hit_fn, flow_fn, claim_ppf, w_fn, p_at_barrier,
         if roulette is not None and k % 2 == 0 and t > h0:
             if k >= roulette.shape[0]:
                 return 0.0, 0, 0.0, i, 1
-            grown = math.exp(q * (t - h0))
+            try:
+                grown = math.exp(q * (t - h0))
+            except OverflowError:  # the engine's inf, which it always drops
+                return val, 0, 0.0, i, 0
             if roulette[k] * grown >= weight:
                 return val, 0, 0.0, i, 0
             weight = grown

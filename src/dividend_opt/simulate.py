@@ -43,12 +43,12 @@ one call, in groups of paths that share a counter.  A counter
 array word to multiply in round 1, so both run on Python ints; rounds
 2-9 run in place on views of one uint64 scratch buffer allocated per
 call, and the words are written as uniforms straight into the rows of
-the draws array.  Once some live path is past h0, the same call also
-draws roulette uniforms: for the paths past h0 when the refill covers
-one block (two iterations), else for every live path at each even
-iteration it covers.  A path that passes h0 inside a refill's range
-drawn without them brings the next refill forward to that iteration;
-the claim draws it repeats are the same.
+the draws array.  A refill is drawn when the rows of the last one run
+out, and the same call draws the roulette uniforms: a refill of several
+blocks (at most _REFILL_BLOCKS / 2 live paths), if the horizon is past
+h0, those of every live path at each even iteration it covers; a refill
+of one block (two iterations), those of iteration k for the paths past
+h0.
 """
 
 from __future__ import annotations
@@ -258,21 +258,21 @@ def _check_capital(x) -> float:
 
 
 def _refill(keys: np.ndarray, seed: int, k: int, lam: float, ppf,
-            scratch: np.ndarray, past: Optional[np.ndarray]):
-    """(draws, armed): the draws of iterations k .. k + 2 blocks - 1 (k even)
-    of the paths `keys`, one row per iteration, from one Philox call.
+            scratch: np.ndarray, roulette: bool, past: Optional[np.ndarray]):
+    """The draws of iterations k .. k + 2 blocks - 1 (k even) of the paths
+    `keys`, one row per iteration, from one Philox call.
 
-    Plane 0 holds the inter-arrival times and plane 1 the claims.  When
-    `past` (the indices of the paths past h0) is given, plane 2 holds
-    roulette uniforms: if the refill covers one block, those of iteration
-    k for the paths `past`; else, and then `armed` is true, those of every
-    even iteration for every path (its odd rows are never read).
+    Plane 0 holds the inter-arrival times and plane 1 the claims.  Plane 2
+    holds roulette uniforms: if `roulette` and the refill covers several
+    blocks, those of every even iteration for every path (its odd rows are
+    never read); if it covers one block, those of iteration k for the
+    paths `past` (the indices of the paths past h0), if given.
     """
     m = keys.size
     blocks = max(1, _REFILL_BLOCKS // m)
     groups = [(c, keys) for c in range(k // 2 + 1, k // 2 + 1 + blocks)]
-    armed = past is not None and blocks > 1
-    if armed:
+    every = roulette and blocks > 1
+    if every:
         groups += [(_ROULETTE_BLOCK + k + 2 * j, keys) for j in range(blocks)]
     elif past is not None:
         groups.append((_ROULETTE_BLOCK + k, keys[past]))
@@ -280,7 +280,7 @@ def _refill(keys: np.ndarray, seed: int, k: int, lam: float, ppf,
     if 2 * total > scratch.shape[1]:  # more paths past h0 than ended so far
         scratch = _philox_scratch(total)
     even, odd = _philox_words(groups, seed, scratch)
-    draws = np.empty((2 + (past is not None), 2 * blocks, m))
+    draws = np.empty((2 + (every or past is not None), 2 * blocks, m))
     # words 0-3 of block b are draws 0-1 of iterations k + 2b, k + 2b + 1:
     # lane j of the even (odd) words is row 2b + j of plane 0 (1)
     size = blocks * m
@@ -292,13 +292,13 @@ def _refill(keys: np.ndarray, seed: int, k: int, lam: float, ppf,
     np.log1p(taus, out=taus)
     np.divide(taus, -lam, out=taus)
     draws[1] = ppf(draws[1])
-    if armed:  # word 0 of block _ROULETTE_BLOCK + i for iteration i
+    if every:  # word 0 of block _ROULETTE_BLOCK + i for iteration i
         _to_uniforms(even[0, size:].reshape(blocks, m), draws[2, 0::2])
     elif past is not None:
         u = np.empty(past.size)
         _to_uniforms(even[0, size:], u)
         draws[2, 0, past] = u
-    return draws, armed
+    return draws
 
 
 def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
@@ -329,7 +329,6 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
         val += x - a
         lvl[:] = a
     draws = np.empty((2, 0, n))
-    armed = False  # plane 2 of the draws holds every live path's roulette uniforms
     row = 0
     # fits every refill but one whose paths past h0 outnumber those ended
     scratch = _philox_scratch(max(n, 2 * _REFILL_BLOCKS))
@@ -338,28 +337,27 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
         past = None
         if k % 2 == 0 and roulette and t.max() > h0:
             past = np.flatnonzero(t > h0)
-        # k is even at a refill: refills cover whole blocks
-        if row == draws.shape[1] or (past is not None and not armed):
-            draws, armed = _refill((lo + live).astype(np.uint64), seed, k, lam, ppf,
-                                   scratch, past)
+        if row == draws.shape[1]:  # k is even: refills cover whole blocks
+            draws = _refill((lo + live).astype(np.uint64), seed, k, lam, ppf,
+                            scratch, roulette, past)
             row = 0
         gone = None
         if past is not None:
             # keep a path past h0 with probability e^{-q (t - h0)} over the
-            # one it has survived so far, 1 / wgt; a dropped path gets
-            # weight 0 and ends with this iteration
+            # one it has survived so far, 1 / wgt (0 if e^{q (t - h0)}
+            # overflows); a dropped path gets weight 0 and ends with this iteration
             grown = t[past]  # e^{q (t - h0)}, in place
             grown -= h0
             grown *= q
-            np.exp(grown, out=grown)
             if wgt is None:
                 wgt = np.ones(live.size)
             u = draws[2, row, past]
-            u *= grown
-            kept = u < wgt[past]
-            grown *= kept
-            wgt[past] = grown
-            gone = past[~kept]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.exp(grown, out=grown)
+                u *= grown
+            dropped = ~(u < wgt[past])
+            wgt[past] = np.where(dropped, 0.0, grown)
+            gone = past[dropped]
         tau, claim = draws[0, row], draws[1, row]
         row += 1
         t_claim = t + tau

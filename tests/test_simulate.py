@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dividend_opt import (ClaimModel, FlowSolver, HorizonError, ModelParams,
                           ModelValidationError, NumericsError, PenaltyModel,
                           PremiumModel, SimulationConfig, simulate_gerber_shiu,
                           simulate_two_sided, simulate_value, value_function)
+from dividend_opt.tables import locate_barrier
 from dividend_opt import _reference, simulate
 from conftest import make_params
 
@@ -301,6 +303,53 @@ class TestRoulette:
             config.seed, config.paths)
         _assert_close_per_path(whole, want)
 
+    def test_overflowing_roulette_factor_drops_the_path(self):
+        # q = 10, so h0 = 0.23: e^{q (t - h0)} leaves float range at
+        # t = 71.2, which a path reaches alive now and then (path 1011 of
+        # seed 7); it is dropped with weight 0 and leaves no NaN behind
+        params = make_params(q=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate_value(params, 0.5, cfg(paths=20000, horizon=100.0, seed=7,
+                                                  barrier=1.0))
+            got = simulate._lockstep(params, 0.5, 100.0, 7, simulate._MODE_VALUE, 1.0,
+                                     1000, 1300)
+        scale, _ = locate_barrier(params, barrier=1.0, x_max=60.0)
+        assert math.isfinite(est.mean)
+        assert abs(est.mean - value_function(scale, 1.0, 0.5)) <= 4.0 * est.std_error
+        prem = params.premium
+        want = _oracle_values(
+            lambda u, r: _reference.closed_form_path(
+                u, simulate._MODE_VALUE, 1, prem.c, prem.epsilon, params.claim.mu,
+                params.lam, params.q, 0.5, 1.0, 100.0, 0, 0.0, 0.0, r),
+            7, 300, first=1000)
+        _assert_close_per_path(got, want)
+
+    @pytest.mark.parametrize("case", ["value 8 paths", "gerber-shiu q = 0",
+                                      "value 300 paths"])
+    def test_refills_follow_one_schedule(self, monkeypatch, barrier_q05, case):
+        # each refill is drawn when the last one's rows run out, and those
+        # cover 2 max(1, _REFILL_BLOCKS // m) iterations of its m paths
+        calls = []
+        refill = simulate._refill
+
+        def recorded(keys, seed, k, *args):
+            calls.append((k, keys.size))
+            return refill(keys, seed, k, *args)
+
+        monkeypatch.setattr(simulate, "_refill", recorded)
+        a = barrier_q05.a_star
+        if case == "value 8 paths":  # the roulette runs: h0 = 46.05
+            simulate_value(make_params(), a, cfg(paths=8, horizon=300.0, seed=1, barrier=a))
+        elif case == "gerber-shiu q = 0":  # no roulette
+            simulate_gerber_shiu(make_params(penalty="constant", q=0.0), 2.0,
+                                 cfg(paths=50, horizon=300.0, seed=5))
+        else:
+            simulate_value(make_params(), 3.0, cfg(paths=300, seed=6, barrier=a))
+        assert calls[0][0] == 0
+        for (k, m), (k_next, _) in zip(calls, calls[1:]):
+            assert k_next - k == 2 * max(1, simulate._REFILL_BLOCKS // m), calls
+
     def test_roulette_uniform_is_word_0_of_block_2_63_plus_k(self):
         keys = np.arange(5)
         counters = np.uint64(2 ** 63) + np.arange(4, dtype=np.uint64)
@@ -395,12 +444,13 @@ class TestPhilox:
             simulate.philox_uniforms(np.arange(4), 1, np.arange(1, 5))
 
 
-def _oracle_values(run_path, seed, paths):
+def _oracle_values(run_path, seed, paths, first=0):
     """Per-path (value, ruin weight) of a scalar engine on numpy's Philox
-    streams: the claim draws from block 1 on, the roulette uniform of
-    iteration k from word 0 of block 2**63 + k."""
+    streams of paths first .. first + paths - 1: the claim draws from
+    block 1 on, the roulette uniform of iteration k from word 0 of block
+    2**63 + k."""
     out = []
-    for p in range(paths):
+    for p in range(first, first + paths):
         key = (seed << 64) + p
         u = np.random.Generator(np.random.Philox(key=key)).random(4096)
         roulette = np.random.Generator(

@@ -49,8 +49,13 @@ Times these layers, best of k:
   quadrature oracle `_reference.omega_quadrature`, which runs Simpson
   between the kinks of the integrand and so agrees to rounding.
 - the group kernel of `simulate.philox_uniforms` drawing one Philox block
-  per path, as a lockstep refill draws it, at 2 000, 18 000 and 32 000
-  paths.
+  per key, as a lockstep refill draws it, at 2 048, 8 192 and 32 000 keys,
+  in ns per key; more keys than `simulate._PHILOX_TILE` (8 192) run in
+  tiles of that many.
+- the memory of `perfbench`'s two closed-form `montecarlo` calls at seed
+  7: `simulate_value` with 32 000 paths and `simulate_gerber_shiu` with
+  20 000, each with its `tracemalloc` peak and its minor page faults
+  (`resource.getrusage`, over a second call).
 - the Monte-Carlo Gerber-Shiu estimate of `perfbench`'s `montecarlo`
   workload (sweep 1 at q = 0.05 with the penalty w = -1, horizon 300),
   where most paths outlive ln(10)/q and the Russian roulette ends them:
@@ -325,12 +330,37 @@ MC_BARRIER = 5.33
 MC_HORIZON = 250.0
 
 
-def bench_refill(paths: int):
-    """One Philox block (4 uniforms) for each path, as a lockstep refill
-    with many live paths draws it: the group kernel of
-    `simulate.philox_uniforms`, its scratch buffer included."""
-    t, _ = time_best(simulate.philox_uniforms, np.arange(paths), MC_SEED, 1, repeats=10)
-    return {"paths": paths, "row_kernel": t}
+def bench_refill(keys: int):
+    """One Philox block (4 uniforms) for each of `keys` keys, as a lockstep
+    refill with many live paths draws it: the group kernel of
+    `simulate.philox_uniforms`, its scratch buffer included, best of 15,
+    in ns per key."""
+    t, _ = time_best(simulate.philox_uniforms, np.arange(keys), MC_SEED, 1, repeats=15)
+    return {"keys": keys, "ns_per_key": t / keys * 1e9}
+
+
+def bench_mc_memory(value_paths: int = 32000, gerber_paths: int = 20000):
+    """`tracemalloc` peak and minor page faults of one call of each of
+    perfbench's `montecarlo` closed-form estimates at seed 7 (sweep 1 at
+    q = 0.05 from x = 5: the value at a* to the horizon 250, the
+    Gerber-Shiu penalty w = -1 to 300); the faults are counted over a
+    second call, after a first has warmed the allocator."""
+    params = SWEEPS[1].model_for(0.05)
+    a = locate_barrier(params)[1].a_star
+    # perfbench's `mc_seed(7, 0)` and `mc_seed(7, 1)`
+    calls = {"value": (simulate_value, params, SimulationConfig(
+                 value_paths, 250.0, 4474668370826950401, barrier=a)),
+             "gerber": (simulate_gerber_shiu,
+                        dataclasses.replace(params, penalty=PenaltyModel.constant(1.0)),
+                        SimulationConfig(gerber_paths, 300.0, 793649811123725967))}
+    out = {}
+    for name, (fn, model, config) in calls.items():
+        fn(model, 5.0, config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fn(model, 5.0, config)
+        out[f"faults_{name}"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        out[f"peak_{name}"] = traced_peak(fn, model, 5.0, config)
+    return out
 
 
 def bench_paths(paths: int):
@@ -471,10 +501,17 @@ def main():
           f"({o['quadrature'] / o['exact']:.0f}x, "
           f"max abs diff {o['max_abs_diff']:.1e})")
 
-    print("\nMonte-Carlo refill, one Philox block per path (group kernel):")
-    for paths in (2000, 18000, 32000):
-        r = bench_refill(paths)
-        print(f"  {paths:6d} paths       {r['row_kernel'] * 1e3:9.2f} ms")
+    print("\nMonte-Carlo refill, one Philox block per key (group kernel):")
+    for keys in (2048, 8192, 32000):
+        r = bench_refill(keys)
+        print(f"  {keys:6d} keys        {r['ns_per_key']:9.1f} ns per key")
+
+    mm = bench_mc_memory()
+    print("\nMonte-Carlo memory, perfbench's montecarlo calls at seed 7:")
+    for name, label in (("value", "simulate_value, 32 000 paths     "),
+                        ("gerber", "simulate_gerber_shiu, 20 000 paths")):
+        print(f"  {label} traced peak {mm['peak_' + name] / 2 ** 20:5.2f} MiB, "
+              f"{mm['faults_' + name]} minor page faults")
 
     sv = bench_survivors(args.paths)
     print(f"\nMonte-Carlo Gerber-Shiu, {args.paths} paths (sweep 1 at q = 0.05, w = -1, "

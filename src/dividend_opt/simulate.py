@@ -37,13 +37,16 @@ counter ranges are disjoint, so the roulette leaves every claim draw as
 it is.  Estimates are bit-identical across reruns and do not depend on
 how the path range is cut into chunks.
 
-The generator is a group kernel: each refill draws a few whole blocks in
-one call, in groups of paths that share a counter.  A counter
-(c, 0, 0, 0) makes round 0 a function of the group alone and leaves one
-array word to multiply in round 1, so both run on Python ints; rounds
-2-9 run in place on views of one uint64 scratch buffer allocated per
-call, and the words are written as uniforms straight into the rows of
-the draws array.  A refill is drawn when the rows of the last one run
+The generator is a group kernel: each refill draws a few whole blocks, in
+groups of paths that share a counter.  A counter (c, 0, 0, 0) makes
+round 0 a function of the group alone and leaves one array word to
+multiply in round 1, so both run on Python ints; rounds 2-9 run in place
+on views of one uint64 scratch buffer allocated per call, of a fixed
+size: at most _PHILOX_TILE = 8 192 keys times blocks.  A refill of more
+runs in tiles of that many, each of whole groups or of a slice of one
+group, and each tile's words are written as uniforms straight into
+their rows of the draws array; in a call of at most 4 096 paths every
+refill is one tile.  A refill is drawn when the rows of the last one run
 out, and the same call draws the roulette uniforms: a refill of several
 blocks (at most _REFILL_BLOCKS / 2 live paths), if the horizon is past
 h0, those of every live path at each even iteration it covers; a refill
@@ -93,6 +96,12 @@ _M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _U32
 # uint64 planes of a Philox scratch buffer: the even and odd counter words,
 # the high product words, three temporaries and the round key
 _PLANES = 7
+# most keys times blocks that one `_philox_words` call draws: it bounds the
+# Philox scratch buffer at 0.9 MB (7 planes of 2 words per key) whatever
+# the path count, and a larger refill runs in tiles.  Per key, Philox took
+# 239 ns at 4 096 keys, 155 at 8 192, 143 at 16 384 and 153 at 32 000 (best
+# of 15, one pinned CPU of a 2-core VM), so a smaller tile costs time
+_PHILOX_TILE = 8192
 
 
 def _mulhilo(x, m, m_lo, m_hi, hi, lo, s1, s2, s3):
@@ -160,11 +169,41 @@ def _philox_words(groups, seed: int, scratch: np.ndarray):
     return even, odd
 
 
-def _to_uniforms(words: np.ndarray, out: np.ndarray):
-    """Write (w >> 11) * 2**-53 of the uint64 `words` into `out`; shifts
-    `words` in place."""
-    words >>= _U11
-    np.multiply(words, 1.0 / 9007199254740992.0, out=out)
+def _to_uniforms(parts, seed: int, scratch: np.ndarray):
+    """Write the uniforms of Philox4x64-10 blocks, (w >> 11) * 2**-53 of
+    each word w, straight into their output arrays.
+
+    Each part is (counters, keys, out): block c of every key k, for c in
+    the sequence `counters` and k in the uint64 array `keys`, goes to
+    out[:, :, i, j] for c = counters[i] and k = keys[j]; out[0, l] takes
+    counter word 2 l and out[1, l], if out has two planes, word 2 l + 1.
+    The blocks run through `_philox_words` in tiles of at most the keys
+    that `scratch` holds; a tile packs whole groups of keys sharing a
+    counter, or holds a slice of one group.
+    """
+    tile = scratch.shape[1] // 2
+    tiles, used = [[]], 0  # each a list of pieces (counters, keys, out)
+    for counters, keys, out in parts:
+        step, width = max(1, tile // keys.size), min(keys.size, tile)
+        for i in range(0, len(counters), step):
+            for j in range(0, keys.size, width):
+                cs, ks = counters[i:i + step], keys[j:j + width]
+                if used + len(cs) * ks.size > tile:
+                    tiles.append([])
+                    used = 0
+                tiles[-1].append((cs, ks, out[:, :, i:i + step, j:j + width]))
+                used += len(cs) * ks.size
+    for pieces in tiles:
+        even, odd = _philox_words([(c, ks) for cs, ks, _ in pieces for c in cs], seed,
+                                  scratch)
+        start = 0
+        for cs, ks, out in pieces:
+            stop = start + len(cs) * ks.size
+            for words, dst in zip((even, odd), out):  # out's planes
+                w = words[:dst.shape[0], start:stop].reshape(dst.shape)
+                w >>= _U11
+                np.multiply(w, 1.0 / 9007199254740992.0, out=dst)
+            start = stop
 
 
 def _philox_scratch(n: int) -> np.ndarray:
@@ -191,11 +230,11 @@ def philox_uniforms(paths, seed: int, counter) -> np.ndarray:
     shape = np.broadcast_shapes(keys.shape, ctr.shape)
     keys = keys.ravel()
     b, n = ctr.size, keys.size
-    even, odd = _philox_words([(int(c), keys) for c in ctr.ravel()], seed,
-                              _philox_scratch(b * n))
     out = np.empty((4, b, n))
-    _to_uniforms(even.reshape(2, b, n), out[0::2])
-    _to_uniforms(odd.reshape(2, b, n), out[1::2])
+    if out.size:  # draw 2 l + j is lane l of the even (j = 0) or odd words
+        _to_uniforms([([int(c) for c in ctr.ravel()], keys,
+                       out.reshape(2, 2, b, n).transpose(1, 0, 2, 3))],
+                     seed, _philox_scratch(min(_PHILOX_TILE, b * n)))
     return out.reshape((4,) + shape)
 
 
@@ -260,7 +299,7 @@ def _check_capital(x) -> float:
 def _refill(keys: np.ndarray, seed: int, k: int, lam: float, ppf,
             scratch: np.ndarray, roulette: bool, past: Optional[np.ndarray]):
     """The draws of iterations k .. k + 2 blocks - 1 (k even) of the paths
-    `keys`, one row per iteration, from one Philox call.
+    `keys`, one row per iteration, from the Philox tiles of `scratch`.
 
     Plane 0 holds the inter-arrival times and plane 1 the claims.  Plane 2
     holds roulette uniforms: if `roulette` and the refill covers several
@@ -270,33 +309,25 @@ def _refill(keys: np.ndarray, seed: int, k: int, lam: float, ppf,
     """
     m = keys.size
     blocks = max(1, _REFILL_BLOCKS // m)
-    groups = [(c, keys) for c in range(k // 2 + 1, k // 2 + 1 + blocks)]
     every = roulette and blocks > 1
-    if every:
-        groups += [(_ROULETTE_BLOCK + k + 2 * j, keys) for j in range(blocks)]
-    elif past is not None:
-        groups.append((_ROULETTE_BLOCK + k, keys[past]))
-    total = sum(g.size for _, g in groups)
-    if 2 * total > scratch.shape[1]:  # more paths past h0 than ended so far
-        scratch = _philox_scratch(total)
-    even, odd = _philox_words(groups, seed, scratch)
     draws = np.empty((2 + (every or past is not None), 2 * blocks, m))
     # words 0-3 of block b are draws 0-1 of iterations k + 2b, k + 2b + 1:
     # lane j of the even (odd) words is row 2b + j of plane 0 (1)
-    size = blocks * m
-    rows = draws[:2].reshape(2, blocks, 2, m).transpose(0, 2, 1, 3)
-    _to_uniforms(even[:, :size].reshape(2, blocks, m), rows[0])
-    _to_uniforms(odd[:, :size].reshape(2, blocks, m), rows[1])
+    parts = [(range(k // 2 + 1, k // 2 + 1 + blocks), keys,
+              draws[:2].reshape(2, blocks, 2, m).transpose(0, 2, 1, 3))]
+    if every:  # word 0 of block _ROULETTE_BLOCK + i for iteration i
+        parts.append((range(_ROULETTE_BLOCK + k, _ROULETTE_BLOCK + k + 2 * blocks, 2),
+                      keys, draws[2:, None, 0::2]))
+    elif past is not None:
+        u = np.empty(past.size)
+        parts.append(([_ROULETTE_BLOCK + k], keys[past], u.reshape(1, 1, 1, -1)))
+    _to_uniforms(parts, seed, scratch)
     taus = draws[0]  # -log1p(-u) / lam, in place
     np.negative(taus, out=taus)
     np.log1p(taus, out=taus)
     np.divide(taus, -lam, out=taus)
     draws[1] = ppf(draws[1])
-    if every:  # word 0 of block _ROULETTE_BLOCK + i for iteration i
-        _to_uniforms(even[0, size:].reshape(blocks, m), draws[2, 0::2])
-    elif past is not None:
-        u = np.empty(past.size)
-        _to_uniforms(even[0, size:], u)
+    if past is not None and not every:
         draws[2, 0, past] = u
     return draws
 
@@ -330,8 +361,8 @@ def _lockstep(params: ModelParams, x: float, horizon: float, seed: int,
         lvl[:] = a
     draws = np.empty((2, 0, n))
     row = 0
-    # fits every refill but one whose paths past h0 outnumber those ended
-    scratch = _philox_scratch(max(n, 2 * _REFILL_BLOCKS))
+    # holds every refill whole in a call of at most _PHILOX_TILE / 2 paths
+    scratch = _philox_scratch(min(_PHILOX_TILE, 2 * max(n, _REFILL_BLOCKS)))
     travel_time, flow = solver.travel_time, solver.flow
     for k in range(_MAX_BLOCK // 2):
         past = None
@@ -423,6 +454,12 @@ def _run_paths(params: ModelParams, x: float, config: SimulationConfig,
 
 def _estimate(values: np.ndarray, ruined: np.ndarray, config: SimulationConfig,
               bound: float, heuristic: bool) -> SimulationEstimate:
+    """The estimate from the per-path values; NumericsError if one of them
+    is not a finite number, which no mean or horizon check would catch."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericsError(f"path {bad[0]} has the value {float(values[bad[0]])}, "
+                            f"not a finite number")
     n = values.size
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

@@ -38,6 +38,7 @@ LAYERS = {
     "bench_convolution": (2000,),
     "bench_omega": (200,),
     "bench_refill": (300,),
+    "bench_mc_memory": (200, 200),
     "bench_small_calls": (2,),
     "bench_paths": (200,),
     "bench_survivors": (200,),

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from dividend_opt import cli
+from dividend_opt import cli, simulate
 from dividend_opt.cli import main
 from dividend_opt.errors import DividendOptError
 from dividend_opt.tables import sweep_csv
@@ -383,6 +383,26 @@ class TestSimulateCommand:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "--barrier" in err
         assert not (tmp_path / "s").exists()
+
+    def test_non_finite_path_value_exits_3(self, config_path, tmp_path, monkeypatch,
+                                           capsys):
+        # a NaN path value (planted in path 3) is a numerical error, not a
+        # mean to write to estimate.json
+        lockstep = simulate._lockstep
+
+        def planted(*args):
+            values, ruined = lockstep(*args)
+            values[3] = math.nan
+            return values, ruined
+
+        monkeypatch.setattr(simulate, "_lockstep", planted)
+        out = tmp_path / "s"
+        code = main(["simulate", config_path, "--x", "3.0", "--paths", "20",
+                     "--horizon", "250", "--barrier", "5.0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "numerical error: path 3 has the value nan, not a finite number\n"
+        assert not (out / "estimate.json").exists()
 
     def test_gerber_mode_without_barrier(self, tmp_path):
         cfgp = tmp_path / "pen.json"

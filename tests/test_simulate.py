@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -285,10 +286,10 @@ class TestRoulette:
         assert abs(est.ruin_fraction - 0.995) <= 4.0 * se
 
     def test_every_refill_shape_matches_the_oracle(self, monkeypatch):
-        # in one chunk of 300 paths, refills of one block meet more paths
-        # past h0 than have ended, which outgrows the Philox scratch; in
-        # chunks of 7 every refill covers many blocks and draws roulette
-        # uniforms for all paths
+        # in one chunk of 300 paths, refills of one block draw roulette
+        # uniforms for the paths past h0, which come to outnumber the paths
+        # ended; in chunks of 7 every refill covers many blocks and draws
+        # roulette uniforms for all paths
         params = make_params(penalty="constant", k=1.0)
         config = cfg(paths=300, horizon=300.0, seed=41)
         whole = simulate._run_paths(params, 2.0, config, simulate._MODE_GERBER, 0.0)
@@ -358,6 +359,34 @@ class TestRoulette:
             gen = np.random.Generator(np.random.Philox(key=(9 << 64) + int(p),
                                                        counter=2 ** 63 - 1))
             assert np.array_equal(got[:, p], gen.random(16)[::4])
+
+
+class TestNonFiniteValue:
+    """A path value that is not a finite number is an error, never an
+    estimate: it is planted in path 3 of the engine's output."""
+
+    @staticmethod
+    def plant(monkeypatch, value):
+        lockstep = simulate._lockstep
+
+        def planted(*args):
+            values, ruined = lockstep(*args)
+            values[3] = value
+            return values, ruined
+
+        monkeypatch.setattr(simulate, "_lockstep", planted)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", ["value", "gerber-shiu zero penalty", "two-sided"])
+    def test_raises_numerics_error(self, monkeypatch, table1_q05, call, value):
+        self.plant(monkeypatch, value)
+        with pytest.raises(NumericsError, match=f"path 3 has the value {value}, "):
+            if call == "value":
+                simulate_value(table1_q05, 3.0, cfg(paths=20, barrier=5.0))
+            elif call == "two-sided":
+                simulate_two_sided(table1_q05, 2.0, 6.0, cfg(paths=20))
+            else:  # a zero penalty skips the horizon check
+                simulate_gerber_shiu(table1_q05, 2.0, cfg(paths=20))
 
 
 class TestGenericEngine:
@@ -529,3 +558,78 @@ class TestLockstepOracle:
         monkeypatch.setattr(simulate, "_MAX_BLOCK", 64)
         with pytest.raises(NumericsError, match="needs more than 64 draws"):
             simulate_gerber_shiu(params, 3.0, cfg(paths=20, horizon=1e4))
+
+
+class TestPhiloxTiles:
+    """Refills and `philox_uniforms` draw their blocks in tiles of at most
+    _PHILOX_TILE keys; the tiling leaves every uniform as it is."""
+
+    @pytest.mark.parametrize("mode,a", MODES, ids=["value", "gerber-shiu", "two-sided"])
+    def test_results_do_not_depend_on_the_tile(self, monkeypatch, mode, a):
+        params = (make_params(penalty="constant", k=1.0) if mode == simulate._MODE_GERBER
+                  else make_params())
+        config = cfg(paths=3000, horizon=300.0 if mode else 250.0, seed=19)
+        whole = simulate._run_paths(params, 3.0, config, mode, a)
+        monkeypatch.setattr(simulate, "_PHILOX_TILE", 300)
+        tiles = []  # _philox_words calls per refill
+        refill, words = simulate._refill, simulate._philox_words
+
+        def counted_refill(*args):
+            tiles.append(0)
+            return refill(*args)
+
+        def counted_words(*args):
+            tiles[-1] += 1
+            return words(*args)
+
+        monkeypatch.setattr(simulate, "_refill", counted_refill)
+        monkeypatch.setattr(simulate, "_philox_words", counted_words)
+        tiled = simulate._run_paths(params, 3.0, config, mode, a)
+        assert all(np.array_equal(x, y) for x, y in zip(whole, tiled))
+        if mode == simulate._MODE_VALUE:  # the roulette runs: h0 = 46.05
+            assert np.any(tiled[1] > 1.0)
+            assert max(tiles) > 1 and min(tiles) >= 1
+
+    def test_philox_uniforms_across_tile_edges(self):
+        seed = 2 ** 64 - 1
+        got = simulate.philox_uniforms(np.arange(20000), seed, np.arange(1, 3)[:, None])
+        for p in (0, 8191, 8192, 19999):
+            gen = np.random.Generator(np.random.Philox(key=(seed << 64) + p))
+            assert np.array_equal(got[:, :, p].T.ravel(), gen.random(8))
+
+    def test_scratch_never_exceeds_the_tile(self, monkeypatch, table1_q05):
+        sizes = []
+        scratch = simulate._philox_scratch
+
+        def recorded(n):
+            sizes.append(n)
+            return scratch(n)
+
+        monkeypatch.setattr(simulate, "_philox_scratch", recorded)
+        simulate_value(table1_q05, 3.0, cfg(paths=40000, seed=29, barrier=5.33))
+        assert sizes and max(sizes) <= simulate._PHILOX_TILE
+
+    @pytest.mark.parametrize("call", ["value", "gerber-shiu"])
+    def test_montecarlo_workload_calls_within_their_memory_budget(self, barrier_q05,
+                                                                  call):
+        # perfbench's `montecarlo` inputs at seed 7, whose `mc_seed(7, i)`
+        # gives the seeds: the engine's per-path arrays and one tile of
+        # Philox scratch (0.9 MB).  A scratch as large as the path count
+        # (3.6 MB at 32 000 paths) goes past the budget: 7.99 and 8.34 MiB
+        params = make_params()
+        if call == "value":
+            a = barrier_q05.a_star
+            run = (simulate_value, params,
+                   cfg(paths=32000, seed=4474668370826950401, barrier=a), 6.0)
+        else:
+            run = (simulate_gerber_shiu, dataclasses.replace(
+                params, penalty=PenaltyModel.constant(1.0)),
+                cfg(paths=20000, horizon=300.0, seed=793649811123725967), 5.5)
+        function, model, config, budget_mib = run
+        tracemalloc.start()
+        try:
+            function(model, 5.0, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget_mib * 2 ** 20

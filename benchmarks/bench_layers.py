@@ -32,12 +32,15 @@ Times these layers, best of k:
   W' there.
 - the march of a tabulated claim density, on the `tabulated_cli` model of
   `perfbench` (grid dx 0.005, x_max 166.7, 33 334 nodes) with and without
-  its linear penalty: one reference march per function (W, and G_p with
-  the penalty) against the one call of `scale._march`, which marches both
-  as the two columns of the blocked march.  The largest node-wise relative
-  gap to the reference is printed with it, and the blocked march's
-  `tracemalloc` peak in float64 per node and its minor page faults per
-  march.
+  its linear penalty, and with its linear penalty on a claim support of
+  160 instead of 40 (K = 32 001 instead of 8 001 nodes of support): one
+  reference march per function (W, and G_p with the penalty) against the
+  one call of `scale._march`, which marches both as the two columns of
+  the blocked march.  The largest node-wise relative gap to the reference
+  is printed with it, the time of the march's older history (the methods
+  of `scale._PartitionedHistory`), the blocked march's `tracemalloc` peak
+  in float64 per node and its minor page faults per march; then the march
+  time at both supports, side by side.
 - the CSV write of the `tabulated_cli` model's value curve `v` (33 334
   rows), as `barrier` writes `v_curve.csv`: the chunk stream of
   `GridFunction.csv_chunks` through `grid.atomic_write` against the whole
@@ -89,8 +92,8 @@ from dividend_opt import (ClaimModel, ModelParams, PenaltyModel, PremiumModel,
                           simulate_value, solve_scale)
 from dividend_opt import _reference, find_barrier, simulate
 from dividend_opt.grid import atomic_write
-from dividend_opt.scale import (_exponential_march, _grid_arrays, _march,
-                                _trapezoid_convolution)
+from dividend_opt.scale import (_PartitionedHistory, _exponential_march, _grid_arrays,
+                                _march, _trapezoid_convolution)
 from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
 
 PARAMS = ModelParams(PremiumModel.linear(1.0, 0.02), ClaimModel.exponential(0.3),
@@ -248,11 +251,11 @@ def bench_grid_lookup(calls: int = 200):
     return out
 
 
-def omega_params():
-    """Linear premium 1 + 0.02x, tabulated Erlang(2, 0.6) claims on [0, 40]
-    (dx 0.01), linear penalty -1 + 0.5x, lambda 0.1, q 0.05."""
+def omega_params(support: float = 40.0):
+    """Linear premium 1 + 0.02x, tabulated Erlang(2, 0.6) claims on
+    [0, support] (dx 0.01), linear penalty -1 + 0.5x, lambda 0.1, q 0.05."""
     dx = 0.01
-    ys = dx * np.arange(4001)
+    ys = dx * np.arange(int(round(support / dx)) + 1)
     f = 0.36 * ys * np.exp(-0.6 * ys)
     claim = ClaimModel.tabulated(0.0, dx, f / np.trapezoid(f, dx=dx))
     return ModelParams(PremiumModel.linear(1.0, 0.02), claim,
@@ -269,12 +272,42 @@ def bench_omega(nodes: int = int(round(166.7 / 0.005)) + 1):
             "max_abs_diff": float(np.max(np.abs(exact - ref)))}
 
 
-def bench_blocked(penalised: bool):
-    """The tabulated_cli model, with its linear penalty or with none: the
-    reference marches against the blocked one, then the blocked march's
-    minor page faults over one more call and its traced peak, each call's
-    result dropped at once, as `solve_scale` drops it."""
-    params = omega_params()
+def history_seconds(fn):
+    """The seconds that one call of fn spends in the methods of
+    `scale._PartitionedHistory`: the older history of the blocked march,
+    its segment spectra, ring pushes, and products with their inverse
+    transforms."""
+    spent = [0.0]
+    methods = {name: getattr(_PartitionedHistory, name)
+               for name in ("__init__", "push", "older")}
+
+    def timed(method):
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return method(*args)
+            finally:
+                spent[0] += time.perf_counter() - t0
+        return call
+
+    for name, method in methods.items():
+        setattr(_PartitionedHistory, name, timed(method))
+    try:
+        fn()
+    finally:
+        for name, method in methods.items():
+            setattr(_PartitionedHistory, name, method)
+    return spent[0]
+
+
+def bench_blocked(penalised: bool, support: float = 40.0, repeats: int = 3):
+    """The tabulated_cli model, with its linear penalty or with none, its
+    claim density on [0, support]: the reference marches against the
+    blocked one, best of `repeats`, and the best of `repeats` times of the
+    blocked march's older history; then the blocked march's minor page
+    faults over one more call and its traced peak, each call's result
+    dropped at once, as `solve_scale` drops it."""
+    params = omega_params(support)
     if not penalised:
         params = dataclasses.replace(params, penalty=PenaltyModel.zero())
     dx = DEFAULT_DX
@@ -284,7 +317,7 @@ def bench_blocked(penalised: bool):
     starts = [(1.0, None)] + ([(0.0, omega)] if penalised else [])
     t_ref, ref = time_best(lambda: [_reference.volterra_march(
         p, f, params.lam, params.q, dx, u0, src) for u0, src in starts])
-    t_new, (u, d) = time_best(_march, params, p, dx, omega)
+    t_new, (u, d) = time_best(_march, params, p, dx, omega, repeats=repeats)
     gap = 0.0
     for k, (ur, dr, Lr) in enumerate(ref):
         for a, b in ((u[:, k], ur * math.exp(Lr)), (d[:, k], dr * math.exp(Lr))):
@@ -298,8 +331,10 @@ def bench_blocked(penalised: bool):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     march()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return {"nodes": x.size, "columns": len(starts), "reference": t_ref,
-            "blocked": t_new, "max_rel_gap": gap, "faults_per_march": faults,
+    return {"nodes": x.size, "support_nodes": int(np.flatnonzero(f)[-1]) + 1,
+            "columns": len(starts), "reference": t_ref, "blocked": t_new,
+            "history": min(history_seconds(march) for _ in range(repeats)),
+            "max_rel_gap": gap, "faults_per_march": faults,
             "peak_floats_per_node": traced_peak(march) / (8 * x.size)}
 
 
@@ -473,18 +508,25 @@ def main():
               f"W' {g['derivative_' + label] * 1e6:7.1f} us")
     print(f"  bitwise equal to np.interp over the whole grid: {g['bitwise_equal']}")
 
-    for penalised in (True, False):
-        b = bench_blocked(penalised)
+    scaling = []
+    for penalised, support in ((True, 40.0), (False, 40.0), (True, 160.0)):
+        b = bench_blocked(penalised, support)
         label = "W and G_p" if penalised else "W only"
         print(f"\nTabulated-claim march, {b['nodes']} nodes, {label} "
-              f"(tabulated_cli model, {'linear' if penalised else 'zero'} penalty):")
+              f"(tabulated_cli model, {'linear' if penalised else 'zero'} penalty, "
+              f"claim support {support:g}, K = {b['support_nodes']}):")
         marches = "2 marches" if b["columns"] == 2 else "1 march  "
         print(f"  reference, {marches}  {b['reference'] * 1e3:9.1f} ms")
         print(f"  blocked, one call     {b['blocked'] * 1e3:9.1f} ms   "
               f"({b['reference'] / b['blocked']:.1f}x, max rel gap "
               f"{b['max_rel_gap']:.1e})")
+        print(f"  its older history     {b['history'] * 1e3:9.1f} ms")
         print(f"  blocked, traced peak {b['peak_floats_per_node']:.1f} float64 per node, "
               f"{b['faults_per_march']} minor page faults per march")
+        if penalised:
+            scaling.append(f"K = {b['support_nodes']} {b['blocked'] * 1e3:.1f} ms "
+                           f"(history {b['history'] * 1e3:.1f} ms)")
+    print("Blocked march of W and G_p by support, best of 3: " + ", ".join(scaling))
 
     cw = bench_csv_write()
     print(f"\nCSV write of v_curve.csv, {cw['rows']} rows, {cw['bytes']} bytes "

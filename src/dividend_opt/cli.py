@@ -32,7 +32,8 @@ from .errors import ConfigError, DividendOptError, ModelValidationError, Numeric
 from .grid import GridFunction, atomic_write
 from .hjb import verify_optimality
 from .model import _number, params_from_json, validate_model
-from .simulate import (SimulationConfig, simulate_gerber_shiu, simulate_value)
+from .simulate import (SimulationConfig, _check_capital, simulate_gerber_shiu,
+                       simulate_value)
 from .tables import DEFAULT_DX, SWEEPS, locate_barrier, run_sweep, sweep_csv
 
 EXIT_OK = 0
@@ -166,7 +167,7 @@ def _cmd_simulate(args) -> int:
     params = _load_params(args.config)
 
     barrier = args.barrier
-    v_curve = None
+    analytic = None
     if args.barrier_file:
         bpath = os.path.join(args.barrier_file, "barrier.json")
         with open(bpath, encoding="utf-8") as fh:
@@ -182,6 +183,16 @@ def _cmd_simulate(args) -> int:
                 v_curve = GridFunction.from_csv(vpath)
             except ValueError as exc:
                 raise ConfigError(f"{vpath}: {exc}") from None
+            x = _check_capital(args.x)  # an invalid --x stays a usage error
+            try:
+                analytic = float(v_curve(min(x, v_curve.x_end)))
+            except ValueError:
+                raise ConfigError(
+                    f"{vpath}: its grid starts at x={v_curve.x0:.6g}, above --x {x:.6g}; "
+                    f"use the v_curve.csv that 'barrier' writes, whose grid starts "
+                    f"at 0") from None
+            if x > v_curve.x_end:  # linear continuation past the stored grid
+                analytic += x - v_curve.x_end
 
     config = SimulationConfig(paths=args.paths, horizon=args.horizon,
                               seed=args.seed, barrier=barrier)
@@ -190,10 +201,7 @@ def _cmd_simulate(args) -> int:
     else:
         est = simulate_gerber_shiu(params, args.x, config)
     doc = est.to_dict()
-    if v_curve is not None:
-        analytic = float(v_curve(min(args.x, v_curve.x_end)))
-        if args.x > v_curve.x_end:  # linear continuation past the stored grid
-            analytic += args.x - v_curve.x_end
+    if analytic is not None:
         z = (est.mean - analytic) / est.std_error if est.std_error > 0 else math.inf
         doc["comparison"] = {"analytic": analytic, "z_score": z}
     _write_outputs(args.out, "simulate", _digest(args.config),

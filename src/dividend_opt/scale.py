@@ -30,11 +30,14 @@ block of `_BLOCK` nodes.  The block matrices depend on the grid alone:
 those of a super-block of `_SUPER` nodes are inverted together, by
 doubling, with no pivoting and no LAPACK call, and each block's solve is
 one product with its inverse.  The history older than the super-block
-comes from one FFT per super-block, the newer history from a product
-with a contiguous Toeplitz strip of the density.  Both marches run in
-true units from W(0) = 1, so the marched W is W; a march that leaves
-float range ends in OverflowDomainError, with the largest x_max that
-stays inside it.
+is a partitioned convolution: each finished super-block is transformed
+once, at 2 `_SUPER` points, into a ring of the last D spectra, D the
+density's support in super-blocks, and one product with the density
+segments' spectra and one inverse transform give the next super-block's
+share of it; the newer history comes from a product with a contiguous
+Toeplitz strip of the density.  Both marches run in true units from
+W(0) = 1, so the marched W is W; a march that leaves float range ends in
+OverflowDomainError, with the largest x_max that stays inside it.
 
 The relation is the vanishing of the generator residual (A - q)u, which
 `_generator_residual` evaluates on every node: the diagnostics apply it
@@ -70,7 +73,9 @@ _CANCEL_FLOOR = 1e-13
 # Nodes per triangular block of `_blocked_march`, a power of two for the
 # doubling inverse
 _BLOCK = 64
-_SUPER = 1024  # nodes per super-block: one FFT of the older history each
+# Nodes per super-block: one 2 _SUPER-point rfft of its rows when it ends,
+# one irfft of the older history when it starts
+_SUPER = 1024
 
 
 @dataclass(frozen=True)
@@ -321,6 +326,44 @@ def _finite_rows(a) -> int:
     return a.shape[0] if ok.all() else int(np.argmin(ok))
 
 
+class _PartitionedHistory:
+    """The history of `_blocked_march` from the D super-blocks of S rows
+    before the current one, as a uniformly partitioned convolution with
+    the density f: super-block s - d reaches super-block s through the
+    segment f[(d-1)S+1 : (d+1)S], d = 1..D, 0 past f's end.
+
+    `seg` holds the segments' 2S-point spectra for d = D, D - 1, ..., 1
+    and then once more in that order, so that rows o to o + D - 1, with
+    o = (-s) mod D, pair segment s - t with the spectrum of super-block t
+    in ring slot t mod D, for the D super-blocks t before s.  `ring`
+    holds those spectra, one per column of u, zero before the march has
+    filled them.
+    """
+
+    def __init__(self, f, S: int, D: int, m: int):
+        self.S, self.D = S, D
+        fp = np.zeros((D + 1) * S)
+        fp[:min(f.size, fp.size)] = f[:fp.size]
+        segments = np.lib.stride_tricks.sliding_window_view(fp[1:], 2 * S - 1)[::S]
+        spectra = np.fft.rfft(segments[::-1], 2 * S, axis=1)
+        self.seg = np.concatenate((spectra, spectra))
+        self.ring = np.zeros((m, D, S + 1), complex)
+
+    def push(self, s: int, rows):
+        """Store the spectrum of super-block s, its S rows of u."""
+        self.ring[:, s % self.D] = np.fft.rfft(rows.T, 2 * self.S)
+
+    def older(self, s: int, ns: int):
+        """The history sums of the first ns rows of super-block s from the
+        D super-blocks before it, shape (ns, m): rows S-1 onward of the
+        inverse transform of sum_d U_{s-d} G_d, where the circular wrap of
+        the 2S points lands on rows below S-1 only."""
+        S, D = self.S, self.D
+        o = -s % D
+        acc = (self.seg[o:o + D] * self.ring).sum(axis=1)
+        return np.fft.irfft(acc, 2 * S)[:, S - 1:S - 1 + ns].T
+
+
 def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     """`_reference.volterra_march` for several columns at once, by blocks.
 
@@ -334,18 +377,28 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
 
     with c = 1/p, alpha_i = 1 / (1 - dx/2 A c_i) and e_i = -lam (S_i + s_i)
     linear in u through the history sum S_i.  The first node of a block
-    uses the known d_{i-1} instead.  The history from nodes before the
-    current super-block enters through one FFT per super-block (only the
-    last K - 1 nodes, K the support of f on the grid), the history from
-    earlier blocks of the super-block through a C-contiguous Toeplitz
-    strip of f, and the coupling inside the block through a unit
-    lower-triangular matrix.  Those matrices depend on the grid, not on u:
-    at the top of each super-block all of them are inverted as one stack
-    (`_unit_lower_inverse`), and a block's solve is one product with its
-    inverse, one right-hand side per column.  The coefficients of their
-    rows, alpha and the source term are built per super-block, in buffers
-    allocated once per march, so the march holds O(n) only in 1/p and in
-    its outputs.
+    uses the known d_{i-1} instead.
+
+    The history from nodes before the current super-block of S nodes is a
+    uniformly partitioned convolution (a frequency-domain delay line,
+    `_PartitionedHistory`).  With K the support of f on the grid, only the
+    last D = ceil((K-1)/S) super-blocks reach the current one.  When a
+    super-block ends, its rows are transformed once, at 2S points, into a
+    ring of the last D spectra; the 2S-point spectra of the density's D
+    segments are computed once per march, and a super-block's older
+    history is one product over the ring and one inverse transform.  Each
+    super-block costs O(S log S + D S), not a transform over its support.
+
+    The history from earlier blocks of the super-block comes through a
+    C-contiguous Toeplitz strip of f, and the coupling inside the block
+    through a unit lower-triangular matrix.  Those matrices depend on the
+    grid, not on u: at the top of each super-block all of them are
+    inverted as one stack (`_unit_lower_inverse`), and a block's solve is
+    one product with its inverse, one right-hand side per column.  The
+    coefficients of their rows, alpha and the source term are built per
+    super-block, in buffers allocated once per march, so the march holds
+    O(n) only in 1/p, in its outputs and, for a support as long as the
+    grid, in the ring.
 
     Returns (values, derivatives) in true units, each of shape (n, m).  A
     block whose solution leaves float range, while the inverse of its
@@ -381,7 +434,10 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     T = np.tril(strip[:, Sw - B:], -1) * (half * lam * dx)
     T_up = np.zeros((B, B))  # row r holds row r - 1 of T
     T_up[1:] = T[:-1]
-    fk_len, fk = 0, None  # f's transform at the last FFT length, kept while it repeats
+    # the D super-blocks before a super-block that reach it through f's
+    # support, at most all the others
+    D = min(-(-(K - 1) // S), -(-n // S) - 1)
+    history = _PartitionedHistory(f, S, D, m) if D else None
 
     c = 1.0 / p
     # the super-block's node s0 + i at row i: per node, alpha, the
@@ -393,7 +449,7 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     coef = np.zeros((3, S + 1))
     src = np.zeros((S, m))
     src_c = np.empty((S, m))
-    older = np.zeros((S, m))
+    older = np.zeros((S, m))  # the history from before the super-block
     # the super-block's block matrices, and their inverses (at first the
     # scratch of the matrices' second term)
     mats, invs = np.empty((2, -(-S // B), B, B))
@@ -407,7 +463,7 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     d[0] = ((lam + q) * u0 - lam * src0) / p[0]
     u_prev, d_prev = u0, d[0]
 
-    for s0 in range(0, n, S):
+    for s, s0 in enumerate(range(0, n, S)):
         s1 = min(s0 + S, n)
         ns = s1 - s0
         np.divide(1.0, 1.0 - half * A * c[s0:s1], out=alpha[:ns])
@@ -419,15 +475,8 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
         if omega is not None:
             src[:ns, -1] = omega[s0:s1]
         np.multiply((-lam * c[s0:s1])[:, None], src[:ns], out=src_c[:ns])
-        older[:] = 0.0
-        j0 = max(0, s0 - K + 1)
-        if j0 < s0:
-            span = s1 - j0
-            nfft = _fft_length(span)
-            if nfft != fk_len:
-                fk_len, fk = nfft, np.fft.rfft(f[:nfft], nfft)[:, None]
-            older[:ns] = np.fft.irfft(np.fft.rfft(u[j0:s0], nfft, axis=0) * fk, nfft,
-                                      axis=0)[s0 - j0:span]
+        if s and history is not None:
+            older[:ns] = history.older(s, ns)
         # the blocks [starts, ends) of the super-block, aligned to multiples
         # of B; the first of the march starts at node 1
         starts = np.arange(s0, s1, B)
@@ -479,6 +528,8 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
                 u[0] = u0
                 return u, d
             u_prev, d_prev = ub[-1], db[-1]
+        if history is not None and s1 < n:
+            history.push(s, u[s0:s1])
     u[0] = u0
     return u, d
 

@@ -28,7 +28,7 @@ def bench():
 
 # each `bench_*` function of the script, with the arguments of a cheap run
 LAYERS = {
-    "bench_blocked": (False,),
+    "bench_blocked": (False, 160.0, 1),
     "bench_csv_write": (30.0,),
     "bench_sweep_march": (),
     "bench_penalised_solve": (),
@@ -51,9 +51,18 @@ def test_every_layer_has_one_smoke_entry(bench):
                            if name.startswith("bench_")}
 
 
+# the result keys of the layers whose printout reads them by name
+KEYS = {
+    "bench_blocked": {"nodes", "support_nodes", "columns", "reference", "blocked",
+                      "history", "max_rel_gap", "faults_per_march",
+                      "peak_floats_per_node"},
+}
+
+
 @pytest.mark.parametrize("layer", sorted(LAYERS))
 def test_layer_runs(bench, layer):
     result = getattr(bench, layer)(*LAYERS[layer])
+    assert set(result) == KEYS.get(layer, set(result))
     numbers = [v for v in result.values() if not isinstance(v, bool)]
     assert numbers and all(math.isfinite(v) for v in numbers)
     assert result.get("bitwise_equal", True)

@@ -373,6 +373,33 @@ class TestSimulateCommand:
         assert str(bdir / "v_curve.csv") in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("x, code", [("0.5", 2), ("-1.0", 64), ("nan", 64)])
+    def test_v_curve_starting_above_x(self, x, code, config_path, tmp_path, capsys,
+                                      monkeypatch):
+        # a v_curve.csv whose x column is shifted by +1 cannot give v(0.5):
+        # a validation error naming the file, before any path is simulated;
+        # an invalid --x stays a usage error
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths simulated")
+
+        monkeypatch.setattr(cli, "simulate_value", refuse)
+        bdir = tmp_path / "b"
+        bdir.mkdir()
+        (bdir / "barrier.json").write_text('{"a_star": 5.0}')
+        (bdir / "v_curve.csv").write_text("x,value,derivative\n1,1,1\n2,2,1\n3,3,1\n")
+        out = tmp_path / "s"
+        assert main(["simulate", config_path, "--x", x, "--paths", "10",
+                     "--horizon", "250", "--barrier-file", str(bdir),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("validation error: ")
+            assert str(bdir / "v_curve.csv") in err and "starts at x=1" in err
+        else:
+            assert err.startswith("usage error: ") and "initial capital" in err
+        assert not out.exists()
+
     def test_barrier_and_barrier_file_exclusive(self, config_path, tmp_path, capsys):
         # argparse rejects the pair before the directory is read
         code = main(["simulate", config_path, "--x", "3.0", "--paths", "10",

@@ -248,7 +248,9 @@ def bounded_premium():
 LINEAR = PremiumModel.linear(1.0, 0.02)
 # (claim, premium, penalty, lam, q, dx, x_max) for every tabulated-claim model
 # of the test suite, the tabulated_cli benchmark model, a model whose march
-# rescales, and grids that end inside a block or a super-block
+# rescales, grids that end inside a block or a super-block, and density
+# supports that fill the spectra ring of the older history in full, in one
+# slot, and only as far as the grid reaches
 BLOCKED_CASES = {
     "discretized_exponential": (
         lambda: TestTabulatedClaim.discretized_exponential(), LINEAR,
@@ -283,6 +285,15 @@ BLOCKED_CASES = {
     "one_node_past_a_super_block": (
         lambda: erlang2_claim(0.02), LINEAR,
         PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.02, 0.02 * _SUPER),
+    "support_past_eight_super_blocks": (
+        lambda: erlang2_claim(0.01, rate=0.1, support=100.0), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.01, 125.0),
+    "support_within_a_super_block": (
+        lambda: erlang2_claim(0.01, rate=1.0, support=10.0), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.01, 40.0),
+    "support_past_the_grid": (
+        lambda: erlang2_claim(0.01, rate=0.1, support=100.0), LINEAR,
+        PenaltyModel.linear(1.0, 0.5), 0.1, 0.05, 0.01, 30.0),
 }
 BLOCKED_REL_TOL = 1e-12
 
@@ -326,6 +337,43 @@ class TestBlockedMarchOracle:
         assert sizes["one_node_past_a_block"] == _BLOCK + 1
         assert sizes["one_node_past_a_super_block"] == _SUPER + 1
         assert sizes["tabulated_cli"] % _BLOCK and sizes["tabulated_cli"] % _SUPER
+
+    def test_supports_cover_the_spectra_ring(self):
+        def nodes_and_support(case):
+            params, dx, x_max = self.params_and_grid(case)
+            x = _grid_arrays(params, dx, x_max)[0]
+            return x.size, int(np.flatnonzero(params.claim.density(x))[-1]) + 1
+
+        n, K = nodes_and_support("support_past_eight_super_blocks")
+        assert K - 1 > 8 * _SUPER and (K - 1) % _SUPER and n % _SUPER and n > K
+        n, K = nodes_and_support("support_within_a_super_block")
+        assert K < _SUPER and n > 2 * _SUPER
+        n, K = nodes_and_support("support_past_the_grid")
+        params = self.params_and_grid("support_past_the_grid")[0]
+        assert K == n and params.claim.density(np.array([n * 0.01]))[0] > 0.0
+
+    def test_every_transform_has_length_two_super_blocks(self, monkeypatch):
+        # the older history is one rfft per finished super-block and one
+        # irfft per started one, both of 2 S points, whatever the support:
+        # no transform over the whole support per super-block
+        lengths = []
+
+        def recorded(fft, implied):
+            def call(a, n=None, axis=-1, *args, **kwargs):
+                lengths.append(implied(np.shape(a)[axis]) if n is None else n)
+                return fft(a, n, axis, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", recorded(np.fft.rfft, lambda k: k))
+        monkeypatch.setattr(np.fft, "irfft", recorded(np.fft.irfft, lambda k: 2 * (k - 1)))
+        for case in ("tabulated_cli", "support_past_eight_super_blocks"):
+            params, dx, x_max = self.params_and_grid(case)
+            x, p_vals = _grid_arrays(params, dx, x_max)
+            lengths.clear()
+            _march(params, p_vals, dx, omega_eval(params, x))
+            # the density segments' spectra, then per super-block after the first
+            assert len(lengths) == 1 + 2 * (-(-x.size // _SUPER) - 1)
+            assert set(lengths) == {2 * _SUPER}
 
     def test_fast_growth_rescales(self):
         params, dx, x_max = self.params_and_grid("fast_growth_rescales")

@@ -91,20 +91,25 @@ def volterra_march(p_vals, f_vals, lam, q, dx, u0, source_vals=None):
 # Statuses: 0 done, 1 ran out of uniforms (caller redraws a longer block).
 
 
+def _offset(c, eps):
+    """c / eps; inf where eps is 0 or c / eps overflows (a constant premium)."""
+    return c / eps if eps else math.inf
+
+
 def _hit(pkind, c, eps, x, level):
-    if pkind == 0:
+    if pkind == 1 and math.isfinite(k := _offset(c, eps)):
+        return math.log1p((level - x) / (x + k)) / eps
+    if pkind in (0, 1):
         return (level - x) / c
-    if pkind == 1:
-        return math.log((level + c / eps) / (x + c / eps)) / eps
     return (level - x) / c - (math.log(c * (1.0 + level) + 1.0)
                               - math.log(c * (1.0 + x) + 1.0)) / (c * c)
 
 
 def _flow(pkind, c, eps, x, t):
-    if pkind == 0:
+    if pkind == 1 and math.isfinite(k := _offset(c, eps)):
+        return x + (x + k) * math.expm1(eps * t)
+    if pkind in (0, 1):
         return x + c * t
-    if pkind == 1:
-        return (x + c / eps) * math.exp(eps * t) - c / eps
     if t == 0.0:
         return x
     b = x + (c + 1.0 / (1.0 + x)) * t

@@ -4,7 +4,8 @@ The claim-free trajectory solves dr/dt = p(r), r(0) = x.  Every premium
 kind has an exact travel time T(x -> b) = int_x^b dr / p(r):
 
 - constant c: (b - x) / c;
-- linear c + eps x: ln((b + c/eps) / (x + c/eps)) / eps;
+- linear c + eps x: log1p((b - x) / (x + k)) / eps with k = c/eps, which
+  keeps its digits as eps -> 0 (the constant law where k overflows);
 - rational c + 1/(1+x):
   (b - x)/c - c^{-2} ln( (c(1+b)+1) / (c(1+x)+1) );
 - tabulated (p linear between knots, held at the end values beyond
@@ -12,14 +13,15 @@ kind has an exact travel time T(x -> b) = int_x^b dr / p(r):
   ln(1 + s_j d / p_j) / s_j over a distance d, summed at the knots.
 
 The flow is the inverse, r_t = T^{-1}(T(x) + t): elementary for the
-constant, linear and tabulated kinds (expm1 per segment), by a Newton
-iteration on the exact law for the rational kind.  `FlowSolver.travel_time`
-and `FlowSolver.flow` evaluate both on arrays; `forward` and `hit_time` are
-their checked scalar forms.
+constant, linear (x + (x + k) expm1(eps t)) and tabulated kinds (expm1 per
+segment), by a Newton iteration on the exact law for the rational kind.
+`FlowSolver.travel_time` and `FlowSolver.flow` evaluate both on arrays;
+`forward` and `hit_time` are their checked scalar forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,6 +81,12 @@ def _expm1_ratio(z):
     return np.where(zero, 1.0, np.expm1(safe) / safe)
 
 
+def _linear_offset(prem: PremiumModel) -> float:
+    """k = c / eps of a linear premium; inf where eps is 0 or so small that
+    c / eps overflows, and there the flow is the constant premium's."""
+    return prem.c / prem.epsilon if prem.epsilon else math.inf
+
+
 @dataclass(frozen=True)
 class FlowSolver:
     """Forward flow and level-hitting times for one premium model.
@@ -126,11 +134,10 @@ class FlowSolver:
         """Time for the flow to move from x to b >= x (floats or arrays)."""
         prem = self.premium
         kind = prem.kind
-        if kind == "constant" or (kind == "linear" and prem.epsilon == 0.0):
+        if kind == "linear" and math.isfinite(k := _linear_offset(prem)):
+            return np.log1p((b - x) / (x + k)) / prem.epsilon
+        if kind in ("constant", "linear"):
             return (b - x) / prem.c
-        if kind == "linear":
-            k = prem.c / prem.epsilon
-            return np.log((b + k) / (x + k)) / prem.epsilon
         if kind == "rational":
             return rational_travel_time(prem.c, x, b)
         return self._clock(b) - self._clock(x)
@@ -139,11 +146,10 @@ class FlowSolver:
         """Position after time t >= 0 of the flow started at x (floats or arrays)."""
         prem = self.premium
         kind = prem.kind
-        if kind == "constant" or (kind == "linear" and prem.epsilon == 0.0):
+        if kind == "linear" and math.isfinite(k := _linear_offset(prem)):
+            return x + (x + k) * np.expm1(prem.epsilon * t)
+        if kind in ("constant", "linear"):
             return x + prem.c * t
-        if kind == "linear":
-            k = prem.c / prem.epsilon
-            return (x + k) * np.exp(prem.epsilon * t) - k
         if kind == "rational":
             return rational_flow(prem.c, x, t)
         return self._position(self._clock(x) + t)

@@ -429,7 +429,13 @@ def penalty_envelope(params: ModelParams) -> float:
     if params.penalty.is_zero:
         return 0.0
     claim = params.claim
-    ys = np.linspace(0.0, max(1.0, 10.0 * claim.mean()), 201)
+    if claim.kind == "tabulated":
+        # 0 and every node below the support end: a tabulated claim's mean
+        # residual life can keep rising up to its last mass, however far
+        # past its mean that lies
+        ys = np.append(0.0, claim._nodes[:-1])
+    else:
+        ys = np.linspace(0.0, max(1.0, 10.0 * claim.mean()), 201)
     surv = claim._tails(ys)[0]
     keep = surv >= 1e-14
     if not keep.any():

@@ -163,7 +163,7 @@ def _grid_arrays(params: ModelParams, dx: float, x_max: float):
     n = int(round(x_max / dx)) + 1
     try:
         x = dx * np.arange(n)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: numpy's size limit
         raise ValueError(f"a grid of {n} nodes (dx={dx}, x_max={x_max}) cannot be "
                          f"allocated; increase dx or decrease x_max") from None
     p_vals = np.asarray(params.premium.p(x), dtype=float)

@@ -1,17 +1,21 @@
-"""Smoke test of `benchmarks/bench_layers.py` on its cheap layers.
+"""Smoke test of `benchmarks/bench_layers.py` on small inputs.
 
 The script calls private library functions (`scale._march`,
-`scale._exponential_march`, `simulate._run_paths`, ...), so a signature
-change there fails here rather than in the next benchmark run.
+`scale._exponential_march`, `simulate._refill`, ...) and takes its inputs
+from `perfbench/workloads.py`, so a signature change in either fails here
+rather than in the next benchmark run.
 """
 
 import importlib
 import inspect
+import json
 import math
 import os
 import sys
 
 import pytest
+
+from dividend_opt import params_from_dict, params_to_dict
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks")
@@ -37,12 +41,10 @@ LAYERS = {
     "bench_grid_lookup": (20,),
     "bench_convolution": (2000,),
     "bench_omega": (200,),
-    "bench_refill": (300,),
-    "bench_mc_memory": (200, 200),
-    "bench_small_calls": (2,),
-    "bench_paths": (200,),
+    "bench_refill": ((300,),),
+    "bench_mc_memory": (200,),
     "bench_survivors": (200,),
-    "bench_volterra": (500,),
+    "bench_small_calls": (2,),
 }
 
 
@@ -51,20 +53,34 @@ def test_every_layer_has_one_smoke_entry(bench):
                            if name.startswith("bench_")}
 
 
-# the result keys of the layers whose printout reads them by name
-KEYS = {
-    "bench_blocked": {"nodes", "support_nodes", "columns", "reference", "blocked",
-                      "history", "max_rel_gap", "faults_per_march",
-                      "peak_floats_per_node"},
-}
+def numbers(result):
+    """Every number of a layer's result, checking that each timing is a
+    {"best", "median", "runs"} record."""
+    if isinstance(result, dict):
+        if "best" in result:
+            assert set(result) == {"best", "median", "runs"}, result
+            assert 0 < result["best"] <= result["median"] and result["runs"] >= 1, result
+        for value in result.values():
+            yield from numbers(value)
+    else:
+        assert isinstance(result, (int, float)) and not isinstance(result, bool), result
+        yield result
 
 
 @pytest.mark.parametrize("layer", sorted(LAYERS))
 def test_layer_runs(bench, layer):
     result = getattr(bench, layer)(*LAYERS[layer])
-    assert set(result) == KEYS.get(layer, set(result))
-    numbers = [v for v in result.values() if not isinstance(v, bool)]
-    assert numbers and all(math.isfinite(v) for v in numbers)
-    assert result.get("bitwise_equal", True)
-    for gap in ("max_rel_gap", "max_rel_diff"):
-        assert result.get(gap, 0.0) <= 1e-5, (gap, result)
+    values = list(numbers(result))
+    assert values and all(math.isfinite(v) for v in values)
+    json.dumps(result, allow_nan=False)
+
+
+def test_tabulated_cli_model_is_the_workload_input(bench, tmp_path):
+    import workloads  # on the path that the script adds
+
+    workload = workloads.TabulatedCli(0, str(tmp_path))
+    workload.setup()
+    with open(workload.config, encoding="utf-8") as fh:
+        config = json.load(fh)
+    assert params_to_dict(bench.tabulated_cli_model()) == params_to_dict(
+        params_from_dict(config))

@@ -286,6 +286,15 @@ def test_bad_argument_value_is_usage_error(case, config_path, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_grid_past_numpy_size_limit_is_usage_error(config_path, tmp_path, capsys):
+    # about 1e302 nodes: numpy refuses the array size before allocating anything
+    code = main(["barrier", config_path, "--dx", "1e-300", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "cannot be allocated; increase dx or decrease x_max" in err
+    assert "Maximum allowed size" not in err
+
+
 class TestSimulateCommand:
     def test_usage_error_paths(self, config_path, tmp_path):
         code = main(["simulate", config_path, "--x", "2.0", "--paths", "0",

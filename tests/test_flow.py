@@ -87,6 +87,41 @@ class TestHitTime:
         assert FlowSolver(tab).hit_time(1.0, 9.0) == pytest.approx(4.0, rel=1e-8)
 
 
+class TestLinearFlowAsEpsilonVanishes:
+    """The linear premium c + eps x as eps -> 0: its flow and travel time,
+    vectorized and in the scalar oracle, keep their digits, where the forms
+    (x + c/eps) e^{eps t} - c/eps and ln((b + c/eps)/(x + c/eps))/eps cancel
+    them all (forward(5, 1) read 4.0 at eps = 1e-16)."""
+
+    POINTS = [(0.0, 1.0, 1.0), (5.0, 1.0, 6.0), (3.7, 20.0, 41.0), (137.0, 0.0127, 140.0)]
+
+    @staticmethod
+    def _forms(eps):
+        solver = FlowSolver(PremiumModel.linear(1.0, eps))
+        return ((solver.flow, solver.travel_time),
+                (lambda x, t: _reference._flow(1, 1.0, eps, x, t),
+                 lambda x, b: _reference._hit(1, 1.0, eps, x, b)))
+
+    @pytest.mark.parametrize("eps", [0.5, 0.02, 1e-5, 1e-8, 1e-13, 1e-16])
+    def test_matches_mpmath(self, eps):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            k = 1 / mpmath.mpf(eps)
+            for x, t, b in self.POINTS:
+                want_r = (x + k) * mpmath.exp(eps * mpmath.mpf(t)) - k
+                want_t = mpmath.log((b + k) / (x + k)) / eps
+                for flow, travel_time in self._forms(eps):
+                    assert abs(flow(x, t) - want_r) <= 4e-16 * abs(want_r), (x, t)
+                    assert abs(travel_time(x, b) - want_t) <= 4e-16 * want_t, (x, b)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-320])  # c/eps finite, then inf
+    def test_reaches_the_constant_premium(self, eps):
+        for x, t, b in self.POINTS:
+            for flow, travel_time in self._forms(eps):
+                assert flow(x, t) == pytest.approx(x + t, rel=1e-15)
+                assert travel_time(x, b) == pytest.approx(b - x, rel=1e-15)
+
+
 class TestProperties:
     def test_semigroup_1000_cases(self):
         rng = np.random.Generator(np.random.Philox(key=101))

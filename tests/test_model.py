@@ -282,6 +282,25 @@ class TestOmega:
         params = make_params(penalty="linear", k=1.0, beta=0.5)
         assert penalty_envelope(params) == pytest.approx(1.0 + 0.5 / 0.3)
 
+    def test_envelope_of_tabulated_claim_with_distant_mass(self):
+        # three bumps: 0.985 of the mass on [0, 1], 0.012 at 50.5 and 0.003 at
+        # 998.5 (mean 4.09); past the middle bump the mean residual life is
+        # 998.5 - y, so the supremum is 1 + 947.5 at y = 51, far beyond
+        # 10 x the mean, where sampling used to stop (it gave 240.1)
+        f = np.zeros(2001)
+        f[[1, 101, 1997]] = 2.0 * np.array([0.985, 0.012, 0.003])
+        params = ModelParams(PremiumModel.constant(1.0), ClaimModel.tabulated(0.0, 0.5, f),
+                             PenaltyModel.linear(1.0, 1.0), lam=0.1, q=0.05)
+        assert penalty_envelope(params) == pytest.approx(948.5, rel=1e-12)
+
+    def test_tabulated_envelope_where_the_mean_residual_life_falls(self):
+        # Erlang-2 claims: the supremum is at y = 0, 1 + 0.5 E[C]
+        for penalty, env in ((PenaltyModel.linear(1.0, 0.5), 2.6666716485429216),
+                             (PenaltyModel.constant(1.0), 1.0)):
+            params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                                 penalty, lam=0.1, q=0.05)
+            assert penalty_envelope(params) == env
+
     def test_tabulated_penalty_quadrature(self):
         xs = np.linspace(-30.0, -1e-6, 400)
         pen = PenaltyModel.tabulated(xs, -np.minimum(1.0, -0.2 * xs))

@@ -110,6 +110,15 @@ class TestValue:
         assert abs(est.mean - analytic) <= 3.0 * est.std_error
         assert est.ruin_fraction > 0.9  # ruin is a.s. under a barrier strategy
 
+    def test_vanishing_linear_slope_matches_analytic_value(self):
+        # eps = 1e-16: the flow's old form (x + c/eps) e^{eps t} - c/eps lost
+        # every digit, and this estimate read z = +9.4
+        params = make_params(eps=1e-16)
+        scale, sol = locate_barrier(params)
+        est = simulate_value(params, 5.0, cfg(paths=20000, horizon=300.0, seed=7,
+                                              barrier=sol.a_star))
+        assert abs(est.mean - value_function(scale, sol.a_star, 5.0)) <= 4.0 * est.std_error
+
     def test_horizon_error(self, table1_q05):
         with pytest.raises(HorizonError) as err:
             simulate_value(table1_q05, 5.0, cfg(paths=200, horizon=30.0, barrier=5.0))
@@ -242,7 +251,7 @@ class TestReproducibility:
             ClaimModel.exponential(0.3), PenaltyModel.zero(), lam=0.1, q=0.05)
         cases = [
             (simulate_value(table1_q05, 3.0, cfg(paths=2000, seed=2024, barrier=5.33)),
-             11.056376511311711, 0.13164365602081377),
+             11.05637651131171, 0.13164365602081374),
             (simulate_gerber_shiu(make_params(penalty="constant", k=1.0), 2.0,
                                   cfg(paths=2000, horizon=300.0, seed=2025)),
              -0.16048186053774266, 0.0074497860163121234),

@@ -9,6 +9,10 @@ is timed; each fast path's agreement with its test oracle is a tier-1 test.
 
 Every timing is seconds, as {"best", "median", "runs"}.  The layers:
 
+- `imports`: a fresh `python -c` process that imports `dividend_opt.cli`
+  and digests the tabulated_cli config, as every command begins: its wall
+  time, its `ru_maxrss` in MB and whether it loaded OpenSSL's `_hashlib`
+  (`openssl_loaded`, 0 or 1).
 - `sweep_march`: W's exponential march on each sweep model, summed, with
   the minor page faults per march and the largest `tracemalloc` peak of one
   march in float64 per node.
@@ -55,6 +59,7 @@ import json
 import os
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -72,7 +77,8 @@ from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrie
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
-from workloads import X0, MonteCarlo, Sweep, erlang2_config, sweep1_q05  # noqa: E402
+from workloads import (X0, MonteCarlo, Sweep, erlang2_config, sweep1_q05,  # noqa: E402
+                       write_json)
 
 SEED = 7  # the workload seed: perfbench/run.py --seed 7
 SMALL_CALL_PATHS = (8, 100, 1000)
@@ -116,10 +122,14 @@ def page_faults(fn):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
+def tabulated_cli_config(support=40.0):
+    """The config of `TabulatedCli.setup`, its claim density on [0, support]."""
+    return erlang2_config(0.6, 0.01, support, {"kind": "linear", "k": 1.0, "beta": 0.5})
+
+
 def tabulated_cli_model(support=40.0):
     """The model of `TabulatedCli.setup`, its claim density on [0, support]."""
-    return params_from_dict(erlang2_config(0.6, 0.01, support,
-                                           {"kind": "linear", "k": 1.0, "beta": 0.5}))
+    return params_from_dict(tabulated_cli_config(support))
 
 
 def montecarlo_cases(paths=None):
@@ -130,6 +140,29 @@ def montecarlo_cases(paths=None):
     return [(name, getattr(dividend_opt, function), model,
              config if paths is None else dataclasses.replace(config, paths=paths))
             for name, function, (model, config, _) in workload.cases]
+
+
+# what every CLI command does before its own work; prints ru_maxrss (KiB)
+# and whether OpenSSL's _hashlib was loaded
+IMPORTS_CODE = ("import resource, sys\n"
+                "from dividend_opt import cli\n"
+                "cli._digest(sys.argv[1])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+                " int('_hashlib' in sys.modules))\n")
+
+
+def bench_imports(runs=7):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dividend_opt.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "model.json")
+        write_json(config, tabulated_cli_config())
+        t, out = timed(lambda: subprocess.run(
+            [sys.executable, "-c", IMPORTS_CODE, config], env=env, capture_output=True,
+            text=True, check=True).stdout.split(), runs)
+    maxrss_kib, openssl = map(int, out)
+    return {"wall_s": t, "maxrss_mb": maxrss_kib / 1024.0, "openssl_loaded": openssl}
 
 
 def bench_sweep_march():
@@ -318,6 +351,7 @@ def bench_small_calls(runs=20):
 
 def main():
     layers = {
+        "imports": bench_imports(),
         "sweep_march": bench_sweep_march(),
         "penalised_solve": bench_penalised_solve(),
         "locate": bench_locate(),

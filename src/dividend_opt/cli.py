@@ -14,13 +14,14 @@ failure (of the configuration, or of the barrier.json or v_curve.csv that
 (including an argument value that the library rejects with ValueError).
 All file outputs are written atomically (temporary name, then rename)
 and listed in a run manifest next to them; the JSON ones hold null for a
-value that is not finite.
+value that is not finite.  The manifest's `config_digest` is the SHA-256
+hex digest of the config file's bytes, computed with the interpreter's
+built-in SHA-256 so that no command loads OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -35,6 +36,16 @@ from .model import _number, params_from_json, validate_model
 from .simulate import (SimulationConfig, _check_capital, simulate_gerber_shiu,
                        simulate_value)
 from .tables import DEFAULT_DX, SWEEPS, locate_barrier, run_sweep, sweep_csv
+
+# hashlib is heavy to load: it brings in OpenSSL's libcrypto through _hashlib
+# (about 3.5 MB resident), so the built-in SHA-256 comes first, as in random.py
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -54,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return _sha256(fh.read()).hexdigest()
 
 
 def _write_outputs(out_dir: str, command: str, config_digest: str, files: dict,

@@ -58,20 +58,24 @@ class OptimalityReport:
         }
 
 
-def residual_profile(v: GridFunction, params: ModelParams) -> GridFunction:
+def residual_profile(v: GridFunction, params: ModelParams,
+                     omega: np.ndarray | None = None) -> GridFunction:
     """(A - q) v at every grid node in one batch (v extended by the penalty).
 
     The residual is `scale._generator_residual`, the one that measures the
     defining relation of W and G when `ScaleSolution.diagnostics` is first
     read.  `verify_optimality` passes a BarrierSolution's `v`, which that
-    read assembles; it reads no diagnostics of W and G.
+    read assembles, and the penalty rate its solve evaluated on the same
+    nodes as `omega`; without it, omega is evaluated here.  It reads no
+    diagnostics of W and G.
     """
     if v.derivative_values is None:
         raise NumericsError("residual profile needs derivative samples")
     x = v.x
     p_vals = np.asarray(params.premium.p(x), dtype=float)
-    g = _generator_residual(params, p_vals, v.values, v.derivative_values, v.dx,
-                            omega_eval(params, x))
+    if omega is None:
+        omega = omega_eval(params, x)
+    g = _generator_residual(params, p_vals, v.values, v.derivative_values, v.dx, omega)
     return GridFunction(v.x0, v.dx, g)
 
 
@@ -89,7 +93,7 @@ def verify_optimality(solution: BarrierSolution, params: ModelParams) -> Optimal
     if float(x[-1]) < span_needed:
         raise NumericsError(f"grid must extend at least 5 mean claim sizes past "
                             f"the barrier (need {span_needed:.6g}, have {x[-1]:.6g})")
-    prof = residual_profile(v, params)
+    prof = residual_profile(v, params, solution.scale.omega)
     g = prof.values
     above = x > a + 1e-12
     inner = (x > 1e-12) & (x < a - 1e-12)

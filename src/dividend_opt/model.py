@@ -20,6 +20,9 @@ import numpy as np
 from .errors import ConfigError, ModelValidationError
 
 _DENSITY_MASS_TOL = 1e-8
+# Nodes per block of `omega_eval`: its temporaries are a few arrays of this
+# length however many nodes it is given
+_OMEGA_BLOCK = 4096
 
 
 def _number(where: str, name: str, value, positive: bool = False) -> float:
@@ -233,15 +236,34 @@ class ClaimModel:
             s0 = np.exp(-self.mu * y)
             return s0, s0 * (y + 1.0 / self.mu)
         f, dx = self.f_vals, self.dx
-        y = np.minimum(np.maximum(y, self.x0), self.support_end)
+        shape = np.shape(y)
+        y = np.minimum(np.maximum(np.ravel(y), self.x0), self.support_end)
         j = np.minimum(((y - self.x0) / dx).astype(np.intp), f.size - 2)
-        g = self._nodes[j]
-        t = y - g
+        # S0 = S0(g_j) - part0 with part0 = t (f_j + 0.5 s_j t), and
+        # S1 = S1(g_j) - part1 with part1 = g_j part0 + t t (0.5 f_j + s_j t / 3),
+        # where t = y - g_j and s_j = (f_{j+1} - f_j) / dx: in place, in that
+        # order of operations, holding six arrays of y's size
+        t = np.subtract(y, self._nodes[j], out=y)
         fj = f[j]
-        sj = (f[j + 1] - fj) / dx
-        part0 = t * (fj + 0.5 * sj * t)
-        part1 = g * part0 + t * t * (0.5 * fj + sj * t / 3.0)
-        return self._tail_vals[0, j] - part0, self._tail_vals[1, j] - part1
+        sj = f[j + 1]
+        sj -= fj
+        sj /= dx
+        part0 = sj * 0.5
+        part0 *= t
+        part0 += fj
+        part0 *= t
+        fj *= 0.5
+        sj *= t
+        sj /= 3.0
+        fj += sj
+        t *= t
+        t *= fj
+        part1 = self._nodes[j]
+        part1 *= part0
+        part1 += t
+        np.subtract(self._tail_vals[0, j], part0, out=part0)
+        np.subtract(self._tail_vals[1, j], part1, out=part1)
+        return part0.reshape(shape), part1.reshape(shape)
 
     def mean(self) -> float:
         """E[C]; for a tabulated density S1(x0) / S0(x0)."""
@@ -409,18 +431,22 @@ def omega_eval(params: ModelParams, x):
     xs = np.asarray(x, dtype=float)
     if not np.all(xs >= 0):
         raise ValueError(f"omega is defined on x >= 0, got {xs[~(xs >= 0)].flat[0]}")
-    out = np.zeros_like(xs)
+    out = np.zeros(xs.shape)
     claim = params.claim
     pieces = params.penalty._pieces()
     if pieces:
-        upper = claim._tails(xs)  # the first piece ends at hi = 0
-        for a, b, lo, hi in pieces:
-            lower = claim._tails(xs - lo) if lo > -math.inf else (0.0, 0.0)
-            out += (a + b * xs) * (upper[0] - lower[0])
-            if b:
-                out -= b * (upper[1] - lower[1])
-            upper = lower
-        out = np.minimum(out, 0.0)
+        flat_x, flat_out = xs.reshape(-1), out.reshape(-1)
+        for start in range(0, flat_x.size, _OMEGA_BLOCK):  # temporaries of one block
+            xb = flat_x[start:start + _OMEGA_BLOCK]
+            ob = flat_out[start:start + _OMEGA_BLOCK]
+            upper = claim._tails(xb)  # the first piece ends at hi = 0
+            for a, b, lo, hi in pieces:
+                lower = claim._tails(xb - lo) if lo > -math.inf else (0.0, 0.0)
+                ob += (a + b * xb) * (upper[0] - lower[0])
+                if b:
+                    ob -= b * (upper[1] - lower[1])
+                upper = lower
+        np.minimum(out, 0.0, out=out)
     return out if out.ndim else float(out)
 
 

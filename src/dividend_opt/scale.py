@@ -560,10 +560,10 @@ def _check_range(x, u, d):
     it reports ends at the last node before the first failing one where
     |W| <= e^703."""
     absw = np.abs(u[:, 0])
+    if np.isfinite(u).all() and np.isfinite(d).all() and absw.max() <= math.exp(_MAX_SAFE_LOG):
+        return  # the per-row mask below only locates a failure
     ok = (np.isfinite(u).all(axis=1) & np.isfinite(d).all(axis=1)
           & (absw <= math.exp(_MAX_SAFE_LOG)))
-    if ok.all():
-        return
     first = int(np.argmin(ok))
     safe_nodes = np.flatnonzero(absw[:first] <= math.exp(_MAX_SAFE_LOG - 5.0))
     safe = float(x[safe_nodes[-1]]) if safe_nodes.size else 0.0
@@ -657,8 +657,19 @@ def _trapezoid_convolution(u: np.ndarray, f: np.ndarray, dx: float,
     nfft = _fft_length(2 * n - 1)  # no wrap-around
     if f_hat is None:
         f_hat = np.fft.rfft(f, nfft)
-    full = np.fft.irfft(np.fft.rfft(s, nfft) * f_hat, nfft)[:n]
-    return np.ldexp(dx * (full - 0.5 * s[0] * f - 0.5 * s * f[0]), e)
+    spec = np.fft.rfft(s, nfft)
+    spec *= f_hat
+    full = np.fft.irfft(spec, nfft)[:n]
+    del spec
+    # dx (full - 0.5 s_0 f - 0.5 s f_0) 2^e in place, in that order of
+    # operations, ending in s
+    tmp = f * (0.5 * s[0])
+    full -= tmp
+    np.multiply(s, 0.5, out=tmp)
+    tmp *= f[0]
+    full -= tmp
+    full *= dx
+    return np.ldexp(full, e, out=s)
 
 
 def _claim_kernel(params, n: int, dx: float):
@@ -678,8 +689,15 @@ def _generator_residual(params, p_vals, u: np.ndarray, du: np.ndarray, dx: float
     f, f_hat = _claim_kernel(params, u.size, dx) if kernel is None else kernel
     conv = _trapezoid_convolution(u, f, dx, f_hat)
     if omega is not None:
-        conv = conv + omega
-    return p_vals * du + params.lam * (conv - u) - params.q * u
+        conv += omega
+    # p u' + lam (conv - u) - q u in place, in that order of operations
+    conv -= u
+    conv *= params.lam
+    out = p_vals * du
+    out += conv
+    np.multiply(u, params.q, out=conv)
+    out -= conv
+    return out
 
 
 def _sign_checks(params, W: GridFunction, G: GridFunction) -> dict:

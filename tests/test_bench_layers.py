@@ -34,6 +34,7 @@ def bench():
 LAYERS = {
     "bench_blocked": (False, 160.0, 1),
     "bench_csv_write": (30.0,),
+    "bench_imports": (1,),
     "bench_sweep_march": (),
     "bench_penalised_solve": (),
     "bench_find_barrier": (),

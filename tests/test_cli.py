@@ -1,16 +1,21 @@
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
 
-from dividend_opt import cli, simulate
+from dividend_opt import (ModelParams, PenaltyModel, PremiumModel, cli, params_to_dict,
+                          simulate)
 from dividend_opt.cli import main
 from dividend_opt.errors import DividendOptError
-from dividend_opt.tables import sweep_csv
-from conftest import run_python
+from dividend_opt.scale import _grid_arrays
+from dividend_opt.tables import DEFAULT_DX, default_x_max, sweep_csv
+from conftest import erlang2_claim, run_python
 
 TABLE1_Q05 = {"premium": {"kind": "linear", "c": 1.0, "epsilon": 0.02},
               "claim": {"kind": "exponential", "mu": 0.3},
@@ -258,6 +263,73 @@ def test_runtime_does_not_load_the_test_oracles():
             "               0.01, 60.0)\n"
             "print('dividend_opt._reference' in sys.modules)\n")
     assert run_python(code).split() == ["False"]
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib's OpenSSL backend, _hashlib, adds about 3.5 MB to a process's
+    # resident memory; the config digest uses the interpreter's own SHA-256
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(TABLE1_Q05))
+    commands = [["validate", str(config)], ["tables", "--which", "1"],
+                ["barrier", str(config)], ["verify", str(config)],
+                ["simulate", str(config), "--x", "2.0", "--paths", "10",
+                 "--horizon", "250", "--barrier-file", str(tmp_path / "barrier")]]
+    code = "import sys\nfrom dividend_opt import cli\n" + "".join(
+        f"assert cli.main({argv + ['--out', str(tmp_path / argv[0])]!r}) == 0\n"
+        for argv in commands) + "print('_hashlib' in sys.modules)\n"
+    assert run_python(code).split()[-1] == "False"
+
+
+def test_config_digest_is_the_sha256_of_the_config_bytes(config_path, tmp_path):
+    out = tmp_path / "v"
+    assert main(["validate", config_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    with open(config_path, "rb") as fh:
+        assert manifest["config_digest"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+# each branch of cli's SHA-256 import chain: the modules hidden from it, and
+# the module its sha256 then comes from
+SHA256_BRANCHES = {
+    "_sha2": ((), "_sha2"),  # Python 3.12 and later
+    "_sha256": (("_sha2",), "_sha256"),  # Python 3.10 and 3.11
+    "hashlib": (("_sha2", "_sha256"), "_hashlib"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(SHA256_BRANCHES))
+def test_every_sha256_branch_gives_the_sha256_digest(branch):
+    hidden, source = SHA256_BRANCHES[branch]
+    if importlib.util.find_spec(source) is None:
+        pytest.skip(f"this Python has no {source} module")
+    code = ("import sys\n"
+            f"for name in {hidden!r}:\n"
+            "    sys.modules[name] = None  # import name raises ImportError\n"
+            "from dividend_opt import cli\n"
+            "print(cli._sha256.__module__, cli._sha256(b'abc').hexdigest())\n")
+    assert run_python(code).split() == [source, SHA256_ABC]
+
+
+def test_verify_within_twenty_one_floats_per_node(tmp_path):
+    # `verify` in process on perfbench's tabulated_cli model, 33 334 nodes:
+    # the penalised solve's working set is its peak (19.7 floats per node).
+    # Evaluating omega again for the residual profile, or holding the
+    # residual's temporaries over all nodes, goes past the budget (23.6)
+    params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                         PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
+    n = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0].size
+    assert n == 33334
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(params_to_dict(params)))
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(config), "--out", str(tmp_path / "v")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 8 * n
 
 
 # argument values that argparse accepts and the library rejects with ValueError

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from dividend_opt import (ClaimModel, ConfigError, FlowSolver, ModelParams,
                           omega_eval, params_from_dict, params_to_dict,
                           penalty_envelope, validate_model)
 from dividend_opt._reference import omega_quadrature
+from dividend_opt.model import _OMEGA_BLOCK
+from dividend_opt.scale import _grid_arrays
+from dividend_opt.tables import DEFAULT_DX, default_x_max
 from conftest import (CONFIG_DOCS, erlang2_claim, make_params, run_python,
                       shifted_exponential_claim, tabulated_penalty)
 
@@ -182,6 +186,29 @@ class TestFamilies:
         mean = simpson(zs * fz, x=zs) / simpson(fz, x=zs)
         assert cl.mean() == pytest.approx(mean, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("claim", ["shifted_exponential", "erlang2"])
+    def test_tabulated_tails_are_the_plain_expressions(self, claim):
+        # `_tails` computes in place; its bits are those of the expressions,
+        # at nodes, inside cells and outside the support, for an array and
+        # for a 0-d input
+        cl = (shifted_exponential_claim() if claim == "shifted_exponential"
+              else erlang2_claim(0.01))
+        ys = np.linspace(cl.x0 - 1.0, cl.support_end + 1.0, 7919)
+        f, dx = cl.f_vals, cl.dx
+        y = np.minimum(np.maximum(ys, cl.x0), cl.support_end)
+        j = np.minimum(((y - cl.x0) / dx).astype(np.intp), f.size - 2)
+        g = cl._nodes[j]
+        t = y - g
+        fj = f[j]
+        sj = (f[j + 1] - fj) / dx
+        part0 = t * (fj + 0.5 * sj * t)
+        part1 = g * part0 + t * t * (0.5 * fj + sj * t / 3.0)
+        s0, s1 = cl._tails(ys)
+        assert np.array_equal(s0, cl._tail_vals[0, j] - part0)
+        assert np.array_equal(s1, cl._tail_vals[1, j] - part1)
+        i = ys.size // 3
+        assert [float(s) for s in cl._tails(np.asarray(ys[i]))] == [s0[i], s1[i]]
+
     def test_tabulated_claim_mass_below_grid_is_missing(self):
         # unit mass only when a box x0 * f[0] on [0, x0) is counted
         dx = 0.01
@@ -300,6 +327,36 @@ class TestOmega:
             params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
                                  penalty, lam=0.1, q=0.05)
             assert penalty_envelope(params) == env
+
+    def test_blocks_give_the_values_of_single_points(self):
+        # omega_eval works through its nodes _OMEGA_BLOCK at a time: a value
+        # on either side of a block edge is the one of its node alone, and a
+        # 2-d input keeps its shape and values
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                             tabulated_penalty(), lam=0.1, q=0.05)
+        x = np.linspace(0.0, 45.0, 2 * _OMEGA_BLOCK + 3)
+        om = omega_eval(params, x)
+        for i in (0, _OMEGA_BLOCK - 1, _OMEGA_BLOCK, 2 * _OMEGA_BLOCK, x.size - 1):
+            assert om[i] == omega_eval(params, float(x[i]))
+        grid = x[:2 * _OMEGA_BLOCK].reshape(2, _OMEGA_BLOCK).T
+        assert np.array_equal(omega_eval(params, grid),
+                              om[:2 * _OMEGA_BLOCK].reshape(2, _OMEGA_BLOCK).T)
+
+    def test_working_set_within_three_floats_per_node(self):
+        # the tabulated_cli model's omega on the 33 334 nodes of its solve:
+        # the result and the temporaries of one block (1.9 floats per node).
+        # The claim tails of all nodes at once go past the budget (12)
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                             PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
+        x = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0]
+        assert x.size == 33334
+        tracemalloc.start()
+        try:
+            omega_eval(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * x.size
 
     def test_tabulated_penalty_quadrature(self):
         xs = np.linspace(-30.0, -1e-6, 400)

@@ -17,8 +17,8 @@ from dividend_opt.grid import atomic_write
 from dividend_opt.model import omega_eval
 from dividend_opt._reference import _RESCALE_AT
 from dividend_opt.scale import (_BLOCK, _SUPER, _exponential_march,
-                                _check_G_decay, _grid_arrays, _march, _scan_block,
-                                _trapezoid_convolution, _unit_lower_inverse)
+                                _check_G_decay, _fft_length, _grid_arrays, _march,
+                                _scan_block, _trapezoid_convolution, _unit_lower_inverse)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
 from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
                       tabulated_penalty)
@@ -580,6 +580,19 @@ class TestTrapezoidConvolution:
                                 for y in m.x])
                 gap = float(np.max(np.abs(fft - ref)))
                 assert gap <= 1e-12 * float(np.max(np.abs(ref))), (n, gap)
+
+    def test_in_place_arithmetic_is_the_expression(self):
+        """The transforms' product and the end corrections run in place; the
+        bits are those of ldexp(dx (full - 0.5 s_0 f - 0.5 s f_0), e)."""
+        rng = np.random.default_rng(5)
+        n, dx = 777, 0.01
+        u, f = 1e5 * rng.normal(size=n), rng.uniform(size=n)
+        e = int(np.frexp(np.max(np.abs(u)))[1])
+        s = np.ldexp(u, -e)
+        nfft = _fft_length(2 * n - 1)
+        full = np.fft.irfft(np.fft.rfft(s, nfft) * np.fft.rfft(f, nfft), nfft)[:n]
+        expected = np.ldexp(dx * (full - 0.5 * s[0] * f - 0.5 * s * f[0]), e)
+        assert np.array_equal(_trapezoid_convolution(u, f, dx), expected)
 
     @pytest.mark.parametrize("peak", [1e302, 1e306, 3e307])
     def test_huge_input_stays_in_float_range(self, peak):

@@ -23,6 +23,12 @@ Every timing is seconds, as {"best", "median", "runs"}.  The layers:
   `dividend-opt tables` runs it, with the minor page faults per locate;
   then the first read of the value curve v and of the residual
   diagnostics of located models, which `tables` never reads.
+- `sweep_certified`: per sweep column, `locate_barrier` on the default
+  domain against `locate_barrier` on [0, `tables.MIN_X_MAX`] plus
+  `hjb.exact_verdict`, which `run_sweep` runs instead when the verdict
+  certifies the short domain's a*; the nodes of each solve, whether the
+  column was certified, the count of certified columns, and the nodes that
+  `run_sweep` marches for them all against those of the default domains.
 - `convolution`: the diagnostics convolution of W with the claim density
   on 33 334 nodes, for sweep 1's q = 0.05 model and for the tabulated_cli
   model without its penalty.
@@ -73,7 +79,8 @@ from dividend_opt import (PenaltyModel, find_barrier, omega_eval, params_from_di
 from dividend_opt.grid import atomic_write
 from dividend_opt.scale import (_PartitionedHistory, _exponential_march, _grid_arrays,
                                 _march, _trapezoid_convolution)
-from dividend_opt.tables import DEFAULT_DX, SWEEPS, default_x_max, locate_barrier
+from dividend_opt.hjb import exact_verdict
+from dividend_opt.tables import DEFAULT_DX, MIN_X_MAX, SWEEPS, default_x_max, locate_barrier
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -205,6 +212,31 @@ def bench_locate(runs=5):
                                setup=located)[0],
             "first_diagnostics_s": timed(lambda ls: [scale.diagnostics for scale, _ in ls],
                                          runs, setup=located)[0]}
+
+
+def bench_sweep_certified(runs=5):
+    columns, certified, default_nodes, sweep_nodes = {}, 0, 0, 0
+    for which in Sweep.SWEEPS:
+        spec = SWEEPS[which]
+        for value in spec.values:
+            m = spec.model_for(value)
+
+            def short():
+                scale, sol = locate_barrier(m, x_max=MIN_X_MAX)
+                return scale, exact_verdict(m, sol.a_star, sol.v_at_barrier)
+
+            default_t, (default_scale, _) = timed(lambda: locate_barrier(m), runs)
+            short_t, (short_scale, verdict) = timed(short, runs)
+            ok = int(verdict is not None and verdict.optimal)
+            columns[f"sweep{which}[{value}]"] = {
+                "default_s": default_t, "short_s": short_t,
+                "default_nodes": default_scale.W.n, "short_nodes": short_scale.W.n,
+                "certified": ok}
+            certified += ok
+            default_nodes += default_scale.W.n
+            sweep_nodes += short_scale.W.n + (0 if ok else default_scale.W.n)
+    return {"columns": columns, "certified": certified, "default_nodes": default_nodes,
+            "run_sweep_nodes": sweep_nodes}
 
 
 def bench_convolution(nodes=33334):
@@ -355,6 +387,7 @@ def main():
         "sweep_march": bench_sweep_march(),
         "penalised_solve": bench_penalised_solve(),
         "locate": bench_locate(),
+        "sweep_certified": bench_sweep_certified(),
         "convolution": bench_convolution(),
         "find_barrier": bench_find_barrier(),
         "grid_lookup": bench_grid_lookup(),

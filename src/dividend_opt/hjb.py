@@ -11,6 +11,11 @@ is optimal if and only if (A - q) v_{a*} <= 0 above the barrier; three
 sufficient conditions (h monotone past a*, convex density with concave
 premium, decreasing density with bounded premium slope) are evaluated
 alongside as pass / fail / not-applicable.
+
+For exponential claims `exact_verdict` decides the same condition with no
+grid: past a* the value is linear, the claims are memoryless, and (A - q) v
+is a closed form in the distance to the barrier, maximized over the whole
+half-line.
 """
 
 from __future__ import annotations
@@ -77,6 +82,125 @@ def residual_profile(v: GridFunction, params: ModelParams,
         omega = omega_eval(params, x)
     g = _generator_residual(params, p_vals, v.values, v.derivative_values, v.dx, omega)
     return GridFunction(v.x0, v.dx, g)
+
+
+@dataclass(frozen=True)
+class ExactVerdict:
+    """sup over x >= a* of (A - q) v, attained at x = a* + `at`."""
+
+    sup_residual: float
+    at: float
+    tolerance: float
+
+    @property
+    def optimal(self) -> bool:
+        return self.sup_residual <= self.tolerance
+
+
+def exact_verdict(params: ModelParams, a_star: float,
+                  v_at_barrier: float) -> Optional[ExactVerdict]:
+    """The verdict above the barrier for exponential(mu) claims, in closed form.
+
+    Past a*, v(x) = V + L with L = x - a* and V = v(a*), so with memoryless
+    claims
+
+        (A - q) v = r(L) = p(a*+L) - q (V+L) + lam (e^{-mu L} (S - V + 1/mu) - 1/mu),
+
+    where S, the claim convolution of v at a*, is ((lam+q) V - p(a*)) / lam
+    from the relation at a* with v'(a*) = 1, so that r(0) = 0.  r is
+    evaluated as p(a*+L) - p(a*) - q L + B expm1(-mu L), B = q V - p(a*) +
+    lam/mu, and maximized over the half-line from the sign of
+
+        r'(L) = p'(a*+L) - q - mu B e^{-mu L}:
+
+    on each piece where a piecewise-linear premium has slope s, r is convex
+    (B >= 0) or concave (B < 0, one stationary point when s < q); for the
+    rational premium r' < 0 when B >= 0, and otherwise r' has the sign of a
+    concave function, so r has at most one interior maximum, bracketed and
+    bisected.  The tolerance is the grid verdict's, scaled by 1 + |V|
+    rather than by v at the edge of a domain.
+
+    None (no verdict) for other claims, for q = 0, and for a premium whose
+    slope at infinity is at least q, where r is unbounded or the value
+    infinite.
+    """
+    claim, premium, lam, q = params.claim, params.premium, params.lam, params.q
+    if claim.kind != "exponential" or q == 0.0:
+        return None
+    a, mu = float(a_star), claim.mu
+    B = q * v_at_barrier - premium.p(a) + lam / mu
+    if premium.kind == "rational":
+        points = _rational_stationary(q, mu, B, a)
+    else:
+        points = _piecewise_stationary(premium, q, mu, B, a)
+        if points is None:
+            return None
+    L = np.append(0.0, points)
+    r = premium.p(a + L) - premium.p(a) - q * L + B * np.expm1(-mu * L)
+    i = int(np.argmax(r))
+    return ExactVerdict(float(r[i]), float(L[i]), _RESIDUAL_TOL * (1.0 + abs(v_at_barrier)))
+
+
+def _piecewise_stationary(premium, q, mu, B, a):
+    """Every L at which r can peak for a constant, linear or tabulated
+    premium: each piece's ends and, where r is concave on it, its clipped
+    stationary point ln(mu |B| / (q - s)) / mu.  None when the slope past
+    the last knot is at least q."""
+    ends = np.zeros(1)
+    if premium.kind == "tabulated":
+        ends = np.append(0.0, premium.xs[premium.xs > a] - a)
+    # each piece's slope at its middle, the last one's past the last knot
+    slopes = premium.p_prime(a + np.append(0.5 * (ends[:-1] + ends[1:]), ends[-1] + 1.0))
+    if slopes[-1] >= q:
+        return None
+    if B >= 0.0:
+        return ends[1:]
+    concave = slopes < q
+    stationary = np.log(-mu * B / (q - slopes[concave])) / mu
+    return np.concatenate((ends[1:], np.clip(stationary, ends[concave],
+                                             np.append(ends[1:], np.inf)[concave])))
+
+
+def _rational_stationary(q, mu, B, a):
+    """The one L > 0 at which r can peak for p = c + 1/(1+x), if any.
+
+    With A = -mu B > 0 and u = 1 + a* + L, r' = A e^{-mu L} - q - u^-2 has
+    the sign of chi(L) = ln A - mu L - ln(q + u^-2), whose slope
+    -mu + 2 / (q u^3 + u) decreases: chi is concave, so r decreases,
+    increases and decreases at most once each, and peaks where chi falls
+    through 0 past its maximum.
+    """
+    if B >= 0.0:
+        return []  # r' < 0
+    A = -mu * B
+
+    def chi(L):
+        u = 1.0 + a + L
+        return math.log(A) - mu * L - math.log(q + 1.0 / (u * u))
+
+    def slope(L):
+        u = 1.0 + a + L
+        return -mu + 2.0 / (q * u ** 3 + u)
+
+    top = _bisect(slope, 0.0, max(0.0, 2.0 / mu - 1.0 - a))  # slope < 0 from u >= 2/mu
+    if chi(top) <= 0.0:
+        return []  # r' <= 0
+    return [_bisect(chi, top, math.log(A / q) / mu)]  # chi < 0 from A e^{-mu L} <= q
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """The last point in [lo, hi] at which the decreasing f is still
+    positive, to the float resolution; lo when f(lo) <= 0."""
+    if f(lo) <= 0.0:
+        return lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def verify_optimality(solution: BarrierSolution, params: ModelParams) -> OptimalityReport:

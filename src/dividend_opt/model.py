@@ -237,7 +237,11 @@ class ClaimModel:
             return s0, s0 * (y + 1.0 / self.mu)
         f, dx = self.f_vals, self.dx
         shape = np.shape(y)
-        y = np.minimum(np.maximum(np.ravel(y), self.x0), self.support_end)
+        y = np.maximum(np.ravel(y), self.x0)
+        live = y < self.support_end  # no mass at or past the end: the tails are 0
+        whole = bool(live.all())
+        if not whole:
+            y = y[live]
         j = np.minimum(((y - self.x0) / dx).astype(np.intp), f.size - 2)
         # S0 = S0(g_j) - part0 with part0 = t (f_j + 0.5 s_j t), and
         # S1 = S1(g_j) - part1 with part1 = g_j part0 + t t (0.5 f_j + s_j t / 3),
@@ -263,6 +267,10 @@ class ClaimModel:
         part1 += t
         np.subtract(self._tail_vals[0, j], part0, out=part0)
         np.subtract(self._tail_vals[1, j], part1, out=part1)
+        if not whole:
+            s0, s1 = np.zeros(live.size), np.zeros(live.size)
+            s0[live], s1[live] = part0, part1
+            part0, part1 = s0, s1
         return part0.reshape(shape), part1.reshape(shape)
 
     def mean(self) -> float:
@@ -439,15 +447,26 @@ def omega_eval(params: ModelParams, x):
         for start in range(0, flat_x.size, _OMEGA_BLOCK):  # temporaries of one block
             xb = flat_x[start:start + _OMEGA_BLOCK]
             ob = flat_out[start:start + _OMEGA_BLOCK]
-            upper = claim._tails(xb)  # the first piece ends at hi = 0
-            for a, b, lo, hi in pieces:
-                lower = claim._tails(xb - lo) if lo > -math.inf else (0.0, 0.0)
-                ob += (a + b * xb) * (upper[0] - lower[0])
-                if b:
-                    ob -= b * (upper[1] - lower[1])
-                upper = lower
+            live = xb < claim.support_end  # no claim reaches past it: omega is 0
+            if live.all():
+                _add_omega(claim, pieces, xb, ob)
+            elif live.any():
+                part = np.zeros(np.count_nonzero(live))
+                _add_omega(claim, pieces, xb[live], part)
+                ob[live] = part
         np.minimum(out, 0.0, out=out)
     return out if out.ndim else float(out)
+
+
+def _add_omega(claim: ClaimModel, pieces, x: np.ndarray, out: np.ndarray):
+    """Add omega's sum over the penalty pieces at the nodes x to out."""
+    upper = claim._tails(x)  # the first piece ends at hi = 0
+    for a, b, lo, hi in pieces:
+        lower = claim._tails(x - lo) if lo > -math.inf else (0.0, 0.0)
+        out += (a + b * x) * (upper[0] - lower[0])
+        if b:
+            out -= b * (upper[1] - lower[1])
+        upper = lower
 
 
 def penalty_envelope(params: ModelParams) -> float:

@@ -12,6 +12,14 @@ used mu = 0.2 while being labelled mu = 0.3.  This solver computes the
 barrier from the scale function that actually satisfies the defining
 integro-differential relation, so its sweep-4-6 barriers differ from the
 reference column by design; the CSV keeps both values side by side.
+
+With no `x_max`, `run_sweep` solves each column on [0, 30], the floor of
+`default_x_max` (grown as `locate_barrier` grows it), and keeps that a*
+when `hjb.exact_verdict` certifies the barrier optimal on the whole
+half-line, which no finite scan of h does.  A column it does not certify,
+or whose short solve fails, is solved again on the default domain and
+reported exactly as `locate_barrier` reports it.  An explicit `x_max`
+(`--xmax`) solves every column on that domain alone, as before.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ from dataclasses import dataclass
 
 from .barrier import barrier_solution_at, find_barrier
 from .errors import DomainTooShortError, NumericsError
+from .hjb import exact_verdict
 from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel
 from .scale import solve_scale
 
 DEFAULT_DX = 0.005
+MIN_X_MAX = 30.0  # the floor of `default_x_max`, and a sweep column's first domain
 _MAX_DOMAIN_RETRIES = 3
 
 
@@ -81,7 +91,7 @@ SWEEPS = {
 
 
 def default_x_max(params: ModelParams) -> float:
-    return max(30.0, 50.0 * params.claim.mean())
+    return max(MIN_X_MAX, 50.0 * params.claim.mean())
 
 
 def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
@@ -109,17 +119,35 @@ def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
 def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None):
     """Rows (param_value, a_star, a_star_ref, abs_diff, note) for one sweep.
 
-    A numerical failure in one column aborts that column only (NaN + note).
+    With no `x_max`, a column's a* comes from the certified short domain
+    when it can (`_certified_a_star`), else from the default domain.  A
+    numerical failure in one column aborts that column only (NaN + note).
     """
     spec = SWEEPS[which]
     rows = []
     for value, ref in zip(spec.values, spec.reference):
+        params = spec.model_for(value)
         try:
-            _, sol = locate_barrier(spec.model_for(value), dx=dx, x_max=x_max)
-            rows.append((value, sol.a_star, ref, abs(sol.a_star - ref), ""))
+            a = _certified_a_star(params, dx) if x_max is None else None
+            if a is None:
+                a = locate_barrier(params, dx=dx, x_max=x_max)[1].a_star
+            rows.append((value, a, ref, abs(a - ref), ""))
         except NumericsError as exc:
             rows.append((value, math.nan, ref, math.nan, str(exc)))
     return rows
+
+
+def _certified_a_star(params: ModelParams, dx: float) -> float | None:
+    """a* located from [0, MIN_X_MAX] when the exact verdict above it says
+    the barrier is optimal, else None: also when the verdict has no answer
+    or the short solve fails, which the default domain then repeats or
+    resolves."""
+    try:
+        sol = locate_barrier(params, dx=dx, x_max=MIN_X_MAX)[1]
+    except (NumericsError, ValueError):
+        return None
+    verdict = exact_verdict(params, sol.a_star, sol.v_at_barrier)
+    return sol.a_star if verdict is not None and verdict.optimal else None
 
 
 def sweep_csv(rows) -> str:

@@ -222,6 +222,77 @@ class TestFindBarrier:
                 assert part in msg
 
 
+def todays_rows(which, dx=tables.DEFAULT_DX, x_max=None):
+    """A sweep's rows from one `locate_barrier` per column on the given
+    domain, or on the default one: the rows of an uncertified column."""
+    spec = SWEEPS[which]
+    rows = []
+    for value, ref in zip(spec.values, spec.reference):
+        a = locate_barrier(spec.model_for(value), dx=dx, x_max=x_max)[1].a_star
+        rows.append((value, a, ref, abs(a - ref), ""))
+    return rows
+
+
+class TestCertifiedSweep:
+    """`run_sweep` with no x_max keeps the a* of [0, MIN_X_MAX] where the
+    exact verdict certifies it, and otherwise reports the default domain's."""
+
+    def test_certifies_28_of_29_columns(self, monkeypatch):
+        verdicts, domains = [], []
+        verdict, located = tables.exact_verdict, tables.locate_barrier
+
+        def spy_verdict(*args):
+            verdicts.append(verdict(*args))
+            return verdicts[-1]
+
+        def spy_locate(params, dx, x_max):
+            domains.append(x_max)
+            return located(params, dx, x_max)
+
+        monkeypatch.setattr(tables, "exact_verdict", spy_verdict)
+        monkeypatch.setattr(tables, "locate_barrier", spy_locate)
+        for which in SWEEPS:
+            tables.run_sweep(which)
+        assert len(verdicts) == 29
+        assert sum(v.optimal for v in verdicts) == 28
+        assert domains.count(tables.MIN_X_MAX) == 29 and domains.count(None) == 1
+
+    def test_certified_a_star_within_the_refinement_width(self, table_solutions):
+        for which, spec in SWEEPS.items():
+            for value, (_, a, *_) in zip(spec.values, tables.run_sweep(which)):
+                default = table_solutions(which, value)[1].a_star
+                assert abs(a - default) <= 1e-6, (which, value)
+
+    def test_uncertified_row_is_the_default_domains(self):
+        # sweep 6 at lambda = 0.25: (A - q) v reaches +2.7e-2 above a* = 0
+        assert repr(tables.run_sweep(6)[4]) == repr(todays_rows(6)[4])
+
+    @pytest.mark.parametrize("error", [DomainTooShortError("short", suggested_x_max=None),
+                                       ValueError("need 0 < dx < x_max")])
+    def test_failed_short_solve_falls_back(self, error, monkeypatch):
+        # a short domain that stays too short after its retries, or a dx
+        # too coarse for [0, MIN_X_MAX] but not for the default domain
+        located = tables.locate_barrier
+
+        def locate(params, dx, x_max):
+            if x_max == tables.MIN_X_MAX:
+                raise error
+            return located(params, dx, x_max)
+
+        monkeypatch.setattr(tables, "locate_barrier", locate)
+        assert repr(tables.run_sweep(1)) == repr(todays_rows(1))
+
+    @pytest.mark.parametrize("which, dx, x_max", [(1, tables.DEFAULT_DX, 40.0),
+                                                  (6, 0.01, 60.0)])
+    def test_explicit_domain_is_todays(self, which, dx, x_max, monkeypatch):
+        def verdict(*args):
+            raise AssertionError("an explicit domain takes no verdict")
+
+        monkeypatch.setattr(tables, "exact_verdict", verdict)
+        assert repr(tables.run_sweep(which, dx=dx, x_max=x_max)) == repr(
+            todays_rows(which, dx, x_max))
+
+
 class TestValueFunction:
     def test_linear_above_barrier(self, scale_q05, barrier_q05):
         a = barrier_q05.a_star

@@ -39,6 +39,7 @@ LAYERS = {
     "bench_penalised_solve": (),
     "bench_find_barrier": (),
     "bench_locate": (1,),
+    "bench_sweep_certified": (1,),
     "bench_grid_lookup": (20,),
     "bench_convolution": (2000,),
     "bench_omega": (200,),

@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dividend_opt import (GridFunction, NumericsError, PenaltyModel,
-                          barrier_solution_at, find_barrier, solve_scale,
-                          verify_optimality)
-from dividend_opt.hjb import residual_profile
+from dividend_opt import (ClaimModel, GridFunction, ModelParams, NumericsError,
+                          PenaltyModel, PremiumModel, barrier_solution_at, find_barrier,
+                          solve_scale, verify_optimality)
+from dividend_opt.hjb import exact_verdict, residual_profile
 from dividend_opt.model import omega_eval
 from dividend_opt.scale import _trapezoid_convolution
 from dividend_opt.tables import SWEEPS, locate_barrier
-from conftest import make_params
+from conftest import erlang2_claim, make_params
 
 
 class TestResidualProfile:
@@ -134,3 +134,96 @@ class TestVerifyOptimality:
         assert doc["necessary_sufficient_pass"] is True
         assert set(doc) >= {"barrier", "max_residual_above", "tolerance"}
 
+
+
+def closed_form_residual(params, a, V, L):
+    """(A - q) v at x = a + L for v = V + L past a, exponential claims: the
+    formula as written, with S = ((lam + q) V - p(a)) / lam."""
+    lam, q, mu, p = params.lam, params.q, params.claim.mu, params.premium.p
+    S = ((lam + q) * V - p(a)) / lam
+    return p(a + L) - q * (V + L) + lam * (np.exp(-mu * L) * (S - V + 1.0 / mu) - 1.0 / mu)
+
+
+class TestExactVerdict:
+    """`exact_verdict`: the sup above a* of the closed-form (A - q) v."""
+
+    @pytest.mark.parametrize("which, value", [(1, 0.05), (3, 0.2), (4, 0.005), (6, 0.2),
+                                              (6, 0.25)])
+    def test_sup_agrees_with_the_grid_residual(self, table_solutions, which, value):
+        scale, sol = table_solutions(which, value)
+        verdict = exact_verdict(scale.params, sol.a_star, sol.v_at_barrier)
+        report = verify_optimality(sol, scale.params)
+        assert abs(verdict.sup_residual - report.max_residual_above) <= 1e-5
+
+    def test_verdict_is_the_grid_verdict_on_every_column(self, table_solutions):
+        failing = []
+        for which, spec in SWEEPS.items():
+            for value in spec.values:
+                scale, sol = table_solutions(which, value)
+                verdict = exact_verdict(scale.params, sol.a_star, sol.v_at_barrier)
+                report = verify_optimality(sol, scale.params)
+                assert verdict.optimal == report.necessary_sufficient_pass, (which, value)
+                if not verdict.optimal:
+                    failing.append((which, value, verdict))
+        # sweep 6 at lambda = 0.25: a* = 0 and (A - q) v peaks 9.46 past it
+        [(which, value, verdict)] = failing
+        assert (which, value) == (6, 0.25)
+        assert verdict.sup_residual == pytest.approx(2.695e-2, abs=5e-6)
+        assert verdict.at == pytest.approx(9.46, abs=5e-3)
+
+    def test_penalised_model_agrees_with_the_grid(self):
+        # the penalty enters r only through S, from the relation at a*
+        params = make_params(penalty="linear", k=1.0, beta=0.5)
+        _, sol = locate_barrier(params)
+        verdict = exact_verdict(params, sol.a_star, sol.v_at_barrier)
+        report = verify_optimality(sol, params)
+        assert verdict.optimal and report.necessary_sufficient_pass
+        assert abs(verdict.sup_residual - report.max_residual_above) <= 1e-5
+
+    def test_misset_barrier_fails(self, table_solutions):
+        scale, sol = table_solutions(1, 0.05)
+        bad = barrier_solution_at(scale, sol.a_star / 2.0)
+        verdict = exact_verdict(scale.params, bad.a_star, bad.v_at_barrier)
+        report = verify_optimality(bad, scale.params)
+        assert not verdict.optimal and verdict.at > 0.0
+        assert abs(verdict.sup_residual - report.max_residual_above) <= 1e-5
+
+    @pytest.mark.parametrize("premium, a, q", [
+        (PremiumModel.linear(1.0, 0.02), 5.0, 0.05),
+        (PremiumModel.constant(1.5), 2.0, 0.05),
+        (PremiumModel.rational(1.0), 0.0, 0.01),
+        (PremiumModel.rational(1.0), 12.0, 0.01),
+        (PremiumModel.tabulated([0.0, 10.0, 2000.0], [1.0, 1.2, 1.5]), 3.0, 0.05),
+        # a knot piece of slope 0.5 > q just past the barrier
+        (PremiumModel.tabulated([0.0, 5.0, 6.0, 50.0], [1.0, 1.0, 1.5, 1.6]), 2.0, 0.05),
+    ])
+    @pytest.mark.parametrize("V", [0.5, 5.0, 20.0, 120.0])
+    def test_sup_bounds_a_dense_scan(self, premium, a, q, V):
+        # the sup over the half-line is at least the largest value on a fine
+        # grid of L and exceeds it by no more than the grid's step can hide;
+        # r(at) is the sup and r(0) = 0
+        params = ModelParams(premium, ClaimModel.exponential(0.3), PenaltyModel.zero(),
+                             lam=0.25, q=q)
+        verdict = exact_verdict(params, a, V)
+        L = np.linspace(0.0, 600.0, 600001)
+        r = closed_form_residual(params, a, V, L)
+        scale = 1e-12 * (1.0 + np.max(np.abs(r[:2000])))
+        assert abs(closed_form_residual(params, a, V, 0.0)) <= scale
+        assert verdict.sup_residual >= r.max() - scale
+        assert verdict.sup_residual <= r.max() + 1e-7
+        assert closed_form_residual(params, a, V, verdict.at) == pytest.approx(
+            verdict.sup_residual, abs=scale)
+        assert verdict.tolerance == 1e-6 * (1.0 + V)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.08])
+    def test_no_verdict_for_a_slope_of_at_least_q(self, eps):
+        # eps > q: r grows without bound; eps = q: the value is infinite
+        assert exact_verdict(make_params(eps=eps, q=0.05), 5.0, 20.0) is None
+
+    def test_no_verdict_without_discounting(self):
+        assert exact_verdict(make_params(premium="constant", q=0.0), 5.0, 20.0) is None
+
+    def test_no_verdict_for_a_tabulated_claim(self):
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                             PenaltyModel.zero(), lam=0.1, q=0.05)
+        assert exact_verdict(params, 5.0, 20.0) is None

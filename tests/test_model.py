@@ -188,12 +188,13 @@ class TestFamilies:
 
     @pytest.mark.parametrize("claim", ["shifted_exponential", "erlang2"])
     def test_tabulated_tails_are_the_plain_expressions(self, claim):
-        # `_tails` computes in place; its bits are those of the expressions,
-        # at nodes, inside cells and outside the support, for an array and
-        # for a 0-d input
+        # `_tails` computes in place; below the support's end its bits are
+        # those of the expressions, at nodes, inside cells and below x0, and
+        # at and past the end both tails are exactly 0 (the expressions
+        # leave round-off there), for an array and for a 0-d input
         cl = (shifted_exponential_claim() if claim == "shifted_exponential"
               else erlang2_claim(0.01))
-        ys = np.linspace(cl.x0 - 1.0, cl.support_end + 1.0, 7919)
+        ys = np.append(np.linspace(cl.x0 - 1.0, cl.support_end + 1.0, 7919), cl.support_end)
         f, dx = cl.f_vals, cl.dx
         y = np.minimum(np.maximum(ys, cl.x0), cl.support_end)
         j = np.minimum(((y - cl.x0) / dx).astype(np.intp), f.size - 2)
@@ -203,11 +204,14 @@ class TestFamilies:
         sj = (f[j + 1] - fj) / dx
         part0 = t * (fj + 0.5 * sj * t)
         part1 = g * part0 + t * t * (0.5 * fj + sj * t / 3.0)
+        inside = ys < cl.support_end
+        assert 0 < np.count_nonzero(~inside) < ys.size
         s0, s1 = cl._tails(ys)
-        assert np.array_equal(s0, cl._tail_vals[0, j] - part0)
-        assert np.array_equal(s1, cl._tail_vals[1, j] - part1)
-        i = ys.size // 3
-        assert [float(s) for s in cl._tails(np.asarray(ys[i]))] == [s0[i], s1[i]]
+        assert np.array_equal(s0, np.where(inside, cl._tail_vals[0, j] - part0, 0.0))
+        assert np.array_equal(s1, np.where(inside, cl._tail_vals[1, j] - part1, 0.0))
+        for i in (ys.size // 3, ys.size - 1):
+            assert [float(s) for s in cl._tails(np.asarray(ys[i]))] == [s0[i], s1[i]]
+        assert not np.any(cl._tails(ys[~inside])[0])
 
     def test_tabulated_claim_mass_below_grid_is_missing(self):
         # unit mass only when a box x0 * f[0] on [0, x0) is counted
@@ -357,6 +361,39 @@ class TestOmega:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * x.size
+
+    @pytest.mark.parametrize("penalty", ["linear", "constant", "tabulated"])
+    def test_omega_is_zero_past_a_tabulated_support(self, penalty):
+        # no claim reaches past the support's end, so omega is exactly 0 at
+        # and past it; below the end a one-piece penalty's omega is the
+        # expression in the per-node tails bit for bit (its other tails are
+        # 0), and `TestOmegaOracle` checks the tabulated penalty there
+        pen = {"linear": PenaltyModel.linear(1.0, 0.5), "constant": PenaltyModel.constant(1.0),
+               "tabulated": tabulated_penalty()}[penalty]
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01), pen,
+                             lam=0.1, q=0.05)
+        x = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0]
+        om = omega_eval(params, x)
+        past = x >= params.claim.support_end
+        assert np.count_nonzero(past) > 0.7 * x.size
+        assert np.all(om[past] == 0.0)
+        if penalty != "tabulated":
+            ((a, b, _, _),) = pen._pieces()
+            s0, s1 = params.claim._tails(x[~past])
+            assert np.array_equal(om[~past],
+                                  np.minimum((a + b * x[~past]) * s0 - b * s1, 0.0))
+
+    def test_omega_evaluates_no_tail_past_the_support(self, monkeypatch):
+        # the tabulated_cli model: 76 % of its nodes lie past the support,
+        # and its one-piece penalty needs one tail per node below it
+        params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                             PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
+        x = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0]
+        sizes, tails = [], ClaimModel._tails
+        monkeypatch.setattr(ClaimModel, "_tails",
+                            lambda claim, y: sizes.append(np.size(y)) or tails(claim, y))
+        omega_eval(params, x)
+        assert sum(sizes) == np.count_nonzero(x < params.claim.support_end) < 0.25 * x.size
 
     def test_tabulated_penalty_quadrature(self):
         xs = np.linspace(-30.0, -1e-6, 400)

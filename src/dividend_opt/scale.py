@@ -19,24 +19,18 @@ obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)); the deficit at ruin is
 Exp(mu), so omega(x) = omega(0) exp(-mu x) decays by the same factor.  Each
 step is a linear map of the two-number state (u, H + omega/dx), on which
 the derivative depends; G_p is W's march from another start state, and
-`_exponential_march` is O(n).  It runs as a two-level block scan: about
-sqrt(0.1 n) lockstep steps of three numpy calls march every block's
-response to each unit start state, and a chain over the block ends in
-Python floats gives each column's block start states, so the
-Python-level work is O(sqrt(n)) steps and not one per node.  Every
-other claim density goes through `_blocked_march`, which marches W and
-G_p together as two columns of one unit lower-triangular system per
-block of `_BLOCK` nodes.  The block matrices depend on the grid alone:
-those of a super-block of `_SUPER` nodes are inverted together, by
-doubling, with no pivoting and no LAPACK call, and each block's solve is
-one product with its inverse.  The history older than the super-block
-is a partitioned convolution: each finished super-block is transformed
-once, at 2 `_SUPER` points, into a ring of the last D spectra, D the
-density's support in super-blocks, and one product with the density
-segments' spectra and one inverse transform give the next super-block's
-share of it; the newer history comes from a product with a contiguous
-Toeplitz strip of the density.  Both marches run in true units from
-W(0) = 1, so the marched W is W; a march that leaves float range ends in
+`_exponential_march` is an O(n) block scan with O(sqrt(n)) Python-level
+steps.  Every other claim density goes through `_blocked_march`: W and
+G_p are two columns of one unit lower-triangular system per block of
+`_BLOCK` nodes, and the history older than a super-block of `_SUPER`
+nodes is a partitioned convolution.  The scheme's one stability rule,
+checked in `_march` for every claim kind before either kernel runs, is
+that the step z = dx (lam + q - dx/2 lam f(0)) / p(x) stays below 2, the
+pole of the amplification factor (1 + z/2) / (1 - z/2): past it u
+changes sign from node to node.  A step at or past 2 is a NumericsError
+naming the dx below which every step is stable, and so is an overflow
+within one block near it (`_near_limit`).  Both marches run in true units
+from W(0) = 1; a march that leaves float range otherwise ends in
 OverflowDomainError, with the largest x_max that stays inside it.
 
 The relation is the vanishing of the generator residual (A - q)u, which
@@ -179,6 +173,16 @@ def _scan_block(n: int) -> int:
     return max(1, round(math.sqrt(0.1 * n)))
 
 
+def _near_limit(B: int, i: int, dx: float, A: float, c) -> NumericsError:
+    """The error of a march that leaves float range within the block of B nodes
+    from node i, whose largest step dx A c (c = 1/p) is near the limit 2."""
+    return NumericsError(
+        f"the march overflows float range within one block of {B} nodes at "
+        f"x={i * dx:.6g}: the step dx (lam + q - dx/2 lam f(0)) / p(x) reaches "
+        f"{dx * A * float(c.max()):.3g}, near its limit of 2, for dx={dx:.6g}; "
+        f"decrease dx")
+
+
 def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     """`_reference.volterra_march` for the density f(z) = mu exp(-mu z), one
     column per entry of u0 and omega0.
@@ -220,12 +224,6 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     alpha, delta, k = R[:, 0, 0], R[:, 0, 1], R[:, 1, 0]
     np.multiply(c_cur, -half * A, out=k)
     k += 1.0
-    if k.min() <= 0.0:
-        i = 1 + int(np.argmax(k.T.ravel() <= 0.0))
-        raise NumericsError(
-            f"the exponential march reaches the trapezoid limit at x={i * dx:.6g}: "
-            f"the step dx (lam + q - dx/2 lam mu) / p(x) is {dx * A / p_vals[i]:.6g}, "
-            f"at or past 2, for dx={dx:.6g}; decrease dx")
     np.divide(1.0, k, out=k)
     np.multiply(c_prev, half * A, out=alpha)
     alpha += 1.0
@@ -246,11 +244,7 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     bad = ~np.isfinite(R).all(axis=(0, 1, 2))
     if bad.any():
         i = 1 + int(np.argmax(bad)) * B
-        raise NumericsError(
-            f"the exponential march overflows float range within one block of {B} "
-            f"steps at x={i * dx:.6g}: the step dx (lam + q - dx/2 lam mu) / p(x) "
-            f"reaches {dx * A * float(c[i:i + B].max()):.3g}, near its limit of 2, "
-            f"for dx={dx:.6g}; decrease dx")
+        raise _near_limit(B, i, dx, A, c[i:i + B])
     ends = R[-1].transpose(2, 0, 1).reshape(nb, 4).tolist()
     u, d = np.empty((2, nb * B + 1, len(u0)))
     h = np.empty((nb, B))
@@ -405,8 +399,9 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     matrix is finite, ends the march: row i of the triangular product
     reads the right-hand side up to row i only, so the nodes before the
     first non-finite row keep their values and the nodes from it on read
-    inf, for `_check_range` to report.  When the inverse itself leaves
-    float range, the step is at the trapezoid limit, a NumericsError.
+    inf, for `_check_range` to report.  Below the trapezoid limit, which
+    `_march` checks, the inverse leaves float range only near it, where
+    one block's growth does: a NumericsError (`_near_limit`).
     """
     p = np.asarray(p_vals, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -466,8 +461,8 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     for s, s0 in enumerate(range(0, n, S)):
         s1 = min(s0 + S, n)
         ns = s1 - s0
-        np.divide(1.0, 1.0 - half * A * c[s0:s1], out=alpha[:ns])
-        lo = max(s0, 1)  # node 0 is no row of a block
+        lo = max(s0, 1)  # node 0 is no row of a block, and may be past the limit
+        np.divide(1.0, 1.0 - half * A * c[lo:s1], out=alpha[lo - s0:ns])
         own, prev = slice(lo - s0, ns), slice(lo - 1, s1 - 1)
         coef[0, own] = alpha[own] * c[lo:s1]
         coef[1, own] = alpha[own] * c[prev]
@@ -507,12 +502,7 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
             k = L
             if not np.isfinite(ub).all():
                 if not np.isfinite(inv).all():
-                    raise NumericsError(
-                        f"the march overflows float range within one block of {B} "
-                        f"nodes at x={b0 * dx:.6g}: the trapezoid step "
-                        f"dx (lam+q) / p(x) reaches "
-                        f"{dx * (lam + q) * float(c[b0:b1].max()):.3g}, near its "
-                        f"limit of 2; decrease dx")
+                    raise _near_limit(B, b0, dx, A, c[b0:b1])
                 # the solution left float range, not the step: keep the rows
                 # before it, solved from the finite rows of rhs only, since
                 # a non-finite rhs row times the zeros above the diagonal is nan
@@ -545,6 +535,16 @@ def _march(params, p_vals, dx, omega=None):
     kernels' own checks and `_check_range` report.
     """
     lam, q = params.lam, params.q
+    # the trapezoid limit (module docstring) at the nodes x_i, i >= 1
+    A = lam + q - 0.5 * dx * lam * params.claim.density(0.0)
+    if p_vals[1:].min() <= 0.5 * dx * A:
+        i = 1 + int(np.argmax(p_vals[1:] <= 0.5 * dx * A))
+        floor = params.premium.floor_from(0.0, dx * (p_vals.size - 1))
+        raise NumericsError(
+            f"the march reaches the trapezoid limit at x={i * dx:.6g}: the step "
+            f"dx (lam + q - dx/2 lam f(0)) / p(x) is {dx * A / p_vals[i]:.6g}, at or "
+            f"past 2, for dx={dx:.6g}; decrease dx below 2 min p / (lam + q) = "
+            f"{2.0 * floor / (lam + q):.6g}, where every step is stable")
     u0 = [1.0] if omega is None else [1.0, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         if params.claim.kind == "exponential":

@@ -193,6 +193,28 @@ class TestBarrierCommand:
         assert "leaves float64 range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("claim", ["exponential", "erlang2"])
+    def test_step_past_the_trapezoid_limit_exit_3(self, claim, tmp_path, capsys):
+        # a model that `validate` passes, with premium 1e-4 on [0, 1]: at the
+        # default dx the step dx (lam + q) / p is 7.5, past the trapezoid
+        # limit 2, for every claim kind
+        params = ModelParams(PremiumModel.tabulated([0.0, 1.0, 2.0, 50.0],
+                                                    [1e-4, 1e-4, 1.0, 1.5]),
+                             erlang2_claim(0.01), PenaltyModel.zero(), lam=0.1, q=0.05)
+        doc = params_to_dict(params)
+        if claim == "exponential":
+            doc["claim"] = {"kind": "exponential", "mu": 0.3}
+        path = tmp_path / "thin_premium.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "o"
+        assert main(["barrier", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert "trapezoid limit" in err and "decrease dx below" in err
+        assert "degeneracy" not in err
+        assert not out.exists()
+
     def test_missing_config_exit_3(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert main(["barrier", str(path), "--out", str(tmp_path / "o")]) == 3

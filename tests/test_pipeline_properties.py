@@ -1,0 +1,100 @@
+"""Properties of the pipeline on generated models, the start of a
+pipeline-wide property suite.
+
+The trapezoid limit: the march's step z = dx (lam + q - dx/2 lam f(0)) /
+p(x) must stay below 2 at every node x_i, i >= 1.  The models have
+premiums whose lowest node is known (node 1 for a premium that does not
+decrease, the last node for one that does not increase), so the test
+knows on which side of the limit each one is.  At or past it,
+`solve_scale` raises the trapezoid-limit error for every claim kind;
+below it, it never does, and returns W > 0 at every node or raises
+another typed error.
+
+dx stays within the step cap 0.01 min(1/lambda, mean claim).  Past it,
+an exponential claim with mu dx near 1 or more can give W <= 0 below the
+limit, with warnings only; that is a different fault (under-resolution of
+the density) and not the trapezoid limit.
+"""
+
+import re
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from conftest import erlang2_claim
+from dividend_opt import (ClaimModel, DividendOptError, ModelParams, NumericsError,
+                          PenaltyModel, PremiumModel, solve_scale)
+
+ERLANG2 = erlang2_claim(0.01)
+LIMIT = "trapezoid limit"
+STABLE_DX = re.compile(r"decrease dx below 2 min p / \(lam \+ q\) = (\S+), where")
+
+
+def decades(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def models(draw):
+    """(params, dx, x_max, step): step is dx A / p at the grid's lowest
+    premium node i >= 1."""
+    lam = draw(decades(1e-2, 10.0))
+    q = draw(st.just(0.0) | decades(1e-3, 1.0))
+    if draw(st.booleans()):
+        claim = ClaimModel.exponential(draw(decades(1e-1, 1e2)))
+    else:
+        claim = ERLANG2
+    cap = 0.01 * min(1.0 / lam, claim.mean())
+    dx = cap * draw(st.floats(0.05, 1.0))
+    A = lam + q - 0.5 * dx * lam * claim.density(0.0)
+    n = draw(st.integers(3, 200))
+    # the target step at the lowest node, log-uniform around the limit,
+    # and the limit itself
+    target = draw(st.just(2.0) | st.floats(-3.0, 1.5).map(lambda e: 2.0 * 2.0 ** e))
+    low = dx * A / target
+    shape = draw(st.sampled_from(["constant", "linear", "increasing", "decreasing"]))
+    ratio = draw(st.floats(1.0, 4.0))
+    knot = dx * draw(st.integers(1, n - 1))  # a node
+    if shape == "constant":
+        premium, lowest = PremiumModel.constant(low), 1
+    elif shape == "linear":
+        premium, lowest = PremiumModel.linear(low, low * (ratio - 1.0) / (dx * n)), 1
+    elif shape == "increasing":  # flat at `low` up to the knot, as on [0, 1] of
+        # a thin-premium model
+        premium = PremiumModel.tabulated([0.0, knot, 2.0 * knot], [low, low, ratio * low])
+        lowest = 1
+    else:  # held at `low` past the knot
+        premium, lowest = PremiumModel.tabulated([0.0, knot], [ratio * low, low]), n - 1
+    params = ModelParams(premium, claim, PenaltyModel.zero(), lam=lam, q=q)
+    p_low = premium.p(dx * np.arange(n))[lowest]
+    return params, dx, dx * (n - 1), (dx * A / p_low, p_low <= 0.5 * dx * A)
+
+
+def _solve(params, dx, x_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # W' <= 0 is judged below
+        try:
+            return solve_scale(params, dx, x_max)
+        except DividendOptError as exc:
+            return exc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=models())
+def test_step_at_or_past_the_limit_is_the_one_error(case):
+    params, dx, x_max, (step, past) = case
+    out = _solve(params, dx, x_max)
+    event(f"{params.claim.kind} {'past' if past else 'below'}: {type(out).__name__}")
+    if past:
+        assert isinstance(out, NumericsError) and LIMIT in str(out), (step, out)
+        # the dx the error names passes the check on the same domain
+        stable = float(STABLE_DX.search(str(out)).group(1))
+        again = _solve(params, 0.99 * stable, x_max)
+        assert not (isinstance(again, Exception) and LIMIT in str(again)), again
+    elif isinstance(out, Exception):
+        assert LIMIT not in str(out), (step, out)
+    else:
+        assert np.all(out.W.values > 0), (step, out.W.values)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -237,6 +238,85 @@ class TestExponentialMarchFailure:
         with pytest.warns(UserWarning, match="recommended cap"):
             with pytest.raises(NumericsError, match="overflows float range.*decrease dx"):
                 compute_W(params, 2 * half, 2 * half * (n - 1))
+
+
+THIN_PREMIUM = ModelParams(PremiumModel.tabulated([0.0, 1.0, 2.0, 50.0],
+                                                  [1e-4, 1e-4, 1.0, 1.5]),
+                           erlang2_claim(0.01), PenaltyModel.zero(), lam=0.1, q=0.05)
+LIMIT_MESSAGE = (r"the march reaches the trapezoid limit at x=\S+: the step "
+                 r"dx \(lam \+ q - dx/2 lam f\(0\)\) / p\(x\) is \S+, at or past 2, "
+                 r"for dx=\S+; decrease dx below 2 min p / \(lam \+ q\) = (\S+), "
+                 r"where every step is stable")
+
+
+class TestTrapezoidLimit:
+    """One stability rule for both kernels, checked before either runs: a
+    step dx (lam + q - dx/2 lam f(0)) / p(x) at or past 2 is a NumericsError
+    that names the dx below which every step is stable."""
+
+    @pytest.mark.parametrize("dx", [0.0034, 0.004, 0.008])
+    def test_erlang2_past_the_limit(self, dx):
+        # the tabulated twin of TestExponentialMarchFailure: dx 6 / 0.01 is
+        # 2.04, 2.4 and 4.8, where the march would alternate in sign
+        params = ModelParams(PremiumModel.constant(0.01), erlang2_claim(0.01),
+                             PenaltyModel.zero(), lam=5.0, q=1.0)
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match=LIMIT_MESSAGE) as info:
+                compute_W(params, dx, 0.5)
+        assert f"for dx={dx:.6g}" in str(info.value)
+        assert "= 0.00333333, where" in str(info.value)
+
+    def test_locate_barrier_past_the_limit(self):
+        # step 7.5: not an OverflowDomainError whose largest safe x_max
+        # would itself march past the limit
+        params = dataclasses.replace(THIN_PREMIUM, premium=PremiumModel.constant(1e-4))
+        with pytest.raises(NumericsError, match=LIMIT_MESSAGE):
+            locate_barrier(params, dx=0.005, x_max=30.0)
+
+    def test_named_dx_passes_the_check(self):
+        with pytest.raises(NumericsError, match=LIMIT_MESSAGE) as info:
+            solve_scale(THIN_PREMIUM, DEFAULT_DX, 30.0)
+        stable = float(re.search(LIMIT_MESSAGE, str(info.value)).group(1))
+        assert stable == pytest.approx(2e-4 / 0.15, rel=1e-5)  # printed to 6 digits
+        dx = 0.99 * stable
+        sol = solve_scale(THIN_PREMIUM, dx, 0.1)
+        assert np.all(sol.W.values > 0) and np.all(sol.W.derivative_values > 0)
+        # W grows by about (1 + z/2) / (1 - z/2) = 149 per node: on [0, 30]
+        # it leaves float range, which is no step past the limit
+        with pytest.raises(OverflowDomainError):
+            solve_scale(THIN_PREMIUM, dx, 30.0)
+
+    def test_exponential_names_the_stable_dx(self):
+        # TestExponentialMarchFailure's model: 2 min p / (lam + q) = 2 / 4.5
+        params = ModelParams(PremiumModel.constant(1.0), ClaimModel.exponential(1.0),
+                             PenaltyModel.zero(), lam=2.0, q=2.5)
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match=LIMIT_MESSAGE) as info:
+                compute_W(params, 0.5, 5.0)
+        assert re.search(LIMIT_MESSAGE, str(info.value)).group(1) == "0.444444"
+
+    @pytest.mark.parametrize("claim", ["exponential", "erlang2"])
+    def test_near_limit_overflow_has_one_wording(self, claim):
+        # a step just below 2 overflows within one block of either kernel
+        # (TestExponentialMarchFailure's and TestBlockedMarch's models), and
+        # both report the step dx A / p
+        if claim == "exponential":
+            params = dataclasses.replace(FAST_GROWTH, penalty=PenaltyModel.zero())
+            lam, q, mu, c = params.lam, params.q, params.claim.mu, 0.01
+            dx = ((lam + q) - math.sqrt((lam + q) ** 2 - 4 * lam * mu * c * (1 - 1e-10))) \
+                / (lam * mu)
+            x_max = dx * 11999
+        else:
+            params = ModelParams(PremiumModel.constant(0.01),
+                                 erlang2_claim(0.01, rate=0.5, support=20.0),
+                                 PenaltyModel.zero(), lam=5.0, q=1.0)
+            dx, x_max = 2.0 * 0.01 * (1.0 - 1e-6) / 6.0, 1.0
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match=(
+                    r"^the march overflows float range within one block of \d+ nodes at "
+                    r"x=\S+: the step dx \(lam \+ q - dx/2 lam f\(0\)\) / p\(x\) reaches 2, "
+                    r"near its limit of 2, for dx=\S+; decrease dx$")):
+                compute_W(params, dx, x_max)
 
 
 def bounded_premium():

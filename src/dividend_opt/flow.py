@@ -3,18 +3,20 @@
 The claim-free trajectory solves dr/dt = p(r), r(0) = x.  Every premium
 kind has an exact travel time T(x -> b) = int_x^b dr / p(r):
 
-- constant c: (b - x) / c;
 - linear c + eps x: log1p((b - x) / (x + k)) / eps with k = c/eps, which
-  keeps its digits as eps -> 0 (the constant law where k overflows);
+  keeps its digits as eps -> 0; (b - x) / c where k is inf: the constant
+  premium (eps = 0) and an eps so small that c/eps overflows;
 - rational c + 1/(1+x):
   (b - x)/c - c^{-2} ln( (c(1+b)+1) / (c(1+x)+1) );
 - tabulated (p linear between knots, held at the end values beyond
-  them, as `np.interp` does): on a segment where p = p_j + s_j (r - x_j),
-  ln(1 + s_j d / p_j) / s_j over a distance d, summed at the knots.
+  them, as `np.interp` does): on a piece where p = p_j + s_j (r - x_j),
+  ln(1 + s_j d / p_j) / s_j over a distance d, added to the travel time
+  to the knot x_j.  The slopes s_j and the knot times are the premium's
+  piece table, `PremiumModel._piece_table`.
 
 The flow is the inverse, r_t = T^{-1}(T(x) + t): elementary for the
-constant, linear (x + (x + k) expm1(eps t)) and tabulated kinds (expm1 per
-segment), by a Newton iteration on the exact law for the rational kind.
+linear (x + (x + k) expm1(eps t), or x + c t) and tabulated kinds (expm1
+per piece), by a Newton iteration on the exact law for the rational kind.
 `FlowSolver.travel_time` and `FlowSolver.flow` evaluate both on arrays;
 `forward` and `hit_time` are their checked scalar forms.
 """
@@ -22,13 +24,12 @@ segment), by a Newton iteration on the exact law for the rational kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
-from .model import PremiumModel
+from .model import PremiumModel, _log1p_ratio
 
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX = 60
@@ -67,13 +68,6 @@ def rational_flow(c: float, x, t):
     return b.reshape(shape)
 
 
-def _log1p_ratio(z):
-    """log1p(z) / z, continued by 1 at z = 0."""
-    zero = z == 0.0
-    safe = np.where(zero, 1.0, z)
-    return np.where(zero, 1.0, np.log1p(safe) / safe)
-
-
 def _expm1_ratio(z):
     """expm1(z) / z, continued by 1 at z = 0."""
     zero = z == 0.0
@@ -82,8 +76,9 @@ def _expm1_ratio(z):
 
 
 def _linear_offset(prem: PremiumModel) -> float:
-    """k = c / eps of a linear premium; inf where eps is 0 or so small that
-    c / eps overflows, and there the flow is the constant premium's."""
+    """k = c / eps of the linear law; inf where eps is 0 (a constant
+    premium) or so small that c / eps overflows, and there the flow is
+    x + c t."""
     return prem.c / prem.epsilon if prem.epsilon else math.inf
 
 
@@ -96,63 +91,46 @@ class FlowSolver:
     """
 
     premium: PremiumModel
-    # tabulated premium: T(x_j) - T(x_0) at the knots, and the slope of p
-    # on each segment with a flat one at either end: [0, s_0 .. s_{n-2}, 0]
-    _knot_times: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                              compare=False)
-    _slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                          compare=False)
-
-    def __post_init__(self):
-        if self.premium.kind != "tabulated":
-            return
-        xs, ps = self.premium.xs, self.premium.ps
-        dxs = np.diff(xs)
-        slopes = np.diff(ps) / dxs
-        seg = dxs / ps[:-1] * _log1p_ratio(slopes * dxs / ps[:-1])
-        object.__setattr__(self, "_knot_times", np.concatenate(([0.0], np.cumsum(seg))))
-        object.__setattr__(self, "_slopes", np.concatenate(([0.0], slopes, [0.0])))
 
     def _clock(self, r):
         """T(r) - T(x_0) for a tabulated premium."""
         xs, ps = self.premium.xs, self.premium.ps
-        j = np.searchsorted(xs, r, side="right") - 1
-        jc = np.clip(j, 0, xs.size - 1)
+        slopes, knot_times = self.premium._piece_table
+        j = np.searchsorted(xs, r, side="right")
+        jc = np.clip(j - 1, 0, xs.size - 1)
         d = r - xs[jc]
-        return self._knot_times[jc] + d / ps[jc] * _log1p_ratio(
-            self._slopes[j + 1] * d / ps[jc])
+        return knot_times[jc] + d / ps[jc] * _log1p_ratio(slopes[j] * d / ps[jc])
 
     def _position(self, tau):
         """Inverse of `_clock`."""
-        xs, ps, tk = self.premium.xs, self.premium.ps, self._knot_times
-        j = np.searchsorted(tk, tau, side="right") - 1
-        jc = np.clip(j, 0, xs.size - 1)
-        dt = tau - tk[jc]
-        return xs[jc] + ps[jc] * dt * _expm1_ratio(self._slopes[j + 1] * dt)
+        xs, ps = self.premium.xs, self.premium.ps
+        slopes, knot_times = self.premium._piece_table
+        j = np.searchsorted(knot_times, tau, side="right")
+        jc = np.clip(j - 1, 0, xs.size - 1)
+        dt = tau - knot_times[jc]
+        return xs[jc] + ps[jc] * dt * _expm1_ratio(slopes[j] * dt)
 
     def travel_time(self, x, b):
         """Time for the flow to move from x to b >= x (floats or arrays)."""
         prem = self.premium
-        kind = prem.kind
-        if kind == "linear" and math.isfinite(k := _linear_offset(prem)):
-            return np.log1p((b - x) / (x + k)) / prem.epsilon
-        if kind in ("constant", "linear"):
-            return (b - x) / prem.c
-        if kind == "rational":
+        if prem.kind == "rational":
             return rational_travel_time(prem.c, x, b)
-        return self._clock(b) - self._clock(x)
+        if prem.kind == "tabulated":
+            return self._clock(b) - self._clock(x)
+        if math.isfinite(k := _linear_offset(prem)):  # the linear law
+            return np.log1p((b - x) / (x + k)) / prem.epsilon
+        return (b - x) / prem.c
 
     def flow(self, x, t):
         """Position after time t >= 0 of the flow started at x (floats or arrays)."""
         prem = self.premium
-        kind = prem.kind
-        if kind == "linear" and math.isfinite(k := _linear_offset(prem)):
-            return x + (x + k) * np.expm1(prem.epsilon * t)
-        if kind in ("constant", "linear"):
-            return x + prem.c * t
-        if kind == "rational":
+        if prem.kind == "rational":
             return rational_flow(prem.c, x, t)
-        return self._position(self._clock(x) + t)
+        if prem.kind == "tabulated":
+            return self._position(self._clock(x) + t)
+        if math.isfinite(k := _linear_offset(prem)):  # the linear law
+            return x + (x + k) * np.expm1(prem.epsilon * t)
+        return x + prem.c * t
 
     def forward(self, x: float, t: float) -> float:
         """Position r_t of the claim-free trajectory started at x >= 0."""

@@ -146,11 +146,11 @@ def _piecewise_stationary(premium, q, mu, B, a):
     premium: each piece's ends and, where r is concave on it, its clipped
     stationary point ln(mu |B| / (q - s)) / mu.  None when the slope past
     the last knot is at least q."""
-    ends = np.zeros(1)
-    if premium.kind == "tabulated":
-        ends = np.append(0.0, premium.xs[premium.xs > a] - a)
-    # each piece's slope at its middle, the last one's past the last knot
-    slopes = premium.p_prime(a + np.append(0.5 * (ends[:-1] + ends[1:]), ends[-1] + 1.0))
+    ends, slopes = np.zeros(1), np.array([premium.epsilon])  # the linear law
+    if premium.kind == "tabulated":  # the pieces from the one that holds a*
+        j = np.searchsorted(premium.xs, a, side="right")
+        ends = np.append(0.0, premium.xs[j:] - a)
+        slopes = premium._piece_table[0][j:]
     if slopes[-1] >= q:
         return None
     if B >= 0.0:

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,6 +58,13 @@ def _as_readonly(a, where: str, name: str) -> np.ndarray:
     return out
 
 
+def _log1p_ratio(z):
+    """log1p(z) / z, continued by 1 at z = 0."""
+    zero = z == 0.0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, np.log1p(safe) / safe)
+
+
 # ---------------------------------------------------------------------------
 # premium
 
@@ -65,9 +73,10 @@ def _as_readonly(a, where: str, name: str) -> np.ndarray:
 class PremiumModel:
     """Income rate p(x) as a function of the current surplus.
 
-    Families: constant p=c, linear p=c+eps*x, rational p=c+1/(1+x),
-    and tabulated samples with linear interpolation, held at the end
-    values beyond the knots (as `np.interp` does, with slope 0 there).
+    Families: linear p=c+eps*x, constant p=c (the linear law with eps=0),
+    rational p=c+1/(1+x), and tabulated samples with linear interpolation,
+    held at the end values beyond the knots (as `np.interp` does, with
+    slope 0 there), whose pieces are derived once, in `_piece_table`.
     p must be positive and monotone (either direction).
     """
 
@@ -106,44 +115,53 @@ class PremiumModel:
             raise ConfigError("tabulated premium must be monotone")
         return PremiumModel("tabulated", xs=xs, ps=ps)
 
+    @cached_property
+    def _piece_table(self):
+        """A tabulated premium's pieces, (slopes, knot_times).
+
+        slopes = [0, s_0 .. s_{n-2}, 0] is the slope of p on each piece:
+        the flat one before the first knot, one per segment, and the flat
+        one past the last knot, so that x lies on the piece
+        searchsorted(xs, x, side="right").  knot_times[j] is the flow's
+        travel time T(x_0 -> x_j) = int_{x_0}^{x_j} dr / p(r).
+        """
+        dxs = np.diff(self.xs)
+        slopes = np.diff(self.ps) / dxs
+        seg = dxs / self.ps[:-1] * _log1p_ratio(slopes * dxs / self.ps[:-1])
+        return np.concatenate(([0.0], slopes, [0.0])), np.concatenate(([0.0], np.cumsum(seg)))
+
     def p(self, x):
         """Premium rate at surplus x (scalar or array)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            out = np.full_like(x, self.c)
-        elif self.kind == "linear":
-            out = self.c + self.epsilon * x
-        elif self.kind == "rational":
+        if self.kind == "rational":
             out = self.c + 1.0 / (1.0 + x)
-        else:
+        elif self.kind == "tabulated":
             out = np.interp(x, self.xs, self.ps)
+        else:  # the linear law
+            out = self.c + self.epsilon * x
         return out if out.ndim else float(out)
 
     def p_prime(self, x):
-        """Derivative of the premium rate (a.e. for tabulated: 0 beyond the knots)."""
+        """Derivative of the premium rate; for a tabulated premium the slope
+        of the piece that holds x (right-continuous, 0 beyond the knots)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            out = np.zeros_like(x)
-        elif self.kind == "linear":
-            out = np.full_like(x, self.epsilon)
-        elif self.kind == "rational":
+        if self.kind == "rational":
             out = -1.0 / (1.0 + x) ** 2
-        else:
-            idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)
-            slope = (self.ps[idx + 1] - self.ps[idx]) / (self.xs[idx + 1] - self.xs[idx])
-            out = np.where((x < self.xs[0]) | (x > self.xs[-1]), 0.0, slope)
+        elif self.kind == "tabulated":
+            out = self._piece_table[0][np.searchsorted(self.xs, x, side="right")]
+        else:  # the linear law
+            out = np.full_like(x, self.epsilon)
         return out if out.ndim else float(out)
 
     @property
     def concave(self) -> Optional[bool]:
         """p'' <= 0 on [0, inf) by family; for a tabulated premium, the slopes
-        of the held interpolant (flat beyond its end knots) do not increase."""
-        if self.kind in ("constant", "linear"):
-            return True
+        of its pieces on [0, inf) do not increase."""
         if self.kind == "rational":
             return False  # p'' = 2/(1+x)^3 > 0
-        slopes = np.diff(self.ps) / np.diff(self.xs)
-        slopes = np.concatenate(([0.0] if self.xs[0] > 0 else [], slopes, [0.0]))
+        if self.kind != "tabulated":  # the linear law
+            return True
+        slopes = self._piece_table[0][0 if self.xs[0] > 0 else 1:]
         tol = 1e-10 * max(1.0, float(np.max(np.abs(slopes))))
         return bool(np.all(np.diff(slopes) <= tol))
 
@@ -243,35 +261,17 @@ class ClaimModel:
         if not whole:
             y = y[live]
         j = np.minimum(((y - self.x0) / dx).astype(np.intp), f.size - 2)
-        # S0 = S0(g_j) - part0 with part0 = t (f_j + 0.5 s_j t), and
-        # S1 = S1(g_j) - part1 with part1 = g_j part0 + t t (0.5 f_j + s_j t / 3),
-        # where t = y - g_j and s_j = (f_{j+1} - f_j) / dx: in place, in that
-        # order of operations, holding six arrays of y's size
-        t = np.subtract(y, self._nodes[j], out=y)
+        t = y - self._nodes[j]
         fj = f[j]
-        sj = f[j + 1]
-        sj -= fj
-        sj /= dx
-        part0 = sj * 0.5
-        part0 *= t
-        part0 += fj
-        part0 *= t
-        fj *= 0.5
-        sj *= t
-        sj /= 3.0
-        fj += sj
-        t *= t
-        t *= fj
-        part1 = self._nodes[j]
-        part1 *= part0
-        part1 += t
-        np.subtract(self._tail_vals[0, j], part0, out=part0)
-        np.subtract(self._tail_vals[1, j], part1, out=part1)
-        if not whole:
+        sj = (f[j + 1] - fj) / dx
+        part0 = t * (fj + 0.5 * sj * t)  # the partial cell's integrals of f and z f
+        part1 = self._nodes[j] * part0 + t * t * (0.5 * fj + sj * t / 3.0)
+        s0, s1 = self._tail_vals[0, j] - part0, self._tail_vals[1, j] - part1
+        if not whole:  # back onto every y, with 0 at and past the end
+            part0, part1 = s0, s1
             s0, s1 = np.zeros(live.size), np.zeros(live.size)
             s0[live], s1[live] = part0, part1
-            part0, part1 = s0, s1
-        return part0.reshape(shape), part1.reshape(shape)
+        return s0.reshape(shape), s1.reshape(shape)
 
     def mean(self) -> float:
         """E[C]; for a tabulated density S1(x0) / S0(x0)."""
@@ -329,10 +329,10 @@ class ClaimModel:
 class PenaltyModel:
     """Non-positive penalty w on the deficit at ruin (argument x < 0).
 
-    zero: w = 0; constant: w = -k; linear: w(x) = -k + beta*x for x < 0
-    (beta >= 0, so more negative deficit means harsher penalty);
-    tabulated: samples on x < 0, held at the outermost sample beyond
-    the grid.
+    linear: w(x) = -k + beta*x for x < 0 (beta >= 0, so more negative
+    deficit means harsher penalty); constant w = -k and zero w = 0 are the
+    linear law with beta = 0 (and k = 0); tabulated: samples on x < 0,
+    held at the outermost sample beyond the grid.
     """
 
     kind: str
@@ -369,20 +369,15 @@ class PenaltyModel:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "constant" and self.k == 0.0) \
-            or (self.kind == "linear" and self.k == 0.0 and self.beta == 0.0)
+        return self.kind != "tabulated" and self.k == 0.0 and self.beta == 0.0
 
     def w(self, x):
         """Penalty value at deficit x (x < 0; w(x) <= 0)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(x)
-        elif self.kind == "constant":
-            out = np.full_like(x, -self.k)
-        elif self.kind == "linear":
-            out = -self.k + self.beta * x
-        else:
+        if self.kind == "tabulated":
             out = np.interp(x, self.xs, self.ws)  # np.interp holds endpoint values
+        else:  # the linear law
+            out = -self.k + self.beta * x
         return out if out.ndim else float(out)
 
     def _pieces(self):
@@ -393,7 +388,7 @@ class PenaltyModel:
         """
         if self.is_zero:
             return []
-        if self.kind in ("constant", "linear"):
+        if self.kind != "tabulated":  # the linear law
             return [(-self.k, self.beta, -math.inf, 0.0)]
         xs, ws = self.xs, self.ws
         slopes = np.diff(ws) / np.diff(xs)

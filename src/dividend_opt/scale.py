@@ -25,11 +25,17 @@ G_p are two columns of one unit lower-triangular system per block of
 `_BLOCK` nodes, and the history older than a super-block of `_SUPER`
 nodes is a partitioned convolution.  The scheme's one stability rule,
 checked in `_march` for every claim kind before either kernel runs, is
-that the step z = dx (lam + q - dx/2 lam f(0)) / p(x) stays below 2, the
-pole of the amplification factor (1 + z/2) / (1 - z/2): past it u
-changes sign from node to node.  A step at or past 2 is a NumericsError
-naming the dx below which every step is stable, and so is an overflow
-within one block near it (`_near_limit`).  Both marches run in true units
+that the step z = dx (lam + q - dx/2 lam f(0)) / p(x) stays inside
+(-2, 2), where the amplification factor (1 + z/2) / (1 - z/2) is
+positive: it is 0 at z = -2 and has its pole at z = 2, and past either
+u changes sign from node to node.  z can reach -2 only where dx/2 lam f(0)
+exceeds lam + q.  A step outside (-2, 2) is a NumericsError naming the
+dx below which every step is stable,
+
+    min(2 p / (lam + q), ((lam + q) + sqrt((lam + q)^2 + 4 lam f(0) p)) / (lam f(0)))
+
+at p = min p, the second term for f(0) > 0 only; so is an overflow
+within one block near z = 2 (`_near_limit`).  Both marches run in true units
 from W(0) = 1; a march that leaves float range otherwise ends in
 OverflowDomainError, with the largest x_max that stays inside it.
 
@@ -535,16 +541,22 @@ def _march(params, p_vals, dx, omega=None):
     kernels' own checks and `_check_range` report.
     """
     lam, q = params.lam, params.q
-    # the trapezoid limit (module docstring) at the nodes x_i, i >= 1
-    A = lam + q - 0.5 * dx * lam * params.claim.density(0.0)
-    if p_vals[1:].min() <= 0.5 * dx * A:
-        i = 1 + int(np.argmax(p_vals[1:] <= 0.5 * dx * A))
+    # the trapezoid limit (module docstring) at the nodes x_i, i >= 1: the
+    # step dx A / p is outside (-2, 2) where p <= dx/2 |A|
+    f0 = params.claim.density(0.0)
+    A = lam + q - 0.5 * dx * lam * f0
+    if p_vals[1:].min() <= 0.5 * dx * abs(A):
+        i = 1 + int(np.argmax(p_vals[1:] <= 0.5 * dx * abs(A)))
         floor = params.premium.floor_from(0.0, dx * (p_vals.size - 1))
+        stable = 2.0 * floor / (lam + q)
+        if f0 > 0:
+            stable = min(stable, (lam + q + math.sqrt((lam + q) ** 2 + 4.0 * lam * f0 * floor))
+                         / (lam * f0))
         raise NumericsError(
             f"the march reaches the trapezoid limit at x={i * dx:.6g}: the step "
-            f"dx (lam + q - dx/2 lam f(0)) / p(x) is {dx * A / p_vals[i]:.6g}, at or "
-            f"past 2, for dx={dx:.6g}; decrease dx below 2 min p / (lam + q) = "
-            f"{2.0 * floor / (lam + q):.6g}, where every step is stable")
+            f"dx (lam + q - dx/2 lam f(0)) / p(x) is {dx * A / p_vals[i]:.6g}, outside "
+            f"(-2, 2), for dx={dx:.6g}; decrease dx below {stable:.6g}, where every "
+            f"step is stable (min p = {floor:.6g})")
     u0 = [1.0] if omega is None else [1.0, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         if params.claim.kind == "exponential":

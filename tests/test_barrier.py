@@ -311,6 +311,11 @@ class TestValueFunction:
                     - value_function(scale_q05, a, a - h)) / h
             assert left == pytest.approx(1.0, abs=5e-3)
 
+    @pytest.mark.parametrize("x", [-1e-12, -3.0, [0.0, 2.0, -0.5]])
+    def test_negative_capital_is_error(self, scale_q05, barrier_q05, x):
+        with pytest.raises(ValueError, match="initial capital must be >= 0"):
+            value_function(scale_q05, barrier_q05.a_star, x)
+
     def test_nondecreasing_and_dominates_lump(self, scale_q05, barrier_q05):
         a = barrier_q05.a_star
         xs = np.linspace(0.0, 25.0, 120)

@@ -80,6 +80,12 @@ def test_grid_origin_step_and_end_checked(x0, dx, field):
         GridFunction(x0, dx, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+def test_derivative_array_of_another_shape_is_error(shape):
+    with pytest.raises(ValueError, match="derivative sample array must match"):
+        GridFunction(0.0, 1.0, [1.0, 2.0, 3.0], np.ones(shape))
+
+
 def test_values_are_immutable():
     g = GridFunction(0.0, 1.0, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):

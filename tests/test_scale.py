@@ -244,15 +244,18 @@ THIN_PREMIUM = ModelParams(PremiumModel.tabulated([0.0, 1.0, 2.0, 50.0],
                                                   [1e-4, 1e-4, 1.0, 1.5]),
                            erlang2_claim(0.01), PenaltyModel.zero(), lam=0.1, q=0.05)
 LIMIT_MESSAGE = (r"the march reaches the trapezoid limit at x=\S+: the step "
-                 r"dx \(lam \+ q - dx/2 lam f\(0\)\) / p\(x\) is \S+, at or past 2, "
-                 r"for dx=\S+; decrease dx below 2 min p / \(lam \+ q\) = (\S+), "
-                 r"where every step is stable")
+                 r"dx \(lam \+ q - dx/2 lam f\(0\)\) / p\(x\) is \S+, outside \(-2, 2\), "
+                 r"for dx=\S+; decrease dx below (\S+), where every step is stable "
+                 r"\(min p = \S+\)")
+# the stiff model: A = lam + q - dx/2 lam mu < 0 past dx = 3e-4
+STIFF = ModelParams(PremiumModel.constant(1.5), ClaimModel.exponential(1e4),
+                    PenaltyModel.zero(), lam=0.1, q=0.05)
 
 
 class TestTrapezoidLimit:
     """One stability rule for both kernels, checked before either runs: a
-    step dx (lam + q - dx/2 lam f(0)) / p(x) at or past 2 is a NumericsError
-    that names the dx below which every step is stable."""
+    step dx (lam + q - dx/2 lam f(0)) / p(x) outside (-2, 2) is a
+    NumericsError that names the dx below which every step is stable."""
 
     @pytest.mark.parametrize("dx", [0.0034, 0.004, 0.008])
     def test_erlang2_past_the_limit(self, dx):
@@ -264,7 +267,7 @@ class TestTrapezoidLimit:
             with pytest.raises(NumericsError, match=LIMIT_MESSAGE) as info:
                 compute_W(params, dx, 0.5)
         assert f"for dx={dx:.6g}" in str(info.value)
-        assert "= 0.00333333, where" in str(info.value)
+        assert "below 0.00333333, where" in str(info.value)
 
     def test_locate_barrier_past_the_limit(self):
         # step 7.5: not an OverflowDomainError whose largest safe x_max
@@ -285,6 +288,26 @@ class TestTrapezoidLimit:
         # it leaves float range, which is no step past the limit
         with pytest.raises(OverflowDomainError):
             solve_scale(THIN_PREMIUM, dx, 30.0)
+
+    @pytest.mark.parametrize("dx", [0.08, 0.1])
+    def test_step_at_or_below_minus_two(self, dx):
+        # (1 + z/2) / (1 - z/2) <= 0 at z = -2.125 and -3.32: W alternated in
+        # sign (214 and 299 sign changes on [0, 30]) with warnings only
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.raises(NumericsError, match=LIMIT_MESSAGE) as info:
+                solve_scale(STIFF, dx, 30.0)
+        assert "outside (-2, 2)" in str(info.value)
+        stable = float(re.search(LIMIT_MESSAGE, str(info.value)).group(1))
+        # ((lam + q) + sqrt((lam + q)^2 + 4 lam mu p)) / (lam mu), far below
+        # 2 p / (lam + q) = 20
+        assert stable == pytest.approx((0.15 + math.sqrt(0.15 ** 2 + 4e3 * 1.5)) / 1e3,
+                                       rel=1e-5)
+        assert f"{stable:.4f}" == "0.0776"
+        # 0.99 times the named dx passes the check (its grid, far past the
+        # step cap, warns of under-resolution)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert solve_scale(STIFF, 0.99 * stable, 30.0).W.values[0] == 1.0
 
     def test_exponential_names_the_stable_dx(self):
         # TestExponentialMarchFailure's model: 2 min p / (lam + q) = 2 / 4.5

@@ -9,10 +9,11 @@ import pytest
 from dividend_opt import (ClaimModel, FlowSolver, HorizonError, ModelParams,
                           ModelValidationError, NumericsError, PenaltyModel,
                           PremiumModel, SimulationConfig, simulate_gerber_shiu,
-                          simulate_two_sided, simulate_value, value_function)
+                          penalty_envelope, simulate_two_sided, simulate_value,
+                          value_function)
 from dividend_opt.tables import locate_barrier
 from dividend_opt import _reference, simulate
-from conftest import make_params
+from conftest import erlang2_claim, make_params
 
 
 def cfg(paths=2000, horizon=250.0, seed=3, barrier=None):
@@ -177,6 +178,22 @@ class TestGerberShiu:
         est = simulate_gerber_shiu(params, 3.0, cfg(paths=200, horizon=250.0, seed=5))
         assert est.truncation_is_heuristic
         assert math.isfinite(est.mean) and math.isfinite(est.truncation_bound)
+        assert -1.0 <= est.mean < 0.0
+
+    @pytest.mark.parametrize("case", ["tabulated claim", "no positive drift"])
+    def test_q_zero_bound_without_adjustment_coefficient(self, case):
+        # the heuristic q = 0 bound decays in an exponential claim's
+        # adjustment coefficient; a tabulated claim has none, and a premium
+        # that never beats lam E[C] = 1/3 leaves no drift: the bound is the
+        # penalty envelope itself
+        if case == "tabulated claim":
+            params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
+                                 PenaltyModel.constant(1.0), lam=0.1, q=0.0)
+        else:
+            params = make_params(premium="constant", c=0.25, penalty="constant", q=0.0)
+        est = simulate_gerber_shiu(params, 3.0, cfg(paths=200, horizon=250.0, seed=5))
+        assert est.truncation_is_heuristic
+        assert est.truncation_bound == penalty_envelope(params) > 0.0
         assert -1.0 <= est.mean < 0.0
 
     def test_horizon_error(self):
@@ -510,8 +527,9 @@ def _assert_close_per_path(got, want):
     assert np.max(np.abs(r - r_ref) / np.maximum(r_ref, 1.0)) <= 1e-12
 
 
+# the two-sided level 60 is first reached past h0, under the roulette
 MODES = [(simulate._MODE_VALUE, 5.0), (simulate._MODE_GERBER, 0.0),
-         (simulate._MODE_TWO_SIDED, 6.0)]
+         (simulate._MODE_TWO_SIDED, 6.0), (simulate._MODE_TWO_SIDED, 60.0)]
 
 
 class TestLockstepOracle:
@@ -573,7 +591,8 @@ class TestPhiloxTiles:
     """Refills and `philox_uniforms` draw their blocks in tiles of at most
     _PHILOX_TILE keys; the tiling leaves every uniform as it is."""
 
-    @pytest.mark.parametrize("mode,a", MODES, ids=["value", "gerber-shiu", "two-sided"])
+    @pytest.mark.parametrize("mode,a", MODES,
+                             ids=["value", "gerber-shiu", "two-sided", "two-sided-far"])
     def test_results_do_not_depend_on_the_tile(self, monkeypatch, mode, a):
         params = (make_params(penalty="constant", k=1.0) if mode == simulate._MODE_GERBER
                   else make_params())

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .model import PremiumModel, _log1p_ratio
+from .model import PremiumModel, _ratio
 
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX = 60
@@ -68,13 +68,6 @@ def rational_flow(c: float, x, t):
     return b.reshape(shape)
 
 
-def _expm1_ratio(z):
-    """expm1(z) / z, continued by 1 at z = 0."""
-    zero = z == 0.0
-    safe = np.where(zero, 1.0, z)
-    return np.where(zero, 1.0, np.expm1(safe) / safe)
-
-
 def _linear_offset(prem: PremiumModel) -> float:
     """k = c / eps of the linear law; inf where eps is 0 (a constant
     premium) or so small that c / eps overflows, and there the flow is
@@ -99,7 +92,7 @@ class FlowSolver:
         j = np.searchsorted(xs, r, side="right")
         jc = np.clip(j - 1, 0, xs.size - 1)
         d = r - xs[jc]
-        return knot_times[jc] + d / ps[jc] * _log1p_ratio(slopes[j] * d / ps[jc])
+        return knot_times[jc] + d / ps[jc] * _ratio(np.log1p, slopes[j] * d / ps[jc])
 
     def _position(self, tau):
         """Inverse of `_clock`."""
@@ -108,7 +101,7 @@ class FlowSolver:
         j = np.searchsorted(knot_times, tau, side="right")
         jc = np.clip(j - 1, 0, xs.size - 1)
         dt = tau - knot_times[jc]
-        return xs[jc] + ps[jc] * dt * _expm1_ratio(slopes[j] * dt)
+        return xs[jc] + ps[jc] * dt * _ratio(np.expm1, slopes[j] * dt)
 
     def travel_time(self, x, b):
         """Time for the flow to move from x to b >= x (floats or arrays)."""

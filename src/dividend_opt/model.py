@@ -58,11 +58,12 @@ def _as_readonly(a, where: str, name: str) -> np.ndarray:
     return out
 
 
-def _log1p_ratio(z):
-    """log1p(z) / z, continued by 1 at z = 0."""
+def _ratio(fn, z):
+    """fn(z) / z, continued by 1 at z = 0: fn is np.log1p (the travel time
+    over a piece of a tabulated premium) or np.expm1 (the flow's inverse)."""
     zero = z == 0.0
     safe = np.where(zero, 1.0, z)
-    return np.where(zero, 1.0, np.log1p(safe) / safe)
+    return np.where(zero, 1.0, fn(safe) / safe)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ class PremiumModel:
         """
         dxs = np.diff(self.xs)
         slopes = np.diff(self.ps) / dxs
-        seg = dxs / self.ps[:-1] * _log1p_ratio(slopes * dxs / self.ps[:-1])
+        seg = dxs / self.ps[:-1] * _ratio(np.log1p, slopes * dxs / self.ps[:-1])
         return np.concatenate(([0.0], slopes, [0.0])), np.concatenate(([0.0], np.cumsum(seg)))
 
     def p(self, x):
@@ -222,6 +223,12 @@ class ClaimModel:
                           _nodes=_as_readonly(nodes, where, "dx"),
                           _tail_vals=_as_readonly(tails, where, "density"))
 
+    @cached_property
+    def _cell_slopes(self):
+        """A tabulated density's slope s_j = (f_{j+1} - f_j) / dx on each
+        cell [g_j, g_{j+1}], derived once per claim for `_tails` and `ppf`."""
+        return np.diff(self.f_vals) / self.dx
+
     def density(self, y):
         y = np.asarray(y, dtype=float)
         if self.kind == "exponential":
@@ -261,12 +268,12 @@ class ClaimModel:
         if not whole:
             y = y[live]
         j = np.minimum(((y - self.x0) / dx).astype(np.intp), f.size - 2)
-        t = y - self._nodes[j]
-        fj = f[j]
-        sj = (f[j + 1] - fj) / dx
+        g = self._nodes.take(j)
+        t = y - g
+        fj, sj = f.take(j), self._cell_slopes.take(j)
         part0 = t * (fj + 0.5 * sj * t)  # the partial cell's integrals of f and z f
-        part1 = self._nodes[j] * part0 + t * t * (0.5 * fj + sj * t / 3.0)
-        s0, s1 = self._tail_vals[0, j] - part0, self._tail_vals[1, j] - part1
+        part1 = g * part0 + t * t * (0.5 * fj + sj * t / 3.0)
+        s0, s1 = self._tail_vals[0].take(j) - part0, self._tail_vals[1].take(j) - part1
         if not whole:  # back onto every y, with 0 at and past the end
             part0, part1 = s0, s1
             s0, s1 = np.zeros(live.size), np.zeros(live.size)
@@ -295,7 +302,7 @@ class ClaimModel:
         j = np.clip(np.searchsorted(-tails, -r, side="right") - 1, 0, f.size - 2)
         m = np.maximum(tails[j] - r, 0.0)
         fj = f[j]
-        root = np.sqrt(np.maximum(fj * fj + 2.0 * (f[j + 1] - fj) / dx * m, 0.0))
+        root = np.sqrt(np.maximum(fj * fj + 2.0 * self._cell_slopes[j] * m, 0.0))
         denom = fj + root
         empty = denom == 0.0  # only when f_j = 0 and m s_j <= 0, so at m = 0
         t = np.where(empty, 0.0, 2.0 * m / np.where(empty, 1.0, denom))
@@ -517,12 +524,12 @@ class ValidationReport:
 def _drift_x0(prem: PremiumModel, rate: float) -> float:
     """sup{x >= 0 : p(x) <= rate}: 0 when p > rate everywhere, inf when
     p <= rate for arbitrarily large x.  Exact for every family."""
-    if prem.kind == "linear" and prem.epsilon > 0:
-        return max(0.0, (rate - prem.c) / prem.epsilon)
-    if prem.kind in ("constant", "linear"):
-        return 0.0 if prem.c > rate else math.inf
     if prem.kind == "rational":  # p decreases to its infimum c, never reached
         return 0.0 if prem.c >= rate else math.inf
+    if prem.kind != "tabulated":  # the linear law
+        if prem.epsilon > 0:
+            return max(0.0, (rate - prem.c) / prem.epsilon)
+        return 0.0 if prem.c > rate else math.inf
     xs, ps = prem.xs, prem.ps
     if ps[-1] <= rate:  # held at ps[-1] beyond the last knot
         return math.inf
@@ -539,8 +546,9 @@ def validate_model(params: ModelParams) -> ValidationReport:
     drift, and penalty integrability, each from the family's closed form.
 
     Speed: a linear premium's discounted integral along the claim-free
-    flow is exactly (eps x + c) / (q - eps) when eps < q; every other
-    family is bounded, so the integral is at most sup p / q.  q = 0 fails.
+    flow is exactly (eps x + c) / (q - eps) when eps < q (c / q for the
+    constant premium, eps = 0); the other families are bounded, so the
+    integral is at most sup p / q.  q = 0 fails.
     The hard rejection (raise) is q = 0 with a linear premium of positive
     slope, where the speed integral diverges exponentially.  The family
     constructors already guarantee p > 0 and w <= 0.
@@ -563,11 +571,11 @@ def validate_model(params: ModelParams) -> ValidationReport:
         speed_pass = False
         reasons.append("speed condition fails: q = 0 makes the discounted premium "
                        "integral diverge for any positive premium")
-    elif prem.kind == "linear":
-        A, B = prem.epsilon / (q - prem.epsilon), prem.c / (q - prem.epsilon)
-    else:  # bounded: constant and rational premiums peak at x = 0
+    elif prem.kind in ("rational", "tabulated"):  # bounded: sup p at x = 0 or a knot
         sup_p = float(np.max(prem.ps)) if prem.kind == "tabulated" else prem.p(0.0)
         A, B = 0.0, sup_p / q
+    else:  # the linear law, the constant premium's too
+        A, B = prem.epsilon / (q - prem.epsilon), prem.c / (q - prem.epsilon)
 
     # (b) eventual positive drift: p(x) > lam * E[C] beyond drift_x0
     rate_out = params.lam * params.claim.mean()

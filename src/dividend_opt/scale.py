@@ -30,14 +30,18 @@ that the step z = dx (lam + q - dx/2 lam f(0)) / p(x) stays inside
 positive: it is 0 at z = -2 and has its pole at z = 2, and past either
 u changes sign from node to node.  z can reach -2 only where dx/2 lam f(0)
 exceeds lam + q.  A step outside (-2, 2) is a NumericsError naming the
-dx below which every step is stable,
+dx below which every step's factor is positive,
 
     min(2 p / (lam + q), ((lam + q) + sqrt((lam + q)^2 + 4 lam f(0) p)) / (lam f(0)))
 
-at p = min p, the second term for f(0) > 0 only; so is an overflow
-within one block near z = 2 (`_near_limit`).  Both marches run in true units
-from W(0) = 1; a march that leaves float range otherwise ends in
-OverflowDomainError, with the largest x_max that stays inside it.
+at p = min p, the second term for f(0) > 0 only, and the step cap
+0.01 min(1/lam, mean claim): a positive factor only keeps each step from
+flipping u's sign, and far past the cap W is still no approximation (at
+z just above -2 it falls by the factor, near 0, per node).  An overflow
+within one block near z = 2 is the same NumericsError (`_near_limit`).
+Both marches run in true units from W(0) = 1; a march that leaves float
+range otherwise ends in OverflowDomainError, with the largest x_max that
+stays inside it.
 
 The relation is the vanishing of the generator residual (A - q)u, which
 `_generator_residual` evaluates on every node: the diagnostics apply it
@@ -556,7 +560,8 @@ def _march(params, p_vals, dx, omega=None):
             f"the march reaches the trapezoid limit at x={i * dx:.6g}: the step "
             f"dx (lam + q - dx/2 lam f(0)) / p(x) is {dx * A / p_vals[i]:.6g}, outside "
             f"(-2, 2), for dx={dx:.6g}; decrease dx below {stable:.6g}, where every "
-            f"step is stable (min p = {floor:.6g})")
+            f"step's factor is positive (min p = {floor:.6g}); an accurate W needs dx "
+            f"within the step cap 0.01·min(1/lambda, mean claim) = {_step_cap(params):.6g}")
     u0 = [1.0] if omega is None else [1.0, 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         if params.claim.kind == "exponential":

@@ -188,10 +188,11 @@ class TestFamilies:
 
     @pytest.mark.parametrize("claim", ["shifted_exponential", "erlang2"])
     def test_tabulated_tails_are_the_plain_expressions(self, claim):
-        # `_tails` computes in place; below the support's end its bits are
-        # those of the expressions, at nodes, inside cells and below x0, and
-        # at and past the end both tails are exactly 0 (the expressions
-        # leave round-off there), for an array and for a 0-d input
+        # below the support's end the bits of `_tails`, which reads the
+        # cell slopes derived once per claim, are those of the expressions,
+        # at nodes, inside cells and below x0, and at and past the end both
+        # tails are exactly 0 (the expressions leave round-off there), for
+        # an array and for a 0-d input
         cl = (shifted_exponential_claim() if claim == "shifted_exponential"
               else erlang2_claim(0.01))
         ys = np.append(np.linspace(cl.x0 - 1.0, cl.support_end + 1.0, 7919), cl.support_end)

@@ -10,13 +10,14 @@ knows on which side of the limit each one is.  At or past it,
 0.99 times the dx that the error names passes the check; below it, it
 never raises that error.
 
-Half the models take dx past the step cap 0.01 min(1/lambda, mean claim),
-up to 10^4 times it, where an exponential claim's dx/2 lam mu can exceed
-lam + q and the step reach the pole z = -2.  Within the cap, a solve
-below the limit returns W > 0 at every node or raises another typed
-error.  Past it, an exponential claim with mu dx near 1 or more can give
-W <= 0 below the limit, with warnings only; that is a different fault
-(under-resolution of the density) and not the trapezoid limit.
+One test keeps dx within the step cap 0.01 min(1/lambda, mean claim),
+where a solve below the limit returns W > 0 at every node or raises
+another typed error.  The other takes dx past the cap, up to 10^4 times
+it, where an exponential claim's dx/2 lam mu can exceed lam + q and the
+step reach the pole z = -2, and checks only the limit: past the cap an
+exponential claim with mu dx near 1 or more can give W <= 0 below the
+limit, with warnings only; that is a different fault (under-resolution of
+the density) and not the trapezoid limit.
 """
 
 import re
@@ -40,9 +41,10 @@ def decades(lo, hi):
 
 
 @st.composite
-def models(draw):
-    """(params, dx, x_max, (step, past, within_cap)): step is dx A / p at the
-    grid's lowest premium node i >= 1, past whether it is outside (-2, 2)."""
+def models(draw, past_cap=False):
+    """(params, dx, x_max, (step, past)): step is dx A / p at the grid's
+    lowest premium node i >= 1, past whether it is outside (-2, 2); dx is
+    within the step cap, or past it when `past_cap`."""
     lam = draw(decades(1e-2, 10.0))
     q = draw(st.just(0.0) | decades(1e-3, 1.0))
     if draw(st.booleans()):
@@ -50,7 +52,7 @@ def models(draw):
     else:
         claim = ERLANG2
     cap = 0.01 * min(1.0 / lam, claim.mean())
-    dx = cap * draw(st.floats(0.05, 1.0) | decades(1.0, 1e4))
+    dx = cap * draw(decades(1.0, 1e4) if past_cap else st.floats(0.05, 1.0))
     A = lam + q - 0.5 * dx * lam * claim.density(0.0)
     assume(A != 0.0)
     n = draw(st.integers(3, 200))
@@ -73,8 +75,7 @@ def models(draw):
         premium, lowest = PremiumModel.tabulated([0.0, knot], [ratio * low, low]), n - 1
     params = ModelParams(premium, claim, PenaltyModel.zero(), lam=lam, q=q)
     p_low = premium.p(dx * np.arange(n))[lowest]
-    return params, dx, dx * (n - 1), (dx * A / p_low, p_low <= 0.5 * dx * abs(A),
-                                      dx <= cap)
+    return params, dx, dx * (n - 1), (dx * A / p_low, p_low <= 0.5 * dx * abs(A))
 
 
 def _solve(params, dx, x_max):
@@ -86,14 +87,13 @@ def _solve(params, dx, x_max):
             return exc
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=models())
-def test_step_at_or_past_the_limit_is_the_one_error(case):
-    params, dx, x_max, (step, past, within_cap) = case
+def _check_the_limit(params, dx, x_max, step, past):
+    """The solve at dx, after checking the limit: at or past it the limit
+    error, whose named dx passes the check at 0.99 times; below it any
+    outcome but that error."""
     out = _solve(params, dx, x_max)
-    event(f"{params.claim.kind} {'past' if past else 'below'} (z {'<' if step < 0 else '>'} 0, "
-          f"{'within' if within_cap else 'past'} the cap): {type(out).__name__}")
+    event(f"{params.claim.kind} {'past' if past else 'below'} "
+          f"(z {'<' if step < 0 else '>'} 0): {type(out).__name__}")
     if past:
         assert isinstance(out, NumericsError) and LIMIT in str(out), (step, out)
         # the dx the error names passes the check on the same domain
@@ -102,5 +102,22 @@ def test_step_at_or_past_the_limit_is_the_one_error(case):
         assert not (isinstance(again, Exception) and LIMIT in str(again)), again
     elif isinstance(out, Exception):
         assert LIMIT not in str(out), (step, out)
-    elif within_cap:
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=models())
+def test_step_at_or_past_the_limit_is_the_one_error(case):
+    params, dx, x_max, (step, past) = case
+    out = _check_the_limit(params, dx, x_max, step, past)
+    if not (past or isinstance(out, Exception)):
         assert np.all(out.W.values > 0), (step, out.W.values)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=models(past_cap=True))
+def test_past_the_step_cap_both_poles_are_the_limit(case):
+    params, dx, x_max, (step, past) = case
+    _check_the_limit(params, dx, x_max, step, past)

@@ -245,8 +245,9 @@ THIN_PREMIUM = ModelParams(PremiumModel.tabulated([0.0, 1.0, 2.0, 50.0],
                            erlang2_claim(0.01), PenaltyModel.zero(), lam=0.1, q=0.05)
 LIMIT_MESSAGE = (r"the march reaches the trapezoid limit at x=\S+: the step "
                  r"dx \(lam \+ q - dx/2 lam f\(0\)\) / p\(x\) is \S+, outside \(-2, 2\), "
-                 r"for dx=\S+; decrease dx below (\S+), where every step is stable "
-                 r"\(min p = \S+\)")
+                 r"for dx=\S+; decrease dx below (\S+), where every step's factor is "
+                 r"positive \(min p = \S+\); an accurate W needs dx within the step cap "
+                 r"0\.01·min\(1/lambda, mean claim\) = (\S+)$")
 # the stiff model: A = lam + q - dx/2 lam mu < 0 past dx = 3e-4
 STIFF = ModelParams(PremiumModel.constant(1.5), ClaimModel.exponential(1e4),
                     PenaltyModel.zero(), lam=0.1, q=0.05)
@@ -303,11 +304,19 @@ class TestTrapezoidLimit:
         assert stable == pytest.approx((0.15 + math.sqrt(0.15 ** 2 + 4e3 * 1.5)) / 1e3,
                                        rel=1e-5)
         assert f"{stable:.4f}" == "0.0776"
-        # 0.99 times the named dx passes the check (its grid, far past the
-        # step cap, warns of under-resolution)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            assert solve_scale(STIFF, 0.99 * stable, 30.0).W.values[0] == 1.0
+        # 0.99 times that dx passes the check, but the factor is near 0
+        # there: W falls about 100 times per node, and solve_scale warns
+        # that the grid is under-resolved
+        with pytest.warns(UserWarning, match="recommended cap"):
+            with pytest.warns(UserWarning, match="W' <= 0 .* the grid is under-resolved"):
+                W = solve_scale(STIFF, 0.99 * stable, 30.0).W.values
+        assert W[0] == 1.0 and W[1] < 0.51 and W[-1] <= 0.0
+        # the step cap the error also names, 0.01 / mu, gives W > 0 and
+        # W' > 0 on the whole grid
+        cap = float(re.search(LIMIT_MESSAGE, str(info.value)).group(2))
+        assert cap == 1e-6
+        sol = solve_scale(STIFF, 0.99 * cap, 0.01)
+        assert np.all(sol.W.values > 0) and np.all(sol.W.derivative_values > 0)
 
     def test_exponential_names_the_stable_dx(self):
         # TestExponentialMarchFailure's model: 2 min p / (lam + q) = 2 / 4.5

@@ -25,10 +25,11 @@ Every timing is seconds, as {"best", "median", "runs"}.  The layers:
   diagnostics of located models, which `tables` never reads.
 - `sweep_certified`: per sweep column, `locate_barrier` on the default
   domain against `locate_barrier` on [0, `tables.MIN_X_MAX`] plus
-  `hjb.exact_verdict`, which `run_sweep` runs instead when the verdict
-  certifies the short domain's a*; the nodes of each solve, whether the
-  column was certified, the count of certified columns, and the nodes that
-  `run_sweep` marches for them all against those of the default domains.
+  `tables._edge_certificate`, which `run_sweep` runs instead when the
+  certificate shows that no longer domain holds a larger h; the nodes of
+  each solve, whether the column was certified, the count of certified
+  columns, and the nodes that `run_sweep` marches for them all against
+  those of the default domains.
 - `convolution`: the diagnostics convolution of W with the claim density
   on 33 334 nodes, for sweep 1's q = 0.05 model and for the tabulated_cli
   model without its penalty.
@@ -47,8 +48,10 @@ Every timing is seconds, as {"best", "median", "runs"}.  The layers:
   every node of its solve grid.
 - `refill`: the group kernel of `simulate.philox_uniforms`, one Philox block
   per key as a lockstep refill draws it, per key, at three key counts.
-- `mc_memory`: the `tracemalloc` peak and the minor page faults of each
-  estimate of the `montecarlo` workload.
+- `mc_memory`: the `tracemalloc` peak of each estimate of the `montecarlo`
+  workload, and its minor page faults in one steady-state pass of the
+  three, run in turn as the workload runs them, with the pass's total; the
+  pass runs in a fresh process, whose heap no earlier layer has grown.
 - `survivors`: its Gerber-Shiu estimate, where the roulette ends most paths,
   with its mean, standard error and ruin fraction.
 - `small_calls`: the workload's `simulate_value` with 8, 100 and 1 000
@@ -79,8 +82,8 @@ from dividend_opt import (PenaltyModel, find_barrier, omega_eval, params_from_di
 from dividend_opt.grid import atomic_write
 from dividend_opt.scale import (_PartitionedHistory, _exponential_march, _grid_arrays,
                                 _march, _trapezoid_convolution)
-from dividend_opt.hjb import exact_verdict
-from dividend_opt.tables import DEFAULT_DX, MIN_X_MAX, SWEEPS, default_x_max, locate_barrier
+from dividend_opt.tables import (DEFAULT_DX, MIN_X_MAX, SWEEPS, _edge_certificate,
+                                 default_x_max, locate_barrier)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -120,13 +123,17 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def page_faults(fn):
     """The minor page faults of one call of fn(), after a first call has
     warmed the allocator."""
     fn()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = minor_faults()
     fn()
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return minor_faults() - before
 
 
 def tabulated_cli_config(support=40.0):
@@ -158,16 +165,20 @@ IMPORTS_CODE = ("import resource, sys\n"
                 " int('_hashlib' in sys.modules))\n")
 
 
-def bench_imports(runs=7):
+def fresh_process(code, *args):
+    """The stdout of `python -c code args...` with the library importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dividend_opt.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def bench_imports(runs=7):
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "model.json")
         write_json(config, tabulated_cli_config())
-        t, out = timed(lambda: subprocess.run(
-            [sys.executable, "-c", IMPORTS_CODE, config], env=env, capture_output=True,
-            text=True, check=True).stdout.split(), runs)
+        t, out = timed(lambda: fresh_process(IMPORTS_CODE, config).split(), runs)
     maxrss_kib, openssl = map(int, out)
     return {"wall_s": t, "maxrss_mb": maxrss_kib / 1024.0, "openssl_loaded": openssl}
 
@@ -223,11 +234,10 @@ def bench_sweep_certified(runs=5):
 
             def short():
                 scale, sol = locate_barrier(m, x_max=MIN_X_MAX)
-                return scale, exact_verdict(m, sol.a_star, sol.v_at_barrier)
+                return scale, int(_edge_certificate(scale, sol.alpha))
 
             default_t, (default_scale, _) = timed(lambda: locate_barrier(m), runs)
-            short_t, (short_scale, verdict) = timed(short, runs)
-            ok = int(verdict is not None and verdict.optimal)
+            short_t, (short_scale, ok) = timed(short, runs)
             columns[f"sweep{which}[{value}]"] = {
                 "default_s": default_t, "short_s": short_t,
                 "default_nodes": default_scale.W.n, "short_nodes": short_scale.W.n,
@@ -340,11 +350,42 @@ def bench_refill(keys=PHILOX_KEYS):
                                 runs=15, per=n)[0] for n in keys}
 
 
+def mc_pass_faults(paths=None):
+    """The minor page faults of each `montecarlo` estimate in the second of
+    two passes of the three, run in turn as the workload's passes run them:
+    a back-to-back second call of one estimate reuses the heap that its
+    first call left, and counts none."""
+    cases = montecarlo_cases(paths)
+
+    def one_pass():
+        faults = []
+        for _, fn, model, config in cases:
+            before = minor_faults()
+            fn(model, X0, config)
+            faults.append(minor_faults() - before)
+        return faults
+
+    one_pass()
+    return one_pass()
+
+
+# `mc_pass_faults` in a fresh process: glibc raises its trim and mmap
+# thresholds after large blocks are freed, so in this process, after the
+# earlier layers, the pass counts none
+MC_FAULTS_CODE = ("import json, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from bench_layers import mc_pass_faults\n"
+                  "print(json.dumps(mc_pass_faults(json.loads(sys.argv[2]))))\n")
+
+
 def bench_mc_memory(paths=None):
-    return {name: {"paths": config.paths,
-                   "faults": page_faults(lambda: fn(model, X0, config)),
-                   "peak_bytes": traced_peak(lambda: fn(model, X0, config))}
-            for name, fn, model, config in montecarlo_cases(paths)}
+    faults = json.loads(fresh_process(MC_FAULTS_CODE, os.path.dirname(os.path.abspath(__file__)),
+                                      json.dumps(paths)))
+    out = {name: {"paths": config.paths, "faults": n,
+                  "peak_bytes": traced_peak(lambda: fn(model, X0, config))}
+           for (name, fn, model, config), n in zip(montecarlo_cases(paths), faults)}
+    out["pass_faults"] = sum(faults)
+    return out
 
 
 def bench_survivors(paths=None):

@@ -15,11 +15,14 @@ reference column by design; the CSV keeps both values side by side.
 
 With no `x_max`, `run_sweep` solves each column on [0, 30], the floor of
 `default_x_max` (grown as `locate_barrier` grows it), and keeps that a*
-when `hjb.exact_verdict` certifies the barrier optimal on the whole
-half-line, which no finite scan of h does.  A column it does not certify,
-or whose short solve fails, is solved again on the default domain and
-reported exactly as `locate_barrier` reports it.  An explicit `x_max`
-(`--xmax`) solves every column on that domain alone, as before.
+when W' is certified nondecreasing past the last node (`_edge_certificate`:
+exponential claims, the zero penalty and a linear, constant or rational
+premium).  h = 1/W' then falls past that node, so no longer domain holds a
+larger maximum of h, which no finite scan of h shows.  A column outside
+that test, or whose certificate or short solve fails, is solved again on
+the default domain and reported exactly as `locate_barrier` reports it.
+An explicit `x_max` (`--xmax`) solves every column on that domain alone,
+as before.
 """
 
 from __future__ import annotations
@@ -31,13 +34,17 @@ from dataclasses import dataclass
 
 from .barrier import barrier_solution_at, find_barrier
 from .errors import DomainTooShortError, NumericsError
-from .hjb import exact_verdict
 from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel
-from .scale import solve_scale
+from .scale import ScaleSolution, solve_scale
 
 DEFAULT_DX = 0.005
 MIN_X_MAX = 30.0  # the floor of `default_x_max`, and a sweep column's first domain
 _MAX_DOMAIN_RETRIES = 3
+# The certificate's relative margin is _EDGE_MARGIN_PER_DX2 dx^2, 1e-3 at the
+# default dx: 90 times the largest relative error of W and W' at x = 30 over
+# the 29 bundled columns, 0.45 dx^2 (sweep 2 at mu = 1.1, for dx from 0.0025
+# to 0.05, against dx = 0.000625)
+_EDGE_MARGIN_PER_DX2 = 40.0
 
 
 @dataclass(frozen=True)
@@ -138,16 +145,66 @@ def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None):
 
 
 def _certified_a_star(params: ModelParams, dx: float) -> float | None:
-    """a* located from [0, MIN_X_MAX] when the exact verdict above it says
-    the barrier is optimal, else None: also when the verdict has no answer
-    or the short solve fails, which the default domain then repeats or
-    resolves."""
+    """a* located from [0, MIN_X_MAX] when `_edge_certificate` shows that no
+    longer domain holds a larger h, else None: also for a model outside the
+    certificate, which is not solved short, and when the short solve fails;
+    the default domain then repeats or resolves it."""
+    if (params.claim.kind != "exponential" or not params.penalty.is_zero
+            or params.premium.kind not in ("constant", "linear", "rational")):
+        return None
     try:
-        sol = locate_barrier(params, dx=dx, x_max=MIN_X_MAX)[1]
+        scale, sol = locate_barrier(params, dx=dx, x_max=MIN_X_MAX)
     except (NumericsError, ValueError):
         return None
-    verdict = exact_verdict(params, sol.a_star, sol.v_at_barrier)
-    return sol.a_star if verdict is not None and verdict.optimal else None
+    return sol.a_star if _edge_certificate(scale, sol.alpha) else None
+
+
+def _edge_certificate(scale: ScaleSolution, h_max: float) -> bool:
+    """Whether W' is nondecreasing on [x1, inf), x1 the last node, and
+    h = 1/W' at x1 is below `h_max`, the located maximum of h on [0, x1].
+
+    For exponential(mu) claims and the zero penalty, differentiating the
+    defining relation (the convolution's derivative is mu W less mu times
+    the convolution) gives
+
+        p W'' = (lam + q - p' - mu p) W' + mu q W,
+
+    and differentiating again, at any critical point of W' (W'' = 0),
+
+        p W''' = kappa W',   kappa = mu q - p'' - mu p'.
+
+    Suppose W'(x1) > 0, W''(x1) > 0 and kappa > 0 on [x1, inf)
+    (`_kappa_positive`).  Where W'' first fell to 0 past x1, W' would have
+    risen and still be positive, so W''' = kappa W' / p > 0 there, while
+    W'' was falling to 0: a contradiction.  So W' rises on [x1, inf), and
+    h = 1/W' (G = 0) falls there.  W''(x1) comes from the relation with the
+    march's W(x1) and W'(x1).  It must clear the relative margin
+    _EDGE_MARGIN_PER_DX2 dx^2, above the march's own O(dx^2) error,
+    against the sum of the magnitudes of its two terms, and h_max - h(x1)
+    must clear the same margin against h_max.
+    """
+    params, W = scale.params, scale.W
+    x1, w, wp = W.x_end, float(W.values[-1]), float(W.derivative_values[-1])
+    mu, lam, q, premium = params.claim.mu, params.lam, params.q, params.premium
+    if not (wp > 0.0 and _kappa_positive(premium, mu, q, x1)):
+        return False
+    margin = _EDGE_MARGIN_PER_DX2 * scale.dx ** 2
+    slope_term = (lam + q - premium.p_prime(x1) - mu * premium.p(x1)) * wp
+    level_term = mu * q * w
+    return (slope_term + level_term > margin * (abs(slope_term) + abs(level_term))
+            and h_max - 1.0 / wp > margin * h_max)
+
+
+def _kappa_positive(premium: PremiumModel, mu: float, q: float, x1: float) -> bool:
+    """Whether kappa = mu q - p'' - mu p' > 0 on all of [x1, inf).  For the
+    linear law (constant included) kappa = mu (q - eps).  For the rational
+    law p = c + 1/(1+x), (1+x)^3 kappa = mu q (1+x)^3 + mu (1+x) - 2, which
+    increases in x, so its sign at x1 holds beyond.  False for a tabulated
+    premium, whose p'' is not a function."""
+    if premium.kind == "rational":
+        u = 1.0 + x1
+        return mu * q * u ** 3 + mu * u - 2.0 > 0.0
+    return premium.kind != "tabulated" and premium.epsilon < q
 
 
 def sweep_csv(rows) -> str:

@@ -10,7 +10,7 @@ from dividend_opt import (ClaimModel, DomainTooShortError, GridFunction,
                           ModelParams, NumericsError, PenaltyModel, PremiumModel,
                           barrier_boundary_identity, barrier_solution_at,
                           find_barrier, h_eval, solve_scale, value_function)
-from dividend_opt import _reference, tables
+from dividend_opt import _reference, hjb, tables
 from dividend_opt import scale as scale_module
 from dividend_opt.barrier import h_grid
 from dividend_opt.model import omega_eval
@@ -234,28 +234,41 @@ def todays_rows(which, dx=tables.DEFAULT_DX, x_max=None):
 
 
 class TestCertifiedSweep:
-    """`run_sweep` with no x_max keeps the a* of [0, MIN_X_MAX] where the
-    exact verdict certifies it, and otherwise reports the default domain's."""
+    """`run_sweep` with no x_max keeps the a* of [0, MIN_X_MAX] where W' is
+    certified nondecreasing past the last node, and otherwise reports the
+    default domain's."""
 
-    def test_certifies_28_of_29_columns(self, monkeypatch):
-        verdicts, domains = [], []
-        verdict, located = tables.exact_verdict, tables.locate_barrier
+    def test_certifies_all_29_columns(self, monkeypatch):
+        certificates, domains, verdicts = [], [], []
+        certify, located = tables._edge_certificate, tables.locate_barrier
 
-        def spy_verdict(*args):
-            verdicts.append(verdict(*args))
-            return verdicts[-1]
+        def spy_certificate(*args):
+            certificates.append(certify(*args))
+            return certificates[-1]
 
         def spy_locate(params, dx, x_max):
             domains.append(x_max)
             return located(params, dx, x_max)
 
-        monkeypatch.setattr(tables, "exact_verdict", spy_verdict)
+        monkeypatch.setattr(tables, "_edge_certificate", spy_certificate)
         monkeypatch.setattr(tables, "locate_barrier", spy_locate)
+        monkeypatch.setattr(hjb, "exact_verdict", lambda *args: verdicts.append(args))
         for which in SWEEPS:
             tables.run_sweep(which)
-        assert len(verdicts) == 29
-        assert sum(v.optimal for v in verdicts) == 28
-        assert domains.count(tables.MIN_X_MAX) == 29 and domains.count(None) == 1
+        assert len(certificates) == 29 and all(certificates)
+        assert domains == [tables.MIN_X_MAX] * 29
+        assert verdicts == []
+
+    def test_grid_oracle_h_falls_past_the_short_domain(self, table_solutions):
+        # on the default domain, W' is nondecreasing node by node from
+        # x1 = MIN_X_MAX on, and h there stays below its maximum h(a*)
+        for which, spec in SWEEPS.items():
+            for value in spec.values:
+                scale, sol = table_solutions(which, value)
+                i1 = int(round(tables.MIN_X_MAX / scale.dx))
+                assert scale.W.n > i1 + 1000, (which, value)
+                assert np.all(np.diff(scale.W.derivative_values[i1:]) >= 0.0), (which, value)
+                assert sol.h_profile.values[i1 + 1:].max() < sol.alpha, (which, value)
 
     def test_certified_a_star_within_the_refinement_width(self, table_solutions):
         for which, spec in SWEEPS.items():
@@ -264,8 +277,62 @@ class TestCertifiedSweep:
                 assert abs(a - default) <= 1e-6, (which, value)
 
     def test_uncertified_row_is_the_default_domains(self):
-        # sweep 6 at lambda = 0.25: (A - q) v reaches +2.7e-2 above a* = 0
+        # sweep 6 at lambda = 0.25, where no barrier is optimal ((A - q) v
+        # reaches +2.7e-2 above a* = 0), keeps the default domain's row
         assert repr(tables.run_sweep(6)[4]) == repr(todays_rows(6)[4])
+
+    @pytest.mark.parametrize("model", ["penalised", "tabulated premium"])
+    def test_model_outside_the_certificate_falls_back(self, model, monkeypatch):
+        base = SWEEPS[1].model_for
+        if model == "penalised":
+            def model_for(self, value):
+                return dataclasses.replace(base(value), penalty=PenaltyModel.linear(1.0, 0.5))
+        else:
+            def model_for(self, value):
+                params = base(value)
+                xs = np.linspace(0.0, 100.0, 201)
+                return dataclasses.replace(
+                    params, premium=PremiumModel.tabulated(xs, params.premium.p(xs)))
+        domains, located = [], tables.locate_barrier
+
+        def spy_locate(params, dx, x_max):
+            domains.append(x_max)
+            return located(params, dx, x_max)
+
+        monkeypatch.setattr(tables.SweepSpec, "model_for", model_for)
+        monkeypatch.setattr(tables, "locate_barrier", spy_locate)
+        assert tables._certified_a_star(SWEEPS[1].model_for(0.05), tables.DEFAULT_DX) is None
+        assert domains == []
+        rows = tables.run_sweep(1)
+        assert domains == [None] * 5
+        assert repr(rows) == repr(todays_rows(1))
+
+    def test_each_condition_of_the_certificate(self):
+        # sweep 1 at q = 0.05 has a* = 5.33, the minimum of W': on [0, 4],
+        # W' still falls at the last node; on [0, 30] it rises
+        params = SWEEPS[1].model_for(0.05)
+        short = solve_scale(params, tables.DEFAULT_DX, 4.0)
+        assert not tables._edge_certificate(short, 1e6)
+        scale, sol = locate_barrier(params, x_max=tables.MIN_X_MAX)
+        assert tables._edge_certificate(scale, sol.alpha)
+        h1 = 1.0 / scale.W.derivative_values[-1]
+        assert not tables._edge_certificate(scale, h1 * (1.0 + 0.5e-3))  # inside the margin
+        assert tables._edge_certificate(scale, h1 * (1.0 + 2e-3))
+
+    def test_kappa_boundary(self):
+        # rational law: mu q u^3 + mu u = 2 at u = 1 + x1 = 31
+        q = 0.01
+        mu = 2.0 / (q * 31.0 ** 3 + 31.0)
+        rational = PremiumModel.rational(1.0)
+        assert tables._kappa_positive(rational, mu * (1 + 1e-9), q, 30.0)
+        assert not tables._kappa_positive(rational, mu * (1 - 1e-9), q, 30.0)
+        assert tables._kappa_positive(rational, mu, q, 30.1)  # kappa rises with x
+        # the linear law: kappa = mu (q - eps)
+        assert tables._kappa_positive(PremiumModel.linear(1.0, 0.02), 0.3, 0.0201, 30.0)
+        assert not tables._kappa_positive(PremiumModel.linear(1.0, 0.02), 0.3, 0.02, 30.0)
+        assert tables._kappa_positive(PremiumModel.constant(1.0), 0.3, 1e-12, 30.0)
+        tabulated = PremiumModel.tabulated([0.0, 60.0], [1.0, 2.2])
+        assert not tables._kappa_positive(tabulated, 0.3, 0.05, 30.0)
 
     @pytest.mark.parametrize("error", [DomainTooShortError("short", suggested_x_max=None),
                                        ValueError("need 0 < dx < x_max")])
@@ -285,10 +352,10 @@ class TestCertifiedSweep:
     @pytest.mark.parametrize("which, dx, x_max", [(1, tables.DEFAULT_DX, 40.0),
                                                   (6, 0.01, 60.0)])
     def test_explicit_domain_is_todays(self, which, dx, x_max, monkeypatch):
-        def verdict(*args):
-            raise AssertionError("an explicit domain takes no verdict")
+        def certificate(*args):
+            raise AssertionError("an explicit domain takes no certificate")
 
-        monkeypatch.setattr(tables, "exact_verdict", verdict)
+        monkeypatch.setattr(tables, "_edge_certificate", certificate)
         assert repr(tables.run_sweep(which, dx=dx, x_max=x_max)) == repr(
             todays_rows(which, dx, x_max))
 

@@ -7,7 +7,11 @@ the tabulated Erlang-2 model of `tabulated_cli` and the three estimates of
 `montecarlo` at the workload seed `SEED`.  Only code that the pipeline runs
 is timed; each fast path's agreement with its test oracle is a tier-1 test.
 
-Every timing is seconds, as {"best", "median", "runs"}.  The layers:
+Every timing is seconds, as {"best", "median", "runs"}.  Every count of
+minor page faults comes from a fresh process, whose heap no earlier layer
+has grown: after large blocks are freed, glibc raises its trim and mmap
+thresholds, and a later layer in the same process would count none.  The
+layers:
 
 - `imports`: a fresh `python -c` process that imports `dividend_opt.cli`
   and digests the tabulated_cli config, as every command begins: its wall
@@ -19,10 +23,14 @@ Every timing is seconds, as {"best", "median", "runs"}.  The layers:
 - `penalised_solve`: `solve_scale` on each sweep model with the constant
   penalty w = -1 (W and G_p as two columns of one march, then G and the
   diagnostics), summed.
-- `locate`: `tables.locate_barrier` on each sweep model, summed, as
-  `dividend-opt tables` runs it, with the minor page faults per locate;
-  then the first read of the value curve v and of the residual
-  diagnostics of located models, which `tables` never reads.
+- `locate`: `tables.locate_barrier` on each sweep model, summed, on its
+  default domain, with the minor page faults per locate; then the first
+  read of the value curve v and of the residual diagnostics of located
+  models.
+- `locate_nodes`: the nodes of the default domain of `locate_barrier`, per
+  model and summed, against those of the cap `default_x_max`, for the sweep
+  models, sweep 1 with the penalties w = -1 and w = -1 + 0.5 y, and the
+  tabulated_cli model.
 - `sweep_certified`: per sweep column, `locate_barrier` on the default
   domain against `locate_barrier` on [0, `tables.MIN_X_MAX`] plus
   `tables._edge_certificate`, which `run_sweep` runs instead when the
@@ -44,14 +52,16 @@ Every timing is seconds, as {"best", "median", "runs"}.  The layers:
   march and its `tracemalloc` peak in float64 per node.
 - `csv_write`: `v_curve.csv` of the tabulated_cli model streamed through
   `grid.atomic_write`, as `barrier` writes it, with its `tracemalloc` peak.
+- `tabulated_cli_pass`: one pass of the `tabulated_cli` workload in this
+  process, `barrier`, `verify` and `simulate` through `cli.main`, in all
+  and per command, with the rows of the `v_curve.csv` it writes.
 - `omega`: the penalty rate `omega_eval` of the tabulated_cli model on
   every node of its solve grid.
 - `refill`: the group kernel of `simulate.philox_uniforms`, one Philox block
   per key as a lockstep refill draws it, per key, at three key counts.
 - `mc_memory`: the `tracemalloc` peak of each estimate of the `montecarlo`
   workload, and its minor page faults in one steady-state pass of the
-  three, run in turn as the workload runs them, with the pass's total; the
-  pass runs in a fresh process, whose heap no earlier layer has grown.
+  three, run in turn as the workload runs them, with the pass's total.
 - `survivors`: its Gerber-Shiu estimate, where the roulette ends most paths,
   with its mean, standard error and ruin fraction.
 - `small_calls`: the workload's `simulate_value` with 8, 100 and 1 000
@@ -87,8 +97,8 @@ from dividend_opt.tables import (DEFAULT_DX, MIN_X_MAX, SWEEPS, _edge_certificat
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
-from workloads import (X0, MonteCarlo, Sweep, erlang2_config, sweep1_q05,  # noqa: E402
-                       write_json)
+from workloads import (X0, MonteCarlo, Sweep, TabulatedCli, erlang2_config,  # noqa: E402
+                       sweep1_q05, write_json)
 
 SEED = 7  # the workload seed: perfbench/run.py --seed 7
 SMALL_CALL_PATHS = (8, 100, 1000)
@@ -183,20 +193,65 @@ def bench_imports(runs=7):
     return {"wall_s": t, "maxrss_mb": maxrss_kib / 1024.0, "openssl_loaded": openssl}
 
 
-def bench_sweep_march():
-    grids = [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in SWEEP_MODELS]
+def sweep_grids():
+    """(model, premium at the nodes) of each sweep model on its cap's grid."""
+    return [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in SWEEP_MODELS]
 
-    def march(m, p):
-        _exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX, [1.0], [0.0])
+
+def sweep_march(m, p):
+    _exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX, [1.0], [0.0])
+
+
+def blocked_march_call(penalised=True, support=40.0):
+    """(march, nodes): the march of `solve_scale` on the tabulated_cli
+    model's cap grid, its claim on [0, support]: W and G_p with its linear
+    penalty, W alone without it."""
+    params = tabulated_cli_model(support)
+    if not penalised:
+        params = dataclasses.replace(params, penalty=PenaltyModel.zero())
+    x, p = _grid_arrays(params, DEFAULT_DX, default_x_max(params))
+    omega = omega_eval(params, x) if penalised else None
+
+    def march():
+        _march(params, p, DEFAULT_DX, omega)
+
+    return march, x.size
+
+
+def pass_faults(layer, *args):
+    """The minor page faults that `layer` reports, per march or locate."""
+    if layer == "sweep_march":
+        grids = sweep_grids()
+        return page_faults(lambda: [sweep_march(m, p) for m, p in grids]) / len(grids)
+    if layer == "locate":
+        return page_faults(lambda: [locate_barrier(m) for m in SWEEP_MODELS]) / len(SWEEP_MODELS)
+    return page_faults(blocked_march_call(*args)[0])
+
+
+# a function of this script with JSON arguments, run in a fresh process for
+# its page faults (see the module docstring); prints its JSON result
+FRESH_CODE = ("import json, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import bench_layers\n"
+              "print(json.dumps(getattr(bench_layers, sys.argv[2])(*json.loads(sys.argv[3]))))\n")
+
+
+def in_fresh_process(name, *args):
+    return json.loads(fresh_process(FRESH_CODE, os.path.dirname(os.path.abspath(__file__)),
+                                    name, json.dumps(args)))
+
+
+def bench_sweep_march():
+    grids = sweep_grids()
 
     def one_pass():
         for m, p in grids:
-            march(m, p)
+            sweep_march(m, p)
 
     return {"models": len(grids), "nodes": sum(p.size for _, p in grids),
             "march_s": timed(one_pass, runs=3)[0],
-            "faults_per_march": page_faults(one_pass) / len(grids),
-            "peak_floats_per_node": max(traced_peak(lambda: march(m, p)) / (8 * p.size)
+            "faults_per_march": in_fresh_process("pass_faults", "sweep_march"),
+            "peak_floats_per_node": max(traced_peak(lambda: sweep_march(m, p)) / (8 * p.size)
                                         for m, p in grids)}
 
 
@@ -218,11 +273,32 @@ def bench_locate(runs=5):
 
     models = len(SWEEP_MODELS)
     return {"models": models, "locate_s": timed(one_pass, runs)[0],
-            "faults_per_locate": page_faults(one_pass) / models,
+            "faults_per_locate": in_fresh_process("pass_faults", "locate"),
             "first_v_s": timed(lambda ls: [sol.v for _, sol in ls], runs,
                                setup=located)[0],
             "first_diagnostics_s": timed(lambda ls: [scale.diagnostics for scale, _ in ls],
                                          runs, setup=located)[0]}
+
+
+def bench_locate_nodes():
+    penalties = {"constant": PenaltyModel.constant(1.0), "linear": PenaltyModel.linear(1.0, 0.5)}
+    groups = {
+        "sweep": {f"sweep{w}[{v}]": SWEEPS[w].model_for(v)
+                  for w in Sweep.SWEEPS for v in SWEEPS[w].values},
+        "sweep1_penalised": {f"sweep1[{v}] {name}": dataclasses.replace(
+            SWEEPS[1].model_for(v), penalty=penalty)
+            for name, penalty in penalties.items() for v in SWEEPS[1].values},
+        "tabulated_cli": {"tabulated_cli": tabulated_cli_model()},
+    }
+    out = {}
+    for group, models in groups.items():
+        columns = {name: {"nodes": locate_barrier(m)[0].W.n,
+                          "cap_nodes": int(round(default_x_max(m) / DEFAULT_DX)) + 1}
+                   for name, m in models.items()}
+        out[group] = {"columns": columns,
+                      "nodes": sum(c["nodes"] for c in columns.values()),
+                      "cap_nodes": sum(c["cap_nodes"] for c in columns.values())}
+    return out
 
 
 def bench_sweep_certified(runs=5):
@@ -307,22 +383,14 @@ def history_seconds(fn):
 
 
 def bench_blocked(penalised=True, support=40.0, runs=3):
-    """The march of `solve_scale` on the tabulated_cli model, its claim on
-    [0, support]: W and G_p with its linear penalty, W alone without it."""
-    params = tabulated_cli_model(support)
-    if not penalised:
-        params = dataclasses.replace(params, penalty=PenaltyModel.zero())
-    x, p = _grid_arrays(params, DEFAULT_DX, default_x_max(params))
-    omega = omega_eval(params, x) if penalised else None
-
-    def march():
-        _march(params, p, DEFAULT_DX, omega)
-
-    return {"nodes": x.size, "support_nodes": int(round(support / DEFAULT_DX)) + 1,
+    """The march of `blocked_march_call`."""
+    march, n = blocked_march_call(penalised, support)
+    return {"nodes": n, "support_nodes": int(round(support / DEFAULT_DX)) + 1,
             "columns": 2 if penalised else 1, "march_s": timed(march, runs)[0],
             "history_s": summary([history_seconds(march) for _ in range(runs)]),
-            "faults_per_march": page_faults(march),
-            "peak_floats_per_node": traced_peak(march) / (8 * x.size)}
+            "faults_per_march": in_fresh_process("pass_faults", "blocked", penalised,
+                                                 support),
+            "peak_floats_per_node": traced_peak(march) / (8 * n)}
 
 
 def bench_csv_write(x_max=None):
@@ -336,6 +404,26 @@ def bench_csv_write(x_max=None):
         t, _ = timed(write)
         return {"rows": v.n, "bytes": os.path.getsize(path), "write_s": t,
                 "peak_bytes": traced_peak(write)}
+
+
+def bench_tabulated_cli_pass(runs=5):
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = TabulatedCli(SEED, tmp)
+        workload.setup()
+        workload.run_pass()  # the first calls
+        totals, commands = [], {}
+        for _ in range(runs):
+            ops = workload.run_pass()
+            failed = [f"{op.name}: {op.detail}" for op in ops if not op.ok]
+            if failed:
+                raise RuntimeError(f"tabulated_cli pass failed: {failed}")
+            totals.append(sum(op.seconds for op in ops))
+            for op in ops:
+                commands.setdefault(op.name, []).append(op.seconds)
+        with open(os.path.join(workload.barrier_dir, "v_curve.csv"), encoding="utf-8") as fh:
+            rows = sum(1 for _ in fh) - 1
+    return {"pass_s": summary(totals), "v_curve_rows": rows,
+            **{f"{name}_s": summary(seconds) for name, seconds in commands.items()}}
 
 
 def bench_omega(nodes=None):
@@ -369,18 +457,8 @@ def mc_pass_faults(paths=None):
     return one_pass()
 
 
-# `mc_pass_faults` in a fresh process: glibc raises its trim and mmap
-# thresholds after large blocks are freed, so in this process, after the
-# earlier layers, the pass counts none
-MC_FAULTS_CODE = ("import json, sys\n"
-                  "sys.path.insert(0, sys.argv[1])\n"
-                  "from bench_layers import mc_pass_faults\n"
-                  "print(json.dumps(mc_pass_faults(json.loads(sys.argv[2]))))\n")
-
-
 def bench_mc_memory(paths=None):
-    faults = json.loads(fresh_process(MC_FAULTS_CODE, os.path.dirname(os.path.abspath(__file__)),
-                                      json.dumps(paths)))
+    faults = in_fresh_process("mc_pass_faults", paths)
     out = {name: {"paths": config.paths, "faults": n,
                   "peak_bytes": traced_peak(lambda: fn(model, X0, config))}
            for (name, fn, model, config), n in zip(montecarlo_cases(paths), faults)}
@@ -428,6 +506,7 @@ def main():
         "sweep_march": bench_sweep_march(),
         "penalised_solve": bench_penalised_solve(),
         "locate": bench_locate(),
+        "locate_nodes": bench_locate_nodes(),
         "sweep_certified": bench_sweep_certified(),
         "convolution": bench_convolution(),
         "find_barrier": bench_find_barrier(),
@@ -436,6 +515,7 @@ def main():
         "blocked_march_no_penalty": bench_blocked(penalised=False),
         "blocked_march_support_160": bench_blocked(support=160.0),
         "csv_write": bench_csv_write(),
+        "tabulated_cli_pass": bench_tabulated_cli_pass(),
         "omega": bench_omega(),
         "refill": bench_refill(),
         "mc_memory": bench_mc_memory(),

@@ -137,6 +137,7 @@ def _cmd_barrier(args) -> int:
     doc = sol.to_dict()
     doc["stable_coefficient"] = scale.stable_coefficient
     doc["domain_end"] = scale.domain_end
+    doc["domain"] = scale.domain
     doc["diagnostics"] = scale.diagnostics
     _write_outputs(args.out, "barrier", _digest(args.config),
                    {"barrier.json": _dump_json(doc),

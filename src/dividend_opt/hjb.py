@@ -30,7 +30,7 @@ from .barrier import BarrierSolution
 from .errors import NumericsError
 from .grid import GridFunction
 from .model import ModelParams, omega_eval
-from .scale import _generator_residual
+from .scale import _generator_residual, _second_derivative
 
 _RESIDUAL_TOL = 1e-6
 _H_MONOTONE_SLACK = 1e-9
@@ -49,6 +49,7 @@ class OptimalityReport:
     barrier: float
     tolerance: float
     sanity_band_max: float  # max |residual| on (0, a*); not a gate
+    domain: dict  # the solve's `ScaleSolution.domain`
 
     def to_dict(self) -> dict:
         return {
@@ -60,6 +61,7 @@ class OptimalityReport:
             "thm_decreasing_density_pass": self.thm_decreasing_density_pass,
             "tolerance": self.tolerance,
             "sanity_band_max": self.sanity_band_max,
+            "domain": self.domain,
         }
 
 
@@ -111,9 +113,13 @@ def exact_verdict(params: ModelParams, a_star: float,
     evaluated as p(a*+L) - p(a*) - q L + B expm1(-mu L), B = q V - p(a*) +
     lam/mu, and maximized over the half-line from the sign of
 
-        r'(L) = p'(a*+L) - q - mu B e^{-mu L}:
+        r'(L) = p'(a*+L) - q - mu B e^{-mu L}.
 
-    on each piece where a piecewise-linear premium has slope s, r is convex
+    B comes from the ODE of `scale` below a*: r'(0) = -p(a*) v''(a*-), with
+    v''(a*-) = `scale._second_derivative` at v = V, v' = 1, so that
+    mu B = p(a*) v''(a*-) + p'(a*) - q.
+
+    On each piece where a piecewise-linear premium has slope s, r is convex
     (B >= 0) or concave (B < 0, one stationary point when s < q); for the
     rational premium r' < 0 when B >= 0, and otherwise r' has the sign of a
     concave function, so r has at most one interior maximum, bracketed and
@@ -124,11 +130,12 @@ def exact_verdict(params: ModelParams, a_star: float,
     slope at infinity is at least q, where r is unbounded or the value
     infinite.
     """
-    claim, premium, lam, q = params.claim, params.premium, params.lam, params.q
+    claim, premium, q = params.claim, params.premium, params.q
     if claim.kind != "exponential" or q == 0.0:
         return None
     a, mu = float(a_star), claim.mu
-    B = q * v_at_barrier - premium.p(a) + lam / mu
+    v2 = _second_derivative(params, a, v_at_barrier, 1.0)
+    B = (premium.p(a) * v2 + premium.p_prime(a) - q) / mu
     if premium.kind == "rational":
         points = _rational_stationary(q, mu, B, a)
     else:
@@ -246,4 +253,5 @@ def verify_optimality(solution: BarrierSolution, params: ModelParams) -> Optimal
         decreasing = None
 
     return OptimalityReport(prof, max_above, ns_pass, h_monotone,
-                            convex_concave, decreasing, a, tol, sanity)
+                            convex_concave, decreasing, a, tol, sanity,
+                            solution.scale.domain)

@@ -19,12 +19,12 @@ obeys H_{i+1} = exp(-mu dx) (H_i + w_i u_i f(0)); the deficit at ruin is
 Exp(mu), so omega(x) = omega(0) exp(-mu x) decays by the same factor.  Each
 step is a linear map of the two-number state (u, H + omega/dx), on which
 the derivative depends; G_p is W's march from another start state, and
-`_exponential_march` is an O(n) block scan with O(sqrt(n)) Python-level
-steps.  Every other claim density goes through `_blocked_march`: W and
+`_exponential_chunks` is an O(n) block scan with O(sqrt(n)) Python-level
+steps.  Every other claim density goes through `_blocked_chunks`: W and
 G_p are two columns of one unit lower-triangular system per block of
 `_BLOCK` nodes, and the history older than a super-block of `_SUPER`
 nodes is a partitioned convolution.  The scheme's one stability rule,
-checked in `_march` for every claim kind before either kernel runs, is
+checked in `_march_chunks` for every claim kind before either kernel runs, is
 that the step z = dx (lam + q - dx/2 lam f(0)) / p(x) stays inside
 (-2, 2), where the amplification factor (1 + z/2) / (1 - z/2) is
 positive: it is 0 at z = -2 and has its pole at z = 2, and past either
@@ -51,6 +51,23 @@ is one FFT on the density sampled at the nodes (`_trapezoid_convolution`)
 for every claim kind; a read of the diagnostics samples and transforms
 the density once for both W and G (`_claim_kernel`).
 
+For exponential(mu) claims, omega' = -mu omega and the convolution's
+derivative is mu (u - conv), so differentiating the relation removes both:
+W and G, for every penalty, and every combination of them solve
+
+    p u'' = k u' + mu q u,   k = lam + q - p' - mu p,
+
+which `_second_derivative` evaluates.  Differentiated once more, at a
+critical point of u' it reads p u''' = kappa u', with
+kappa = mu q - p'' - mu p' (`_kappa_positive`).
+
+Both kernels march in chunks (`_march_chunks`): `_blocked_chunks` stops
+at each super-block end, where it keeps its history ring, and
+`_exponential_chunks` every few blocks, where it keeps each column's
+(u, H) state.  At every chunk end the march's first nodes hold exactly
+what the march to the last node computes for them, so a caller can stop
+there and take the stable G of that shorter domain (`_truncated`).
+
 The closed forms that check W and G, for constant and linear premiums
 with exponential claims, are test oracles in `_reference`.
 """
@@ -74,7 +91,7 @@ _DECAY_SLACK = 1e-12
 # round-off of G = G_p - r W relative to the cancelled max |G_p|;
 # the measured tails of well-resolved models sit at 1e-15 to 1e-14 of it
 _CANCEL_FLOOR = 1e-13
-# Nodes per triangular block of `_blocked_march`, a power of two for the
+# Nodes per triangular block of `_blocked_chunks`, a power of two for the
 # doubling inverse
 _BLOCK = 64
 # Nodes per super-block: one 2 _SUPER-point rfft of its rows when it ends,
@@ -89,7 +106,10 @@ class ScaleSolution:
     `sign_checks` holds the flags W' > 0 and 1 - G' > 0, and where each
     first fails, from the solve; `omega` is the penalty rate on the grid,
     None for a zero penalty.  `diagnostics` adds the residual norms to the
-    flags on its first read and is cached from then on.
+    flags on its first read and is cached from then on.  `domain_reason`
+    says how the domain's end was chosen ("xmax": given; "cap" or "tests
+    passed": `tables.locate_barrier`), and `domain_certified` whether a
+    proof shows that no longer domain holds a larger maximum of h.
     """
 
     params: ModelParams
@@ -97,6 +117,8 @@ class ScaleSolution:
     G: GridFunction
     sign_checks: dict
     omega: np.ndarray | None = field(default=None, repr=False, compare=False)
+    domain_reason: str = field(default="xmax", compare=False)
+    domain_certified: bool = field(default=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -105,6 +127,13 @@ class ScaleSolution:
     @property
     def domain_end(self) -> float:
         return self.W.x_end
+
+    @property
+    def domain(self) -> dict:
+        """{end, certified, reason}: the domain as `barrier.json` and
+        `optimality.json` report it."""
+        return {"end": self.domain_end, "certified": self.domain_certified,
+                "reason": self.domain_reason}
 
     @property
     def stable_coefficient(self) -> float:
@@ -177,7 +206,7 @@ def _grid_arrays(params: ModelParams, dx: float, x_max: float):
 
 
 def _scan_block(n: int) -> int:
-    """Steps per block of `_exponential_march` on n nodes, about sqrt(0.1 n):
+    """Steps per block of `_exponential_chunks` on n nodes, about sqrt(0.1 n):
     it balances the B lockstep numpy steps against the n / B Python-float
     steps of the chain."""
     return max(1, round(math.sqrt(0.1 * n)))
@@ -193,7 +222,19 @@ def _near_limit(B: int, i: int, dx: float, A: float, c) -> NumericsError:
         f"decrease dx")
 
 
+def _to_end(chunks):
+    """(values, derivatives) of a chunked march run to its last node."""
+    for _, u, d in chunks:
+        pass
+    return u, d
+
+
 def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
+    """`_exponential_chunks` run to its last node: (values, derivatives)."""
+    return _to_end(_exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0))
+
+
+def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, chunk=None):
     """`_reference.volterra_march` for the density f(z) = mu exp(-mu z), one
     column per entry of u0 and omega0.
 
@@ -215,7 +256,12 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     responses in Python floats gives each block's start state, broadcast
     products expand u and H, and d follows from them.
 
-    Returns (values, derivatives) in true units, each of shape (n, m).  A
+    A generator: after every `chunk` nodes or so (all n when None), rounded
+    to whole blocks, it carries each column's state at the block end on
+    and yields (k, values, derivatives), the first k nodes done.  The
+    arrays, in true units and of shape (n, m), are the same objects at
+    every yield; their rows past k are not yet written.  Every product is
+    elementwise per block, so a node's values do not depend on `chunk`.  A
     column that grows past float range reads inf or nan from there on.
     """
     n = len(p_vals)
@@ -258,24 +304,31 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     ends = R[-1].transpose(2, 0, 1).reshape(nb, 4).tolist()
     u, d = np.empty((2, nb * B + 1, len(u0)))
     h = np.empty((nb, B))
+    states = []  # per column, (u, H) at the start of the next block
     for col, (s0, w0) in enumerate(zip(u0, omega0)):
         u[0, col], d[0, col] = s0, ((lam + q) * s0 - lam * w0) / p_vals[0]
-        su, sh = float(s0), -0.5 * mu * s0 + w0 / dx
-        starts = []
-        for uu, uh, hu, hh in ends:
-            starts.append((su, sh))
-            su, sh = uu * su + uh * sh, hu * su + hh * sh
-        su, sh = np.array(starts).T[:, :, None]
-        uc, dc = u[1:, col].reshape(nb, B), d[1:, col].reshape(nb, B)
-        for var, out in ((1, h), (0, uc)):  # dc is scratch until d is formed
-            np.multiply(R[:, var, 0].T, su, out=out)
-            np.multiply(R[:, var, 1].T, sh, out=dc)
-            out += dc
-        np.multiply(uc, A, out=dc)
-        h *= ldx
-        dc -= h
-        dc *= c_cur.T
-    return u[:n], d[:n]
+        states.append((float(s0), -0.5 * mu * s0 + w0 / dx))
+    per = nb if chunk is None else max(1, round(chunk / B))
+    for b0 in range(0, nb, per):
+        b1 = min(b0 + per, nb)
+        rows, hb = slice(1 + b0 * B, 1 + b1 * B), h[:b1 - b0]
+        for col, (su, sh) in enumerate(states):
+            starts = []
+            for uu, uh, hu, hh in ends[b0:b1]:
+                starts.append((su, sh))
+                su, sh = uu * su + uh * sh, hu * su + hh * sh
+            states[col] = su, sh
+            su, sh = np.array(starts).T[:, :, None]
+            uc, dc = u[rows, col].reshape(-1, B), d[rows, col].reshape(-1, B)
+            for var, out in ((1, hb), (0, uc)):  # dc is scratch until d is formed
+                np.multiply(R[:, var, 0, b0:b1].T, su, out=out)
+                np.multiply(R[:, var, 1, b0:b1].T, sh, out=dc)
+                out += dc
+            np.multiply(uc, A, out=dc)
+            hb *= ldx
+            dc -= hb
+            dc *= c_cur[:, b0:b1].T
+        yield min(rows.stop, n), u[:n], d[:n]
 
 
 def _fft_length(n: int) -> int:
@@ -331,7 +384,7 @@ def _finite_rows(a) -> int:
 
 
 class _PartitionedHistory:
-    """The history of `_blocked_march` from the D super-blocks of S rows
+    """The history of `_blocked_chunks` from the D super-blocks of S rows
     before the current one, as a uniformly partitioned convolution with
     the density f: super-block s - d reaches super-block s through the
     segment f[(d-1)S+1 : (d+1)S], d = 1..D, 0 past f's end.
@@ -368,7 +421,7 @@ class _PartitionedHistory:
         return np.fft.irfft(acc, 2 * S)[:, S - 1:S - 1 + ns].T
 
 
-def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
+def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
     """`_reference.volterra_march` for several columns at once, by blocks.
 
     Column k starts from u0[k]; the last column has the source omega when
@@ -404,14 +457,17 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
     O(n) only in 1/p, in its outputs and, for a support as long as the
     grid, in the ring.
 
-    Returns (values, derivatives) in true units, each of shape (n, m).  A
-    block whose solution leaves float range, while the inverse of its
-    matrix is finite, ends the march: row i of the triangular product
-    reads the right-hand side up to row i only, so the nodes before the
-    first non-finite row keep their values and the nodes from it on read
-    inf, for `_check_range` to report.  Below the trapezoid limit, which
-    `_march` checks, the inverse leaves float range only near it, where
-    one block's growth does: a NumericsError (`_near_limit`).
+    A generator: at the end of every super-block it yields (k, values,
+    derivatives), the first k nodes done, in true units; the arrays, of
+    shape (n, m), are the same objects at every yield, and their rows
+    past k are not yet written.  A block whose solution leaves float
+    range, while the inverse of its matrix is finite, ends the march: row
+    i of the triangular product reads the right-hand side up to row i
+    only, so the nodes before the first non-finite row keep their values
+    and the nodes from it on read inf, for `_check_range` to report.
+    Below the trapezoid limit, which `_march_chunks` checks, the inverse
+    leaves float range only near it, where one block's growth does: a
+    NumericsError (`_near_limit`).
     """
     p = np.asarray(p_vals, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -526,23 +582,34 @@ def _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega=None):
             if k < L:
                 u[b0 + k:] = d[b0 + k:] = np.inf
                 u[0] = u0
-                return u, d
+                yield n, u, d
+                return
             u_prev, d_prev = ub[-1], db[-1]
         if history is not None and s1 < n:
             history.push(s, u[s0:s1])
-    u[0] = u0
-    return u, d
+        u[0] = u0  # no later sum reads node 0 once its super-block is pushed
+        yield s1, u, d
 
 
 def _march(params, p_vals, dx, omega=None):
     """March W, and G_p too when `omega` is given, as columns of one call.
 
     Returns (values, derivatives), each of shape (n, m): column 0 is W,
-    column 1 G_p.  For exponential claims the O(n) march, where G_p needs
-    only omega(0): it is W's march from another start state.  Otherwise the
-    blocked one, on the density sampled at the nodes.  Both run with float
-    overflow silenced: a march past float range reads inf or nan, which the
-    kernels' own checks and `_check_range` report.
+    column 1 G_p.  It is `_march_chunks` run to the last node.
+    """
+    return _to_end(_march_chunks(params, p_vals, dx, omega))
+
+
+def _march_chunks(params, p_vals, dx, omega=None, chunk=None):
+    """`_march` as a generator of (k, values, derivatives) at each chunk
+    end, the first k nodes done; the arrays are the same objects at every
+    yield.  For exponential claims the O(n) march, where G_p needs only
+    omega(0): it is W's march from another start state, in chunks of about
+    `chunk` nodes (one when None).  Otherwise the blocked one, on the
+    density sampled at the nodes, in chunks of one super-block.  Each
+    kernel runs with float overflow silenced, and only while it runs: a
+    march past float range reads inf or nan, which the kernels' own checks
+    and `_check_range` report.
     """
     lam, q = params.lam, params.q
     # the trapezoid limit (module docstring) at the nodes x_i, i >= 1: the
@@ -563,12 +630,18 @@ def _march(params, p_vals, dx, omega=None):
             f"step's factor is positive (min p = {floor:.6g}); an accurate W needs dx "
             f"within the step cap 0.01·min(1/lambda, mean claim) = {_step_cap(params):.6g}")
     u0 = [1.0] if omega is None else [1.0, 0.0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if params.claim.kind == "exponential":
-            omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
-            return _exponential_march(p_vals, params.claim.mu, lam, q, dx, u0, omega0)
+    if params.claim.kind == "exponential":
+        omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
+        chunks = _exponential_chunks(p_vals, params.claim.mu, lam, q, dx, u0, omega0, chunk)
+    else:
         f_vals = params.claim.density(dx * np.arange(p_vals.size))
-        return _blocked_march(p_vals, f_vals, lam, q, dx, u0, omega)
+        chunks = _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            done = next(chunks, None)
+        if done is None:
+            return
+        yield done
 
 
 def _check_range(x, u, d):
@@ -615,18 +688,39 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     """
     x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
-    u, d = _march(params, p_vals, dx, omega)
+    return _solution(params, x_max, x, *_march(params, p_vals, dx, omega), omega)
+
+
+def _solution(params, x_max, x, u, d, omega) -> ScaleSolution:
+    """`solve_scale`'s solution from its march, values u and derivatives d
+    on the grid x of [0, x_max]: W and the stable G, after the range check
+    and, for G, the decay check on the whole grid."""
     _check_range(x, u, d)
-    W = GridFunction(0.0, dx, u[:, 0], d[:, 0])
-    if omega is None:
-        G = GridFunction(0.0, dx, np.zeros_like(W.values), np.zeros_like(W.values))
-    else:
-        r = u[-1, 1] / W.values[-1]
-        noise = _CANCEL_FLOOR * float(np.abs(u[:, 1]).max())
-        G = GridFunction(0.0, dx, u[:, 1] - r * W.values, d[:, 1] - r * W.derivative_values)
-        del u, d  # W and G hold copies of their columns: the march's arrays go now
+    noise = None if omega is None else _CANCEL_FLOOR * float(np.abs(u[:, 1]).max())
+    W, G = _stable_pair(x[1], u, d, omega is not None)  # x[1] is dx
+    del u, d  # W and G hold copies of their columns: the march's arrays go now
+    if omega is not None:
         _check_G_decay(G.values, x_max, noise)
     return ScaleSolution(params, W, G, _sign_checks(params, W, G), omega)
+
+
+def _truncated(params, dx, u, d, omega, k, certified) -> ScaleSolution:
+    """The solution on the first k nodes of a march (values u, derivatives
+    d), a domain whose end the caller's tests chose: G = G_p - r W with
+    r = G_p / W at node k - 1, and no decay check."""
+    W, G = _stable_pair(dx, u[:k], d[:k], omega is not None)
+    return ScaleSolution(params, W, G, _sign_checks(params, W, G),
+                         None if omega is None else omega[:k].copy(), "tests passed", certified)
+
+
+def _stable_pair(dx, u, d, penalised):
+    """(W, G) from the march's columns: W, and G = G_p - r W with
+    r = G_p / W at the last node (G = 0 without a penalty)."""
+    W = GridFunction(0.0, dx, u[:, 0], d[:, 0])
+    if not penalised:
+        return W, GridFunction(0.0, dx, np.zeros_like(W.values), np.zeros_like(W.values))
+    r = u[-1, 1] / W.values[-1]
+    return W, GridFunction(0.0, dx, u[:, 1] - r * W.values, d[:, 1] - r * W.derivative_values)
 
 
 def _check_G_decay(g_vals, x_max, noise):
@@ -737,3 +831,38 @@ def _sign_checks(params, W: GridFunction, G: GridFunction) -> dict:
         out["G_prime_first_violation_x"] = at
         warnings.warn(f"1 - G' <= 0 at x={at:.6g} (flagged, not clipped)")
     return out
+
+
+def _second_derivative(params, x, u, du):
+    """u''(x) of a solution u of the relation for exponential(mu) claims,
+    from the ODE of the module docstring: (k u' + mu q u) / p with
+    k = lam + q - p' - mu p.  It holds for W, G and every combination of
+    them; x, u and u' are floats or arrays of one shape."""
+    premium, mu, q = params.premium, params.claim.mu, params.q
+    p = premium.p(x)
+    k = params.lam + q - premium.p_prime(x) - mu * p
+    return (k * du + mu * q * u) / p
+
+
+def _kappa_positive(premium, mu: float, q: float, x1: float) -> bool:
+    """Whether kappa = mu q - p'' - mu p' > 0 on all of [x1, inf), where
+    p u''' = kappa u' at every critical point of u' (module docstring).
+
+    For the linear law (constant included) kappa = mu (q - eps).  For the
+    rational law p = c + 1/(1+x),
+    (1+x)^3 kappa = mu q (1+x)^3 + mu (1+x) - 2, which increases in x, so
+    its sign at x1 holds beyond.  A tabulated premium has
+    kappa = mu (q - s) on each piece of slope s, and p'' holds
+    a point mass, the slope's jump, at each knot: every slope from x1 on
+    must be below q, and none may rise at a knot past x1, beyond the
+    round-off of slopes taken from samples (the tolerance of
+    `PremiumModel.concave`).
+    """
+    if premium.kind == "rational":
+        u = 1.0 + x1
+        return mu * q * u ** 3 + mu * u - 2.0 > 0.0
+    if premium.kind == "tabulated":
+        slopes = premium._piece_table[0][np.searchsorted(premium.xs, x1, side="right"):]
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(slopes))))
+        return bool(np.all(slopes < q) and np.all(np.diff(slopes) <= tol))
+    return premium.epsilon < q

@@ -13,29 +13,52 @@ barrier from the scale function that actually satisfies the defining
 integro-differential relation, so its sweep-4-6 barriers differ from the
 reference column by design; the CSV keeps both values side by side.
 
+The default domain of `locate_barrier` (no `x_max`) ends where two a
+posteriori tests and a reach pass, at the end x_k >= MIN_X_MAX of one of
+the chunks in which the march runs (`scale._march_chunks`), and no later
+than `default_x_max`, max(30, 50 mean claims), the cap:
+
+- the G test: G = G_p - r W with r = G_p(x_k) / W(x_k), so moving the end
+  further changes G on [0, a*] by |r_inf - r_k| W(a*).  The differences
+  of r over the last two chunks estimate the rest of r's geometric tail,
+  which must stay below 1e-12 max |G| (`_G_CHANGE`); G = 0 without a
+  penalty;
+- the reach: x_k >= a* + 10 mean claims, or a* + max(support end, 10 mean
+  claims) for a tabulated claim, with a given barrier standing in for a*;
+- the h test: for exponential claims `_h_falls_past`, a proof that no x
+  past x_k has a larger h, which reports the domain certified; for other
+  claims, h nonincreasing node by node over the last chunk, which proves
+  nothing past x_k and reports it uncertified.
+
+A model that has not passed by the cap gets the solve of the cap's
+domain exactly, with its decay check and retries: its march is the one
+the chunks ran.  The domain and how its end was chosen are
+`ScaleSolution.domain`.
+
 With no `x_max`, `run_sweep` solves each column on [0, 30], the floor of
 `default_x_max` (grown as `locate_barrier` grows it), and keeps that a*
-when W' is certified nondecreasing past the last node (`_edge_certificate`:
-exponential claims, the zero penalty and a linear, constant or rational
-premium).  h = 1/W' then falls past that node, so no longer domain holds a
-larger maximum of h, which no finite scan of h shows.  A column outside
-that test, or whose certificate or short solve fails, is solved again on
-the default domain and reported exactly as `locate_barrier` reports it.
-An explicit `x_max` (`--xmax`) solves every column on that domain alone,
-as before.
+when `_edge_certificate` holds at the last node for the zero penalty and
+a linear, constant or rational premium.  A column outside that test, or
+whose certificate or short solve fails, is solved again with
+`locate_barrier` and reported exactly as it reports it.  An explicit
+`x_max` (`--xmax`) solves every column on that domain alone, as before.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .barrier import barrier_solution_at, find_barrier
 from .errors import DomainTooShortError, NumericsError
-from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel
-from .scale import ScaleSolution, solve_scale
+from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel, omega_eval
+from .scale import (_MAX_SAFE_LOG, _SUPER, ScaleSolution, _grid_arrays, _kappa_positive,
+                    _march_chunks, _second_derivative, _solution, _truncated, solve_scale)
 
 DEFAULT_DX = 0.005
 MIN_X_MAX = 30.0  # the floor of `default_x_max`, and a sweep column's first domain
@@ -45,6 +68,9 @@ _MAX_DOMAIN_RETRIES = 3
 # the 29 bundled columns, 0.45 dx^2 (sweep 2 at mu = 1.1, for dx from 0.0025
 # to 0.05, against dx = 0.000625)
 _EDGE_MARGIN_PER_DX2 = 40.0
+# the G test: the largest change of G on [0, a*] that a longer domain may
+# still make, relative to max |G|
+_G_CHANGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,22 +131,119 @@ def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
                    x_max: float | None = None, barrier: float | None = None):
     """Solve the scale functions and locate a*, or take the given `barrier`,
     growing the domain when G has not decayed by the truncation edge or the
-    h-maximum lands on it.  The default domain reaches 10 mean claims past
-    a given barrier."""
+    h-maximum lands on it.
+
+    With no `x_max`, the domain ends at the first chunk end where the tests
+    of the module docstring pass, and otherwise at the cap, `default_x_max`
+    or 10 mean claims past a given barrier if that is further.
+    """
+    reason, march = "xmax", None
     if x_max is None:
         x_max = default_x_max(params)
         if barrier is not None:
             x_max = max(x_max, barrier + 10.0 * params.claim.mean())
+        found, march = _short_domain(params, dx, x_max, barrier)
+        if found is not None:
+            return found
+        reason = "cap"
     last = None
     for _ in range(_MAX_DOMAIN_RETRIES):
         try:
-            scale = solve_scale(params, dx, x_max)
+            done, march = march, None  # the march to the cap serves the first solve only
+            scale = solve_scale(params, dx, x_max) if done is None else _solution(
+                params, x_max, *done)
+            if scale.domain_reason != reason:
+                scale = dataclasses.replace(scale, domain_reason=reason)
             return scale, (find_barrier(scale) if barrier is None
                            else barrier_solution_at(scale, barrier))
         except DomainTooShortError as exc:
             last = exc
             x_max = exc.suggested_x_max or 2.0 * x_max
     raise last
+
+
+def _short_domain(params: ModelParams, dx: float, x_max: float, barrier: float | None):
+    """March [0, x_max] in chunks and stop at the first chunk end past
+    MIN_X_MAX where the tests pass: ((scale, solution), None) there, else
+    (None, (x, u, d, omega)), the march of `solve_scale(params, dx, x_max)`
+    run to its end.  A chunk that leaves float range or has W' <= 0 ends
+    the tests, and so does 1 - G' <= 0 on a tested domain: the solve of
+    the cap reports those as it always has."""
+    x, p_vals = _grid_arrays(params, dx, x_max)
+    omega = None if params.penalty.is_zero else omega_eval(params, x)
+    claim = params.claim
+    exponential = claim.kind == "exponential"
+    reach = 10.0 * claim.mean() if exponential else max(claim.support_end,
+                                                         10.0 * claim.mean())
+    ratios, k0, testing = [], 0, True  # r = G_p / W at each chunk end
+    last = {}  # W(a*) and max |G| of the last domain that reached the G test
+    chunks = _march_chunks(params, p_vals, dx, omega, _SUPER)
+    for k, u, d in chunks:
+        if k == x.size:
+            break
+        new_u, new_d = u[k0:k], d[k0:k]
+        testing = testing and bool(
+            np.isfinite(new_u).all() and np.isfinite(new_d).all()
+            and new_d[:, 0].min() > 0.0 and new_u[:, 0].max() <= math.exp(_MAX_SAFE_LOG))
+        if omega is not None:
+            ratios.append(u[k - 1, 1] / u[k - 1, 0])
+        if testing and x[k - 1] >= MIN_X_MAX:
+            testing, passed = _tests_pass(params, dx, u, d, omega is not None, k0, k, ratios,
+                                          barrier, reach, last)
+            if passed:
+                chunks.close()  # the kernel's working arrays go before the solution is built
+                scale = _truncated(params, dx, u, d, omega, k, exponential)
+                return (scale, find_barrier(scale) if barrier is None
+                        else barrier_solution_at(scale, barrier)), None
+        k0 = k
+    return None, (x, u, d, omega)
+
+
+def _tests_pass(params, dx, u, d, penalised, k0, k, ratios, barrier, reach, last):
+    """(keep testing, passed) for the domain of the march's first k nodes,
+    its last chunk from node k0: the reach, the G test and the h test of
+    the module docstring, the cheapest first, all on the march's arrays.
+    The G test with `last`, W(a*) and max |G| of the last domain that
+    reached it, skips the O(k) work of a domain that would fail it; the
+    test that decides uses this domain's own."""
+    i = k - 1
+    if not dx * i >= (0.0 if barrier is None else barrier) + reach:
+        return True, False
+    r = ratios[-1] if penalised else 0.0
+    if penalised:
+        if len(ratios) < 3:
+            return True, False
+        step, before = abs(r - ratios[-2]), abs(ratios[-2] - ratios[-3])
+        rho = step / before if before else math.inf
+        tail = 0.0 if step == 0.0 else step * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        if tail == math.inf or last and not tail * last["w_a"] <= _G_CHANGE * last["gmax"]:
+            return True, False
+    wd = d[:k, 0]
+    h = (1.0 - d[:k, 1] + r * wd if penalised else 1.0) / wd
+    if h.min() <= 0.0:  # 1 - G' <= 0: the solve of the cap warns of it
+        return False, False
+    if barrier is None:  # the largest node of h's maximum, as `find_barrier` ties it
+        h_max = float(h.max())
+        j = int(np.nonzero(h >= h_max - 1e-9 * abs(h_max))[0][-1])
+        if j == i:
+            return True, False
+        a_hi = dx * (j + 1)  # a* lies in its bracket
+        if not dx * i >= a_hi + reach:
+            return True, False
+    else:
+        a_hi, j = barrier, min(int(barrier / dx), i - 1)
+        t = barrier / dx - j
+        h_max = float((1.0 - t) * h[j] + t * h[j + 1])
+    if penalised:
+        last["w_a"] = u[min(math.ceil(a_hi / dx), i), 0]  # W rises: its largest on [0, a*]
+        last["gmax"] = float(np.abs(u[:k, 1] - r * u[:k, 0]).max())
+        if not tail * last["w_a"] <= _G_CHANGE * last["gmax"]:
+            return True, False
+    if params.claim.kind == "exponential":
+        return True, _h_falls_past(params, dx, dx * i, (u[i, 0], d[i, 0]),
+                                   (u[i, 1] - r * u[i, 0], d[i, 1] - r * d[i, 0])
+                                   if penalised else (0.0, 0.0), h_max)
+    return True, bool(np.all(np.diff(h[k0:]) <= 0.0))
 
 
 def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None):
@@ -160,51 +283,45 @@ def _certified_a_star(params: ModelParams, dx: float) -> float | None:
 
 
 def _edge_certificate(scale: ScaleSolution, h_max: float) -> bool:
-    """Whether W' is nondecreasing on [x1, inf), x1 the last node, and
-    h = 1/W' at x1 is below `h_max`, the located maximum of h on [0, x1].
+    """`_h_falls_past` at the last node of `scale`."""
+    W, G = scale.W, scale.G
+    return _h_falls_past(scale.params, scale.dx, W.x_end,
+                         (W.values[-1], W.derivative_values[-1]),
+                         (G.values[-1], G.derivative_values[-1]), h_max)
 
-    For exponential(mu) claims and the zero penalty, differentiating the
-    defining relation (the convolution's derivative is mu W less mu times
-    the convolution) gives
 
-        p W'' = (lam + q - p' - mu p) W' + mu q W,
+def _h_falls_past(params, dx, x1, w, g, h_max) -> bool:
+    """Whether h < h_max on all of [x1, inf), for exponential(mu) claims
+    and every penalty, from w = (W, W') and g = (G, G') at x1, a march's
+    last node.
 
-    and differentiating again, at any critical point of W' (W'' = 0),
+    U = G + h_max W solves the ODE p u'' = k u' + mu q u of `scale`, and
+    where W' > 0, U' >= 1 exactly when h = (1 - G') / W' <= h_max.  V = U'
+    solves p V'' = (k - p') V' + kappa V, kappa = mu q - p'' - mu p'.
+    Suppose W'(x1) > 0, W''(x1) > 0, U'(x1) > 1, U''(x1) > 0 and kappa > 0
+    on [x1, inf) (`_kappa_positive`).  Where V' first fell to 0 past x1, V
+    would have risen and still be positive, so p V'' = kappa V > 0 there,
+    while V' was falling to 0: a contradiction.  So U' rises on [x1, inf),
+    and so does W' (U = W, G = 0), and h < h_max there.  For the zero
+    penalty U = h_max W, and h = 1/W'.
 
-        p W''' = kappa W',   kappa = mu q - p'' - mu p'.
-
-    Suppose W'(x1) > 0, W''(x1) > 0 and kappa > 0 on [x1, inf)
-    (`_kappa_positive`).  Where W'' first fell to 0 past x1, W' would have
-    risen and still be positive, so W''' = kappa W' / p > 0 there, while
-    W'' was falling to 0: a contradiction.  So W' rises on [x1, inf), and
-    h = 1/W' (G = 0) falls there.  W''(x1) comes from the relation with the
-    march's W(x1) and W'(x1).  It must clear the relative margin
-    _EDGE_MARGIN_PER_DX2 dx^2, above the march's own O(dx^2) error,
-    against the sum of the magnitudes of its two terms, and h_max - h(x1)
-    must clear the same margin against h_max.
+    W'' and U'' come from `_second_derivative`.  Each must clear the
+    relative margin _EDGE_MARGIN_PER_DX2 dx^2, above the march's own
+    O(dx^2) error, against the sum of the magnitudes of its two terms, and
+    h_max - h(x1) must clear the same margin against h_max.
     """
-    params, W = scale.params, scale.W
-    x1, w, wp = W.x_end, float(W.values[-1]), float(W.derivative_values[-1])
-    mu, lam, q, premium = params.claim.mu, params.lam, params.q, params.premium
-    if not (wp > 0.0 and _kappa_positive(premium, mu, q, x1)):
+    (w, wp), (g, gp) = map(float, w), map(float, g)
+    if not (wp > 0.0 and _kappa_positive(params.premium, params.claim.mu, params.q, x1)):
         return False
-    margin = _EDGE_MARGIN_PER_DX2 * scale.dx ** 2
-    slope_term = (lam + q - premium.p_prime(x1) - mu * premium.p(x1)) * wp
-    level_term = mu * q * w
-    return (slope_term + level_term > margin * (abs(slope_term) + abs(level_term))
-            and h_max - 1.0 / wp > margin * h_max)
+    margin = _EDGE_MARGIN_PER_DX2 * dx ** 2
 
+    def rises(u, du):
+        slope_term = _second_derivative(params, x1, 0.0, du)
+        level_term = _second_derivative(params, x1, u, 0.0)
+        return slope_term + level_term > margin * (abs(slope_term) + abs(level_term))
 
-def _kappa_positive(premium: PremiumModel, mu: float, q: float, x1: float) -> bool:
-    """Whether kappa = mu q - p'' - mu p' > 0 on all of [x1, inf).  For the
-    linear law (constant included) kappa = mu (q - eps).  For the rational
-    law p = c + 1/(1+x), (1+x)^3 kappa = mu q (1+x)^3 + mu (1+x) - 2, which
-    increases in x, so its sign at x1 holds beyond.  False for a tabulated
-    premium, whose p'' is not a function."""
-    if premium.kind == "rational":
-        u = 1.0 + x1
-        return mu * q * u ** 3 + mu * u - 2.0 > 0.0
-    return premium.kind != "tabulated" and premium.epsilon < q
+    return (rises(w, wp) and rises(g + h_max * w, gp + h_max * wp)
+            and h_max - (1.0 - gp) / wp > margin * h_max)
 
 
 def sweep_csv(rows) -> str:

@@ -7,7 +7,7 @@ import pytest
 
 import dividend_opt
 from dividend_opt import ClaimModel, ModelParams, PenaltyModel, PremiumModel
-from dividend_opt.tables import SWEEPS, locate_barrier
+from dividend_opt.tables import SWEEPS, default_x_max, locate_barrier
 
 
 def run_python(code: str) -> str:
@@ -93,13 +93,16 @@ def table1_q05():
 
 @pytest.fixture(scope="session")
 def table_solutions():
-    """Session cache of (scale, barrier solution) per sweep column."""
+    """Session cache of (scale, barrier solution) per sweep column, on the
+    long domain `default_x_max`: the oracles that the shorter default
+    domain of `locate_barrier` is checked against."""
     cache = {}
 
     def get(which, value):
         key = (which, value)
         if key not in cache:
-            cache[key] = locate_barrier(SWEEPS[which].model_for(value))
+            params = SWEEPS[which].model_for(value)
+            cache[key] = locate_barrier(params, x_max=default_x_max(params))
         return cache[key]
 
     return get

@@ -320,19 +320,27 @@ class TestCertifiedSweep:
         assert tables._edge_certificate(scale, h1 * (1.0 + 2e-3))
 
     def test_kappa_boundary(self):
+        kappa_positive = scale_module._kappa_positive
         # rational law: mu q u^3 + mu u = 2 at u = 1 + x1 = 31
         q = 0.01
         mu = 2.0 / (q * 31.0 ** 3 + 31.0)
         rational = PremiumModel.rational(1.0)
-        assert tables._kappa_positive(rational, mu * (1 + 1e-9), q, 30.0)
-        assert not tables._kappa_positive(rational, mu * (1 - 1e-9), q, 30.0)
-        assert tables._kappa_positive(rational, mu, q, 30.1)  # kappa rises with x
+        assert kappa_positive(rational, mu * (1 + 1e-9), q, 30.0)
+        assert not kappa_positive(rational, mu * (1 - 1e-9), q, 30.0)
+        assert kappa_positive(rational, mu, q, 30.1)  # kappa rises with x
         # the linear law: kappa = mu (q - eps)
-        assert tables._kappa_positive(PremiumModel.linear(1.0, 0.02), 0.3, 0.0201, 30.0)
-        assert not tables._kappa_positive(PremiumModel.linear(1.0, 0.02), 0.3, 0.02, 30.0)
-        assert tables._kappa_positive(PremiumModel.constant(1.0), 0.3, 1e-12, 30.0)
-        tabulated = PremiumModel.tabulated([0.0, 60.0], [1.0, 2.2])
-        assert not tables._kappa_positive(tabulated, 0.3, 0.05, 30.0)
+        assert kappa_positive(PremiumModel.linear(1.0, 0.02), 0.3, 0.0201, 30.0)
+        assert not kappa_positive(PremiumModel.linear(1.0, 0.02), 0.3, 0.02, 30.0)
+        assert kappa_positive(PremiumModel.constant(1.0), 0.3, 1e-12, 30.0)
+        # a tabulated premium: every slope from x1 on below q, and none
+        # rising at a knot past x1 (held flat past its last knot)
+        tabulated = PremiumModel.tabulated([0.0, 60.0], [1.0, 2.2])  # slope 0.02, then 0
+        assert kappa_positive(tabulated, 0.3, 0.05, 30.0)
+        assert not kappa_positive(tabulated, 0.3, 0.02, 30.0)
+        assert kappa_positive(tabulated, 0.3, 0.02, 60.0)
+        rising = PremiumModel.tabulated([0.0, 40.0, 60.0], [1.0, 1.1, 1.6])  # 0.0025, 0.025
+        assert not kappa_positive(rising, 0.3, 0.05, 30.0)
+        assert kappa_positive(rising, 0.3, 0.05, 40.0)
 
     @pytest.mark.parametrize("error", [DomainTooShortError("short", suggested_x_max=None),
                                        ValueError("need 0 < dx < x_max")])
@@ -587,3 +595,113 @@ class TestComputedOnFirstRead:
         assert np.array_equal(sol.v.values, values)
         assert np.array_equal(sol.v.derivative_values, derivs)
         assert (sol.v.x0, sol.v.dx) == (0.0, scale.dx)
+
+
+def bounded_premium_model(penalty=PenaltyModel.zero()):
+    """The tabulated bounded premium 1 + 0.5 (1 - e^{-x/10}) on [0, 5000]
+    with exponential(0.3) claims (perfbench's montecarlo workload)."""
+    xs = np.linspace(0.0, 5000.0, 5001)
+    premium = PremiumModel.tabulated(xs, 1.0 + 0.5 * (1.0 - np.exp(-xs / 10.0)))
+    return ModelParams(premium, ClaimModel.exponential(0.3), penalty, lam=0.1, q=0.05)
+
+
+DOMAIN_MODELS = {
+    "tabulated_cli": lambda: penalised_models()["erlang2"],
+    "sweep1_constant": lambda: dataclasses.replace(SWEEPS[1].model_for(0.05),
+                                                   penalty=PenaltyModel.constant(1.0)),
+    "sweep1_linear": lambda: penalised_models()["sweep1"],
+    "bounded_premium": bounded_premium_model,
+    "bounded_premium_constant": lambda: bounded_premium_model(PenaltyModel.constant(1.0)),
+}
+
+
+class TestDefaultDomain:
+    """`locate_barrier` with no x_max ends the domain at the first chunk end
+    where the G test, the reach and the h test pass, and otherwise solves
+    the cap's domain, `default_x_max`, as an explicit x_max does."""
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_MODELS))
+    def test_agrees_with_the_cap(self, name):
+        params = DOMAIN_MODELS[name]()
+        cap = default_x_max(params)
+        scale, sol = locate_barrier(params)
+        long_scale, long_sol = locate_barrier(params, x_max=cap)
+        exponential = params.claim.kind == "exponential"
+        assert scale.domain == {"end": scale.domain_end, "certified": exponential,
+                                "reason": "tests passed"}
+        assert long_scale.domain == {"end": long_scale.domain_end, "certified": False,
+                                     "reason": "xmax"}
+        reach = 10.0 * params.claim.mean() if exponential else params.claim.support_end
+        assert max(tables.MIN_X_MAX, sol.a_star + reach) <= scale.domain_end < 0.65 * cap
+        assert abs(sol.a_star - long_sol.a_star) <= 1e-6
+        assert sol.v(5.0) == pytest.approx(long_sol.v(5.0), rel=1e-10)
+        assert scale.G.values[0] == pytest.approx(long_scale.G.values[0], rel=1e-10)
+        short_report = hjb.verify_optimality(sol, params)
+        assert short_report.necessary_sufficient_pass == hjb.verify_optimality(
+            long_sol, params).necessary_sufficient_pass
+        assert short_report.domain == scale.domain
+
+    def test_tabulated_cli_domain_ends_near_two_fifths_of_the_cap(self):
+        scale, _ = locate_barrier(DOMAIN_MODELS["tabulated_cli"]())
+        assert scale.W.n == 13 * scale_module._SUPER  # 66.555, against 166.665
+        assert scale.domain_end == pytest.approx(66.555)
+
+    def test_every_sweep_verdict_is_the_caps(self, table_solutions):
+        verdicts = {}
+        for which, spec in SWEEPS.items():
+            for value in spec.values:
+                scale, sol = locate_barrier(spec.model_for(value))
+                end = max(tables.MIN_X_MAX, sol.a_star + 10.0 * scale.params.claim.mean())
+                assert scale.domain["certified"], (which, value)
+                assert end <= scale.domain_end < end + 6.0, (which, value)  # one chunk
+                report = hjb.verify_optimality(sol, scale.params)
+                _, long_sol = table_solutions(which, value)
+                long_report = hjb.verify_optimality(long_sol, scale.params)
+                assert report.necessary_sufficient_pass == long_report.necessary_sufficient_pass
+                assert abs(sol.a_star - long_sol.a_star) <= 1e-6, (which, value)
+                verdicts[which, value] = report
+        failing = [key for key, report in verdicts.items()
+                   if not report.necessary_sufficient_pass]
+        assert len(verdicts) == 29 and failing == [(6, 0.25)]
+        assert verdicts[6, 0.25].max_residual_above == pytest.approx(2.695e-2, abs=5e-6)
+
+    def test_a_given_barrier_is_reached_by_ten_mean_claims(self):
+        params = make_params()  # mean claim 10/3
+        scale, sol = locate_barrier(params, barrier=20.0)
+        assert sol.a_star == 20.0 and scale.domain["reason"] == "tests passed"
+        assert 20.0 + 100.0 / 3.0 <= scale.domain_end < default_x_max(params)
+
+    def test_model_that_never_passes_gets_the_caps_solve(self, monkeypatch):
+        # G of this model decays slowly: the G test does not pass by the cap
+        # of 50, whose solve then grows the domain as an explicit x_max does,
+        # its first solve taking the chunks' own march to the cap
+        params = make_params(premium="constant", claim_mu=1.0, penalty="constant",
+                             lam=0.95, q=0.001)
+        long_scale, long_sol = locate_barrier(params, x_max=default_x_max(params))
+        solves = []
+        solve = tables.solve_scale
+
+        def counted(params, dx, x_max):
+            solves.append(x_max)
+            return solve(params, dx, x_max)
+
+        monkeypatch.setattr(tables, "solve_scale", counted)
+        scale, sol = locate_barrier(params)
+        assert solves == [1.5 * 50.0]  # the retry after the cap's solve
+        assert scale.domain == {"end": long_scale.domain_end, "certified": False,
+                                "reason": "cap"}
+        assert np.array_equal(scale.W.values, long_scale.W.values)
+        assert np.array_equal(scale.G.derivative_values, long_scale.G.derivative_values)
+        assert sol.a_star == long_sol.a_star
+
+    def test_certificate_failure_marches_to_the_cap(self):
+        # a premium whose slope rises at a knot past the last chunk end
+        # before the cap (166.67): kappa > 0 fails at every tested end
+        premium = PremiumModel.tabulated([0.0, 165.0, 170.0], [1.0, 1.0, 1.1])
+        params = ModelParams(premium, ClaimModel.exponential(0.3), PenaltyModel.zero(),
+                             lam=0.1, q=0.05)
+        scale, sol = locate_barrier(params)
+        long_scale, long_sol = locate_barrier(params, x_max=default_x_max(params))
+        assert scale.domain["reason"] == "cap"
+        assert np.array_equal(scale.W.values, long_scale.W.values)
+        assert sol.a_star == long_sol.a_star

@@ -39,6 +39,8 @@ LAYERS = {
     "bench_penalised_solve": (),
     "bench_find_barrier": (),
     "bench_locate": (1,),
+    "bench_locate_nodes": (),
+    "bench_tabulated_cli_pass": (1,),
     "bench_sweep_certified": (1,),
     "bench_grid_lookup": (20,),
     "bench_convolution": (2000,),

@@ -138,6 +138,24 @@ class TestBarrierCommand:
         assert outs >= {"barrier.json", "h_profile.csv", "v_curve.csv"}
         assert len(manifest["config_digest"]) == 64
 
+    @pytest.mark.parametrize("grid, domain", [
+        ([], {"end": 41.76, "certified": True, "reason": "tests passed"}),
+        (["--xmax", "60"], {"end": 60.0, "certified": False, "reason": "xmax"})])
+    def test_domain_is_reported(self, grid, domain, config_path, tmp_path):
+        # barrier.json and optimality.json say where the domain ends and why,
+        # and every CSV ends there
+        out = tmp_path / "out"
+        assert main(["barrier", config_path, *grid, "--out", str(out)]) == 0
+        assert main(["verify", config_path, *grid, "--out", str(out)]) == 0
+        for name in ("barrier.json", "optimality.json"):
+            doc = json.loads((out / name).read_text())
+            assert doc["domain"] == {**domain, "end": pytest.approx(domain["end"])}
+        for name in ("h_profile.csv", "v_curve.csv", "residual_profile.csv"):
+            with open(out / name, encoding="utf-8") as fh:
+                rows = fh.read().splitlines()[1:]
+            assert len(rows) == round(domain["end"] / DEFAULT_DX) + 1
+            assert float(rows[-1].split(",")[0]) == pytest.approx(domain["end"])
+
     def test_invalid_config_exit_2(self, bad_config_path, tmp_path, capsys):
         code = main(["barrier", bad_config_path, "--out", str(tmp_path / "o")])
         assert code == 2
@@ -257,6 +275,7 @@ class TestVerifyCommand:
         assert main(["verify", str(path), "--barrier", "3.0", "--out", str(out)]) == 1
         doc = json.loads((out / "optimality.json").read_text())
         assert doc["barrier"] == 3.0 and doc["necessary_sufficient_pass"] is False
+        assert doc["domain"]["reason"] == "cap" and doc["domain"]["end"] > 50.0
         with open(out / "residual_profile.csv", encoding="utf-8") as fh:
             last = fh.readlines()[-1]
         assert float(last.split(",")[0]) > 50.0
@@ -335,10 +354,12 @@ def test_every_sha256_branch_gives_the_sha256_digest(branch):
 
 
 def test_verify_within_twenty_one_floats_per_node(tmp_path):
-    # `verify` in process on perfbench's tabulated_cli model, 33 334 nodes:
-    # the penalised solve's working set is its peak (19.7 floats per node).
-    # Evaluating omega again for the residual profile, or holding the
-    # residual's temporaries over all nodes, goes past the budget (23.6)
+    # `verify` in process on perfbench's tabulated_cli model.  Its domain
+    # ends at 66.555, but the march allocates its arrays for the 33 334
+    # nodes of the cap, default_x_max, and their working set is the peak
+    # (20.0 floats per cap node, 19.8 with --xmax at the cap).  Evaluating
+    # omega again for the residual profile, or holding the residual's
+    # temporaries over all nodes, went past the budget (23.6) on the cap
     params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
                          PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
     n = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0].size

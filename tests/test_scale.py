@@ -19,7 +19,8 @@ from dividend_opt.model import omega_eval
 from dividend_opt._reference import _RESCALE_AT
 from dividend_opt.scale import (_BLOCK, _SUPER, _exponential_march,
                                 _check_G_decay, _fft_length, _grid_arrays, _march,
-                                _scan_block, _trapezoid_convolution, _unit_lower_inverse)
+                                _march_chunks, _scan_block, _second_derivative,
+                                _trapezoid_convolution, _unit_lower_inverse)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
 from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
                       tabulated_penalty)
@@ -634,9 +635,16 @@ class TestComputeG:
         params = ModelParams(premium, ClaimModel.exponential(0.3),
                              PenaltyModel.constant(1.0), lam=0.1, q=0.05)
         if x_max is None:
-            scale, barrier = locate_barrier(params)
-            assert scale.domain_end == pytest.approx(default_x_max(params), abs=DEFAULT_DX)
+            # on the cap's domain, where the round-off tail is; the default
+            # domain ends where the tests pass, long before it
+            cap = default_x_max(params)
+            scale, barrier = locate_barrier(params, x_max=cap)
+            assert scale.domain_end == pytest.approx(cap, abs=DEFAULT_DX)
             assert barrier.a_star == pytest.approx(7.2738, abs=1e-3)
+            short, located = locate_barrier(params)
+            assert short.domain == {"end": pytest.approx(99.18), "certified": True,
+                                    "reason": "tests passed"}
+            assert located.a_star == pytest.approx(barrier.a_star, abs=1e-6)
         else:
             G = solve_scale(params, DEFAULT_DX, x_max).G
             assert G.values[0] == pytest.approx(-0.248, abs=1e-3)
@@ -895,3 +903,57 @@ class TestClosedFormLinear:
         xs = np.linspace(0.0, 20.0, 41)
         ref = closed_form_W_linear(params, xs)
         assert np.max(np.abs(W(xs) - ref) / np.abs(ref)) < 1e-4
+
+
+class TestMarchChunks:
+    """`_march_chunks`: every chunk end holds the march's first nodes exactly
+    as the march to the last node computes them, for both kernels."""
+
+    @pytest.mark.parametrize("claim", ["exponential", "tabulated"])
+    @pytest.mark.parametrize("penalty", [PenaltyModel.zero(), PenaltyModel.linear(1.0, 0.5)])
+    def test_prefix_at_every_chunk_end_is_the_march_to_the_end(self, claim, penalty):
+        params = dataclasses.replace(SWEEP1_Q05, penalty=penalty)
+        if claim == "tabulated":
+            params = dataclasses.replace(params, claim=erlang2_claim(0.01))
+        x, p_vals = _grid_arrays(params, DEFAULT_DX, default_x_max(params))
+        omega = None if penalty.is_zero else omega_eval(params, x)
+        u_end, d_end = _march(params, p_vals, DEFAULT_DX, omega)
+        ends = []
+        for k, u, d in _march_chunks(params, p_vals, DEFAULT_DX, omega, _SUPER):
+            ends.append(k)
+            assert np.array_equal(u[:k], u_end[:k]) and np.array_equal(d[:k], d_end[:k])
+        assert ends[-1] == x.size and len(ends) > 10
+        if claim == "tabulated":  # one super-block per chunk
+            assert ends[:-1] == list(range(_SUPER, x.size, _SUPER))
+        else:  # whole blocks of the march to the end, about _SUPER nodes
+            B = _scan_block(x.size)
+            assert ends[:-1] == list(range(1 + B * round(_SUPER / B), x.size,
+                                           B * round(_SUPER / B)))
+
+
+class TestSecondDerivative:
+    """`_second_derivative`, the ODE p u'' = k u' + mu q u of exponential
+    claims, against central differences of the march's own derivative
+    samples: the two agree to the march's second order."""
+
+    @staticmethod
+    def gaps(params, dx):
+        scale = solve_scale(params, dx, 60.0)
+        out = []
+        for f in (scale.W, scale.G):
+            if not np.any(f.values):
+                continue
+            ode = _second_derivative(params, f.x, f.values, f.derivative_values)[1:-1]
+            central = (f.derivative_values[2:] - f.derivative_values[:-2]) / (2.0 * dx)
+            out.append(float(np.max(np.abs(ode - central) / np.max(np.abs(ode)))))
+        return np.array(out)
+
+    @pytest.mark.parametrize("which, value", [(1, 0.05), (4, 0.005)])
+    @pytest.mark.parametrize("penalty", [PenaltyModel.zero(), PenaltyModel.constant(1.0),
+                                         PenaltyModel.linear(1.0, 0.5)])
+    def test_ode_against_central_differences(self, which, value, penalty):
+        params = dataclasses.replace(SWEEPS[which].model_for(value), penalty=penalty)
+        coarse, fine = self.gaps(params, 0.01), self.gaps(params, 0.005)
+        assert coarse.size == (1 if penalty.is_zero else 2)  # W, and G when penalised
+        assert np.all(fine < 1e-4)
+        assert np.all((3.8 < coarse / fine) & (coarse / fine < 4.2))

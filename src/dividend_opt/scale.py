@@ -61,9 +61,10 @@ which `_second_derivative` evaluates.  Differentiated once more, at a
 critical point of u' it reads p u''' = kappa u', with
 kappa = mu q - p'' - mu p' (`_kappa_positive`).
 
-Both kernels march in chunks (`_march_chunks`): `_blocked_chunks` stops
-at each super-block end, where it keeps its history ring, and
-`_exponential_chunks` every few blocks, where it keeps each column's
+Both kernels march in chunks (`_march_chunks`), each ending at the first
+place at or past the node count the caller asks for: `_blocked_chunks`
+at a super-block end, where it keeps its history ring, and
+`_exponential_chunks` at a block end, where it keeps each column's
 (u, H) state.  At every chunk end the march's first nodes hold exactly
 what the march to the last node computes for them, so a caller can stop
 there and take the stable G of that shorter domain (`_truncated`).
@@ -234,7 +235,7 @@ def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
     return _to_end(_exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0))
 
 
-def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, chunk=None):
+def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, first=None):
     """`_reference.volterra_march` for the density f(z) = mu exp(-mu z), one
     column per entry of u0 and omega0.
 
@@ -256,13 +257,14 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, chunk=None):
     responses in Python floats gives each block's start state, broadcast
     products expand u and H, and d follows from them.
 
-    A generator: after every `chunk` nodes or so (all n when None), rounded
-    to whole blocks, it carries each column's state at the block end on
-    and yields (k, values, derivatives), the first k nodes done.  The
-    arrays, in true units and of shape (n, m), are the same objects at
-    every yield; their rows past k are not yet written.  Every product is
-    elementwise per block, so a node's values do not depend on `chunk`.  A
-    column that grows past float range reads inf or nan from there on.
+    A generator: it carries each column's state at a block end on and
+    yields (k, values, derivatives), the first k nodes done, at the first
+    block end k at or past `first`, and then at the first one at or past
+    the node count sent in; at the last node for None.  The arrays, in
+    true units and of shape (n, m), are the same objects at every yield;
+    their rows past k are not yet written.  Every product is elementwise
+    per block, so a node's values do not depend on where the chunks end.
+    A column that grows past float range reads inf or nan from there on.
     """
     n = len(p_vals)
     half, ldx = 0.5 * dx, lam * dx
@@ -308,9 +310,12 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, chunk=None):
     for col, (s0, w0) in enumerate(zip(u0, omega0)):
         u[0, col], d[0, col] = s0, ((lam + q) * s0 - lam * w0) / p_vals[0]
         states.append((float(s0), -0.5 * mu * s0 + w0 / dx))
-    per = nb if chunk is None else max(1, round(chunk / B))
-    for b0 in range(0, nb, per):
-        b1 = min(b0 + per, nb)
+
+    def end_at(want, b0):  # the first block end 1 + b1 B >= want past block b0
+        return nb if want is None else min(nb, max(b0 + 1, -(-(want - 1) // B)))
+
+    b0, b1 = 0, end_at(first, 0)
+    while True:
         rows, hb = slice(1 + b0 * B, 1 + b1 * B), h[:b1 - b0]
         for col, (su, sh) in enumerate(states):
             starts = []
@@ -328,7 +333,10 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, chunk=None):
             hb *= ldx
             dc -= hb
             dc *= c_cur[:, b0:b1].T
-        yield min(rows.stop, n), u[:n], d[:n]
+        want = yield min(rows.stop, n), u[:n], d[:n]
+        if b1 == nb:
+            return
+        b0, b1 = b1, end_at(want, b1)
 
 
 def _fft_length(n: int) -> int:
@@ -600,16 +608,18 @@ def _march(params, p_vals, dx, omega=None):
     return _to_end(_march_chunks(params, p_vals, dx, omega))
 
 
-def _march_chunks(params, p_vals, dx, omega=None, chunk=None):
-    """`_march` as a generator of (k, values, derivatives) at each chunk
-    end, the first k nodes done; the arrays are the same objects at every
-    yield.  For exponential claims the O(n) march, where G_p needs only
-    omega(0): it is W's march from another start state, in chunks of about
-    `chunk` nodes (one when None).  Otherwise the blocked one, on the
-    density sampled at the nodes, in chunks of one super-block.  Each
-    kernel runs with float overflow silenced, and only while it runs: a
-    march past float range reads inf or nan, which the kernels' own checks
-    and `_check_range` report.
+def _march_chunks(params, p_vals, dx, omega=None, first=None):
+    """`_march` as a generator of (k, values, derivatives), the first k
+    nodes done, at the first chunk end k at or past `first`, and then at
+    the first one at or past the node count sent in; the arrays are the
+    same objects at every yield.  With None, every chunk end, which for
+    exponential claims is the last node.  For exponential claims the O(n)
+    march, where G_p needs only omega(0): it is W's march from another
+    start state, and its chunks end at any block end.  Otherwise the
+    blocked one, on the density sampled at the nodes, whose chunks end at
+    super-block ends.  Each kernel runs with float overflow silenced, and
+    only while it runs: a march past float range reads inf or nan, which
+    the kernels' own checks and `_check_range` report.
     """
     lam, q = params.lam, params.q
     # the trapezoid limit (module docstring) at the nodes x_i, i >= 1: the
@@ -632,16 +642,17 @@ def _march_chunks(params, p_vals, dx, omega=None, chunk=None):
     u0 = [1.0] if omega is None else [1.0, 0.0]
     if params.claim.kind == "exponential":
         omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
-        chunks = _exponential_chunks(p_vals, params.claim.mu, lam, q, dx, u0, omega0, chunk)
+        chunks = _exponential_chunks(p_vals, params.claim.mu, lam, q, dx, u0, omega0, first)
     else:
         f_vals = params.claim.density(dx * np.arange(p_vals.size))
         chunks = _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega)
-    while True:
+    n, want, done = p_vals.size, first, None
+    while done is None or done[0] < n:
         with np.errstate(over="ignore", invalid="ignore"):
-            done = next(chunks, None)
-        if done is None:
-            return
-        yield done
+            done = next(chunks) if done is None else chunks.send(want)
+            while want is not None and done[0] < min(want, n):
+                done = next(chunks)  # the blocked march ends chunks at super-blocks only
+        want = yield done
 
 
 def _check_range(x, u, d):
@@ -697,7 +708,7 @@ def _solution(params, x_max, x, u, d, omega) -> ScaleSolution:
     and, for G, the decay check on the whole grid."""
     _check_range(x, u, d)
     noise = None if omega is None else _CANCEL_FLOOR * float(np.abs(u[:, 1]).max())
-    W, G = _stable_pair(x[1], u, d, omega is not None)  # x[1] is dx
+    W, G = _stable_pair(float(x[1]), u, d, omega is not None)  # x[1] = dx * 1 is dx
     del u, d  # W and G hold copies of their columns: the march's arrays go now
     if omega is not None:
         _check_G_decay(G.values, x_max, noise)

@@ -16,19 +16,21 @@ reference column by design; the CSV keeps both values side by side.
 The default domain of `locate_barrier` (no `x_max`) ends where two a
 posteriori tests and a reach pass, at the end x_k >= MIN_X_MAX of one of
 the chunks in which the march runs (`scale._march_chunks`), and no later
-than `default_x_max`, max(30, 50 mean claims), the cap:
+than `default_x_max`, max(30, 50 mean claims), the cap.  After a failed
+test the march goes on to the first end at which the tests could pass
+as far as that end shows (`_DomainTests.want`):
 
 - the G test: G = G_p - r W with r = G_p(x_k) / W(x_k), so moving the end
   further changes G on [0, a*] by |r_inf - r_k| W(a*).  The differences
-  of r over the last two chunks estimate the rest of r's geometric tail,
-  which must stay below 1e-12 max |G| (`_G_CHANGE`); G = 0 without a
-  penalty;
+  of r over the last two spans of `_SUPER` nodes estimate the rest of r's
+  geometric tail, which must stay below 1e-12 of max |G| on [0, a*]
+  (`_G_CHANGE`); G = 0 without a penalty;
 - the reach: x_k >= a* + 10 mean claims, or a* + max(support end, 10 mean
   claims) for a tabulated claim, with a given barrier standing in for a*;
 - the h test: for exponential claims `_h_falls_past`, a proof that no x
   past x_k has a larger h, which reports the domain certified; for other
-  claims, h nonincreasing node by node over the last chunk, which proves
-  nothing past x_k and reports it uncertified.
+  claims, h nonincreasing node by node over the last `_SUPER` nodes,
+  which proves nothing past x_k and reports it uncertified.
 
 A model that has not passed by the cap gets the solve of the cap's
 domain exactly, with its decay check and retries: its march is the one
@@ -69,7 +71,7 @@ _MAX_DOMAIN_RETRIES = 3
 # to 0.05, against dx = 0.000625)
 _EDGE_MARGIN_PER_DX2 = 40.0
 # the G test: the largest change of G on [0, a*] that a longer domain may
-# still make, relative to max |G|
+# still make, relative to max |G| on [0, a*]
 _G_CHANGE = 1e-12
 
 
@@ -163,87 +165,108 @@ def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
 
 
 def _short_domain(params: ModelParams, dx: float, x_max: float, barrier: float | None):
-    """March [0, x_max] in chunks and stop at the first chunk end past
-    MIN_X_MAX where the tests pass: ((scale, solution), None) there, else
-    (None, (x, u, d, omega)), the march of `solve_scale(params, dx, x_max)`
-    run to its end.  A chunk that leaves float range or has W' <= 0 ends
-    the tests, and so does 1 - G' <= 0 on a tested domain: the solve of
-    the cap reports those as it always has."""
+    """March [0, x_max] in chunks and stop at the first chunk end where the
+    tests pass: ((scale, solution), None) there, else (None, (x, u, d,
+    omega)), the march of `solve_scale(params, dx, x_max)` run to its
+    end."""
     x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
-    claim = params.claim
-    exponential = claim.kind == "exponential"
-    reach = 10.0 * claim.mean() if exponential else max(claim.support_end,
-                                                         10.0 * claim.mean())
-    ratios, k0, testing = [], 0, True  # r = G_p / W at each chunk end
-    last = {}  # W(a*) and max |G| of the last domain that reached the G test
-    chunks = _march_chunks(params, p_vals, dx, omega, _SUPER)
-    for k, u, d in chunks:
-        if k == x.size:
-            break
-        new_u, new_d = u[k0:k], d[k0:k]
-        testing = testing and bool(
-            np.isfinite(new_u).all() and np.isfinite(new_d).all()
-            and new_d[:, 0].min() > 0.0 and new_u[:, 0].max() <= math.exp(_MAX_SAFE_LOG))
-        if omega is not None:
-            ratios.append(u[k - 1, 1] / u[k - 1, 0])
-        if testing and x[k - 1] >= MIN_X_MAX:
-            testing, passed = _tests_pass(params, dx, u, d, omega is not None, k0, k, ratios,
-                                          barrier, reach, last)
-            if passed:
-                chunks.close()  # the kernel's working arrays go before the solution is built
-                scale = _truncated(params, dx, u, d, omega, k, exponential)
-                return (scale, find_barrier(scale) if barrier is None
-                        else barrier_solution_at(scale, barrier)), None
-        k0 = k
+    tests = _DomainTests(params, dx, x.size, barrier)
+    chunks = _march_chunks(params, p_vals, dx, omega, tests.want)
+    k, u, d = next(chunks)
+    while k < x.size:
+        if tests.passed(k, u, d):
+            chunks.close()  # the kernel's working arrays go before the solution is built
+            scale = _truncated(params, dx, u, d, omega, k, params.claim.kind == "exponential")
+            return (scale, find_barrier(scale) if barrier is None
+                    else barrier_solution_at(scale, barrier)), None
+        k, u, d = chunks.send(tests.want)
     return None, (x, u, d, omega)
 
 
-def _tests_pass(params, dx, u, d, penalised, k0, k, ratios, barrier, reach, last):
-    """(keep testing, passed) for the domain of the march's first k nodes,
-    its last chunk from node k0: the reach, the G test and the h test of
-    the module docstring, the cheapest first, all on the march's arrays.
-    The G test with `last`, W(a*) and max |G| of the last domain that
-    reached it, skips the O(k) work of a domain that would fail it; the
-    test that decides uses this domain's own."""
-    i = k - 1
-    if not dx * i >= (0.0 if barrier is None else barrier) + reach:
-        return True, False
-    r = ratios[-1] if penalised else 0.0
-    if penalised:
-        if len(ratios) < 3:
-            return True, False
-        step, before = abs(r - ratios[-2]), abs(ratios[-2] - ratios[-3])
-        rho = step / before if before else math.inf
-        tail = 0.0 if step == 0.0 else step * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        if tail == math.inf or last and not tail * last["w_a"] <= _G_CHANGE * last["gmax"]:
-            return True, False
-    wd = d[:k, 0]
-    h = (1.0 - d[:k, 1] + r * wd if penalised else 1.0) / wd
-    if h.min() <= 0.0:  # 1 - G' <= 0: the solve of the cap warns of it
-        return False, False
-    if barrier is None:  # the largest node of h's maximum, as `find_barrier` ties it
-        h_max = float(h.max())
-        j = int(np.nonzero(h >= h_max - 1e-9 * abs(h_max))[0][-1])
-        if j == i:
-            return True, False
-        a_hi = dx * (j + 1)  # a* lies in its bracket
-        if not dx * i >= a_hi + reach:
-            return True, False
-    else:
-        a_hi, j = barrier, min(int(barrier / dx), i - 1)
-        t = barrier / dx - j
-        h_max = float((1.0 - t) * h[j] + t * h[j + 1])
-    if penalised:
-        last["w_a"] = u[min(math.ceil(a_hi / dx), i), 0]  # W rises: its largest on [0, a*]
-        last["gmax"] = float(np.abs(u[:k, 1] - r * u[:k, 0]).max())
-        if not tail * last["w_a"] <= _G_CHANGE * last["gmax"]:
-            return True, False
-    if params.claim.kind == "exponential":
-        return True, _h_falls_past(params, dx, dx * i, (u[i, 0], d[i, 0]),
-                                   (u[i, 1] - r * u[i, 0], d[i, 1] - r * d[i, 0])
-                                   if penalised else (0.0, 0.0), h_max)
-    return True, bool(np.all(np.diff(h[k0:]) <= 0.0))
+class _DomainTests:
+    """The reach, the G test and the h test of the module docstring at the
+    chunk ends of one march, the cheapest first.  After each end they ask
+    the march for the next one at `want`, the first node count at which
+    the tests could pass as far as this end shows, and they keep h - r =
+    (1 - G_p') / W' at each node read, which no later end changes.  A
+    chunk that leaves float range or has W' <= 0 ends the testing, and so
+    does 1 - G' <= 0 on a tested domain: the march runs on to the cap,
+    whose solve reports those as it always has."""
+
+    def __init__(self, params: ModelParams, dx: float, n: int, barrier: float | None):
+        claim = params.claim
+        self.params, self.dx, self.barrier = params, dx, barrier
+        self.reach = 10.0 * claim.mean() if claim.kind == "exponential" else max(
+            claim.support_end, 10.0 * claim.mean())
+        self.want = self._node_count(max(MIN_X_MAX, (barrier or 0.0) + self.reach))
+        self.hb, self.read = np.empty(n), 0  # h - r, read up to node `self.read`
+
+    def _node_count(self, x: float) -> int:
+        """The node count k whose last node dx (k - 1) reaches x."""
+        return math.ceil(x / self.dx) + 1
+
+    def passed(self, k: int, u: np.ndarray, d: np.ndarray) -> bool:
+        """Whether the domain of the march's first k nodes, of the values u
+        and derivatives d, passes; called at each chunk end in turn."""
+        penalised, dx, barrier, i = u.shape[1] == 2, self.dx, self.barrier, k - 1
+        self.want = k + _SUPER  # unless a test shows a later end
+        if not self._read(k, u, d):
+            self.want = self.hb.size  # no later end passes: the march runs to the cap
+            return False
+        r, tail = 0.0, 0.0
+        if penalised:  # r = G_p / W at the end and one and two super-blocks before it
+            if i < 2 * _SUPER:
+                return False
+            r, before, earlier = (u[j, 1] / u[j, 0] for j in (i, i - _SUPER, i - 2 * _SUPER))
+            step, prior = abs(r - before), abs(before - earlier)
+            rho = step / prior if prior else math.inf
+            tail = 0.0 if step == 0.0 else step * rho / (1.0 - rho) if rho < 1.0 else math.inf
+            if tail == math.inf:
+                return False
+        hb = self.hb[:k]
+        if hb.min() + r <= 0.0:  # 1 - G' <= 0: the cap's solve warns of it
+            self.want = self.hb.size
+            return False
+        if barrier is None:  # the largest node of h's maximum, as `find_barrier` ties it
+            top = float(hb.max())
+            h_max = top + r
+            j = int(np.flatnonzero(hb >= top - 1e-9 * abs(h_max))[-1])
+            a_hi = dx * (j + 1)  # a* lies in its bracket
+            if j == i or dx * i < a_hi + self.reach:
+                self.want = max(k + 1, self._node_count(a_hi + self.reach))
+                return False
+        else:
+            a_hi, j = barrier, min(int(barrier / dx), i - 1)
+            t = barrier / dx - j
+            h_max = float((1.0 - t) * hb[j] + t * hb[j + 1]) + r
+        if penalised:  # W rises: W(a_hi) is its largest on [0, a*]
+            top_node = min(math.ceil(a_hi / dx), i)
+            g = u[:top_node + 1, 1] - r * u[:top_node + 1, 0]
+            change, allowed = tail * u[top_node, 0], _G_CHANGE * float(np.abs(g).max())
+            if not change <= allowed:
+                # the tail falls by rho per super-block: the spans it still needs
+                spans = math.log(allowed / change) / math.log(rho) if allowed > 0.0 else 1.0
+                self.want = k + _SUPER * max(1, math.ceil(spans))
+                return False
+        if self.params.claim.kind == "exponential":
+            return _h_falls_past(self.params, dx, dx * i, (u[i, 0], d[i, 0]),
+                                 (u[i, 1] - r * u[i, 0], d[i, 1] - r * d[i, 0])
+                                 if penalised else (0.0, 0.0), h_max)
+        return bool(np.all(np.diff(hb[max(0, k - _SUPER):]) <= 0.0))
+
+    def _read(self, k, u, d) -> bool:
+        """Read h - r at the nodes from `self.read` to k; False when they
+        leave float range or W' is not positive."""
+        k0 = self.read
+        new_u, new_d = u[k0:k], d[k0:k]
+        if not (np.isfinite(new_u).all() and np.isfinite(new_d).all()
+                and new_d[:, 0].min() > 0.0 and new_u[:, 0].max() <= math.exp(_MAX_SAFE_LOG)):
+            return False
+        hb = self.hb[k0:k]
+        np.divide(1.0 - new_d[:, 1] if u.shape[1] == 2 else 1.0, new_d[:, 0], out=hb)
+        self.read = k
+        return True
 
 
 def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None):
@@ -314,13 +337,14 @@ def _h_falls_past(params, dx, x1, w, g, h_max) -> bool:
     if not (wp > 0.0 and _kappa_positive(params.premium, params.claim.mu, params.q, x1)):
         return False
     margin = _EDGE_MARGIN_PER_DX2 * dx ** 2
+    # the slope and level terms of W'' and U'', U = G + h_max W, in one evaluation of p and p'
+    terms = _second_derivative(params, x1, np.array([0.0, w, 0.0, g + h_max * w]),
+                               np.array([wp, 0.0, gp + h_max * wp, 0.0])).tolist()
 
-    def rises(u, du):
-        slope_term = _second_derivative(params, x1, 0.0, du)
-        level_term = _second_derivative(params, x1, u, 0.0)
+    def rises(slope_term, level_term):
         return slope_term + level_term > margin * (abs(slope_term) + abs(level_term))
 
-    return (rises(w, wp) and rises(g + h_max * w, gp + h_max * wp)
+    return (rises(*terms[:2]) and rises(*terms[2:])
             and h_max - (1.0 - gp) / wp > margin * h_max)
 
 

@@ -93,9 +93,23 @@ def table1_q05():
 
 @pytest.fixture(scope="session")
 def table_solutions():
-    """Session cache of (scale, barrier solution) per sweep column, on the
-    long domain `default_x_max`: the oracles that the shorter default
-    domain of `locate_barrier` is checked against."""
+    """Session cache of (scale, barrier solution) per sweep column."""
+    cache = {}
+
+    def get(which, value):
+        key = (which, value)
+        if key not in cache:
+            cache[key] = locate_barrier(SWEEPS[which].model_for(value))
+        return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def cap_solutions():
+    """Session cache of (scale, barrier solution) per sweep column on the
+    cap's domain, `default_x_max`: the oracles that the default domain of
+    `locate_barrier` is checked against."""
     cache = {}
 
     def get(which, value):

@@ -139,7 +139,7 @@ class TestBarrierCommand:
         assert len(manifest["config_digest"]) == 64
 
     @pytest.mark.parametrize("grid, domain", [
-        ([], {"end": 41.76, "certified": True, "reason": "tests passed"}),
+        ([], {"end": 38.86, "certified": True, "reason": "tests passed"}),
         (["--xmax", "60"], {"end": 60.0, "certified": False, "reason": "xmax"})])
     def test_domain_is_reported(self, grid, domain, config_path, tmp_path):
         # barrier.json and optimality.json say where the domain ends and why,

@@ -34,10 +34,12 @@ layers:
 - `sweep_certified`: per sweep column, `locate_barrier` on the default
   domain against `locate_barrier` on [0, `tables.MIN_X_MAX`] plus
   `tables._edge_certificate`, which `run_sweep` runs instead when the
-  certificate shows that no longer domain holds a larger h; the nodes of
-  each solve, whether the column was certified, the count of certified
-  columns, and the nodes that `run_sweep` marches for them all against
-  those of the default domains.
+  certificate shows that no longer domain holds a larger h; the two parts
+  of the short solve, W's march and `find_barrier`; the points at which
+  `find_barrier` interpolates W' and G' (`GridFunction.derivative`); the
+  nodes of each solve, whether the column was certified; and over all
+  columns the count of certified ones, the interpolation points, and the
+  nodes that `run_sweep` marches against those of the default domains.
 - `convolution`: the diagnostics convolution of W with the claim density
   on 33 334 nodes, for sweep 1's q = 0.05 model and for the tabulated_cli
   model without its penalty.
@@ -87,8 +89,8 @@ import tracemalloc
 import numpy as np
 
 import dividend_opt
-from dividend_opt import (PenaltyModel, find_barrier, omega_eval, params_from_dict,
-                          simulate, solve_scale)
+from dividend_opt import (GridFunction, PenaltyModel, find_barrier, omega_eval,
+                          params_from_dict, simulate, solve_scale)
 from dividend_opt.grid import atomic_write
 from dividend_opt.scale import (_PartitionedHistory, _exponential_march, _grid_arrays,
                                 _march, _trapezoid_convolution)
@@ -301,12 +303,33 @@ def bench_locate_nodes():
     return out
 
 
+def derivative_points(scale, fn):
+    """The points at which fn() interpolates W' and G' of `scale`
+    (`GridFunction.derivative`), as {"W_prime_points", "G_prime_points"}."""
+    counts = {"W_prime_points": 0, "G_prime_points": 0}
+    derivative = GridFunction.derivative
+
+    def counted(self, y):
+        for name, grid in (("W_prime_points", scale.W), ("G_prime_points", scale.G)):
+            counts[name] += np.size(y) if self is grid else 0
+        return derivative(self, y)
+
+    GridFunction.derivative = counted
+    try:
+        fn()
+    finally:
+        GridFunction.derivative = derivative
+    return counts
+
+
 def bench_sweep_certified(runs=5):
     columns, certified, default_nodes, sweep_nodes = {}, 0, 0, 0
+    points = {"W_prime_points": 0, "G_prime_points": 0}
     for which in Sweep.SWEEPS:
         spec = SWEEPS[which]
         for value in spec.values:
             m = spec.model_for(value)
+            p = _grid_arrays(m, DEFAULT_DX, MIN_X_MAX)[1]
 
             def short():
                 scale, sol = locate_barrier(m, x_max=MIN_X_MAX)
@@ -314,15 +337,22 @@ def bench_sweep_certified(runs=5):
 
             default_t, (default_scale, _) = timed(lambda: locate_barrier(m), runs)
             short_t, (short_scale, ok) = timed(short, runs)
+            march_t = timed(lambda: _exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX,
+                                                       [1.0], [0.0]), runs)[0]
+            find_t = timed(lambda: find_barrier(short_scale), runs)[0]
+            column_points = derivative_points(short_scale, lambda: find_barrier(short_scale))
             columns[f"sweep{which}[{value}]"] = {
-                "default_s": default_t, "short_s": short_t,
+                "default_s": default_t, "short_s": short_t, "march_s": march_t,
+                "find_barrier_s": find_t, **column_points,
                 "default_nodes": default_scale.W.n, "short_nodes": short_scale.W.n,
                 "certified": ok}
             certified += ok
             default_nodes += default_scale.W.n
             sweep_nodes += short_scale.W.n + (0 if ok else default_scale.W.n)
+            for name, count in column_points.items():
+                points[name] += count
     return {"columns": columns, "certified": certified, "default_nodes": default_nodes,
-            "run_sweep_nodes": sweep_nodes}
+            "run_sweep_nodes": sweep_nodes, **points}
 
 
 def bench_convolution(nodes=33334):

@@ -83,13 +83,16 @@ def _slope_error(scale: ScaleSolution, where: str) -> NumericsError:
 def _h_at(scale: ScaleSolution, y=None):
     """(h, W', G') at y, a float or an array, from the C1-interpolated
     derivatives, or at every grid node from the derivative samples when y is
-    None; raises where W' <= 0.  This is the one evaluation of h."""
+    None; raises where W' <= 0.  This is the one evaluation of h.  For a
+    zero penalty G is 0 (`scale._stable_pair`), so G' is the float 0.0 and
+    is not read: h = 1 / W', bit for bit (1 - G')/W'."""
+    zero = scale.params.penalty.is_zero
     if y is None:
-        wp, gp = scale.W.derivative_values, scale.G.derivative_values
+        wp, gp = scale.W.derivative_values, 0.0 if zero else scale.G.derivative_values
         if wp is None or gp is None:
             raise NumericsError("scale solution lacks derivative samples")
     else:
-        wp, gp = scale.W.derivative(y), scale.G.derivative(y)
+        wp, gp = scale.W.derivative(y), 0.0 if zero else scale.G.derivative(y)
     bad = np.asarray(wp) <= 0
     if bad.any():
         i = int(np.argmax(bad))
@@ -178,12 +181,16 @@ def _solution_at(scale: ScaleSolution, a: float, refinement_width: float,
 def _barrier_coefficient(scale: ScaleSolution, a: float):
     """(alpha, v_a(a), |v_a'(a) - 1|) for the barrier a, with alpha = h(a) =
     (1 - G'(a)) / W'(a), all from one W'(a) and G'(a); the last is the
-    smooth-pasting residual |alpha W'(a) + G'(a) - 1|."""
+    smooth-pasting residual |alpha W'(a) + G'(a) - 1|.  G(a) is not read
+    for a zero penalty, where it is 0."""
     end = scale.W.x_end
     if not 0.0 <= a <= end:
         raise ValueError(f"barrier {a} outside the grid [0, {end}]")
     alpha, wp, gp = _h_at(scale, a)
-    return alpha, alpha * scale.W(a) + scale.G(a), abs(alpha * wp + gp - 1.0)
+    va = alpha * scale.W(a)
+    if not scale.params.penalty.is_zero:
+        va += scale.G(a)
+    return alpha, va, abs(alpha * wp + gp - 1.0)
 
 
 def value_function(scale: ScaleSolution, a: float, x) -> float:

@@ -30,7 +30,7 @@ import time
 
 from . import __version__
 from .errors import ConfigError, DividendOptError, ModelValidationError, NumericsError
-from .grid import GridFunction, atomic_write
+from .grid import atomic_write, csv_value
 from .hjb import verify_optimality
 from .model import _number, params_from_json, validate_model
 from .simulate import (SimulationConfig, _check_capital, simulate_gerber_shiu,
@@ -191,20 +191,18 @@ def _cmd_simulate(args) -> int:
                           bdoc.get("a_star") if isinstance(bdoc, dict) else None)
         vpath = os.path.join(args.barrier_file, "v_curve.csv")
         if os.path.exists(vpath):
-            try:
-                v_curve = GridFunction.from_csv(vpath)
-            except ValueError as exc:
-                raise ConfigError(f"{vpath}: {exc}") from None
             x = _check_capital(args.x)  # an invalid --x stays a usage error
             try:
-                analytic = float(v_curve(min(x, v_curve.x_end)))
-            except ValueError:
+                analytic, x0, x_end = csv_value(vpath, x)
+            except ValueError as exc:
+                raise ConfigError(f"{vpath}: {exc}") from None
+            if analytic is None:
                 raise ConfigError(
-                    f"{vpath}: its grid starts at x={v_curve.x0:.6g}, above --x {x:.6g}; "
+                    f"{vpath}: its grid starts at x={x0:.6g}, above --x {x:.6g}; "
                     f"use the v_curve.csv that 'barrier' writes, whose grid starts "
-                    f"at 0") from None
-            if x > v_curve.x_end:  # linear continuation past the stored grid
-                analytic += x - v_curve.x_end
+                    f"at 0")
+            if x > x_end:  # linear continuation past the stored grid
+                analytic += x - x_end
 
     config = SimulationConfig(paths=args.paths, horizon=args.horizon,
                               seed=args.seed, barrier=barrier)

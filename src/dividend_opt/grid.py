@@ -10,7 +10,9 @@ as the join of the same chunks."""
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -19,6 +21,10 @@ from typing import Optional
 import numpy as np
 
 _TOO_FEW_ROWS = "a grid-function CSV needs at least 2 data rows"
+_NON_FINITE = "a grid-function CSV holds a non-finite value"
+_NOT_UNIFORM = "grid-function CSV must have uniform spacing"
+# each step of a grid-function CSV within _STEP_ATOL max(1, dx) + _STEP_RTOL dx of dx
+_STEP_ATOL, _STEP_RTOL = 1e-12, 1e-9
 # rows per chunk of the CSV text, about 70 KB of it: measured on the CLI's
 # 33 334-node runs, 16 384-row chunks made more minor page faults and
 # 256-row chunks no fewer; each chunk is still one % operation
@@ -46,6 +52,38 @@ def atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cell(x0: float, dx: float, n: int, y):
+    """(y, pos, j) on the grid x0 + dx j of n nodes: y checked against the
+    grid, its position (y - x0) / dx clipped to [0, n - 1], and its cell
+    j = int(pos) capped at n - 2, so that y lies between nodes j and j + 1.
+    A float stays in Python floats and ints, an array goes through numpy,
+    with the same operations."""
+    x_end = x0 + dx * (n - 1)
+    lo, hi = x0 - 1e-9 * dx, x_end + 1e-9 * dx
+    if isinstance(y, float) or np.ndim(y) == 0:  # np.ndim is slow on a float
+        y = float(y)
+        if not lo <= y <= hi:  # NaN fails both comparisons
+            raise _bounds_error(x0, x_end)
+        pos = min(max((y - x0) / dx, 0.0), n - 1.0)
+        return y, pos, min(int(pos), n - 2)
+    y = np.asarray(y, dtype=float)
+    if y.size and not (y.min() >= lo and y.max() <= hi):  # NaN if y holds one
+        raise _bounds_error(x0, x_end)
+    pos = np.minimum(np.maximum((y - x0) / dx, 0.0), n - 1.0)
+    return y, pos, np.minimum(pos.astype(int), n - 2)
+
+
+def _bounds_error(x0: float, x_end: float) -> ValueError:
+    return ValueError(f"evaluation outside grid [{x0}, {x_end}] or at NaN")
+
+
+def _window(first: int, last: int, n: int):
+    """The nodes [lo, hi) from one before cell `first` to two past cell
+    `last`: rounding in a cell index moves a point by at most one cell, so
+    np.interp on them finds the cell it finds on the whole grid."""
+    return max(first - 1, 0), min(last + 3, n)
 
 
 @dataclass(frozen=True)
@@ -99,43 +137,20 @@ class GridFunction:
         x.flags.writeable = False  # built on first read, then shared by every reader
         return x
 
-    def _bounds_error(self) -> ValueError:
-        return ValueError(f"evaluation outside grid [{self.x0}, {self.x_end}] or at NaN")
-
-    def _cell(self, y):
-        """(y, pos, j): y checked against the grid, its position (y - x0) / dx
-        clipped to [0, n - 1], and its cell j = int(pos) capped at n - 2, so
-        that y lies between nodes j and j + 1.  A float stays in Python floats
-        and ints, an array goes through numpy, with the same operations."""
-        lo, hi = self.x0 - 1e-9 * self.dx, self.x_end + 1e-9 * self.dx
-        if isinstance(y, float) or np.ndim(y) == 0:  # np.ndim is slow on a float
-            y = float(y)
-            if not lo <= y <= hi:  # NaN fails both comparisons
-                raise self._bounds_error()
-            pos = min(max((y - self.x0) / self.dx, 0.0), self.n - 1.0)
-            return y, pos, min(int(pos), self.n - 2)
-        y = np.asarray(y, dtype=float)
-        if y.size and not (y.min() >= lo and y.max() <= hi):  # NaN if y holds one
-            raise self._bounds_error()
-        pos = np.minimum(np.maximum((y - self.x0) / self.dx, 0.0), self.n - 1.0)
-        return y, pos, np.minimum(pos.astype(int), self.n - 2)
-
     def __call__(self, y):
         """Linear interpolation of the sampled values.
 
-        np.interp runs on the nodes from one before the first point's cell
-        to two past the last point's cell, with abscissae computed exactly
-        as `x` computes them.  Rounding in j moves a point by at most one
-        cell, so np.interp finds the cell it finds on the whole grid, and
-        the result equals np.interp over the whole grid bit for bit, while
-        a float or a short array costs O(1) in n.
+        np.interp runs on the nodes `_window` gives, with abscissae computed
+        exactly as `x` computes them, so the result equals np.interp over
+        the whole grid bit for bit, while a float or a short array costs
+        O(1) in n.
         """
-        y, _, j = self._cell(y)
+        y, _, j = _cell(self.x0, self.dx, self.n, y)
         if isinstance(y, float):
             first = last = j
         else:  # an empty array has no cells; any window gives no values
             first, last = (j.min(), j.max()) if j.size else (0, 0)
-        lo, hi = max(first - 1, 0), min(last + 3, self.n)
+        lo, hi = _window(first, last, self.n)
         out = np.interp(y, self.x0 + self.dx * np.arange(lo, hi), self.values[lo:hi])
         return float(out) if isinstance(y, float) else out
 
@@ -144,7 +159,7 @@ class GridFunction:
         expression for a float and an array, so the two agree bit for bit."""
         if self.derivative_values is None:
             raise ValueError("no derivative samples on this grid function")
-        y, pos, j = self._cell(y)
+        y, pos, j = _cell(self.x0, self.dx, self.n, y)
         d = self.derivative_values
         s = pos - j
         # Catmull-Rom node slopes (one-sided at the ends), in units of dx
@@ -194,13 +209,78 @@ class GridFunction:
         if data.shape[0] < 2:
             raise ValueError(_TOO_FEW_ROWS)
         if not np.all(np.isfinite(data)):
-            raise ValueError("a grid-function CSV holds a non-finite value")
+            raise ValueError(_NON_FINITE)
         xs = data[:, 0]
         deriv = data[:, 2] if data.shape[1] == 3 else None
         # Python floats: a first step past float max is inf, rejected here
         grid = GridFunction(float(xs[0]), float(xs[1]) - float(xs[0]), data[:, 1], deriv)
         with np.errstate(over="ignore"):  # a later step past float max is not uniform
             steps = np.diff(xs)
-        if not np.allclose(steps, grid.dx, rtol=1e-9, atol=1e-12 * max(1.0, grid.dx)):
-            raise ValueError("grid-function CSV must have uniform spacing")
+        if not np.allclose(steps, grid.dx, rtol=_STEP_RTOL, atol=_STEP_ATOL * max(1.0, grid.dx)):
+            raise ValueError(_NOT_UNIFORM)
         return grid
+
+
+def csv_value(path, y: float):
+    """(v, x0, x_end) of the grid-function CSV at `path`, for a finite y:
+    v is the linear interpolation at min(y, x_end), bit for bit
+    `GridFunction.from_csv(path)(min(y, x_end))`, or None when y lies below
+    the grid.
+
+    It streams the lines, skipping blank ones as `from_csv` does, and
+    parses only the first two rows (x0 and dx, taken as `from_csv` takes
+    them), the rows of `_window` around y and the last row; the header and
+    the rows between are counted, not parsed, and at most a few lines are
+    held at a time.  Each row it parses needs finite x and value fields,
+    and at row j an x within j times `from_csv`'s step tolerance of
+    x0 + j dx, which at the last row checks the row count against the first
+    step.  A file that fails raises ValueError, as `from_csv` would.
+    """
+    with open(path, "rb") as fh:
+        fh.readline()  # the header
+        lines = filter(bytes.strip, fh)
+        rows = dict(enumerate(itertools.islice(lines, 2)))
+        if len(rows) < 2:
+            raise ValueError(_TOO_FEW_ROWS)
+        x0, x1 = _csv_row(rows[0])[0], _csv_row(rows[1])[0]
+        dx = x1 - x0
+        if not (math.isfinite(dx) and dx > 0):
+            raise ValueError(f"grid step dx must be finite and positive, got {dx}")
+        # from row 2: the last four rows before y's window, the window on a
+        # grid that reaches y, and the last four rows, which hold the window
+        # when the grid ends before y's cell (1e18 cells lie past any file)
+        lo = max(int(min(max((y - x0) / dx, 0.0), 1e18)) - 1, 2)
+        rows.update(collections.deque(enumerate(itertools.islice(lines, lo - 2), 2), maxlen=4))
+        rows.update(enumerate(itertools.islice(lines, 4), lo))
+        rows.update(collections.deque(enumerate(lines, lo + 4), maxlen=4))
+    n = max(rows) + 1
+    x_end = x0 + dx * (n - 1)
+    if not math.isfinite(x_end):
+        raise ValueError(f"grid end x0 + dx (n - 1) must be finite, got {x_end}")
+    step_tol = _STEP_ATOL * max(1.0, dx) + _STEP_RTOL * dx
+
+    def value(j):  # row j's value, its x checked
+        x, v = _csv_row(rows[j])
+        if not abs(x - (x0 + dx * j)) <= j * step_tol:
+            raise ValueError(_NOT_UNIFORM)
+        return v
+
+    value(n - 1)
+    try:
+        y, _, j = _cell(x0, dx, n, min(y, x_end))
+    except ValueError:  # y below the grid
+        return None, x0, x_end
+    lo, hi = _window(j, j, n)
+    values = [value(i) for i in range(lo, hi)]
+    return float(np.interp(y, x0 + dx * np.arange(lo, hi), values)), x0, x_end
+
+
+def _csv_row(line: bytes):
+    """(x, value): the first two fields of a grid-function CSV row, finite."""
+    fields = line.split(b",")
+    if len(fields) < 2:
+        raise ValueError(f"a grid-function CSV row needs x and value fields, got {line!r}")
+    x, v = float(fields[0]), float(fields[1])
+    if not (math.isfinite(x) and math.isfinite(v)):
+        raise ValueError(_NON_FINITE)
+    return x, v

@@ -293,13 +293,16 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, first=None):
     delta *= -half * ldx
     k *= delta  # beta
     R[:, :, 1] = ((decay,), (mu * decay,))
-    prev, swapped = np.eye(2)[:, :, None], np.empty((2, 2, nb))
-    for cur in R:
-        np.multiply(cur[1][:, None], prev[::-1], out=swapped)
-        np.multiply(cur[0][:, None], prev, out=cur)  # numpy buffers the overlap
-        cur += swapped
+    prev, mine, swapped = np.eye(2)[:, :, None], np.empty((2, 2, nb)), np.empty((2, 2, nb))
+    for cur, own, other in zip(R, R[:, 0, :, None], R[:, 1, :, None]):
+        np.multiply(own, prev, out=mine)
+        np.multiply(other, prev[::-1], out=swapped)
+        np.add(mine, swapped, out=cur)
         prev = cur
-    bad = ~np.isfinite(R).all(axis=(0, 1, 2))
+    # a non-finite entry stays one through the later steps of its block (H
+    # carries it: a non-finite times a finite or a sum with one is
+    # non-finite), so the block-end products show every failing block
+    bad = ~np.isfinite(R[-1]).all(axis=(0, 1))
     if bad.any():
         i = 1 + int(np.argmax(bad)) * B
         raise _near_limit(B, i, dx, A, c[i:i + B])
@@ -318,12 +321,14 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, first=None):
     while True:
         rows, hb = slice(1 + b0 * B, 1 + b1 * B), h[:b1 - b0]
         for col, (su, sh) in enumerate(states):
-            starts = []
+            starts = []  # u and H at each block start, flat
+            put = starts.append
             for uu, uh, hu, hh in ends[b0:b1]:
-                starts.append((su, sh))
+                put(su)
+                put(sh)
                 su, sh = uu * su + uh * sh, hu * su + hh * sh
             states[col] = su, sh
-            su, sh = np.array(starts).T[:, :, None]
+            su, sh = np.array(starts).reshape(-1, 2).T[:, :, None]
             uc, dc = u[rows, col].reshape(-1, B), d[rows, col].reshape(-1, B)
             for var, out in ((1, hb), (0, uc)):  # dc is scratch until d is formed
                 np.multiply(R[:, var, 0, b0:b1].T, su, out=out)

@@ -276,6 +276,25 @@ class TestCertifiedSweep:
                 default = cap_solutions(which, value)[1].a_star
                 assert abs(a - default) <= 1e-6, (which, value)
 
+    # a* of every bundled column, at 17 digits: the march, the certificate
+    # and the refinement all feed them, and a change that moves one bit of
+    # any of them fails here; only a change that says so re-records them
+    PINNED = {
+        1: (17.815914611816407, 13.420838775634767, 8.4187136840820322, 5.3313618469238282,
+            3.1766224670410157),
+        2: (3.9742361450195314, 5.3313618469238282, 5.9226922607421875, 5.6970758056640625,
+            5.3098414611816409, 3.7183050537109374),
+        3: (4.8358000183105467, 5.025266418457031, 4.0757350158691406, 3.0956634521484374,
+            1.0727894592285157),
+        4: (24.426170043945312, 17.488761901855469, 13.453271636962892, 10.634953918457033),
+        5: (0.0, 20.404068603515626, 19.404708251953128, 17.488761901855469),
+        6: (14.92044876098633, 18.034439697265626, 18.338598480224611, 16.815364379882812, 0.0),
+    }
+
+    def test_rows_pinned(self):
+        for which in SWEEPS:
+            assert tuple(a for _, a, *_ in tables.run_sweep(which)) == self.PINNED[which], which
+
     def test_uncertified_row_is_the_default_domains(self):
         # sweep 6 at lambda = 0.25, where no barrier is optimal ((A - q) v
         # reaches +2.7e-2 above a* = 0), keeps the default domain's row
@@ -366,6 +385,53 @@ class TestCertifiedSweep:
         monkeypatch.setattr(tables, "_edge_certificate", certificate)
         assert repr(tables.run_sweep(which, dx=dx, x_max=x_max)) == repr(
             todays_rows(which, dx, x_max))
+
+
+class TestZeroPenaltyH:
+    """For a zero penalty G = 0, and `barrier._h_at` takes h = 1 / W'
+    without interpolating G'; the interpolation of the zero G' is the
+    reference it is gated against."""
+
+    @staticmethod
+    def spy_derivative(monkeypatch):
+        """The grid functions whose derivative is interpolated, call by call."""
+        calls, derivative = [], GridFunction.derivative
+
+        def spy(self, y):
+            calls.append(self)
+            return derivative(self, y)
+
+        monkeypatch.setattr(GridFunction, "derivative", spy)
+        return calls
+
+    @pytest.mark.parametrize("penalty", [PenaltyModel.zero(), PenaltyModel.constant(1.0)],
+                             ids=["zero", "constant"])
+    def test_G_prime_is_interpolated_for_a_penalty_only(self, penalty, monkeypatch):
+        params = dataclasses.replace(SWEEPS[1].model_for(0.05), penalty=penalty)
+        scale = solve_scale(params, tables.DEFAULT_DX, tables.MIN_X_MAX)
+        calls = self.spy_derivative(monkeypatch)
+        find_barrier(scale)
+        assert any(g is scale.W for g in calls)
+        assert any(g is scale.G for g in calls) is not penalty.is_zero
+
+    def test_forced_interpolation_of_zero_G_prime_gives_the_same_bits(self, monkeypatch):
+        # a tabulated penalty that is 0 everywhere is not `is_zero`: with it,
+        # h interpolates the zero G' as for any penalty
+        zero_table = PenaltyModel.tabulated([-2.0, -1.0], [0.0, 0.0])
+        calls = self.spy_derivative(monkeypatch)
+        for which in (1, 6):
+            for value in SWEEPS[which].values:
+                scale = solve_scale(SWEEPS[which].model_for(value), tables.DEFAULT_DX,
+                                    tables.MIN_X_MAX)
+                forced = dataclasses.replace(
+                    scale, params=dataclasses.replace(scale.params, penalty=zero_table))
+                fast = find_barrier(scale)
+                calls.clear()
+                slow = find_barrier(forced)
+                assert any(g is forced.G for g in calls)
+                assert (fast.a_star, fast.v_at_barrier, fast.smooth_pasting_residual) == (
+                    slow.a_star, slow.v_at_barrier, slow.smooth_pasting_residual), (which, value)
+                assert np.array_equal(fast.h_profile.values, slow.h_profile.values)
 
 
 class TestValueFunction:

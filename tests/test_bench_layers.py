@@ -88,3 +88,17 @@ def test_tabulated_cli_model_is_the_workload_input(bench, tmp_path):
         config = json.load(fh)
     assert params_to_dict(bench.tabulated_cli_model()) == params_to_dict(
         params_from_dict(config))
+
+
+def test_sweep_certified_counts_the_work(bench):
+    # per column: W's march and find_barrier on [0, MIN_X_MAX], and the
+    # points at which find_barrier interpolates W' and G'; G' is 0 for the
+    # zero penalty of every sweep column and is never interpolated
+    layer = bench.bench_sweep_certified(1)
+    assert (layer["certified"], layer["run_sweep_nodes"]) == (10, 60010)
+    assert layer["G_prime_points"] == 0
+    columns = layer["columns"].values()
+    assert layer["W_prime_points"] == sum(c["W_prime_points"] for c in columns)
+    for column in columns:
+        assert {"march_s", "find_barrier_s", "W_prime_points", "G_prime_points"} <= set(column)
+        assert column["G_prime_points"] == 0 and column["W_prime_points"] >= 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dividend_opt import GridFunction, h_eval, value_function
-from dividend_opt.grid import _CSV_CHUNK, atomic_write
+from dividend_opt.grid import _CSV_CHUNK, atomic_write, csv_value
 
 
 def test_linear_interpolation():
@@ -199,6 +199,45 @@ def test_csv_without_derivative(tmp_path):
     back = GridFunction.from_csv(path)
     assert back.derivative_values is None
     assert np.array_equal(back.values, g.values)
+
+
+@pytest.mark.parametrize("x0,dx,n,with_derivative", [(0.0, 0.005, 3001, True),
+                                                     (-3.7, 0.3, 2, False),
+                                                     (0.5, 1.0 / 3.0, 101, True),
+                                                     (-50.0, 0.1, 1001, False)])
+def test_csv_value_is_the_interpolation_of_the_whole_file(x0, dx, n, with_derivative,
+                                                          tmp_path):
+    rng = np.random.default_rng(5)
+    g = GridFunction(x0, dx, rng.standard_normal(n),
+                     rng.standard_normal(n) if with_derivative else None)
+    path = tmp_path / "g.csv"
+    atomic_write(path, g.csv_chunks())
+    whole = GridFunction.from_csv(path)
+    x = whole.x
+    ys = np.concatenate((rng.choice(x, 40), rng.uniform(x0, whole.x_end, 40),
+                         np.nextafter(rng.choice(x[1:], 20), -np.inf),
+                         [x0, x0 - 1e-10 * dx, whole.x_end, whole.x_end + 2.0, 1e300]))
+    for y in ys.tolist():
+        assert csv_value(path, y) == (whole(min(y, whole.x_end)), whole.x0, whole.x_end)
+    assert csv_value(path, x0 - 0.01 * dx) == (None, whole.x0, whole.x_end)
+
+
+def test_csv_value_checks_the_rows_it_reads(tmp_path):
+    # rows 2 to 5 are read for y = 1.6, and the first two and the last
+    g = GridFunction(0.0, 0.5, np.arange(10.0), np.ones(10))
+    lines = g.to_csv_string().splitlines(keepends=True)
+    path = tmp_path / "g.csv"
+    cases = {"row dropped": (lines[:8] + lines[9:], "uniform spacing"),
+             "x off the grid": (lines[:4] + ["1.52,3,1\n"] + lines[5:], "uniform spacing"),
+             "nan": (lines[:4] + ["1.5,nan,1\n"] + lines[5:], "non-finite"),
+             "one field": (lines[:4] + ["1.5\n"] + lines[5:], "x and value"),
+             "not a number": (lines[:4] + ["1.5,abc,1\n"] + lines[5:], "abc")}
+    for name, (rows, message) in cases.items():
+        path.write_text("".join(rows))
+        with pytest.raises(ValueError, match=message):
+            csv_value(path, 1.6)
+    path.write_text("".join(lines) + "\n\n")  # blank lines at the end are no rows
+    assert csv_value(path, 1.6) == (g(1.6), 0.0, 4.5)
 
 
 def _csv_string_by_row_loop(g):

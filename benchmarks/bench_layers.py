@@ -31,15 +31,15 @@ layers:
   model and summed, against those of the cap `default_x_max`, for the sweep
   models, sweep 1 with the penalties w = -1 and w = -1 + 0.5 y, and the
   tabulated_cli model.
-- `sweep_certified`: per sweep column, `locate_barrier` on the default
-  domain against `locate_barrier` on [0, `tables.MIN_X_MAX`] plus
-  `tables._edge_certificate`, which `run_sweep` runs instead when the
-  certificate shows that no longer domain holds a larger h; the two parts
-  of the short solve, W's march and `find_barrier`; the points at which
-  `find_barrier` interpolates W' and G' (`GridFunction.derivative`); the
-  nodes of each solve, whether the column was certified; and over all
-  columns the count of certified ones, the interpolation points, and the
-  nodes that `run_sweep` marches against those of the default domains.
+- `sweep_certified`: per sweep column, `tables.run_sweep` on that column
+  alone; the two parts of a column's solve on [0, `tables.MIN_X_MAX`], W's
+  march and `find_barrier`; and, in one more call, the work that
+  `run_sweep` does (`sweep_work`): the nodes of the solutions it builds,
+  its calls of `tables._h_falls_past` (`h_tests`), whether it kept the a*
+  of [0, MIN_X_MAX] with no `locate_barrier` on the default domain
+  (`certified`), and the points at which it interpolates W' and G'
+  (`GridFunction.derivative`); and their totals over all columns, the
+  nodes as `run_sweep_nodes`.
 - `convolution`: the diagnostics convolution of W with the claim density
   on 33 334 nodes, for sweep 1's q = 0.05 model and for the tabulated_cli
   model without its penalty.
@@ -90,12 +90,13 @@ import numpy as np
 
 import dividend_opt
 from dividend_opt import (GridFunction, PenaltyModel, find_barrier, omega_eval,
-                          params_from_dict, simulate, solve_scale)
+                          params_from_dict, simulate, solve_scale, tables)
+from dividend_opt import scale as scale_module
 from dividend_opt.grid import atomic_write
 from dividend_opt.scale import (_PartitionedHistory, _exponential_march, _grid_arrays,
                                 _march, _trapezoid_convolution)
-from dividend_opt.tables import (DEFAULT_DX, MIN_X_MAX, SWEEPS, _edge_certificate,
-                                 default_x_max, locate_barrier)
+from dividend_opt.tables import (DEFAULT_DX, MIN_X_MAX, SWEEPS, default_x_max, locate_barrier,
+                                 run_sweep)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -303,56 +304,74 @@ def bench_locate_nodes():
     return out
 
 
-def derivative_points(scale, fn):
-    """The points at which fn() interpolates W' and G' of `scale`
-    (`GridFunction.derivative`), as {"W_prime_points", "G_prime_points"}."""
-    counts = {"W_prime_points": 0, "G_prime_points": 0}
-    derivative = GridFunction.derivative
+def sweep_work(fn):
+    """The work of one call of fn(), a `run_sweep`: the nodes of the
+    solutions it builds (`scale._stable_pair`), its calls of
+    `tables._h_falls_past` and of `locate_barrier` on the default domain,
+    and the points at which it interpolates W' and G' of those solutions
+    (`GridFunction.derivative`).  Each patched name exists both before and
+    after `run_sweep` took `locate_barrier`'s domain tests, so the layer
+    runs on either library."""
+    work = dict.fromkeys(("nodes", "h_tests", "default_locates", "W_prime_points",
+                          "G_prime_points"), 0)
+    pairs = []
+    stable_pair, h_falls_past = scale_module._stable_pair, tables._h_falls_past
+    locate, derivative = tables.locate_barrier, GridFunction.derivative
 
-    def counted(self, y):
-        for name, grid in (("W_prime_points", scale.W), ("G_prime_points", scale.G)):
-            counts[name] += np.size(y) if self is grid else 0
+    def counted_pair(dx, u, *args):
+        pairs.append(stable_pair(dx, u, *args))
+        work["nodes"] += len(u)
+        return pairs[-1]
+
+    def counted_h_test(*args):
+        work["h_tests"] += 1
+        return h_falls_past(*args)
+
+    def counted_locate(params, dx=DEFAULT_DX, x_max=None, barrier=None):
+        work["default_locates"] += x_max is None
+        return locate(params, dx, x_max, barrier)
+
+    def counted_derivative(self, y):
+        for W, G in pairs:
+            work["W_prime_points"] += np.size(y) if self is W else 0
+            work["G_prime_points"] += np.size(y) if self is G else 0
         return derivative(self, y)
 
-    GridFunction.derivative = counted
+    scale_module._stable_pair, tables._h_falls_past = counted_pair, counted_h_test
+    tables.locate_barrier, GridFunction.derivative = counted_locate, counted_derivative
     try:
         fn()
     finally:
-        GridFunction.derivative = derivative
-    return counts
+        scale_module._stable_pair, tables._h_falls_past = stable_pair, h_falls_past
+        tables.locate_barrier, GridFunction.derivative = locate, derivative
+    return work
 
 
 def bench_sweep_certified(runs=5):
-    columns, certified, default_nodes, sweep_nodes = {}, 0, 0, 0
-    points = {"W_prime_points": 0, "G_prime_points": 0}
+    names = ("certified", "h_tests", "run_sweep_nodes", "W_prime_points", "G_prime_points")
+    columns, totals = {}, dict.fromkeys(names, 0)
     for which in Sweep.SWEEPS:
         spec = SWEEPS[which]
-        for value in spec.values:
+        for value, ref in zip(spec.values, spec.reference):
             m = spec.model_for(value)
             p = _grid_arrays(m, DEFAULT_DX, MIN_X_MAX)[1]
-
-            def short():
-                scale, sol = locate_barrier(m, x_max=MIN_X_MAX)
-                return scale, int(_edge_certificate(scale, sol.alpha))
-
-            default_t, (default_scale, _) = timed(lambda: locate_barrier(m), runs)
-            short_t, (short_scale, ok) = timed(short, runs)
+            scale = solve_scale(m, DEFAULT_DX, MIN_X_MAX)
+            SWEEPS[0] = dataclasses.replace(spec, values=(value,), reference=(ref,))
+            try:  # the column alone, as sweep 0
+                sweep_t = timed(lambda: run_sweep(0), runs)[0]
+                work = sweep_work(lambda: run_sweep(0))
+            finally:
+                del SWEEPS[0]
             march_t = timed(lambda: _exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX,
                                                        [1.0], [0.0]), runs)[0]
-            find_t = timed(lambda: find_barrier(short_scale), runs)[0]
-            column_points = derivative_points(short_scale, lambda: find_barrier(short_scale))
-            columns[f"sweep{which}[{value}]"] = {
-                "default_s": default_t, "short_s": short_t, "march_s": march_t,
-                "find_barrier_s": find_t, **column_points,
-                "default_nodes": default_scale.W.n, "short_nodes": short_scale.W.n,
-                "certified": ok}
-            certified += ok
-            default_nodes += default_scale.W.n
-            sweep_nodes += short_scale.W.n + (0 if ok else default_scale.W.n)
-            for name, count in column_points.items():
-                points[name] += count
-    return {"columns": columns, "certified": certified, "default_nodes": default_nodes,
-            "run_sweep_nodes": sweep_nodes, **points}
+            find_t = timed(lambda: find_barrier(scale), runs)[0]
+            column = {"run_sweep_s": sweep_t, "march_s": march_t, "find_barrier_s": find_t,
+                      "certified": int(work.pop("default_locates") == 0),
+                      "run_sweep_nodes": work.pop("nodes"), **work}
+            columns[f"sweep{which}[{value}]"] = column
+            for name in names:
+                totals[name] += column[name]
+    return {"columns": columns, **totals}
 
 
 def bench_convolution(nodes=33334):

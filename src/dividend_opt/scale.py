@@ -704,16 +704,10 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     """
     x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
-    return _solution(params, x_max, x, *_march(params, p_vals, dx, omega), omega)
-
-
-def _solution(params, x_max, x, u, d, omega) -> ScaleSolution:
-    """`solve_scale`'s solution from its march, values u and derivatives d
-    on the grid x of [0, x_max]: W and the stable G, after the range check
-    and, for G, the decay check on the whole grid."""
+    u, d = _march(params, p_vals, dx, omega)
     _check_range(x, u, d)
     noise = None if omega is None else _CANCEL_FLOOR * float(np.abs(u[:, 1]).max())
-    W, G = _stable_pair(float(x[1]), u, d, omega is not None)  # x[1] = dx * 1 is dx
+    W, G = _stable_pair(float(dx), u, d, omega is not None)
     del u, d  # W and G hold copies of their columns: the march's arrays go now
     if omega is not None:
         _check_G_decay(G.values, x_max, noise)

@@ -15,39 +15,40 @@ reference column by design; the CSV keeps both values side by side.
 
 The default domain of `locate_barrier` (no `x_max`) ends where two a
 posteriori tests and a reach pass, at the end x_k >= MIN_X_MAX of one of
-the chunks in which the march runs (`scale._march_chunks`), and no later
-than `default_x_max`, max(30, 50 mean claims), the cap.  After a failed
-test the march goes on to the first end at which the tests could pass
-as far as that end shows (`_DomainTests.want`):
+the chunks in which the march runs (`scale._march_chunks`), the last node
+included, and no later than `default_x_max`, max(30, 50 mean claims), the
+cap.  After a failed test the march goes on to the first end at which the
+tests could pass as far as that end shows (`_DomainTests.want`):
 
 - the G test: G = G_p - r W with r = G_p(x_k) / W(x_k), so moving the end
   further changes G on [0, a*] by |r_inf - r_k| W(a*).  The differences
   of r over the last two spans of `_SUPER` nodes estimate the rest of r's
   geometric tail, which must stay below 1e-12 of max |G| on [0, a*]
   (`_G_CHANGE`); G = 0 without a penalty;
-- the reach: x_k >= a* + 10 mean claims, or a* + max(support end, 10 mean
-  claims) for a tabulated claim, with a given barrier standing in for a*;
+- the reach, the caller's: x_k >= a* + reach, with a given barrier standing
+  in for a*.  `locate_barrier`'s is 10 mean claims, or max(support end, 10
+  mean claims) for a tabulated claim; `run_sweep`'s is 0, because a sweep
+  row needs only a*;
 - the h test: for exponential claims `_h_falls_past`, a proof that no x
   past x_k has a larger h, which reports the domain certified; for other
   claims, h nonincreasing node by node over the last `_SUPER` nodes,
   which proves nothing past x_k and reports it uncertified.
 
-A model that has not passed by the cap gets the solve of the cap's
-domain exactly, with its decay check and retries: its march is the one
-the chunks ran.  The domain and how its end was chosen are
-`ScaleSolution.domain`.
+A model that has not passed by the cap gets `solve_scale` of the cap's
+domain, afresh, with its decay check and retries.  The domain and how its
+end was chosen are `ScaleSolution.domain`.
 
-With no `x_max`, `run_sweep` solves each column on [0, 30], the floor of
-`default_x_max` (grown as `locate_barrier` grows it), and keeps that a*
-when `_edge_certificate` holds at the last node for the zero penalty and
-a linear, constant or rational premium.  A column outside that test, or
-whose certificate or short solve fails, is solved again with
-`locate_barrier` and reported exactly as it reports it.  An explicit
-`x_max` (`--xmax`) solves every column on that domain alone, as before.
+With no `x_max`, `run_sweep` runs the same tests on [0, 30], the floor of
+`default_x_max`, with no reach, and keeps that a* when the domain passes
+and is certified.  A column that does not pass there, or whose march
+fails, is solved again with `locate_barrier` and reported exactly as it
+reports it.  An explicit `x_max` (`--xmax`) solves every column on that
+domain alone, as before.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -59,8 +60,8 @@ import numpy as np
 from .barrier import barrier_solution_at, find_barrier
 from .errors import DomainTooShortError, NumericsError
 from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel, omega_eval
-from .scale import (_MAX_SAFE_LOG, _SUPER, ScaleSolution, _grid_arrays, _kappa_positive,
-                    _march_chunks, _second_derivative, _solution, _truncated, solve_scale)
+from .scale import (_MAX_SAFE_LOG, _SUPER, _grid_arrays, _kappa_positive, _march_chunks,
+                    _second_derivative, _truncated, solve_scale)
 
 DEFAULT_DX = 0.005
 MIN_X_MAX = 30.0  # the floor of `default_x_max`, and a sweep column's first domain
@@ -139,21 +140,24 @@ def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
     of the module docstring pass, and otherwise at the cap, `default_x_max`
     or 10 mean claims past a given barrier if that is further.
     """
-    reason, march = "xmax", None
+    if barrier is not None and not (math.isfinite(barrier) and barrier >= 0.0):
+        raise ValueError(f"barrier must be a finite number >= 0, got {barrier}")
+    reason = "xmax"
     if x_max is None:
+        claim = params.claim
         x_max = default_x_max(params)
         if barrier is not None:
-            x_max = max(x_max, barrier + 10.0 * params.claim.mean())
-        found, march = _short_domain(params, dx, x_max, barrier)
+            x_max = max(x_max, barrier + 10.0 * claim.mean())
+        reach = 10.0 * claim.mean() if claim.kind == "exponential" else max(
+            claim.support_end, 10.0 * claim.mean())
+        found = _short_domain(params, dx, x_max, barrier, reach)
         if found is not None:
             return found
         reason = "cap"
     last = None
     for _ in range(_MAX_DOMAIN_RETRIES):
         try:
-            done, march = march, None  # the march to the cap serves the first solve only
-            scale = solve_scale(params, dx, x_max) if done is None else _solution(
-                params, x_max, *done)
+            scale = solve_scale(params, dx, x_max)
             if scale.domain_reason != reason:
                 scale = dataclasses.replace(scale, domain_reason=reason)
             return scale, (find_barrier(scale) if barrier is None
@@ -164,24 +168,23 @@ def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
     raise last
 
 
-def _short_domain(params: ModelParams, dx: float, x_max: float, barrier: float | None):
-    """March [0, x_max] in chunks and stop at the first chunk end where the
-    tests pass: ((scale, solution), None) there, else (None, (x, u, d,
-    omega)), the march of `solve_scale(params, dx, x_max)` run to its
-    end."""
+def _short_domain(params: ModelParams, dx: float, x_max: float, barrier, reach: float):
+    """March [0, x_max] in chunks and stop at the first chunk end, the last
+    node included, where the tests pass with the given `reach`: (scale,
+    solution) there, else None."""
     x, p_vals = _grid_arrays(params, dx, x_max)
     omega = None if params.penalty.is_zero else omega_eval(params, x)
-    tests = _DomainTests(params, dx, x.size, barrier)
+    tests = _DomainTests(params, dx, x.size, barrier, reach)
     chunks = _march_chunks(params, p_vals, dx, omega, tests.want)
     k, u, d = next(chunks)
-    while k < x.size:
-        if tests.passed(k, u, d):
-            chunks.close()  # the kernel's working arrays go before the solution is built
-            scale = _truncated(params, dx, u, d, omega, k, params.claim.kind == "exponential")
-            return (scale, find_barrier(scale) if barrier is None
-                    else barrier_solution_at(scale, barrier)), None
+    while not tests.passed(k, u, d):
+        if k == x.size:
+            return None
         k, u, d = chunks.send(tests.want)
-    return None, (x, u, d, omega)
+    chunks.close()  # the kernel's working arrays go before the solution is built
+    scale = _truncated(params, dx, u, d, omega, k, params.claim.kind == "exponential")
+    return scale, (find_barrier(scale) if barrier is None
+                   else barrier_solution_at(scale, barrier))
 
 
 class _DomainTests:
@@ -190,15 +193,12 @@ class _DomainTests:
     the march for the next one at `want`, the first node count at which
     the tests could pass as far as this end shows, and they keep h - r =
     (1 - G_p') / W' at each node read, which no later end changes.  A
-    chunk that leaves float range or has W' <= 0 ends the testing, and so
-    does 1 - G' <= 0 on a tested domain: the march runs on to the cap,
-    whose solve reports those as it always has."""
+    chunk that leaves float range or has W' <= 0, or 1 - G' <= 0 on a
+    tested domain, sends the march on to the cap's last node and so to
+    the cap's solve, which reports it as it always has."""
 
-    def __init__(self, params: ModelParams, dx: float, n: int, barrier: float | None):
-        claim = params.claim
-        self.params, self.dx, self.barrier = params, dx, barrier
-        self.reach = 10.0 * claim.mean() if claim.kind == "exponential" else max(
-            claim.support_end, 10.0 * claim.mean())
+    def __init__(self, params: ModelParams, dx: float, n: int, barrier, reach: float):
+        self.params, self.dx, self.barrier, self.reach = params, dx, barrier, reach
         self.want = self._node_count(max(MIN_X_MAX, (barrier or 0.0) + self.reach))
         self.hb, self.read = np.empty(n), 0  # h - r, read up to node `self.read`
 
@@ -225,7 +225,7 @@ class _DomainTests:
             if tail == math.inf:
                 return False
         hb = self.hb[:k]
-        if hb.min() + r <= 0.0:  # 1 - G' <= 0: the cap's solve warns of it
+        if penalised and hb.min() + r <= 0.0:  # 1 - G' <= 0 (G = 0 without a penalty)
             self.want = self.hb.size
             return False
         if barrier is None:  # the largest node of h's maximum, as `find_barrier` ties it
@@ -272,45 +272,25 @@ class _DomainTests:
 def run_sweep(which: int, dx: float = DEFAULT_DX, x_max: float | None = None):
     """Rows (param_value, a_star, a_star_ref, abs_diff, note) for one sweep.
 
-    With no `x_max`, a column's a* comes from the certified short domain
-    when it can (`_certified_a_star`), else from the default domain.  A
+    With no `x_max`, a column's a* comes from [0, MIN_X_MAX] where the domain
+    tests certify it with no reach, else from the default domain.  A
     numerical failure in one column aborts that column only (NaN + note).
     """
     spec = SWEEPS[which]
     rows = []
     for value, ref in zip(spec.values, spec.reference):
         params = spec.model_for(value)
+        found = None
+        if x_max is None:
+            with contextlib.suppress(NumericsError, ValueError):  # the default domain resolves it
+                found = _short_domain(params, dx, MIN_X_MAX, None, 0.0)
         try:
-            a = _certified_a_star(params, dx) if x_max is None else None
-            if a is None:
-                a = locate_barrier(params, dx=dx, x_max=x_max)[1].a_star
+            a = (found[1] if found is not None and found[0].domain_certified
+                 else locate_barrier(params, dx=dx, x_max=x_max)[1]).a_star
             rows.append((value, a, ref, abs(a - ref), ""))
         except NumericsError as exc:
             rows.append((value, math.nan, ref, math.nan, str(exc)))
     return rows
-
-
-def _certified_a_star(params: ModelParams, dx: float) -> float | None:
-    """a* located from [0, MIN_X_MAX] when `_edge_certificate` shows that no
-    longer domain holds a larger h, else None: also for a model outside the
-    certificate, which is not solved short, and when the short solve fails;
-    the default domain then repeats or resolves it."""
-    if (params.claim.kind != "exponential" or not params.penalty.is_zero
-            or params.premium.kind not in ("constant", "linear", "rational")):
-        return None
-    try:
-        scale, sol = locate_barrier(params, dx=dx, x_max=MIN_X_MAX)
-    except (NumericsError, ValueError):
-        return None
-    return sol.a_star if _edge_certificate(scale, sol.alpha) else None
-
-
-def _edge_certificate(scale: ScaleSolution, h_max: float) -> bool:
-    """`_h_falls_past` at the last node of `scale`."""
-    W, G = scale.W, scale.G
-    return _h_falls_past(scale.params, scale.dx, W.x_end,
-                         (W.values[-1], W.derivative_values[-1]),
-                         (G.values[-1], G.derivative_values[-1]), h_max)
 
 
 def _h_falls_past(params, dx, x1, w, g, h_max) -> bool:

@@ -161,16 +161,21 @@ class TestFindBarrier:
         assert tried == [10.0, 20.0, 40.0]  # _MAX_DOMAIN_RETRIES solves
 
     def test_run_sweep_marks_a_failed_column_nan(self, monkeypatch):
+        # the column's march fails on [0, MIN_X_MAX] and on the default
+        # domain: its row reports the default domain's error
         spec = SWEEPS[1]
         failing = spec.values[1]
-        located = tables.locate_barrier
+        short, located = tables._short_domain, tables.locate_barrier
 
-        def locate(params, dx, x_max):
-            if params.q == failing:
-                raise NumericsError("march failed")
-            return located(params, dx, x_max)
+        def fail_for(fn):
+            def wrapped(params, *args, **kwargs):
+                if params.q == failing:
+                    raise NumericsError("march failed")
+                return fn(params, *args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(tables, "locate_barrier", locate)
+        monkeypatch.setattr(tables, "_short_domain", fail_for(short))
+        monkeypatch.setattr(tables, "locate_barrier", fail_for(located))
         rows = tables.run_sweep(1)
         assert [r[0] for r in rows] == list(spec.values)
         for value, a, ref, diff, note in rows:
@@ -233,30 +238,44 @@ def todays_rows(which, dx=tables.DEFAULT_DX, x_max=None):
     return rows
 
 
+def h_falls_past_the_end(scale, h_max):
+    """`tables._h_falls_past` at the last node of `scale`."""
+    W, G = scale.W, scale.G
+    return tables._h_falls_past(scale.params, scale.dx, W.x_end,
+                                (W.values[-1], W.derivative_values[-1]),
+                                (G.values[-1], G.derivative_values[-1]), h_max)
+
+
 class TestCertifiedSweep:
-    """`run_sweep` with no x_max keeps the a* of [0, MIN_X_MAX] where W' is
-    certified nondecreasing past the last node, and otherwise reports the
-    default domain's."""
+    """`run_sweep` with no x_max runs the domain tests of `locate_barrier`
+    on [0, MIN_X_MAX] with no reach, keeps that a* where they pass and
+    certify the domain, and otherwise reports the default domain's."""
 
     def test_certifies_all_29_columns(self, monkeypatch):
-        certificates, domains, verdicts = [], [], []
-        certify, located = tables._edge_certificate, tables.locate_barrier
+        found, tested, verdicts = [], [], []
+        short, falls_past = tables._short_domain, tables._h_falls_past
 
-        def spy_certificate(*args):
-            certificates.append(certify(*args))
-            return certificates[-1]
+        def spy_short(*args):
+            found.append((args[2:], short(*args)))
+            return found[-1][1]
 
-        def spy_locate(params, dx, x_max):
-            domains.append(x_max)
-            return located(params, dx, x_max)
+        def spy_falls_past(*args):
+            tested.append(falls_past(*args))
+            return tested[-1]
 
-        monkeypatch.setattr(tables, "_edge_certificate", spy_certificate)
-        monkeypatch.setattr(tables, "locate_barrier", spy_locate)
+        def locate(*args, **kwargs):
+            raise AssertionError("a certified column takes no default domain")
+
+        monkeypatch.setattr(tables, "_short_domain", spy_short)
+        monkeypatch.setattr(tables, "_h_falls_past", spy_falls_past)
+        monkeypatch.setattr(tables, "locate_barrier", locate)
         monkeypatch.setattr(hjb, "exact_verdict", lambda *args: verdicts.append(args))
         for which in SWEEPS:
             tables.run_sweep(which)
-        assert len(certificates) == 29 and all(certificates)
-        assert domains == [tables.MIN_X_MAX] * 29
+        assert [args for args, _ in found] == [(tables.MIN_X_MAX, None, 0.0)] * 29
+        assert all(scale.domain == {"end": tables.MIN_X_MAX, "certified": True,
+                                    "reason": "tests passed"} for (_, (scale, _)) in found)
+        assert tested == [True] * 29  # one h test per column, at its last node
         assert verdicts == []
 
     def test_grid_oracle_h_falls_past_the_short_domain(self, cap_solutions):
@@ -301,7 +320,10 @@ class TestCertifiedSweep:
         assert repr(tables.run_sweep(6)[4]) == repr(todays_rows(6)[4])
 
     @pytest.mark.parametrize("model", ["penalised", "tabulated premium"])
-    def test_model_outside_the_certificate_falls_back(self, model, monkeypatch):
+    def test_models_beyond_the_bundled_ones(self, model, monkeypatch):
+        # the G test of a penalised column does not pass on [0, MIN_X_MAX]
+        # with no reach, and its row is the default domain's; the tabulated
+        # premium is certified there, within the refinement width of it
         base = SWEEPS[1].model_for
         if model == "penalised":
             def model_for(self, value):
@@ -319,24 +341,28 @@ class TestCertifiedSweep:
             return located(params, dx, x_max)
 
         monkeypatch.setattr(tables.SweepSpec, "model_for", model_for)
+        expected = todays_rows(1)
         monkeypatch.setattr(tables, "locate_barrier", spy_locate)
-        assert tables._certified_a_star(SWEEPS[1].model_for(0.05), tables.DEFAULT_DX) is None
-        assert domains == []
         rows = tables.run_sweep(1)
-        assert domains == [None] * 5
-        assert repr(rows) == repr(todays_rows(1))
+        if model == "penalised":
+            assert domains == [None] * 5
+            assert repr(rows) == repr(expected)
+        else:
+            assert domains == []
+            for (_, a, *_), (_, default, *_) in zip(rows, expected):
+                assert abs(a - default) <= 1e-6
 
     def test_each_condition_of_the_certificate(self):
         # sweep 1 at q = 0.05 has a* = 5.33, the minimum of W': on [0, 4],
         # W' still falls at the last node; on [0, 30] it rises
         params = SWEEPS[1].model_for(0.05)
         short = solve_scale(params, tables.DEFAULT_DX, 4.0)
-        assert not tables._edge_certificate(short, 1e6)
+        assert not h_falls_past_the_end(short, 1e6)
         scale, sol = locate_barrier(params, x_max=tables.MIN_X_MAX)
-        assert tables._edge_certificate(scale, sol.alpha)
+        assert h_falls_past_the_end(scale, sol.alpha)
         h1 = 1.0 / scale.W.derivative_values[-1]
-        assert not tables._edge_certificate(scale, h1 * (1.0 + 0.5e-3))  # inside the margin
-        assert tables._edge_certificate(scale, h1 * (1.0 + 2e-3))
+        assert not h_falls_past_the_end(scale, h1 * (1.0 + 0.5e-3))  # inside the margin
+        assert h_falls_past_the_end(scale, h1 * (1.0 + 2e-3))
 
     def test_kappa_boundary(self):
         kappa_positive = scale_module._kappa_positive
@@ -362,27 +388,30 @@ class TestCertifiedSweep:
         assert kappa_positive(rising, 0.3, 0.05, 40.0)
 
     @pytest.mark.parametrize("error", [DomainTooShortError("short", suggested_x_max=None),
-                                       ValueError("need 0 < dx < x_max")])
-    def test_failed_short_solve_falls_back(self, error, monkeypatch):
-        # a short domain that stays too short after its retries, or a dx
-        # too coarse for [0, MIN_X_MAX] but not for the default domain
-        located = tables.locate_barrier
+                                       ValueError("need 0 < dx < x_max"), None])
+    def test_failed_short_domain_falls_back(self, error, monkeypatch):
+        # a march that fails on [0, MIN_X_MAX], a dx too coarse for it but
+        # not for the default domain, or a domain that passes uncertified
+        short = tables._short_domain
 
-        def locate(params, dx, x_max):
-            if x_max == tables.MIN_X_MAX:
+        def fail(params, dx, x_max, *args):
+            if x_max != tables.MIN_X_MAX:  # the default domain's tests
+                return short(params, dx, x_max, *args)
+            if error is not None:
                 raise error
-            return located(params, dx, x_max)
+            scale, sol = short(params, dx, x_max, *args)
+            return dataclasses.replace(scale, domain_certified=False), sol
 
-        monkeypatch.setattr(tables, "locate_barrier", locate)
+        monkeypatch.setattr(tables, "_short_domain", fail)
         assert repr(tables.run_sweep(1)) == repr(todays_rows(1))
 
     @pytest.mark.parametrize("which, dx, x_max", [(1, tables.DEFAULT_DX, 40.0),
                                                   (6, 0.01, 60.0)])
     def test_explicit_domain_is_todays(self, which, dx, x_max, monkeypatch):
-        def certificate(*args):
-            raise AssertionError("an explicit domain takes no certificate")
+        def short(*args):
+            raise AssertionError("an explicit domain runs no domain tests")
 
-        monkeypatch.setattr(tables, "_edge_certificate", certificate)
+        monkeypatch.setattr(tables, "_short_domain", short)
         assert repr(tables.run_sweep(which, dx=dx, x_max=x_max)) == repr(
             todays_rows(which, dx, x_max))
 
@@ -740,8 +769,7 @@ class TestDefaultDomain:
 
     def test_model_that_never_passes_gets_the_caps_solve(self, monkeypatch):
         # G of this model decays slowly: the G test does not pass by the cap
-        # of 50, whose solve then grows the domain as an explicit x_max does,
-        # its first solve taking the chunks' own march to the cap
+        # of 50, whose solve then grows the domain as an explicit x_max does
         params = make_params(premium="constant", claim_mu=1.0, penalty="constant",
                              lam=0.95, q=0.001)
         long_scale, long_sol = locate_barrier(params, x_max=default_x_max(params))
@@ -754,21 +782,39 @@ class TestDefaultDomain:
 
         monkeypatch.setattr(tables, "solve_scale", counted)
         scale, sol = locate_barrier(params)
-        assert solves == [1.5 * 50.0]  # the retry after the cap's solve
+        assert solves == [50.0, 1.5 * 50.0]  # the cap's solve and its retry
         assert scale.domain == {"end": long_scale.domain_end, "certified": False,
                                 "reason": "cap"}
         assert np.array_equal(scale.W.values, long_scale.W.values)
         assert np.array_equal(scale.G.derivative_values, long_scale.G.derivative_values)
         assert sol.a_star == long_sol.a_star
 
+    @staticmethod
+    def knotted_model(knots):
+        """Exponential(0.3) claims and a premium flat at 1 up to the knot
+        knots[0], rising by 0.1 to knots[1] and flat again past it."""
+        premium = PremiumModel.tabulated([0.0, *knots], [1.0, 1.0, 1.1])
+        return ModelParams(premium, ClaimModel.exponential(0.3), PenaltyModel.zero(),
+                           lam=0.1, q=0.05)
+
     def test_certificate_failure_marches_to_the_cap(self):
-        # a premium whose slope rises at a knot past the last chunk end
-        # before the cap (166.67): kappa > 0 fails at every tested end
-        premium = PremiumModel.tabulated([0.0, 165.0, 170.0], [1.0, 1.0, 1.1])
-        params = ModelParams(premium, ClaimModel.exponential(0.3), PenaltyModel.zero(),
-                             lam=0.1, q=0.05)
+        # the premium's slope rises at a knot past the cap (166.67): kappa > 0
+        # fails at every chunk end, the last node included
+        params = self.knotted_model([170.0, 175.0])
         scale, sol = locate_barrier(params)
         long_scale, long_sol = locate_barrier(params, x_max=default_x_max(params))
-        assert scale.domain["reason"] == "cap"
+        assert scale.domain == {"end": long_scale.domain_end, "certified": False,
+                                "reason": "cap"}
+        assert np.array_equal(scale.W.values, long_scale.W.values)
+        assert sol.a_star == long_sol.a_star
+
+    def test_model_that_passes_at_the_last_node(self):
+        # the slope rises at 165, past the last chunk end before the cap's
+        # last node, and falls at 170: the tests first pass at that node
+        params = self.knotted_model([165.0, 170.0])
+        scale, sol = locate_barrier(params)
+        long_scale, long_sol = locate_barrier(params, x_max=default_x_max(params))
+        assert scale.domain == {"end": long_scale.domain_end, "certified": True,
+                                "reason": "tests passed"}
         assert np.array_equal(scale.W.values, long_scale.W.values)
         assert sol.a_star == long_sol.a_star

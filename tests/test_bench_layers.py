@@ -91,14 +91,18 @@ def test_tabulated_cli_model_is_the_workload_input(bench, tmp_path):
 
 
 def test_sweep_certified_counts_the_work(bench):
-    # per column: W's march and find_barrier on [0, MIN_X_MAX], and the
-    # points at which find_barrier interpolates W' and G'; G' is 0 for the
-    # zero penalty of every sweep column and is never interpolated
+    # per column: run_sweep alone, with one h test at the last node of
+    # [0, MIN_X_MAX] and no default domain; the points at which
+    # find_barrier interpolates W' and G', G' being 0 for the zero penalty
+    # of every sweep column and never interpolated
     layer = bench.bench_sweep_certified(1)
-    assert (layer["certified"], layer["run_sweep_nodes"]) == (10, 60010)
+    assert (layer["certified"], layer["h_tests"], layer["run_sweep_nodes"]) == (10, 10, 60010)
     assert layer["G_prime_points"] == 0
     columns = layer["columns"].values()
-    assert layer["W_prime_points"] == sum(c["W_prime_points"] for c in columns)
+    for name in ("certified", "h_tests", "run_sweep_nodes", "W_prime_points"):
+        assert layer[name] == sum(c[name] for c in columns)
     for column in columns:
-        assert {"march_s", "find_barrier_s", "W_prime_points", "G_prime_points"} <= set(column)
+        assert {"run_sweep_s", "march_s", "find_barrier_s"} <= set(column)
+        assert (column["certified"], column["h_tests"], column["run_sweep_nodes"]) == (1, 1, 6001)
         assert column["G_prime_points"] == 0 and column["W_prime_points"] >= 1
+    assert 0 not in bench.SWEEPS  # the one-column sweep is gone again

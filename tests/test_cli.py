@@ -9,8 +9,8 @@ import warnings
 
 import pytest
 
-from dividend_opt import (ModelParams, PenaltyModel, PremiumModel, cli, params_to_dict,
-                          simulate)
+from dividend_opt import (ModelParams, PenaltyModel, PremiumModel, cli, params_to_dict, scale,
+                          simulate, tables)
 from dividend_opt.cli import main
 from dividend_opt.errors import DividendOptError
 from dividend_opt.scale import _grid_arrays
@@ -399,6 +399,20 @@ def test_bad_argument_value_is_usage_error(case, config_path, tmp_path, capsys):
     assert code == 64
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("barrier", ["nan", "inf", "-1"])
+def test_bad_barrier_is_usage_error_before_any_march(barrier, config_path, tmp_path, capsys,
+                                                     monkeypatch):
+    def march(*args, **kwargs):
+        raise AssertionError("a bad barrier runs no march")
+
+    for module in (scale, tables):  # tables imports the name from scale
+        monkeypatch.setattr(module, "_march_chunks", march)
+    code = main(["verify", config_path, "--barrier", barrier, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err == f"usage error: barrier must be a finite number >= 0, got {float(barrier)}\n"
 
 
 def test_grid_past_numpy_size_limit_is_usage_error(config_path, tmp_path, capsys):

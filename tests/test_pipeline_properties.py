@@ -18,9 +18,17 @@ step reach the pole z = -2, and checks only the limit: past the cap an
 exponential claim with mu dx near 1 or more can give W <= 0 below the
 limit, with warnings only; that is a different fault (under-resolution of
 the density) and not the trapezoid limit.
+
+The domain policy: `run_sweep` runs `locate_barrier`'s domain tests on
+[0, MIN_X_MAX] with no reach.  Where they certify that domain, its a*
+agrees with the default domain's within 1e-6, or, at a flat maximum, is
+as good a maximizer of the default domain's h to round-off; otherwise
+the sweep row is the default domain's, bit for bit.
 """
 
+import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -29,7 +37,7 @@ from hypothesis import strategies as st
 
 from conftest import erlang2_claim
 from dividend_opt import (ClaimModel, DividendOptError, ModelParams, NumericsError,
-                          PenaltyModel, PremiumModel, solve_scale)
+                          PenaltyModel, PremiumModel, h_eval, solve_scale, tables)
 
 ERLANG2 = erlang2_claim(0.01)
 LIMIT = "trapezoid limit"
@@ -121,3 +129,64 @@ def test_step_at_or_past_the_limit_is_the_one_error(case):
 def test_past_the_step_cap_both_poles_are_the_limit(case):
     params, dx, x_max, (step, past) = case
     _check_the_limit(params, dx, x_max, step, past)
+
+
+@st.composite
+def sweep_models(draw):
+    """(params, dx): a zero-penalty model with exponential claims and a
+    linear, rational or tabulated premium, with rates across decades, and
+    the default dx or the step cap if that is smaller."""
+    lam, q, mu = draw(decades(1e-2, 1.0)), draw(decades(1e-3, 0.2)), draw(decades(0.1, 10.0))
+    c = draw(decades(0.3, 3.0))
+    kind = draw(st.sampled_from(["linear", "rational", "tabulated"]))
+    if kind == "linear":  # a slope below q keeps the speed condition
+        premium = PremiumModel.linear(c, q * draw(st.floats(0.0, 0.9)))
+    elif kind == "rational":
+        premium = PremiumModel.rational(c)
+    else:
+        knots = draw(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3, unique=True))
+        levels = sorted(draw(st.lists(decades(0.3, 3.0), min_size=len(knots) + 1,
+                                      max_size=len(knots) + 1)),
+                        reverse=draw(st.booleans()))  # a tabulated premium is monotone
+        premium = PremiumModel.tabulated([0.0, *sorted(knots)], levels)
+    params = ModelParams(premium, ClaimModel.exponential(mu), PenaltyModel.zero(), lam=lam, q=q)
+    return params, min(tables.DEFAULT_DX, 0.01 * min(1.0 / lam, 1.0 / mu))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DividendOptError, ValueError) as exc:
+        return exc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=sweep_models())
+def test_sweep_and_default_domain_share_one_policy(case):
+    params, dx = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # W' <= 0 is the solve's to report
+        found = _outcome(tables._short_domain, params, dx, tables.MIN_X_MAX, None, 0.0)
+        default = _outcome(tables.locate_barrier, params, dx)
+        tables.SWEEPS[0] = types.SimpleNamespace(values=(0.0,), reference=(0.0,),
+                                                 model_for=lambda value: params)
+        try:
+            (_, a, _, _, note), = tables.run_sweep(0, dx)
+        finally:
+            del tables.SWEEPS[0]
+    certified = isinstance(found, tuple) and found[0].domain_certified
+    event(f"{params.premium.kind}: {'certified' if certified else 'default domain'}")
+    if certified:
+        scale, sol = default
+        assert a == found[1].a_star
+        # a flat maximum of h (q near 1e-3) ties h to round-off over a few
+        # refinement steps, which the march's round-off on either domain
+        # breaks: the a* of [0, MIN_X_MAX] is then as good a maximizer of
+        # the default domain's h as its own
+        assert abs(a - sol.a_star) <= 1e-6 or abs(sol.alpha - h_eval(scale, a)) <= (
+            1e-14 * sol.alpha), (a, sol.a_star)
+    elif isinstance(default, NumericsError):
+        assert math.isnan(a) and note == str(default)
+    else:
+        assert a == default[1].a_star and note == ""

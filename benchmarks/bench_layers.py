@@ -17,9 +17,9 @@ layers:
   and digests the tabulated_cli config, as every command begins: its wall
   time, its `ru_maxrss` in MB and whether it loaded OpenSSL's `_hashlib`
   (`openssl_loaded`, 0 or 1).
-- `sweep_march`: W's exponential march on each sweep model, summed, with
-  the minor page faults per march and the largest `tracemalloc` peak of one
-  march in float64 per node.
+- `sweep_march`: W's exponential march on each sweep model's cap grid,
+  its inputs included, summed, with the minor page faults per march and the
+  largest `tracemalloc` peak of one march in float64 per node.
 - `penalised_solve`: `solve_scale` on each sweep model with the constant
   penalty w = -1 (W and G_p as two columns of one march, then G and the
   diagnostics), summed.
@@ -31,6 +31,16 @@ layers:
   model and summed, against those of the cap `default_x_max`, for the sweep
   models, sweep 1 with the penalties w = -1 and w = -1 + 0.5 y, and the
   tabulated_cli model.
+- `locate_memory`: one default-domain `locate_barrier` of the tabulated_cli
+  model and of sweep 1's q = 0.05 model, each in fresh processes: the
+  growth of the process's peak resident set in MB (`VmHWM`: `ru_maxrss`
+  would also hold the peak of the process that started it, inherited
+  across exec) and the minor page faults over the locate (medians over
+  `runs` processes) and its time; in one more process its `tracemalloc`
+  peak in bytes; and in another, the grid nodes at which it evaluated the
+  premium or omega (`input_nodes`), with the domain's and the cap's nodes.
+  That code uses only public names, so it measures an older library just
+  as well.
 - `sweep_certified`: per sweep column, `tables.run_sweep` on that column
   alone; the two parts of a column's solve on [0, `tables.MIN_X_MAX`], W's
   march and `find_barrier`; and, in one more call, the work that
@@ -90,11 +100,11 @@ import numpy as np
 
 import dividend_opt
 from dividend_opt import (GridFunction, PenaltyModel, find_barrier, omega_eval,
-                          params_from_dict, simulate, solve_scale, tables)
+                          params_from_dict, params_to_dict, simulate, solve_scale, tables)
 from dividend_opt import scale as scale_module
 from dividend_opt.grid import atomic_write
-from dividend_opt.scale import (_PartitionedHistory, _exponential_march, _grid_arrays,
-                                _march, _trapezoid_convolution)
+from dividend_opt.scale import (_MarchInputs, _PartitionedHistory, _march,
+                                _trapezoid_convolution)
 from dividend_opt.tables import (DEFAULT_DX, MIN_X_MAX, SWEEPS, default_x_max, locate_barrier,
                                  run_sweep)
 
@@ -196,13 +206,14 @@ def bench_imports(runs=7):
     return {"wall_s": t, "maxrss_mb": maxrss_kib / 1024.0, "openssl_loaded": openssl}
 
 
-def sweep_grids():
-    """(model, premium at the nodes) of each sweep model on its cap's grid."""
-    return [(m, _grid_arrays(m, DEFAULT_DX, default_x_max(m))[1]) for m in SWEEP_MODELS]
+def cap_nodes(m):
+    """The nodes of the grid of `default_x_max`, the cap."""
+    return _MarchInputs(m, DEFAULT_DX, default_x_max(m)).n
 
 
-def sweep_march(m, p):
-    _exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX, [1.0], [0.0])
+def sweep_march(m):
+    """W's march on the sweep model m's cap grid, its inputs included."""
+    _march(_MarchInputs(m, DEFAULT_DX, default_x_max(m)))
 
 
 def blocked_march_call(penalised=True, support=40.0):
@@ -212,20 +223,16 @@ def blocked_march_call(penalised=True, support=40.0):
     params = tabulated_cli_model(support)
     if not penalised:
         params = dataclasses.replace(params, penalty=PenaltyModel.zero())
-    x, p = _grid_arrays(params, DEFAULT_DX, default_x_max(params))
-    omega = omega_eval(params, x) if penalised else None
-
     def march():
-        _march(params, p, DEFAULT_DX, omega)
+        _march(_MarchInputs(params, DEFAULT_DX, default_x_max(params)))
 
-    return march, x.size
+    return march, cap_nodes(params)
 
 
 def pass_faults(layer, *args):
     """The minor page faults that `layer` reports, per march or locate."""
     if layer == "sweep_march":
-        grids = sweep_grids()
-        return page_faults(lambda: [sweep_march(m, p) for m, p in grids]) / len(grids)
+        return page_faults(lambda: [sweep_march(m) for m in SWEEP_MODELS]) / len(SWEEP_MODELS)
     if layer == "locate":
         return page_faults(lambda: [locate_barrier(m) for m in SWEEP_MODELS]) / len(SWEEP_MODELS)
     return page_faults(blocked_march_call(*args)[0])
@@ -245,17 +252,15 @@ def in_fresh_process(name, *args):
 
 
 def bench_sweep_march():
-    grids = sweep_grids()
-
     def one_pass():
-        for m, p in grids:
-            sweep_march(m, p)
+        for m in SWEEP_MODELS:
+            sweep_march(m)
 
-    return {"models": len(grids), "nodes": sum(p.size for _, p in grids),
+    return {"models": len(SWEEP_MODELS), "nodes": sum(map(cap_nodes, SWEEP_MODELS)),
             "march_s": timed(one_pass, runs=3)[0],
             "faults_per_march": in_fresh_process("pass_faults", "sweep_march"),
-            "peak_floats_per_node": max(traced_peak(lambda: sweep_march(m, p)) / (8 * p.size)
-                                        for m, p in grids)}
+            "peak_floats_per_node": max(traced_peak(lambda: sweep_march(m)) / (8 * cap_nodes(m))
+                                        for m in SWEEP_MODELS)}
 
 
 def bench_penalised_solve():
@@ -347,6 +352,77 @@ def sweep_work(fn):
     return work
 
 
+# one default-domain locate_barrier of the model in the JSON file argv[1], in
+# a fresh process; prints one JSON object.  argv[2] "rusage": the growth of
+# the peak resident set (KiB), the minor page faults and the seconds of the locate;
+# "tracemalloc": its traced peak (bytes); "nodes": the nodes dx i at which
+# it evaluated the premium or omega, and those of its domain
+LOCATE_MEMORY_CODE = """
+import json, resource, sys, time, tracemalloc
+import numpy as np
+from dividend_opt import model, params_from_json
+from dividend_opt.tables import DEFAULT_DX, locate_barrier
+
+
+def peak_kib():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+
+params, mode = params_from_json(sys.argv[1]), sys.argv[2]
+out = {}
+if mode == "rusage":
+    peak, faults = peak_kib(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    locate_barrier(params)
+    out["locate_s"] = time.perf_counter() - t0
+    out["peak_rss_kib"] = peak_kib() - peak
+    out["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+elif mode == "tracemalloc":
+    tracemalloc.start()
+    locate_barrier(params)
+    out["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+else:
+    nodes = []
+
+    def spied(fn):
+        def call(*args):  # PremiumModel.p(self, x) and omega_eval(params, x)
+            nodes.append(np.rint(np.ravel(args[-1]) / DEFAULT_DX).astype(np.int64))
+            return fn(*args)
+        return call
+
+    model.PremiumModel.p = spied(model.PremiumModel.p)
+    omega = spied(model.omega_eval)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dividend_opt") and \\
+                getattr(module, "omega_eval", None) is model.omega_eval:
+            module.omega_eval = omega
+    out["domain_nodes"] = locate_barrier(params)[0].W.n
+    out["input_nodes"] = int(np.unique(np.concatenate(nodes)).size)
+print(json.dumps(out))
+"""
+
+
+def bench_locate_memory(runs=5):
+    models = {"tabulated_cli": tabulated_cli_model(), "sweep1_q05": sweep1_q05()}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, m in models.items():
+            config = os.path.join(tmp, f"{name}.json")
+            write_json(config, params_to_dict(m))
+            usage = [json.loads(fresh_process(LOCATE_MEMORY_CODE, config, "rusage"))
+                     for _ in range(runs)]
+            out[name] = {
+                "peak_rss_growth_mb": statistics.median(u["peak_rss_kib"] for u in usage)
+                / 1024.0,
+                "faults": statistics.median(u["faults"] for u in usage),
+                "locate_s": summary([u["locate_s"] for u in usage]),
+                **json.loads(fresh_process(LOCATE_MEMORY_CODE, config, "tracemalloc")),
+                **json.loads(fresh_process(LOCATE_MEMORY_CODE, config, "nodes")),
+                "cap_nodes": int(round(default_x_max(m) / DEFAULT_DX)) + 1}
+    return out
+
+
 def bench_sweep_certified(runs=5):
     names = ("certified", "h_tests", "run_sweep_nodes", "W_prime_points", "G_prime_points")
     columns, totals = {}, dict.fromkeys(names, 0)
@@ -354,7 +430,6 @@ def bench_sweep_certified(runs=5):
         spec = SWEEPS[which]
         for value, ref in zip(spec.values, spec.reference):
             m = spec.model_for(value)
-            p = _grid_arrays(m, DEFAULT_DX, MIN_X_MAX)[1]
             scale = solve_scale(m, DEFAULT_DX, MIN_X_MAX)
             SWEEPS[0] = dataclasses.replace(spec, values=(value,), reference=(ref,))
             try:  # the column alone, as sweep 0
@@ -362,8 +437,7 @@ def bench_sweep_certified(runs=5):
                 work = sweep_work(lambda: run_sweep(0))
             finally:
                 del SWEEPS[0]
-            march_t = timed(lambda: _exponential_march(p, m.claim.mu, m.lam, m.q, DEFAULT_DX,
-                                                       [1.0], [0.0]), runs)[0]
+            march_t = timed(lambda: _march(_MarchInputs(m, DEFAULT_DX, MIN_X_MAX)), runs)[0]
             find_t = timed(lambda: find_barrier(scale), runs)[0]
             column = {"run_sweep_s": sweep_t, "march_s": march_t, "find_barrier_s": find_t,
                       "certified": int(work.pop("default_locates") == 0),
@@ -379,9 +453,8 @@ def bench_convolution(nodes=33334):
     models = {"exponential": sweep1_q05(),
               "erlang2": dataclasses.replace(tabulated_cli_model(), penalty=PenaltyModel.zero())}
     for name, model in models.items():
-        x, p = _grid_arrays(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1))
-        u = _march(model, p, DEFAULT_DX, None)[0][:, 0]
-        f = model.claim.density(x)
+        u = _march(_MarchInputs(model, DEFAULT_DX, DEFAULT_DX * (nodes - 1)))[0][:, 0]
+        f = model.claim.density(DEFAULT_DX * np.arange(u.size))
         out[f"{name}_s"] = timed(lambda: _trapezoid_convolution(u, f, DEFAULT_DX), runs=10)[0]
     return out
 
@@ -477,7 +550,7 @@ def bench_tabulated_cli_pass(runs=5):
 
 def bench_omega(nodes=None):
     params = tabulated_cli_model()
-    x = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0][:nodes]
+    x = DEFAULT_DX * np.arange(cap_nodes(params))[:nodes]
     return {"nodes": x.size, "omega_s": timed(lambda: omega_eval(params, x))[0]}
 
 
@@ -556,6 +629,7 @@ def main():
         "penalised_solve": bench_penalised_solve(),
         "locate": bench_locate(),
         "locate_nodes": bench_locate_nodes(),
+        "locate_memory": bench_locate_memory(),
         "sweep_certified": bench_sweep_certified(),
         "convolution": bench_convolution(),
         "find_barrier": bench_find_barrier(),

@@ -70,8 +70,8 @@ class BarrierSolution:
 
 
 def _slope_error(scale: ScaleSolution, where: str) -> NumericsError:
-    """W' <= 0 at `where`: under-resolution when dx exceeds the step cap of
-    `scale._grid_arrays`, model degeneracy otherwise."""
+    """W' <= 0 at `where`: under-resolution when dx exceeds the step cap
+    (`scale._step_cap`), model degeneracy otherwise."""
     why = _under_resolution(scale.params, scale.dx)
     if why is None:
         return NumericsError(f"{where}: barrier-quality function undefined "

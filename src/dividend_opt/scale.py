@@ -24,12 +24,12 @@ steps.  Every other claim density goes through `_blocked_chunks`: W and
 G_p are two columns of one unit lower-triangular system per block of
 `_BLOCK` nodes, and the history older than a super-block of `_SUPER`
 nodes is a partitioned convolution.  The scheme's one stability rule,
-checked in `_march_chunks` for every claim kind before either kernel runs, is
-that the step z = dx (lam + q - dx/2 lam f(0)) / p(x) stays inside
-(-2, 2), where the amplification factor (1 + z/2) / (1 - z/2) is
-positive: it is 0 at z = -2 and has its pole at z = 2, and past either
-u changes sign from node to node.  z can reach -2 only where dx/2 lam f(0)
-exceeds lam + q.  A step outside (-2, 2) is a NumericsError naming the
+checked for every claim kind on every node of the grid when the march's
+inputs are set up (`_MarchInputs`), before the first chunk, is that the
+step z = dx (lam + q - dx/2 lam f(0)) / p(x) stays inside (-2, 2), where
+the amplification factor (1 + z/2) / (1 - z/2) is positive: it is 0 at
+z = -2 and has its pole at z = 2, and past either u changes sign from
+node to node.  z can reach -2 only where dx/2 lam f(0) exceeds lam + q.  A step outside (-2, 2) is a NumericsError naming the
 dx below which every step's factor is positive,
 
     min(2 p / (lam + q), ((lam + q) + sqrt((lam + q)^2 + 4 lam f(0) p)) / (lam f(0)))
@@ -67,7 +67,10 @@ at a super-block end, where it keeps its history ring, and
 `_exponential_chunks` at a block end, where it keeps each column's
 (u, H) state.  At every chunk end the march's first nodes hold exactly
 what the march to the last node computes for them, so a caller can stop
-there and take the stable G of that shorter domain (`_truncated`).
+there and take the stable G of that shorter domain (`_truncated`).  The
+march's inputs, 1/p and omega at the nodes, and the exponential kernel's
+block responses are evaluated chunk by chunk too, so a march that stops
+early has touched only the domain it marched.
 
 The closed forms that check W and G, for constant and linear premiums
 with exponential claims, are test oracles in `_reference`.
@@ -185,25 +188,104 @@ def _under_resolution(params: ModelParams, dx: float) -> str | None:
             f"{_step_cap(params):.4g}{stiff}; decrease dx")
 
 
-def _grid_arrays(params: ModelParams, dx: float, x_max: float):
-    for name, value in (("dx", dx), ("x_max", x_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
-    if dx <= 0 or x_max <= dx:
-        raise ValueError(f"need 0 < dx < x_max, got dx={dx}, x_max={x_max}")
-    if _exceeds_step_cap(params, dx):
-        warnings.warn(f"dx={dx} exceeds the recommended cap {_step_cap(params):.4g} "
-                      f"(0.01 * min(1/lambda, mean claim)); results may be coarse")
-    n = int(round(x_max / dx)) + 1
-    try:
-        x = dx * np.arange(n)
-    except (MemoryError, ValueError):  # ValueError: numpy's size limit
-        raise ValueError(f"a grid of {n} nodes (dx={dx}, x_max={x_max}) cannot be "
-                         f"allocated; increase dx or decrease x_max") from None
-    p_vals = np.asarray(params.premium.p(x), dtype=float)
-    if np.any(p_vals <= 0):
+class _MarchInputs:
+    """The march's inputs on the grid of [0, x_max] with step dx: c = 1/p at
+    its n nodes dx i, p at node 0 (`p0`) and, for a penalty, omega.
+
+    Setting them up checks the grid's arguments and the premium on every
+    node (`_check_premium`), and allocates the buffers, of the grid's size:
+    a grid that cannot be allocated is a ValueError before any march.  A
+    kernel evaluates them chunk by chunk (`fill`), so rows past the last
+    chunk end are never written and cost no resident memory.
+    """
+
+    def __init__(self, params: ModelParams, dx: float, x_max: float):
+        for name, value in (("dx", dx), ("x_max", x_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
+        if dx <= 0 or x_max <= dx:
+            raise ValueError(f"need 0 < dx < x_max, got dx={dx}, x_max={x_max}")
+        if _exceeds_step_cap(params, dx):
+            warnings.warn(f"dx={dx} exceeds the recommended cap {_step_cap(params):.4g} "
+                          f"(0.01 * min(1/lambda, mean claim)); results may be coarse")
+        nodes = x_max / dx
+        n = int(round(nodes)) + 1 if math.isfinite(nodes) else math.inf
+        try:  # ValueError: numpy's size limit; TypeError: n = inf
+            self.c = np.empty(n)
+            self.omega = None if params.penalty.is_zero else np.empty(n)
+        except (MemoryError, ValueError, TypeError):
+            raise ValueError(f"a grid of {n} nodes (dx={dx}, x_max={x_max}) cannot be "
+                             f"allocated; increase dx or decrease x_max") from None
+        _check_premium(params, dx, n)
+        self.params, self.dx, self.n, self.done = params, dx, n, 0
+
+    def fill(self, k: int):
+        """Evaluate the inputs at the nodes below k not evaluated yet."""
+        k0, k = self.done, min(k, self.n)
+        if k <= k0:
+            return
+        x = self.dx * np.arange(k0, k)
+        p = self.params.premium.p(x)
+        if k0 == 0:
+            self.p0 = p[0]
+        np.divide(1.0, p, out=self.c[k0:k])
+        if self.omega is not None:
+            self.omega[k0:k] = omega_eval(self.params, x)
+        self.done = k
+
+
+def _check_premium(params, dx: float, n: int):
+    """Raise NumericsError unless p > 0 at the n nodes dx i, and p > dx/2 |A|,
+    A = lam + q - dx/2 lam f(0), at the nodes i >= 1, where the step dx A / p
+    would leave (-2, 2) otherwise: the trapezoid limit of the module
+    docstring.
+
+    The nodes `_premium_probe` returns decide both checks; only a failing
+    limit check scans the nodes, in pieces, for the first that fails.
+    """
+    premium, lam, q = params.premium, params.lam, params.q
+    f0 = params.claim.density(0.0)
+    A = lam + q - 0.5 * dx * lam * f0
+    limit = 0.5 * dx * abs(A)
+    p = premium.p(dx * _premium_probe(premium, dx, n))
+    if p.min() <= 0:
         raise NumericsError("premium not positive on the grid")
-    return x, p_vals
+    if p[1:].min() > limit:  # the probe's node 0 comes first, and only there
+        return
+    for i0 in range(1, n, 1 << 16):
+        p = premium.p(dx * np.arange(i0, min(i0 + (1 << 16), n)))
+        bad = np.flatnonzero(p <= limit)
+        if bad.size:
+            break
+    i = i0 + int(bad[0])
+    floor = premium.floor_from(0.0, dx * (n - 1))
+    stable = 2.0 * floor / (lam + q)
+    if f0 > 0:
+        stable = min(stable, (lam + q + math.sqrt((lam + q) ** 2 + 4.0 * lam * f0 * floor))
+                     / (lam * f0))
+    raise NumericsError(
+        f"the march reaches the trapezoid limit at x={i * dx:.6g}: the step "
+        f"dx (lam + q - dx/2 lam f(0)) / p(x) is {dx * A / p[bad[0]]:.6g}, outside "
+        f"(-2, 2), for dx={dx:.6g}; decrease dx below {stable:.6g}, where every "
+        f"step's factor is positive (min p = {floor:.6g}); an accurate W needs dx "
+        f"within the step cap 0.01·min(1/lambda, mean claim) = {_step_cap(params):.6g}")
+
+
+def _premium_probe(premium, dx: float, n: int) -> np.ndarray:
+    """Node indices, node 0 first and then nodes i >= 1 only, that hold p's
+    least values on the n nodes dx i, i >= 0 and i >= 1.  The linear law
+    (epsilon >= 0) rises and the rational one falls, in floating point
+    too: nodes 0 and 1, and the last node for the rational law.  A
+    tabulated premium adds the last node and the nodes within two of each
+    knot, around which each piece of its interpolant, monotone on its
+    nodes, starts and ends."""
+    if premium.kind in ("constant", "linear"):
+        return np.array([0, 1])
+    probe = np.array([0, 1, n - 1])
+    if premium.kind == "tabulated":
+        near = np.floor(premium.xs / dx)[:, None] + np.arange(-2.0, 3.0)
+        probe = np.concatenate((probe, np.clip(near.ravel(), 1, n - 1).astype(np.intp)))
+    return probe
 
 
 def _scan_block(n: int) -> int:
@@ -230,17 +312,13 @@ def _to_end(chunks):
     return u, d
 
 
-def _exponential_march(p_vals, mu, lam, q, dx, u0, omega0):
-    """`_exponential_chunks` run to its last node: (values, derivatives)."""
-    return _to_end(_exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0))
+def _exponential_chunks(inputs, mu, lam, q, u0, first=None):
+    """`_reference.volterra_march` for the density f(z) = mu exp(-mu z) on
+    the grid of `inputs`, one column per entry of u0.
 
-
-def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, first=None):
-    """`_reference.volterra_march` for the density f(z) = mu exp(-mu z), one
-    column per entry of u0 and omega0.
-
-    Column k starts from u0[k] with the source omega(x) = omega0[k] e^{-mu x}
-    (0 for W): every penalty rate of exponential claims has that form.  The
+    Column k starts from u0[k]; the last one has the source omega(x) =
+    omega(0) e^{-mu x} when `inputs` has a penalty, and every other column
+    none: every penalty rate of exponential claims has that form.  The
     convolution's history sum and omega(x_i)/dx both decay by delta =
     exp(-mu dx) per step, so their sum H obeys H_i = delta (H_{i-1} + mu
     u_{i-1}) from H_0 = -mu u_0 / 2 + omega(0)/dx (node 0 has weight 1/2),
@@ -251,11 +329,11 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, first=None):
         beta_i = -k_i dx/2 lam dx (c_{i-1} + delta c_i)
 
     with c = 1/p, k = 1 / (1 - dx/2 A c) and A = lam + q - dx/2 lam mu.
-    The n - 1 steps are cut into blocks of B = `_scan_block(n)` steps.  B
-    lockstep steps of three numpy calls march every block's response to
-    each unit start state; per column, a 2 x 2 chain over the block-end
-    responses in Python floats gives each block's start state, broadcast
-    products expand u and H, and d follows from them.
+    The n - 1 steps are cut into blocks of B = `_scan_block(n)` steps.  Per
+    chunk, B lockstep steps of three numpy calls march each of its blocks'
+    response to each unit start state; per column, a 2 x 2 chain over the
+    block-end responses in Python floats gives each block's start state,
+    broadcast products expand u and H, and d follows from them.
 
     A generator: it carries each column's state at a block end on and
     yields (k, values, derivatives), the first k nodes done, at the first
@@ -266,64 +344,74 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, first=None):
     per block, so a node's values do not depend on where the chunks end.
     A column that grows past float range reads inf or nan from there on.
     """
-    n = len(p_vals)
+    n, dx = inputs.n, inputs.dx
     half, ldx = 0.5 * dx, lam * dx
     A, decay = lam + q - half * lam * mu, math.exp(-mu * dx)
     B = _scan_block(n)
     nb = -(-(n - 1) // B)
-    # c, then 0 past the last node; step j of block b is node 1 + b B + j
-    c = np.zeros(nb * B + 1)
-    np.divide(1.0, p_vals, out=c[:n])
-    c_prev, c_cur = c[:-1].reshape(nb, B).T, c[1:].reshape(nb, B).T
-    # R[j, var, s, b]: u (var 0) and H (var 1) after step j of block b from
-    # unit start state s.  Before step j, R[j] holds the rows (alpha, delta)
-    # on the state and (beta, mu delta) on it with u and H swapped
-    R = np.empty((B, 2, 2, nb))
-    alpha, delta, k = R[:, 0, 0], R[:, 0, 1], R[:, 1, 0]
-    np.multiply(c_cur, -half * A, out=k)
-    k += 1.0
-    np.divide(1.0, k, out=k)
-    np.multiply(c_prev, half * A, out=alpha)
-    alpha += 1.0
-    np.multiply(c_cur, half * ldx * mu * decay, out=delta)
-    alpha -= delta
-    alpha *= k
-    np.multiply(c_cur, decay, out=delta)
-    delta += c_prev
-    delta *= -half * ldx
-    k *= delta  # beta
-    R[:, :, 1] = ((decay,), (mu * decay,))
-    prev, mine, swapped = np.eye(2)[:, :, None], np.empty((2, 2, nb)), np.empty((2, 2, nb))
-    for cur, own, other in zip(R, R[:, 0, :, None], R[:, 1, :, None]):
-        np.multiply(own, prev, out=mine)
-        np.multiply(other, prev[::-1], out=swapped)
-        np.add(mine, swapped, out=cur)
-        prev = cur
-    # a non-finite entry stays one through the later steps of its block (H
-    # carries it: a non-finite times a finite or a sum with one is
-    # non-finite), so the block-end products show every failing block
-    bad = ~np.isfinite(R[-1]).all(axis=(0, 1))
-    if bad.any():
-        i = 1 + int(np.argmax(bad)) * B
-        raise _near_limit(B, i, dx, A, c[i:i + B])
-    ends = R[-1].transpose(2, 0, 1).reshape(nb, 4).tolist()
     u, d = np.empty((2, nb * B + 1, len(u0)))
-    h = np.empty((nb, B))
-    states = []  # per column, (u, H) at the start of the next block
-    for col, (s0, w0) in enumerate(zip(u0, omega0)):
-        u[0, col], d[0, col] = s0, ((lam + q) * s0 - lam * w0) / p_vals[0]
-        states.append((float(s0), -0.5 * mu * s0 + w0 / dx))
 
     def end_at(want, b0):  # the first block end 1 + b1 B >= want past block b0
         return nb if want is None else min(nb, max(b0 + 1, -(-(want - 1) // B)))
 
+    def responses(b0, b1):
+        """R[j, var, s, b]: u (var 0) and H (var 1) after step j of block
+        b0 + b from unit start state s, and c at the blocks' steps."""
+        inputs.fill(1 + b1 * B)
+        # c from node b0 B, step j of block b0 + b being node 1 + (b0 + b) B + j,
+        # and 0 past the last node
+        c = inputs.c[b0 * B:1 + b1 * B]
+        if c.size < (b1 - b0) * B + 1:
+            c = np.concatenate((c, np.zeros((b1 - b0) * B + 1 - c.size)))
+        c_prev, c_cur = c[:-1].reshape(-1, B).T, c[1:].reshape(-1, B).T
+        # before step j, R[j] holds the rows (alpha, delta) on the state and
+        # (beta, mu delta) on it with u and H swapped
+        R = np.empty((B, 2, 2, b1 - b0))
+        alpha, delta, k = R[:, 0, 0], R[:, 0, 1], R[:, 1, 0]
+        np.multiply(c_cur, -half * A, out=k)
+        k += 1.0
+        np.divide(1.0, k, out=k)
+        np.multiply(c_prev, half * A, out=alpha)
+        alpha += 1.0
+        np.multiply(c_cur, half * ldx * mu * decay, out=delta)
+        alpha -= delta
+        alpha *= k
+        np.multiply(c_cur, decay, out=delta)
+        delta += c_prev
+        delta *= -half * ldx
+        k *= delta  # beta
+        R[:, :, 1] = ((decay,), (mu * decay,))
+        prev = np.eye(2)[:, :, None]
+        mine, swapped = np.empty((2, 2, 2, b1 - b0))
+        for cur, own, other in zip(R, R[:, 0, :, None], R[:, 1, :, None]):
+            np.multiply(own, prev, out=mine)
+            np.multiply(other, prev[::-1], out=swapped)
+            np.add(mine, swapped, out=cur)
+            prev = cur
+        # a non-finite entry stays one through the later steps of its block (H
+        # carries it: a non-finite times a finite or a sum with one is
+        # non-finite), so the block-end products show every failing block
+        bad = ~np.isfinite(R[-1]).all(axis=(0, 1))
+        if bad.any():
+            i = 1 + (b0 + int(np.argmax(bad))) * B
+            raise _near_limit(B, i, dx, A, inputs.c[i:i + B])
+        return R, c_cur
+
     b0, b1 = 0, end_at(first, 0)
+    R, c_cur = responses(b0, b1)
+    omega = inputs.omega
+    states = []  # per column, (u, H) at the start of the next block
+    for col, s0 in enumerate(u0):
+        w0 = float(omega[0]) if omega is not None and col == len(u0) - 1 else 0.0
+        u[0, col], d[0, col] = s0, ((lam + q) * s0 - lam * w0) / inputs.p0
+        states.append((float(s0), -0.5 * mu * s0 + w0 / dx))
     while True:
-        rows, hb = slice(1 + b0 * B, 1 + b1 * B), h[:b1 - b0]
+        ends = R[-1].transpose(2, 0, 1).reshape(b1 - b0, 4).tolist()
+        rows, hb = slice(1 + b0 * B, 1 + b1 * B), np.empty((b1 - b0, B))
         for col, (su, sh) in enumerate(states):
             starts = []  # u and H at each block start, flat
             put = starts.append
-            for uu, uh, hu, hh in ends[b0:b1]:
+            for uu, uh, hu, hh in ends:
                 put(su)
                 put(sh)
                 su, sh = uu * su + uh * sh, hu * su + hh * sh
@@ -331,17 +419,18 @@ def _exponential_chunks(p_vals, mu, lam, q, dx, u0, omega0, first=None):
             su, sh = np.array(starts).reshape(-1, 2).T[:, :, None]
             uc, dc = u[rows, col].reshape(-1, B), d[rows, col].reshape(-1, B)
             for var, out in ((1, hb), (0, uc)):  # dc is scratch until d is formed
-                np.multiply(R[:, var, 0, b0:b1].T, su, out=out)
-                np.multiply(R[:, var, 1, b0:b1].T, sh, out=dc)
+                np.multiply(R[:, var, 0].T, su, out=out)
+                np.multiply(R[:, var, 1].T, sh, out=dc)
                 out += dc
             np.multiply(uc, A, out=dc)
             hb *= ldx
             dc -= hb
-            dc *= c_cur[:, b0:b1].T
+            dc *= c_cur.T
         want = yield min(rows.stop, n), u[:n], d[:n]
         if b1 == nb:
             return
         b0, b1 = b1, end_at(want, b1)
+        R, c_cur = responses(b0, b1)
 
 
 def _fft_length(n: int) -> int:
@@ -434,11 +523,13 @@ class _PartitionedHistory:
         return np.fft.irfft(acc, 2 * S)[:, S - 1:S - 1 + ns].T
 
 
-def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
-    """`_reference.volterra_march` for several columns at once, by blocks.
+def _blocked_chunks(inputs, f_vals, lam, q, u0):
+    """`_reference.volterra_march` for several columns at once, by blocks,
+    on the grid of `inputs`, with the density f_vals at its first nodes (0
+    past them).
 
     Column k starts from u0[k]; the last column has the source omega when
-    `omega` is given, and every other column none.  Same trapezoid step,
+    `inputs` has a penalty, and every other column none.  Same trapezoid step,
     written for the nodes i of one block after eliminating the derivative
     d_{i-1}:
 
@@ -466,9 +557,9 @@ def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
     inverted as one stack (`_unit_lower_inverse`), and a block's solve is
     one product with its inverse, one right-hand side per column.  The
     coefficients of their rows, alpha and the source term are built per
-    super-block, in buffers allocated once per march, so the march holds
-    O(n) only in 1/p, in its outputs and, for a support as long as the
-    grid, in the ring.
+    super-block, in buffers allocated once per march, as are 1/p and omega
+    (`inputs.fill`), so the march holds O(n) only in its inputs, in its
+    outputs and, for a support as long as the grid, in the ring.
 
     A generator: at the end of every super-block it yields (k, values,
     derivatives), the first k nodes done, in true units; the arrays, of
@@ -478,14 +569,13 @@ def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
     i of the triangular product reads the right-hand side up to row i
     only, so the nodes before the first non-finite row keep their values
     and the nodes from it on read inf, for `_check_range` to report.
-    Below the trapezoid limit, which `_march_chunks` checks, the inverse
+    Below the trapezoid limit, which `_MarchInputs` checks, the inverse
     leaves float range only near it, where one block's growth does: a
     NumericsError (`_near_limit`).
     """
-    p = np.asarray(p_vals, dtype=float)
     f = np.asarray(f_vals, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    n, m = p.size, u0.size
+    n, m, dx, omega = inputs.n, u0.size, inputs.dx, inputs.omega
     B = _BLOCK
     S = max(B, min(_SUPER, n))
     nz = np.flatnonzero(f)
@@ -500,7 +590,7 @@ def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
     # temporaries do not add to the march's peak
     Sw = B * (S // B + 1)
     fw = np.zeros(Sw)
-    fw[:min(Sw, n)] = f[:Sw]
+    fw[:min(Sw, f.size)] = f[:Sw]
     lag = (Sw - B) + np.arange(B)[:, None] - np.arange(Sw)
     strip = np.where(lag >= 0, fw[np.maximum(lag, 0)], 0.0)
     del lag
@@ -513,7 +603,7 @@ def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
     D = min(-(-(K - 1) // S), -(-n // S) - 1)
     history = _PartitionedHistory(f, S, D, m) if D else None
 
-    c = 1.0 / p
+    c = inputs.c
     # the super-block's node s0 + i at row i: per node, alpha, the
     # coefficients of its row of the block matrix (on T, on T shifted down
     # a row, and on the subdiagonal; the zero column S pads a short block
@@ -528,18 +618,20 @@ def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
     # scratch of the matrices' second term)
     mats, invs = np.empty((2, -(-S // B), B, B))
     src0 = np.zeros(m)
+    inputs.fill(S)
     if omega is not None:
         src0[-1] = omega[0]
 
     u = np.empty((n, m))  # u[0] holds u0/2: its trapezoid weight in every sum
     d = np.empty((n, m))
     u[0] = 0.5 * u0
-    d[0] = ((lam + q) * u0 - lam * src0) / p[0]
+    d[0] = ((lam + q) * u0 - lam * src0) / inputs.p0
     u_prev, d_prev = u0, d[0]
 
     for s, s0 in enumerate(range(0, n, S)):
         s1 = min(s0 + S, n)
         ns = s1 - s0
+        inputs.fill(s1)
         lo = max(s0, 1)  # node 0 is no row of a block, and may be past the limit
         np.divide(1.0, 1.0 - half * A * c[lo:s1], out=alpha[lo - s0:ns])
         own, prev = slice(lo - s0, ns), slice(lo - 1, s1 - 1)
@@ -604,54 +696,40 @@ def _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega=None):
         yield s1, u, d
 
 
-def _march(params, p_vals, dx, omega=None):
-    """March W, and G_p too when `omega` is given, as columns of one call.
+def _march(inputs):
+    """March W, and G_p too when `inputs` has a penalty, as columns of one
+    call on the grid of `inputs`.
 
     Returns (values, derivatives), each of shape (n, m): column 0 is W,
     column 1 G_p.  It is `_march_chunks` run to the last node.
     """
-    return _to_end(_march_chunks(params, p_vals, dx, omega))
+    return _to_end(_march_chunks(inputs))
 
 
-def _march_chunks(params, p_vals, dx, omega=None, first=None):
+def _march_chunks(inputs, first=None):
     """`_march` as a generator of (k, values, derivatives), the first k
     nodes done, at the first chunk end k at or past `first`, and then at
     the first one at or past the node count sent in; the arrays are the
     same objects at every yield.  With None, every chunk end, which for
-    exponential claims is the last node.  For exponential claims the O(n)
-    march, where G_p needs only omega(0): it is W's march from another
-    start state, and its chunks end at any block end.  Otherwise the
-    blocked one, on the density sampled at the nodes, whose chunks end at
-    super-block ends.  Each kernel runs with float overflow silenced, and
-    only while it runs: a march past float range reads inf or nan, which
-    the kernels' own checks and `_check_range` report.
+    exponential claims is the last node.  Each chunk evaluates the inputs
+    at its own nodes only (`_MarchInputs.fill`).  For exponential claims
+    the O(n) march, where G_p needs only omega(0): it is W's march from
+    another start state, and its chunks end at any block end.  Otherwise
+    the blocked one, on the density sampled at the nodes up to the claim's
+    support end, whose chunks end at super-block ends.  Each kernel runs
+    with float overflow silenced, and only while it runs: a march past
+    float range reads inf or nan, which the kernels' own checks and
+    `_check_range` report.
     """
-    lam, q = params.lam, params.q
-    # the trapezoid limit (module docstring) at the nodes x_i, i >= 1: the
-    # step dx A / p is outside (-2, 2) where p <= dx/2 |A|
-    f0 = params.claim.density(0.0)
-    A = lam + q - 0.5 * dx * lam * f0
-    if p_vals[1:].min() <= 0.5 * dx * abs(A):
-        i = 1 + int(np.argmax(p_vals[1:] <= 0.5 * dx * abs(A)))
-        floor = params.premium.floor_from(0.0, dx * (p_vals.size - 1))
-        stable = 2.0 * floor / (lam + q)
-        if f0 > 0:
-            stable = min(stable, (lam + q + math.sqrt((lam + q) ** 2 + 4.0 * lam * f0 * floor))
-                         / (lam * f0))
-        raise NumericsError(
-            f"the march reaches the trapezoid limit at x={i * dx:.6g}: the step "
-            f"dx (lam + q - dx/2 lam f(0)) / p(x) is {dx * A / p_vals[i]:.6g}, outside "
-            f"(-2, 2), for dx={dx:.6g}; decrease dx below {stable:.6g}, where every "
-            f"step's factor is positive (min p = {floor:.6g}); an accurate W needs dx "
-            f"within the step cap 0.01·min(1/lambda, mean claim) = {_step_cap(params):.6g}")
-    u0 = [1.0] if omega is None else [1.0, 0.0]
+    params, n, dx = inputs.params, inputs.n, inputs.dx
+    u0 = [1.0] if inputs.omega is None else [1.0, 0.0]
     if params.claim.kind == "exponential":
-        omega0 = [0.0] if omega is None else [0.0, float(omega[0])]
-        chunks = _exponential_chunks(p_vals, params.claim.mu, lam, q, dx, u0, omega0, first)
+        chunks = _exponential_chunks(inputs, params.claim.mu, params.lam, params.q, u0, first)
     else:
-        f_vals = params.claim.density(dx * np.arange(p_vals.size))
-        chunks = _blocked_chunks(p_vals, f_vals, lam, q, dx, u0, omega)
-    n, want, done = p_vals.size, first, None
+        support = min(n, int(params.claim.support_end / dx) + 2)  # f = 0 at the nodes past it
+        f_vals = params.claim.density(dx * np.arange(support))
+        chunks = _blocked_chunks(inputs, f_vals, params.lam, params.q, u0)
+    want, done = first, None
     while done is None or done[0] < n:
         with np.errstate(over="ignore", invalid="ignore"):
             done = next(chunks) if done is None else chunks.send(want)
@@ -660,7 +738,7 @@ def _march_chunks(params, p_vals, dx, omega=None, first=None):
         want = yield done
 
 
-def _check_range(x, u, d):
+def _check_range(dx, u, d):
     """Raise OverflowDomainError unless every column of the march, values and
     derivatives, is finite and |W| <= e^708 (column 0).  The usable domain
     it reports ends at the last node before the first failing one where
@@ -672,10 +750,10 @@ def _check_range(x, u, d):
           & (absw <= math.exp(_MAX_SAFE_LOG)))
     first = int(np.argmin(ok))
     safe_nodes = np.flatnonzero(absw[:first] <= math.exp(_MAX_SAFE_LOG - 5.0))
-    safe = float(x[safe_nodes[-1]]) if safe_nodes.size else 0.0
+    safe = dx * int(safe_nodes[-1]) if safe_nodes.size else 0.0
     raise OverflowDomainError(
-        f"the scale function leaves float64 range at x={x[first]:.6g} on "
-        f"[0, {x[-1]}]; largest safe x_max is about {safe:.6g}",
+        f"the scale function leaves float64 range at x={dx * first:.6g} on "
+        f"[0, {dx * (len(u) - 1)}]; largest safe x_max is about {safe:.6g}",
         largest_safe_x_max=safe)
 
 
@@ -702,13 +780,13 @@ def solve_scale(params: ModelParams, dx: float, x_max: float) -> ScaleSolution:
     The sign checks run here and warn where W' <= 0 or 1 - G' <= 0; the
     residual norms of the diagnostics are computed on their first read.
     """
-    x, p_vals = _grid_arrays(params, dx, x_max)
-    omega = None if params.penalty.is_zero else omega_eval(params, x)
-    u, d = _march(params, p_vals, dx, omega)
-    _check_range(x, u, d)
+    inputs = _MarchInputs(params, dx, x_max)
+    u, d = _march(inputs)
+    _check_range(dx, u, d)
+    omega = inputs.omega
     noise = None if omega is None else _CANCEL_FLOOR * float(np.abs(u[:, 1]).max())
     W, G = _stable_pair(float(dx), u, d, omega is not None)
-    del u, d  # W and G hold copies of their columns: the march's arrays go now
+    del u, d, inputs  # W and G hold copies of their columns: the march's arrays go now
     if omega is not None:
         _check_G_decay(G.values, x_max, noise)
     return ScaleSolution(params, W, G, _sign_checks(params, W, G), omega)

@@ -59,8 +59,8 @@ import numpy as np
 
 from .barrier import barrier_solution_at, find_barrier
 from .errors import DomainTooShortError, NumericsError
-from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel, omega_eval
-from .scale import (_MAX_SAFE_LOG, _SUPER, _grid_arrays, _kappa_positive, _march_chunks,
+from .model import ClaimModel, ModelParams, PenaltyModel, PremiumModel
+from .scale import (_MAX_SAFE_LOG, _SUPER, _kappa_positive, _march_chunks, _MarchInputs,
                     _second_derivative, _truncated, solve_scale)
 
 DEFAULT_DX = 0.005
@@ -171,18 +171,18 @@ def locate_barrier(params: ModelParams, dx: float = DEFAULT_DX,
 def _short_domain(params: ModelParams, dx: float, x_max: float, barrier, reach: float):
     """March [0, x_max] in chunks and stop at the first chunk end, the last
     node included, where the tests pass with the given `reach`: (scale,
-    solution) there, else None."""
-    x, p_vals = _grid_arrays(params, dx, x_max)
-    omega = None if params.penalty.is_zero else omega_eval(params, x)
-    tests = _DomainTests(params, dx, x.size, barrier, reach)
-    chunks = _march_chunks(params, p_vals, dx, omega, tests.want)
+    solution) there, else None.  The march's inputs are evaluated on the
+    chunks it marches only."""
+    inputs = _MarchInputs(params, dx, x_max)
+    tests = _DomainTests(params, dx, inputs.n, barrier, reach)
+    chunks = _march_chunks(inputs, tests.want)
     k, u, d = next(chunks)
     while not tests.passed(k, u, d):
-        if k == x.size:
+        if k == inputs.n:
             return None
         k, u, d = chunks.send(tests.want)
     chunks.close()  # the kernel's working arrays go before the solution is built
-    scale = _truncated(params, dx, u, d, omega, k, params.claim.kind == "exponential")
+    scale = _truncated(params, dx, u, d, inputs.omega, k, params.claim.kind == "exponential")
     return scale, (find_barrier(scale) if barrier is None
                    else barrier_solution_at(scale, barrier))
 

@@ -7,6 +7,7 @@ import pytest
 
 import dividend_opt
 from dividend_opt import ClaimModel, ModelParams, PenaltyModel, PremiumModel
+from dividend_opt.scale import _MarchInputs
 from dividend_opt.tables import SWEEPS, default_x_max, locate_barrier
 
 
@@ -17,6 +18,11 @@ def run_python(code: str) -> str:
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+
+
+def grid_nodes(params, dx, x_max):
+    """The nodes dx i of the march's grid on [0, x_max]."""
+    return dx * np.arange(_MarchInputs(params, dx, x_max).n)
 
 
 def make_params(premium="linear", claim_mu=0.3, penalty="zero", lam=0.1, q=0.05,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dividend_opt import _reference, hjb, tables
 from dividend_opt import scale as scale_module
 from dividend_opt.barrier import h_grid
 from dividend_opt.model import omega_eval
-from dividend_opt.scale import ScaleSolution
+from dividend_opt.scale import ScaleSolution, _MarchInputs
 from dividend_opt.tables import SWEEPS, default_x_max, locate_barrier
 from conftest import erlang2_claim, make_params
 
@@ -735,6 +736,35 @@ class TestDefaultDomain:
         assert short_report.necessary_sufficient_pass == hjb.verify_optimality(
             long_sol, params).necessary_sufficient_pass
         assert short_report.domain == scale.domain
+
+    @pytest.mark.parametrize("name", ["tabulated_cli", "sweep1_linear"])
+    def test_inputs_are_evaluated_on_the_domain_only(self, name, monkeypatch):
+        # the march evaluates p and omega chunk by chunk: a default-domain
+        # locate reads them at no node past its domain's end and one chunk
+        # more, where inputs evaluated on the whole grid reach the cap's end
+        params = DOMAIN_MODELS[name]()
+        cap = _MarchInputs(params, tables.DEFAULT_DX, default_x_max(params)).n
+        reached = {"premium": [], "omega": []}
+
+        def spied(kind, fn):
+            def call(first, x):
+                reached[kind].append(float(np.max(x)))
+                return fn(first, x)
+            return call
+
+        monkeypatch.setattr(PremiumModel, "p", spied("premium", PremiumModel.p))
+        omega = spied("omega", omega_eval)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("dividend_opt") and \
+                    getattr(module, "omega_eval", None) is omega_eval:
+                monkeypatch.setattr(module, "omega_eval", omega)
+        scale, _ = locate_barrier(params)
+        exponential = params.claim.kind == "exponential"
+        chunk = tables.DEFAULT_DX * (scale_module._scan_block(cap) if exponential
+                                     else scale_module._SUPER)
+        assert scale.domain_end < default_x_max(params) - 2 * chunk
+        for xs in reached.values():
+            assert scale.domain_end <= max(xs) <= scale.domain_end + chunk
 
     def test_tabulated_cli_domain_ends_near_two_fifths_of_the_cap(self):
         scale, _ = locate_barrier(DOMAIN_MODELS["tabulated_cli"]())

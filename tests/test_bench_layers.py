@@ -1,7 +1,7 @@
 """Smoke test of `benchmarks/bench_layers.py` on small inputs.
 
 The script calls private library functions (`scale._march`,
-`scale._exponential_march`, `simulate._refill`, ...) and takes its inputs
+`scale._MarchInputs`, `simulate._refill`, ...) and takes its inputs
 from `perfbench/workloads.py`, so a signature change in either fails here
 rather than in the next benchmark run.
 """
@@ -40,6 +40,7 @@ LAYERS = {
     "bench_find_barrier": (),
     "bench_locate": (1,),
     "bench_locate_nodes": (),
+    "bench_locate_memory": (1,),
     "bench_tabulated_cli_pass": (1,),
     "bench_sweep_certified": (1,),
     "bench_grid_lookup": (20,),
@@ -88,6 +89,17 @@ def test_tabulated_cli_model_is_the_workload_input(bench, tmp_path):
         config = json.load(fh)
     assert params_to_dict(bench.tabulated_cli_model()) == params_to_dict(
         params_from_dict(config))
+
+
+def test_locate_memory_counts_the_input_nodes(bench):
+    # a default-domain locate evaluates p and omega on its domain's nodes
+    # only: 13 312 of the cap's 33 334 for tabulated_cli
+    layer = bench.bench_locate_memory(1)
+    assert {name: layer["tabulated_cli"][name] for name in
+            ("input_nodes", "domain_nodes", "cap_nodes")} == {
+        "input_nodes": 13312, "domain_nodes": 13312, "cap_nodes": 33334}
+    sweep = layer["sweep1_q05"]
+    assert sweep["input_nodes"] == sweep["domain_nodes"] < sweep["cap_nodes"]
 
 
 def test_sweep_certified_counts_the_work(bench):

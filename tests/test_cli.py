@@ -13,7 +13,7 @@ from dividend_opt import (ModelParams, PenaltyModel, PremiumModel, cli, params_t
                           simulate, tables)
 from dividend_opt.cli import main
 from dividend_opt.errors import DividendOptError
-from dividend_opt.scale import _grid_arrays
+from dividend_opt.scale import _MarchInputs
 from dividend_opt.tables import DEFAULT_DX, default_x_max, sweep_csv
 from conftest import erlang2_claim, run_python
 
@@ -353,16 +353,18 @@ def test_every_sha256_branch_gives_the_sha256_digest(branch):
     assert run_python(code).split() == [source, SHA256_ABC]
 
 
-def test_verify_within_twenty_one_floats_per_node(tmp_path):
+def test_verify_within_nineteen_floats_per_node(tmp_path):
     # `verify` in process on perfbench's tabulated_cli model.  Its domain
-    # ends at 66.555, but the march allocates its arrays for the 33 334
+    # ends at 66.555, but the march allocates its buffers for the 33 334
     # nodes of the cap, default_x_max, and their working set is the peak
-    # (20.0 floats per cap node, 19.8 with --xmax at the cap).  Evaluating
-    # omega again for the residual profile, or holding the residual's
-    # temporaries over all nodes, went past the budget (23.6) on the cap
+    # (18.1 floats per cap node after the suite's earlier tests, 18.7 in a
+    # fresh process).  The march's inputs are evaluated per chunk: p, 1/p
+    # and omega evaluated on the cap's whole grid went past the budget
+    # (20.0).  Evaluating omega again for the residual profile, or holding
+    # the residual's temporaries over all nodes, went past it too (23.6)
     params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
                          PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
-    n = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0].size
+    n = _MarchInputs(params, DEFAULT_DX, default_x_max(params)).n
     assert n == 33334
     config = tmp_path / "model.json"
     config.write_text(json.dumps(params_to_dict(params)))
@@ -372,7 +374,7 @@ def test_verify_within_twenty_one_floats_per_node(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 21 * 8 * n
+    assert peak <= 19 * 8 * n
 
 
 # argument values that argparse accepts and the library rejects with ValueError
@@ -388,6 +390,17 @@ BAD_ARGUMENT_VALUES = {
     "barrier_nan_dx": ["barrier", "--dx", "nan"],
     # 2e14 nodes, 1.4 PiB: the allocation fails at once, allocating nothing
     "verify_unallocatable_grid": ["verify", "--xmax", "1e12"],
+    # x_max / dx past float range: a grid of inf nodes
+    "barrier_xmax_past_float_range": ["barrier", "--xmax", "1e308"],
+    "barrier_dx_past_float_range": ["barrier", "--dx", "1e-320", "--xmax", "30"],
+    "verify_barrier_past_float_range": ["verify", "--barrier", "1e308"],
+}
+# grids whose buffers cannot be allocated; 3e10 nodes, 224 GiB, is checked
+# with the march replaced only, lest a host that grants it start marching
+UNALLOCATABLE_GRIDS = {
+    **{case: flags for case, flags in BAD_ARGUMENT_VALUES.items()
+       if case.endswith(("unallocatable_grid", "past_float_range"))},
+    "barrier_unallocatable_fine_grid": ["barrier", "--dx", "1e-9", "--xmax", "30"],
 }
 
 
@@ -413,6 +426,22 @@ def test_bad_barrier_is_usage_error_before_any_march(barrier, config_path, tmp_p
     err = capsys.readouterr().err
     assert code == 64
     assert err == f"usage error: barrier must be a finite number >= 0, got {float(barrier)}\n"
+
+
+@pytest.mark.parametrize("case", sorted(UNALLOCATABLE_GRIDS))
+def test_unallocatable_grid_is_usage_error_before_any_march(case, config_path, tmp_path,
+                                                            capsys, monkeypatch):
+    def march(*args, **kwargs):
+        raise AssertionError("a grid that cannot be allocated runs no march")
+
+    for module in (scale, tables):  # tables imports the name from scale
+        monkeypatch.setattr(module, "_march_chunks", march)
+    command, *flags = UNALLOCATABLE_GRIDS[case]
+    code = main([command, config_path, *flags, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("usage error: a grid of ") and err.count("\n") == 1
+    assert err.endswith(" cannot be allocated; increase dx or decrease x_max\n")
 
 
 def test_grid_past_numpy_size_limit_is_usage_error(config_path, tmp_path, capsys):

@@ -13,9 +13,8 @@ from dividend_opt import (ClaimModel, ConfigError, FlowSolver, ModelParams,
                           penalty_envelope, validate_model)
 from dividend_opt._reference import omega_quadrature
 from dividend_opt.model import _OMEGA_BLOCK
-from dividend_opt.scale import _grid_arrays
 from dividend_opt.tables import DEFAULT_DX, default_x_max
-from conftest import (CONFIG_DOCS, erlang2_claim, make_params, run_python,
+from conftest import (CONFIG_DOCS, erlang2_claim, grid_nodes, make_params, run_python,
                       shifted_exponential_claim, tabulated_penalty)
 
 
@@ -353,7 +352,7 @@ class TestOmega:
         # The claim tails of all nodes at once go past the budget (12)
         params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
                              PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
-        x = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0]
+        x = grid_nodes(params, DEFAULT_DX, default_x_max(params))
         assert x.size == 33334
         tracemalloc.start()
         try:
@@ -373,7 +372,7 @@ class TestOmega:
                "tabulated": tabulated_penalty()}[penalty]
         params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01), pen,
                              lam=0.1, q=0.05)
-        x = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0]
+        x = grid_nodes(params, DEFAULT_DX, default_x_max(params))
         om = omega_eval(params, x)
         past = x >= params.claim.support_end
         assert np.count_nonzero(past) > 0.7 * x.size
@@ -389,7 +388,7 @@ class TestOmega:
         # and its one-piece penalty needs one tail per node below it
         params = ModelParams(PremiumModel.linear(1.0, 0.02), erlang2_claim(0.01),
                              PenaltyModel.linear(1.0, 0.5), lam=0.1, q=0.05)
-        x = _grid_arrays(params, DEFAULT_DX, default_x_max(params))[0]
+        x = grid_nodes(params, DEFAULT_DX, default_x_max(params))
         sizes, tails = [], ClaimModel._tails
         monkeypatch.setattr(ClaimModel, "_tails",
                             lambda claim, y: sizes.append(np.size(y)) or tails(claim, y))

@@ -17,12 +17,12 @@ from dividend_opt import _reference
 from dividend_opt.grid import atomic_write
 from dividend_opt.model import omega_eval
 from dividend_opt._reference import _RESCALE_AT
-from dividend_opt.scale import (_BLOCK, _SUPER, _exponential_march,
-                                _check_G_decay, _fft_length, _grid_arrays, _march,
+from dividend_opt.scale import (_BLOCK, _SUPER, _MarchInputs,
+                                _check_G_decay, _check_premium, _fft_length, _march,
                                 _march_chunks, _scan_block, _second_derivative,
                                 _trapezoid_convolution, _unit_lower_inverse)
 from dividend_opt.tables import SWEEPS, DEFAULT_DX, default_x_max, locate_barrier
-from conftest import (erlang2_claim, make_params, shifted_exponential_claim,
+from conftest import (erlang2_claim, grid_nodes, make_params, shifted_exponential_claim,
                       tabulated_penalty)
 
 ORACLE_REL_TOL = 1e-11
@@ -37,28 +37,25 @@ def _max_rel_diff(fast, ref):
 
 
 def _grid_with_density(params, dx, x_max):
-    """`_grid_arrays`' nodes and premium plus the claim density at the nodes:
-    the inputs of `_reference.volterra_march`."""
-    x, p_vals = _grid_arrays(params, dx, x_max)
-    return x, p_vals, np.asarray(params.claim.density(x), dtype=float)
-
-
-def _march_gaps(params, x, p_vals, f_vals, dx, penalty_march=False):
-    """The O(n) exponential march against the reference O(n^2) march on one
-    grid.  Returns the largest relative gaps in values and derivatives, in
-    true units (the reference's stored value * exp(log_scale)), and the
-    reference's log_scale."""
-    u0, src = (0.0, omega_eval(params, x)) if penalty_march else (1.0, None)
-    u, d = _exponential_march(p_vals, params.claim.mu, params.lam, params.q,
-                              dx, [u0], [0.0 if src is None else src[0]])
-    ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam, params.q,
-                                           dx, u0, src)
-    return (_max_rel_diff(u[:, 0], ur * math.exp(Lr)),
-            _max_rel_diff(d[:, 0], dr * math.exp(Lr)), Lr)
+    """The march's nodes on [0, x_max] and the premium and the claim density
+    at them: the inputs of `_reference.volterra_march`."""
+    x = grid_nodes(params, dx, x_max)
+    return x, params.premium.p(x), np.asarray(params.claim.density(x), dtype=float)
 
 
 def _oracle_diffs(params, dx, x_max, penalty_march=False):
-    return _march_gaps(params, *_grid_with_density(params, dx, x_max), dx, penalty_march)
+    """The O(n) exponential march against the reference O(n^2) march on the
+    grid of [0, x_max], W or, with `penalty_march`, G_p.  Returns the
+    largest relative gaps in values and derivatives, in true units (the
+    reference's stored value * exp(log_scale)), and the reference's
+    log_scale."""
+    x, p_vals, f_vals = _grid_with_density(params, dx, x_max)
+    u, d = _march(_MarchInputs(params, dx, x_max))
+    col, u0, src = (1, 0.0, omega_eval(params, x)) if penalty_march else (0, 1.0, None)
+    ur, dr, Lr = _reference.volterra_march(p_vals, f_vals, params.lam, params.q,
+                                           dx, u0, src)
+    return (_max_rel_diff(u[:, col], ur * math.exp(Lr)),
+            _max_rel_diff(d[:, col], dr * math.exp(Lr)), Lr)
 
 
 SWEEP1_Q05 = SWEEPS[1].model_for(0.05)
@@ -136,9 +133,9 @@ class TestExponentialMarchOracle:
     def test_block_edges_match_reference(self, shape, penalty_march):
         params = dataclasses.replace(SWEEP1_Q05, penalty=PenaltyModel.linear(1.0, 0.5))
         n = SCAN_SHAPES[shape]
-        x, p_vals, f_vals = _grid_with_density(params, DEFAULT_DX, 10.0)
-        du, dd, Lr = _march_gaps(params, x[:n], p_vals[:n], f_vals[:n], DEFAULT_DX,
-                                 penalty_march)
+        x_max = DEFAULT_DX * (n - 0.6)  # 0.4 dx past the last of n nodes
+        assert _MarchInputs(params, DEFAULT_DX, x_max).n == n
+        du, dd, Lr = _oracle_diffs(params, DEFAULT_DX, x_max, penalty_march)
         assert Lr == 0.0
         assert du <= ORACLE_REL_TOL
         assert dd <= ORACLE_REL_TOL
@@ -167,19 +164,19 @@ class TestExponentialMarchOracle:
 
 
 def test_march_working_set_within_twelve_floats_per_node():
-    # one W march on 33 334 nodes: the responses (4 floats per node), 1/p,
-    # H and the two outputs; a coefficient table or transposed temporaries
+    # one W march on 33 334 nodes, its inputs evaluated in it: the
+    # responses (4 floats per node), 1/p, H and the two outputs (10.1
+    # floats per node); a coefficient table or transposed temporaries
     # beside them go past the budget
-    _, p_vals = _grid_arrays(SWEEP1_Q05, DEFAULT_DX, default_x_max(SWEEP1_Q05))
-    assert p_vals.size == 33334
+    inputs = _MarchInputs(SWEEP1_Q05, DEFAULT_DX, default_x_max(SWEEP1_Q05))
+    assert inputs.n == 33334
     tracemalloc.start()
     try:
-        _exponential_march(p_vals, SWEEP1_Q05.claim.mu, SWEEP1_Q05.lam, SWEEP1_Q05.q,
-                           DEFAULT_DX, [1.0], [0.0])
+        _march(inputs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 8 * p_vals.size
+    assert peak <= 12 * 8 * inputs.n
 
 
 def test_penalised_tabulated_solve_within_twenty_two_floats_per_node():
@@ -189,7 +186,7 @@ def test_penalised_tabulated_solve_within_twenty_two_floats_per_node():
     # held per super-block (18.4 floats per node).  Those rows or a source
     # array over all n nodes go past the budget
     params, dx, x_max = TestBlockedMarchOracle.params_and_grid("tabulated_cli")
-    n = _grid_arrays(params, dx, x_max)[0].size
+    n = _MarchInputs(params, dx, x_max).n
     assert n == 33334
     tracemalloc.start()
     try:
@@ -252,6 +249,71 @@ LIMIT_MESSAGE = (r"the march reaches the trapezoid limit at x=\S+: the step "
 # the stiff model: A = lam + q - dx/2 lam mu < 0 past dx = 3e-4
 STIFF = ModelParams(PremiumModel.constant(1.5), ClaimModel.exponential(1e4),
                     PenaltyModel.zero(), lam=0.1, q=0.05)
+
+
+# premiums whose least node value lies at a node next to a knot between
+# nodes, at the grid's end or at its start, with dx = 0.01 on [0, 6]
+PROBED_PREMIUMS = {
+    "tabulated_rising": PremiumModel.tabulated([0.0, 0.3337, 0.7771, 5.0],
+                                               [0.02, 0.02, 0.5, 0.6]),
+    "tabulated_falling": PremiumModel.tabulated([0.0, 1.23456, 2.71828],
+                                                [1.0, 0.5, 0.0123]),
+    # dips of 1e-13 pass the monotonicity check; the least sample is at 0.3702
+    "tabulated_dips": PremiumModel.tabulated([0.0, 0.1234, 0.2468, 0.3702, 1.0],
+                                             [0.05, 0.05 - 1e-13, 0.05, 0.05 - 2e-13, 0.06]),
+    "linear_rising": PremiumModel.linear(0.03, 0.02),
+    "rational": PremiumModel.rational(0.01),
+}
+
+
+def _whole_grid_verdict(params, dx, n):
+    """The premium checks on all n nodes at once: None, or the start of the
+    error's text, up to the step at the first node past the limit."""
+    p = params.premium.p(dx * np.arange(n))
+    if np.any(p <= 0):
+        return "premium not positive on the grid"
+    A = params.lam + params.q - 0.5 * dx * params.lam * params.claim.density(0.0)
+    bad = p[1:] <= 0.5 * dx * abs(A)
+    if not bad.any():
+        return None
+    i = 1 + int(np.argmax(bad))
+    return (f"the march reaches the trapezoid limit at x={i * dx:.6g}: the step dx "
+            f"(lam + q - dx/2 lam f(0)) / p(x) is {dx * A / p[i]:.6g}, outside")
+
+
+class TestPremiumCheck:
+    """`_check_premium` reads p at the probe nodes only, unless a check
+    fails, and gives the verdict and text of the checks on every node."""
+
+    @pytest.mark.parametrize("name", sorted(PROBED_PREMIUMS))
+    @pytest.mark.parametrize("margin", [-1e-12, 0.0, 1e-12])
+    def test_verdict_is_the_whole_grids(self, name, margin):
+        # q puts the limit dx/2 |A| at the least p on the nodes i >= 1,
+        # times 1 + margin: just past it, on it, or just inside
+        dx, n, lam, mu = 0.01, 601, 1.0, 1.0
+        premium = PROBED_PREMIUMS[name]
+        least = float(premium.p(dx * np.arange(1, n)).min())
+        q = 2.0 * least * (1.0 + margin) / dx - lam + 0.5 * dx * lam * mu
+        params = ModelParams(premium, ClaimModel.exponential(mu), PenaltyModel.zero(),
+                             lam=lam, q=q)
+        want = _whole_grid_verdict(params, dx, n)
+        assert margin == 0.0 or (want is None) == (margin < 0)  # 0: either, by round-off
+        if want is None:
+            _check_premium(params, dx, n)
+        else:
+            with pytest.raises(NumericsError) as info:
+                _check_premium(params, dx, n)
+            assert str(info.value).startswith(want)
+
+    def test_passing_check_reads_the_probe_only(self, monkeypatch):
+        sizes = []
+        p = PremiumModel.p
+        monkeypatch.setattr(PremiumModel, "p", lambda self, x: sizes.append(np.size(x))
+                            or p(self, x))
+        _check_premium(SWEEP1_Q05, DEFAULT_DX, 33334)
+        _check_premium(dataclasses.replace(SWEEP1_Q05, premium=bounded_premium()),
+                       DEFAULT_DX, 33334)
+        assert sizes == [2, 3 + 5 * bounded_premium().xs.size]
 
 
 class TestTrapezoidLimit:
@@ -426,7 +488,7 @@ class TestBlockedMarchOracle:
         params, dx, x_max = self.params_and_grid(case)
         x, p_vals, f_vals = _grid_with_density(params, dx, x_max)
         omega = None if params.penalty.is_zero else omega_eval(params, x)
-        u, d = _march(params, p_vals, dx, omega)
+        u, d = _march(_MarchInputs(params, dx, x_max))
         starts = [(1.0, None)] + ([] if omega is None else [(0.0, omega)])
         assert u.shape == d.shape == (x.size, len(starts))
         for k, (u0, src) in enumerate(starts):
@@ -444,7 +506,7 @@ class TestBlockedMarchOracle:
         self.test_matches_reference("one_node_past_a_super_block")
 
     def test_grid_shapes_cover_the_block_edges(self):
-        sizes = {case: _grid_arrays(*self.params_and_grid(case))[0].size
+        sizes = {case: _MarchInputs(*self.params_and_grid(case)).n
                  for case in BLOCKED_CASES}
         assert sizes["fewer_nodes_than_a_block"] < _BLOCK
         assert sizes["one_node_past_a_block"] == _BLOCK + 1
@@ -454,7 +516,7 @@ class TestBlockedMarchOracle:
     def test_supports_cover_the_spectra_ring(self):
         def nodes_and_support(case):
             params, dx, x_max = self.params_and_grid(case)
-            x = _grid_arrays(params, dx, x_max)[0]
+            x = grid_nodes(params, dx, x_max)
             return x.size, int(np.flatnonzero(params.claim.density(x))[-1]) + 1
 
         n, K = nodes_and_support("support_past_eight_super_blocks")
@@ -481,17 +543,16 @@ class TestBlockedMarchOracle:
         monkeypatch.setattr(np.fft, "irfft", recorded(np.fft.irfft, lambda k: 2 * (k - 1)))
         for case in ("tabulated_cli", "support_past_eight_super_blocks"):
             params, dx, x_max = self.params_and_grid(case)
-            x, p_vals = _grid_arrays(params, dx, x_max)
+            inputs = _MarchInputs(params, dx, x_max)
             lengths.clear()
-            _march(params, p_vals, dx, omega_eval(params, x))
+            _march(inputs)
             # the density segments' spectra, then per super-block after the first
-            assert len(lengths) == 1 + 2 * (-(-x.size // _SUPER) - 1)
+            assert len(lengths) == 1 + 2 * (-(-inputs.n // _SUPER) - 1)
             assert set(lengths) == {2 * _SUPER}
 
     def test_fast_growth_rescales(self):
         params, dx, x_max = self.params_and_grid("fast_growth_rescales")
-        x, p_vals = _grid_arrays(params, dx, x_max)
-        u, d = _march(params, p_vals, dx, omega_eval(params, x))
+        u, d = _march(_MarchInputs(params, dx, x_max))
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(d))
         assert np.max(np.abs(u)) > 1e150  # past the reference march's rescale threshold
 
@@ -568,6 +629,13 @@ class TestComputeW:
         # 2e14 nodes, 1.4 PiB: the allocation fails at once, allocating nothing
         with pytest.raises(ValueError, match="increase dx or decrease x_max"):
             solve_scale(table1_q05, 0.005, 1e12)
+
+    @pytest.mark.parametrize("dx,x_max", [(0.005, 1e308), (1e-320, 30.0)])
+    def test_grid_past_float_range_rejected(self, table1_q05, dx, x_max):
+        # x_max / dx is inf: the allocation's ValueError, not an OverflowError
+        with pytest.raises(ValueError, match=r"^a grid of inf nodes \(dx=.*\) cannot be "
+                                             r"allocated; increase dx or decrease x_max$"):
+            solve_scale(table1_q05, dx, x_max)
 
     def test_step_warning(self, table1_q05):
         with pytest.warns(UserWarning, match="recommended cap"):
@@ -908,7 +976,8 @@ class TestClosedFormLinear:
 class TestMarchChunks:
     """`_march_chunks`: every chunk end holds the march's first nodes exactly
     as the march to the last node computes them, for both kernels, and it
-    is the first end at or past the node count asked for."""
+    is the first end at or past the node count asked for; the inputs are
+    evaluated up to that end only, to the values at the whole grid's nodes."""
 
     @pytest.mark.parametrize("claim", ["exponential", "tabulated"])
     @pytest.mark.parametrize("penalty", [PenaltyModel.zero(), PenaltyModel.linear(1.0, 0.5)])
@@ -916,9 +985,10 @@ class TestMarchChunks:
         params = dataclasses.replace(SWEEP1_Q05, penalty=penalty)
         if claim == "tabulated":
             params = dataclasses.replace(params, claim=erlang2_claim(0.01))
-        x, p_vals = _grid_arrays(params, DEFAULT_DX, default_x_max(params))
+        x = grid_nodes(params, DEFAULT_DX, default_x_max(params))
+        c_end = 1.0 / params.premium.p(x)
         omega = None if penalty.is_zero else omega_eval(params, x)
-        u_end, d_end = _march(params, p_vals, DEFAULT_DX, omega)
+        u_end, d_end = _march(_MarchInputs(params, DEFAULT_DX, default_x_max(params)))
         if claim == "tabulated":  # super-block ends
             def end_at(want):
                 return _SUPER * math.ceil(want / _SUPER)
@@ -928,12 +998,15 @@ class TestMarchChunks:
             def end_at(want):
                 return 1 + B * math.ceil((want - 1) / B)
         want, ends = 2500, []
-        chunks = _march_chunks(params, p_vals, DEFAULT_DX, omega, want)
+        inputs = _MarchInputs(params, DEFAULT_DX, default_x_max(params))
+        chunks = _march_chunks(inputs, want)
         k, u, d = next(chunks)
         while True:
             ends.append(k)
-            assert k == min(end_at(want), x.size)
+            assert k == min(end_at(want), x.size) == inputs.done
             assert np.array_equal(u[:k], u_end[:k]) and np.array_equal(d[:k], d_end[:k])
+            assert np.array_equal(inputs.c[:k], c_end[:k])
+            assert omega is None or np.array_equal(inputs.omega[:k], omega[:k])
             if k == x.size:
                 break
             want = k + 700 + 300 * len(ends)
